@@ -77,10 +77,11 @@ def cmd_compute(args) -> int:
         }
         print(json.dumps(summary, sort_keys=True))
         return 3
+    report = verify_report(rep)
     summary = {
         "input": args.input,
         "algorithm": args.alg,
-        "status": "ok",
+        "status": "ok" if report["ok"] else "fail",
         "algebra_dim": g.dim,
         "dim": rep.dim,
         "elapsed_s": round(elapsed, 3),
@@ -91,6 +92,10 @@ def cmd_compute(args) -> int:
         if params:
             summary["params"] = params
         summary["field"] = g.field.kind if g.field.is_rationals else "F%d" % g.field.characteristic
+    if not report["ok"]:
+        summary["verification"] = report
+        print(json.dumps(summary, sort_keys=True))
+        return 1
     if args.out:
         fileio.save_representation(rep, args.out)
         summary["out"] = args.out

@@ -4,8 +4,8 @@ Every functional in the submodule generated by the psi_i vanishes on the
 discarded monomials and on everything of weight above the class, so a
 functional is stored as its value vector on Regular's active monomial set A.
 The action on functionals is the contragredient of the module action:
-x . f = -(action of x)^T f, which for the text (left) model is exactly
-(x.f)(a) = -f(x a).
+x . f = -(action of x)^T f.  The module action of x is minus the right
+multiplication by x, so this is exactly (x.f)(a) = f(a x).
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ def dual_action_matrices(module: PrunedModule) -> list:
     return [mat.transpose().scaled(neg_one) for mat in module.module_matrices]
 
 
-def dual_action(module: PrunedModule, i: int, f: dict) -> dict:
-    """x_i . f for a functional given as {active position: value}."""
-    return dual_action_matrices(module)[i].apply_sparse(f)
-
-
 def center_dual_generators(module: PrunedModule) -> list:
     """psi_i: value 1 on the degree-one monomial of the i-th central generator."""
     gens = []
@@ -38,7 +33,8 @@ def center_dual_generators(module: PrunedModule) -> list:
     pos = {mid: p for p, mid in enumerate(uea.active)}
     for k in module.central_ids:
         mid = uea.degree_one_mid(k)
-        assert mid in pos, "central generator monomial was pruned"
+        if mid not in pos:
+            raise RuntimeError("central generator monomial was pruned")
         gens.append({pos[mid]: uea.field.one})
     return gens
 
@@ -79,7 +75,8 @@ def algorithm_dual(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Repr
         for b, row in enumerate(basis.rows):
             img = mat.apply_dense(row)
             resid = basis.reduce(img)
-            assert all(x == 0 for x in resid), "spin closure failed"
+            if any(x != 0 for x in resid):
+                raise RuntimeError("spin closure failed")
             col = {}
             for t, pc in enumerate(basis.pivots):
                 v = img[pc]
@@ -96,6 +93,6 @@ def algorithm_dual(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Repr
             "algorithm": "dual",
             "dim": k,
             "active_monomials": module.dim,
-            "side": module.side,
+            "side": "right",
         },
     )

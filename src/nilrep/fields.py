@@ -123,9 +123,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0")
         return 1 / _rational(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def validate(self, x) -> bool:
         """Cheap sanity check that a raw scalar belongs to this field."""
         if self.characteristic:

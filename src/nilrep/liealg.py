@@ -222,13 +222,6 @@ class AdaptedBasis:
     def nilpotency_class(self) -> int:
         return self.weights[-1] if self.weights else 0
 
-    def to_new(self, vec: Sequence) -> list:
-        """Coordinates of an original-basis vector in the adapted basis."""
-        return _vec_mat(vec, self.inverse, self.original.field)
-
-    def to_old(self, vec: Sequence) -> list:
-        return _vec_mat(vec, self.matrix, self.original.field)
-
 
 def _vec_mat(vec: Sequence, mat: tuple, fld: Field) -> list:
     out = [fld.zero] * len(mat[0])

@@ -225,11 +225,6 @@ def _check_compatible(a: Subspace, b: Subspace):
         raise ValueError("ambient dimensions differ: %d vs %d" % (a.ambient, b.ambient))
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_compatible(a, b)
-    return Subspace.from_vectors(a.field, a.ambient, list(a.rows) + list(b.rows))
-
-
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Exact intersection, via the kernel of the stacked coefficient system."""
     _check_compatible(a, b)
@@ -601,14 +596,6 @@ def matrix_kernel(mat: SparseMatrix) -> Subspace:
     for _i, row in mat.iter_rows():
         elim.add(row)
     return elim.kernel()
-
-
-def column_space(mat: SparseMatrix) -> Subspace:
-    """Column space of a sparse matrix (as a subspace of K^nrows)."""
-    elim = SparseEliminator(mat.field, mat.nrows)
-    for j in sorted(mat.cols):
-        elim.add(mat.cols[j])
-    return elim.row_space()
 
 
 def is_nilpotent(mat: SparseMatrix) -> bool:

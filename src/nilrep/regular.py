@@ -7,13 +7,11 @@ every generator already lies in the discarded span.  The reachable fixpoint is
 unique for a given monomial model, so the sweep order below (weight
 descending) only affects speed, not the result.
 
-Two monomial models are supported.  The text model takes PBW products in the
-adapted order and multiplies from the left (this is what the worked bracket
-examples like y.x = xy - z use).  The benchmark model -- the one whose pruned
-dimensions reproduce the published tables -- takes PBW products over the
-reversed basis order (weight descending, original index order inside a weight
-layer).  Reversing products identifies that module with minus-right
-multiplication on ascending monomials, which is how it is computed here.
+The monomial model is the one whose pruned dimensions reproduce the
+published tables: PBW products over the reversed basis order (weight
+descending, original index order inside a weight layer).  Reversing products
+identifies that module with minus-right multiplication on ascending monomials
+of the layer-reversed adapted basis, which is how it is computed here.
 """
 
 from __future__ import annotations
@@ -55,27 +53,24 @@ class PruneState:
     """Active/discarded split of the monomial basis during pruning."""
 
     uea: TruncatedUEA
-    side: str  # "left": x*a products; "right": a*x (the benchmark model)
     active: set
     protected: frozenset
     removed: list  # monomial ids in removal order
 
 
-def initial_prune_state(uea: TruncatedUEA, central_ids, side: str = "right") -> PruneState:
+def initial_prune_state(uea: TruncatedUEA, central_ids) -> PruneState:
     """Start state: everything active, the unit and central generators protected."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     protected = {uea.unit}
     for k in central_ids:
         protected.add(uea.degree_one_mid(k))
-    return PruneState(uea, side, set(range(len(uea.monomials))), frozenset(protected), [])
+    return PruneState(uea, set(range(len(uea.monomials))), frozenset(protected), [])
 
 
 def prune(state: PruneState) -> PruneState:
     """Run removal sweeps (weight descending) until a sweep removes nothing."""
     uea = state.uea
     d = uea.algebra.dim
-    masks = uea.support_masks() if state.side == "left" else uea.right_support_masks()
+    masks = uea.right_support_masks()
     active_mask = 0
     for mid in state.active:
         active_mask |= 1 << mid
@@ -94,7 +89,7 @@ def prune(state: PruneState) -> PruneState:
                 changed = True
         if not changed:
             break
-    return PruneState(uea, state.side, active, state.protected, removed)
+    return PruneState(uea, active, state.protected, removed)
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +100,14 @@ def prune(state: PruneState) -> PruneState:
 class PrunedModule:
     """Shared result of Regular's pruning, reused by Dual and Quotient.
 
-    ``basis_matrix`` rows are the (possibly layer-reversed) adapted basis
-    vectors in original coordinates; ``module_matrices[t]`` is the module
-    action of that basis vector on the active monomial span, already a Lie
-    algebra homomorphism (for the benchmark model it is minus the right
-    multiplication).
+    ``basis_matrix`` rows are the layer-reversed adapted basis vectors in
+    original coordinates; ``module_matrices[t]`` is the module action of that
+    basis vector on the active monomial span (minus the right
+    multiplication), already a Lie algebra homomorphism.
     """
 
     algebra: LieAlgebra
     adapted: AdaptedBasis
-    side: str
     uea: TruncatedUEA  # restricted to the pruned active set
     state: PruneState
     central_ids: tuple
@@ -176,87 +169,64 @@ def build_truncated_uea(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -
     return TruncatedUEA(adapted.algebra, adapted.weights, adapted.nilpotency_class)
 
 
-def build_pruned_module(
-    g: LieAlgebra,
-    adapted: Optional[AdaptedBasis] = None,
-    side: str = "right",
-) -> PrunedModule:
-    """Enumerate monomials of weight <= c and prune; side="right" reproduces the tables."""
-    adapted = adapted or g.adapted_basis()
-    fld = g.field
-    if side == "right":
-        perm = _reverse_layers(adapted.weights)
-        algebra = _permuted_algebra(adapted.algebra, perm)
-        basis_matrix = tuple(adapted.matrix[p] for p in perm)
-        inv_positions = {old: new for new, old in enumerate(perm)}
-        central_ids = tuple(
-            sorted(inv_positions[k] for k, z in enumerate(adapted.central_flags) if z)
-        )
-    elif side == "left":
-        algebra = adapted.algebra
-        basis_matrix = adapted.matrix
-        central_ids = tuple(k for k, z in enumerate(adapted.central_flags) if z)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    basis_inverse = _invert_rows(basis_matrix, fld)
+def _reversed_model(g: LieAlgebra, adapted: AdaptedBasis):
+    """Full truncated UEA over the layer-reversed adapted basis.
+
+    Returns (uea, central ids, basis matrix, basis inverse); basis vector t of
+    the model is row t of the basis matrix, in original coordinates.
+    """
+    perm = _reverse_layers(adapted.weights)
+    algebra = _permuted_algebra(adapted.algebra, perm)
+    basis_matrix = tuple(adapted.matrix[p] for p in perm)
+    inv_positions = {old: new for new, old in enumerate(perm)}
+    central_ids = tuple(
+        sorted(inv_positions[k] for k, z in enumerate(adapted.central_flags) if z)
+    )
+    basis_inverse = _invert_rows(basis_matrix, g.field)
     uea = TruncatedUEA(algebra, adapted.weights, adapted.nilpotency_class)
-    state = prune(initial_prune_state(uea, central_ids, side))
-    final = sorted(state.active)
-    restricted = uea.restrict(final)
-    if side == "left":
-        uea.build_columns(final)
-        module_matrices = [restricted.action_matrix(i) for i in range(g.dim)]
-    else:
-        neg_one = fld.neg(fld.one)
-        module_matrices = [
-            restricted.right_action_matrix(i).scaled(neg_one) for i in range(g.dim)
-        ]
+    return uea, central_ids, basis_matrix, basis_inverse
+
+
+def _module_matrices(uea: TruncatedUEA) -> list:
+    """Minus the right multiplication by each basis vector, on the active span."""
+    fld = uea.field
+    neg_one = fld.neg(fld.one)
+    return [uea.right_action_matrix(i).scaled(neg_one) for i in range(uea.algebra.dim)]
+
+
+def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -> PrunedModule:
+    """Enumerate monomials of weight <= c and prune; reproduces the table dimensions."""
+    adapted = adapted or g.adapted_basis()
+    uea, central_ids, basis_matrix, basis_inverse = _reversed_model(g, adapted)
+    state = prune(initial_prune_state(uea, central_ids))
+    restricted = uea.restrict(sorted(state.active))
     return PrunedModule(
         g,
         adapted,
-        side,
         restricted,
         state,
         central_ids,
         basis_matrix,
         basis_inverse,
-        module_matrices,
+        _module_matrices(restricted),
     )
 
 
-def regular_unpruned(g: LieAlgebra, side: str = "right") -> Representation:
+def regular_unpruned(g: LieAlgebra) -> Representation:
     """The faithful module on all monomials of weight <= c, without pruning."""
-    adapted = g.adapted_basis()
-    fld = g.field
-    if side == "right":
-        perm = _reverse_layers(adapted.weights)
-        algebra = _permuted_algebra(adapted.algebra, perm)
-        basis_matrix = tuple(adapted.matrix[p] for p in perm)
-    else:
-        algebra = adapted.algebra
-        basis_matrix = adapted.matrix
-    basis_inverse = _invert_rows(basis_matrix, fld)
-    uea = TruncatedUEA(algebra, adapted.weights, adapted.nilpotency_class)
-    if side == "left":
-        per_basis = [uea.action_matrix(i) for i in range(g.dim)]
-    else:
-        neg_one = fld.neg(fld.one)
-        per_basis = [uea.right_action_matrix(i).scaled(neg_one) for i in range(g.dim)]
-    mats = [lincomb(fld, basis_inverse[l], per_basis) for l in range(g.dim)]
+    uea, _central_ids, _basis_matrix, basis_inverse = _reversed_model(g, g.adapted_basis())
+    per_basis = _module_matrices(uea)
+    mats = [lincomb(g.field, basis_inverse[l], per_basis) for l in range(g.dim)]
     return Representation(
         g,
         mats,
-        {"algorithm": "regular_unpruned", "dim": len(uea.monomials), "side": side},
+        {"algorithm": "regular_unpruned", "dim": len(uea.monomials), "side": "right"},
     )
 
 
-def algorithm_regular(
-    g: LieAlgebra,
-    module: Optional[PrunedModule] = None,
-    side: str = "right",
-) -> Representation:
+def algorithm_regular(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Representation:
     """Regular: enumerate monomials of weight <= c, then prune."""
-    module = module or build_pruned_module(g, side=side)
+    module = module or build_pruned_module(g)
     mats = module.to_original_basis(module.module_matrices)
     return Representation(
         module.algebra,
@@ -266,6 +236,6 @@ def algorithm_regular(
             "dim": module.dim,
             "unpruned_dim": len(module.uea.monomials),
             "removed": len(module.state.removed),
-            "side": module.side,
+            "side": "right",
         },
     )

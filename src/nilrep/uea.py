@@ -2,14 +2,14 @@
 
 PBW monomials over a weight-adapted ordered basis are encoded as exponent
 tuples; every monomial of weight above the nilpotency class acts as zero.
-Left multiplication by a generator is straightened with the rewrite
-x_i x_j = x_j x_i + [x_i, x_j] (j < i); bracket corrections strictly raise
-weight, so the rewriting terminates within the truncation.
+The module action is right multiplication by a generator, straightened back
+to ascending PBW form with the rewrite x_k x_i = x_i x_k + [x_k, x_i]
+(i < k); bracket corrections strictly raise weight, so the rewriting
+terminates within the truncation.
 
-Two evaluation strategies share one combination step: a memoised recursion
-(fine for small algebras and ad-hoc queries) and a streaming pass by monomial
-degree that keeps only two degree levels alive (used for the large filiform
-modules, where the full product table would not fit comfortably in memory).
+Products are evaluated by an iterative memoised recursion.  The pruning pass
+keeps only support bitmasks of all products resident, and coefficient columns
+are re-derived for the surviving monomials only.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ def enumerate_monomials(weights: Sequence[int], cutoff: int) -> list:
 
 
 class TruncatedUEA:
-    """U(g)/U^{c+1}(g) on an active monomial set, with straightened left action.
+    """U(g)/U^{c+1}(g) on an active monomial set, with straightened right action.
 
     ``algebra`` must already be written in the adapted basis (weights
     non-decreasing, brackets weight-additive); ``active`` is the ordered set A
     of monomial ids that currently spans the module -- monomials outside A act
-    as zero in ``left_multiply`` and ``action_matrix``.
+    as zero in ``right_action_matrix``.
     """
 
     def __init__(self, algebra: LieAlgebra, weights: Sequence[int], cutoff: int,
@@ -71,36 +71,18 @@ class TruncatedUEA:
         self.monomials = enumerate_monomials(self.weights, cutoff)
         self.index: Dict[tuple, int] = {m: t for t, m in enumerate(self.monomials)}
         self.weight_of = [monomial_weight(m, self.weights) for m in self.monomials]
-        self.degree_of = [sum(m) for m in self.monomials]
         self.unit = self.index[(0,) * algebra.dim]
-        self._lead, self._suffix = self._leads_and_suffixes()
         self._bump = self._bump_table()
-        self._brackets = self._bracket_table()
+        self._check_weight_adapted()
         if active is None:
             active = range(len(self.monomials))
         self.active: Tuple[int, ...] = tuple(sorted(active))
         self._pos = {mid: p for p, mid in enumerate(self.active)}
-        self._cache: Dict[tuple, dict] = {}
-        self._columns: Optional[Dict[tuple, dict]] = None
-        self._masks: Optional[list] = None
         self._trail = self._trailing_vars()
         self._rcache: Dict[tuple, dict] = {}
         self._rmasks: Optional[list] = None
 
     # -- construction helpers -------------------------------------------------
-
-    def _leads_and_suffixes(self):
-        lead = [-1] * len(self.monomials)
-        suffix = [-1] * len(self.monomials)
-        for mid, mono in enumerate(self.monomials):
-            for j, a in enumerate(mono):
-                if a:
-                    lead[mid] = j
-                    shorter = list(mono)
-                    shorter[j] -= 1
-                    suffix[mid] = self.index[tuple(shorter)]
-                    break
-        return lead, suffix
 
     def _bump_table(self):
         d = self.algebra.dim
@@ -118,10 +100,8 @@ class TruncatedUEA:
             bump.append(row)
         return bump
 
-    def _bracket_table(self):
-        """[x_i, x_j] for i > j as item lists; checks weight additivity."""
-        table = {}
-        d = self.algebra.dim
+    def _check_weight_adapted(self):
+        """Every bracket [x_i, x_j] (i > j) must land in weight >= w_i + w_j, past x_i."""
         for (j, i), terms in self.algebra.table.items():
             need = self.weights[i] + self.weights[j]
             for k in terms:
@@ -130,9 +110,6 @@ class TruncatedUEA:
                         "structure constants are not weight-adapted: "
                         "[x_%d, x_%d] hits x_%d" % (i, j, k)
                     )
-            fld = self.field
-            table[(i, j)] = tuple((k, fld.neg(c)) for k, c in sorted(terms.items()))
-        return table
 
     def _trailing_vars(self):
         """(largest variable index, monomial id with one copy of it removed)."""
@@ -160,108 +137,11 @@ class TruncatedUEA:
         other._pos = {mid: p for p, mid in enumerate(other.active)}
         return other
 
-    # -- straightening --------------------------------------------------------
-
-    def _combine(self, i: int, mid: int, get) -> dict:
-        """x_i · monomial(mid) as {mid: coeff}, full truncation semantics."""
-        if mid == self.unit:
-            t = self._bump[mid][i]
-            return {t: self.field.one} if t >= 0 else {}
-        j = self._lead[mid]
-        if i <= j:
-            t = self._bump[mid][i]
-            return {t: self.field.one} if t >= 0 else {}
-        mid2 = self._suffix[mid]
-        acc: dict = {}
-        bump = self._bump
-        for tid, cf in get(i, mid2).items():
-            tt = bump[tid][j]
-            if tt >= 0:
-                acc[tt] = acc.get(tt, 0) + cf
-        br = self._brackets.get((i, j))
-        if br:
-            for k, ck in br:
-                for tid, cf in get(k, mid2).items():
-                    acc[tid] = acc.get(tid, 0) + ck * cf
-        p = self.field.characteristic
-        if p:
-            return {t: v % p for t, v in acc.items() if v % p}
-        return {t: v for t, v in acc.items() if v != 0}
-
-    def product_ids(self, i: int, mid: int) -> dict:
-        """Cached straightening of x_i · monomial(mid) (do not mutate the result)."""
-        if self._columns is not None:
-            hit = self._columns.get((i, mid))
-            if hit is not None:
-                return hit
-        key = (i, mid)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._combine(i, mid, self.product_ids)
-            self._cache[key] = hit
-        return hit
-
-    def _levels(self):
-        levels: Dict[int, list] = {}
-        for mid, deg in enumerate(self.degree_of):
-            levels.setdefault(deg, []).append(mid)
-        return [levels.get(deg, []) for deg in range(max(levels) + 1)]
-
-    def _stream(self, want_masks: bool, retain: Optional[set]):
-        """One pass over all (generator, monomial) products by monomial degree."""
-        d = self.algebra.dim
-        masks = [[0] * len(self.monomials) for _ in range(d)] if want_masks else None
-        columns: Dict[tuple, dict] = {} if retain is not None else None
-        prev: Dict[tuple, dict] = {}
-
-        def get(k, m2):
-            return prev[(k, m2)]
-
-        for level in self._levels():
-            cur: Dict[tuple, dict] = {}
-            for mid in level:
-                keep = retain is not None and mid in retain
-                for i in range(d):
-                    res = self._combine(i, mid, get)
-                    cur[(i, mid)] = res
-                    if want_masks:
-                        m = 0
-                        for t in res:
-                            m |= 1 << t
-                        masks[i][mid] = m
-                    if keep:
-                        columns[(i, mid)] = res
-            prev = cur
-        return masks, columns
-
-    def support_masks(self) -> list:
-        """masks[i][mid]: bitmask over monomial ids hit by x_i · monomial(mid)."""
-        if self._masks is None:
-            small = self.algebra.dim * len(self.monomials) <= 100_000
-            masks, columns = self._stream(True, set(range(len(self.monomials))) if small else None)
-            self._masks = masks
-            if columns is not None:
-                self._columns = columns
-        return self._masks
-
-    def build_columns(self, retain: Iterable[int]):
-        """Materialise straightening columns for the given monomials (all i)."""
-        retain = set(retain)
-        if self._columns is not None and all(
-            (i, mid) in self._columns for mid in retain for i in range(self.algebra.dim)
-        ):
-            return
-        _masks, columns = self._stream(False, retain)
-        if self._columns is None:
-            self._columns = columns
-        else:
-            self._columns.update(columns)
-
     # -- right multiplication --------------------------------------------------
     #
-    # monomial * x_i, straightened back to ascending PBW form.  Used for the
-    # mirrored monomial model behind the published benchmark dimensions: the
-    # tables correspond to PBW products over the basis in reversed order, and
+    # monomial * x_i, straightened back to ascending PBW form.  This is the
+    # monomial model behind the published benchmark dimensions: the tables
+    # correspond to PBW products over the basis in reversed order, and
     # reversing products (the antipode, up to sign) turns that left action
     # into minus the right multiplication computed here.
 
@@ -374,32 +254,6 @@ class TruncatedUEA:
             elif a > 1:
                 parts.append("%s^%d" % (names[k], a))
         return "*".join(parts)
-
-    def left_multiply(self, i: int, mono) -> dict:
-        """x_i · m on the active module, as {exponent tuple: coefficient}.
-
-        Monomials outside the active set (including everything of weight above
-        the cutoff) are treated as zero.  ``m`` must itself be active.
-        """
-        if not 0 <= i < self.algebra.dim:
-            raise IndexError("generator index out of range")
-        mid = mono if isinstance(mono, int) else self.index[tuple(mono)]
-        if mid not in self._pos:
-            raise ValueError("monomial is not in the active set")
-        res = self.product_ids(i, mid)
-        return {self.monomials[t]: cf for t, cf in res.items() if t in self._pos}
-
-    def action_matrix(self, i: int) -> SparseMatrix:
-        """Matrix of x_i acting on span(active monomials), columns = images."""
-        n = len(self.active)
-        cols = {}
-        pos = self._pos
-        for p, mid in enumerate(self.active):
-            res = self.product_ids(i, mid)
-            col = {pos[t]: cf for t, cf in res.items() if t in pos}
-            if col:
-                cols[p] = col
-        return SparseMatrix(self.field, n, n, cols)
 
     def degree_one_mid(self, k: int) -> int:
         """Monomial id of the bare generator x_k."""

@@ -52,6 +52,29 @@ def test_compute_writes_representation(tmp_path, capsys):
     assert rep.dim == 3
 
 
+def test_compute_refuses_unverified_result(tmp_path, capsys, monkeypatch):
+    from nilrep import cli
+    from nilrep.linalg import SparseMatrix
+    from nilrep.representation import Representation
+
+    def zero_regular(g):
+        # a homomorphism, but z acts as 0, so it is not faithful
+        return Representation(g, [SparseMatrix.zero(g.field, 2, 2) for _ in range(g.dim)])
+
+    monkeypatch.setattr(cli, "algorithm_regular", zero_regular)
+    out_path = tmp_path / "rep.json"
+    code, out, _ = run(
+        capsys, "compute", "--alg", "regular", "--in", "catalog:heisenberg",
+        "--out", str(out_path),
+    )
+    assert code == 1
+    summary = json.loads(out)
+    assert summary["status"] == "fail"
+    assert summary["verification"]["ok"] is False
+    assert summary["verification"]["faithful"] is False
+    assert not out_path.exists()
+
+
 def test_compute_unknown_catalog_name(capsys):
     code, _, err = run(capsys, "compute", "--alg", "regular", "--in", "catalog:nope")
     assert code == 2 and "input error" in err

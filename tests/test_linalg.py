@@ -19,7 +19,6 @@ from nilrep.linalg import (
     rref,
     solve,
     sparse_nullspace,
-    subspace_sum,
 )
 
 Q1 = rational(1)
@@ -177,7 +176,8 @@ def test_complement_containment_checked():
 def test_dimension_formula(avecs, bvecs):
     a = span(avecs, 4)
     b = span(bvecs, 4)
-    assert a.dim + b.dim == intersect(a, b).dim + subspace_sum(a, b).dim
+    total = Subspace.from_vectors(QQ, 4, a.rows + b.rows)
+    assert a.dim + b.dim == intersect(a, b).dim + total.dim
 
 
 @given(
@@ -188,7 +188,7 @@ def test_complement_direct_sum(vecs):
     sub = span(vecs, 4)
     w = complement_in(sub, within)
     assert intersect(w, sub).dim == 0
-    assert subspace_sum(w, sub) == within
+    assert Subspace.from_vectors(QQ, 4, w.rows + sub.rows) == within
 
 
 def test_subspace_membership_and_coords():

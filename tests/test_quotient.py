@@ -22,14 +22,19 @@ def coord_span(indices, ambient):
 
 
 def test_reduce_once_heisenberg_worked_example(heis):
-    # the 7-dim text module has monomial order 1, y, x, z, y^2, xy, x^2;
-    # S = <z, x^2, xy, y^2>, C = <z>, W = <x^2, xy, y^2>, new dim 4
-    rep = regular_unpruned(heis, side="left")
+    # The 7-dim module on the layer-reversed basis y, x, z acts by minus right
+    # multiplication; its monomial order is 1, x, y, z, x^2, yx, y^2.  Every
+    # weight-2 monomial times a generator has weight 3 > c, while x*y = yx + z
+    # and y*y = y^2 are nonzero, so S = <z, x^2, yx, y^2> (positions 3-6).
+    # C = z*V = <z>.  complement_in walks the echelon basis e3..e6 of S and
+    # skips e3 (in S ∩ C), so W = <x^2, yx, y^2>, new dim 4
+    rep = regular_unpruned(heis)
     new_rep, W = reduce_once(rep)
     assert W == coord_span([4, 5, 6], 7)
     assert new_rep.dim == 4
     assert is_homomorphism(new_rep) and is_faithful(new_rep)
-    # second application: S = <y, z>, C = <z>, W = <y>, dim 3
+    # second application on 1, x, y, z: y*x = yx and y*y = y^2 are now zero,
+    # x*y = z is not, so S = <y, z>, C = <z>, W = <y>, dim 3
     rep3, W2 = reduce_once(new_rep)
     assert W2.dim == 1 and rep3.dim == 3
     assert is_homomorphism(rep3) and is_faithful(rep3)
@@ -61,7 +66,7 @@ def test_quotient_le_regular(u4):
 
 
 def test_quotient_strictly_decreases(heis):
-    rep = regular_unpruned(heis, side="left")
+    rep = regular_unpruned(heis)
     dims = [rep.dim]
     while True:
         new_rep, W = reduce_once(rep)

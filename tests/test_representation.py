@@ -35,14 +35,15 @@ def zero_rep(g, dim):
 
 
 @pytest.fixture(scope="module")
-def heis_unpruned_left(heis):
-    # the text-convention module of the worked examples: 1, x, y, z, x^2, xy, y^2
-    return regular_unpruned(heis, side="left")
+def heis_unpruned(heis):
+    # minus right multiplication on all monomials of weight <= 2 over the
+    # layer-reversed basis y, x, z, in the order 1, x, y, z, x^2, yx, y^2
+    return regular_unpruned(heis)
 
 
-def test_unpruned_heisenberg_is_homomorphism(heis_unpruned_left):
-    assert is_homomorphism(heis_unpruned_left)
-    assert heis_unpruned_left.dim == 7
+def test_unpruned_heisenberg_is_homomorphism(heis_unpruned):
+    assert is_homomorphism(heis_unpruned)
+    assert heis_unpruned.dim == 7
 
 
 def test_zero_rep_is_homomorphism_but_not_faithful(heis):
@@ -52,14 +53,14 @@ def test_zero_rep_is_homomorphism_but_not_faithful(heis):
     assert kernel(rep).dim == 3
 
 
-def test_corrupted_matrix_fails_at_first_pair(heis_unpruned_left, heis):
-    mats = list(heis_unpruned_left.matrices)
+def test_corrupted_matrix_fails_at_first_pair(heis_unpruned, heis):
+    mats = list(heis_unpruned.matrices)
     mats[2] = SparseMatrix.zero(QQ, 7, 7)  # breaks [M_x, M_y] = M_z
     assert homomorphism_failure(Representation(heis, mats)) == (0, 1)
 
 
-def test_kernel_of_regular_is_trivial(heis_unpruned_left):
-    assert kernel(heis_unpruned_left).dim == 0
+def test_kernel_of_regular_is_trivial(heis_unpruned):
+    assert kernel(heis_unpruned).dim == 0
 
 
 def test_kernel_extended_by_zero(heis):
@@ -75,10 +76,11 @@ def test_kernel_extended_by_zero(heis):
     assert kernel(rep) == coord_span([2], 3)
 
 
-def test_annihilated_subspace_heisenberg(heis_unpruned_left):
-    # classical worked example: S = <z, x^2, xy, y^2> in the 7-dim module; the
-    # canonical monomial order is 1, y, x, z, y^2, xy, x^2
-    S = annihilated_subspace(heis_unpruned_left)
+def test_annihilated_subspace_heisenberg(heis_unpruned):
+    # S = <z, x^2, yx, y^2>: every weight-2 monomial times a generator has
+    # weight 3 > c, while for a x + b y + e 1 the product with y is
+    # a (yx + z) + b y^2 + e y, zero only when a = b = e = 0
+    S = annihilated_subspace(heis_unpruned)
     assert S == coord_span([3, 4, 5, 6], 7)
 
 
@@ -86,9 +88,9 @@ def test_annihilated_subspace_zero_rep(heis):
     assert annihilated_subspace(zero_rep(heis, 4)).dim == 4
 
 
-def test_center_image_heisenberg(heis_unpruned_left):
-    # C = <z>: position 3 in canonical monomial order
-    assert center_image(heis_unpruned_left) == coord_span([3], 7)
+def test_center_image_heisenberg(heis_unpruned):
+    # C = <z>: 1*z = z and every other monomial times z has weight > 2
+    assert center_image(heis_unpruned) == coord_span([3], 7)
 
 
 def test_center_image_zero_rep():

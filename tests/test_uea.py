@@ -1,7 +1,7 @@
 import pytest
 
 from nilrep.fields import QQ, rational
-from nilrep.liealg import abelian_algebra
+from nilrep.liealg import LieAlgebra, abelian_algebra
 from nilrep.regular import build_truncated_uea, nu
 from nilrep.uea import TruncatedUEA, enumerate_monomials, monomial_weight
 from nilrep import catalog
@@ -71,38 +71,56 @@ def test_count_equals_nu_exactly_when_deep_layers_are_lines():
 
 
 # ---------------------------------------------------------------------------
-# left multiplication (the text convention of the worked examples)
+# right multiplication on the Heisenberg algebra, by hand
+#
+# heis_uea() is the unreversed adapted basis x = x1, y = x2, z = x3 with
+# [x, y] = z, weights (1, 1, 2) and cutoff c = 2.  Straightening m * x_i back
+# to ascending order uses y x = x y + [y, x] = xy - z; every product of weight
+# above 2 is zero.
 
 
-def test_left_multiply_straightening():
+def test_truncated_uea_validates_input():
+    g = catalog.heisenberg(QQ)
+    with pytest.raises(ValueError, match="one weight per basis vector"):
+        TruncatedUEA(g, (1, 1), 2)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        TruncatedUEA(g, (1, 2, 1), 2)
+
+
+def test_rejects_structure_constants_that_are_not_weight_adapted():
+    # [x1, x2] = x3 with weights (1, 1, 1): the bracket of two weight-1
+    # vectors must have weight >= 2, so this table is not weight-adapted
+    g = LieAlgebra(QQ, 3, {(0, 1): {2: Q1}})
+    with pytest.raises(ValueError, match="structure constants are not weight-adapted"):
+        TruncatedUEA(g, (1, 1, 1), 2)
+
+
+def test_right_product_worked_example():
     uea = heis_uea()
+    x, y, z = (uea.index[m] for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    xy = uea.index[(1, 1, 0)]
     # y . x = xy - z
-    assert uea.left_multiply(1, (1, 0, 0)) == {(1, 1, 0): Q1, (0, 0, 1): -Q1}
-    # x . xy = x^2 y has weight 3 > c = 2
-    assert uea.left_multiply(0, (1, 1, 0)) == {}
-    # x_i . 1 = x_i
-    assert uea.left_multiply(2, (0, 0, 0)) == {(0, 0, 1): Q1}
+    assert uea.right_product_ids(y, 0) == {xy: Q1, z: -Q1}
+    # x . y = xy is already ascending
+    assert uea.right_product_ids(x, 1) == {xy: Q1}
+    # xy . x has weight 3 > c = 2
+    assert uea.right_product_ids(xy, 0) == {}
+    # 1 . z = z
+    assert uea.right_product_ids(uea.unit, 2) == {z: Q1}
 
 
-def test_left_multiply_validates_input():
+def test_right_action_matrix_respects_active_set():
     uea = heis_uea()
-    with pytest.raises(IndexError):
-        uea.left_multiply(3, (0, 0, 0))
-    restricted = uea.restrict([uea.unit])
-    with pytest.raises(ValueError):
-        restricted.left_multiply(0, (1, 0, 0))
-
-
-def test_left_multiply_respects_active_set():
-    uea = heis_uea()
-    keep = [uea.unit, uea.index[(1, 0, 0)]]  # {1, x}: drop z from the image
-    restricted = uea.restrict(keep)
-    assert restricted.left_multiply(1, (1, 0, 0)) == {}  # xy and z both inactive
+    one, x, y = uea.unit, uea.index[(1, 0, 0)], uea.index[(0, 1, 0)]
+    restricted = uea.restrict([one, x, y])
+    pos = {mid: p for p, mid in enumerate(restricted.active)}
+    # times x: 1 -> x stays; x -> x^2 and y -> xy - z leave the active set
+    assert restricted.right_action_matrix(0).cols == {pos[one]: {pos[x]: Q1}}
 
 
 def test_action_matrix_central_generator():
     uea = heis_uea()
-    mat = uea.action_matrix(2)  # z maps 1 -> z, kills everything else
+    mat = uea.right_action_matrix(2)  # 1 -> z; anything else times z has weight > 2
     pos = {mid: p for p, mid in enumerate(uea.active)}
     expected = {pos[uea.unit]: {pos[uea.index[(0, 0, 1)]]: Q1}}
     assert mat.cols == expected
@@ -110,19 +128,25 @@ def test_action_matrix_central_generator():
 
 def test_action_matrix_y_columns():
     uea = heis_uea()
-    mat = uea.action_matrix(1)
     pos = {mid: p for p, mid in enumerate(uea.active)}
     xy, z, y, yy = (uea.index[m] for m in ((1, 1, 0), (0, 0, 1), (0, 1, 0), (0, 2, 0)))
-    x, one = uea.index[(1, 0, 0)], uea.unit
-    assert mat.cols[pos[one]] == {pos[y]: Q1}
-    assert mat.cols[pos[x]] == {pos[xy]: Q1, pos[z]: -Q1}
-    assert mat.cols[pos[y]] == {pos[yy]: Q1}
-    assert set(mat.cols) == {pos[one], pos[x], pos[y]}
+    x, xx, one = uea.index[(1, 0, 0)], uea.index[(2, 0, 0)], uea.unit
+    # times y: 1 -> y, x -> xy, y -> y^2; the rest has weight > 2
+    mat = uea.right_action_matrix(1)
+    assert mat.cols == {pos[one]: {pos[y]: Q1}, pos[x]: {pos[xy]: Q1}, pos[y]: {pos[yy]: Q1}}
+    # times x: 1 -> x, x -> x^2, y -> xy - z
+    mat = uea.right_action_matrix(0)
+    assert mat.cols == {
+        pos[one]: {pos[x]: Q1},
+        pos[x]: {pos[xx]: Q1},
+        pos[y]: {pos[xy]: Q1, pos[z]: -Q1},
+    }
 
 
 def test_abelian_action_matrix_cutoff_one():
+    # 1 * x1 = x1; every other product has weight 2 > c = 1
     uea = TruncatedUEA(abelian_algebra(QQ, 2), (1, 1), 1)
-    mat = uea.action_matrix(0)
+    mat = uea.right_action_matrix(0)
     pos = {mid: p for p, mid in enumerate(uea.active)}
     assert mat.cols == {pos[uea.unit]: {pos[uea.index[(1, 0)]]: Q1}}
 
@@ -133,18 +157,17 @@ def test_weight_additivity_of_products():
     for mid in range(len(uea.monomials)):
         for i in range(g.dim):
             target = uea.weights[i] + uea.weight_of[mid]
-            for t in uea.product_ids(i, mid):
-                assert uea.weight_of[t] >= target
             for t in uea.right_product_ids(mid, i):
                 assert uea.weight_of[t] >= target
 
 
 def test_action_matrices_nilpotent_of_index_class_plus_one():
+    # m -> m * x_i raises the weight by at least 1, and weight > c is zero
     g = catalog.heisenberg(QQ)
     uea = build_truncated_uea(g)
     c = uea.cutoff
     for i in range(3):
-        mat = uea.action_matrix(i)
+        mat = uea.right_action_matrix(i)
         power = mat
         for _ in range(c):
             power = power.matmul(mat)
@@ -204,25 +227,28 @@ def test_right_products_against_word_oracle():
             assert got == want, (mono, i)
 
 
-def test_left_products_against_word_oracle():
-    g = catalog.upper_triangular(4, QQ)
-    uea = build_truncated_uea(g)
-    for mid in range(0, len(uea.monomials), 3):
-        mono = uea.monomials[mid]
+def test_heisenberg_right_products_against_word_oracle():
+    # every product on the Heisenberg algebra, including the worked example
+    # y . x = xy - z, agrees with bubble-sort straightening of the word
+    uea = heis_uea()
+    xy, z = uea.index[(1, 1, 0)], uea.index[(0, 0, 1)]
+    assert straighten_word_right_oracle(uea, (1, 0)) == {xy: Q1, z: -Q1}
+    for mid, mono in enumerate(uea.monomials):
         word = tuple(k for k, a in enumerate(mono) for _ in range(a))
-        for i in range(g.dim):
-            got = uea.product_ids(i, mid)
-            want = straighten_word_right_oracle(uea, (i,) + word)
-            assert got == want, (mono, i)
+        for i in range(3):
+            assert uea.right_product_ids(mid, i) == straighten_word_right_oracle(uea, word + (i,))
 
 
 def test_unpruned_action_is_homomorphism_and_nilpotent():
+    # R_i: m -> m * x_i satisfies [R_i, R_j] m = m (x_j x_i - x_i x_j)
+    # = -R_{[x_i, x_j]} m, so M_i = -R_i is a homomorphism:
+    # [M_i, M_j] = [R_i, R_j] = -R_{[x_i, x_j]} = sum_k c_ij^k M_k
     from nilrep.linalg import is_nilpotent
 
     for g in (catalog.heisenberg(QQ), catalog.upper_triangular(4, QQ)):
         uea = build_truncated_uea(g)
         ga = uea.algebra
-        mats = [uea.action_matrix(i) for i in range(g.dim)]
+        mats = [uea.right_action_matrix(i).scaled(QQ.neg(Q1)) for i in range(g.dim)]
         for i in range(g.dim):
             assert is_nilpotent(mats[i])
             for j in range(i + 1, g.dim):
@@ -235,9 +261,7 @@ def test_unpruned_action_is_homomorphism_and_nilpotent():
 def test_masks_match_products():
     g = catalog.heisenberg(QQ)
     uea = build_truncated_uea(g)
-    left = uea.support_masks()
     right = uea.right_support_masks()
     for i in range(3):
         for mid in range(7):
-            assert left[i][mid] == sum(1 << t for t in uea.product_ids(i, mid))
             assert right[i][mid] == sum(1 << t for t in uea.right_product_ids(mid, i))

@@ -9,7 +9,7 @@ on, including the filiform family f_n.
 
 from .fields import GF, QQ, Field, rational
 from .liealg import AdaptedBasis, CentralSeries, LieAlgebra, NotNilpotentError, abelian_algebra
-from .linalg import SparseMatrix, Subspace, complement_in, intersect, nullspace, rref, solve
+from .linalg import SparseMatrix, Subspace, complement_in, intersect
 from .uea import TruncatedUEA, enumerate_monomials
 from .representation import (
     Representation,
@@ -41,9 +41,6 @@ __all__ = [
     "Subspace",
     "complement_in",
     "intersect",
-    "nullspace",
-    "rref",
-    "solve",
     "TruncatedUEA",
     "enumerate_monomials",
     "Representation",

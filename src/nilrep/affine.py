@@ -211,7 +211,8 @@ def _assert_trivial_kernel(q: LieAlgebra, mats: Sequence, fld):
                 elim.add(row)
         if elim.rank == q.dim:
             break
-    assert elim.rank == q.dim, "affine extension lost faithfulness"
+    if elim.rank != q.dim:
+        raise RuntimeError("affine extension lost faithfulness")
 
 
 def algorithm_affine(

@@ -56,7 +56,8 @@ def free_nilpotent(n: int, c: int, field: Field = QQ) -> LieAlgebra:
         raise ValueError("need n >= 2 generators and class c >= 1")
     basis = HallBasis(n, c)
     dim = len(basis.trees)
-    assert dim == witt_dimension(n, c)
+    if dim != witt_dimension(n, c):
+        raise RuntimeError("Hall basis of N_{%d,%d} misses the Witt dimension" % (n, c))
     remap = []  # old flat index -> emitted index
     offset = 0
     for level in basis.levels:
@@ -116,7 +117,8 @@ def filiform_alpha(n: int) -> Dict[Tuple[int, int], object]:
         - rational(65, 1386) * rational((n - 7) * (n - 8), (n - 4) * (n - 5))
     )
     index_set = filiform_index_set(n)
-    assert all(key in index_set for key in alpha), "parameter outside the index set"
+    if not all(key in index_set for key in alpha):
+        raise RuntimeError("parameter outside the index set")
     return {k: v for k, v in alpha.items() if v != 0}
 
 

@@ -39,16 +39,25 @@ def _parse_field(text: Optional[str]) -> Field:
     return GF(p)
 
 
+def _load_algebra_file(path: str) -> LieAlgebra:
+    try:
+        g = fileio.load_algebra(path)
+    except (OSError, json.JSONDecodeError, fileio.FileFormatError, ValueError) as exc:
+        raise InputError("cannot load algebra from %r: %s" % (path, exc))
+    bad = g.check_jacobi()
+    if bad:
+        raise InputError("algebra in %r violates the Jacobi identity on basis triple %r"
+                         % (path, bad[0]))
+    return g
+
+
 def _load_input(spec: str, field: Field) -> LieAlgebra:
     if spec.startswith("catalog:"):
         try:
             return catalog.from_name(spec[len("catalog:"):], field)
         except ValueError as exc:
             raise InputError(str(exc))
-    try:
-        return fileio.load_algebra(spec)
-    except (OSError, json.JSONDecodeError, fileio.FileFormatError, ValueError) as exc:
-        raise InputError("cannot load algebra from %r: %s" % (spec, exc))
+    return _load_algebra_file(spec)
 
 
 def cmd_compute(args) -> int:
@@ -104,8 +113,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    g = _load_algebra_file(args.algebra)
     try:
-        g = fileio.load_algebra(args.algebra)
         rep = fileio.load_representation(args.rep, g)
     except (OSError, json.JSONDecodeError, fileio.FileFormatError, ValueError) as exc:
         raise InputError(str(exc))

@@ -69,19 +69,15 @@ def algorithm_dual(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Repr
     basis = spin_submodule(module, center_dual_generators(module))
     k = basis.dim
     duals = dual_action_matrices(module)
+    pos = {pc: t for t, pc in enumerate(basis.pivots)}
     per_basis = []
     for mat in duals:
         cols = {}
-        for b, row in enumerate(basis.rows):
-            img = mat.apply_dense(row)
-            resid = basis.reduce(img)
-            if any(x != 0 for x in resid):
+        for b, row in enumerate(basis.sparse.values()):
+            img = mat.apply_sparse(row)
+            if basis.reduce(img):
                 raise RuntimeError("spin closure failed")
-            col = {}
-            for t, pc in enumerate(basis.pivots):
-                v = img[pc]
-                if v != 0:
-                    col[t] = v
+            col = {pos[j]: v for j, v in img.items() if j in pos}
             if col:
                 cols[b] = col
         per_basis.append(SparseMatrix(fld, k, k, cols))

@@ -7,8 +7,9 @@ Hall tree iff u > v and (u is a letter or its right subtree is <= v).
 Structure constants are obtained through the free associative algebra: each
 Hall tree expands to a polynomial in words (bracket = commutator of
 expansions), the expansions of the degree-m Hall trees are linearly
-independent, and any bracket of basis elements is homogeneous, so one exact
-linear solve per degree recovers the coordinates.  This yields the same
+independent, and any bracket of basis elements is homogeneous, so reducing
+it against one eliminator per degree, over the rows [expansion_t | e_t],
+recovers the coordinates from the tag columns.  This yields the same
 constants as iterated Hall rewriting, without the rewriting recursion.
 """
 
@@ -18,7 +19,7 @@ from typing import Dict, List
 
 from .fields import QQ as _QQ
 from .fields import rational
-from .linalg import rref
+from .linalg import SparseEliminator
 
 
 def tree_degree(t) -> int:
@@ -100,7 +101,8 @@ def witt_layer_dim(n: int, m: int) -> int:
     for e in range(1, m + 1):
         if m % e == 0:
             total += _mobius(e) * n ** (m // e)
-    assert total % m == 0
+    if total % m:
+        raise RuntimeError("necklace count %d is not divisible by %d" % (total, m))
     return total // m
 
 
@@ -130,7 +132,7 @@ class HallBasis:
         return len(self.levels[m - 1])
 
     def _solver(self, m: int):
-        """(word order, pivot word positions, inverse of the pivot block)."""
+        """(word positions, eliminator over the rows [expansion_t | e_t])."""
         try:
             return self._solvers[m]
         except KeyError:
@@ -139,39 +141,36 @@ class HallBasis:
         k = self.layer_size(m)
         words = sorted({w for t in range(lo, lo + k) for w in self.expansions[t]})
         word_pos = {w: idx for idx, w in enumerate(words)}
-        rows = []
-        for t in range(lo, lo + k):
-            row = [rational(0)] * len(words)
-            for w, c in self.expansions[t].items():
-                row[word_pos[w]] = rational(c)
-            rows.append(row)
-        _ech, rank, pivots = rref(rows, _QQ, len(words))
-        assert rank == k, "Hall expansions of one degree must be independent"
-        piv = list(pivots[:k])
-        block = [[rows[i][j] for j in piv] for i in range(k)]
-        inv = _invert_dense(block)
-        solver = (word_pos, piv, inv, rows)
+        nw = len(words)
+        elim = SparseEliminator(_QQ, nw + k)
+        for t in range(k):
+            row = {word_pos[w]: rational(c) for w, c in self.expansions[lo + t].items()}
+            row[nw + t] = _QQ.one
+            # the tag e_t keeps every row independent; a pivot on a tag
+            # column means this expansion depends on the earlier ones
+            if elim.add(row) >= nw:
+                raise RuntimeError("Hall expansions of degree %d are dependent" % m)
+        solver = (word_pos, elim)
         self._solvers[m] = solver
         return solver
 
     def coordinates(self, poly: dict, m: int) -> list:
-        """Coordinates of a degree-m Lie polynomial on the degree-m Hall trees."""
-        word_pos, piv, inv, rows = self._solver(m)
-        k = self.layer_size(m)
-        vec = [rational(0)] * len(word_pos)
+        """Coordinates of a degree-m Lie polynomial on the degree-m Hall trees.
+
+        Reducing (poly | 0) against the RREF of [expansions | I] leaves
+        (0 | -coordinates); a leftover word column means poly is not spanned.
+        """
+        word_pos, elim = self._solver(m)
+        nw = len(word_pos)
+        vec = {}
         for w, c in poly.items():
             if w not in word_pos:
                 raise ValueError("word %r is not spanned by this degree" % (w,))
             vec[word_pos[w]] = rational(c)
-        coords = []
-        for i in range(k):
-            coords.append(sum((vec[piv[t]] * inv[t][i] for t in range(k)), rational(0)))
-        # exactness check: the coordinates must reproduce the polynomial
-        for j in range(len(word_pos)):
-            s = sum((coords[i] * rows[i][j] for i in range(k)), rational(0))
-            if s != vec[j]:
-                raise ValueError("polynomial is not in the Lie span of degree %d" % m)
-        return coords
+        resid = elim.reduce(vec)
+        if any(j < nw for j in resid):
+            raise ValueError("polynomial is not in the Lie span of degree %d" % m)
+        return [-resid.get(nw + t, _QQ.zero) for t in range(self.layer_size(m))]
 
     def bracket_coordinates(self, p: int, q: int) -> Dict[int, object]:
         """[tree_p, tree_q] on the Hall basis: {flat index: rational}, {} if truncated."""
@@ -189,11 +188,3 @@ class HallBasis:
         lo = self.offset[m - 1]
         return {lo + t: c for t, c in enumerate(coords) if c != 0}
 
-
-def _invert_dense(rows):
-    n = len(rows)
-    aug = [list(r) + [rational(1 if t == i else 0) for t in range(n)] for i, r in enumerate(rows)]
-    ech, rank, _p = rref(aug, _QQ, 2 * n)
-    if rank < n:
-        raise ValueError("singular block")
-    return [row[n:] for row in ech[:n]]

@@ -147,14 +147,11 @@ class LieAlgebra:
         cur = Subspace.full_space(fld, self.dim)
         series = [cur]
         while cur.dim > 0:
-            gens = []
-            for row in cur.rows:
-                sparse = {i: x for i, x in enumerate(row) if x != 0}
+            elim = SparseEliminator(fld, self.dim)
+            for row in cur.sparse.values():
                 for j in range(self.dim):
-                    img = self.bracket_with_basis(sparse, j)
-                    if img:
-                        gens.append([img.get(t, fld.zero) for t in range(self.dim)])
-            nxt = Subspace.from_vectors(fld, self.dim, gens)
+                    elim.add(self.bracket_with_basis(row, j))
+            nxt = elim.row_space()
             if nxt.dim == cur.dim:
                 raise NotNilpotentError(
                     "lower central series stabilises at dimension %d" % cur.dim
@@ -253,8 +250,8 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
         gm = series[m - 1]
         gm1 = series[m] if m < len(series) else Subspace.zero_space(fld, g.dim)
         elim = SparseEliminator(fld, g.dim)
-        for row in gm1.rows:
-            elim.add({j: x for j, x in enumerate(row) if x != 0})
+        for row in gm1.sparse.values():
+            elim.add(row)
         layer = []
         zm = intersect(center, gm) if m > 1 else center
         for row in zm.rows:
@@ -272,11 +269,12 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
                     layer.append((m, row, False))
         layers.append(layer)
     ordered = [item for layer in layers for item in layer]
-    assert len(ordered) == g.dim
+    if len(ordered) != g.dim:
+        raise RuntimeError("adapted basis has %d vectors, expected %d" % (len(ordered), g.dim))
     matrix = tuple(tuple(fld.canon(x) for x in vec) for (_m, vec, _z) in ordered)
     weights = tuple(m for (m, _v, _z) in ordered)
     flags = tuple(z for (_m, _v, z) in ordered)
-    inverse = tuple(tuple(r) for r in invert(matrix, fld))
+    inverse = invert(matrix, fld)
     table: dict = {}
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -316,9 +314,8 @@ def _refined_central_series(g: LieAlgebra) -> CentralSeries:
         nxt = series.chain[i + 1]
         sparse = {t: x for t, x in enumerate(vectors[i]) if x != 0}
         for j in range(g.dim):
-            img = g.bracket_with_basis(sparse, j)
-            vec = [img.get(t, fld.zero) for t in range(g.dim)]
-            assert nxt.contains(vec), "central series condition failed at step %d" % i
+            if nxt.reduce(g.bracket_with_basis(sparse, j)):
+                raise RuntimeError("central series condition failed at step %d" % i)
     return series
 
 
@@ -327,12 +324,9 @@ def _refined_central_series(g: LieAlgebra) -> CentralSeries:
 
 
 def _is_ideal(g: LieAlgebra, sub: Subspace) -> bool:
-    fld = g.field
-    for row in sub.rows:
-        sparse = {i: x for i, x in enumerate(row) if x != 0}
+    for row in sub.sparse.values():
         for j in range(g.dim):
-            img = g.bracket_with_basis(sparse, j)
-            if not sub.contains([img.get(t, fld.zero) for t in range(g.dim)]):
+            if sub.reduce(g.bracket_with_basis(row, j)):
                 return False
     return True
 
@@ -355,7 +349,7 @@ def _quotient(g: LieAlgebra, ideal: Subspace):
     inv = invert(combined, fld)
 
     def project(vec):
-        coords = _vec_mat(vec, tuple(tuple(r) for r in inv), fld)
+        coords = _vec_mat(vec, inv, fld)
         return coords[:k]
 
     table: dict = {}

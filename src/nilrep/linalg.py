@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Dense routines (``rref``, ``nullspace``, ``solve``) work on lists of rows of
-raw scalars.  ``Subspace`` holds a canonical reduced-row-echelon basis and
-supports membership, intersection and deterministic complements.  For the
-large, very sparse systems produced by enveloping-algebra actions and cocycle
-conditions there is an incremental ``SparseEliminator`` and a column-oriented
-``SparseMatrix``.
+Every elimination goes through one kernel: ``SparseEliminator``, an
+incremental reduced row echelon form over rows stored as dicts
+``{column: value}``, and its residual routine.  ``Subspace`` holds the
+canonical RREF basis the eliminator produces, both as sparse pivot rows and as
+dense rows, and supports membership, intersection and deterministic
+complements; ``invert`` reads an inverse off the tag columns of ``[A | I]``.
+Enveloping-algebra actions and representations are column-oriented
+``SparseMatrix`` objects.
 """
 
 from __future__ import annotations
@@ -16,120 +18,139 @@ from .fields import Field
 
 
 # ---------------------------------------------------------------------------
-# dense elimination
+# the elimination kernel
 
 
-def rref(rows: Sequence[Sequence], field: Field, ncols: Optional[int] = None):
-    """Reduced row echelon form.
+def _clear(v: dict, cols: Iterable[int], pivot_rows: dict, p: int):
+    """Subtract ``v[c] * pivot_rows[c]`` from ``v`` in place for each column c.
 
-    Returns ``(echelon_rows, rank, pivot_cols)``.  The input is not mutated.
-    Raises ValueError if an entry obviously belongs to another field (floats,
-    or non-int scalars over F_p).
+    Pivot rows are normalised and vanish on every other pivot column, so the
+    factors ``v[c]`` do not change along the way.  Entries are taken mod p
+    when p > 0; zeros are dropped.
+    """
+    for c in cols:
+        f = v[c]
+        if p:
+            for j, x in pivot_rows[c].items():
+                nv = (v.get(j, 0) - f * x) % p
+                if nv:
+                    v[j] = nv
+                else:
+                    del v[j]
+        else:
+            for j, x in pivot_rows[c].items():
+                nv = v.get(j, 0) - f * x
+                if nv:
+                    v[j] = nv
+                else:
+                    del v[j]
+
+
+def _residual(field: Field, pivot_rows: dict, row: dict) -> dict:
+    """Residual of a sparse row against RREF pivot rows ``{pivot col: row}``.
+
+    The entries are canonicalised first; the result is empty exactly when the
+    row lies in the span of the pivot rows.  The input is not mutated.
     """
     p = field.characteristic
-    mat = [list(r) for r in rows]
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
-    for r in mat:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-        for x in r:
+    if p:
+        v = {j: x % p for j, x in row.items() if x % p}
+    else:
+        v = {j: x for j, x in row.items() if x != 0}
+    _clear(v, [c for c in v if c in pivot_rows], pivot_rows, p)
+    return v
+
+
+def _checked_rows(field: Field, ncols: int, vectors: Iterable[Sequence]):
+    """Yield dense vectors as sparse rows, rejecting wrong lengths and scalars
+    that obviously belong to another field (floats, or non-ints over F_p)."""
+    for vec in vectors:
+        if len(vec) != ncols:
+            raise ValueError("vector length %d != ambient %d" % (len(vec), ncols))
+        row = {}
+        for j, x in enumerate(vec):
             if not field.validate(x):
                 raise ValueError("scalar %r does not belong to %r" % (x, field))
-    if p:
-        mat = [[x % p for x in r] for r in mat]
-    nrows = len(mat)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        row = mat[r]
-        piv = row[c]
-        if piv != field.one:
-            ipiv = field.inv(piv)
-            if p:
-                mat[r] = row = [(x * ipiv) % p for x in row]
-            else:
-                mat[r] = row = [x * ipiv for x in row]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = mat[i][c]
-            if f == 0:
-                continue
-            other = mat[i]
-            if p:
-                mat[i] = [(a - f * b) % p for a, b in zip(other, row)]
-            else:
-                mat[i] = [a - f * b for a, b in zip(other, row)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat[:r] + [[field.zero] * ncols for _ in range(nrows - r)], r, tuple(pivots)
+            if x != 0:
+                row[j] = x
+        yield row
 
 
-def _kernel_vectors(echelon, pivots, ncols, field):
-    """Kernel basis vectors from an RREF matrix, one per free column."""
-    pivset = set(pivots)
-    vecs = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(echelon[i][f])
-        vecs.append(v)
-    return vecs
+class SparseEliminator:
+    """Incremental reduced row echelon form with rows stored as dicts.
 
-
-def nullspace(rows: Sequence[Sequence], field: Field, ncols: Optional[int] = None) -> "Subspace":
-    """Kernel ``{x : A x = 0}`` of a dense matrix, as a Subspace."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    ech, _rank, pivots = rref(rows, field, ncols)
-    return Subspace.from_vectors(field, ncols, _kernel_vectors(ech, pivots, ncols, field))
-
-
-def invert(rows: Sequence[Sequence], field: Field) -> list:
-    """Inverse of a square matrix; raises ValueError when singular."""
-    n = len(rows)
-    aug = [
-        list(r) + [field.one if t == i else field.zero for t in range(n)]
-        for i, r in enumerate(rows)
-    ]
-    ech, rank, _piv = rref(aug, field, 2 * n)
-    if rank < n or any(ech[i][i] != field.one for i in range(n)):
-        raise ValueError("matrix is not invertible")
-    return [row[n:] for row in ech[:n]]
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence, field: Field):
-    """Solve ``A x = b`` exactly.
-
-    Returns ``(particular_solution, nullspace)`` or None when inconsistent.
-    The particular solution sets all free variables to zero.
+    ``add`` reduces an incoming row against the pivot rows, and on a nonzero
+    residual normalises it, back-eliminates its pivot from the existing rows
+    and registers it, so ``pivot_rows`` is always the canonical RREF of the
+    rows added so far.
     """
-    if len(rows) != len(rhs):
-        raise ValueError("rhs length does not match row count")
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ech, _rank, pivots = rref(aug, field, ncols + 1)
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [field.zero] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = ech[i][ncols]
-    ker = nullspace(rows, field, ncols) if ncols else Subspace.zero_space(field, 0)
-    return x, ker
+
+    __slots__ = ("field", "ncols", "pivot_rows", "_touch")
+
+    def __init__(self, field: Field, ncols: int):
+        self.field = field
+        self.ncols = ncols
+        self.pivot_rows: dict[int, dict] = {}  # pivot col -> row dict
+        self._touch: dict[int, set] = {}  # col -> pivot cols whose row hits col
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def reduce(self, row: dict) -> dict:
+        """Return the residual of ``row`` against the current pivot rows."""
+        return _residual(self.field, self.pivot_rows, row)
+
+    def add(self, row: dict) -> Optional[int]:
+        """Sift a row in; return its pivot column, or None if dependent."""
+        fld = self.field
+        v = self.reduce(row)
+        if not v:
+            return None
+        piv = min(v)
+        ipiv = fld.inv(v[piv])
+        if ipiv != fld.one:
+            v = {j: fld.mul(x, ipiv) for j, x in v.items()}
+        # back-eliminate the new pivot from existing rows; only the columns
+        # of v change in them
+        touch = self._touch
+        new = {piv: v}
+        for pc in list(touch.get(piv, ())):
+            prow = self.pivot_rows[pc]
+            _clear(prow, (piv,), new, fld.characteristic)
+            for j in v:
+                if j in prow:
+                    touch.setdefault(j, set()).add(pc)
+                else:
+                    touch[j].discard(pc)
+        self.pivot_rows[piv] = v
+        for j in v:
+            touch.setdefault(j, set()).add(piv)
+        return piv
+
+    def row_space(self) -> "Subspace":
+        """The span of the rows added so far (a snapshot)."""
+        return Subspace(
+            self.field, self.ncols, {pc: dict(row) for pc, row in self.pivot_rows.items()}
+        )
+
+    def kernel(self) -> "Subspace":
+        """Kernel of the matrix whose rows were added, as a Subspace.
+
+        Each free column f gives the kernel vector e_f - sum over the pivot
+        rows hitting f of (their entry at f) e_pivot; these are sifted into a
+        second eliminator for the canonical basis.
+        """
+        fld = self.field
+        out = SparseEliminator(fld, self.ncols)
+        for f in range(self.ncols):
+            if f in self.pivot_rows:
+                continue
+            v = {f: fld.one}
+            for pc in self._touch.get(f, ()):
+                v[pc] = fld.neg(self.pivot_rows[pc][f])
+            out.add(v)
+        return out.row_space()
 
 
 # ---------------------------------------------------------------------------
@@ -137,64 +158,57 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, field: Field):
 
 
 class Subspace:
-    """A subspace of K^n held as a canonical reduced-row-echelon basis."""
+    """A subspace of K^n held as a canonical reduced-row-echelon basis.
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    ``sparse`` maps each pivot column to its basis row as a dict; ``rows`` and
+    ``pivots`` hold the same basis as dense tuples, in pivot order.
+    """
 
-    def __init__(self, field: Field, ambient: int, rows, pivots):
+    __slots__ = ("field", "ambient", "sparse", "rows", "pivots")
+
+    def __init__(self, field: Field, ambient: int, sparse: dict):
         self.field = field
         self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
+        self.pivots = tuple(sorted(sparse))
+        self.sparse = {pc: sparse[pc] for pc in self.pivots}
+        rows = []
+        for pc in self.pivots:
+            dense = [field.zero] * ambient
+            for j, x in sparse[pc].items():
+                dense[j] = x
+            rows.append(tuple(dense))
+        self.rows = tuple(rows)
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient:
-                raise ValueError("vector length %d != ambient %d" % (len(v), ambient))
-        if not vecs:
-            return cls(field, ambient, (), ())
-        ech, rank, pivots = rref(vecs, field, ambient)
-        rows = tuple(tuple(r) for r in ech[:rank])
-        return cls(field, ambient, rows, pivots)
+        """Span of dense vectors; raises ValueError on a wrong length or on a
+        scalar that obviously belongs to another field."""
+        elim = SparseEliminator(field, ambient)
+        for row in _checked_rows(field, ambient, vectors):
+            elim.add(row)
+        return elim.row_space()
 
     @classmethod
     def zero_space(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, (), ())
+        return cls(field, ambient, {})
 
     @classmethod
     def full_space(cls, field: Field, ambient: int) -> "Subspace":
-        one, zero = field.one, field.zero
-        rows = tuple(
-            tuple(one if j == i else zero for j in range(ambient)) for i in range(ambient)
-        )
-        return cls(field, ambient, rows, tuple(range(ambient)))
+        return cls(field, ambient, {i: {i: field.one} for i in range(ambient)})
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Sequence) -> list:
-        """Residual of a vector after eliminating this basis (zero iff member)."""
-        fld = self.field
-        p = fld.characteristic
-        v = [fld.canon(x) for x in vec]
-        for row, pc in zip(self.rows, self.pivots):
-            f = v[pc]
-            if f == 0:
-                continue
-            if p:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-            else:
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+    def reduce(self, vec: dict) -> dict:
+        """Residual of a sparse vector after eliminating this basis (empty iff member)."""
+        return _residual(self.field, self.sparse, vec)
 
     def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not self.reduce({j: x for j, x in enumerate(vec) if x != 0})
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(not self.reduce(row) for row in other.sparse.values())
 
     def coords(self, vec: Sequence) -> list:
         """Coordinates of a member vector on this RREF basis."""
@@ -226,28 +240,31 @@ def _check_compatible(a: Subspace, b: Subspace):
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection, via the kernel of the stacked coefficient system."""
+    """Exact intersection by Zassenhaus' method.
+
+    In the RREF of the rows (u | u) for u in a and (w | 0) for w in b, the
+    rows that vanish on the first half are (0 | basis of a ∩ b).
+    """
     _check_compatible(a, b)
-    fld = a.field
-    ra, rb = len(a.rows), len(b.rows)
-    if ra == 0 or rb == 0:
-        return Subspace.zero_space(fld, a.ambient)
-    # columns: coefficients u on a.rows then v on b.rows; rows: ambient coords
-    sys_rows = []
-    for t in range(a.ambient):
-        sys_rows.append([row[t] for row in a.rows] + [fld.neg(row[t]) for row in b.rows])
-    ker = nullspace(sys_rows, fld, ra + rb)
-    vecs = []
-    for kv in ker.rows:
-        w = [fld.zero] * a.ambient
-        for i in range(ra):
-            u = kv[i]
-            if u == 0:
-                continue
-            row = a.rows[i]
-            w = [fld.canon(x + u * y) for x, y in zip(w, row)]
-        vecs.append(w)
-    return Subspace.from_vectors(fld, a.ambient, vecs)
+    n = a.ambient
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero_space(a.field, n)
+    elim = SparseEliminator(a.field, 2 * n)
+    for row in a.sparse.values():
+        doubled = dict(row)
+        doubled.update((n + j, x) for j, x in row.items())
+        elim.add(doubled)
+    for row in b.sparse.values():
+        elim.add(row)
+    return Subspace(
+        a.field,
+        n,
+        {
+            pc - n: {j - n: x for j, x in row.items()}
+            for pc, row in elim.pivot_rows.items()
+            if pc >= n
+        },
+    )
 
 
 def complement_in(sub: Subspace, within: Subspace) -> Subspace:
@@ -255,169 +272,40 @@ def complement_in(sub: Subspace, within: Subspace) -> Subspace:
 
     Walks the echelon basis of ``within`` in order and greedily keeps every
     vector that is independent of ``sub`` plus the vectors kept so far, so the
-    result only depends on the two inputs.
+    result only depends on the two inputs.  A subset of RREF rows is itself in
+    RREF, so the kept rows are the complement's canonical basis.
     """
     _check_compatible(sub, within)
     if not within.contains_subspace(sub):
         raise ValueError("sub is not contained in within")
     elim = SparseEliminator(sub.field, sub.ambient)
-    for row in sub.rows:
-        elim.add({j: x for j, x in enumerate(row) if x != 0})
-    kept = []
-    for row in within.rows:
-        if elim.add({j: x for j, x in enumerate(row) if x != 0}) is not None:
-            kept.append(row)
-    return Subspace.from_vectors(sub.field, sub.ambient, kept)
-
-
-# ---------------------------------------------------------------------------
-# sparse elimination
-
-_MISSING = object()
-
-
-class SparseEliminator:
-    """Incremental reduced row echelon form with rows stored as dicts.
-
-    ``add`` reduces an incoming row against the pivot rows, and on a nonzero
-    residual normalises it, back-eliminates its pivot from the existing rows
-    and registers it.  Intended for very sparse systems (enveloping-algebra
-    actions, cocycle conditions) where dense elimination is wasteful.
-    """
-
-    __slots__ = ("field", "ncols", "pivot_rows", "_touch")
-
-    def __init__(self, field: Field, ncols: int):
-        self.field = field
-        self.ncols = ncols
-        self.pivot_rows: dict[int, dict] = {}  # pivot col -> row dict
-        self._touch: dict[int, set] = {}  # col -> pivot cols whose row hits col
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def reduce(self, row: dict) -> dict:
-        """Return the residual of ``row`` against the current pivot rows."""
-        p = self.field.characteristic
-        v = dict(row)
-        pivot_rows = self.pivot_rows
-        # eliminate pivot columns present in v until none remain
-        while True:
-            hit = [c for c in v if c in pivot_rows]
-            if not hit:
-                break
-            for c in sorted(hit):
-                f = v.get(c, 0)
-                if f == 0:
-                    v.pop(c, None)
-                    continue
-                prow = pivot_rows[c]
-                if p:
-                    for j, x in prow.items():
-                        nv = (v.get(j, 0) - f * x) % p
-                        if nv:
-                            v[j] = nv
-                        else:
-                            v.pop(j, None)
-                else:
-                    for j, x in prow.items():
-                        nv = v.get(j, 0) - f * x
-                        if nv:
-                            v[j] = nv
-                        else:
-                            v.pop(j, None)
-        return v
-
-    def add(self, row: dict) -> Optional[int]:
-        """Sift a row in; return its pivot column, or None if dependent."""
-        fld = self.field
-        p = fld.characteristic
-        if p:
-            row = {j: x % p for j, x in row.items() if x % p}
-        else:
-            row = {j: x for j, x in row.items() if x != 0}
-        v = self.reduce(row)
-        if not v:
-            return None
-        piv = min(v)
-        ipiv = fld.inv(v[piv])
-        if ipiv != fld.one:
-            if p:
-                v = {j: (x * ipiv) % p for j, x in v.items()}
-            else:
-                v = {j: x * ipiv for j, x in v.items()}
-        v = {j: x for j, x in v.items() if x != 0}
-        # back-eliminate the new pivot from existing rows
-        touched = self._touch.get(piv)
-        if touched:
-            for pc in list(touched):
-                prow = self.pivot_rows[pc]
-                f = prow.get(piv, 0)
-                if f == 0:
-                    continue
-                if p:
-                    for j, x in v.items():
-                        nv = (prow.get(j, 0) - f * x) % p
-                        self._set(prow, pc, j, nv)
-                else:
-                    for j, x in v.items():
-                        nv = prow.get(j, 0) - f * x
-                        self._set(prow, pc, j, nv)
-        self.pivot_rows[piv] = v
-        for j in v:
-            self._touch.setdefault(j, set()).add(piv)
-        return piv
-
-    def _set(self, prow: dict, pc: int, j: int, nv):
-        if nv:
-            had = j in prow
-            prow[j] = nv
-            if not had:
-                self._touch.setdefault(j, set()).add(pc)
-        elif j in prow:
-            del prow[j]
-            s = self._touch.get(j)
-            if s is not None:
-                s.discard(pc)
-
-    def pivot_cols(self) -> list:
-        return sorted(self.pivot_rows)
-
-    def row_space(self) -> Subspace:
-        fld = self.field
-        pivots = self.pivot_cols()
-        rows = []
-        for pc in pivots:
-            prow = self.pivot_rows[pc]
-            rows.append(tuple(prow.get(j, fld.zero) for j in range(self.ncols)))
-        return Subspace(fld, self.ncols, tuple(rows), tuple(pivots))
-
-    def kernel(self) -> Subspace:
-        """Kernel of the matrix whose rows were added, as a Subspace."""
-        fld = self.field
-        pivots = self.pivot_cols()
-        pivset = set(pivots)
-        vecs = []
-        for f in range(self.ncols):
-            if f in pivset:
-                continue
-            v = [fld.zero] * self.ncols
-            v[f] = fld.one
-            for pc in pivots:
-                x = self.pivot_rows[pc].get(f, 0)
-                if x != 0:
-                    v[pc] = fld.neg(x)
-            vecs.append(v)
-        return Subspace.from_vectors(fld, self.ncols, vecs)
-
-
-def sparse_nullspace(rows: Iterable[dict], field: Field, ncols: int) -> Subspace:
-    """Kernel of a matrix given as an iterable of sparse rows."""
-    elim = SparseEliminator(field, ncols)
-    for row in rows:
+    for row in sub.sparse.values():
         elim.add(row)
-    return elim.kernel()
+    kept = {pc: row for pc, row in within.sparse.items() if elim.add(row) is not None}
+    return Subspace(sub.field, sub.ambient, kept)
+
+
+def invert(rows: Sequence[Sequence], field: Field) -> tuple:
+    """Inverse of a square matrix as a tuple of row tuples.
+
+    Sifts the rows of ``[A | I]`` and reads the inverse off the tag columns;
+    raises ValueError unless the pivots are exactly the columns of A.
+    """
+    n = len(rows)
+    elim = SparseEliminator(field, 2 * n)
+    for i, row in enumerate(_checked_rows(field, n, rows)):
+        row[n + i] = field.one
+        elim.add(row)
+    if sorted(elim.pivot_rows) != list(range(n)):
+        raise ValueError("matrix is not invertible")
+    inverse = []
+    for i in range(n):
+        out = [field.zero] * n
+        for j, x in elim.pivot_rows[i].items():
+            if j >= n:
+                out[j - n] = x
+        inverse.append(tuple(out))
+    return tuple(inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +394,6 @@ class SparseMatrix:
             return {i: v % p for i, v in out.items() if v % p}
         return {i: v for i, v in out.items() if v != 0}
 
-    def apply_dense(self, vec: Sequence) -> list:
-        fld = self.field
-        out = [fld.zero] * self.nrows
-        for j, col in self.cols.items():
-            f = vec[j]
-            if f == 0:
-                continue
-            for i, x in col.items():
-                out[i] = out[i] + f * x
-        return [fld.canon(v) for v in out]
-
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
@@ -588,14 +465,6 @@ def lincomb(field: Field, coeffs: Sequence, matrices: Sequence[SparseMatrix]) ->
             continue
         out = out.add_scaled(mat, c)
     return out
-
-
-def matrix_kernel(mat: SparseMatrix) -> Subspace:
-    """Kernel of a sparse matrix."""
-    elim = SparseEliminator(mat.field, mat.ncols)
-    for _i, row in mat.iter_rows():
-        elim.add(row)
-    return elim.kernel()
 
 
 def is_nilpotent(mat: SparseMatrix) -> bool:

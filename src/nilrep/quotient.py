@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .liealg import LieAlgebra
-from .linalg import SparseEliminator, SparseMatrix, Subspace, complement_in, intersect, rref
+from .linalg import SparseEliminator, SparseMatrix, Subspace, complement_in, intersect
 from .regular import PrunedModule, algorithm_regular
 from .representation import Representation, annihilated_subspace, center_image
 
@@ -30,25 +30,29 @@ def reduce_once(rep: Representation) -> Tuple[Representation, Subspace]:
     # Deterministic complement of W in V: keep the standard basis vectors that
     # stay independent, in index order.
     elim = SparseEliminator(fld, n)
-    for row in W.rows:
-        elim.add({j: x for j, x in enumerate(row) if x != 0})
+    for row in W.sparse.values():
+        elim.add(row)
     kept = []
     for k in range(n):
         if elim.add({k: fld.one}) is not None:
             kept.append(k)
-    dropped = [j for j in range(n) if j not in set(kept)]
-    assert len(dropped) == W.dim
-    # Projection along span{e_k : k kept}: solve R_J X = R_K once, where R is
-    # the basis of W and J/K split its columns into dropped/kept.
-    rj = [[row[j] for j in dropped] for row in W.rows]
-    rk = [[row[k] for k in kept] for row in W.rows]
-    aug = [rjrow + rkrow for rjrow, rkrow in zip(rj, rk)]
-    ech, rank, pivots = rref(aug, fld, len(dropped) + len(kept))
-    assert rank == W.dim and pivots[: W.dim] == tuple(range(W.dim)), "W has no coordinate complement"
-    proj_rows = [
-        {t: v for t, v in enumerate(row[len(dropped):]) if v != 0} for row in ech[: W.dim]
-    ]
     kept_pos = {k: t for t, k in enumerate(kept)}
+    dropped = [j for j in range(n) if j not in kept_pos]
+    if len(dropped) != W.dim:
+        raise RuntimeError("kept coordinates do not complement W")
+    # Projection along span{e_k : k kept}: R_J X = R_K, where R is the basis
+    # of W and J/K split its columns into dropped/kept.  With the columns
+    # ordered (dropped, kept) the RREF of R is [I | X].
+    nd = len(dropped)
+    col = {j: t for t, j in enumerate(dropped + kept)}
+    proj = SparseEliminator(fld, n)
+    for row in W.sparse.values():
+        proj.add({col[j]: x for j, x in row.items()})
+    if sorted(proj.pivot_rows) != list(range(nd)):
+        raise RuntimeError("W has no coordinate complement")
+    proj_rows = [
+        {t - nd: v for t, v in proj.pivot_rows[i].items() if t >= nd} for i in range(nd)
+    ]
     dropped_pos = {j: t for t, j in enumerate(dropped)}
     p = fld.characteristic
     new_mats = []
@@ -92,7 +96,8 @@ def algorithm_quotient(
         new_rep, W = reduce_once(rep)
         if W.dim == 0:
             break
-        assert new_rep.dim < rep.dim
+        if new_rep.dim >= rep.dim:
+            raise RuntimeError("quotient round did not shrink the module")
         w_dims.append(W.dim)
         rep = new_rep
     rep.provenance = {

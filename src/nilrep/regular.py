@@ -160,10 +160,6 @@ def _permuted_algebra(ga: LieAlgebra, perm) -> LieAlgebra:
     return LieAlgebra(fld, ga.dim, table)
 
 
-def _invert_rows(rows, fld):
-    return tuple(tuple(r) for r in invert([list(r) for r in rows], fld))
-
-
 def build_truncated_uea(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -> TruncatedUEA:
     adapted = adapted or g.adapted_basis()
     return TruncatedUEA(adapted.algebra, adapted.weights, adapted.nilpotency_class)
@@ -182,7 +178,7 @@ def _reversed_model(g: LieAlgebra, adapted: AdaptedBasis):
     central_ids = tuple(
         sorted(inv_positions[k] for k, z in enumerate(adapted.central_flags) if z)
     )
-    basis_inverse = _invert_rows(basis_matrix, g.field)
+    basis_inverse = invert(basis_matrix, g.field)
     uea = TruncatedUEA(algebra, adapted.weights, adapted.nilpotency_class)
     return uea, central_ids, basis_matrix, basis_inverse
 

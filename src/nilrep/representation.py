@@ -12,13 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple
 
 from .liealg import LieAlgebra
-from .linalg import (
-    SparseEliminator,
-    Subspace,
-    is_nilpotent,
-    lincomb,
-    matrix_kernel,
-)
+from .linalg import SparseEliminator, Subspace, is_nilpotent, lincomb
 
 
 @dataclass
@@ -86,38 +80,13 @@ def is_faithful(rep: Representation) -> bool:
 
 
 def annihilated_subspace(rep: Representation) -> Subspace:
-    """S = {v in V : M_l v = 0 for every basis vector}, computed incrementally."""
-    fld = rep.field
-    cur: Optional[Subspace] = None
+    """S = {v in V : M_l v = 0 for every basis vector}: the kernel of the rows
+    of all matrices stacked in one eliminator."""
+    elim = SparseEliminator(rep.field, rep.dim)
     for mat in rep.matrices:
-        if cur is None:
-            cur = matrix_kernel(mat)
-        else:
-            if cur.dim == 0:
-                break
-            images = [mat.apply_dense(b) for b in cur.rows]
-            rows: dict = {}
-            for k, img in enumerate(images):
-                for t, v in enumerate(img):
-                    if v != 0:
-                        rows.setdefault(t, {})[k] = v
-            elim = SparseEliminator(fld, cur.dim)
-            for t in sorted(rows):
-                elim.add(rows[t])
-            coeff_kernel = elim.kernel()
-            vecs = []
-            for kv in coeff_kernel.rows:
-                w = [fld.zero] * rep.dim
-                for k, u in enumerate(kv):
-                    if u == 0:
-                        continue
-                    row = cur.rows[k]
-                    w = [fld.canon(x + u * y) for x, y in zip(w, row)]
-                vecs.append(w)
-            cur = Subspace.from_vectors(fld, rep.dim, vecs)
-    if cur is None:
-        cur = Subspace.full_space(fld, rep.dim)
-    return cur
+        for _i, row in mat.iter_rows():
+            elim.add(row)
+    return elim.kernel()
 
 
 def center_image(rep: Representation) -> Subspace:

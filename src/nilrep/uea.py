@@ -194,8 +194,13 @@ class TruncatedUEA:
             else:
                 stack.extend(missing)
 
+    def _check_generator(self, i: int):
+        if not 0 <= i < self.algebra.dim:
+            raise ValueError("generator index %r outside range(%d)" % (i, self.algebra.dim))
+
     def right_product_ids(self, mid: int, i: int) -> dict:
         """Cached straightening of monomial(mid) * x_i (do not mutate the result)."""
+        self._check_generator(i)
         key = (mid, i)
         hit = self._rcache.get(key)
         if hit is None:
@@ -225,6 +230,7 @@ class TruncatedUEA:
 
     def right_action_matrix(self, i: int) -> SparseMatrix:
         """Matrix of m -> m * x_i on span(active monomials)."""
+        self._check_generator(i)
         n = len(self.active)
         cols = {}
         pos = self._pos

@@ -7,6 +7,7 @@ from nilrep.fields import GF, QQ, rational
 from nilrep.affine import (
     AffineFail,
     AffineState,
+    _assert_trivial_kernel,
     algorithm_affine,
     extend_step,
     one_cocycles,
@@ -116,6 +117,16 @@ def test_extend_step_invariants(heis):
             assert all(mat[t][t] == 0 for t in range(m))  # zero diagonal
             assert is_nilpotent(SparseMatrix.from_dense(QQ, mat))
     assert len(state.matrices) == 3
+
+
+def test_trivial_kernel_guard_rejects_an_unfaithful_extension():
+    q = abelian_algebra(QQ, 2)
+    one = [[Q0, Q1], [Q0, Q0]]
+    zero = [[Q0, Q0], [Q0, Q0]]
+    _assert_trivial_kernel(q, [one, [[Q0, Q0], [Q1, Q0]]], QQ)
+    # a_2 acts as zero, so a_2 spans the kernel
+    with pytest.raises(RuntimeError, match="lost faithfulness"):
+        _assert_trivial_kernel(q, [one, zero], QQ)
 
 
 def test_affine_heisenberg(heis):

@@ -1,7 +1,7 @@
 import pytest
 
 from nilrep.fields import GF, QQ, rational
-from nilrep.hall import expand, hall_trees, witt_dimension, witt_layer_dim
+from nilrep.hall import HallBasis, expand, hall_trees, witt_dimension, witt_layer_dim
 from nilrep.liealg import LieAlgebra
 from nilrep import catalog
 
@@ -78,6 +78,28 @@ def test_expansions_are_lie_elements():
         assert sum(poly.values()) == 0  # total coefficient of a Lie element
 
 
+def test_hall_coordinates_of_degree_two_brackets():
+    basis = HallBasis(3, 2)
+    # the degree-2 Hall trees on 3 letters, at flat indices 3, 4, 5
+    assert basis.levels[1] == [(1, 0), (2, 0), (2, 1)]
+    # 2[x1,x0] - 3[x2,x1] = 2(x1x0 - x0x1) - 3(x2x1 - x1x2)
+    poly = {(1, 0): 2, (0, 1): -2, (2, 1): -3, (1, 2): 3}
+    assert basis.coordinates(poly, 2) == [2, 0, -3]
+    assert basis.bracket_coordinates(1, 0) == {3: 1}
+    assert basis.bracket_coordinates(0, 2) == {4: -1}
+    assert basis.bracket_coordinates(2, 1) == {5: 1}
+
+
+def test_hall_coordinates_reject_polynomials_outside_the_lie_span():
+    basis = HallBasis(2, 2)
+    # x0x1 alone is no Lie element: degree 2 is spanned by x1x0 - x0x1
+    with pytest.raises(ValueError, match="not in the Lie span"):
+        basis.coordinates({(0, 1): 1}, 2)
+    # x0x0 occurs in no degree-2 expansion at all
+    with pytest.raises(ValueError, match="not spanned"):
+        basis.coordinates({(0, 0): 1}, 2)
+
+
 def test_free_nilpotent_dims_and_jacobi():
     g = catalog.free_nilpotent(2, 5, QQ)
     assert g.dim == 14 == witt_dimension(2, 5)
@@ -148,6 +170,12 @@ def test_filiform_alpha_inside_index_set():
     for n in (13, 14, 19):
         idx = catalog.filiform_index_set(n)
         assert set(catalog.filiform_alpha(n)) <= idx
+
+
+def test_filiform_alpha_outside_index_set_is_refused(monkeypatch):
+    monkeypatch.setattr(catalog, "filiform_index_set", lambda n: set())
+    with pytest.raises(RuntimeError, match="outside the index set"):
+        catalog.filiform_alpha(13)
 
 
 def test_filiform_alpha_recurrence():

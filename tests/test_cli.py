@@ -98,6 +98,32 @@ def test_compute_rejects_non_nilpotent(tmp_path, capsys):
     assert code == 2 and "input error" in err
 
 
+def test_file_input_violating_jacobi_is_an_input_error(tmp_path, capsys):
+    from nilrep.fields import rational
+    from nilrep.liealg import LieAlgebra
+    from nilrep.linalg import SparseMatrix
+    from nilrep.representation import Representation
+
+    # [x1,x2]=x3, [x1,x3]=x4, [x2,x4]=x5: on (x1,x2,x3) the Jacobi sum is
+    # [x1,[x2,x3]] + [x2,[x3,x1]] + [x3,[x1,x2]] = 0 - [x2,x4] + 0 = -x5
+    one = rational(1)
+    g = LieAlgebra(QQ, 5, {(0, 1): {2: one}, (0, 2): {3: one}, (1, 3): {4: one}})
+    assert g.check_jacobi() == [(0, 1, 2)]
+    alg_path = tmp_path / "bad.json"
+    rep_path = tmp_path / "rep.json"
+    fileio.save_algebra(g, str(alg_path))
+    code, _, err = run(
+        capsys, "compute", "--alg", "regular", "--in", str(alg_path), "--out", str(rep_path)
+    )
+    assert code == 2 and "input error" in err and "Jacobi" in err
+    assert not rep_path.exists()
+
+    zero = Representation(g, [SparseMatrix.zero(QQ, 2, 2) for _ in range(5)])
+    fileio.save_representation(zero, str(rep_path))
+    code, _, err = run(capsys, "verify", "--algebra", str(alg_path), "--rep", str(rep_path))
+    assert code == 2 and "input error" in err and "Jacobi" in err
+
+
 def test_verify_roundtrip_and_corruption(tmp_path, capsys):
     alg_path = tmp_path / "heis.json"
     rep_path = tmp_path / "rep.json"

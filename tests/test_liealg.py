@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from nilrep.fields import QQ, rational
@@ -179,10 +181,20 @@ def test_refined_series_f13_is_standard_basis(f13):
     cs = f13.refined_central_series()
     for i, row in enumerate(cs.vectors):
         assert row == tuple(Q1 if j == i else Q0 for j in range(13))
-    # central condition [g, g_i] <= g_{i+1} is asserted inside the constructor;
+    # central condition [g, g_i] <= g_{i+1} is checked inside the constructor;
     # spot-check one inclusion here as well
     img = f13.bracket([Q1] + [Q0] * 12, list(cs.vectors[3]))
     assert cs.chain[4].contains(img)
+
+
+def test_refined_series_rejects_a_basis_that_is_not_central(heis, monkeypatch):
+    # reversed, the basis is a_1 = z, a_2 = y, a_3 = x, and [y, x] = -z is
+    # not in g_2 = span(x)
+    adapted = heis.adapted_basis()
+    flipped = dataclasses.replace(adapted, matrix=adapted.matrix[::-1])
+    monkeypatch.setattr(LieAlgebra, "adapted_basis", lambda self: flipped)
+    with pytest.raises(RuntimeError, match="central series condition failed at step 1"):
+        heis.refined_central_series()
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,6 @@ from nilrep.linalg import (
     invert,
     is_nilpotent,
     lincomb,
-    matrix_kernel,
-    nullspace,
-    rref,
-    solve,
-    sparse_nullspace,
 )
 
 Q1 = rational(1)
@@ -30,92 +25,145 @@ def qmat(rows):
 
 
 # ---------------------------------------------------------------------------
-# rref
+# dense Gauss-Jordan reference, kept here only to check the sparse kernel
+
+
+def rref(rows, field, ncols):
+    """Canonical RREF of a dense matrix: (nonzero echelon rows, pivot columns)."""
+    mat = [[field.canon(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(x, inv) for x in mat[r]]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != r and f != 0:
+                mat[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in mat[:r]], tuple(pivots)
+
+
+def nullspace(rows, field, ncols):
+    """Canonical RREF rows of {x : A x = 0}, from one free column at a time."""
+    ech, pivots = rref(rows, field, ncols)
+    vecs = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for row, pc in zip(ech, pivots):
+            v[pc] = field.neg(row[f])
+        vecs.append(v)
+    return rref(vecs, field, ncols)[0]
+
+
+def kernel_of(rows, field, ncols):
+    """The kernel under test: dense rows sifted into one SparseEliminator."""
+    elim = SparseEliminator(field, ncols)
+    for row in rows:
+        elim.add({j: x for j, x in enumerate(row) if x != 0})
+    return elim.kernel()
+
+
+FIELDS = st.sampled_from([QQ, GF(2), GF(3)])
+
+
+def matrices(nrows, ncols):
+    return st.lists(
+        st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+        min_size=nrows[0],
+        max_size=nrows[1],
+    )
+
+
+def in_field(field, rows):
+    return [[field.from_int(x) for x in row] for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# canonical RREF (built by Subspace.from_vectors)
 
 
 def test_rref_identity():
-    ech, rank, pivots = rref(qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), QQ)
-    assert rank == 3 and pivots == (0, 1, 2)
-    assert ech == qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    eye = qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert rref(eye, QQ, 3) == ([tuple(r) for r in eye], (0, 1, 2))
+    space = Subspace.from_vectors(QQ, 3, eye)
+    assert space.pivots == (0, 1, 2) and space.rows == tuple(tuple(r) for r in eye)
 
 
 def test_rref_zero():
-    ech, rank, pivots = rref(qmat([[0, 0, 0, 0], [0, 0, 0, 0]]), QQ)
-    assert rank == 0 and pivots == ()
-    assert all(x == 0 for row in ech for x in row)
+    space = Subspace.from_vectors(QQ, 4, qmat([[0, 0, 0, 0], [0, 0, 0, 0]]))
+    assert space.dim == 0 and space.pivots == () and space.rows == ()
 
 
 def test_rref_rank_one():
     # hand elimination: second row is half the first
-    ech, rank, pivots = rref(qmat([[2, 4], [1, 2]]), QQ)
-    assert rank == 1 and pivots == (0,)
-    assert ech[0] == [Q1, rational(2)] and all(x == 0 for x in ech[1])
+    space = Subspace.from_vectors(QQ, 2, qmat([[2, 4], [1, 2]]))
+    assert space.pivots == (0,)
+    assert space.rows == ((Q1, rational(2)),)
 
 
 def test_rref_rejects_floats():
+    # the scalar check lives where dense vectors enter the kernel
     with pytest.raises(ValueError):
-        rref([[0.5, 1.0]], QQ)
+        Subspace.from_vectors(QQ, 2, [[0.5, 1.0]])
     with pytest.raises(ValueError):
-        rref([[rational(1, 2)]], GF(5))
+        Subspace.from_vectors(GF(5), 1, [[rational(1, 2)]])
+    with pytest.raises(ValueError):
+        invert([[0.5]], QQ)
+    with pytest.raises(ValueError, match="length"):
+        Subspace.from_vectors(QQ, 3, [[Q1, Q0]])
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-        min_size=1,
-        max_size=4,
-    )
-)
+@given(matrices((1, 4), 3))
 def test_rref_idempotent_and_rank_bounds(rows):
-    mat = qmat(rows)
-    ech, rank, pivots = rref(mat, QQ)
-    again, rank2, pivots2 = rref(ech, QQ)
-    assert again == ech and rank2 == rank and pivots2 == pivots
-    assert rank <= min(len(rows), 3)
+    space = Subspace.from_vectors(QQ, 3, qmat(rows))
+    again = Subspace.from_vectors(QQ, 3, space.rows)
+    assert again.rows == space.rows and again.pivots == space.pivots
+    assert space.dim <= min(len(rows), 3)
+
+
+@given(FIELDS, matrices((0, 5), 4))
+def test_from_vectors_matches_dense_rref(field, rows):
+    rows = in_field(field, rows)
+    ech, pivots = rref(rows, field, 4)
+    space = Subspace.from_vectors(field, 4, rows)
+    assert space.rows == tuple(ech) and space.pivots == pivots
+    assert all(space.contains(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
-# nullspace / solve
+# kernels
 
 
 def test_nullspace_zero_map():
-    ns = nullspace(qmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]]), QQ)
-    assert ns.dim == 3
+    assert kernel_of(qmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]]), QQ, 3).dim == 3
 
 
 def test_nullspace_injective():
-    ns = nullspace(qmat([[1, 0], [0, 1]]), QQ)
-    assert ns.dim == 0
+    assert kernel_of(qmat([[1, 0], [0, 1]]), QQ, 2).dim == 0
 
 
 def test_nullspace_f2_matches_enumeration():
     f2 = GF(2)
-    ns = nullspace([[1, 1]], f2, 2)
+    ns = kernel_of([[1, 1]], f2, 2)
     brute = [v for v in product(range(2), repeat=2) if (v[0] + v[1]) % 2 == 0 and any(v)]
     assert ns.dim == 1
     assert sorted(tuple(r) for r in ns.rows) == [(1, 1)]
     assert all(ns.contains(list(v)) for v in brute)
 
 
-def test_solve_identity():
-    x, ker = solve(qmat([[1, 0], [0, 1]]), [rational(3), rational(-7)], QQ)
-    assert x == [rational(3), rational(-7)] and ker.dim == 0
-
-
-def test_solve_zero_map():
-    x, ker = solve(qmat([[0, 0], [0, 0]]), [Q0, Q0], QQ)
-    assert x == [Q0, Q0] and ker.dim == 2
-
-
-def test_solve_underdetermined():
-    # substitution oracle: x0 + x1 = 1, particular (1, 0), kernel span{(1, -1)}
-    x, ker = solve(qmat([[1, 1]]), [Q1], QQ)
-    assert x == [Q1, Q0]
-    assert ker.dim == 1 and ker.rows[0] == (Q1, rational(-1))
-
-
-def test_solve_inconsistent():
-    assert solve(qmat([[1, 1], [1, 1]]), [Q1, Q0], QQ) is None
+@given(FIELDS, matrices((1, 5), 5))
+def test_sparse_matches_dense_nullspace(field, rows):
+    rows = in_field(field, rows)
+    assert kernel_of(rows, field, 5).rows == tuple(nullspace(rows, field, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +250,6 @@ def test_subspace_membership_and_coords():
         s.coords([Q1, Q1, Q1])
 
 
-# ---------------------------------------------------------------------------
-# sparse elimination agrees with the dense path
-
-
-@given(
-    st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5), min_size=1, max_size=5),
-)
-def test_sparse_matches_dense_nullspace(rows):
-    dense = nullspace(qmat(rows), QQ, 5)
-    sparse_rows = ({j: rational(x) for j, x in enumerate(row) if x} for row in rows)
-    sparse = sparse_nullspace(sparse_rows, QQ, 5)
-    assert sparse == dense
-
-
 def test_sparse_eliminator_rowspace_canonical():
     elim = SparseEliminator(QQ, 3)
     elim.add({0: rational(2), 1: rational(4)})
@@ -245,16 +279,45 @@ def test_sparse_matrix_roundtrip_and_ops():
 
 def test_matrix_kernel_and_nilpotency():
     n = SparseMatrix.from_dense(QQ, qmat([[0, 0], [1, 0]]))
-    assert matrix_kernel(n) == span([[0, 1]], 2)
+    assert kernel_of(n.to_dense(), QQ, 2) == span([[0, 1]], 2)
     assert is_nilpotent(n)
     assert not is_nilpotent(SparseMatrix.from_dense(QQ, qmat([[1, 0], [0, 1]])))
 
 
 def test_invert():
     inv = invert(qmat([[1, 2], [3, 4]]), QQ)
-    assert inv == qmat([[-2, 1], ["3/2", "-1/2"]]) or inv == [
-        [rational(-2), rational(1)],
-        [rational(3, 2), rational(-1, 2)],
-    ]
+    assert inv == ((rational(-2), rational(1)), (rational(3, 2), rational(-1, 2)))
     with pytest.raises(ValueError):
         invert(qmat([[1, 2], [2, 4]]), QQ)
+
+
+@given(FIELDS, matrices((3, 3), 3))
+def test_invert_matches_dense_rref(field, rows):
+    rows = in_field(field, rows)
+    eye = [[field.one if j == i else field.zero for j in range(3)] for i in range(3)]
+    ech, pivots = rref([r + e for r, e in zip(rows, eye)], field, 6)
+    if pivots[:3] != (0, 1, 2):
+        with pytest.raises(ValueError, match="not invertible"):
+            invert(rows, field)
+        return
+    inv = invert(rows, field)
+    assert inv == tuple(row[3:] for row in ech)
+    a = SparseMatrix.from_dense(field, rows)
+    assert a.matmul(SparseMatrix.from_dense(field, inv)).to_dense() == eye
+
+
+@given(FIELDS, matrices((0, 3), 4), matrices((0, 3), 4))
+def test_intersect_matches_dense_nullspace(field, avecs, bvecs):
+    a = Subspace.from_vectors(field, 4, in_field(field, avecs))
+    b = Subspace.from_vectors(field, 4, in_field(field, bvecs))
+    # reference: kernel of the coefficient system sum u_i a_i - sum v_j b_j = 0
+    system = [
+        [r[t] for r in a.rows] + [field.neg(r[t]) for r in b.rows] for t in range(4)
+    ]
+    vecs = []
+    for kv in nullspace(system, field, a.dim + b.dim):
+        w = [field.zero] * 4
+        for u, row in zip(kv, a.rows):
+            w = [field.add(x, field.mul(u, y)) for x, y in zip(w, row)]
+        vecs.append(w)
+    assert intersect(a, b).rows == tuple(rref(vecs, field, 4)[0])

@@ -87,6 +87,16 @@ def test_truncated_uea_validates_input():
         TruncatedUEA(g, (1, 2, 1), 2)
 
 
+def test_generator_index_is_validated():
+    uea = heis_uea()
+    # negative indices must not wrap around to the last generator z
+    with pytest.raises(ValueError, match="generator index"):
+        uea.right_product_ids(uea.unit, -1)
+    with pytest.raises(ValueError, match="generator index"):
+        uea.right_action_matrix(3)
+    assert uea.right_product_ids(uea.unit, 2) == {uea.degree_one_mid(2): Q1}
+
+
 def test_rejects_structure_constants_that_are_not_weight_adapted():
     # [x1, x2] = x3 with weights (1, 1, 1): the bracket of two weight-1
     # vectors must have weight >= 2, so this table is not weight-adapted

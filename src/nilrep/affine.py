@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .liealg import AdaptedBasis, LieAlgebra
-from .linalg import SparseEliminator, SparseMatrix, Subspace
-from .representation import Representation
+from .linalg import SparseEliminator, SparseMatrix, Subspace, lincomb
+from .representation import Representation, homomorphism_failure, kernel
 
 _RANDOM_BOUND = 5  # rational runs draw cocycle mix coefficients from [-5, 5]
 _MIX_ATTEMPTS = 20
@@ -51,7 +51,7 @@ class AffineState:
 
     algebra: LieAlgebra  # full algebra in the adapted (central series) basis
     step: int  # dimension i of the quotient currently represented
-    matrices: list  # dense (i+1)x(i+1) matrices for a_1..a_i
+    matrices: list  # (i+1)x(i+1) SparseMatrix for each of a_1..a_i
     rng: random.Random
 
 
@@ -66,45 +66,8 @@ def _truncated_quotient(adapted_algebra: LieAlgebra, k: int) -> LieAlgebra:
     return LieAlgebra(adapted_algebra.field, k, table)
 
 
-def _dense_mul(a: Sequence, b: Sequence, fld) -> list:
-    n = len(a)
-    out = [[fld.zero] * n for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for t in range(n):
-            f = arow[t]
-            if f == 0:
-                continue
-            brow = b[t]
-            for j in range(n):
-                x = brow[j]
-                if x != 0:
-                    orow[j] = orow[j] + f * x
-    return [[fld.canon(x) for x in row] for row in out]
-
-
-def _check_representation(q: LieAlgebra, rho: Sequence) -> Optional[tuple]:
-    fld = q.field
-    n = len(rho[0])
-    for i in range(q.dim):
-        for j in range(i + 1, q.dim):
-            lhs = _dense_mul(rho[i], rho[j], fld)
-            rhs = _dense_mul(rho[j], rho[i], fld)
-            diff = [[fld.sub(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(lhs, rhs)]
-            for k, c in q.table.get((i, j), {}).items():
-                mk = rho[k]
-                diff = [
-                    [fld.sub(x, fld.mul(c, y)) for x, y in zip(r1, r2)]
-                    for r1, r2 in zip(diff, mk)
-                ]
-            if any(x != 0 for row in diff for x in row):
-                return (i, j)
-    return None
-
-
-def one_cocycles(q: LieAlgebra, rho: Sequence, check: bool = True) -> Subspace:
-    """Z¹(q, K^m) for the module given by the matrices rho, as stacked vectors.
+def one_cocycles(q: LieAlgebra, rho: Sequence[SparseMatrix], check: bool = True) -> Subspace:
+    """Z¹(q, K^m) for the module given by the m x m matrices rho, as stacked vectors.
 
     Unknowns are the stacked images delta(a_1)..delta(a_k) in K^m; the rows
     encode delta([a_j, a_l]) = rho(a_j) delta(a_l) - rho(a_l) delta(a_j) for
@@ -114,28 +77,25 @@ def one_cocycles(q: LieAlgebra, rho: Sequence, check: bool = True) -> Subspace:
     k = q.dim
     if len(rho) != k:
         raise ValueError("need one matrix per basis vector of q")
-    m = len(rho[0])
+    m = rho[0].nrows
     if check:
-        bad = _check_representation(q, rho)
+        bad = homomorphism_failure(Representation(q, rho))
         if bad is not None:
             raise ValueError("rho is not a representation: pair %r fails" % (bad,))
+    mat_rows = [dict(mat.iter_rows()) for mat in rho]
     elim = SparseEliminator(fld, k * m)
     for j in range(k):
-        mj = rho[j]
         for l in range(j + 1, k):
-            ml = rho[l]
             terms = q.table.get((j, l), {})
             for t in range(m):
                 row: dict = {}
                 for s, c in terms.items():
                     row[s * m + t] = row.get(s * m + t, 0) + c
-                for u, x in enumerate(mj[t]):
-                    if x != 0:
-                        row[l * m + u] = row.get(l * m + u, 0) - x
-                for u, x in enumerate(ml[t]):
-                    if x != 0:
-                        row[j * m + u] = row.get(j * m + u, 0) + x
-                row = {c: fld.canon(v) for c, v in row.items() if not fld.is_zero(v)}
+                for u, x in mat_rows[j].get(t, {}).items():
+                    row[l * m + u] = row.get(l * m + u, 0) - x
+                for u, x in mat_rows[l].get(t, {}).items():
+                    row[j * m + u] = row.get(j * m + u, 0) + x
+                row = fld.clean(row)
                 if row:
                     elim.add(row)
     return elim.kernel()
@@ -164,54 +124,49 @@ def extend_step(state: AffineState, greedy: bool = False) -> Optional[AffineStat
     i = state.step
     m = i + 1  # current module dimension
     qnext = _truncated_quotient(state.algebra, i + 1)
-    rho = list(state.matrices) + [[[fld.zero] * m for _ in range(m)]]
+    rho = list(state.matrices) + [SparseMatrix.zero(fld, m, m)]
     cocycles = one_cocycles(qnext, rho, check=False)
     eval_lo = i * m
-    rows = list(cocycles.rows)
-    candidates = [r for r in rows if any(x != 0 for x in r[eval_lo:eval_lo + m])]
+
+    def evaluates_nonzero(row):
+        return any(eval_lo <= c < eval_lo + m for c in row)
+
+    rows = list(cocycles.sparse.values())
+    candidates = [r for r in rows if evaluates_nonzero(r)]
     if not candidates:
         return None
     if greedy:
-        delta = list(candidates[0])
+        delta = candidates[0]
     else:
         rng = state.rng
-        delta = list(candidates[rng.randrange(len(candidates))])
-        others = [r for r in rows if r is not delta]
-        if others and rng.random() < 0.5:
+        delta = candidates[rng.randrange(len(candidates))]
+        # the mixing partner may be any row of Z¹, delta itself included;
+        # excluding delta would change the draws and so a seeded run's output
+        if rng.random() < 0.5:
             for _ in range(_MIX_ATTEMPTS):
-                extra = others[rng.randrange(len(others))]
+                extra = rows[rng.randrange(len(rows))]
                 f = _random_scalar(fld, rng)
-                mixed = [fld.canon(x + f * y) for x, y in zip(delta, extra)]
-                if any(x != 0 for x in mixed[eval_lo:eval_lo + m]):
+                acc = dict(delta)
+                for c, y in extra.items():
+                    acc[c] = acc.get(c, 0) + f * y
+                mixed = fld.clean(acc)
+                if evaluates_nonzero(mixed):
                     delta = mixed
                     break
-    new_size = m + 1
     new_mats = []
     for j in range(i + 1):
-        vj = delta[j * m:(j + 1) * m]
-        block = state.matrices[j] if j < i else [[fld.zero] * m for _ in range(m)]
-        mat = [list(block[t]) + [vj[t]] for t in range(m)]
-        mat.append([fld.zero] * new_size)
-        new_mats.append(mat)
-    _assert_trivial_kernel(qnext, new_mats, fld)
+        # old block, the cocycle value on a_j as the new last column, zero last row
+        cols = dict(state.matrices[j].cols) if j < i else {}
+        vj = {c - j * m: x for c, x in delta.items() if j * m <= c < (j + 1) * m}
+        if vj:
+            cols[m] = vj
+        new_mats.append(SparseMatrix(fld, m + 1, m + 1, cols))
+    _assert_trivial_kernel(qnext, new_mats)
     return AffineState(state.algebra, i + 1, new_mats, state.rng)
 
 
-def _assert_trivial_kernel(q: LieAlgebra, mats: Sequence, fld):
-    elim = SparseEliminator(fld, q.dim)
-    n = len(mats[0])
-    for r in range(n):
-        for c in range(n):
-            row = {}
-            for s, mat in enumerate(mats):
-                v = mat[r][c]
-                if v != 0:
-                    row[s] = v
-            if row:
-                elim.add(row)
-        if elim.rank == q.dim:
-            break
-    if elim.rank != q.dim:
+def _assert_trivial_kernel(q: LieAlgebra, mats: Sequence[SparseMatrix]):
+    if kernel(Representation(q, mats)).dim:
         raise RuntimeError("affine extension lost faithfulness")
 
 
@@ -234,7 +189,7 @@ def algorithm_affine(
     deepest = 0
     for attempt in range(max(1, retries)):
         rng = random.Random(seed * 1_000_003 + attempt)
-        base = [[[fld.zero, fld.zero], [fld.one, fld.zero]]]
+        base = [SparseMatrix(fld, 2, 2, {0: {1: fld.one}})]
         state = AffineState(adapted.algebra, 1, base, rng)
         failed_at = None
         while state.step < d:
@@ -247,17 +202,7 @@ def algorithm_affine(
             state = nxt
         if failed_at is None:
             deepest = d
-            mats_adapted = [
-                SparseMatrix.from_dense(fld, mat) for mat in state.matrices
-            ]
-            mats = []
-            for l in range(d):
-                coeffs = adapted.inverse[l]
-                acc = SparseMatrix.zero(fld, d + 1, d + 1)
-                for cj, mat in zip(coeffs, mats_adapted):
-                    if not fld.is_zero(cj):
-                        acc = acc.add_scaled(mat, cj)
-                mats.append(acc)
+            mats = [lincomb(fld, adapted.inverse[l], state.matrices) for l in range(d)]
             return Representation(
                 g,
                 mats,

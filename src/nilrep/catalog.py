@@ -39,7 +39,7 @@ def upper_triangular(n: int, field: Field = QQ) -> LieAlgebra:
                 entry[idx[(a, d)]] = entry.get(idx[(a, d)], field.zero) + one
             if d == a:
                 entry[idx[(c, b)]] = entry.get(idx[(c, b)], field.zero) - one
-            entry = {k: v for k, v in entry.items() if not field.is_zero(v)}
+            entry = field.clean(entry)
             if entry:
                 table[(p, q)] = entry
     return LieAlgebra(field, len(pairs), table)
@@ -148,7 +148,7 @@ def filiform_f(n: int, field: Field = QQ) -> LieAlgebra:
                     r = s + j - i - 2 * l - 1
                     if 1 <= r <= n:
                         entry[r - 1] = entry.get(r - 1, field.zero) + sign * binom * a
-            entry = {k: field.canon(v) for k, v in entry.items() if not field.is_zero(v)}
+            entry = field.clean(entry)
             if entry:
                 table[(i - 1, j - 1)] = entry
     return LieAlgebra(field, n, table)

@@ -33,10 +33,9 @@ def _parse_field(text: Optional[str]) -> Field:
     if t in ("q", "qq", "0", "rational", "rationals"):
         return QQ
     try:
-        p = int(t)
+        return GF(int(t))  # int() rejects non-numbers, GF() non-primes
     except ValueError:
         raise InputError("unknown field %r (use 'q' or a prime)" % text)
-    return GF(p)
 
 
 def _load_algebra_file(path: str) -> LieAlgebra:
@@ -130,6 +129,11 @@ def cmd_tables(args) -> int:
             rows = sorted({int(r) for r in args.rows.split(",")})
         except ValueError:
             raise InputError("--rows expects a comma-separated list of row indices")
+        nrows = len((tables.TABLE1, tables.TABLE2, tables.TABLE3)[args.which - 1])
+        bad = [r for r in rows if not 0 <= r < nrows]
+        if bad:
+            raise InputError("--rows %s outside table %d's rows 0..%d"
+                             % (",".join(map(str, bad)), args.which, nrows - 1))
     results = tables.run_table(
         args.which,
         rows=rows,

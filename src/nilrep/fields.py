@@ -100,6 +100,13 @@ class Field:
             return x % self.characteristic == 0
         return x == 0
 
+    def clean(self, acc: dict) -> dict:
+        """The canonical nonzero entries of a sparse accumulator ``{key: value}``."""
+        p = self.characteristic
+        if p:
+            return {k: r for k, v in acc.items() if (r := v % p)}
+        return {k: v for k, v in acc.items() if v != 0}
+
     def add(self, a, b):
         return self.canon(a + b)
 

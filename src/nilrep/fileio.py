@@ -2,7 +2,9 @@
 
 All scalars travel as exact fraction strings ("22105/15246", "-3", "1"); no
 binary floating point anywhere.  Parsing is strict: unknown fields are
-rejected so that format drift fails loudly.
+rejected so that format drift fails loudly.  Representation files store every
+matrix dense; ``to_dense`` and ``from_dense`` convert at this boundary, and
+nothing else in the package holds a dense vector or matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +36,27 @@ def _require_keys(obj: dict, required: set, optional: set, what: str):
     unknown = keys - required - optional
     if unknown:
         raise FileFormatError("%s has unknown fields %s" % (what, sorted(unknown)))
+
+
+def to_dense(mat: SparseMatrix) -> list:
+    """The rows of a sparse matrix as dense lists."""
+    zero = mat.field.zero
+    rows = [[zero] * mat.ncols for _ in range(mat.nrows)]
+    for j, col in mat.cols.items():
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def from_dense(field: Field, rows) -> SparseMatrix:
+    """A sparse matrix from dense rows, with canonical nonzero entries."""
+    cols: dict = {}
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            x = field.canon(x)
+            if x != 0:
+                cols.setdefault(j, {})[i] = x
+    return SparseMatrix(field, len(rows), len(rows[0]) if rows else 0, cols)
 
 
 def field_to_json(field: Field) -> dict:
@@ -120,8 +143,7 @@ def representation_to_json(rep: Representation) -> dict:
     fld = rep.field
     matrices = []
     for mat in rep.matrices:
-        dense = mat.to_dense()
-        matrices.append([[fld.to_str(x) for x in row] for row in dense])
+        matrices.append([[fld.to_str(x) for x in row] for row in to_dense(mat)])
     return {
         "format": REPRESENTATION_FORMAT,
         "version": FORMAT_VERSION,
@@ -165,7 +187,7 @@ def representation_from_json(obj, algebra: LieAlgebra) -> Representation:
             if not (isinstance(row, list) and len(row) == dim):
                 raise FileFormatError("matrix has wrong column count")
             rows.append([field.parse(x) for x in row])
-        matrices.append(SparseMatrix.from_dense(field, rows))
+        matrices.append(from_dense(field, rows))
     prov = obj["provenance"]
     if not isinstance(prov, dict):
         raise FileFormatError("provenance must be an object")

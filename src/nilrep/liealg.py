@@ -1,23 +1,24 @@
 """Nilpotent Lie algebras presented by structure constants.
 
 A ``LieAlgebra`` stores the brackets ``[x_i, x_j]`` for i < j as sparse
-coordinate vectors.  On top of that sit the structural computations every
-representation algorithm needs: Jacobi verification, lower central series,
-center, weight-adapted bases, one-dimensional refinements of the series,
-quotients by ideals, and the second Betti number.
+coordinate vectors ``{index: coefficient}``, the only vector format used here.
+On top of that sit the structural computations every representation algorithm
+needs: Jacobi verification, lower central series, center, weight-adapted bases,
+one-dimensional refinements of the series, quotients by ideals, and the second
+Betti number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 from .fields import Field
 from .linalg import (
     SparseEliminator,
+    SparseMatrix,
     Subspace,
-    complement_in,
+    coordinate_projection,
     intersect,
     invert,
 )
@@ -67,33 +68,26 @@ class LieAlgebra:
         fld = self.field
         return {k: fld.neg(c) for k, c in self.table.get((j, i), {}).items()}
 
-    def bracket(self, x: Sequence, y: Sequence) -> list:
-        """Bilinear extension of the table to coordinate vectors."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector length does not match algebra dimension")
-        fld = self.field
+    def bracket(self, x: dict, y: dict) -> dict:
+        """[x, y] = sum_b y[b] [x, x_b] for sparse coordinate vectors."""
+        for vec in (x, y):
+            if any(not 0 <= k < self.dim for k in vec):
+                raise ValueError("coordinate index outside range(%d)" % self.dim)
         acc: dict = {}
-        for (i, j), terms in self.table.items():
-            f = x[i] * y[j] - x[j] * y[i]
-            if fld.is_zero(f):
-                continue
-            for k, c in terms.items():
+        for b, f in y.items():
+            for k, c in self.bracket_with_basis(x, b).items():
                 acc[k] = acc.get(k, 0) + f * c
-        out = [fld.zero] * self.dim
-        for k, v in acc.items():
-            out[k] = fld.canon(v)
-        return out
+        return self.field.clean(acc)
 
     def bracket_with_basis(self, x_sparse: dict, j: int) -> dict:
         """[v, x_j] for a sparse vector v, as a sparse vector."""
-        fld = self.field
         acc: dict = {}
         for i, f in x_sparse.items():
             if i == j:
                 continue
             for k, c in self.bracket_basis(i, j).items():
                 acc[k] = acc.get(k, 0) + f * c
-        return {k: fld.canon(v) for k, v in acc.items() if not fld.is_zero(v)}
+        return self.field.clean(acc)
 
     def check_jacobi(self) -> list:
         """Return the list of basis triples (i, j, k) violating Jacobi (empty = ok)."""
@@ -202,9 +196,10 @@ def abelian_algebra(field: Field, dim: int) -> LieAlgebra:
 class AdaptedBasis:
     """A weight-ordered basis containing bases of every g^m and of the center.
 
-    ``matrix`` rows are the new basis vectors in the original coordinates,
-    non-decreasing in weight; ``weights[k]`` is the largest m with the k-th
-    vector in g^m; ``central_flags[k]`` marks vectors that lie in Z(g).
+    ``matrix`` holds the new basis vectors as sparse rows in the original
+    coordinates, non-decreasing in weight, and ``inverse`` the sparse rows of
+    the inverse matrix; ``weights[k]`` is the largest m with the k-th vector
+    in g^m; ``central_flags[k]`` marks vectors that lie in Z(g).
     ``algebra`` is the input algebra rewritten in this basis.
     """
 
@@ -220,18 +215,6 @@ class AdaptedBasis:
         return self.weights[-1] if self.weights else 0
 
 
-def _vec_mat(vec: Sequence, mat: tuple, fld: Field) -> list:
-    out = [fld.zero] * len(mat[0])
-    for i, f in enumerate(vec):
-        if f == 0:
-            continue
-        row = mat[i]
-        for j, x in enumerate(row):
-            if x != 0:
-                out[j] = out[j] + f * x
-    return [fld.canon(v) for v in out]
-
-
 def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
     """Build the deterministic weight-adapted basis.
 
@@ -244,7 +227,6 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
     series = g.lower_central_series()  # raises when not nilpotent
     c = len(series) - 1
     center = g.center()
-    identity = Subspace.full_space(fld, g.dim)
     layers: list = []  # (weight, vector, central_flag), weight ascending
     for m in range(1, c + 1):
         gm = series[m - 1]
@@ -254,33 +236,34 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
             elim.add(row)
         layer = []
         zm = intersect(center, gm) if m > 1 else center
-        for row in zm.rows:
-            if elim.add({j: x for j, x in enumerate(row) if x != 0}) is not None:
+        for row in zm.sparse.values():
+            if elim.add(row) is not None:
                 layer.append((m, row, True))
         for idx in range(g.dim):
-            row = identity.rows[idx]
-            if not gm.contains(row):
+            row = {idx: fld.one}
+            if gm.reduce(row):
                 continue
-            if elim.add({idx: fld.one}) is not None:
+            if elim.add(row) is not None:
                 layer.append((m, row, False))
         if len(layer) + gm1.dim < gm.dim:
-            for row in gm.rows:  # original vectors did not span the layer
-                if elim.add({j: x for j, x in enumerate(row) if x != 0}) is not None:
+            for row in gm.sparse.values():  # original vectors did not span the layer
+                if elim.add(row) is not None:
                     layer.append((m, row, False))
         layers.append(layer)
     ordered = [item for layer in layers for item in layer]
     if len(ordered) != g.dim:
         raise RuntimeError("adapted basis has %d vectors, expected %d" % (len(ordered), g.dim))
-    matrix = tuple(tuple(fld.canon(x) for x in vec) for (_m, vec, _z) in ordered)
+    matrix = tuple(dict(vec) for (_m, vec, _z) in ordered)
     weights = tuple(m for (m, _v, _z) in ordered)
     flags = tuple(z for (_m, _v, z) in ordered)
     inverse = invert(matrix, fld)
+    # column k of to_new is row k of the inverse, so to_new maps a vector in
+    # original coordinates to its coordinates on the new basis
+    to_new = SparseMatrix(fld, g.dim, g.dim, dict(enumerate(inverse)))
     table: dict = {}
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            br = g.bracket(matrix[i], matrix[j])
-            coords = _vec_mat(br, inverse, fld)
-            entry = {k: v for k, v in enumerate(coords) if v != 0}
+            entry = to_new.apply_sparse(g.bracket(matrix[i], matrix[j]))
             if entry:
                 table[(i, j)] = entry
     rewritten = LieAlgebra(fld, g.dim, table)
@@ -291,9 +274,9 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
 class CentralSeries:
     """A central series with one-dimensional steps.
 
-    ``vectors[i]`` is a_{i+1} in original coordinates; ``chain[i]`` is
-    g_i = span(a_{i+1}, …, a_d), so chain[0] = g and chain[d] = 0, and
-    [g, g_i] ⊆ g_{i+1} holds for every i.
+    ``vectors[i]`` is a_{i+1} as a sparse row in original coordinates;
+    ``chain[i]`` is g_i = span(a_{i+1}, …, a_d), so chain[0] = g and
+    chain[d] = 0, and [g, g_i] ⊆ g_{i+1} holds for every i.
     """
 
     algebra: LieAlgebra
@@ -306,15 +289,16 @@ def _refined_central_series(g: LieAlgebra) -> CentralSeries:
     adapted = g.adapted_basis()
     fld = g.field
     vectors = adapted.matrix
-    chain = []
-    for i in range(g.dim + 1):
-        chain.append(Subspace.from_vectors(fld, g.dim, vectors[i:]))
-    series = CentralSeries(g, vectors, tuple(chain))
+    elim = SparseEliminator(fld, g.dim)
+    chain = [elim.row_space()]  # built from the end: chain[i] = span(vectors[i:])
+    for row in reversed(vectors):
+        elim.add(row)
+        chain.append(elim.row_space())
+    series = CentralSeries(g, vectors, tuple(reversed(chain)))
     for i in range(g.dim):
         nxt = series.chain[i + 1]
-        sparse = {t: x for t, x in enumerate(vectors[i]) if x != 0}
         for j in range(g.dim):
-            if nxt.reduce(g.bracket_with_basis(sparse, j)):
+            if nxt.reduce(g.bracket_with_basis(vectors[i], j)):
                 raise RuntimeError("central series condition failed at step %d" % i)
     return series
 
@@ -332,36 +316,21 @@ def _is_ideal(g: LieAlgebra, sub: Subspace) -> bool:
 
 
 def _quotient(g: LieAlgebra, ideal: Subspace):
-    """Quotient algebra g/ideal plus the projection matrix (rows: images of e_i)."""
+    """Quotient algebra g/ideal on the kept unit vectors of
+    ``coordinate_projection``, plus the projection as a SparseMatrix (column
+    i: the image of e_i)."""
     if ideal.field != g.field or ideal.ambient != g.dim:
         raise ValueError("ideal does not live in this algebra")
     if not _is_ideal(g, ideal):
         raise ValueError("subspace is not an ideal")
-    fld = g.field
-    comp = complement_in(ideal, Subspace.full_space(fld, g.dim))
-    basis = list(comp.rows)
-    k = len(basis)
-    if k == 0:
-        zero_proj = tuple(() for _ in range(g.dim))
-        return LieAlgebra(fld, 0, {}), zero_proj
-    # coordinates relative to (basis | ideal): full-rank square system
-    combined = basis + list(ideal.rows)
-    inv = invert(combined, fld)
-
-    def project(vec):
-        coords = _vec_mat(vec, inv, fld)
-        return coords[:k]
-
+    kept, proj = coordinate_projection(ideal)
     table: dict = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            br = g.bracket(basis[i], basis[j])
-            entry = {t: v for t, v in enumerate(project(br)) if v != 0}
+    for i in range(len(kept)):
+        for j in range(i + 1, len(kept)):
+            entry = proj.apply_sparse(g.bracket_basis(kept[i], kept[j]))
             if entry:
                 table[(i, j)] = entry
-    proj = tuple(tuple(project([fld.one if t == idx else fld.zero for t in range(g.dim)]))
-                 for idx in range(g.dim))
-    return LieAlgebra(fld, k, table), proj
+    return LieAlgebra(g.field, len(kept), table), proj
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +366,7 @@ def _betti2(g: LieAlgebra) -> int:
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             for l, f in g.bracket_basis(a, b).items():
                 add_pair(row, l, c, f)
-        row = {t: fld.canon(v) for t, v in row.items() if not fld.is_zero(v)}
+        row = fld.clean(row)
         if row:
             elim.add(row)
     dim_z2 = npairs - elim.rank

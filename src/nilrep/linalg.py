@@ -2,12 +2,13 @@
 
 Every elimination goes through one kernel: ``SparseEliminator``, an
 incremental reduced row echelon form over rows stored as dicts
-``{column: value}``, and its residual routine.  ``Subspace`` holds the
-canonical RREF basis the eliminator produces, both as sparse pivot rows and as
-dense rows, and supports membership, intersection and deterministic
-complements; ``invert`` reads an inverse off the tag columns of ``[A | I]``.
-Enveloping-algebra actions and representations are column-oriented
-``SparseMatrix`` objects.
+``{column: value}``, and its residual routine.  Sparse rows are the only
+vector format: ``Subspace`` holds the canonical RREF basis the eliminator
+produces as pivot rows and supports membership, intersection, deterministic
+complements and the projection onto a coordinate complement; ``invert`` reads
+an inverse off the tag columns of ``[A | I]``.  Enveloping-algebra actions and
+representations are column-oriented ``SparseMatrix`` objects.  Dense matrices
+exist only in the file format (``fileio``).
 """
 
 from __future__ import annotations
@@ -52,12 +53,8 @@ def _residual(field: Field, pivot_rows: dict, row: dict) -> dict:
     The entries are canonicalised first; the result is empty exactly when the
     row lies in the span of the pivot rows.  The input is not mutated.
     """
-    p = field.characteristic
-    if p:
-        v = {j: x % p for j, x in row.items() if x % p}
-    else:
-        v = {j: x for j, x in row.items() if x != 0}
-    _clear(v, [c for c in v if c in pivot_rows], pivot_rows, p)
+    v = field.clean(row)
+    _clear(v, [c for c in v if c in pivot_rows], pivot_rows, field.characteristic)
     return v
 
 
@@ -160,24 +157,17 @@ class SparseEliminator:
 class Subspace:
     """A subspace of K^n held as a canonical reduced-row-echelon basis.
 
-    ``sparse`` maps each pivot column to its basis row as a dict; ``rows`` and
-    ``pivots`` hold the same basis as dense tuples, in pivot order.
+    ``sparse`` maps each pivot column to its basis row as a dict, in pivot
+    order; ``pivots`` lists the pivot columns.
     """
 
-    __slots__ = ("field", "ambient", "sparse", "rows", "pivots")
+    __slots__ = ("field", "ambient", "sparse", "pivots")
 
     def __init__(self, field: Field, ambient: int, sparse: dict):
         self.field = field
         self.ambient = ambient
         self.pivots = tuple(sorted(sparse))
         self.sparse = {pc: sparse[pc] for pc in self.pivots}
-        rows = []
-        for pc in self.pivots:
-            dense = [field.zero] * ambient
-            for j, x in sparse[pc].items():
-                dense[j] = x
-            rows.append(tuple(dense))
-        self.rows = tuple(rows)
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -198,7 +188,7 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def reduce(self, vec: dict) -> dict:
         """Residual of a sparse vector after eliminating this basis (empty iff member)."""
@@ -210,23 +200,17 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(not self.reduce(row) for row in other.sparse.values())
 
-    def coords(self, vec: Sequence) -> list:
-        """Coordinates of a member vector on this RREF basis."""
-        if not self.contains(vec):
-            raise ValueError("vector not in subspace")
-        fld = self.field
-        return [fld.canon(vec[pc]) for pc in self.pivots]
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and other.field == self.field
             and other.ambient == self.ambient
-            and other.rows == self.rows
+            and other.sparse == self.sparse
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.rows))
+        rows = tuple(tuple(sorted(row.items())) for row in self.sparse.values())
+        return hash((self.field, self.ambient, rows))
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient)
@@ -285,27 +269,56 @@ def complement_in(sub: Subspace, within: Subspace) -> Subspace:
     return Subspace(sub.field, sub.ambient, kept)
 
 
-def invert(rows: Sequence[Sequence], field: Field) -> tuple:
-    """Inverse of a square matrix as a tuple of row tuples.
+def coordinate_projection(sub: Subspace) -> tuple:
+    """``(kept, P)``: the greedy coordinate complement of ``sub`` and the
+    projection onto it.
+
+    ``kept`` lists, in index order, every k whose unit vector e_k is
+    independent of ``sub`` plus the unit vectors kept before it.  e_j is
+    dropped exactly when some vector of ``sub`` has its last nonzero entry at
+    j, so the dropped columns are the pivots of ``sub``'s echelon form with
+    the column order reversed, and that form's row for j writes e_j modulo
+    ``sub`` on the kept unit vectors.  ``P`` is the len(kept) x n SparseMatrix
+    mapping K^n onto the kept coordinates along ``sub``.
+    """
+    fld = sub.field
+    n = sub.ambient
+    rev = SparseEliminator(fld, n)
+    for row in sub.sparse.values():
+        rev.add({n - 1 - j: x for j, x in row.items()})
+    dropped = {n - 1 - pc: row for pc, row in rev.pivot_rows.items()}
+    kept = [k for k in range(n) if k not in dropped]
+    pos = {k: t for t, k in enumerate(kept)}
+    cols = {k: {t: fld.one} for t, k in enumerate(kept)}
+    for j, row in dropped.items():
+        col = {pos[n - 1 - c]: fld.neg(x) for c, x in row.items() if c != n - 1 - j}
+        if col:
+            cols[j] = col
+    return kept, SparseMatrix(fld, len(kept), n, cols)
+
+
+def invert(rows: Sequence[dict], field: Field) -> tuple:
+    """Inverse of a square matrix given by sparse rows, as a tuple of sparse rows.
 
     Sifts the rows of ``[A | I]`` and reads the inverse off the tag columns;
-    raises ValueError unless the pivots are exactly the columns of A.
+    raises ValueError on a column index outside the matrix, on a scalar that
+    obviously belongs to another field, and unless the pivots are exactly the
+    columns of A.
     """
     n = len(rows)
     elim = SparseEliminator(field, 2 * n)
-    for i, row in enumerate(_checked_rows(field, n, rows)):
-        row[n + i] = field.one
-        elim.add(row)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if not 0 <= j < n or not field.validate(x):
+                raise ValueError("bad entry %r: %r in row %d of a %d x %d matrix" % (j, x, i, n, n))
+        tagged = dict(row)
+        tagged[n + i] = field.one
+        elim.add(tagged)
     if sorted(elim.pivot_rows) != list(range(n)):
         raise ValueError("matrix is not invertible")
-    inverse = []
-    for i in range(n):
-        out = [field.zero] * n
-        for j, x in elim.pivot_rows[i].items():
-            if j >= n:
-                out[j - n] = x
-        inverse.append(tuple(out))
-    return tuple(inverse)
+    return tuple(
+        {j - n: x for j, x in elim.pivot_rows[i].items() if j >= n} for i in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,32 +345,6 @@ class SparseMatrix:
     def zero(cls, field: Field, nrows: int, ncols: int) -> "SparseMatrix":
         return cls(field, nrows, ncols, {})
 
-    @classmethod
-    def from_dense(cls, field: Field, rows: Sequence[Sequence]) -> "SparseMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        cols: dict[int, dict] = {}
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                x = field.canon(x)
-                if x != 0:
-                    cols.setdefault(j, {})[i] = x
-        return cls(field, nrows, ncols, cols)
-
-    def to_dense(self) -> list:
-        zero = self.field.zero
-        rows = [[zero] * self.ncols for _ in range(self.nrows)]
-        for j, col in self.cols.items():
-            for i, x in col.items():
-                rows[i][j] = x
-        return rows
-
-    def entry(self, i: int, j: int):
-        col = self.cols.get(j)
-        if not col:
-            return self.field.zero
-        return col.get(i, self.field.zero)
-
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols.values())
 
@@ -382,7 +369,6 @@ class SparseMatrix:
 
     def apply_sparse(self, vec: dict) -> dict:
         """Image of a sparse column vector ``{row: value}``."""
-        p = self.field.characteristic
         out: dict[int, object] = {}
         for j, f in vec.items():
             col = self.cols.get(j)
@@ -390,9 +376,7 @@ class SparseMatrix:
                 continue
             for i, x in col.items():
                 out[i] = out.get(i, 0) + f * x
-        if p:
-            return {i: v % p for i, v in out.items() if v % p}
-        return {i: v for i, v in out.items() if v != 0}
+        return self.field.clean(out)
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
@@ -408,18 +392,12 @@ class SparseMatrix:
         """self + factor * other (shapes must agree)."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        p = self.field.characteristic
         cols = {j: dict(col) for j, col in self.cols.items()}
         for j, col in other.cols.items():
             dst = cols.setdefault(j, {})
             for i, x in col.items():
-                v = dst.get(i, 0) + factor * x
-                if p:
-                    v %= p
-                if v:
-                    dst[i] = v
-                else:
-                    dst.pop(i, None)
+                dst[i] = dst.get(i, 0) + factor * x
+            cols[j] = self.field.clean(dst)
         return SparseMatrix(self.field, self.nrows, self.ncols, {j: c for j, c in cols.items() if c})
 
     def scaled(self, factor) -> "SparseMatrix":
@@ -455,15 +433,14 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d, nnz=%d)" % (self.nrows, self.ncols, self.nnz())
 
 
-def lincomb(field: Field, coeffs: Sequence, matrices: Sequence[SparseMatrix]) -> SparseMatrix:
-    """Linear combination of equally-shaped sparse matrices."""
+def lincomb(field: Field, coeffs: dict, matrices: Sequence[SparseMatrix]) -> SparseMatrix:
+    """sum_l coeffs[l] * matrices[l] for a sparse coefficient vector, summed in
+    index order."""
     if not matrices:
         raise ValueError("empty linear combination")
     out = SparseMatrix.zero(field, matrices[0].nrows, matrices[0].ncols)
-    for c, mat in zip(coeffs, matrices):
-        if field.is_zero(c):
-            continue
-        out = out.add_scaled(mat, c)
+    for l in sorted(coeffs):
+        out = out.add_scaled(matrices[l], coeffs[l])
     return out
 
 

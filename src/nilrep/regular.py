@@ -21,7 +21,7 @@ from math import comb
 from typing import Optional
 
 from .liealg import AdaptedBasis, LieAlgebra
-from .linalg import invert, lincomb
+from .linalg import lincomb
 from .representation import Representation
 from .uea import TruncatedUEA
 
@@ -100,10 +100,12 @@ def prune(state: PruneState) -> PruneState:
 class PrunedModule:
     """Shared result of Regular's pruning, reused by Dual and Quotient.
 
-    ``basis_matrix`` rows are the layer-reversed adapted basis vectors in
-    original coordinates; ``module_matrices[t]`` is the module action of that
-    basis vector on the active monomial span (minus the right
-    multiplication), already a Lie algebra homomorphism.
+    Basis vector t of the model is the layer-reversed adapted basis vector
+    ``adapted.matrix[perm[t]]``; ``basis_inverse[l]`` holds the coordinates
+    of original basis vector l on the model basis as a sparse row.
+    ``module_matrices[t]`` is the module action of basis vector t on the
+    active monomial span (minus the right multiplication), already a Lie
+    algebra homomorphism.
     """
 
     algebra: LieAlgebra
@@ -111,7 +113,6 @@ class PrunedModule:
     uea: TruncatedUEA  # restricted to the pruned active set
     state: PruneState
     central_ids: tuple
-    basis_matrix: tuple
     basis_inverse: tuple
     module_matrices: list
 
@@ -165,22 +166,25 @@ def build_truncated_uea(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -
     return TruncatedUEA(adapted.algebra, adapted.weights, adapted.nilpotency_class)
 
 
-def _reversed_model(g: LieAlgebra, adapted: AdaptedBasis):
+def _reversed_model(adapted: AdaptedBasis):
     """Full truncated UEA over the layer-reversed adapted basis.
 
-    Returns (uea, central ids, basis matrix, basis inverse); basis vector t of
-    the model is row t of the basis matrix, in original coordinates.
+    Returns (uea, central ids, basis inverse); basis vector t of the model is
+    adapted basis vector perm[t].  The model basis matrix is P A for the
+    permutation matrix P of perm, so its inverse A^-1 P^T is the adapted
+    inverse with column perm[t] moved to t.
     """
     perm = _reverse_layers(adapted.weights)
     algebra = _permuted_algebra(adapted.algebra, perm)
-    basis_matrix = tuple(adapted.matrix[p] for p in perm)
     inv_positions = {old: new for new, old in enumerate(perm)}
     central_ids = tuple(
         sorted(inv_positions[k] for k, z in enumerate(adapted.central_flags) if z)
     )
-    basis_inverse = invert(basis_matrix, g.field)
+    basis_inverse = tuple(
+        {inv_positions[s]: x for s, x in row.items()} for row in adapted.inverse
+    )
     uea = TruncatedUEA(algebra, adapted.weights, adapted.nilpotency_class)
-    return uea, central_ids, basis_matrix, basis_inverse
+    return uea, central_ids, basis_inverse
 
 
 def _module_matrices(uea: TruncatedUEA) -> list:
@@ -193,7 +197,7 @@ def _module_matrices(uea: TruncatedUEA) -> list:
 def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -> PrunedModule:
     """Enumerate monomials of weight <= c and prune; reproduces the table dimensions."""
     adapted = adapted or g.adapted_basis()
-    uea, central_ids, basis_matrix, basis_inverse = _reversed_model(g, adapted)
+    uea, central_ids, basis_inverse = _reversed_model(adapted)
     state = prune(initial_prune_state(uea, central_ids))
     restricted = uea.restrict(sorted(state.active))
     return PrunedModule(
@@ -202,7 +206,6 @@ def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -
         restricted,
         state,
         central_ids,
-        basis_matrix,
         basis_inverse,
         _module_matrices(restricted),
     )
@@ -210,7 +213,7 @@ def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -
 
 def regular_unpruned(g: LieAlgebra) -> Representation:
     """The faithful module on all monomials of weight <= c, without pruning."""
-    uea, _central_ids, _basis_matrix, basis_inverse = _reversed_model(g, g.adapted_basis())
+    uea, _central_ids, basis_inverse = _reversed_model(g.adapted_basis())
     per_basis = _module_matrices(uea)
     mats = [lincomb(g.field, basis_inverse[l], per_basis) for l in range(g.dim)]
     return Representation(

@@ -94,7 +94,7 @@ def center_image(rep: Representation) -> Subspace:
     g = rep.algebra
     fld = g.field
     elim = SparseEliminator(fld, rep.dim)
-    for z in g.center().rows:
+    for z in g.center().sparse.values():
         mz = lincomb(fld, z, rep.matrices)
         for j in sorted(mz.cols):
             elim.add(mz.cols[j])

@@ -174,10 +174,7 @@ class TruncatedUEA:
             for s, cv in br.items():
                 for t, cf in memo[(mid2, s)].items():
                     acc[t] = acc.get(t, 0) - cv * cf
-        p = fld.characteristic
-        if p:
-            return None, {t: v % p for t, v in acc.items() if v % p}
-        return None, {t: v for t, v in acc.items() if v != 0}
+        return None, fld.clean(acc)
 
     def _rmul_fill(self, keys, memo: dict):
         """Iterative memoised evaluation of monomial * generator products."""

@@ -12,12 +12,21 @@ from nilrep.affine import (
     extend_step,
     one_cocycles,
 )
-from nilrep.fileio import representation_to_json
+from nilrep.fileio import from_dense, representation_to_json, to_dense
 from nilrep.liealg import abelian_algebra
 from nilrep.representation import is_faithful, is_homomorphism, kernel
 from nilrep import catalog
 
 Q0, Q1 = rational(0), rational(1)
+
+
+def sparse_mats(dense_mats):
+    return [from_dense(QQ, mat) for mat in dense_mats]
+
+
+def dense_rows(space):
+    return [[row.get(j, space.field.zero) for j in range(space.ambient)]
+            for row in space.sparse.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -26,15 +35,14 @@ Q0, Q1 = rational(0), rational(1)
 
 def test_cocycles_one_dim_abelian():
     q = abelian_algebra(QQ, 1)
-    rho = [[[Q0]]]
-    Z = one_cocycles(q, rho)
+    Z = one_cocycles(q, sparse_mats([[[Q0]]]))
     assert Z.dim == 1  # all linear maps K -> K^1
 
 
 def test_cocycles_two_dim_abelian_zero_module():
     q = abelian_algebra(QQ, 2)
     zero = [[Q0, Q0], [Q0, Q0]]
-    Z = one_cocycles(q, [zero, [row[:] for row in zero]])
+    Z = one_cocycles(q, sparse_mats([zero, zero]))
     assert Z.dim == 4  # every linear map g -> K^2 is a cocycle
 
 
@@ -47,9 +55,9 @@ def test_cocycles_heisenberg_step(heis):
         [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q1, Q0, Q0]],
         [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q0, Q0, Q0]],
     ]
-    Z = one_cocycles(ab.algebra, rho)
+    Z = one_cocycles(ab.algebra, sparse_mats(rho))
     m = 3
-    assert any(any(x != 0 for x in row[2 * m:3 * m]) for row in Z.rows)
+    assert any(any(x != 0 for x in row[2 * m:3 * m]) for row in dense_rows(Z))
 
 
 def test_cocycles_reject_non_representation(heis):
@@ -59,8 +67,8 @@ def test_cocycles_reject_non_representation(heis):
         [[Q0, Q1], [Q0, Q0]],
         [[Q0, Q0], [Q0, Q0]],
     ]
-    with pytest.raises(ValueError):
-        one_cocycles(heis, bad)
+    with pytest.raises(ValueError, match="not a representation: pair \\(0, 1\\)"):
+        one_cocycles(heis, sparse_mats(bad))
 
 
 def test_every_kernel_vector_satisfies_cocycle_identity(heis):
@@ -71,9 +79,10 @@ def test_every_kernel_vector_satisfies_cocycle_identity(heis):
         [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q0, Q0, Q0]],
     ]
     q = ab.algebra
-    Z = one_cocycles(q, rho)
+    Z = one_cocycles(q, sparse_mats(rho))
+    assert Z.dim > 0
     m = 3
-    for row in Z.rows:
+    for row in dense_rows(Z):
         deltas = [row[j * m:(j + 1) * m] for j in range(3)]
         for a in range(3):
             for b in range(a + 1, 3):
@@ -95,7 +104,7 @@ def test_base_case_one_dimensional_algebra():
     g = abelian_algebra(QQ, 1)
     rep = algorithm_affine(g, seed=0, retries=1)
     assert rep.dim == 2
-    assert rep.matrices[0].to_dense() == [[Q0, Q0], [Q1, Q0]]
+    assert to_dense(rep.matrices[0]) == [[Q0, Q0], [Q1, Q0]]
     assert is_faithful(rep)
 
 
@@ -103,19 +112,21 @@ def test_extend_step_invariants(heis):
     # every step keeps the affine block form: zero last row and zero diagonal
     # (the full matrices become strictly lower triangular after reversing the
     # coordinate order, since each step leaves its v-column above the block)
-    from nilrep.linalg import SparseMatrix, is_nilpotent
+    from nilrep.linalg import is_nilpotent
 
     ab = heis.adapted_basis()
     rng = random.Random(0)
-    state = AffineState(ab.algebra, 1, [[[Q0, Q0], [Q1, Q0]]], rng)
+    state = AffineState(ab.algebra, 1, sparse_mats([[[Q0, Q0], [Q1, Q0]]]), rng)
     while state.step < 3:
         state = extend_step(state)
         assert state is not None
         m = state.step + 1
-        for mat in state.matrices:
+        for sparse in state.matrices:
+            mat = to_dense(sparse)
+            assert len(mat) == m
             assert all(x == 0 for x in mat[m - 1])  # zero last row
             assert all(mat[t][t] == 0 for t in range(m))  # zero diagonal
-            assert is_nilpotent(SparseMatrix.from_dense(QQ, mat))
+            assert is_nilpotent(sparse)
     assert len(state.matrices) == 3
 
 
@@ -123,10 +134,13 @@ def test_trivial_kernel_guard_rejects_an_unfaithful_extension():
     q = abelian_algebra(QQ, 2)
     one = [[Q0, Q1], [Q0, Q0]]
     zero = [[Q0, Q0], [Q0, Q0]]
-    _assert_trivial_kernel(q, [one, [[Q0, Q0], [Q1, Q0]]], QQ)
+    _assert_trivial_kernel(q, sparse_mats([one, [[Q0, Q0], [Q1, Q0]]]))
     # a_2 acts as zero, so a_2 spans the kernel
     with pytest.raises(RuntimeError, match="lost faithfulness"):
-        _assert_trivial_kernel(q, [one, zero], QQ)
+        _assert_trivial_kernel(q, sparse_mats([one, zero]))
+    # both act as the same matrix, so a_1 - a_2 spans the kernel
+    with pytest.raises(RuntimeError, match="lost faithfulness"):
+        _assert_trivial_kernel(q, sparse_mats([one, one]))
 
 
 def test_affine_heisenberg(heis):

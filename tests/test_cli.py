@@ -193,3 +193,20 @@ def test_tables_subset(capsys):
 def test_tables_rejects_bad_rows(capsys):
     code, _, err = run(capsys, "tables", "--which", "1", "--rows", "a,b")
     assert code == 2
+
+
+def test_compute_rejects_a_field_that_is_not_a_prime(capsys):
+    for field in ("4", "-3", "1", "x"):
+        code, out, err = run(
+            capsys, "compute", "--alg", "regular", "--in", "catalog:heisenberg", "--field", field
+        )
+        assert code == 2 and "input error" in err and "prime" in err
+        assert out == ""
+
+
+def test_tables_rejects_rows_outside_the_table(capsys):
+    code, out, err = run(capsys, "tables", "--which", "1", "--rows", "0,99")
+    assert code == 2 and "99" in err and "0..11" in err
+    assert out == ""
+    code, _, err = run(capsys, "tables", "--which", "2", "--rows", "-1")
+    assert code == 2 and "0..7" in err

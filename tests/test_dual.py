@@ -122,8 +122,9 @@ def test_dual_annihilated_space_is_psi0(heis):
     # spin basis coordinates of psi_0 must reproduce that single basis row
     basis = spin_submodule(module, center_dual_generators(module))
     unit_pos = list(module.uea.active).index(module.uea.unit)
-    psi0 = [Q1 if t == unit_pos else rational(0) for t in range(module.dim)]
-    coords = basis.coords(psi0)
+    assert not basis.reduce({unit_pos: Q1})  # psi_0 lies in the spin
+    # on an RREF basis a member's coordinates are its entries at the pivots
+    coords = [Q1 if pc == unit_pos else rational(0) for pc in basis.pivots]
     assert S.contains(coords)
     # the center maps the whole module into span{psi_0}
     C = center_image(rep)

@@ -43,3 +43,9 @@ def test_field_equality_and_caching():
 def test_parse_rejects_zero_denominator():
     with pytest.raises(ValueError):
         QQ.parse("1/0")
+
+
+def test_clean_keeps_canonical_nonzero_entries_in_order():
+    assert GF(3).clean({4: 3, 0: 4, 2: -1, 1: 0}) == {0: 1, 2: 2}
+    assert list(GF(3).clean({4: 5, 0: 4})) == [4, 0]
+    assert QQ.clean({0: rational(0), 3: rational(-1, 2)}) == {3: rational(-1, 2)}

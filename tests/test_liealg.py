@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 
-from nilrep.fields import QQ, rational
+from nilrep import catalog
+from nilrep.fields import GF, QQ, rational
+from nilrep.fileio import to_dense
 from nilrep.liealg import LieAlgebra, NotNilpotentError, abelian_algebra
 from nilrep.linalg import Subspace
 
@@ -12,6 +14,20 @@ Q0 = rational(0)
 
 def vec(*xs):
     return [rational(x) for x in xs]
+
+
+def dense(row, ambient, field=QQ):
+    return [row.get(j, field.zero) for j in range(ambient)]
+
+
+def dense_bracket(g, x, y):
+    """Reference: the bilinear extension of the table to dense vectors."""
+    out = [g.field.zero] * g.dim
+    for (i, j), terms in g.table.items():
+        f = x[i] * y[j] - x[j] * y[i]
+        for k, c in terms.items():
+            out[k] = g.field.canon(out[k] + f * c)
+    return out
 
 
 def coord_span(indices, ambient, field=QQ):
@@ -28,15 +44,20 @@ def coord_span(indices, ambient, field=QQ):
 
 
 def test_heisenberg_bracket(heis):
-    assert heis.bracket(vec(1, 0, 0), vec(0, 1, 0)) == vec(0, 0, 1)  # [x, y] = z
-    assert heis.bracket(vec(0, 1, 0), vec(1, 0, 0)) == vec(0, 0, -1)  # antisymmetry
-    v = vec(2, 3, -1)
-    assert heis.bracket(v, v) == vec(0, 0, 0)
+    assert heis.bracket({0: Q1}, {1: Q1}) == {2: Q1}  # [x, y] = z
+    assert heis.bracket({1: Q1}, {0: Q1}) == {2: -Q1}  # antisymmetry
+    v = {0: rational(2), 1: rational(3), 2: -Q1}
+    assert heis.bracket(v, v) == {}
+    # [2x + 3y - z, x + 5y] = 10 z - 3 z
+    assert heis.bracket(v, {0: Q1, 1: rational(5)}) == {2: rational(7)}
+    assert dense_bracket(heis, vec(2, 3, -1), vec(1, 5, 0)) == vec(0, 0, 7)
 
 
 def test_bracket_dimension_mismatch(heis):
     with pytest.raises(ValueError):
-        heis.bracket(vec(1, 0), vec(0, 1, 0))
+        heis.bracket({3: Q1}, {1: Q1})
+    with pytest.raises(ValueError):
+        heis.bracket({0: Q1}, {-1: Q1})
 
 
 def test_jacobi_heisenberg_ok(heis):
@@ -132,8 +153,8 @@ def test_adapted_heisenberg_identity(heis):
     ab = heis.adapted_basis()
     assert ab.weights == (1, 1, 2)
     assert ab.central_flags == (False, False, True)
-    ident = tuple(tuple(Q1 if i == j else Q0 for j in range(3)) for i in range(3))
-    assert ab.matrix == ident
+    assert ab.matrix == ({0: Q1}, {1: Q1}, {2: Q1})
+    assert ab.inverse == ab.matrix
     assert ab.algebra == heis
 
 
@@ -153,10 +174,37 @@ def test_adapted_spans_match_series(u4):
     ab = u4.adapted_basis()
     series = u4.lower_central_series()
     for m in range(1, 4):
-        vecs = [row for row, w in zip(ab.matrix, ab.weights) if w >= m]
+        vecs = [dense(row, 6) for row, w in zip(ab.matrix, ab.weights) if w >= m]
         assert Subspace.from_vectors(QQ, 6, vecs) == series[m - 1]
-    central = [row for row, z in zip(ab.matrix, ab.central_flags) if z]
+    central = [dense(row, 6) for row, z in zip(ab.matrix, ab.central_flags) if z]
     assert Subspace.from_vectors(QQ, 6, central) == u4.center()
+
+
+# Heisenberg in the basis x, y, c = 2x + z: [x, y] = c - 2x, [y, c] = 4x - 2c.
+# Its g^2 = span(z) holds no basis vector, so the adapted basis is x, y, x - c/2.
+HEIS_REBASED = LieAlgebra(QQ, 3, {(0, 1): {0: rational(-2), 2: Q1},
+                                  (1, 2): {0: rational(4), 2: rational(-2)}})
+
+
+@pytest.mark.parametrize("g", [catalog.upper_triangular(5, GF(3)),
+                               catalog.free_nilpotent(3, 3, QQ), HEIS_REBASED],
+                         ids=["U_5/F3", "N_3,3/Q", "heisenberg-rebased/Q"])
+def test_adapted_structure_constants_match_a_dense_bracket(g):
+    # sum_k c'_{ij}^k a_k = [a_i, a_j] for the rewritten constants c'
+    ab = g.adapted_basis()
+    fld, d = g.field, g.dim
+    rows = [dense(row, d, fld) for row in ab.matrix]
+    for i in range(d):
+        for j in range(i + 1, d):
+            lhs = [fld.zero] * d
+            for k, c in ab.algebra.table.get((i, j), {}).items():
+                lhs = [fld.canon(x + c * y) for x, y in zip(lhs, rows[k])]
+            assert lhs == dense_bracket(g, rows[i], rows[j])
+    for l, inv_row in enumerate(ab.inverse):  # e_l = sum_k inverse[l][k] a_k
+        back = [fld.zero] * d
+        for k, c in inv_row.items():
+            back = [fld.canon(x + c * y) for x, y in zip(back, rows[k])]
+        assert back == [fld.one if t == l else fld.zero for t in range(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +213,7 @@ def test_adapted_spans_match_series(u4):
 
 def test_refined_series_heisenberg(heis):
     cs = heis.refined_central_series()
-    ident = tuple(tuple(Q1 if i == j else Q0 for j in range(3)) for i in range(3))
-    assert cs.vectors == ident  # a_1 = x, a_2 = y, a_3 = z
+    assert cs.vectors == ({0: Q1}, {1: Q1}, {2: Q1})  # a_1 = x, a_2 = y, a_3 = z
     assert [c.dim for c in cs.chain] == [3, 2, 1, 0]
     assert cs.chain[1] == coord_span([1, 2], 3)
 
@@ -180,11 +227,12 @@ def test_refined_series_one_dimensional():
 def test_refined_series_f13_is_standard_basis(f13):
     cs = f13.refined_central_series()
     for i, row in enumerate(cs.vectors):
-        assert row == tuple(Q1 if j == i else Q0 for j in range(13))
+        assert row == {i: Q1}
     # central condition [g, g_i] <= g_{i+1} is checked inside the constructor;
     # spot-check one inclusion here as well
-    img = f13.bracket([Q1] + [Q0] * 12, list(cs.vectors[3]))
-    assert cs.chain[4].contains(img)
+    img = f13.bracket({0: Q1}, cs.vectors[3])
+    assert img and cs.chain[4].contains(dense(img, 13))
+    assert [c.dim for c in cs.chain] == list(range(13, -1, -1))
 
 
 def test_refined_series_rejects_a_basis_that_is_not_central(heis, monkeypatch):
@@ -204,21 +252,20 @@ def test_refined_series_rejects_a_basis_that_is_not_central(heis, monkeypatch):
 def test_quotient_by_whole_algebra(heis):
     q, proj = heis.quotient(Subspace.full_space(QQ, 3))
     assert q.dim == 0 and q.is_abelian()
-    assert proj == ((), (), ())
+    assert (proj.nrows, proj.ncols) == (0, 3) and proj.is_zero_matrix()
 
 
 def test_quotient_heisenberg_by_center(heis):
     q, proj = heis.quotient(coord_span([2], 3))
     assert q.dim == 2 and q.is_abelian()
     # projection is a Lie homomorphism: pi([x, y]) = [pi x, pi y] = 0
-    assert list(proj[2]) == [Q0, Q0]
+    assert to_dense(proj) == [[Q1, Q0, Q0], [Q0, Q1, Q0]]
 
 
 def test_quotient_by_zero(heis):
     q, proj = heis.quotient(Subspace.zero_space(QQ, 3))
     assert q == heis
-    for i, row in enumerate(proj):
-        assert list(row) == [Q1 if j == i else Q0 for j in range(3)]
+    assert to_dense(proj) == [[Q1 if j == i else Q0 for j in range(3)] for i in range(3)]
 
 
 def test_quotient_requires_ideal(heis):
@@ -229,22 +276,21 @@ def test_quotient_requires_ideal(heis):
 def test_quotient_projection_is_homomorphism(u4):
     series = u4.lower_central_series()
     q, proj = u4.quotient(series[1])
+    p = to_dense(proj)
 
     def project(v):
-        out = [Q0] * q.dim
-        for i, x in enumerate(v):
-            if x != 0:
-                for j, p in enumerate(proj[i]):
-                    out[j] = out[j] + x * p
-        return out
+        return [sum((r[t] * v[t] for t in range(6)), Q0) for r in p]
 
     for i in range(6):
         for j in range(i + 1, 6):
             ei = [Q1 if t == i else Q0 for t in range(6)]
             ej = [Q1 if t == j else Q0 for t in range(6)]
-            lhs = project(u4.bracket(ei, ej))
-            rhs = q.bracket(project(ei), project(ej))
+            lhs = project(dense_bracket(u4, ei, ej))
+            rhs = dense_bracket(q, project(ei), project(ej))
             assert lhs == rhs
+            assert proj.apply_sparse(u4.bracket({i: Q1}, {j: Q1})) == q.bracket(
+                proj.apply_sparse({i: Q1}), proj.apply_sparse({j: Q1})
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilrep.fields import GF, QQ, rational
+from nilrep.fileio import from_dense, to_dense
 from nilrep.linalg import (
     SparseEliminator,
-    SparseMatrix,
     Subspace,
     complement_in,
+    coordinate_projection,
     intersect,
     invert,
     is_nilpotent,
@@ -64,6 +65,18 @@ def nullspace(rows, field, ncols):
     return rref(vecs, field, ncols)[0]
 
 
+def dense_rows(space):
+    """The RREF basis of a Subspace as dense tuples, in pivot order."""
+    return tuple(
+        tuple(row.get(j, space.field.zero) for j in range(space.ambient))
+        for row in space.sparse.values()
+    )
+
+
+def sparse_rows(rows):
+    return [{j: x for j, x in enumerate(row) if x != 0} for row in rows]
+
+
 def kernel_of(rows, field, ncols):
     """The kernel under test: dense rows sifted into one SparseEliminator."""
     elim = SparseEliminator(field, ncols)
@@ -95,19 +108,20 @@ def test_rref_identity():
     eye = qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rref(eye, QQ, 3) == ([tuple(r) for r in eye], (0, 1, 2))
     space = Subspace.from_vectors(QQ, 3, eye)
-    assert space.pivots == (0, 1, 2) and space.rows == tuple(tuple(r) for r in eye)
+    assert space.pivots == (0, 1, 2) and dense_rows(space) == tuple(tuple(r) for r in eye)
+    assert space.sparse == {0: {0: Q1}, 1: {1: Q1}, 2: {2: Q1}}
 
 
 def test_rref_zero():
     space = Subspace.from_vectors(QQ, 4, qmat([[0, 0, 0, 0], [0, 0, 0, 0]]))
-    assert space.dim == 0 and space.pivots == () and space.rows == ()
+    assert space.dim == 0 and space.pivots == () and space.sparse == {}
 
 
 def test_rref_rank_one():
     # hand elimination: second row is half the first
     space = Subspace.from_vectors(QQ, 2, qmat([[2, 4], [1, 2]]))
     assert space.pivots == (0,)
-    assert space.rows == ((Q1, rational(2)),)
+    assert space.sparse == {0: {0: Q1, 1: rational(2)}}
 
 
 def test_rref_rejects_floats():
@@ -117,7 +131,9 @@ def test_rref_rejects_floats():
     with pytest.raises(ValueError):
         Subspace.from_vectors(GF(5), 1, [[rational(1, 2)]])
     with pytest.raises(ValueError):
-        invert([[0.5]], QQ)
+        invert([{0: 0.5}], QQ)
+    with pytest.raises(ValueError):
+        invert([{1: Q1}], QQ)  # column index outside a 1 x 1 matrix
     with pytest.raises(ValueError, match="length"):
         Subspace.from_vectors(QQ, 3, [[Q1, Q0]])
 
@@ -125,8 +141,8 @@ def test_rref_rejects_floats():
 @given(matrices((1, 4), 3))
 def test_rref_idempotent_and_rank_bounds(rows):
     space = Subspace.from_vectors(QQ, 3, qmat(rows))
-    again = Subspace.from_vectors(QQ, 3, space.rows)
-    assert again.rows == space.rows and again.pivots == space.pivots
+    again = Subspace.from_vectors(QQ, 3, dense_rows(space))
+    assert again.sparse == space.sparse and again.pivots == space.pivots
     assert space.dim <= min(len(rows), 3)
 
 
@@ -135,7 +151,7 @@ def test_from_vectors_matches_dense_rref(field, rows):
     rows = in_field(field, rows)
     ech, pivots = rref(rows, field, 4)
     space = Subspace.from_vectors(field, 4, rows)
-    assert space.rows == tuple(ech) and space.pivots == pivots
+    assert dense_rows(space) == tuple(ech) and space.pivots == pivots
     assert all(space.contains(row) for row in rows)
 
 
@@ -156,14 +172,14 @@ def test_nullspace_f2_matches_enumeration():
     ns = kernel_of([[1, 1]], f2, 2)
     brute = [v for v in product(range(2), repeat=2) if (v[0] + v[1]) % 2 == 0 and any(v)]
     assert ns.dim == 1
-    assert sorted(tuple(r) for r in ns.rows) == [(1, 1)]
+    assert dense_rows(ns) == ((1, 1),)
     assert all(ns.contains(list(v)) for v in brute)
 
 
 @given(FIELDS, matrices((1, 5), 5))
 def test_sparse_matches_dense_nullspace(field, rows):
     rows = in_field(field, rows)
-    assert kernel_of(rows, field, 5).rows == tuple(nullspace(rows, field, 5))
+    assert dense_rows(kernel_of(rows, field, 5)) == tuple(nullspace(rows, field, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +240,7 @@ def test_complement_containment_checked():
 def test_dimension_formula(avecs, bvecs):
     a = span(avecs, 4)
     b = span(bvecs, 4)
-    total = Subspace.from_vectors(QQ, 4, a.rows + b.rows)
+    total = Subspace.from_vectors(QQ, 4, dense_rows(a) + dense_rows(b))
     assert a.dim + b.dim == intersect(a, b).dim + total.dim
 
 
@@ -236,18 +252,21 @@ def test_complement_direct_sum(vecs):
     sub = span(vecs, 4)
     w = complement_in(sub, within)
     assert intersect(w, sub).dim == 0
-    assert Subspace.from_vectors(QQ, 4, w.rows + sub.rows) == within
+    assert Subspace.from_vectors(QQ, 4, dense_rows(w) + dense_rows(sub)) == within
 
 
 def test_subspace_membership_and_coords():
     s = span([[1, 0, 2], [0, 1, 3]], 3)
     v = [rational(2), rational(-1), rational(1)]
     assert s.contains(v)
-    coords = s.coords(v)
+    # on an RREF basis a member's coordinates are its entries at the pivots
+    coords = [v[pc] for pc in s.pivots]
     assert coords == [rational(2), rational(-1)]
+    rebuilt = [sum((c * row.get(j, Q0) for c, row in zip(coords, s.sparse.values())), Q0)
+               for j in range(3)]
+    assert rebuilt == v
     assert not s.contains([Q1, Q1, Q1])
-    with pytest.raises(ValueError):
-        s.coords([Q1, Q1, Q1])
+    assert s.reduce({0: Q1, 1: Q1, 2: Q1}) == {2: rational(-4)}
 
 
 def test_sparse_eliminator_rowspace_canonical():
@@ -265,30 +284,31 @@ def test_sparse_eliminator_rowspace_canonical():
 
 
 def test_sparse_matrix_roundtrip_and_ops():
-    a = SparseMatrix.from_dense(QQ, qmat([[0, 1], [2, 0]]))
-    b = SparseMatrix.from_dense(QQ, qmat([[1, 0], [0, 3]]))
-    assert a.to_dense() == qmat([[0, 1], [2, 0]])
-    assert a.matmul(b).to_dense() == qmat([[0, 3], [2, 0]])
-    assert (a + b).to_dense() == qmat([[1, 1], [2, 3]])
-    assert a.commutator(b).to_dense() == qmat([[0, 2], [-4, 0]])
-    assert a.transpose().to_dense() == qmat([[0, 2], [1, 0]])
-    assert a.scaled(rational(-1)).to_dense() == qmat([[0, -1], [-2, 0]])
-    assert lincomb(QQ, [Q1, Q1], [a, b]).to_dense() == qmat([[1, 1], [2, 3]])
-    assert a.entry(0, 1) == Q1 and a.entry(0, 0) == Q0
+    a = from_dense(QQ, qmat([[0, 1], [2, 0]]))
+    b = from_dense(QQ, qmat([[1, 0], [0, 3]]))
+    assert to_dense(a) == qmat([[0, 1], [2, 0]])
+    assert a.cols == {0: {1: rational(2)}, 1: {0: Q1}}
+    assert to_dense(a.matmul(b)) == qmat([[0, 3], [2, 0]])
+    assert to_dense(a + b) == qmat([[1, 1], [2, 3]])
+    assert to_dense(a.commutator(b)) == qmat([[0, 2], [-4, 0]])
+    assert to_dense(a.transpose()) == qmat([[0, 2], [1, 0]])
+    assert to_dense(a.scaled(rational(-1))) == qmat([[0, -1], [-2, 0]])
+    assert to_dense(lincomb(QQ, {0: Q1, 1: Q1}, [a, b])) == qmat([[1, 1], [2, 3]])
+    assert to_dense(lincomb(QQ, {1: rational(2)}, [a, b])) == qmat([[2, 0], [0, 6]])
 
 
 def test_matrix_kernel_and_nilpotency():
-    n = SparseMatrix.from_dense(QQ, qmat([[0, 0], [1, 0]]))
-    assert kernel_of(n.to_dense(), QQ, 2) == span([[0, 1]], 2)
+    n = from_dense(QQ, qmat([[0, 0], [1, 0]]))
+    assert kernel_of(to_dense(n), QQ, 2) == span([[0, 1]], 2)
     assert is_nilpotent(n)
-    assert not is_nilpotent(SparseMatrix.from_dense(QQ, qmat([[1, 0], [0, 1]])))
+    assert not is_nilpotent(from_dense(QQ, qmat([[1, 0], [0, 1]])))
 
 
 def test_invert():
-    inv = invert(qmat([[1, 2], [3, 4]]), QQ)
-    assert inv == ((rational(-2), rational(1)), (rational(3, 2), rational(-1, 2)))
+    inv = invert(sparse_rows(qmat([[1, 2], [3, 4]])), QQ)
+    assert inv == ({0: rational(-2), 1: Q1}, {0: rational(3, 2), 1: rational(-1, 2)})
     with pytest.raises(ValueError):
-        invert(qmat([[1, 2], [2, 4]]), QQ)
+        invert(sparse_rows(qmat([[1, 2], [2, 4]])), QQ)
 
 
 @given(FIELDS, matrices((3, 3), 3))
@@ -298,12 +318,12 @@ def test_invert_matches_dense_rref(field, rows):
     ech, pivots = rref([r + e for r, e in zip(rows, eye)], field, 6)
     if pivots[:3] != (0, 1, 2):
         with pytest.raises(ValueError, match="not invertible"):
-            invert(rows, field)
+            invert(sparse_rows(rows), field)
         return
-    inv = invert(rows, field)
-    assert inv == tuple(row[3:] for row in ech)
-    a = SparseMatrix.from_dense(field, rows)
-    assert a.matmul(SparseMatrix.from_dense(field, inv)).to_dense() == eye
+    inv = invert(sparse_rows(rows), field)
+    assert inv == tuple(sparse_rows(row[3:] for row in ech))
+    dense_inv = [[row.get(j, field.zero) for j in range(3)] for row in inv]
+    assert to_dense(from_dense(field, rows).matmul(from_dense(field, dense_inv))) == eye
 
 
 @given(FIELDS, matrices((0, 3), 4), matrices((0, 3), 4))
@@ -312,12 +332,39 @@ def test_intersect_matches_dense_nullspace(field, avecs, bvecs):
     b = Subspace.from_vectors(field, 4, in_field(field, bvecs))
     # reference: kernel of the coefficient system sum u_i a_i - sum v_j b_j = 0
     system = [
-        [r[t] for r in a.rows] + [field.neg(r[t]) for r in b.rows] for t in range(4)
+        [r[t] for r in dense_rows(a)] + [field.neg(r[t]) for r in dense_rows(b)]
+        for t in range(4)
     ]
     vecs = []
     for kv in nullspace(system, field, a.dim + b.dim):
         w = [field.zero] * 4
-        for u, row in zip(kv, a.rows):
+        for u, row in zip(kv, dense_rows(a)):
             w = [field.add(x, field.mul(u, y)) for x, y in zip(w, row)]
         vecs.append(w)
-    assert intersect(a, b).rows == tuple(rref(vecs, field, 4)[0])
+    assert dense_rows(intersect(a, b)) == tuple(rref(vecs, field, 4)[0])
+
+
+@given(FIELDS, matrices((0, 4), 5))
+def test_coordinate_projection_matches_dense_reference(field, rows):
+    n = 5
+    w = Subspace.from_vectors(field, n, in_field(field, rows))
+    kept, proj = coordinate_projection(w)
+    unit = [[field.one if j == k else field.zero for j in range(n)] for k in range(n)]
+    # kept is the greedy complement: e_k stays when it raises the dense rank
+    greedy, basis = [], list(dense_rows(w))
+    for k in range(n):
+        if len(rref(basis + [unit[k]], field, n)[0]) > len(basis):
+            greedy.append(k)
+            basis.append(unit[k])
+    assert kept == greedy
+    p = to_dense(proj)
+    assert (proj.nrows, proj.ncols) == (len(kept), n)
+
+    def apply(vec):
+        return [field.canon(sum((r[j] * vec[j] for j in range(n)), field.zero)) for r in p]
+
+    for row in dense_rows(w):
+        assert all(x == 0 for x in apply(row))  # P kills W
+    for t, k in enumerate(kept):
+        assert apply(unit[k]) == [field.one if s == t else field.zero for s in range(len(kept))]
+    assert nullspace(p, field, n) == list(dense_rows(w))  # ker P = W

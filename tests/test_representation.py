@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nilrep.fields import QQ, rational
+from nilrep.fileio import from_dense
 from nilrep.liealg import abelian_algebra
 from nilrep.linalg import SparseMatrix, Subspace, intersect, invert
 from nilrep.regular import algorithm_regular, regular_unpruned
@@ -67,8 +68,8 @@ def test_kernel_extended_by_zero(heis):
     # a faithful rho on g/<z> (3x3 affine form), extended by M_z = 0, has
     # kernel exactly <z> = <a_d>
     mats = [
-        SparseMatrix.from_dense(QQ, [[Q0, Q0, Q0], [Q1, Q0, Q0], [Q0, Q0, Q0]]),  # x
-        SparseMatrix.from_dense(QQ, [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q1, Q0, Q0]]),  # y
+        from_dense(QQ, [[Q0, Q0, Q0], [Q1, Q0, Q0], [Q0, Q0, Q0]]),  # x
+        from_dense(QQ, [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q1, Q0, Q0]]),  # y
         SparseMatrix.zero(QQ, 3, 3),  # z := 0
     ]
     rep = Representation(heis, mats)
@@ -113,14 +114,14 @@ def test_kernel_invariant_under_conjugation(heis):
     rng = random.Random(5)
     n = rep.dim
     while True:
-        rows = [[rational(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        rows = [{j: rational(rng.randint(-3, 3)) for j in range(n)} for _ in range(n)]
         try:
-            invert(rows, QQ)
+            inv = invert(rows, QQ)
             break
         except ValueError:
             continue
-    P = SparseMatrix.from_dense(QQ, rows)
-    Pinv = SparseMatrix.from_dense(QQ, invert(rows, QQ))
+    P = from_dense(QQ, [[row[j] for j in range(n)] for row in rows])
+    Pinv = from_dense(QQ, [[row.get(j, Q0) for j in range(n)] for row in inv])
     conjugated = [Pinv.matmul(m).matmul(P) for m in rep.matrices]
     assert kernel(Representation(heis, conjugated)) == kernel(rep)
 

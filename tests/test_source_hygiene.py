@@ -1,11 +1,14 @@
 """Static checks on the package source.
 
 ``assert`` statements vanish under ``python -O``, so no output may depend on
-one; and every name the package exports must still exist.
+one; every name the package exports must still exist; and dense matrices are
+read and written only at the file boundary, so the dense converters appear
+only in ``fileio.py``.
 """
 
 import ast
 import pathlib
+import re
 
 import nilrep
 
@@ -26,3 +29,14 @@ def test_every_exported_name_resolves():
     missing = [name for name in nilrep.__all__ if not hasattr(nilrep, name)]
     assert missing == []
     assert len(set(nilrep.__all__)) == len(nilrep.__all__)
+
+
+def test_dense_converters_only_in_fileio():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fileio.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if re.search(r"\b(to_dense|from_dense)\b", line):
+                found.append("%s:%d" % (path.name, lineno))
+    assert found == []

@@ -8,7 +8,7 @@ on, including the filiform family f_n.
 """
 
 from .fields import GF, QQ, Field, rational
-from .liealg import AdaptedBasis, CentralSeries, LieAlgebra, NotNilpotentError, abelian_algebra
+from .liealg import AdaptedBasis, LieAlgebra, NotNilpotentError, abelian_algebra
 from .linalg import SparseMatrix, Subspace, complement_in, intersect
 from .uea import TruncatedUEA, enumerate_monomials
 from .representation import (
@@ -33,7 +33,6 @@ __all__ = [
     "Field",
     "rational",
     "AdaptedBasis",
-    "CentralSeries",
     "LieAlgebra",
     "NotNilpotentError",
     "abelian_algebra",

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .liealg import AdaptedBasis, LieAlgebra
+from .liealg import LieAlgebra
 from .linalg import SparseEliminator, SparseMatrix, Subspace, lincomb
 from .representation import Representation, homomorphism_failure, kernel
 
@@ -174,7 +174,6 @@ def algorithm_affine(
     g: LieAlgebra,
     seed: int = 0,
     retries: int = 10,
-    adapted: Optional[AdaptedBasis] = None,
     deadline: Optional[float] = None,
 ):
     """Try to build a faithful representation of dimension dim(g) + 1.
@@ -183,7 +182,7 @@ def algorithm_affine(
     runs are reproducible for a fixed seed.  ``deadline`` (time.monotonic
     value) aborts cooperatively via AffineTimeout.
     """
-    adapted = adapted or g.adapted_basis()
+    adapted = g.adapted_basis()
     fld = g.field
     d = g.dim
     deepest = 0

@@ -205,10 +205,6 @@ def load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def save_algebra(g: LieAlgebra, path: str):
-    save_json(algebra_to_json(g), path)
-
-
 def load_algebra(path: str) -> LieAlgebra:
     return algebra_from_json(load_json(path))
 

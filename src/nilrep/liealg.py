@@ -4,8 +4,7 @@ A ``LieAlgebra`` stores the brackets ``[x_i, x_j]`` for i < j as sparse
 coordinate vectors ``{index: coefficient}``, the only vector format used here.
 On top of that sit the structural computations every representation algorithm
 needs: Jacobi verification, lower central series, center, weight-adapted bases,
-one-dimensional refinements of the series, quotients by ideals, and the second
-Betti number.
+quotients by ideals, and the second Betti number.
 """
 
 from __future__ import annotations
@@ -104,9 +103,6 @@ class LieAlgebra:
                 bad.append((i, j, k))
         return bad
 
-    def is_abelian(self) -> bool:
-        return not self.table
-
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
@@ -174,9 +170,6 @@ class LieAlgebra:
     def adapted_basis(self) -> "AdaptedBasis":
         return _adapted_basis(self)
 
-    def refined_central_series(self) -> "CentralSeries":
-        return _refined_central_series(self)
-
     def quotient(self, ideal: Subspace):
         return _quotient(self, ideal)
 
@@ -203,7 +196,6 @@ class AdaptedBasis:
     ``algebra`` is the input algebra rewritten in this basis.
     """
 
-    original: LieAlgebra
     matrix: tuple
     inverse: tuple
     weights: tuple
@@ -267,40 +259,7 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
             if entry:
                 table[(i, j)] = entry
     rewritten = LieAlgebra(fld, g.dim, table)
-    return AdaptedBasis(g, matrix, inverse, weights, flags, rewritten)
-
-
-@dataclass(frozen=True)
-class CentralSeries:
-    """A central series with one-dimensional steps.
-
-    ``vectors[i]`` is a_{i+1} as a sparse row in original coordinates;
-    ``chain[i]`` is g_i = span(a_{i+1}, …, a_d), so chain[0] = g and
-    chain[d] = 0, and [g, g_i] ⊆ g_{i+1} holds for every i.
-    """
-
-    algebra: LieAlgebra
-    vectors: tuple
-    chain: tuple
-
-
-def _refined_central_series(g: LieAlgebra) -> CentralSeries:
-    """Refine the lower central series by the adapted basis, one step per vector."""
-    adapted = g.adapted_basis()
-    fld = g.field
-    vectors = adapted.matrix
-    elim = SparseEliminator(fld, g.dim)
-    chain = [elim.row_space()]  # built from the end: chain[i] = span(vectors[i:])
-    for row in reversed(vectors):
-        elim.add(row)
-        chain.append(elim.row_space())
-    series = CentralSeries(g, vectors, tuple(reversed(chain)))
-    for i in range(g.dim):
-        nxt = series.chain[i + 1]
-        for j in range(g.dim):
-            if nxt.reduce(g.bracket_with_basis(vectors[i], j)):
-                raise RuntimeError("central series condition failed at step %d" % i)
-    return series
+    return AdaptedBasis(matrix, inverse, weights, flags, rewritten)
 
 
 # ---------------------------------------------------------------------------

@@ -197,9 +197,6 @@ class Subspace:
     def contains(self, vec: Sequence) -> bool:
         return not self.reduce({j: x for j, x in enumerate(vec) if x != 0})
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(not self.reduce(row) for row in other.sparse.values())
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -260,7 +257,7 @@ def complement_in(sub: Subspace, within: Subspace) -> Subspace:
     RREF, so the kept rows are the complement's canonical basis.
     """
     _check_compatible(sub, within)
-    if not within.contains_subspace(sub):
+    if any(within.reduce(row) for row in sub.sparse.values()):
         raise ValueError("sub is not contained in within")
     elim = SparseEliminator(sub.field, sub.ambient)
     for row in sub.sparse.values():

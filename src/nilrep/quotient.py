@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 from .liealg import LieAlgebra
 from .linalg import SparseMatrix, Subspace, complement_in, coordinate_projection, intersect
-from .regular import PrunedModule, algorithm_regular
+from .regular import algorithm_regular
 from .representation import Representation, annihilated_subspace, center_image
 
 
@@ -47,11 +47,10 @@ def reduce_once(rep: Representation) -> Tuple[Representation, Subspace]:
 
 def algorithm_quotient(
     g: LieAlgebra,
-    module: Optional[PrunedModule] = None,
     regular_rep: Optional[Representation] = None,
 ) -> Representation:
     """Quotient: run Regular, then reduce V -> V/W until W = 0."""
-    rep = regular_rep or algorithm_regular(g, module=module)
+    rep = regular_rep or algorithm_regular(g)
     w_dims = []
     while True:
         new_rep, W = reduce_once(rep)
@@ -61,10 +60,14 @@ def algorithm_quotient(
             raise RuntimeError("quotient round did not shrink the module")
         w_dims.append(W.dim)
         rep = new_rep
-    rep.provenance = {
-        "algorithm": "quotient",
-        "dim": rep.dim,
-        "regular_dim": rep.dim + sum(w_dims),
-        "w_dims": w_dims,
-    }
-    return rep
+    # a new Representation: a regular_rep that is already a fixpoint keeps its provenance
+    return Representation(
+        rep.algebra,
+        list(rep.matrices),
+        {
+            "algorithm": "quotient",
+            "dim": rep.dim,
+            "regular_dim": rep.dim + sum(w_dims),
+            "w_dims": w_dims,
+        },
+    )

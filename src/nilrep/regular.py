@@ -98,10 +98,10 @@ def prune(state: PruneState) -> PruneState:
 
 @dataclass
 class PrunedModule:
-    """Shared result of Regular's pruning, reused by Dual and Quotient.
+    """Shared result of Regular's pruning, reused by Dual.
 
-    Basis vector t of the model is the layer-reversed adapted basis vector
-    ``adapted.matrix[perm[t]]``; ``basis_inverse[l]`` holds the coordinates
+    Basis vector t of the model is adapted basis vector perm[t], with perm
+    reversing every weight layer; ``basis_inverse[l]`` holds the coordinates
     of original basis vector l on the model basis as a sparse row.
     ``module_matrices[t]`` is the module action of basis vector t on the
     active monomial span (minus the right multiplication), already a Lie
@@ -109,7 +109,6 @@ class PrunedModule:
     """
 
     algebra: LieAlgebra
-    adapted: AdaptedBasis
     uea: TruncatedUEA  # restricted to the pruned active set
     state: PruneState
     central_ids: tuple
@@ -161,11 +160,6 @@ def _permuted_algebra(ga: LieAlgebra, perm) -> LieAlgebra:
     return LieAlgebra(fld, ga.dim, table)
 
 
-def build_truncated_uea(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -> TruncatedUEA:
-    adapted = adapted or g.adapted_basis()
-    return TruncatedUEA(adapted.algebra, adapted.weights, adapted.nilpotency_class)
-
-
 def _reversed_model(adapted: AdaptedBasis):
     """Full truncated UEA over the layer-reversed adapted basis.
 
@@ -202,7 +196,6 @@ def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -
     restricted = uea.restrict(sorted(state.active))
     return PrunedModule(
         g,
-        adapted,
         restricted,
         state,
         central_ids,

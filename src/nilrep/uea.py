@@ -58,8 +58,7 @@ class TruncatedUEA:
     as zero in ``right_action_matrix``.
     """
 
-    def __init__(self, algebra: LieAlgebra, weights: Sequence[int], cutoff: int,
-                 active: Optional[Iterable[int]] = None):
+    def __init__(self, algebra: LieAlgebra, weights: Sequence[int], cutoff: int):
         if len(weights) != algebra.dim:
             raise ValueError("one weight per basis vector required")
         if any(weights[k] > weights[k + 1] for k in range(len(weights) - 1)):
@@ -74,9 +73,7 @@ class TruncatedUEA:
         self.unit = self.index[(0,) * algebra.dim]
         self._bump = self._bump_table()
         self._check_weight_adapted()
-        if active is None:
-            active = range(len(self.monomials))
-        self.active: Tuple[int, ...] = tuple(sorted(active))
+        self.active: Tuple[int, ...] = tuple(range(len(self.monomials)))
         self._pos = {mid: p for p, mid in enumerate(self.active)}
         self._trail = self._trailing_vars()
         self._rcache: Dict[tuple, dict] = {}
@@ -240,23 +237,6 @@ class TruncatedUEA:
         return SparseMatrix(self.field, n, n, cols)
 
     # -- public operations ----------------------------------------------------
-
-    def monomial(self, mid: int) -> tuple:
-        return self.monomials[mid]
-
-    def format_monomial(self, mid: int, names: Optional[Sequence[str]] = None) -> str:
-        mono = self.monomials[mid]
-        if not any(mono):
-            return "1"
-        if names is None:
-            names = ["x%d" % (k + 1) for k in range(len(mono))]
-        parts = []
-        for k, a in enumerate(mono):
-            if a == 1:
-                parts.append(names[k])
-            elif a > 1:
-                parts.append("%s^%d" % (names[k], a))
-        return "*".join(parts)
 
     def degree_one_mid(self, k: int) -> int:
         """Monomial id of the bare generator x_k."""

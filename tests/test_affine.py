@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from nilrep.fields import GF, QQ, rational
 from nilrep.affine import (
     AffineFail,
     AffineState,
+    AffineTimeout,
     _assert_trivial_kernel,
     algorithm_affine,
     extend_step,
@@ -15,7 +17,7 @@ from nilrep.affine import (
 from nilrep.fileio import from_dense, representation_to_json, to_dense
 from nilrep.liealg import abelian_algebra
 from nilrep.representation import is_faithful, is_homomorphism, kernel
-from nilrep import catalog
+from nilrep import catalog, tables
 
 Q0, Q1 = rational(0), rational(1)
 
@@ -184,3 +186,26 @@ def test_affine_output_matrices_are_nilpotent(heis):
 
     rep = algorithm_affine(heis, seed=0, retries=10)
     assert all(is_nilpotent(m) for m in rep.matrices)
+
+
+# ---------------------------------------------------------------------------
+# deadlines
+
+
+def test_affine_raises_once_its_deadline_has_passed(heis):
+    with pytest.raises(AffineTimeout):
+        algorithm_affine(heis, seed=0, retries=10, deadline=time.monotonic() - 1)
+
+
+def test_affine_column_reports_a_timeout_where_the_reference_failed(heis):
+    notes = []
+    cell = tables._affine_column(heis, None, seed=0, retries=10, timeout=-1, notes=notes)
+    assert cell == ("TIMEOUT", None, "SKIP")
+    assert notes == ["affine timed out; the reference run also failed here"]
+
+
+def test_affine_column_flags_a_timeout_where_the_reference_succeeded(heis):
+    notes = []
+    cell = tables._affine_column(heis, 4, seed=0, retries=10, timeout=-1, notes=notes)
+    assert cell == ("TIMEOUT", 4, "AFFINE-FAIL")
+    assert notes == ["affine timed out"]

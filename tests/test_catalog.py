@@ -111,7 +111,7 @@ def test_free_nilpotent_dims_and_jacobi():
 
 def test_free_nilpotent_class_one_is_abelian():
     g = catalog.free_nilpotent(2, 1, QQ)
-    assert g.dim == 2 and g.is_abelian()
+    assert g.dim == 2 and not g.table
 
 
 def test_free_nilpotent_layer_dims_match_series():

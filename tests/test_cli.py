@@ -93,7 +93,7 @@ def test_compute_rejects_non_nilpotent(tmp_path, capsys):
     one = rational(1)
     sl2 = LieAlgebra(QQ, 3, {(0, 1): {1: two}, (0, 2): {2: -two}, (1, 2): {0: one}})
     path = tmp_path / "sl2.json"
-    fileio.save_algebra(sl2, str(path))
+    fileio.save_json(fileio.algebra_to_json(sl2), str(path))
     code, _, err = run(capsys, "compute", "--alg", "regular", "--in", str(path))
     assert code == 2 and "input error" in err
 
@@ -111,7 +111,7 @@ def test_file_input_violating_jacobi_is_an_input_error(tmp_path, capsys):
     assert g.check_jacobi() == [(0, 1, 2)]
     alg_path = tmp_path / "bad.json"
     rep_path = tmp_path / "rep.json"
-    fileio.save_algebra(g, str(alg_path))
+    fileio.save_json(fileio.algebra_to_json(g), str(alg_path))
     code, _, err = run(
         capsys, "compute", "--alg", "regular", "--in", str(alg_path), "--out", str(rep_path)
     )
@@ -127,7 +127,7 @@ def test_file_input_violating_jacobi_is_an_input_error(tmp_path, capsys):
 def test_verify_roundtrip_and_corruption(tmp_path, capsys):
     alg_path = tmp_path / "heis.json"
     rep_path = tmp_path / "rep.json"
-    fileio.save_algebra(catalog.heisenberg(QQ), str(alg_path))
+    fileio.save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(alg_path))
     code, _, _ = run(
         capsys, "compute", "--alg", "dual", "--in", str(alg_path), "--out", str(rep_path)
     )
@@ -149,7 +149,7 @@ def test_verify_zero_rep_is_homomorphism_but_unfaithful(tmp_path, capsys):
     alg_path = tmp_path / "heis.json"
     rep_path = tmp_path / "rep.json"
     heis = catalog.heisenberg(QQ)
-    fileio.save_algebra(heis, str(alg_path))
+    fileio.save_json(fileio.algebra_to_json(heis), str(alg_path))
     from nilrep.linalg import SparseMatrix
     from nilrep.representation import Representation
 
@@ -165,8 +165,8 @@ def test_verify_checksum_mismatch(tmp_path, capsys):
     a_path = tmp_path / "a.json"
     b_path = tmp_path / "b.json"
     rep_path = tmp_path / "rep.json"
-    fileio.save_algebra(catalog.heisenberg(QQ), str(a_path))
-    fileio.save_algebra(catalog.abelian_algebra(QQ, 3), str(b_path))
+    fileio.save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(a_path))
+    fileio.save_json(fileio.algebra_to_json(catalog.abelian_algebra(QQ, 3)), str(b_path))
     run(capsys, "compute", "--alg", "regular", "--in", str(a_path), "--out", str(rep_path))
     code, _, err = run(capsys, "verify", "--algebra", str(b_path), "--rep", str(rep_path))
     assert code == 2 and "checksum" in err

@@ -9,7 +9,7 @@ from nilrep.regular import algorithm_regular
 
 def test_algebra_roundtrip(tmp_path, heis):
     path = tmp_path / "heis.json"
-    fileio.save_algebra(heis, str(path))
+    fileio.save_json(fileio.algebra_to_json(heis), str(path))
     loaded = fileio.load_algebra(str(path))
     assert loaded == heis
     assert fileio.algebra_checksum(loaded) == fileio.algebra_checksum(heis)
@@ -17,12 +17,12 @@ def test_algebra_roundtrip(tmp_path, heis):
 
 def test_algebra_roundtrip_fractions_and_prime_field(tmp_path, f13):
     p = tmp_path / "f13.json"
-    fileio.save_algebra(f13, str(p))
+    fileio.save_json(fileio.algebra_to_json(f13), str(p))
     assert fileio.load_algebra(str(p)) == f13
 
     g2 = catalog.upper_triangular(4, GF(3))
     p2 = tmp_path / "u4.json"
-    fileio.save_algebra(g2, str(p2))
+    fileio.save_json(fileio.algebra_to_json(g2), str(p2))
     assert fileio.load_algebra(str(p2)) == g2
 
 

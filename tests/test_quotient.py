@@ -76,3 +76,15 @@ def test_quotient_strictly_decreases(heis):
         rep = new_rep
         dims.append(rep.dim)
     assert dims == [7, 4, 3]
+
+
+def test_quotient_leaves_its_regular_input_alone(heis):
+    # Regular on Heisenberg (dim 3) is already a Quotient fixpoint, so no
+    # round shrinks it; the result must still be a new Representation
+    reg = algorithm_regular(heis)
+    before = dict(reg.provenance)
+    quo = algorithm_quotient(heis, regular_rep=reg)
+    assert quo is not reg
+    assert reg.provenance == before and reg.provenance["algorithm"] == "regular"
+    assert quo.provenance["algorithm"] == "quotient"
+    assert quo.dim == reg.dim == 3 and quo.matrices == reg.matrices

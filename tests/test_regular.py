@@ -5,7 +5,6 @@ from nilrep.liealg import abelian_algebra
 from nilrep.regular import (
     algorithm_regular,
     build_pruned_module,
-    build_truncated_uea,
     initial_prune_state,
     nu,
     partitions,
@@ -13,6 +12,7 @@ from nilrep.regular import (
     regular_unpruned,
 )
 from nilrep.representation import is_faithful, is_homomorphism
+from nilrep.uea import TruncatedUEA
 from nilrep import catalog
 
 
@@ -79,8 +79,8 @@ def test_prune_is_a_fixpoint():
 
 
 def test_prune_abelian_line_keeps_everything():
-    g = abelian_algebra(QQ, 1)
-    uea = build_truncated_uea(g)
+    ad = abelian_algebra(QQ, 1).adapted_basis()
+    uea = TruncatedUEA(ad.algebra, ad.weights, ad.nilpotency_class)
     state = prune(initial_prune_state(uea, [0]))
     assert len(state.active) == 2  # {1, x}: x is central, nothing removable
 

@@ -1,9 +1,10 @@
 """Static checks on the package source.
 
 ``assert`` statements vanish under ``python -O``, so no output may depend on
-one; every name the package exports must still exist; and dense matrices are
+one; every name the package exports must still exist; dense matrices are
 read and written only at the file boundary, so the dense converters appear
-only in ``fileio.py``.
+only in ``fileio.py``; and every public function, class and method is called
+from the package or the benchmark, or is listed with its reason in ``KEPT``.
 """
 
 import ast
@@ -13,6 +14,20 @@ import re
 import nilrep
 
 SRC = pathlib.Path(nilrep.__file__).parent
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+# Public definitions that nothing in the package or the benchmark calls, kept
+# on purpose; each value says what needs the name.
+KEPT = {
+    "LieAlgebra.betti2": "acceptance criterion 6d checks b2(f_n) = 2",
+    "LieAlgebra.quotient": "the structural tool that generates quotient algebras",
+    "Subspace.from_vectors": "the public constructor of a subspace from dense vectors",
+    "abelian_algebra": "the public constructor of an abelian algebra",
+    "regular_unpruned": "acceptance criterion 1 checks the unpruned module dimension",
+    "nu": "acceptance criterion 2 checks the closed-form dimension bound",
+    "pfaff_check": "acceptance criterion 6c checks the Pfaff identities of f_n",
+    "TruncatedUEA.right_product_ids": "the README's worked straightening example",
+}
 
 
 def test_no_assert_statements_in_the_package():
@@ -40,3 +55,52 @@ def test_dense_converters_only_in_fileio():
             if re.search(r"\b(to_dense|from_dense)\b", line):
                 found.append("%s:%d" % (path.name, lineno))
     assert found == []
+
+
+def _public_definitions():
+    """(qualified name, node) of every public top-level def/class and method."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        found.append(("%s.%s" % (node.name, sub.name), sub))
+    return found
+
+
+def _references():
+    """Name -> the definitions (or modules) whose code mentions it as a Name or
+    an Attribute; imports, string literals and docstrings are not references."""
+    refs = {}
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                refs.setdefault(child.id, set()).add(owner)
+            elif isinstance(child, ast.Attribute):
+                refs.setdefault(child.attr, set()).add(owner)
+            walk(child, child if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner)
+
+    bench = [p for p in sorted(PERFBENCH.glob("*.py")) if not p.name.startswith("test_")]
+    assert bench, PERFBENCH
+    for path in sorted(SRC.glob("*.py")) + bench:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        walk(tree, tree)
+    return refs
+
+
+def test_every_public_definition_has_a_caller():
+    refs = _references()
+    uncalled = set()
+    for qualname, node in _public_definitions():
+        # a recursive call from inside the definition itself does not count
+        if not refs.get(qualname.split(".")[-1], set()) - {node}:
+            uncalled.add(qualname)
+    assert sorted(uncalled - set(KEPT)) == []
+    # an entry that is gone or has gained a caller no longer needs keeping
+    assert sorted(set(KEPT) - uncalled) == []

@@ -2,16 +2,21 @@ import pytest
 
 from nilrep.fields import QQ, rational
 from nilrep.liealg import LieAlgebra, abelian_algebra
-from nilrep.regular import build_truncated_uea, nu
+from nilrep.regular import nu
 from nilrep.uea import TruncatedUEA, enumerate_monomials, monomial_weight
 from nilrep import catalog
 
 Q1 = rational(1)
 
 
+def truncated_uea(g):
+    """The full truncated UEA over g's adapted basis, in its given order."""
+    ad = g.adapted_basis()
+    return TruncatedUEA(ad.algebra, ad.weights, ad.nilpotency_class)
+
+
 def heis_uea():
-    g = catalog.heisenberg(QQ)
-    return build_truncated_uea(g)
+    return truncated_uea(catalog.heisenberg(QQ))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +168,7 @@ def test_abelian_action_matrix_cutoff_one():
 
 def test_weight_additivity_of_products():
     g = catalog.upper_triangular(4, QQ)
-    uea = build_truncated_uea(g)
+    uea = truncated_uea(g)
     for mid in range(len(uea.monomials)):
         for i in range(g.dim):
             target = uea.weights[i] + uea.weight_of[mid]
@@ -174,7 +179,7 @@ def test_weight_additivity_of_products():
 def test_action_matrices_nilpotent_of_index_class_plus_one():
     # m -> m * x_i raises the weight by at least 1, and weight > c is zero
     g = catalog.heisenberg(QQ)
-    uea = build_truncated_uea(g)
+    uea = truncated_uea(g)
     c = uea.cutoff
     for i in range(3):
         mat = uea.right_action_matrix(i)
@@ -182,13 +187,6 @@ def test_action_matrices_nilpotent_of_index_class_plus_one():
         for _ in range(c):
             power = power.matmul(mat)
         assert power.is_zero_matrix()  # index at most c + 1
-
-
-def test_monomial_formatting():
-    uea = heis_uea()
-    assert uea.format_monomial(uea.unit) == "1"
-    assert uea.format_monomial(uea.index[(1, 1, 0)]) == "x1*x2"
-    assert uea.format_monomial(uea.index[(0, 2, 0)]) == "x2^2"
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +225,7 @@ def straighten_word_right_oracle(uea, word):
 
 def test_right_products_against_word_oracle():
     g = catalog.upper_triangular(4, QQ)
-    uea = build_truncated_uea(g)
+    uea = truncated_uea(g)
     for mid in range(0, len(uea.monomials), 3):
         mono = uea.monomials[mid]
         word = tuple(k for k, a in enumerate(mono) for _ in range(a))
@@ -256,7 +254,7 @@ def test_unpruned_action_is_homomorphism_and_nilpotent():
     from nilrep.linalg import is_nilpotent
 
     for g in (catalog.heisenberg(QQ), catalog.upper_triangular(4, QQ)):
-        uea = build_truncated_uea(g)
+        uea = truncated_uea(g)
         ga = uea.algebra
         mats = [uea.right_action_matrix(i).scaled(QQ.neg(Q1)) for i in range(g.dim)]
         for i in range(g.dim):
@@ -270,7 +268,7 @@ def test_unpruned_action_is_homomorphism_and_nilpotent():
 
 def test_masks_match_products():
     g = catalog.heisenberg(QQ)
-    uea = build_truncated_uea(g)
+    uea = truncated_uea(g)
     right = uea.right_support_masks()
     for i in range(3):
         for mid in range(7):

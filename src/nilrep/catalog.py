@@ -13,8 +13,8 @@ from math import comb
 from typing import Dict, Tuple
 
 from .fields import Field, QQ, rational
-from .hall import HallBasis, witt_dimension, witt_layer_dim
-from .liealg import LieAlgebra, abelian_algebra
+from .hall import HallBasis, witt_dimension
+from .liealg import LieAlgebra
 
 
 def heisenberg(field: Field = QQ) -> LieAlgebra:
@@ -210,6 +210,4 @@ __all__ = [
     "pfaff_check",
     "from_name",
     "witt_dimension",
-    "witt_layer_dim",
-    "abelian_algebra",
 ]

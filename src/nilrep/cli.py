@@ -129,7 +129,7 @@ def cmd_tables(args) -> int:
             rows = sorted({int(r) for r in args.rows.split(",")})
         except ValueError:
             raise InputError("--rows expects a comma-separated list of row indices")
-        nrows = len((tables.TABLE1, tables.TABLE2, tables.TABLE3)[args.which - 1])
+        nrows = len(tables.table_rows(args.which))
         bad = [r for r in rows if not 0 <= r < nrows]
         if bad:
             raise InputError("--rows %s outside table %d's rows 0..%d"

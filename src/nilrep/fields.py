@@ -81,9 +81,10 @@ class Field:
             num, den = int(num_s), int(den_s)
         else:
             num, den = int(text), 1
-        if den == 0:
-            raise ValueError("zero denominator in scalar %r" % text)
-        if self.characteristic:
+        p = self.characteristic
+        if den == 0 or (p and den % p == 0):
+            raise ValueError("zero denominator in scalar %r over %r" % (text, self))
+        if p:
             return self.mul(self.from_int(num), self.inv(self.from_int(den)))
         return _rational(num, den)
 
@@ -106,12 +107,6 @@ class Field:
         if p:
             return {k: r for k, v in acc.items() if (r := v % p)}
         return {k: v for k, v in acc.items() if v != 0}
-
-    def add(self, a, b):
-        return self.canon(a + b)
-
-    def sub(self, a, b):
-        return self.canon(a - b)
 
     def mul(self, a, b):
         return self.canon(a * b)

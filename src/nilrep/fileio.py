@@ -186,6 +186,8 @@ def representation_from_json(obj, algebra: LieAlgebra) -> Representation:
         for row in grid:
             if not (isinstance(row, list) and len(row) == dim):
                 raise FileFormatError("matrix has wrong column count")
+            if not all(isinstance(x, str) for x in row):
+                raise FileFormatError("matrix entries must be fraction strings")
             rows.append([field.parse(x) for x in row])
         matrices.append(from_dense(field, rows))
     prov = obj["provenance"]

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Optional
 
 from . import catalog
 from .affine import AffineFail, AffineTimeout, algorithm_affine
 from .dual import algorithm_dual
-from .fields import GF, QQ
+from .fields import QQ, field_from_characteristic
 from .quotient import algorithm_quotient
 from .regular import algorithm_regular, build_pruned_module
-from .representation import is_faithful, is_homomorphism
+from .representation import verify_report
 
 # (n, characteristic, dim, regular, dual, affine, t_regular, t_dual, t_affine)
 TABLE1 = [
@@ -49,7 +50,7 @@ TABLE2 = [
     (4, 4, 90, 113, None, 13.0, 19.7, None),
 ]
 
-# (n, regular, quotient, dual; affine always failed; times)
+# (n, regular, quotient, dual; affine always failed, see CONJECTURED_NONE; times)
 TABLE3 = [
     (13, 85, 43, 43, 8.6, 14.0, 12.3),
     (14, 105, 53, 53, 17.0, 28.0, 24.7),
@@ -60,6 +61,10 @@ TABLE3 = [
     (19, 433, 134, 134, 487.0, 1844.0, 1162.0),
     (20, 538, 158, 158, 920.0, 4009.0, 3039.0),
 ]
+
+# Affine reference of f_n: the reference runs failed, and the conjecture
+# mu(f_n) > n+1 says no faithful representation of dimension n+1 exists.
+CONJECTURED_NONE = "FAIL"
 
 
 @dataclass
@@ -87,140 +92,91 @@ class RowResult:
         return "%-14s %s  (%.1fs)%s" % (self.label, "  ".join(cols), self.elapsed, note)
 
 
-def _verify(rep) -> bool:
-    return is_homomorphism(rep) and is_faithful(rep)
+def table_rows(which: int) -> list:
+    """(label, algebra builder, reference dimensions, Affine reference, reference
+    seconds) of each row; the Affine reference is a dimension, None where the
+    reference runs failed, or CONJECTURED_NONE."""
+    if which == 1:
+        return [("U_%d(%s)" % (n, "F%d" % ch if ch else "Q"),
+                 partial(catalog.upper_triangular, n, field_from_characteristic(ch)),
+                 {"dim": dim, "regular": reg, "dual": dual}, aff,
+                 {"regular": t_reg, "dual": t_dual, "affine": t_aff})
+                for n, ch, dim, reg, dual, aff, t_reg, t_dual, t_aff in TABLE1]
+    if which == 2:
+        return [("N_%d,%d(Q)" % (n, c), partial(catalog.free_nilpotent, n, c, QQ),
+                 {"dim": dim, "regular": reg, "dual": reg}, aff,
+                 {"regular": t_reg, "dual": t_dual, "affine": t_aff})
+                for n, c, dim, reg, aff, t_reg, t_dual, t_aff in TABLE2]
+    if which == 3:
+        return [("f_%d" % n, partial(catalog.filiform_f, n),
+                 {"regular": reg, "quotient": quo, "dual": dual}, CONJECTURED_NONE,
+                 {"regular": t_reg, "quotient": t_quo, "dual": t_dual})
+                for n, reg, quo, dual, t_reg, t_quo, t_dual in TABLE3]
+    raise ValueError("table must be 1, 2 or 3")
 
 
 def _affine_column(g, expected, seed, retries, timeout, notes):
-    """(computed, reference, status) for an Affine cell; expected None = reported failure.
+    """(computed, reference, status) for an Affine cell, for an Affine reference
+    as in ``table_rows``.
 
     A verified success of dimension dim(g)+1 is MATCH even on rows where the
-    reference experiments failed; failing where the reference run succeeded is
-    flagged AFFINE-FAIL (and never counted as a dimension DIFF).
+    reference experiments failed, and SURPRISE where a conjecture says it cannot
+    exist; failing where the reference run succeeded is flagged AFFINE-FAIL
+    (and never counted as a dimension DIFF).
     """
+    reference_failed = not isinstance(expected, int)
     deadline = None if timeout is None else time.monotonic() + timeout
     try:
         res = algorithm_affine(g, seed=seed, retries=retries, deadline=deadline)
     except AffineTimeout:
-        if expected is None:
+        if reference_failed:
             notes.append("affine timed out; the reference run also failed here")
-            return ("TIMEOUT", None, "SKIP")
+            return ("TIMEOUT", expected, "SKIP")
         notes.append("affine timed out")
         return ("TIMEOUT", expected, "AFFINE-FAIL")
     if isinstance(res, AffineFail):
-        if expected is None:
-            return ("FAIL", None, "MATCH")
-        return ("FAIL@%d" % res.deepest_step, expected, "AFFINE-FAIL")
-    ok = _verify(res)
-    status = "MATCH" if (res.dim == g.dim + 1 and ok) else "DIFF"
-    return (res.dim, expected, status)
+        return ("FAIL@%d" % res.deepest_step, expected,
+                "MATCH" if reference_failed else "AFFINE-FAIL")
+    ok = verify_report(res)["ok"]
+    if expected == CONJECTURED_NONE:
+        notes.append(
+            "UNEXPECTED: Affine found a faithful representation of dimension %d "
+            "for f_%d (verified=%s); the reference experiments never succeeded "
+            "here and the underlying conjecture says none of dimension n+1 exists"
+            % (res.dim, g.dim, ok)
+        )
+        return (res.dim, expected, "SURPRISE")
+    return (res.dim, expected, "MATCH" if (res.dim == g.dim + 1 and ok) else "DIFF")
 
 
-def run_table1(rows: Optional[list] = None, skip_affine: bool = False,
-               seed: int = 0, retries: int = 10, affine_timeout: Optional[float] = 300.0):
+def run_table(which: int, rows: Optional[list] = None, skip_affine: bool = False,
+              seed: int = 0, retries: int = 10, affine_timeout: Optional[float] = 300.0):
+    """Reproduce table ``which`` (1, 2 or 3), or its ``rows`` (0-based indices).
+
+    Each row builds one pruned module for Regular and Dual, runs Quotient where
+    the table has that column, and verifies every result exactly.
+    """
     out = []
-    for idx, (n, ch, dim_ref, reg_ref, dual_ref, aff_ref, t_reg, t_dual, t_aff) in enumerate(TABLE1):
+    for idx, (label, build, reference, affine_ref, seconds) in enumerate(table_rows(which)):
         if rows is not None and idx not in rows:
             continue
-        fld = GF(ch) if ch else QQ
-        label = "U_%d(%s)" % (n, "Q" if ch == 0 else "F%d" % ch)
         t0 = time.monotonic()
         notes = []
-        g = catalog.upper_triangular(n, fld)
+        g = build()
         module = build_pruned_module(g)
-        reg = algorithm_regular(g, module=module)
-        dual = algorithm_dual(g, module=module)
-        verified = _verify(reg) and _verify(dual)
-        columns = {
-            "dim": (g.dim, dim_ref, "MATCH" if g.dim == dim_ref else "DIFF"),
-            "regular": (reg.dim, reg_ref, "MATCH" if reg.dim == reg_ref else "DIFF"),
-            "dual": (dual.dim, dual_ref, "MATCH" if dual.dim == dual_ref else "DIFF"),
-        }
+        reps = {"regular": algorithm_regular(g, module=module),
+                "dual": algorithm_dual(g, module=module)}
+        if "quotient" in reference:
+            quo = reps["quotient"] = algorithm_quotient(g, regular_rep=reps["regular"])
+            if quo.dim != reps["dual"].dim:
+                notes.append("Quotient and Dual dimensions differ (%d vs %d)"
+                             % (quo.dim, reps["dual"].dim))
+        verified = all(verify_report(rep)["ok"] for rep in reps.values())
+        computed = {"dim": g.dim, **{name: rep.dim for name, rep in reps.items()}}
+        columns = {name: (computed[name], ref, "MATCH" if computed[name] == ref else "DIFF")
+                   for name, ref in reference.items()}
         if not skip_affine:
-            columns["affine"] = _affine_column(g, aff_ref, seed, retries, affine_timeout, notes)
-        out.append(RowResult(1, label, columns, verified, time.monotonic() - t0,
-                             {"regular": t_reg, "dual": t_dual, "affine": t_aff}, notes))
+            columns["affine"] = _affine_column(g, affine_ref, seed, retries, affine_timeout, notes)
+        out.append(RowResult(which, label, columns, verified, time.monotonic() - t0,
+                             seconds, notes))
     return out
-
-
-def run_table2(rows: Optional[list] = None, skip_affine: bool = False,
-               seed: int = 0, retries: int = 10, affine_timeout: Optional[float] = 300.0):
-    out = []
-    for idx, (n, c, dim_ref, reg_ref, aff_ref, t_reg, t_dual, t_aff) in enumerate(TABLE2):
-        if rows is not None and idx not in rows:
-            continue
-        label = "N_%d,%d(Q)" % (n, c)
-        t0 = time.monotonic()
-        notes = []
-        g = catalog.free_nilpotent(n, c, QQ)
-        witt = catalog.witt_dimension(n, c)
-        module = build_pruned_module(g)
-        reg = algorithm_regular(g, module=module)
-        dual = algorithm_dual(g, module=module)
-        verified = _verify(reg) and _verify(dual)
-        columns = {
-            "dim": (g.dim, dim_ref, "MATCH" if g.dim == dim_ref == witt else "DIFF"),
-            "regular": (reg.dim, reg_ref, "MATCH" if reg.dim == reg_ref else "DIFF"),
-            "dual": (dual.dim, reg_ref, "MATCH" if dual.dim == reg_ref else "DIFF"),
-        }
-        if not skip_affine:
-            columns["affine"] = _affine_column(g, aff_ref, seed, retries, affine_timeout, notes)
-        out.append(RowResult(2, label, columns, verified, time.monotonic() - t0,
-                             {"regular": t_reg, "dual": t_dual, "affine": t_aff}, notes))
-    return out
-
-
-def run_table3(rows: Optional[list] = None, skip_affine: bool = False,
-               seed: int = 0, retries: int = 10, affine_timeout: Optional[float] = 300.0):
-    out = []
-    for idx, (n, reg_ref, quo_ref, dual_ref, t_reg, t_quo, t_dual) in enumerate(TABLE3):
-        if rows is not None and idx not in rows:
-            continue
-        label = "f_%d" % n
-        t0 = time.monotonic()
-        notes = []
-        g = catalog.filiform_f(n)
-        module = build_pruned_module(g)
-        reg = algorithm_regular(g, module=module)
-        dual = algorithm_dual(g, module=module)
-        quo = algorithm_quotient(g, regular_rep=reg)
-        verified = _verify(reg) and _verify(dual) and _verify(quo)
-        if dual.dim != quo.dim:
-            notes.append("Quotient and Dual dimensions differ (%d vs %d)" % (quo.dim, dual.dim))
-        columns = {
-            "regular": (reg.dim, reg_ref, "MATCH" if reg.dim == reg_ref else "DIFF"),
-            "quotient": (quo.dim, quo_ref, "MATCH" if quo.dim == quo_ref else "DIFF"),
-            "dual": (dual.dim, dual_ref, "MATCH" if dual.dim == dual_ref else "DIFF"),
-        }
-        if not skip_affine:
-            deadline = None if affine_timeout is None else time.monotonic() + affine_timeout
-            try:
-                res = algorithm_affine(g, seed=seed, retries=retries, deadline=deadline)
-            except AffineTimeout:
-                res = None
-                columns["affine"] = ("TIMEOUT", "FAIL", "SKIP")
-            if res is not None:
-                if isinstance(res, AffineFail):
-                    columns["affine"] = ("FAIL@%d" % res.deepest_step, "FAIL", "MATCH")
-                else:
-                    ok = _verify(res)
-                    notes.append(
-                        "UNEXPECTED: Affine found a faithful representation of dimension %d "
-                        "for f_%d (verified=%s); the reference experiments never succeeded "
-                        "here and the underlying conjecture says none of dimension n+1 exists"
-                        % (res.dim, n, ok)
-                    )
-                    columns["affine"] = (res.dim, "FAIL", "SURPRISE")
-        out.append(RowResult(3, label, columns, verified, time.monotonic() - t0,
-                             {"regular": t_reg, "quotient": t_quo, "dual": t_dual}, notes))
-    return out
-
-
-def run_table(which: int, **kwargs):
-    if which == 1:
-        return run_table1(**kwargs)
-    if which == 2:
-        return run_table2(**kwargs)
-    if which == 3:
-        return run_table3(**kwargs)
-    raise ValueError("table must be 1, 2 or 3")

@@ -43,17 +43,17 @@ def record(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def table1():
-    return tables.run_table1(seed=0, retries=10, affine_timeout=None)
+    return tables.run_table(1, seed=0, retries=10, affine_timeout=None)
 
 
 @pytest.fixture(scope="module")
 def table2_dims():
-    return tables.run_table2(skip_affine=True)
+    return tables.run_table(2, skip_affine=True)
 
 
 @pytest.fixture(scope="module")
 def table3():
-    return tables.run_table3(seed=0, retries=10, affine_timeout=None)
+    return tables.run_table(3, seed=0, retries=10, affine_timeout=None)
 
 
 # ---------------------------------------------------------------------------

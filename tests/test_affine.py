@@ -209,3 +209,34 @@ def test_affine_column_flags_a_timeout_where_the_reference_succeeded(heis):
     cell = tables._affine_column(heis, 4, seed=0, retries=10, timeout=-1, notes=notes)
     assert cell == ("TIMEOUT", 4, "AFFINE-FAIL")
     assert notes == ["affine timed out"]
+
+
+# the filiform rows' Affine reference: failed, and conjectured impossible
+
+
+def test_affine_column_skips_a_timeout_under_the_conjecture(heis):
+    notes = []
+    cell = tables._affine_column(heis, tables.CONJECTURED_NONE, seed=0, retries=10,
+                                 timeout=-1, notes=notes)
+    assert cell == ("TIMEOUT", "FAIL", "SKIP")
+    assert notes == ["affine timed out; the reference run also failed here"]
+
+
+def test_affine_column_flags_a_success_against_the_conjecture(heis):
+    notes = []
+    cell = tables._affine_column(heis, tables.CONJECTURED_NONE, seed=0, retries=10,
+                                 timeout=None, notes=notes)
+    assert cell == (4, "FAIL", "SURPRISE")
+    assert len(notes) == 1
+    assert notes[0].startswith("UNEXPECTED: Affine found a faithful representation "
+                               "of dimension 4") and "verified=True" in notes[0]
+
+
+def test_affine_column_matches_a_failure_under_the_conjecture(heis, monkeypatch):
+    monkeypatch.setattr(tables, "algorithm_affine",
+                        lambda g, **kwargs: AffineFail(deepest_step=2, attempts=10))
+    notes = []
+    cell = tables._affine_column(heis, tables.CONJECTURED_NONE, seed=0, retries=10,
+                                 timeout=None, notes=notes)
+    assert cell == ("FAIL@2", "FAIL", "MATCH")
+    assert notes == []

@@ -1,8 +1,8 @@
 import json
 
-from nilrep import catalog, fileio
+from nilrep import abelian_algebra, catalog, fileio
 from nilrep.cli import main
-from nilrep.fields import QQ
+from nilrep.fields import GF, QQ
 
 
 def run(capsys, *argv):
@@ -166,10 +166,33 @@ def test_verify_checksum_mismatch(tmp_path, capsys):
     b_path = tmp_path / "b.json"
     rep_path = tmp_path / "rep.json"
     fileio.save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(a_path))
-    fileio.save_json(fileio.algebra_to_json(catalog.abelian_algebra(QQ, 3)), str(b_path))
+    fileio.save_json(fileio.algebra_to_json(abelian_algebra(QQ, 3)), str(b_path))
     run(capsys, "compute", "--alg", "regular", "--in", str(a_path), "--out", str(rep_path))
     code, _, err = run(capsys, "verify", "--algebra", str(b_path), "--rep", str(rep_path))
     assert code == 2 and "checksum" in err
+
+
+def test_verify_rejects_a_numeric_matrix_entry(tmp_path, capsys):
+    alg_path = tmp_path / "heis.json"
+    rep_path = tmp_path / "rep.json"
+    fileio.save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(alg_path))
+    run(capsys, "compute", "--alg", "dual", "--in", str(alg_path), "--out", str(rep_path))
+    obj = json.loads(rep_path.read_text())
+    obj["matrices"][0][0][0] = 0
+    rep_path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--algebra", str(alg_path), "--rep", str(rep_path))
+    assert code == 2 and "input error" in err and "fraction strings" in err
+    assert out == ""
+
+
+def test_compute_rejects_a_denominator_divisible_by_p(tmp_path, capsys):
+    alg_path = tmp_path / "heis3.json"
+    obj = fileio.algebra_to_json(catalog.heisenberg(GF(3)))
+    obj["brackets"][0]["terms"][0][1] = "1/3"
+    alg_path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "compute", "--alg", "regular", "--in", str(alg_path))
+    assert code == 2 and "input error" in err and "denominator" in err
+    assert out == ""
 
 
 def test_compute_deterministic_output(tmp_path, capsys):

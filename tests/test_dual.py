@@ -20,7 +20,7 @@ from nilrep.representation import (
     is_faithful,
     is_homomorphism,
 )
-from nilrep import catalog
+from nilrep import abelian_algebra, catalog
 
 Q1 = rational(1)
 
@@ -72,7 +72,7 @@ def test_spin_empty_generators(heis_module):
 
 
 def test_spin_abelian_direct_action():
-    g = catalog.abelian_algebra(QQ, 2)
+    g = abelian_algebra(QQ, 2)
     module = build_pruned_module(g)
     gens = center_dual_generators(module)
     assert len(gens) == 2

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nilrep.fields import GF, QQ
-from nilrep import catalog, fileio
+from nilrep import abelian_algebra, catalog, fileio
 from nilrep.regular import algorithm_regular
 
 
@@ -67,7 +67,7 @@ def test_float_coefficients_rejected(heis):
 def test_checksum_mismatch_rejected(tmp_path, heis):
     rep = algorithm_regular(heis)
     obj = fileio.representation_to_json(rep)
-    other = catalog.abelian_algebra(QQ, 3)
+    other = abelian_algebra(QQ, 3)
     with pytest.raises(fileio.FileFormatError):
         fileio.representation_from_json(obj, other)
 

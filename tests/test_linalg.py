@@ -44,7 +44,7 @@ def rref(rows, field, ncols):
         for i in range(len(mat)):
             f = mat[i][c]
             if i != r and f != 0:
-                mat[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(mat[i], mat[r])]
+                mat[i] = [field.canon(a - f * b) for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
     return [tuple(row) for row in mat[:r]], tuple(pivots)
@@ -339,7 +339,7 @@ def test_intersect_matches_dense_nullspace(field, avecs, bvecs):
     for kv in nullspace(system, field, a.dim + b.dim):
         w = [field.zero] * 4
         for u, row in zip(kv, dense_rows(a)):
-            w = [field.add(x, field.mul(u, y)) for x, y in zip(w, row)]
+            w = [field.canon(x + u * y) for x, y in zip(w, row)]
         vecs.append(w)
     assert dense_rows(intersect(a, b)) == tuple(rref(vecs, field, 4)[0])
 

@@ -5,7 +5,8 @@ discarded monomials and on everything of weight above the class, so a
 functional is stored as its value vector on Regular's active monomial set A.
 The action on functionals is the contragredient of the module action:
 x . f = -(action of x)^T f.  The module action of x is minus the right
-multiplication by x, so this is exactly (x.f)(a) = f(a x).
+multiplication by x, so this is the transposed right multiplication,
+(x.f)(a) = f(a x).
 """
 
 from __future__ import annotations
@@ -14,23 +15,21 @@ from collections import deque
 from typing import Optional
 
 from .liealg import LieAlgebra
-from .linalg import SparseEliminator, SparseMatrix, Subspace
+from .linalg import SparseEliminator, SparseMatrix, Subspace, lincomb
 from .regular import PrunedModule, build_pruned_module
 from .representation import Representation
 
 
 def dual_action_matrices(module: PrunedModule) -> list:
     """Contragredient matrices, one per (layer-ordered) adapted basis vector."""
-    fld = module.algebra.field
-    neg_one = fld.neg(fld.one)
-    return [mat.transpose().scaled(neg_one) for mat in module.module_matrices]
+    return [mat.transpose() for mat in module.right_matrices]
 
 
 def center_dual_generators(module: PrunedModule) -> list:
     """psi_i: value 1 on the degree-one monomial of the i-th central generator."""
     gens = []
     uea = module.uea
-    pos = {mid: p for p, mid in enumerate(uea.active)}
+    pos = {mid: p for p, mid in enumerate(module.active)}
     for k in module.central_ids:
         mid = uea.degree_one_mid(k)
         if mid not in pos:
@@ -81,7 +80,7 @@ def algorithm_dual(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Repr
             if col:
                 cols[b] = col
         per_basis.append(SparseMatrix(fld, k, k, cols))
-    mats = module.to_original_basis(per_basis)
+    mats = [lincomb(fld, row, per_basis) for row in module.basis_inverse]
     return Representation(
         g,
         mats,

@@ -116,20 +116,21 @@ def algebra_from_json(obj) -> LieAlgebra:
             raise FileFormatError("bracket indices must satisfy 1 <= i < j <= dim")
         if (i - 1, j - 1) in table:
             raise FileFormatError("duplicate bracket entry (%d, %d)" % (i, j))
-        terms = {}
+        if not isinstance(entry["terms"], list):
+            raise FileFormatError("bracket terms must be a list")
+        terms = table[(i - 1, j - 1)] = {}
         for term in entry["terms"]:
             if not (isinstance(term, list) and len(term) == 2):
                 raise FileFormatError("bracket terms must be [k, coefficient] pairs")
             k, coeff = term
             if not (isinstance(k, int) and 1 <= k <= dim):
                 raise FileFormatError("bracket target out of range: %r" % k)
+            if k - 1 in terms:
+                raise FileFormatError("repeated target %d in bracket (%d, %d)" % (k, i, j))
             if not isinstance(coeff, str):
                 raise FileFormatError("coefficients must be fraction strings")
-            value = field.parse(coeff)
-            if not field.is_zero(value):
-                terms[k - 1] = value
-        if terms:
-            table[(i - 1, j - 1)] = terms
+            terms[k - 1] = field.parse(coeff)
+    # LieAlgebra drops the zero coefficients and the empty brackets
     return LieAlgebra(field, dim, table)
 
 

@@ -167,6 +167,17 @@ class LieAlgebra:
             elim.add(rows[key])
         return elim.kernel()
 
+    def rewritten(self, vectors, proj: SparseMatrix) -> "LieAlgebra":
+        """The algebra on basis b_t = ``vectors[t]`` (sparse vectors) with
+        [b_i, b_j] = P([b_i, b_j]) for the SparseMatrix P = ``proj``."""
+        table: dict = {}
+        for i in range(len(vectors)):
+            for j in range(i + 1, len(vectors)):
+                entry = proj.apply_sparse(self.bracket(vectors[i], vectors[j]))
+                if entry:
+                    table[(i, j)] = entry
+        return LieAlgebra(self.field, len(vectors), table)
+
     def adapted_basis(self) -> "AdaptedBasis":
         return _adapted_basis(self)
 
@@ -252,14 +263,7 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
     # column k of to_new is row k of the inverse, so to_new maps a vector in
     # original coordinates to its coordinates on the new basis
     to_new = SparseMatrix(fld, g.dim, g.dim, dict(enumerate(inverse)))
-    table: dict = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            entry = to_new.apply_sparse(g.bracket(matrix[i], matrix[j]))
-            if entry:
-                table[(i, j)] = entry
-    rewritten = LieAlgebra(fld, g.dim, table)
-    return AdaptedBasis(matrix, inverse, weights, flags, rewritten)
+    return AdaptedBasis(matrix, inverse, weights, flags, g.rewritten(matrix, to_new))
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +287,7 @@ def _quotient(g: LieAlgebra, ideal: Subspace):
     if not _is_ideal(g, ideal):
         raise ValueError("subspace is not an ideal")
     kept, proj = coordinate_projection(ideal)
-    table: dict = {}
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            entry = proj.apply_sparse(g.bracket_basis(kept[i], kept[j]))
-            if entry:
-                table[(i, j)] = entry
-    return LieAlgebra(g.field, len(kept), table), proj
+    return g.rewritten([{k: g.field.one} for k in kept], proj), proj
 
 
 # ---------------------------------------------------------------------------

@@ -397,16 +397,6 @@ class SparseMatrix:
             cols[j] = self.field.clean(dst)
         return SparseMatrix(self.field, self.nrows, self.ncols, {j: c for j, c in cols.items() if c})
 
-    def scaled(self, factor) -> "SparseMatrix":
-        if self.field.is_zero(factor):
-            return SparseMatrix.zero(self.field, self.nrows, self.ncols)
-        canon = self.field.canon
-        cols = {
-            j: {i: canon(x * factor) for i, x in col.items()}
-            for j, col in self.cols.items()
-        }
-        return SparseMatrix(self.field, self.nrows, self.ncols, cols)
-
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self.add_scaled(other, -self.field.one)
 

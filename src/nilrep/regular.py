@@ -68,12 +68,7 @@ def initial_prune_state(uea: TruncatedUEA, central_ids) -> PruneState:
 
 def prune(state: PruneState) -> PruneState:
     """Run removal sweeps (weight descending) until a sweep removes nothing."""
-    uea = state.uea
-    d = uea.algebra.dim
-    masks = uea.right_support_masks()
-    active_mask = 0
-    for mid in state.active:
-        active_mask |= 1 << mid
+    supports = state.uea.right_supports()
     order = sorted(state.active, reverse=True)  # canonical order is mid order
     active = set(state.active)
     removed = list(state.removed)
@@ -82,14 +77,13 @@ def prune(state: PruneState) -> PruneState:
         for mid in order:
             if mid not in active or mid in state.protected:
                 continue
-            if all((masks[i][mid] & active_mask) == 0 for i in range(d)):
+            if supports[mid].isdisjoint(active):
                 active.discard(mid)
-                active_mask &= ~(1 << mid)
                 removed.append(mid)
                 changed = True
         if not changed:
             break
-    return PruneState(uea, active, state.protected, removed)
+    return PruneState(state.uea, active, state.protected, removed)
 
 
 # ---------------------------------------------------------------------------
@@ -102,30 +96,25 @@ class PrunedModule:
 
     Basis vector t of the model is adapted basis vector perm[t], with perm
     reversing every weight layer; ``basis_inverse[l]`` holds the coordinates
-    of original basis vector l on the model basis as a sparse row.
-    ``module_matrices[t]`` is the module action of basis vector t on the
-    active monomial span (minus the right multiplication), already a Lie
-    algebra homomorphism.
+    of original basis vector l on the model basis as a sparse row.  The module
+    is spanned by the ascending monomial ids ``active`` of the full ``uea``,
+    and ``right_matrices[t]`` is the right multiplication by basis vector t
+    on that span.  The module action is minus the right multiplication, so
+    Regular combines these matrices with negated inverse rows, and Dual's
+    contragredient matrices are their plain transposes.
     """
 
     algebra: LieAlgebra
-    uea: TruncatedUEA  # restricted to the pruned active set
+    uea: TruncatedUEA
     state: PruneState
+    active: tuple
     central_ids: tuple
     basis_inverse: tuple
-    module_matrices: list
+    right_matrices: list
 
     @property
     def dim(self) -> int:
-        return len(self.uea.active)
-
-    def to_original_basis(self, module_matrices) -> list:
-        """Matrices for the original algebra basis from per-basis-vector ones."""
-        fld = self.algebra.field
-        return [
-            lincomb(fld, self.basis_inverse[l], module_matrices)
-            for l in range(self.algebra.dim)
-        ]
+        return len(self.active)
 
 
 def _reverse_layers(weights) -> list:
@@ -181,11 +170,13 @@ def _reversed_model(adapted: AdaptedBasis):
     return uea, central_ids, basis_inverse
 
 
-def _module_matrices(uea: TruncatedUEA) -> list:
-    """Minus the right multiplication by each basis vector, on the active span."""
-    fld = uea.field
-    neg_one = fld.neg(fld.one)
-    return [uea.right_action_matrix(i).scaled(neg_one) for i in range(uea.algebra.dim)]
+def _module_action(fld, basis_inverse, right_matrices) -> list:
+    """The module action of every original basis vector: the inverse rows,
+    negated, combine the right multiplications."""
+    return [
+        lincomb(fld, {t: fld.neg(c) for t, c in row.items()}, right_matrices)
+        for row in basis_inverse
+    ]
 
 
 def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -> PrunedModule:
@@ -193,22 +184,17 @@ def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -
     adapted = adapted or g.adapted_basis()
     uea, central_ids, basis_inverse = _reversed_model(adapted)
     state = prune(initial_prune_state(uea, central_ids))
-    restricted = uea.restrict(sorted(state.active))
-    return PrunedModule(
-        g,
-        restricted,
-        state,
-        central_ids,
-        basis_inverse,
-        _module_matrices(restricted),
-    )
+    active = tuple(sorted(state.active))
+    right = [uea.right_action_matrix(i, active) for i in range(g.dim)]
+    return PrunedModule(g, uea, state, active, central_ids, basis_inverse, right)
 
 
 def regular_unpruned(g: LieAlgebra) -> Representation:
     """The faithful module on all monomials of weight <= c, without pruning."""
     uea, _central_ids, basis_inverse = _reversed_model(g.adapted_basis())
-    per_basis = _module_matrices(uea)
-    mats = [lincomb(g.field, basis_inverse[l], per_basis) for l in range(g.dim)]
+    every = range(len(uea.monomials))
+    right = [uea.right_action_matrix(i, every) for i in range(g.dim)]
+    mats = _module_action(g.field, basis_inverse, right)
     return Representation(
         g,
         mats,
@@ -219,7 +205,7 @@ def regular_unpruned(g: LieAlgebra) -> Representation:
 def algorithm_regular(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Representation:
     """Regular: enumerate monomials of weight <= c, then prune."""
     module = module or build_pruned_module(g)
-    mats = module.to_original_basis(module.module_matrices)
+    mats = _module_action(module.algebra.field, module.basis_inverse, module.right_matrices)
     return Representation(
         module.algebra,
         mats,

@@ -8,13 +8,14 @@ to ascending PBW form with the rewrite x_k x_i = x_i x_k + [x_k, x_i]
 terminates within the truncation.
 
 Products are evaluated by an iterative memoised recursion.  The pruning pass
-keeps only support bitmasks of all products resident, and coefficient columns
-are re-derived for the surviving monomials only.
+reads one support set per monomial, built from a throwaway memo of all
+products, and coefficient columns are re-derived for the surviving monomials
+only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 from .liealg import LieAlgebra
 from .linalg import SparseMatrix
@@ -50,12 +51,10 @@ def enumerate_monomials(weights: Sequence[int], cutoff: int) -> list:
 
 
 class TruncatedUEA:
-    """U(g)/U^{c+1}(g) on an active monomial set, with straightened right action.
+    """U(g)/U^{c+1}(g) on its PBW monomials, with straightened right action.
 
     ``algebra`` must already be written in the adapted basis (weights
-    non-decreasing, brackets weight-additive); ``active`` is the ordered set A
-    of monomial ids that currently spans the module -- monomials outside A act
-    as zero in ``right_action_matrix``.
+    non-decreasing, brackets weight-additive).
     """
 
     def __init__(self, algebra: LieAlgebra, weights: Sequence[int], cutoff: int):
@@ -73,11 +72,8 @@ class TruncatedUEA:
         self.unit = self.index[(0,) * algebra.dim]
         self._bump = self._bump_table()
         self._check_weight_adapted()
-        self.active: Tuple[int, ...] = tuple(range(len(self.monomials)))
-        self._pos = {mid: p for p, mid in enumerate(self.active)}
         self._trail = self._trailing_vars()
         self._rcache: Dict[tuple, dict] = {}
-        self._rmasks: Optional[list] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -125,14 +121,6 @@ class TruncatedUEA:
                 shorter[k] -= 1
                 trail.append((k, self.index[tuple(shorter)]))
         return trail
-
-    def restrict(self, active: Iterable[int]) -> "TruncatedUEA":
-        """A copy with a smaller active set, sharing all straightening caches."""
-        other = object.__new__(TruncatedUEA)
-        other.__dict__.update(self.__dict__)
-        other.active = tuple(sorted(active))
-        other._pos = {mid: p for p, mid in enumerate(other.active)}
-        return other
 
     # -- right multiplication --------------------------------------------------
     #
@@ -202,39 +190,32 @@ class TruncatedUEA:
             hit = self._rcache[key]
         return hit
 
-    def right_support_masks(self) -> list:
-        """masks[i][mid]: bitmask over monomials hit by monomial(mid) * x_i.
+    def right_supports(self) -> list:
+        """supports[mid]: the monomials hit by monomial(mid) * x_i for some i.
 
-        Uses a throwaway memo so only the bitmasks stay resident; the pruned
-        module later re-derives coefficient columns for the survivors only.
+        Uses a throwaway memo so no product stays resident; the pruned module
+        later re-derives coefficient columns for the survivors only.
         """
-        if self._rmasks is None:
-            d = self.algebra.dim
-            n = len(self.monomials)
-            memo: dict = {}
-            self._rmul_fill(((mid, i) for mid in range(n) for i in range(d)), memo)
-            masks = [[0] * n for _ in range(d)]
-            for (mid, i), res in memo.items():
-                m = 0
-                for t in res:
-                    m |= 1 << t
-                masks[i][mid] = m
-            self._rmasks = masks
-        return self._rmasks
+        n = len(self.monomials)
+        memo: dict = {}
+        self._rmul_fill(((mid, i) for mid in range(n) for i in range(self.algebra.dim)), memo)
+        supports = [set() for _ in range(n)]
+        for (mid, _i), res in memo.items():
+            supports[mid].update(res)
+        return supports
 
-    def right_action_matrix(self, i: int) -> SparseMatrix:
-        """Matrix of m -> m * x_i on span(active monomials)."""
+    def right_action_matrix(self, i: int, active: Sequence[int]) -> SparseMatrix:
+        """Matrix of m -> m * x_i on the span of the ordered monomial ids
+        ``active``; monomials outside it act as zero."""
         self._check_generator(i)
-        n = len(self.active)
+        pos = {mid: p for p, mid in enumerate(active)}
         cols = {}
-        pos = self._pos
-        self._rmul_fill(((mid, i) for mid in self.active), self._rcache)
-        for p, mid in enumerate(self.active):
-            res = self._rcache[(mid, i)]
-            col = {pos[t]: cf for t, cf in res.items() if t in pos}
+        self._rmul_fill(((mid, i) for mid in active), self._rcache)
+        for p, mid in enumerate(active):
+            col = {pos[t]: cf for t, cf in self._rcache[(mid, i)].items() if t in pos}
             if col:
                 cols[p] = col
-        return SparseMatrix(self.field, n, n, cols)
+        return SparseMatrix(self.field, len(active), len(active), cols)
 
     # -- public operations ----------------------------------------------------
 

@@ -195,6 +195,29 @@ def test_compute_rejects_a_denominator_divisible_by_p(tmp_path, capsys):
     assert out == ""
 
 
+def _heisenberg_file_with_terms(tmp_path, terms):
+    alg_path = tmp_path / "heis.json"
+    obj = fileio.algebra_to_json(catalog.heisenberg(QQ))
+    obj["brackets"][0]["terms"] = terms
+    alg_path.write_text(json.dumps(obj))
+    return str(alg_path)
+
+
+def test_compute_rejects_bracket_terms_that_are_not_a_list(tmp_path, capsys):
+    path = _heisenberg_file_with_terms(tmp_path, 5)
+    code, out, err = run(capsys, "compute", "--alg", "regular", "--in", path)
+    assert code == 2 and "input error" in err and "must be a list" in err
+    assert out == ""
+
+
+def test_compute_rejects_a_repeated_bracket_target(tmp_path, capsys):
+    # [[3, "1"], [3, "1"]] must not be read as [x1, x2] = x3
+    path = _heisenberg_file_with_terms(tmp_path, [[3, "1"], [3, "1"]])
+    code, out, err = run(capsys, "compute", "--alg", "regular", "--in", path)
+    assert code == 2 and "input error" in err and "repeated target 3" in err
+    assert out == ""
+
+
 def test_compute_deterministic_output(tmp_path, capsys):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for p in (p1, p2):

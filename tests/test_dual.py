@@ -35,8 +35,7 @@ def heis_module(heis):
 
 
 def _pos(module, mono):
-    uea = module.uea
-    return list(uea.active).index(uea.index[mono])
+    return list(module.active).index(module.uea.index[mono])
 
 
 def test_dual_action_worked_examples(heis_module):
@@ -84,7 +83,7 @@ def test_spin_abelian_direct_action():
 
 def test_center_dual_generators_reject_pruned_central_monomial(heis_module):
     m = heis_module
-    broken = replace(m, uea=m.uea.restrict([m.uea.unit]))
+    broken = replace(m, active=(m.uea.unit,))
     with pytest.raises(RuntimeError, match="central generator monomial was pruned"):
         center_dual_generators(broken)
 
@@ -121,7 +120,7 @@ def test_dual_annihilated_space_is_psi0(heis):
     # the annihilated functional is psi_0: value 1 on the monomial 1, and the
     # spin basis coordinates of psi_0 must reproduce that single basis row
     basis = spin_submodule(module, center_dual_generators(module))
-    unit_pos = list(module.uea.active).index(module.uea.unit)
+    unit_pos = list(module.active).index(module.uea.unit)
     assert not basis.reduce({unit_pos: Q1})  # psi_0 lies in the spin
     # on an RREF basis a member's coordinates are its entries at the pivots
     coords = [Q1 if pc == unit_pos else rational(0) for pc in basis.pivots]

@@ -9,7 +9,10 @@ import hashlib
 
 import pytest
 
+from nilrep import fileio
 from nilrep.cli import main
+from nilrep.fields import GF, QQ
+from nilrep.liealg import LieAlgebra
 
 GOLDEN = [
     ("catalog:heisenberg", None, "regular",
@@ -50,5 +53,32 @@ def test_compute_output_file_digest(tmp_path, capsys, spec, field, alg, digest):
     if alg == "affine":
         argv += ["--seed", "0"]
     assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Every catalog basis is already adapted, so every row of its basis inverse
+# has one entry.  Heisenberg [x, y] = z written in the basis x, y, 2x + z has
+# an inverse row with two entries, which guards how the module matrices are
+# combined into matrices for the original basis.
+NON_ADAPTED = [
+    (QQ, "regular", "25bfcbda9122024ccbec6bf446446014c3f2780b2ccc66dc574d10efd7e1d3f6"),
+    (QQ, "dual", "3ad907bad0ce2f8be8969c736de4ebf4d37e8016e6513a0893a15895e17cc265"),
+    (QQ, "quotient", "cad81ea27bdf595171ca1363c8d9075054538709c988d22933f05562cf05e163"),
+    (GF(3), "regular", "8e9cee3db8029acc2715d20692eabe14a446fdb916c71e00db3ced139cdfada6"),
+    (GF(3), "dual", "8909cf6222948bfc85a5282e2640ddd94541fef0ef5f022ac010f32b1dc78149"),
+    (GF(3), "quotient", "5d6f19359a73222f3199485989a0021f7b8cd0ed001e5c15ffda1e052a03e8ab"),
+]
+
+
+@pytest.mark.parametrize("field,alg,digest", NON_ADAPTED)
+def test_non_adapted_file_input_digest(tmp_path, capsys, field, alg, digest):
+    g = LieAlgebra(field, 3, {(0, 1): {0: -2, 2: 1}, (1, 2): {0: 4, 2: -2}})
+    assert g.check_jacobi() == []
+    assert len(g.adapted_basis().inverse[2]) == 2
+    alg_path = tmp_path / "heisenberg-skew.json"
+    fileio.save_json(fileio.algebra_to_json(g), str(alg_path))
+    out = tmp_path / "rep.json"
+    assert main(["compute", "--alg", alg, "--in", str(alg_path), "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

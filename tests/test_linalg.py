@@ -292,7 +292,6 @@ def test_sparse_matrix_roundtrip_and_ops():
     assert to_dense(a + b) == qmat([[1, 1], [2, 3]])
     assert to_dense(a.commutator(b)) == qmat([[0, 2], [-4, 0]])
     assert to_dense(a.transpose()) == qmat([[0, 2], [1, 0]])
-    assert to_dense(a.scaled(rational(-1))) == qmat([[0, -1], [-2, 0]])
     assert to_dense(lincomb(QQ, {0: Q1, 1: Q1}, [a, b])) == qmat([[1, 1], [2, 3]])
     assert to_dense(lincomb(QQ, {1: rational(2)}, [a, b])) == qmat([[2, 0], [0, 6]])
 

@@ -126,7 +126,7 @@ def test_discard_span_is_a_left_ideal():
     g = catalog.upper_triangular(4, QQ)
     module = build_pruned_module(g)
     uea = module.uea
-    active = set(uea.active)
+    active = set(module.active)
     for mid in module.state.removed:
         for i in range(g.dim):
             assert not (set(uea.right_product_ids(mid, i)) & active)

@@ -3,8 +3,9 @@
 ``assert`` statements vanish under ``python -O``, so no output may depend on
 one; every name the package exports must still exist; dense matrices are
 read and written only at the file boundary, so the dense converters appear
-only in ``fileio.py``; and every public function, class and method is called
-from the package or the benchmark, or is listed with its reason in ``KEPT``.
+only in ``fileio.py``; every public function, class and method is called
+from the package or the benchmark, or is listed with its reason in ``KEPT``;
+and every module but ``__init__.py`` uses every name it imports.
 """
 
 import ast
@@ -56,6 +57,25 @@ def test_dense_converters_only_in_fileio():
             if re.search(r"\b(to_dense|from_dense)\b", line):
                 found.append("%s:%d" % (path.name, lineno))
     assert found == []
+
+
+def test_no_unused_imports_in_the_package():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # imports there are the exports
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for name, line in imported.items() if name not in used]
+    assert sorted(found) == []
 
 
 def _public_definitions():

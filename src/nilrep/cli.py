@@ -105,7 +105,10 @@ def cmd_compute(args) -> int:
         print(json.dumps(summary, sort_keys=True))
         return 1
     if args.out:
-        fileio.save_representation(rep, args.out)
+        try:
+            fileio.save_representation(rep, args.out)
+        except OSError as exc:
+            raise InputError("cannot write %r: %s" % (args.out, exc))
         summary["out"] = args.out
     print(json.dumps(summary, sort_keys=True))
     return 0

@@ -1,5 +1,6 @@
 import json
 
+from helpers import save_json
 from nilrep import abelian_algebra, catalog, fileio
 from nilrep.cli import main
 from nilrep.fields import GF, QQ
@@ -93,7 +94,7 @@ def test_compute_rejects_non_nilpotent(tmp_path, capsys):
     one = rational(1)
     sl2 = LieAlgebra(QQ, 3, {(0, 1): {1: two}, (0, 2): {2: -two}, (1, 2): {0: one}})
     path = tmp_path / "sl2.json"
-    fileio.save_json(fileio.algebra_to_json(sl2), str(path))
+    save_json(fileio.algebra_to_json(sl2), str(path))
     code, _, err = run(capsys, "compute", "--alg", "regular", "--in", str(path))
     assert code == 2 and "input error" in err
 
@@ -111,7 +112,7 @@ def test_file_input_violating_jacobi_is_an_input_error(tmp_path, capsys):
     assert g.check_jacobi() == [(0, 1, 2)]
     alg_path = tmp_path / "bad.json"
     rep_path = tmp_path / "rep.json"
-    fileio.save_json(fileio.algebra_to_json(g), str(alg_path))
+    save_json(fileio.algebra_to_json(g), str(alg_path))
     code, _, err = run(
         capsys, "compute", "--alg", "regular", "--in", str(alg_path), "--out", str(rep_path)
     )
@@ -127,7 +128,7 @@ def test_file_input_violating_jacobi_is_an_input_error(tmp_path, capsys):
 def test_verify_roundtrip_and_corruption(tmp_path, capsys):
     alg_path = tmp_path / "heis.json"
     rep_path = tmp_path / "rep.json"
-    fileio.save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(alg_path))
+    save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(alg_path))
     code, _, _ = run(
         capsys, "compute", "--alg", "dual", "--in", str(alg_path), "--out", str(rep_path)
     )
@@ -149,7 +150,7 @@ def test_verify_zero_rep_is_homomorphism_but_unfaithful(tmp_path, capsys):
     alg_path = tmp_path / "heis.json"
     rep_path = tmp_path / "rep.json"
     heis = catalog.heisenberg(QQ)
-    fileio.save_json(fileio.algebra_to_json(heis), str(alg_path))
+    save_json(fileio.algebra_to_json(heis), str(alg_path))
     from nilrep.linalg import SparseMatrix
     from nilrep.representation import Representation
 
@@ -165,8 +166,8 @@ def test_verify_checksum_mismatch(tmp_path, capsys):
     a_path = tmp_path / "a.json"
     b_path = tmp_path / "b.json"
     rep_path = tmp_path / "rep.json"
-    fileio.save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(a_path))
-    fileio.save_json(fileio.algebra_to_json(abelian_algebra(QQ, 3)), str(b_path))
+    save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(a_path))
+    save_json(fileio.algebra_to_json(abelian_algebra(QQ, 3)), str(b_path))
     run(capsys, "compute", "--alg", "regular", "--in", str(a_path), "--out", str(rep_path))
     code, _, err = run(capsys, "verify", "--algebra", str(b_path), "--rep", str(rep_path))
     assert code == 2 and "checksum" in err
@@ -175,7 +176,7 @@ def test_verify_checksum_mismatch(tmp_path, capsys):
 def test_verify_rejects_a_numeric_matrix_entry(tmp_path, capsys):
     alg_path = tmp_path / "heis.json"
     rep_path = tmp_path / "rep.json"
-    fileio.save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(alg_path))
+    save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(alg_path))
     run(capsys, "compute", "--alg", "dual", "--in", str(alg_path), "--out", str(rep_path))
     obj = json.loads(rep_path.read_text())
     obj["matrices"][0][0][0] = 0
@@ -256,3 +257,59 @@ def test_tables_rejects_rows_outside_the_table(capsys):
     assert out == ""
     code, _, err = run(capsys, "tables", "--which", "2", "--rows", "-1")
     assert code == 2 and "0..7" in err
+
+
+def test_compute_unwritable_out_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run(
+        capsys, "compute", "--alg", "regular", "--in", "catalog:heisenberg", "--out", str(out)
+    )
+    assert code == 2 and "input error: cannot write" in err
+    assert stdout == "" and not out.exists()
+
+
+def _one_dim_files(tmp_path):
+    """A 1-dimensional algebra file and a 1x1 representation file of it."""
+    from nilrep.linalg import SparseMatrix
+    from nilrep.representation import Representation
+
+    g = abelian_algebra(QQ, 1)
+    alg_path, rep_path = tmp_path / "g.json", tmp_path / "rep.json"
+    save_json(fileio.algebra_to_json(g), str(alg_path))
+    fileio.save_representation(Representation(g, [SparseMatrix.zero(QQ, 1, 1)]), str(rep_path))
+    return alg_path, rep_path
+
+
+def test_verify_rejects_boolean_dimensions(tmp_path, capsys):
+    alg_path, rep_path = _one_dim_files(tmp_path)
+    code, _, _ = run(capsys, "verify", "--algebra", str(alg_path), "--rep", str(rep_path))
+    assert code == 1  # loads, then fails as unfaithful
+    obj = json.loads(rep_path.read_text())
+    obj["dim"] = obj["algebra_dim"] = True
+    rep_path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--algebra", str(alg_path), "--rep", str(rep_path))
+    assert code == 2 and "input error" in err and out == ""
+
+    obj = json.loads(alg_path.read_text())
+    obj["dim"] = True
+    alg_path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "compute", "--alg", "regular", "--in", str(alg_path))
+    assert code == 2 and "input error" in err and out == ""
+
+
+def test_verify_rejects_a_zero_denominator_anywhere(tmp_path, capsys):
+    alg_path = tmp_path / "heis.json"
+    rep_path = tmp_path / "rep.json"
+    save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(alg_path))
+    run(capsys, "compute", "--alg", "dual", "--in", str(alg_path), "--out", str(rep_path))
+    clean = json.loads(rep_path.read_text())
+    positions = [(l, i, j) for l, grid in enumerate(clean["matrices"])
+                 for i, row in enumerate(grid) for j in range(len(row))]
+    assert any(clean["matrices"][l][i][j] != "0" for l, i, j in positions)
+    for l, i, j in positions:
+        obj = json.loads(json.dumps(clean))
+        obj["matrices"][l][i][j] = "1/0"
+        rep_path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "verify", "--algebra", str(alg_path), "--rep", str(rep_path))
+        assert (code, out) == (2, ""), (l, i, j)
+        assert "zero denominator" in err

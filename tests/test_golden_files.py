@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from helpers import save_json
 from nilrep import fileio
 from nilrep.cli import main
 from nilrep.fields import GF, QQ
@@ -77,7 +78,7 @@ def test_non_adapted_file_input_digest(tmp_path, capsys, field, alg, digest):
     assert g.check_jacobi() == []
     assert len(g.adapted_basis().inverse[2]) == 2
     alg_path = tmp_path / "heisenberg-skew.json"
-    fileio.save_json(fileio.algebra_to_json(g), str(alg_path))
+    save_json(fileio.algebra_to_json(g), str(alg_path))
     out = tmp_path / "rep.json"
     assert main(["compute", "--alg", alg, "--in", str(alg_path), "--out", str(out)]) == 0
     capsys.readouterr()

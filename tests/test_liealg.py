@@ -1,8 +1,8 @@
 import pytest
 
+from helpers import to_dense
 from nilrep import catalog
 from nilrep.fields import GF, QQ, rational
-from nilrep.fileio import to_dense
 from nilrep.liealg import LieAlgebra, NotNilpotentError, abelian_algebra
 from nilrep.linalg import Subspace
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import from_dense, to_dense
 from nilrep.fields import GF, QQ, rational
-from nilrep.fileio import from_dense, to_dense
 from nilrep.linalg import (
     SparseEliminator,
     Subspace,

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from helpers import from_dense
 from nilrep.fields import QQ, rational
-from nilrep.fileio import from_dense
 from nilrep.liealg import abelian_algebra
 from nilrep.linalg import SparseMatrix, Subspace, intersect, invert
 from nilrep.regular import algorithm_regular, regular_unpruned

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, Tuple
 
-from .fields import Field, QQ, rational
+from .fields import Field, QQ, parse_natural, rational
 from .hall import HallBasis, witt_dimension
 from .liealg import LieAlgebra
 
@@ -190,12 +190,12 @@ def from_name(name: str, field: Field = QQ) -> LieAlgebra:
     if head == "heisenberg":
         return heisenberg(field)
     if head == "utri":
-        return upper_triangular(int(rest), field)
+        return upper_triangular(parse_natural(rest), field)
     if head == "freenilp":
         n_s, c_s = rest.split(",")
-        return free_nilpotent(int(n_s), int(c_s), field)
+        return free_nilpotent(parse_natural(n_s), parse_natural(c_s), field)
     if head == "filiform":
-        return filiform_f(int(rest), field)
+        return filiform_f(parse_natural(rest), field)
     raise ValueError("unknown catalog name %r" % name)
 
 

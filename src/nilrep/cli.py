@@ -15,7 +15,7 @@ from typing import Optional
 from . import catalog, fileio, tables
 from .affine import AffineFail, algorithm_affine
 from .dual import algorithm_dual
-from .fields import GF, QQ, Field
+from .fields import GF, QQ, Field, parse_natural
 from .liealg import LieAlgebra, NotNilpotentError
 from .quotient import algorithm_quotient
 from .regular import algorithm_regular
@@ -33,7 +33,7 @@ def _parse_field(text: Optional[str]) -> Field:
     if t in ("q", "qq", "0", "rational", "rationals"):
         return QQ
     try:
-        return GF(int(t))  # int() rejects non-numbers, GF() non-primes
+        return GF(parse_natural(t))  # rejects non-numbers; GF() rejects non-primes
     except ValueError:
         raise InputError("unknown field %r (use 'q' or a prime)" % text)
 

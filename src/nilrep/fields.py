@@ -22,6 +22,17 @@ def rational(value=0, den=None):
     return _rational(value, den)
 
 
+def parse_natural(text: str) -> int:
+    """A nonnegative integer written in ASCII digits only.
+
+    ``int()`` would also take signs, spaces, ``_`` separators and non-ASCII
+    digits, so ``"1_1"`` or ``"٣"`` would slip through as 11 or 3.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("expected ASCII digits, got %r" % (text,))
+    return int(text)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -74,13 +85,15 @@ class Field:
         return _rational(n)
 
     def parse(self, text: str):
-        """Parse a scalar from a fraction string like ``"-3/7"`` or ``"5"``."""
+        """Parse a scalar from a fraction string like ``"-3/7"`` or ``"5"``:
+        ASCII digits, a leading ``-`` on the numerator only."""
         text = text.strip()
-        if "/" in text:
-            num_s, den_s = text.split("/", 1)
-            num, den = int(num_s), int(den_s)
+        num_s, slash, den_s = text.partition("/")
+        if num_s.startswith("-"):
+            num = -parse_natural(num_s[1:])
         else:
-            num, den = int(text), 1
+            num = parse_natural(num_s)
+        den = parse_natural(den_s) if slash else 1
         p = self.characteristic
         if den == 0 or (p and den % p == 0):
             raise ValueError("zero denominator in scalar %r over %r" % (text, self))

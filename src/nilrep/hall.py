@@ -66,16 +66,19 @@ def _concat_product(a: dict, b: dict) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def expand(t) -> dict:
-    """Associative expansion of a Hall tree: {word tuple: int coefficient}."""
-    if isinstance(t, int):
-        return {(t,): 1}
-    a = expand(t[0])
-    b = expand(t[1])
+def _commutator(a: dict, b: dict) -> dict:
+    """ab - ba in the free associative algebra, zero coefficients dropped."""
     out = _concat_product(a, b)
     for w, c in _concat_product(b, a).items():
         out[w] = out.get(w, 0) - c
     return {w: c for w, c in out.items() if c}
+
+
+def expand(t) -> dict:
+    """Associative expansion of a Hall tree: {word tuple: int coefficient}."""
+    if isinstance(t, int):
+        return {(t,): 1}
+    return _commutator(expand(t[0]), expand(t[1]))
 
 
 def _mobius(m: int) -> int:
@@ -177,11 +180,7 @@ class HallBasis:
         m = self.degree[p] + self.degree[q]
         if m > self.cutoff:
             return {}
-        a, b = self.expansions[p], self.expansions[q]
-        poly = _concat_product(a, b)
-        for w, c in _concat_product(b, a).items():
-            poly[w] = poly.get(w, 0) - c
-        poly = {w: c for w, c in poly.items() if c}
+        poly = _commutator(self.expansions[p], self.expansions[q])
         if not poly:
             return {}
         coords = self.coordinates(poly, m)

@@ -52,7 +52,6 @@ def nu(d: int, c: int) -> int:
 class PruneState:
     """Active/discarded split of the monomial basis during pruning."""
 
-    uea: TruncatedUEA
     active: set
     protected: frozenset
     removed: list  # monomial ids in removal order
@@ -63,12 +62,17 @@ def initial_prune_state(uea: TruncatedUEA, central_ids) -> PruneState:
     protected = {uea.unit}
     for k in central_ids:
         protected.add(uea.degree_one_mid(k))
-    return PruneState(uea, set(range(len(uea.monomials))), frozenset(protected), [])
+    return PruneState(set(range(len(uea.monomials))), frozenset(protected), [])
 
 
-def prune(state: PruneState) -> PruneState:
-    """Run removal sweeps (weight descending) until a sweep removes nothing."""
-    supports = state.uea.right_supports()
+def prune(state: PruneState, products: dict) -> PruneState:
+    """Run removal sweeps (weight descending) until a sweep removes nothing.
+
+    ``products`` holds every monomial * generator product
+    (``TruncatedUEA.right_products``)."""
+    supports: dict = {}
+    for (mid, _i), res in products.items():
+        supports.setdefault(mid, set()).update(res)
     order = sorted(state.active, reverse=True)  # canonical order is mid order
     active = set(state.active)
     removed = list(state.removed)
@@ -83,7 +87,7 @@ def prune(state: PruneState) -> PruneState:
                 changed = True
         if not changed:
             break
-    return PruneState(state.uea, active, state.protected, removed)
+    return PruneState(active, state.protected, removed)
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +187,17 @@ def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -
     """Enumerate monomials of weight <= c and prune; reproduces the table dimensions."""
     adapted = adapted or g.adapted_basis()
     uea, central_ids, basis_inverse = _reversed_model(adapted)
-    state = prune(initial_prune_state(uea, central_ids))
+    products = uea.right_products()
+    state = prune(initial_prune_state(uea, central_ids), products)
     active = tuple(sorted(state.active))
-    right = [uea.right_action_matrix(i, active) for i in range(g.dim)]
+    right = uea.right_action_matrices(products, active)
     return PrunedModule(g, uea, state, active, central_ids, basis_inverse, right)
 
 
 def regular_unpruned(g: LieAlgebra) -> Representation:
     """The faithful module on all monomials of weight <= c, without pruning."""
     uea, _central_ids, basis_inverse = _reversed_model(g.adapted_basis())
-    every = range(len(uea.monomials))
-    right = [uea.right_action_matrix(i, every) for i in range(g.dim)]
+    right = uea.right_action_matrices(uea.right_products(), range(len(uea.monomials)))
     mats = _module_action(g.field, basis_inverse, right)
     return Representation(
         g,

@@ -4,13 +4,13 @@ PBW monomials over a weight-adapted ordered basis are encoded as exponent
 tuples; every monomial of weight above the nilpotency class acts as zero.
 The module action is right multiplication by a generator, straightened back
 to ascending PBW form with the rewrite x_k x_i = x_i x_k + [x_k, x_i]
-(i < k); bracket corrections strictly raise weight, so the rewriting
-terminates within the truncation.
+(i < k).  In an adapted basis a bracket correction keeps or raises the
+weight; the rewriting terminates because each correction has one factor
+fewer.
 
-Products are evaluated by an iterative memoised recursion.  The pruning pass
-reads one support set per monomial, built from a throwaway memo of all
-products, and coefficient columns are re-derived for the surviving monomials
-only.
+All products monomial * generator are computed in one pass and handed to
+the caller, which prunes with them and builds the module matrices; nothing
+is kept on the algebra.
 """
 
 from __future__ import annotations
@@ -70,28 +70,7 @@ class TruncatedUEA:
         self.index: Dict[tuple, int] = {m: t for t, m in enumerate(self.monomials)}
         self.weight_of = [monomial_weight(m, self.weights) for m in self.monomials]
         self.unit = self.index[(0,) * algebra.dim]
-        self._bump = self._bump_table()
         self._check_weight_adapted()
-        self._trail = self._trailing_vars()
-        self._rcache: Dict[tuple, dict] = {}
-
-    # -- construction helpers -------------------------------------------------
-
-    def _bump_table(self):
-        d = self.algebra.dim
-        bump = []
-        for mid, mono in enumerate(self.monomials):
-            row = []
-            wgt = self.weight_of[mid]
-            for j in range(d):
-                if wgt + self.weights[j] > self.cutoff:
-                    row.append(-1)
-                else:
-                    bigger = list(mono)
-                    bigger[j] += 1
-                    row.append(self.index[tuple(bigger)])
-            bump.append(row)
-        return bump
 
     def _check_weight_adapted(self):
         """Every bracket [x_i, x_j] (i > j) must land in weight >= w_i + w_j, past x_i."""
@@ -104,24 +83,6 @@ class TruncatedUEA:
                         "[x_%d, x_%d] hits x_%d" % (i, j, k)
                     )
 
-    def _trailing_vars(self):
-        """(largest variable index, monomial id with one copy of it removed)."""
-        d = self.algebra.dim
-        trail = []
-        for mono in self.monomials:
-            k = -1
-            for j in range(d - 1, -1, -1):
-                if mono[j]:
-                    k = j
-                    break
-            if k < 0:
-                trail.append((-1, -1))
-            else:
-                shorter = list(mono)
-                shorter[k] -= 1
-                trail.append((k, self.index[tuple(shorter)]))
-        return trail
-
     # -- right multiplication --------------------------------------------------
     #
     # monomial * x_i, straightened back to ascending PBW form.  This is the
@@ -130,95 +91,63 @@ class TruncatedUEA:
     # reversing products (the antipode, up to sign) turns that left action
     # into minus the right multiplication computed here.
 
-    def _rmul_deps_and_combine(self, mid: int, i: int, memo: dict):
-        """Return (missing dependency keys) or (None, result dict)."""
-        fld = self.field
-        k, mid2 = self._trail[mid]
-        if k < 0 or i >= k:
-            t = self._bump[mid][i]
-            return None, ({t: fld.one} if t >= 0 else {})
-        first = memo.get((mid2, i))
-        if first is None:
-            return [(mid2, i)], None
-        missing = []
-        br = self.algebra.table.get((i, k))  # [x_k, x_i] = -[x_i, x_k], i < k here
-        if br:
-            for s in br:
-                if (mid2, s) not in memo:
-                    missing.append((mid2, s))
-        for t in first:
-            if (t, k) not in memo:
-                missing.append((t, k))
-        if missing:
-            return missing, None
-        acc: dict = {}
-        for t, cf in first.items():
-            for t2, cf2 in memo[(t, k)].items():
-                acc[t2] = acc.get(t2, 0) + cf * cf2
-        if br:
-            for s, cv in br.items():
-                for t, cf in memo[(mid2, s)].items():
-                    acc[t] = acc.get(t, 0) - cv * cf
-        return None, fld.clean(acc)
+    def right_products(self) -> dict:
+        """{(mid, i): monomial(mid) * x_i} for every monomial id and generator.
 
-    def _rmul_fill(self, keys, memo: dict):
-        """Iterative memoised evaluation of monomial * generator products."""
-        stack = [key for key in keys if key not in memo]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            missing, result = self._rmul_deps_and_combine(key[0], key[1], memo)
-            if missing is None:
-                memo[key] = result
-                stack.pop()
-            else:
-                stack.extend(missing)
-
-    def _check_generator(self, i: int):
-        if not 0 <= i < self.algebra.dim:
-            raise ValueError("generator index %r outside range(%d)" % (i, self.algebra.dim))
-
-    def right_product_ids(self, mid: int, i: int) -> dict:
-        """Cached straightening of monomial(mid) * x_i (do not mutate the result)."""
-        self._check_generator(i)
-        key = (mid, i)
-        hit = self._rcache.get(key)
-        if hit is None:
-            self._rmul_fill([key], self._rcache)
-            hit = self._rcache[key]
-        return hit
-
-    def right_supports(self) -> list:
-        """supports[mid]: the monomials hit by monomial(mid) * x_i for some i.
-
-        Uses a throwaway memo so no product stays resident; the pruned module
-        later re-derives coefficient columns for the survivors only.
+        With x_k the last factor of m, a product with i >= k only appends x_i
+        (or is {} past the cutoff).  Otherwise m = m' x_k and
+        m x_i = (m' x_i) x_k - m' [x_i, x_k].  Every operand on the right has
+        fewer factors than m, except the reordered term of m' x_i, which ends
+        in a variable <= k, so its product with x_k is an append: filling the
+        appends first and then the rest by number of factors finds every
+        operand ready.
         """
-        n = len(self.monomials)
-        memo: dict = {}
-        self._rmul_fill(((mid, i) for mid in range(n) for i in range(self.algebra.dim)), memo)
-        supports = [set() for _ in range(n)]
-        for (mid, _i), res in memo.items():
-            supports[mid].update(res)
-        return supports
+        fld = self.field
+        d = self.algebra.dim
+        products: dict = {}
+        rest = []
+        for mid, mono in enumerate(self.monomials):
+            k = max((j for j in range(d) if mono[j]), default=0)  # the unit only appends
+            room = self.cutoff - self.weight_of[mid]
+            for i in range(k, d):
+                if self.weights[i] > room:
+                    products[(mid, i)] = {}
+                else:
+                    bigger = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                    products[(mid, i)] = {self.index[bigger]: fld.one}
+            if k:
+                rest.append((sum(mono), mid, k))
+        rest.sort()
+        for _factors, mid, k in rest:
+            mono = self.monomials[mid]
+            shorter = self.index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]
+            for i in range(k):
+                acc: dict = {}
+                for t, cf in products[(shorter, i)].items():
+                    for t2, cf2 in products[(t, k)].items():
+                        acc[t2] = acc.get(t2, 0) + cf * cf2
+                for s, cv in self.algebra.table.get((i, k), {}).items():
+                    for t, cf in products[(shorter, s)].items():
+                        acc[t] = acc.get(t, 0) - cv * cf
+                products[(mid, i)] = fld.clean(acc)
+        return products
 
-    def right_action_matrix(self, i: int, active: Sequence[int]) -> SparseMatrix:
-        """Matrix of m -> m * x_i on the span of the ordered monomial ids
-        ``active``; monomials outside it act as zero."""
-        self._check_generator(i)
+    def right_action_matrices(self, products: dict, active: Sequence[int]) -> list:
+        """Matrices of m -> m * x_i, one per generator, on the span of the
+        ordered monomial ids ``active``; monomials outside it act as zero."""
         pos = {mid: p for p, mid in enumerate(active)}
-        cols = {}
-        self._rmul_fill(((mid, i) for mid in active), self._rcache)
-        for p, mid in enumerate(active):
-            col = {pos[t]: cf for t, cf in self._rcache[(mid, i)].items() if t in pos}
-            if col:
-                cols[p] = col
-        return SparseMatrix(self.field, len(active), len(active), cols)
+        mats = []
+        for i in range(self.algebra.dim):
+            cols = {}
+            for p, mid in enumerate(active):
+                col = {pos[t]: cf for t, cf in products[(mid, i)].items() if t in pos}
+                if col:
+                    cols[p] = col
+            mats.append(SparseMatrix(self.field, len(active), len(active), cols))
+        return mats
 
     # -- public operations ----------------------------------------------------
 
     def degree_one_mid(self, k: int) -> int:
-        """Monomial id of the bare generator x_k."""
-        return self._bump[self.unit][k]
+        """Monomial id of the bare generator x_k (KeyError outside range(dim))."""
+        return self.index[(0,) * k + (1,) + (0,) * (self.algebra.dim - 1 - k)]

@@ -251,6 +251,41 @@ def test_compute_rejects_a_field_that_is_not_a_prime(capsys):
         assert out == ""
 
 
+def test_compute_rejects_a_field_or_catalog_size_that_is_not_ascii_digits(capsys):
+    # int() reads "1_1" as 11 and the Arabic-Indic "٣" as 3
+    for extra in (["--field", "1_1"], ["--field", "٣"], ["--field", " 3 3"]):
+        code, out, err = run(capsys, "compute", "--alg", "regular", "--in", "catalog:heisenberg",
+                             *extra)
+        assert (code, out) == (2, "") and "input error" in err, extra
+    for name in ("utri:٤", "utri:4_0", "freenilp:2,1_0", "freenilp:٢,3", "filiform:1_3"):
+        code, out, err = run(capsys, "compute", "--alg", "regular", "--in", "catalog:" + name)
+        assert (code, out) == (2, "") and "input error" in err, name
+
+
+def test_compute_rejects_scalar_text_that_is_not_ascii_digits(tmp_path, capsys):
+    for bad in ("1_000", "٣/2", "1/-2", "3/ 4"):
+        path = _heisenberg_file_with_terms(tmp_path, [[3, bad]])
+        code, out, err = run(capsys, "compute", "--alg", "regular", "--in", path)
+        assert (code, out) == (2, "") and "input error" in err, bad
+
+
+def test_verify_rejects_scalar_text_that_is_not_ascii_digits(tmp_path, capsys):
+    alg_path = tmp_path / "heis.json"
+    rep_path = tmp_path / "rep.json"
+    save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(alg_path))
+    run(capsys, "compute", "--alg", "dual", "--in", str(alg_path), "--out", str(rep_path))
+    clean = json.loads(rep_path.read_text())
+    l, i, j = next((l, i, j) for l, grid in enumerate(clean["matrices"])
+                   for i, row in enumerate(grid) for j, x in enumerate(row) if x != "0")
+    for bad in ("1_000", "٣/2", "1/-2", "3/ 4"):
+        obj = json.loads(json.dumps(clean))
+        obj["matrices"][l][i][j] = bad
+        rep_path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "verify", "--algebra", str(alg_path), "--rep", str(rep_path))
+        assert (code, out) == (2, ""), bad
+        assert "input error" in err, bad
+
+
 def test_tables_rejects_rows_outside_the_table(capsys):
     code, out, err = run(capsys, "tables", "--which", "1", "--rows", "0,99")
     assert code == 2 and "99" in err and "0..11" in err

@@ -1,6 +1,6 @@
 import pytest
 
-from nilrep.fields import GF, QQ, Field, rational
+from nilrep.fields import GF, QQ, Field, parse_natural, rational
 
 
 def test_rationals_basics():
@@ -51,3 +51,27 @@ def test_clean_keeps_canonical_nonzero_entries_in_order():
     assert GF(3).clean({4: 3, 0: 4, 2: -1, 1: 0}) == {0: 1, 2: 2}
     assert list(GF(3).clean({4: 5, 0: 4})) == [4, 0]
     assert QQ.clean({0: rational(0), 3: rational(-1, 2)}) == {3: rational(-1, 2)}
+
+
+@pytest.mark.parametrize("text", ["1_000", "٣/2", "1/-2", "3/ 4", "- 3", "--3", "+3", "3/+4",
+                                  "1/2/3", "", "-", "/2", "3/", "²", "1e3", "0x1f"])
+def test_parse_accepts_only_ascii_digit_fractions(text):
+    # int() would read "1_000" as 1000 and "٣/2" as 3/2
+    for fld in (QQ, GF(5)):
+        with pytest.raises(ValueError):
+            fld.parse(text)
+
+
+def test_parse_keeps_the_documented_forms():
+    # "22105/15246" is in test_rationals_basics
+    assert QQ.parse("-3") == rational(-3)
+    assert QQ.parse("1") == QQ.one
+    assert QQ.parse("-0") == QQ.zero and QQ.parse(" 0/7 ") == QQ.zero
+    assert GF(5).parse("-3/2") == GF(5).mul(2, GF(5).inv(2))
+
+
+def test_parse_natural_takes_ascii_digits_only():
+    assert parse_natural("0") == 0 and parse_natural("0017") == 17
+    for text in ("1_1", "٣", " 3", "3 ", "-3", "+3", "", "³"):
+        with pytest.raises(ValueError):
+            parse_natural(text)

@@ -72,8 +72,8 @@ def test_prune_never_removes_protected():
 
 
 def test_prune_is_a_fixpoint():
-    _uea, state = heis_state()
-    again = prune(state)
+    uea, state = heis_state()
+    again = prune(state, uea.right_products())
     assert again.active == state.active
     assert again.removed == state.removed
 
@@ -81,7 +81,7 @@ def test_prune_is_a_fixpoint():
 def test_prune_abelian_line_keeps_everything():
     ad = abelian_algebra(QQ, 1).adapted_basis()
     uea = TruncatedUEA(ad.algebra, ad.weights, ad.nilpotency_class)
-    state = prune(initial_prune_state(uea, [0]))
+    state = prune(initial_prune_state(uea, [0]), uea.right_products())
     assert len(state.active) == 2  # {1, x}: x is central, nothing removable
 
 
@@ -125,8 +125,40 @@ def test_discard_span_is_a_left_ideal():
     # discarded span, also at the final state (the invariant of the prune)
     g = catalog.upper_triangular(4, QQ)
     module = build_pruned_module(g)
-    uea = module.uea
+    products = module.uea.right_products()
     active = set(module.active)
     for mid in module.state.removed:
         for i in range(g.dim):
-            assert not (set(uea.right_product_ids(mid, i)) & active)
+            assert not (set(products[(mid, i)]) & active)
+
+
+def test_kept_monomials_reach_the_active_set():
+    # the other side of the fixpoint: a kept monomial that is not protected
+    # has some generator product that hits the active span, else the last
+    # sweep would have removed it
+    for g in (catalog.heisenberg(QQ), catalog.upper_triangular(4, GF(2)), catalog.filiform_f(13)):
+        module = build_pruned_module(g)
+        products = module.uea.right_products()
+        active = set(module.active)
+        assert module.state.protected <= active
+        assert active.isdisjoint(module.state.removed)
+        assert len(active) + len(module.state.removed) == len(module.uea.monomials)
+        for mid in active - module.state.protected:
+            assert any(set(products[(mid, i)]) & active for i in range(g.dim)), mid
+
+
+def test_build_pruned_module_computes_the_products_once(monkeypatch):
+    calls = []
+    right_products = TruncatedUEA.right_products
+
+    def counted(self):
+        calls.append(self)
+        return right_products(self)
+
+    monkeypatch.setattr(TruncatedUEA, "right_products", counted)
+    module = build_pruned_module(catalog.upper_triangular(4, QQ))
+    assert len(calls) == 1 and calls[0] is module.uea
+    # and no product memo stays on the algebra afterwards
+    assert sorted(vars(module.uea)) == [
+        "algebra", "cutoff", "field", "index", "monomials", "unit", "weight_of", "weights",
+    ]

@@ -28,7 +28,6 @@ KEPT = {
     "regular_unpruned": "acceptance criterion 1 checks the unpruned module dimension",
     "nu": "acceptance criterion 2 checks the closed-form dimension bound",
     "pfaff_check": "acceptance criterion 6c checks the Pfaff identities of f_n",
-    "TruncatedUEA.right_product_ids": "the README's worked straightening example",
     "is_homomorphism": "the README's library example checks a result with it",
 }
 

@@ -2,7 +2,8 @@ import pytest
 
 from nilrep.fields import QQ, rational
 from nilrep.liealg import LieAlgebra, abelian_algebra
-from nilrep.regular import nu
+from nilrep.fields import GF
+from nilrep.regular import _reversed_model, nu
 from nilrep.uea import TruncatedUEA, enumerate_monomials, monomial_weight
 from nilrep import catalog
 
@@ -22,6 +23,13 @@ def heis_uea():
 def every(uea):
     """All monomial ids, in order: the unpruned module."""
     return range(len(uea.monomials))
+
+
+def right_matrices(uea, active=None):
+    """Right multiplication by each generator on ``active`` (default: every monomial)."""
+    if active is None:
+        active = every(uea)
+    return uea.right_action_matrices(uea.right_products(), active)
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +105,18 @@ def test_truncated_uea_validates_input():
         TruncatedUEA(g, (1, 2, 1), 2)
 
 
-def test_generator_index_is_validated():
+def test_negative_generator_index_raises_and_never_wraps():
     uea = heis_uea()
+    products = uea.right_products()
     # negative indices must not wrap around to the last generator z
-    with pytest.raises(ValueError, match="generator index"):
-        uea.right_product_ids(uea.unit, -1)
-    with pytest.raises(ValueError, match="generator index"):
-        uea.right_action_matrix(3, every(uea))
-    assert uea.right_product_ids(uea.unit, 2) == {uea.degree_one_mid(2): Q1}
+    assert (uea.unit, -1) not in products and (uea.unit, 3) not in products
+    with pytest.raises(KeyError):
+        uea.degree_one_mid(-1)
+    with pytest.raises(KeyError):
+        uea.degree_one_mid(3)
+    assert len(right_matrices(uea)) == 3
+    assert products[(uea.unit, 2)] == {uea.degree_one_mid(2): Q1}
+    assert uea.degree_one_mid(2) == uea.index[(0, 0, 1)]
 
 
 def test_rejects_structure_constants_that_are_not_weight_adapted():
@@ -117,16 +129,19 @@ def test_rejects_structure_constants_that_are_not_weight_adapted():
 
 def test_right_product_worked_example():
     uea = heis_uea()
+    products = uea.right_products()
     x, y, z = (uea.index[m] for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     xy = uea.index[(1, 1, 0)]
     # y . x = xy - z
-    assert uea.right_product_ids(y, 0) == {xy: Q1, z: -Q1}
+    assert products[(y, 0)] == {xy: Q1, z: -Q1}
     # x . y = xy is already ascending
-    assert uea.right_product_ids(x, 1) == {xy: Q1}
+    assert products[(x, 1)] == {xy: Q1}
     # xy . x has weight 3 > c = 2
-    assert uea.right_product_ids(xy, 0) == {}
+    assert products[(xy, 0)] == {}
     # 1 . z = z
-    assert uea.right_product_ids(uea.unit, 2) == {z: Q1}
+    assert products[(uea.unit, 2)] == {z: Q1}
+    # one product per monomial and generator
+    assert len(products) == 7 * 3
 
 
 def test_right_action_matrix_respects_active_set():
@@ -135,12 +150,12 @@ def test_right_action_matrix_respects_active_set():
     active = [one, x, y]
     pos = {mid: p for p, mid in enumerate(active)}
     # times x: 1 -> x stays; x -> x^2 and y -> xy - z leave the active set
-    assert uea.right_action_matrix(0, active).cols == {pos[one]: {pos[x]: Q1}}
+    assert right_matrices(uea, active)[0].cols == {pos[one]: {pos[x]: Q1}}
 
 
 def test_action_matrix_central_generator():
     uea = heis_uea()
-    mat = uea.right_action_matrix(2, every(uea))  # 1 -> z; anything else times z has weight > 2
+    mat = right_matrices(uea)[2]  # 1 -> z; anything else times z has weight > 2
     pos = {mid: p for p, mid in enumerate(every(uea))}
     expected = {pos[uea.unit]: {pos[uea.index[(0, 0, 1)]]: Q1}}
     assert mat.cols == expected
@@ -151,11 +166,12 @@ def test_action_matrix_y_columns():
     pos = {mid: p for p, mid in enumerate(every(uea))}
     xy, z, y, yy = (uea.index[m] for m in ((1, 1, 0), (0, 0, 1), (0, 1, 0), (0, 2, 0)))
     x, xx, one = uea.index[(1, 0, 0)], uea.index[(2, 0, 0)], uea.unit
+    mats = right_matrices(uea)
     # times y: 1 -> y, x -> xy, y -> y^2; the rest has weight > 2
-    mat = uea.right_action_matrix(1, every(uea))
+    mat = mats[1]
     assert mat.cols == {pos[one]: {pos[y]: Q1}, pos[x]: {pos[xy]: Q1}, pos[y]: {pos[yy]: Q1}}
     # times x: 1 -> x, x -> x^2, y -> xy - z
-    mat = uea.right_action_matrix(0, every(uea))
+    mat = mats[0]
     assert mat.cols == {
         pos[one]: {pos[x]: Q1},
         pos[x]: {pos[xx]: Q1},
@@ -166,7 +182,7 @@ def test_action_matrix_y_columns():
 def test_abelian_action_matrix_cutoff_one():
     # 1 * x1 = x1; every other product has weight 2 > c = 1
     uea = TruncatedUEA(abelian_algebra(QQ, 2), (1, 1), 1)
-    mat = uea.right_action_matrix(0, every(uea))
+    mat = right_matrices(uea)[0]
     pos = {mid: p for p, mid in enumerate(every(uea))}
     assert mat.cols == {pos[uea.unit]: {pos[uea.index[(1, 0)]]: Q1}}
 
@@ -174,11 +190,12 @@ def test_abelian_action_matrix_cutoff_one():
 def test_weight_additivity_of_products():
     g = catalog.upper_triangular(4, QQ)
     uea = truncated_uea(g)
-    for mid in range(len(uea.monomials)):
-        for i in range(g.dim):
-            target = uea.weights[i] + uea.weight_of[mid]
-            for t in uea.right_product_ids(mid, i):
-                assert uea.weight_of[t] >= target
+    products = uea.right_products()
+    assert len(products) == len(uea.monomials) * g.dim
+    for (mid, i), prod in products.items():
+        target = uea.weights[i] + uea.weight_of[mid]
+        for t in prod:
+            assert uea.weight_of[t] >= target
 
 
 def test_action_matrices_nilpotent_of_index_class_plus_one():
@@ -186,8 +203,7 @@ def test_action_matrices_nilpotent_of_index_class_plus_one():
     g = catalog.heisenberg(QQ)
     uea = truncated_uea(g)
     c = uea.cutoff
-    for i in range(3):
-        mat = uea.right_action_matrix(i, every(uea))
+    for mat in right_matrices(uea):
         power = mat
         for _ in range(c):
             power = power.matmul(mat)
@@ -201,6 +217,7 @@ def test_action_matrices_nilpotent_of_index_class_plus_one():
 def straighten_word_right_oracle(uea, word):
     """Bubble-sort straightening in the free associative algebra, truncated."""
     g = uea.algebra
+    fld = uea.field
     acc = {}
 
     def rec(w, coeff):
@@ -215,29 +232,41 @@ def straighten_word_right_oracle(uea, word):
                 return
         acc[w] = acc.get(w, 0) + coeff
 
-    rec(word, Q1)
+    rec(word, fld.one)
     out = {}
     for w, cv in acc.items():
-        if cv == 0:
-            continue
         exps = [0] * g.dim
         for k in w:
             exps[k] += 1
         key = uea.index[tuple(exps)]
         out[key] = out.get(key, 0) + cv
-    return {k: v for k, v in out.items() if v != 0}
+    return fld.clean(out)
+
+
+def check_products_against_word_oracle(uea, step=1):
+    products = uea.right_products()
+    for mid in range(0, len(uea.monomials), step):
+        mono = uea.monomials[mid]
+        word = tuple(k for k, a in enumerate(mono) for _ in range(a))
+        for i in range(uea.algebra.dim):
+            want = straighten_word_right_oracle(uea, word + (i,))
+            assert products[(mid, i)] == want, (mono, i)
 
 
 def test_right_products_against_word_oracle():
-    g = catalog.upper_triangular(4, QQ)
-    uea = truncated_uea(g)
-    for mid in range(0, len(uea.monomials), 3):
-        mono = uea.monomials[mid]
-        word = tuple(k for k, a in enumerate(mono) for _ in range(a))
-        for i in range(g.dim):
-            got = uea.right_product_ids(mid, i)
-            want = straighten_word_right_oracle(uea, word + (i,))
-            assert got == want, (mono, i)
+    check_products_against_word_oracle(truncated_uea(catalog.upper_triangular(4, QQ)), step=3)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [catalog.upper_triangular(4, GF(3)), catalog.free_nilpotent(2, 4, QQ)],
+    ids=["U4_F3", "N_2_4"],
+)
+def test_layer_reversed_model_products_against_word_oracle(g):
+    # the model build_pruned_module multiplies in: the adapted basis with
+    # every weight layer reversed, over F_p as well as Q
+    uea = _reversed_model(g.adapted_basis())[0]
+    check_products_against_word_oracle(uea)
 
 
 def test_heisenberg_right_products_against_word_oracle():
@@ -246,10 +275,7 @@ def test_heisenberg_right_products_against_word_oracle():
     uea = heis_uea()
     xy, z = uea.index[(1, 1, 0)], uea.index[(0, 0, 1)]
     assert straighten_word_right_oracle(uea, (1, 0)) == {xy: Q1, z: -Q1}
-    for mid, mono in enumerate(uea.monomials):
-        word = tuple(k for k, a in enumerate(mono) for _ in range(a))
-        for i in range(3):
-            assert uea.right_product_ids(mid, i) == straighten_word_right_oracle(uea, word + (i,))
+    check_products_against_word_oracle(uea)
 
 
 def test_unpruned_action_is_homomorphism_and_nilpotent():
@@ -261,7 +287,7 @@ def test_unpruned_action_is_homomorphism_and_nilpotent():
     for g in (catalog.heisenberg(QQ), catalog.upper_triangular(4, QQ)):
         uea = truncated_uea(g)
         ga = uea.algebra
-        right = [uea.right_action_matrix(i, every(uea)) for i in range(g.dim)]
+        right = right_matrices(uea)
         mats = [lincomb(QQ, {i: QQ.neg(Q1)}, right) for i in range(g.dim)]
         for i in range(g.dim):
             assert is_nilpotent(mats[i])
@@ -271,11 +297,3 @@ def test_unpruned_action_is_homomorphism_and_nilpotent():
                     lhs = lhs.add_scaled(mats[k], QQ.neg(c))
                 assert lhs.is_zero_matrix()
 
-
-def test_masks_match_products():
-    g = catalog.heisenberg(QQ)
-    uea = truncated_uea(g)
-    supports = uea.right_supports()
-    assert len(supports) == 7
-    for mid in range(7):
-        assert supports[mid] == set().union(*(uea.right_product_ids(mid, i) for i in range(3)))

@@ -95,8 +95,7 @@ def one_cocycles(q: LieAlgebra, rho: Sequence[SparseMatrix], check: bool = True)
                     row[l * m + u] = row.get(l * m + u, 0) - x
                 for u, x in mat_rows[l].get(t, {}).items():
                     row[j * m + u] = row.get(j * m + u, 0) + x
-                row = fld.clean(row)
-                if row:
+                if row:  # add cleans the row itself
                     elim.add(row)
     return elim.kernel()
 

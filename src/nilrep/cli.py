@@ -12,10 +12,10 @@ import sys
 import time
 from typing import Optional
 
-from . import catalog, fileio, tables
+from . import __version__, catalog, fileio, tables
 from .affine import AffineFail, algorithm_affine
 from .dual import algorithm_dual
-from .fields import GF, QQ, Field, parse_natural
+from .fields import BACKEND, GF, QQ, Field, parse_natural
 from .liealg import LieAlgebra, NotNilpotentError
 from .quotient import algorithm_quotient
 from .regular import algorithm_regular
@@ -125,11 +125,20 @@ def cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def _row_index(text: str) -> int:
+    """One ``--rows`` piece: ASCII digits, or ``-`` and ASCII digits, which the
+    range check then reports as outside the table."""
+    text = text.strip()
+    if text.startswith("-"):
+        return -parse_natural(text[1:])
+    return parse_natural(text)
+
+
 def cmd_tables(args) -> int:
     rows = None
     if args.rows:
         try:
-            rows = sorted({int(r) for r in args.rows.split(",")})
+            rows = sorted({_row_index(r) for r in args.rows.split(",")})
         except ValueError:
             raise InputError("--rows expects a comma-separated list of row indices")
         nrows = len(tables.table_rows(args.which))
@@ -167,6 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nilrep",
         description="Faithful representations of nilpotent Lie algebras, computed exactly.",
     )
+    parser.add_argument("--version", action="version",
+                        version="nilrep %s (scalars: %s)" % (__version__, BACKEND))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="run one algorithm on an algebra")

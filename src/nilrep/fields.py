@@ -1,9 +1,13 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields F_p.
 
-Scalars are plain Python objects -- rational numbers for characteristic 0 and
-small nonnegative ints for F_p -- so that hot loops can use native arithmetic.
-A ``Field`` bundles construction, normalisation and inversion; nothing in the
-library ever touches floating point.
+Scalars are plain Python objects so that hot loops can use native arithmetic.
+Over Q an integral scalar is an ``int`` and any other one a rational of the
+backend that ``BACKEND`` names (gmpy2's ``mpq`` when installed, else
+``fractions.Fraction``); the two mix exactly and print the same text, so the
+integral tables (``U_n``, ``N_{n,c}``) and everything built from them run on
+int arithmetic.  Over F_p scalars are small nonnegative ints.  A ``Field``
+bundles construction, normalisation and inversion; nothing in the library ever
+touches floating point.
 """
 
 from __future__ import annotations
@@ -11,15 +15,25 @@ from __future__ import annotations
 try:
     # gmpy2's mpq is a drop-in replacement for Fraction, several times faster.
     from gmpy2 import mpq as _rational
+
+    BACKEND = "gmpy2"
 except ImportError:  # pragma: no cover
     from fractions import Fraction as _rational
 
+    BACKEND = "fractions"
+
+
+def _lower(x):
+    """An integral rational as a plain ``int``; any other value unchanged."""
+    return int(x.numerator) if x.denominator == 1 else x
+
 
 def rational(value=0, den=None):
-    """Build an exact rational scalar (lowest terms, positive denominator)."""
+    """Build an exact rational scalar: an ``int`` when integral, else a
+    backend rational in lowest terms with a positive denominator."""
     if den is None:
-        return _rational(value)
-    return _rational(value, den)
+        return _lower(_rational(value))
+    return _lower(_rational(value, den))
 
 
 def parse_natural(text: str) -> int:
@@ -51,9 +65,11 @@ def _is_prime(p: int) -> bool:
 class Field:
     """The rationals (characteristic 0) or the prime field F_p.
 
-    Rational scalars are ``mpq``/``Fraction`` values; F_p scalars are ints in
-    ``[0, p)``.  Intermediate F_p values may leave that range inside a tight
-    loop; ``canon`` brings them back.
+    Rational scalars are ``int`` when integral and ``mpq``/``Fraction`` values
+    otherwise; ``rational``, ``parse``, ``from_int``, ``mul``, ``inv`` and
+    ``clean`` return that form, and plain sums of it stay exact either way.
+    F_p scalars are ints in ``[0, p)``.  Intermediate F_p values may leave
+    that range inside a tight loop; ``canon`` brings them back.
     """
 
     __slots__ = ("characteristic", "zero", "one")
@@ -64,11 +80,8 @@ class Field:
                 raise ValueError(
                     "characteristic must be 0 or a prime, got %r" % (characteristic,)
                 )
-            self.zero = 0
-            self.one = 1
-        else:
-            self.zero = _rational(0)
-            self.one = _rational(1)
+        self.zero = 0
+        self.one = 1
         self.characteristic = characteristic
 
     @property
@@ -82,7 +95,7 @@ class Field:
     def from_int(self, n: int):
         if self.characteristic:
             return n % self.characteristic
-        return _rational(n)
+        return rational(n)
 
     def parse(self, text: str):
         """Parse a scalar from a fraction string like ``"-3/7"`` or ``"5"``:
@@ -99,7 +112,7 @@ class Field:
             raise ValueError("zero denominator in scalar %r over %r" % (text, self))
         if p:
             return self.mul(self.from_int(num), self.inv(self.from_int(den)))
-        return _rational(num, den)
+        return rational(num, den)
 
     def to_str(self, x) -> str:
         return str(self.canon(x))
@@ -119,10 +132,18 @@ class Field:
         p = self.characteristic
         if p:
             return {k: r for k, v in acc.items() if (r := v % p)}
-        return {k: v for k, v in acc.items() if v != 0}
+        # _lower inlined, with ints passed straight through: this is the
+        # elimination kernel's hot path
+        return {
+            k: v if type(v) is int or v.denominator != 1 else int(v.numerator)
+            for k, v in acc.items()
+            if v != 0
+        }
 
     def mul(self, a, b):
-        return self.canon(a * b)
+        if self.characteristic:
+            return (a * b) % self.characteristic
+        return _lower(a * b)
 
     def neg(self, a):
         return self.canon(-a)
@@ -136,13 +157,16 @@ class Field:
             return pow(a, -1, p)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / _rational(a)
+        return _lower(_rational(1, a))
 
     def validate(self, x) -> bool:
-        """Cheap sanity check that a raw scalar belongs to this field."""
+        """Cheap sanity check that a raw scalar belongs to this field: an
+        ``int`` (never a ``bool``), or over Q also a backend rational."""
+        if type(x) is bool:
+            return False
         if self.characteristic:
             return isinstance(x, int)
-        return not isinstance(x, float)
+        return isinstance(x, (int, _rational))
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.characteristic == self.characteristic

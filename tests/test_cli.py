@@ -1,9 +1,11 @@
 import json
 
+import pytest
+
 from helpers import save_json
-from nilrep import abelian_algebra, catalog, fileio
+from nilrep import __version__, abelian_algebra, catalog, fileio
 from nilrep.cli import main
-from nilrep.fields import GF, QQ
+from nilrep.fields import BACKEND, GF, QQ
 
 
 def run(capsys, *argv):
@@ -292,6 +294,22 @@ def test_tables_rejects_rows_outside_the_table(capsys):
     assert out == ""
     code, _, err = run(capsys, "tables", "--which", "2", "--rows", "-1")
     assert code == 2 and "0..7" in err
+
+
+@pytest.mark.parametrize("rows", ["١,0_0", "1_0", "+1", "1,"])
+def test_tables_rows_are_ascii_digits(capsys, rows):
+    # int() would run rows 1 and 0 for "١,0_0" (an Arabic-Indic digit) and row 10 for "1_0"
+    code, out, err = run(capsys, "tables", "--which", "1", "--rows", rows)
+    assert code == 2 and "comma-separated list of row indices" in err
+    assert out == ""
+
+
+def test_version_names_the_scalar_backend(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "nilrep %s (scalars: %s)\n" % (__version__, BACKEND)
+    assert BACKEND in ("gmpy2", "fractions")
 
 
 def test_compute_unwritable_out_is_an_input_error(tmp_path, capsys):

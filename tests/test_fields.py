@@ -1,6 +1,12 @@
+import hashlib
+from fractions import Fraction
+
 import pytest
 
+from nilrep import catalog
+from nilrep.dual import algorithm_dual
 from nilrep.fields import GF, QQ, Field, parse_natural, rational
+from nilrep.regular import algorithm_regular
 
 
 def test_rationals_basics():
@@ -75,3 +81,35 @@ def test_parse_natural_takes_ascii_digits_only():
     for text in ("1_1", "٣", " 3", "3 ", "-3", "+3", "", "³"):
         with pytest.raises(ValueError):
             parse_natural(text)
+
+
+def _entries(rep):
+    """(matrix, column, row, entry) of every nonzero entry, in a fixed order."""
+    return [(a, j, i, x)
+            for a, m in enumerate(rep.matrices)
+            for j, col in sorted(m.cols.items())
+            for i, x in sorted(col.items())]
+
+
+def test_integral_rationals_are_python_ints():
+    for x in (QQ.one, QQ.zero, QQ.parse("4/2"), QQ.inv(-1), QQ.from_int(7), rational(6, 3),
+              QQ.mul(rational(2, 3), rational(3, 2))):
+        assert type(x) is int
+    assert QQ.parse("4/2") == 2 and QQ.inv(-1) == -1
+    assert all(type(x) is int for x in QQ.clean({0: rational(4, 2), 1: Fraction(-3, 1)}).values())
+    assert QQ.inv(rational(2)) == rational(1, 2) and QQ.to_str(QQ.inv(2)) == "1/2"
+    for name in ("freenilp:2,5", "utri:5"):
+        g = catalog.from_name(name, QQ)
+        for rep in (algorithm_regular(g), algorithm_dual(g)):
+            assert all(type(x) is int for *_, x in _entries(rep))
+
+
+def test_filiform_dual_keeps_its_fractions_and_text():
+    rep = algorithm_dual(catalog.from_name("filiform:13", QQ))
+    entries = _entries(rep)
+    # an integral entry is an int; every other one an exact non-integral rational
+    assert all(type(x) is int or x.denominator != 1 for *_, x in entries)
+    assert sum(type(x) is not int for *_, x in entries) == 397
+    text = "\n".join("%d %d %d %s" % (a, j, i, QQ.to_str(x)) for a, j, i, x in entries)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "10b8957842d3205f3debae43a743a716503f173df8c0bf3caabdf7ea35577776")

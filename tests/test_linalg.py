@@ -138,6 +138,17 @@ def test_rref_rejects_floats():
         Subspace.from_vectors(QQ, 3, [[Q1, Q0]])
 
 
+@pytest.mark.parametrize("field, bad", [(QQ, "1"), (QQ, True), (QQ, None), (QQ, [1]),
+                                        (GF(5), True), (GF(5), "1"), (GF(5), 1.0)])
+def test_vectors_take_only_ints_or_backend_rationals(field, bad):
+    # a string or a bool used to land in the basis over Q, and a bool over F_p
+    with pytest.raises(ValueError, match="does not belong"):
+        Subspace.from_vectors(field, 2, [[bad, 0]])
+    with pytest.raises(ValueError, match="bad entry"):
+        invert([{0: bad}], field)
+    assert Subspace.from_vectors(field, 2, [[3, rational(1, 2) if field == QQ else 0]]).dim == 1
+
+
 @given(matrices((1, 4), 3))
 def test_rref_idempotent_and_rank_bounds(rows):
     space = Subspace.from_vectors(QQ, 3, qmat(rows))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .liealg import LieAlgebra
-from .linalg import SparseEliminator, SparseMatrix, Subspace, lincomb
+from .linalg import SparseMatrix, Subspace, lincomb
 from .representation import Representation, homomorphism_failure, kernel
 
 _RANDOM_BOUND = 5  # rational runs draw cocycle mix coefficients from [-5, 5]
@@ -83,11 +83,13 @@ def one_cocycles(q: LieAlgebra, rho: Sequence[SparseMatrix], check: bool = True)
         if bad is not None:
             raise ValueError("rho is not a representation: pair %r fails" % (bad,))
     mat_rows = [dict(mat.iter_rows()) for mat in rho]
-    elim = SparseEliminator(fld, k * m)
+    conditions = Subspace(fld, k * m)
     for j in range(k):
         for l in range(j + 1, k):
             terms = q.table.get((j, l), {})
-            for t in range(m):
+            # without bracket terms, row t is empty unless rho(a_j) or rho(a_l) has a row t
+            rows_t = range(m) if terms else sorted(mat_rows[j].keys() | mat_rows[l].keys())
+            for t in rows_t:
                 row: dict = {}
                 for s, c in terms.items():
                     row[s * m + t] = row.get(s * m + t, 0) + c
@@ -95,9 +97,8 @@ def one_cocycles(q: LieAlgebra, rho: Sequence[SparseMatrix], check: bool = True)
                     row[l * m + u] = row.get(l * m + u, 0) - x
                 for u, x in mat_rows[l].get(t, {}).items():
                     row[j * m + u] = row.get(j * m + u, 0) + x
-                if row:  # add cleans the row itself
-                    elim.add(row)
-    return elim.kernel()
+                conditions.add(row)  # add cleans the row itself
+    return conditions.kernel()
 
 
 def _random_scalar(fld, rng: random.Random):

@@ -15,7 +15,7 @@ from collections import deque
 from typing import Optional
 
 from .liealg import LieAlgebra
-from .linalg import SparseEliminator, SparseMatrix, Subspace, lincomb
+from .linalg import SparseMatrix, Subspace, lincomb
 from .regular import PrunedModule, build_pruned_module
 from .representation import Representation
 
@@ -39,26 +39,31 @@ def center_dual_generators(module: PrunedModule) -> list:
 
 
 def spin_submodule(module: PrunedModule, generators: list) -> Subspace:
-    """Closure of the generators under all basis-vector actions, echelonised."""
-    fld = module.algebra.field
-    n = module.dim
+    """Closure of the generators under all basis-vector actions, echelonised.
+
+    A vector that enlarges the span is queued as its residual against it;
+    the queued residuals span the submodule, so only their images are
+    sifted in turn.
+    """
     duals = dual_action_matrices(module)
-    elim = SparseEliminator(fld, n)
+    basis = Subspace(module.algebra.field, module.dim)
     queue = deque()
+
+    def sift(vec):
+        residual = basis.reduce(vec)
+        if residual:
+            basis.add(residual)
+            queue.append(residual)
+
     for gen in generators:
-        piv = elim.add(dict(gen))
-        if piv is not None:
-            queue.append(dict(elim.pivot_rows[piv]))
+        sift(gen)
     while queue:
         f = queue.popleft()
         for mat in duals:
             img = mat.apply_sparse(f)
-            if not img:
-                continue
-            piv = elim.add(img)
-            if piv is not None:
-                queue.append(dict(elim.pivot_rows[piv]))
-    return elim.row_space()
+            if img:
+                sift(img)
+    return basis
 
 
 def algorithm_dual(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Representation:

@@ -8,7 +8,7 @@ Structure constants are obtained through the free associative algebra: each
 Hall tree expands to a polynomial in words (bracket = commutator of
 expansions), the expansions of the degree-m Hall trees are linearly
 independent, and any bracket of basis elements is homogeneous, so reducing
-it against one eliminator per degree, over the rows [expansion_t | e_t],
+it against the span of the rows [expansion_t | e_t] of its degree
 recovers the coordinates from the tag columns.  This yields the same
 constants as iterated Hall rewriting, without the rewriting recursion.
 """
@@ -19,7 +19,7 @@ from typing import Dict, List
 
 from .fields import QQ as _QQ
 from .fields import rational
-from .linalg import SparseEliminator
+from .linalg import Subspace
 
 
 def tree_degree(t) -> int:
@@ -135,7 +135,7 @@ class HallBasis:
         return len(self.levels[m - 1])
 
     def _solver(self, m: int):
-        """(word positions, eliminator over the rows [expansion_t | e_t])."""
+        """(word positions, the span of the rows [expansion_t | e_t])."""
         try:
             return self._solvers[m]
         except KeyError:
@@ -145,15 +145,15 @@ class HallBasis:
         words = sorted({w for t in range(lo, lo + k) for w in self.expansions[t]})
         word_pos = {w: idx for idx, w in enumerate(words)}
         nw = len(words)
-        elim = SparseEliminator(_QQ, nw + k)
+        span = Subspace(_QQ, nw + k)
         for t in range(k):
             row = {word_pos[w]: rational(c) for w, c in self.expansions[lo + t].items()}
             row[nw + t] = _QQ.one
             # the tag e_t keeps every row independent; a pivot on a tag
             # column means this expansion depends on the earlier ones
-            if elim.add(row) >= nw:
+            if span.add(row) >= nw:
                 raise RuntimeError("Hall expansions of degree %d are dependent" % m)
-        solver = (word_pos, elim)
+        solver = (word_pos, span)
         self._solvers[m] = solver
         return solver
 
@@ -163,14 +163,14 @@ class HallBasis:
         Reducing (poly | 0) against the RREF of [expansions | I] leaves
         (0 | -coordinates); a leftover word column means poly is not spanned.
         """
-        word_pos, elim = self._solver(m)
+        word_pos, span = self._solver(m)
         nw = len(word_pos)
         vec = {}
         for w, c in poly.items():
             if w not in word_pos:
                 raise ValueError("word %r is not spanned by this degree" % (w,))
             vec[word_pos[w]] = rational(c)
-        resid = elim.reduce(vec)
+        resid = span.reduce(vec)
         if any(j < nw for j in resid):
             raise ValueError("polynomial is not in the Lie span of degree %d" % m)
         return [-resid.get(nw + t, _QQ.zero) for t in range(self.layer_size(m))]

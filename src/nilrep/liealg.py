@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fields import Field
-from .linalg import (
-    SparseEliminator,
-    SparseMatrix,
-    Subspace,
-    coordinate_projection,
-    intersect,
-    invert,
-)
+from .linalg import SparseMatrix, Subspace, coordinate_projection, intersect, invert
 
 
 class NotNilpotentError(ValueError):
@@ -49,6 +42,8 @@ class LieAlgebra:
             for k, c in terms.items():
                 if not 0 <= k < dim:
                     raise ValueError("bad bracket target index %d" % k)
+                if not field.validate(c):
+                    raise ValueError("scalar %r does not belong to %r" % (c, field))
                 c = field.canon(c)
                 if c != 0:
                     entry[k] = c
@@ -106,17 +101,8 @@ class LieAlgebra:
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        if other.field != self.field or other.dim != self.dim:
-            return False
-        keys = set(self.table) | set(other.table)
-        for key in keys:
-            a = self.table.get(key, {})
-            b = other.table.get(key, {})
-            if set(a) != set(b):
-                return False
-            if any(a[k] != b[k] for k in a):
-                return False
-        return True
+        # tables hold only canonical nonzero entries and nonempty brackets
+        return (other.field, other.dim, other.table) == (self.field, self.dim, self.table)
 
     def __repr__(self):
         return "LieAlgebra(dim=%d, field=%r, brackets=%d)" % (
@@ -137,11 +123,10 @@ class LieAlgebra:
         cur = Subspace.full_space(fld, self.dim)
         series = [cur]
         while cur.dim > 0:
-            elim = SparseEliminator(fld, self.dim)
+            nxt = Subspace(fld, self.dim)
             for row in cur.sparse.values():
                 for j in range(self.dim):
-                    elim.add(self.bracket_with_basis(row, j))
-            nxt = elim.row_space()
+                    nxt.add(self.bracket_with_basis(row, j))
             if nxt.dim == cur.dim:
                 raise NotNilpotentError(
                     "lower central series stabilises at dimension %d" % cur.dim
@@ -156,7 +141,7 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         """{z : [z, x] = 0 for all x}, the kernel of the stacked adjoint maps."""
-        elim = SparseEliminator(self.field, self.dim)
+        constraints = Subspace(self.field, self.dim)
         # constraint rows: for each basis j and target k, sum_i z_i c_{ij}^k = 0
         rows: dict = {}
         for (i, j), terms in self.table.items():
@@ -164,8 +149,8 @@ class LieAlgebra:
                 rows.setdefault((j, k), {})[i] = c
                 rows.setdefault((i, k), {})[j] = self.field.neg(c)
         for key in sorted(rows):
-            elim.add(rows[key])
-        return elim.kernel()
+            constraints.add(rows[key])
+        return constraints.kernel()
 
     def rewritten(self, vectors, proj: SparseMatrix) -> "LieAlgebra":
         """The algebra on basis b_t = ``vectors[t]`` (sparse vectors) with
@@ -233,24 +218,24 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
     layers: list = []  # (weight, vector, central_flag), weight ascending
     for m in range(1, c + 1):
         gm = series[m - 1]
-        gm1 = series[m] if m < len(series) else Subspace.zero_space(fld, g.dim)
-        elim = SparseEliminator(fld, g.dim)
+        gm1 = series[m]  # the series ends with the zero space at index c
+        spanned = Subspace(fld, g.dim)
         for row in gm1.sparse.values():
-            elim.add(row)
+            spanned.add(row)
         layer = []
         zm = intersect(center, gm) if m > 1 else center
         for row in zm.sparse.values():
-            if elim.add(row) is not None:
+            if spanned.add(row) is not None:
                 layer.append((m, row, True))
         for idx in range(g.dim):
             row = {idx: fld.one}
             if gm.reduce(row):
                 continue
-            if elim.add(row) is not None:
+            if spanned.add(row) is not None:
                 layer.append((m, row, False))
         if len(layer) + gm1.dim < gm.dim:
             for row in gm.sparse.values():  # original vectors did not span the layer
-                if elim.add(row) is not None:
+                if spanned.add(row) is not None:
                     layer.append((m, row, False))
         layers.append(layer)
     ordered = [item for layer in layers for item in layer]
@@ -317,7 +302,7 @@ def _betti2(g: LieAlgebra) -> int:
         else:
             row[pair_index[(b, a)]] = row.get(pair_index[(b, a)], 0) - coeff
 
-    elim = SparseEliminator(fld, npairs)
+    conditions = Subspace(fld, npairs)
     for i, j, k in combinations(range(d), 3):
         row: dict = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
@@ -325,16 +310,15 @@ def _betti2(g: LieAlgebra) -> int:
                 add_pair(row, l, c, f)
         row = fld.clean(row)
         if row:
-            elim.add(row)
-    dim_z2 = npairs - elim.rank
+            conditions.add(row)
+    dim_z2 = npairs - conditions.dim
 
-    belim = SparseEliminator(fld, npairs)
+    b2 = Subspace(fld, npairs)
     for l in range(d):
         row = {}
         for (i, j), terms in g.table.items():
             if l in terms:
                 row[pair_index[(i, j)]] = fld.neg(terms[l])
         if row:
-            belim.add(row)
-    dim_b2 = belim.rank
-    return dim_z2 - dim_b2
+            b2.add(row)
+    return dim_z2 - b2.dim

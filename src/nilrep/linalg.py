@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Every elimination goes through one kernel: ``SparseEliminator``, an
-incremental reduced row echelon form over rows stored as dicts
-``{column: value}``, and its residual routine.  Sparse rows are the only
-vector format: ``Subspace`` holds the canonical RREF basis the eliminator
-produces as pivot rows and supports membership, intersection, deterministic
-complements and the projection onto a coordinate complement; ``invert`` reads
-an inverse off the tag columns of ``[A | I]``.  Enveloping-algebra actions and
-representations are column-oriented ``SparseMatrix`` objects.  Dense matrices
-exist only in the file format (``fileio``).
+Every elimination goes through one class: ``Subspace``, the span of the
+sparse rows ``{column: value}`` added to it, kept as an incremental canonical
+reduced row echelon form.  Sparse rows are the only vector format.  A
+``Subspace`` answers membership and residuals and computes kernels;
+``intersect``, ``complement_in`` and ``coordinate_projection`` build on it, and
+``invert`` reads an inverse off the tag columns of ``[A | I]``.
+Enveloping-algebra actions and representations are column-oriented
+``SparseMatrix`` objects.  Dense matrices exist only in the file format
+(``fileio``).
 """
 
 from __future__ import annotations
@@ -47,17 +47,6 @@ def _clear(v: dict, cols: Iterable[int], pivot_rows: dict, p: int):
                     del v[j]
 
 
-def _residual(field: Field, pivot_rows: dict, row: dict) -> dict:
-    """Residual of a sparse row against RREF pivot rows ``{pivot col: row}``.
-
-    The entries are canonicalised first; the result is empty exactly when the
-    row lies in the span of the pivot rows.  The input is not mutated.
-    """
-    v = field.clean(row)
-    _clear(v, [c for c in v if c in pivot_rows], pivot_rows, field.characteristic)
-    return v
-
-
 def _checked_rows(field: Field, ncols: int, vectors: Iterable[Sequence]):
     """Yield dense vectors as sparse rows, rejecting wrong lengths and scalars
     that obviously belong to another field (floats, or non-ints over F_p)."""
@@ -73,30 +62,72 @@ def _checked_rows(field: Field, ncols: int, vectors: Iterable[Sequence]):
         yield row
 
 
-class SparseEliminator:
-    """Incremental reduced row echelon form with rows stored as dicts.
+# ---------------------------------------------------------------------------
+# subspaces
 
-    ``add`` reduces an incoming row against the pivot rows, and on a nonzero
+
+class Subspace:
+    """A subspace of K^n held as the canonical reduced row echelon basis of
+    the sparse rows added to it.
+
+    ``add`` reduces an incoming row against the basis rows, and on a nonzero
     residual normalises it, back-eliminates its pivot from the existing rows
-    and registers it, so ``pivot_rows`` is always the canonical RREF of the
-    rows added so far.
+    and registers it, so the basis is always the canonical RREF of the rows
+    added so far.  ``sparse`` maps each pivot column to its basis row as a
+    dict, in pivot order; ``pivots`` lists the pivot columns.  Both are read
+    only.  A subspace grows as rows are added, so it does not hash.
     """
 
-    __slots__ = ("field", "ncols", "pivot_rows", "_touch")
+    __slots__ = ("field", "ambient", "_rows", "_touch", "_sorted")
 
-    def __init__(self, field: Field, ncols: int):
+    def __init__(self, field: Field, ambient: int):
         self.field = field
-        self.ncols = ncols
-        self.pivot_rows: dict[int, dict] = {}  # pivot col -> row dict
+        self.ambient = ambient
+        self._rows: dict[int, dict] = {}  # pivot col -> row, in the order added
         self._touch: dict[int, set] = {}  # col -> pivot cols whose row hits col
+        self._sorted: Optional[dict] = {}  # _rows in pivot order, None when stale
+
+    @classmethod
+    def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
+        """Span of dense vectors; raises ValueError on a wrong length or on a
+        scalar that obviously belongs to another field."""
+        space = cls(field, ambient)
+        for row in _checked_rows(field, ambient, vectors):
+            space.add(row)
+        return space
+
+    @classmethod
+    def full_space(cls, field: Field, ambient: int) -> "Subspace":
+        space = cls(field, ambient)
+        for i in range(ambient):
+            space.add({i: field.one})
+        return space
 
     @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
+    def sparse(self) -> dict:
+        if self._sorted is None:
+            self._sorted = {pc: self._rows[pc] for pc in sorted(self._rows)}
+        return self._sorted
+
+    @property
+    def pivots(self) -> tuple:
+        return tuple(self.sparse)
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
 
     def reduce(self, row: dict) -> dict:
-        """Return the residual of ``row`` against the current pivot rows."""
-        return _residual(self.field, self.pivot_rows, row)
+        """Residual of a sparse row against the basis, with canonical entries;
+        empty exactly when the row lies in the subspace.  The row is not
+        mutated."""
+        rows = self._rows
+        v = self.field.clean(row)
+        _clear(v, [c for c in v if c in rows], rows, self.field.characteristic)
+        return v
+
+    def contains(self, vec: Sequence) -> bool:
+        return not self.reduce({j: x for j, x in enumerate(vec) if x != 0})
 
     def add(self, row: dict) -> Optional[int]:
         """Sift a row in; return its pivot column, or None if dependent."""
@@ -110,92 +141,39 @@ class SparseEliminator:
             v = {j: fld.mul(x, ipiv) for j, x in v.items()}
         # back-eliminate the new pivot from existing rows; only the columns
         # of v change in them
-        touch = self._touch
+        rows, touch = self._rows, self._touch
         new = {piv: v}
         for pc in list(touch.get(piv, ())):
-            prow = self.pivot_rows[pc]
+            prow = rows[pc]
             _clear(prow, (piv,), new, fld.characteristic)
             for j in v:
                 if j in prow:
                     touch.setdefault(j, set()).add(pc)
                 else:
                     touch[j].discard(pc)
-        self.pivot_rows[piv] = v
+        rows[piv] = v
         for j in v:
             touch.setdefault(j, set()).add(piv)
+        self._sorted = None
         return piv
 
-    def row_space(self) -> "Subspace":
-        """The span of the rows added so far (a snapshot)."""
-        return Subspace(
-            self.field, self.ncols, {pc: dict(row) for pc, row in self.pivot_rows.items()}
-        )
-
     def kernel(self) -> "Subspace":
-        """Kernel of the matrix whose rows were added, as a Subspace.
+        """Kernel of the matrix whose rows were added.
 
-        Each free column f gives the kernel vector e_f - sum over the pivot
+        Each free column f gives the kernel vector e_f - sum over the basis
         rows hitting f of (their entry at f) e_pivot; these are sifted into a
-        second eliminator for the canonical basis.
+        new subspace for the canonical basis.
         """
         fld = self.field
-        out = SparseEliminator(fld, self.ncols)
-        for f in range(self.ncols):
-            if f in self.pivot_rows:
+        out = Subspace(fld, self.ambient)
+        for f in range(self.ambient):
+            if f in self._rows:
                 continue
             v = {f: fld.one}
             for pc in self._touch.get(f, ()):
-                v[pc] = fld.neg(self.pivot_rows[pc][f])
+                v[pc] = fld.neg(self._rows[pc][f])
             out.add(v)
-        return out.row_space()
-
-
-# ---------------------------------------------------------------------------
-# subspaces
-
-
-class Subspace:
-    """A subspace of K^n held as a canonical reduced-row-echelon basis.
-
-    ``sparse`` maps each pivot column to its basis row as a dict, in pivot
-    order; ``pivots`` lists the pivot columns.
-    """
-
-    __slots__ = ("field", "ambient", "sparse", "pivots")
-
-    def __init__(self, field: Field, ambient: int, sparse: dict):
-        self.field = field
-        self.ambient = ambient
-        self.pivots = tuple(sorted(sparse))
-        self.sparse = {pc: sparse[pc] for pc in self.pivots}
-
-    @classmethod
-    def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        """Span of dense vectors; raises ValueError on a wrong length or on a
-        scalar that obviously belongs to another field."""
-        elim = SparseEliminator(field, ambient)
-        for row in _checked_rows(field, ambient, vectors):
-            elim.add(row)
-        return elim.row_space()
-
-    @classmethod
-    def zero_space(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, {})
-
-    @classmethod
-    def full_space(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, {i: {i: field.one} for i in range(ambient)})
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, vec: dict) -> dict:
-        """Residual of a sparse vector after eliminating this basis (empty iff member)."""
-        return _residual(self.field, self.sparse, vec)
-
-    def contains(self, vec: Sequence) -> bool:
-        return not self.reduce({j: x for j, x in enumerate(vec) if x != 0})
+        return out
 
     def __eq__(self, other):
         return (
@@ -204,10 +182,6 @@ class Subspace:
             and other.ambient == self.ambient
             and other.sparse == self.sparse
         )
-
-    def __hash__(self):
-        rows = tuple(tuple(sorted(row.items())) for row in self.sparse.values())
-        return hash((self.field, self.ambient, rows))
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient)
@@ -228,24 +202,20 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """
     _check_compatible(a, b)
     n = a.ambient
+    out = Subspace(a.field, n)
     if a.dim == 0 or b.dim == 0:
-        return Subspace.zero_space(a.field, n)
-    elim = SparseEliminator(a.field, 2 * n)
+        return out
+    both = Subspace(a.field, 2 * n)
     for row in a.sparse.values():
         doubled = dict(row)
         doubled.update((n + j, x) for j, x in row.items())
-        elim.add(doubled)
+        both.add(doubled)
     for row in b.sparse.values():
-        elim.add(row)
-    return Subspace(
-        a.field,
-        n,
-        {
-            pc - n: {j - n: x for j, x in row.items()}
-            for pc, row in elim.pivot_rows.items()
-            if pc >= n
-        },
-    )
+        both.add(row)
+    for pc, row in both.sparse.items():
+        if pc >= n:
+            out.add({j - n: x for j, x in row.items()})
+    return out
 
 
 def complement_in(sub: Subspace, within: Subspace) -> Subspace:
@@ -259,11 +229,14 @@ def complement_in(sub: Subspace, within: Subspace) -> Subspace:
     _check_compatible(sub, within)
     if any(within.reduce(row) for row in sub.sparse.values()):
         raise ValueError("sub is not contained in within")
-    elim = SparseEliminator(sub.field, sub.ambient)
+    grown = Subspace(sub.field, sub.ambient)
     for row in sub.sparse.values():
-        elim.add(row)
-    kept = {pc: row for pc, row in within.sparse.items() if elim.add(row) is not None}
-    return Subspace(sub.field, sub.ambient, kept)
+        grown.add(row)
+    out = Subspace(sub.field, sub.ambient)
+    for row in within.sparse.values():
+        if grown.add(row) is not None:
+            out.add(row)
+    return out
 
 
 def coordinate_projection(sub: Subspace) -> tuple:
@@ -280,10 +253,10 @@ def coordinate_projection(sub: Subspace) -> tuple:
     """
     fld = sub.field
     n = sub.ambient
-    rev = SparseEliminator(fld, n)
+    rev = Subspace(fld, n)
     for row in sub.sparse.values():
         rev.add({n - 1 - j: x for j, x in row.items()})
-    dropped = {n - 1 - pc: row for pc, row in rev.pivot_rows.items()}
+    dropped = {n - 1 - pc: row for pc, row in rev.sparse.items()}
     kept = [k for k in range(n) if k not in dropped]
     pos = {k: t for t, k in enumerate(kept)}
     cols = {k: {t: fld.one} for t, k in enumerate(kept)}
@@ -303,19 +276,18 @@ def invert(rows: Sequence[dict], field: Field) -> tuple:
     columns of A.
     """
     n = len(rows)
-    elim = SparseEliminator(field, 2 * n)
+    space = Subspace(field, 2 * n)
     for i, row in enumerate(rows):
         for j, x in row.items():
             if not 0 <= j < n or not field.validate(x):
                 raise ValueError("bad entry %r: %r in row %d of a %d x %d matrix" % (j, x, i, n, n))
         tagged = dict(row)
         tagged[n + i] = field.one
-        elim.add(tagged)
-    if sorted(elim.pivot_rows) != list(range(n)):
+        space.add(tagged)
+    reduced = space.sparse
+    if tuple(reduced) != tuple(range(n)):
         raise ValueError("matrix is not invertible")
-    return tuple(
-        {j - n: x for j, x in elim.pivot_rows[i].items() if j >= n} for i in range(n)
-    )
+    return tuple({j - n: x for j, x in row.items() if j >= n} for row in reduced.values())
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +407,15 @@ def is_nilpotent(mat: SparseMatrix) -> bool:
     """A matrix is nilpotent iff its image chain V ⊇ MV ⊇ M²V ⊇ … hits 0."""
     if mat.nrows != mat.ncols:
         raise ValueError("nilpotency only defined for square matrices")
-    basis = [dict(col) for j, col in sorted(mat.cols.items())]
+    basis = [col for _j, col in sorted(mat.cols.items())]
     seen_dim = None
     while True:
-        elim = SparseEliminator(mat.field, mat.nrows)
+        image = Subspace(mat.field, mat.nrows)
         for v in basis:
-            elim.add(v)
-        cur = [dict(r) for r in elim.pivot_rows.values()]
-        dim = len(cur)
-        if dim == 0:
+            image.add(v)
+        if image.dim == 0:
             return True
-        if seen_dim is not None and dim >= seen_dim:
+        if seen_dim is not None and image.dim >= seen_dim:
             return False
-        seen_dim = dim
-        basis = [mat.apply_sparse(v) for v in cur]
+        seen_dim = image.dim
+        basis = [mat.apply_sparse(v) for v in image.sparse.values()]

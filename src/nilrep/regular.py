@@ -21,7 +21,7 @@ from math import comb
 from typing import Optional
 
 from .liealg import AdaptedBasis, LieAlgebra
-from .linalg import lincomb
+from .linalg import SparseMatrix, lincomb
 from .representation import Representation
 from .uea import TruncatedUEA
 
@@ -134,25 +134,6 @@ def _reverse_layers(weights) -> list:
     return perm
 
 
-def _permuted_algebra(ga: LieAlgebra, perm) -> LieAlgebra:
-    """Rewrite structure constants so that new basis vector t is old perm[t]."""
-    fld = ga.field
-    inv = {old: new for new, old in enumerate(perm)}
-    table = {}
-    for (i, j), terms in ga.table.items():
-        a, b, sign = inv[i], inv[j], 1
-        if a > b:
-            a, b, sign = b, a, -1
-        entry = {}
-        for k, c in terms.items():
-            v = fld.canon(sign * c)
-            if v != 0:
-                entry[inv[k]] = v
-        if entry:
-            table[(a, b)] = entry
-    return LieAlgebra(fld, ga.dim, table)
-
-
 def _reversed_model(adapted: AdaptedBasis):
     """Full truncated UEA over the layer-reversed adapted basis.
 
@@ -161,9 +142,13 @@ def _reversed_model(adapted: AdaptedBasis):
     permutation matrix P of perm, so its inverse A^-1 P^T is the adapted
     inverse with column perm[t] moved to t.
     """
+    fld = adapted.algebra.field
     perm = _reverse_layers(adapted.weights)
-    algebra = _permuted_algebra(adapted.algebra, perm)
     inv_positions = {old: new for new, old in enumerate(perm)}
+    to_model = SparseMatrix(
+        fld, len(perm), len(perm), {old: {new: fld.one} for old, new in inv_positions.items()}
+    )
+    algebra = adapted.algebra.rewritten([{old: fld.one} for old in perm], to_model)
     central_ids = tuple(
         sorted(inv_positions[k] for k, z in enumerate(adapted.central_flags) if z)
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple
 
 from .liealg import LieAlgebra
-from .linalg import SparseEliminator, Subspace, is_nilpotent, lincomb
+from .linalg import Subspace, is_nilpotent, lincomb
 
 
 @dataclass
@@ -67,12 +67,12 @@ def kernel(rep: Representation) -> Subspace:
         for j, col in mat.cols.items():
             for i, v in col.items():
                 rows.setdefault((i, j), {})[l] = v
-    elim = SparseEliminator(g.field, g.dim)
+    constraints = Subspace(g.field, g.dim)
     for key in sorted(rows):
-        elim.add(rows[key])
-        if elim.rank == g.dim:
+        constraints.add(rows[key])
+        if constraints.dim == g.dim:
             break
-    return elim.kernel()
+    return constraints.kernel()
 
 
 def is_faithful(rep: Representation) -> bool:
@@ -81,24 +81,24 @@ def is_faithful(rep: Representation) -> bool:
 
 def annihilated_subspace(rep: Representation) -> Subspace:
     """S = {v in V : M_l v = 0 for every basis vector}: the kernel of the rows
-    of all matrices stacked in one eliminator."""
-    elim = SparseEliminator(rep.field, rep.dim)
+    of all matrices stacked in one subspace."""
+    stacked = Subspace(rep.field, rep.dim)
     for mat in rep.matrices:
         for _i, row in mat.iter_rows():
-            elim.add(row)
-    return elim.kernel()
+            stacked.add(row)
+    return stacked.kernel()
 
 
 def center_image(rep: Representation) -> Subspace:
     """C = sum over central z of the column space of M_z."""
     g = rep.algebra
     fld = g.field
-    elim = SparseEliminator(fld, rep.dim)
+    image = Subspace(fld, rep.dim)
     for z in g.center().sparse.values():
         mz = lincomb(fld, z, rep.matrices)
         for j in sorted(mz.cols):
-            elim.add(mz.cols[j])
-    return elim.row_space()
+            image.add(mz.cols[j])
+    return image
 
 
 def verify_report(rep: Representation) -> dict:

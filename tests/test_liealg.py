@@ -75,6 +75,15 @@ def test_jacobi_violation_reported():
     assert bad.check_jacobi() == [(0, 1, 2)]
 
 
+@pytest.mark.parametrize("field, bad", [(QQ, "1"), (QQ, 0.5), (QQ, True), (QQ, None),
+                                        (GF(3), 2.5), (GF(3), rational(1, 2)), (GF(3), True)])
+def test_structure_constants_take_only_field_scalars(field, bad):
+    # a string used to be stored as is, and floats and bools ran or failed late
+    with pytest.raises(ValueError, match="does not belong"):
+        LieAlgebra(field, 3, {(0, 1): {2: bad}})
+    assert LieAlgebra(field, 3, {(0, 1): {2: 4}}).table == {(0, 1): {2: field.canon(4)}}
+
+
 # ---------------------------------------------------------------------------
 # lower central series, center
 
@@ -262,7 +271,7 @@ def test_quotient_heisenberg_by_center(heis):
 
 
 def test_quotient_by_zero(heis):
-    q, proj = heis.quotient(Subspace.zero_space(QQ, 3))
+    q, proj = heis.quotient(Subspace(QQ, 3))
     assert q == heis
     assert to_dense(proj) == [[Q1 if j == i else Q0 for j in range(3)] for i in range(3)]
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from helpers import from_dense, to_dense
 from nilrep.fields import GF, QQ, rational
 from nilrep.linalg import (
-    SparseEliminator,
     Subspace,
     complement_in,
     coordinate_projection,
@@ -78,11 +77,11 @@ def sparse_rows(rows):
 
 
 def kernel_of(rows, field, ncols):
-    """The kernel under test: dense rows sifted into one SparseEliminator."""
-    elim = SparseEliminator(field, ncols)
+    """The kernel under test: dense rows added to one Subspace."""
+    space = Subspace(field, ncols)
     for row in rows:
-        elim.add({j: x for j, x in enumerate(row) if x != 0})
-    return elim.kernel()
+        space.add({j: x for j, x in enumerate(row) if x != 0})
+    return space.kernel()
 
 
 FIELDS = st.sampled_from([QQ, GF(2), GF(3)])
@@ -193,6 +192,21 @@ def test_sparse_matches_dense_nullspace(field, rows):
     assert dense_rows(kernel_of(rows, field, 5)) == tuple(nullspace(rows, field, 5))
 
 
+@given(FIELDS, matrices((0, 4), 5), matrices((0, 4), 5))
+def test_growing_a_basis_matches_from_vectors(field, head, tail):
+    head, tail = in_field(field, head), in_field(field, tail)
+    space = Subspace(field, 5)
+    given_rows = sparse_rows(rref(head, field, 5)[0])
+    for row in given_rows:
+        space.add(row)
+    for row in sparse_rows(tail):
+        space.add(row)
+    # add stores its own copies: the rows handed in stay as they were
+    assert given_rows == sparse_rows(rref(head, field, 5)[0])
+    assert space == Subspace.from_vectors(field, 5, head + tail)
+    assert dense_rows(space.kernel()) == tuple(nullspace(head + tail, field, 5))
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -228,7 +242,7 @@ def test_complement_trivial_cases():
     w = span([[1, 0], [0, 1]], 2)
     s = span([[1, 0], [0, 1]], 2)
     assert complement_in(s, w).dim == 0
-    assert complement_in(Subspace.zero_space(QQ, 2), w) == w
+    assert complement_in(Subspace(QQ, 2), w) == w
 
 
 def test_complement_pivot_greedy_rule():
@@ -280,14 +294,34 @@ def test_subspace_membership_and_coords():
     assert s.reduce({0: Q1, 1: Q1, 2: Q1}) == {2: rational(-4)}
 
 
-def test_sparse_eliminator_rowspace_canonical():
-    elim = SparseEliminator(QQ, 3)
-    elim.add({0: rational(2), 1: rational(4)})
-    elim.add({1: rational(1), 2: rational(1)})
-    elim.add({0: rational(2), 1: rational(5), 2: rational(1)})  # dependent
-    space = elim.row_space()
+def test_subspace_add_keeps_a_canonical_basis():
+    space = Subspace(QQ, 3)
+    assert space.add({1: rational(1), 2: rational(1)}) == 1
+    assert space.add({0: rational(2), 1: rational(4)}) == 0
+    assert space.add({0: rational(2), 1: rational(5), 2: rational(1)}) is None  # dependent
     assert space == span([[2, 4, 0], [0, 1, 1]], 3)
-    assert elim.rank == 2
+    assert space.dim == 2 and space.pivots == (0, 1)
+    assert list(space.sparse) == [0, 1]  # pivot order, not the order added
+
+
+def test_subspace_does_not_hash():
+    with pytest.raises(TypeError):
+        hash(Subspace(QQ, 2))
+
+
+@given(FIELDS, matrices((0, 3), 4), matrices((0, 3), 4))
+def test_subspace_operations_leave_their_inputs_unchanged(field, avecs, bvecs):
+    a = Subspace.from_vectors(field, 4, in_field(field, avecs))
+    b = Subspace.from_vectors(field, 4, in_field(field, bvecs))
+    before = [dense_rows(a), dense_rows(b)]
+    both = intersect(a, b)
+    results = [both, complement_in(both, a), complement_in(a, Subspace.full_space(field, 4))]
+    coordinate_projection(a)
+    # grow every result to the whole space, which back-eliminates its rows
+    for space in results:
+        for k in range(4):
+            space.add({k: field.one})
+    assert [dense_rows(a), dense_rows(b)] == before
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 ``assert`` statements vanish under ``python -O``, so no output may depend on
 one; every name the package exports must still exist; dense matrices exist
 only as text in the file format, so the tests' dense converters
-(``helpers.py``) appear nowhere in the package, ``fileio.py`` included; every
-public function, class and method is called from the package or the
-benchmark, or is listed with its reason in ``KEPT``; and every module but
-``__init__.py`` uses every name it imports.
+(``helpers.py``) appear nowhere in the package, ``fileio.py`` included; no
+module uses another object's private attributes; every public function,
+class and method is called from the package or the benchmark, or is listed
+with its reason in ``KEPT``; and every module but ``__init__.py`` uses every
+name it imports.
 """
 
 import ast
@@ -54,6 +55,21 @@ def test_dense_converters_only_in_fileio():
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             if re.search(r"\b(to_dense|from_dense)\b", line):
                 found.append("%s:%d" % (path.name, lineno))
+    assert found == []
+
+
+def test_no_private_attribute_used_from_outside():
+    # ``x._name`` with x other than self or cls reaches into another object's
+    # storage; dunders such as ``__class__`` are public protocol
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+            if not own and not node.attr.endswith("__"):
+                found.append("%s:%d %s" % (path.name, node.lineno, node.attr))
     assert found == []
 
 

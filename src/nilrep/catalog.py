@@ -72,8 +72,8 @@ def free_nilpotent(n: int, c: int, field: Field = QQ) -> LieAlgebra:
             coords = basis.bracket_coordinates(p, q)
             entry = {}
             for k, v in coords.items():
-                cv = field.parse(str(v)) if field.characteristic else v
-                if not field.is_zero(cv):
+                cv = field.from_int(v)
+                if cv:
                     entry[remap[k]] = cv
             a, b = remap[p], remap[q]
             if a > b:

@@ -99,7 +99,7 @@ def cmd_compute(args) -> int:
         summary["family"] = family
         if params:
             summary["params"] = params
-        summary["field"] = g.field.kind if g.field.is_rationals else "F%d" % g.field.characteristic
+        summary["field"] = "F%d" % g.field.characteristic if g.field.characteristic else g.field.kind
     if not report["ok"]:
         summary["verification"] = report
         print(json.dumps(summary, sort_keys=True))

@@ -85,10 +85,6 @@ class Field:
         self.characteristic = characteristic
 
     @property
-    def is_rationals(self) -> bool:
-        return self.characteristic == 0
-
-    @property
     def kind(self) -> str:
         return "rationals" if self.characteristic == 0 else "prime_field"
 
@@ -121,11 +117,6 @@ class Field:
         if self.characteristic:
             return x % self.characteristic
         return x
-
-    def is_zero(self, x) -> bool:
-        if self.characteristic:
-            return x % self.characteristic == 0
-        return x == 0
 
     def clean(self, acc: dict) -> dict:
         """The canonical nonzero entries of a sparse accumulator ``{key: value}``."""

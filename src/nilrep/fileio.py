@@ -187,7 +187,7 @@ def representation_from_json(obj, algebra: LieAlgebra) -> Representation:
                 raise FileFormatError("matrix entries must be fraction strings")
             for j, x in enumerate(row):
                 if x != "0":
-                    x = field.canon(field.parse(x))
+                    x = field.parse(x)
                     if x != 0:
                         cols.setdefault(j, {})[i] = x
         matrices.append(SparseMatrix(field, dim, dim, cols))

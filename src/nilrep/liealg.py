@@ -38,15 +38,12 @@ class LieAlgebra:
         for (i, j), terms in table.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bad bracket index pair (%d, %d)" % (i, j))
-            entry = {}
             for k, c in terms.items():
                 if not 0 <= k < dim:
                     raise ValueError("bad bracket target index %d" % k)
                 if not field.validate(c):
                     raise ValueError("scalar %r does not belong to %r" % (c, field))
-                c = field.canon(c)
-                if c != 0:
-                    entry[k] = c
+            entry = field.clean(terms)
             if entry:
                 clean[(i, j)] = entry
         self.field = field
@@ -85,7 +82,6 @@ class LieAlgebra:
 
     def check_jacobi(self) -> list:
         """Return the list of basis triples (i, j, k) violating Jacobi (empty = ok)."""
-        fld = self.field
         bad = []
         for i, j, k in combinations(range(self.dim), 3):
             acc: dict = {}
@@ -94,7 +90,7 @@ class LieAlgebra:
                 for l, f in inner.items():
                     for m, g in self.bracket_basis(l, c).items():
                         acc[m] = acc.get(m, 0) + f * g
-            if any(not fld.is_zero(v) for v in acc.values()):
+            if self.field.clean(acc):
                 bad.append((i, j, k))
         return bad
 
@@ -208,8 +204,8 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
 
     Layers are processed top weight first.  Inside layer m the echelon basis
     of Z(g) ∩ g^m is sifted first (these vectors are flagged central), then
-    the original basis vectors lying in g^m in index order, then -- only when
-    the originals do not suffice -- the echelon basis of g^m itself.
+    the original basis vectors lying in g^m in index order, then the echelon
+    basis of g^m itself, which adds only what the originals leave out.
     """
     fld = g.field
     series = g.lower_central_series()  # raises when not nilpotent
@@ -233,10 +229,9 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
                 continue
             if spanned.add(row) is not None:
                 layer.append((m, row, False))
-        if len(layer) + gm1.dim < gm.dim:
-            for row in gm.sparse.values():  # original vectors did not span the layer
-                if spanned.add(row) is not None:
-                    layer.append((m, row, False))
+        for row in gm.sparse.values():  # dependent once the originals span the layer
+            if spanned.add(row) is not None:
+                layer.append((m, row, False))
         layers.append(layer)
     ordered = [item for layer in layers for item in layer]
     if len(ordered) != g.dim:

@@ -4,8 +4,10 @@ Every elimination goes through one class: ``Subspace``, the span of the
 sparse rows ``{column: value}`` added to it, kept as an incremental canonical
 reduced row echelon form.  Sparse rows are the only vector format.  A
 ``Subspace`` answers membership and residuals and computes kernels;
-``intersect``, ``complement_in`` and ``coordinate_projection`` build on it, and
-``invert`` reads an inverse off the tag columns of ``[A | I]``.
+``intersect`` and ``coordinate_projection`` build on it, and ``invert`` reads
+an inverse off the tag columns of ``[A | I]``.  A complement inside a subspace
+needs no helper: sifting its echelon rows into a ``Subspace`` keeps exactly
+the rows independent of what is already there.
 Enveloping-algebra actions and representations are column-oriented
 ``SparseMatrix`` objects.  Dense matrices exist only in the file format
 (``fileio``).
@@ -187,24 +189,18 @@ class Subspace:
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient)
 
 
-def _check_compatible(a: Subspace, b: Subspace):
-    if a.field != b.field:
-        raise ValueError("subspaces over different fields")
-    if a.ambient != b.ambient:
-        raise ValueError("ambient dimensions differ: %d vs %d" % (a.ambient, b.ambient))
-
-
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Exact intersection by Zassenhaus' method.
 
     In the RREF of the rows (u | u) for u in a and (w | 0) for w in b, the
     rows that vanish on the first half are (0 | basis of a ∩ b).
     """
-    _check_compatible(a, b)
+    if a.field != b.field:
+        raise ValueError("subspaces over different fields")
+    if a.ambient != b.ambient:
+        raise ValueError("ambient dimensions differ: %d vs %d" % (a.ambient, b.ambient))
     n = a.ambient
     out = Subspace(a.field, n)
-    if a.dim == 0 or b.dim == 0:
-        return out
     both = Subspace(a.field, 2 * n)
     for row in a.sparse.values():
         doubled = dict(row)
@@ -215,27 +211,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     for pc, row in both.sparse.items():
         if pc >= n:
             out.add({j - n: x for j, x in row.items()})
-    return out
-
-
-def complement_in(sub: Subspace, within: Subspace) -> Subspace:
-    """Deterministic complement of ``sub`` inside ``within``.
-
-    Walks the echelon basis of ``within`` in order and greedily keeps every
-    vector that is independent of ``sub`` plus the vectors kept so far, so the
-    result only depends on the two inputs.  A subset of RREF rows is itself in
-    RREF, so the kept rows are the complement's canonical basis.
-    """
-    _check_compatible(sub, within)
-    if any(within.reduce(row) for row in sub.sparse.values()):
-        raise ValueError("sub is not contained in within")
-    grown = Subspace(sub.field, sub.ambient)
-    for row in sub.sparse.values():
-        grown.add(row)
-    out = Subspace(sub.field, sub.ambient)
-    for row in within.sparse.values():
-        if grown.add(row) is not None:
-            out.add(row)
     return out
 
 

@@ -1,10 +1,13 @@
 """Algorithm Quotient: iterated reduction V -> V/W of a faithful module.
 
-Each round computes S (vectors killed by all of g), C (image of the center),
-M = S ∩ C and a deterministic complement W of M in S; the module is replaced
-by V/W, realised concretely on the greedily-kept coordinate subset, until
-W = 0.  Faithfulness survives because the center still acts faithfully on the
-quotient.
+Each round computes S (vectors killed by all of g) and C (image of the
+center), and W, a deterministic complement of S ∩ C in S: the echelon rows of
+S are sifted in order into C, and a row is kept in W when it is independent of
+C and the rows before it.  Sifting into C keeps the same rows as sifting into
+S ∩ C: for v in S and K ⊆ S, v is in C + K iff v is in (S ∩ C) + K, since
+v = c + k forces c = v - k into S.  The module is replaced by V/W, realised
+concretely on the greedily-kept coordinate subset, until W = 0.  Faithfulness
+survives because the center still acts faithfully on the quotient.
 """
 
 from __future__ import annotations
@@ -12,31 +15,26 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .liealg import LieAlgebra
-from .linalg import SparseMatrix, Subspace, complement_in, coordinate_projection, intersect
+from .linalg import SparseMatrix, Subspace, coordinate_projection
 from .regular import algorithm_regular
 from .representation import Representation, annihilated_subspace, center_image
 
 
 def reduce_once(rep: Representation) -> Tuple[Representation, Subspace]:
-    """One S/C/M/W round; returns the reduced representation and W (W = 0 at the fixpoint)."""
+    """One S/C/W round; returns the reduced representation and W (W = 0 at the fixpoint)."""
     fld = rep.field
-    S = annihilated_subspace(rep)
     C = center_image(rep)
-    M = intersect(S, C)
-    W = complement_in(M, S)
+    W = Subspace(fld, rep.dim)
+    for row in annihilated_subspace(rep).sparse.values():
+        if C.add(row) is not None:
+            W.add(row)
     if W.dim == 0:
         return rep, W
     kept, proj = coordinate_projection(W)
     new_mats = []
     for mat in rep.matrices:
-        cols = {}
-        for t, k in enumerate(kept):
-            col = mat.cols.get(k)
-            if col:
-                image = proj.apply_sparse(col)
-                if image:
-                    cols[t] = image
-        new_mats.append(SparseMatrix(fld, len(kept), len(kept), cols))
+        restricted = {t: mat.cols[k] for t, k in enumerate(kept) if k in mat.cols}
+        new_mats.append(proj.matmul(SparseMatrix(fld, rep.dim, len(kept), restricted)))
     new_rep = Representation(
         rep.algebra,
         new_mats,

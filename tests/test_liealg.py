@@ -84,6 +84,16 @@ def test_structure_constants_take_only_field_scalars(field, bad):
     assert LieAlgebra(field, 3, {(0, 1): {2: 4}}).table == {(0, 1): {2: field.canon(4)}}
 
 
+def test_integral_structure_constants_are_stored_as_ints():
+    # an integral backend rational (Fraction(2, 1)) used to be kept as is, so
+    # the table ran on rational arithmetic instead of int arithmetic
+    backend = type(rational(1, 2))
+    g = LieAlgebra(QQ, 3, {(0, 1): {2: backend(2, 1), 0: backend(0, 1)}})
+    assert g.table == {(0, 1): {2: 2}} and type(g.table[(0, 1)][2]) is int
+    assert type(LieAlgebra(QQ, 3, {(0, 1): {2: rational(1, 2)}}).table[(0, 1)][2]) is backend
+    assert LieAlgebra(GF(3), 3, {(0, 1): {2: 5, 1: 3}}).table == {(0, 1): {2: 2}}
+
+
 # ---------------------------------------------------------------------------
 # lower central series, center
 

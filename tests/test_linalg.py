@@ -8,7 +8,6 @@ from helpers import from_dense, to_dense
 from nilrep.fields import GF, QQ, rational
 from nilrep.linalg import (
     Subspace,
-    complement_in,
     coordinate_projection,
     intersect,
     invert,
@@ -238,26 +237,6 @@ def test_intersect_ambient_mismatch():
         intersect(span([[1]], 1), span([[1, 0]], 2))
 
 
-def test_complement_trivial_cases():
-    w = span([[1, 0], [0, 1]], 2)
-    s = span([[1, 0], [0, 1]], 2)
-    assert complement_in(s, w).dim == 0
-    assert complement_in(Subspace(QQ, 2), w) == w
-
-
-def test_complement_pivot_greedy_rule():
-    # complement of span{e1+e2} in K^2 keeps e1 under the greedy sift
-    sub = span([[1, 1]], 2)
-    within = Subspace.full_space(QQ, 2)
-    got = complement_in(sub, within)
-    assert got == span([[1, 0]], 2)
-
-
-def test_complement_containment_checked():
-    with pytest.raises(ValueError):
-        complement_in(span([[1, 0]], 2), span([[0, 1]], 2))
-
-
 @given(
     st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=0, max_size=3),
     st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=0, max_size=3),
@@ -267,17 +246,6 @@ def test_dimension_formula(avecs, bvecs):
     b = span(bvecs, 4)
     total = Subspace.from_vectors(QQ, 4, dense_rows(a) + dense_rows(b))
     assert a.dim + b.dim == intersect(a, b).dim + total.dim
-
-
-@given(
-    st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=0, max_size=4),
-)
-def test_complement_direct_sum(vecs):
-    within = Subspace.full_space(QQ, 4)
-    sub = span(vecs, 4)
-    w = complement_in(sub, within)
-    assert intersect(w, sub).dim == 0
-    assert Subspace.from_vectors(QQ, 4, dense_rows(w) + dense_rows(sub)) == within
 
 
 def test_subspace_membership_and_coords():
@@ -315,10 +283,17 @@ def test_subspace_operations_leave_their_inputs_unchanged(field, avecs, bvecs):
     b = Subspace.from_vectors(field, 4, in_field(field, bvecs))
     before = [dense_rows(a), dense_rows(b)]
     both = intersect(a, b)
-    results = [both, complement_in(both, a), complement_in(a, Subspace.full_space(field, 4))]
     coordinate_projection(a)
+    # sift a's rows into b's span and keep the independent ones, as a
+    # Quotient round sifts S into C to build W
+    grown, kept = Subspace(field, 4), Subspace(field, 4)
+    for row in b.sparse.values():
+        grown.add(row)
+    for row in a.sparse.values():
+        if grown.add(row) is not None:
+            kept.add(row)
     # grow every result to the whole space, which back-eliminates its rows
-    for space in results:
+    for space in (both, grown, kept):
         for k in range(4):
             space.add({k: field.one})
     assert [dense_rows(a), dense_rows(b)] == before

@@ -1,4 +1,8 @@
-from nilrep.fields import QQ, rational
+import pytest
+
+from nilrep import catalog
+from nilrep.fields import GF, QQ, rational
+from nilrep.liealg import LieAlgebra
 from nilrep.linalg import Subspace, intersect
 from nilrep.quotient import algorithm_quotient, reduce_once
 from nilrep.regular import algorithm_regular, regular_unpruned
@@ -26,8 +30,8 @@ def test_reduce_once_heisenberg_worked_example(heis):
     # multiplication; its monomial order is 1, x, y, z, x^2, yx, y^2.  Every
     # weight-2 monomial times a generator has weight 3 > c, while x*y = yx + z
     # and y*y = y^2 are nonzero, so S = <z, x^2, yx, y^2> (positions 3-6).
-    # C = z*V = <z>.  complement_in walks the echelon basis e3..e6 of S and
-    # skips e3 (in S ∩ C), so W = <x^2, yx, y^2>, new dim 4
+    # C = z*V = <z>.  Sifting the echelon basis e3..e6 of S into C skips e3
+    # (already in C), so W = <x^2, yx, y^2>, new dim 4
     rep = regular_unpruned(heis)
     new_rep, W = reduce_once(rep)
     assert W == coord_span([4, 5, 6], 7)
@@ -88,3 +92,40 @@ def test_quotient_leaves_its_regular_input_alone(heis):
     assert reg.provenance == before and reg.provenance["algorithm"] == "regular"
     assert quo.provenance["algorithm"] == "quotient"
     assert quo.dim == reg.dim == 3 and quo.matrices == reg.matrices
+
+
+def _complement_of_s_cap_c(rep):
+    """The greedy complement of M = S ∩ C in S, built from M itself: S's
+    echelon rows independent of M plus the rows before them."""
+    S = annihilated_subspace(rep)
+    grown = intersect(S, center_image(rep))
+    m_dim = grown.dim
+    W = Subspace(rep.field, rep.dim)
+    for row in S.sparse.values():
+        if grown.add(row) is not None:
+            W.add(row)
+    assert W.dim + m_dim == S.dim
+    return W
+
+
+# Heisenberg on the basis x, y, c = 2x + z: [x, y] = c - 2x, [y, c] = 4x - 2c
+HEIS_REBASED = LieAlgebra(QQ, 3, {(0, 1): {0: rational(-2), 2: Q1},
+                                  (1, 2): {0: rational(4), 2: rational(-2)}})
+
+
+@pytest.mark.parametrize("g, unpruned", [
+    (catalog.heisenberg(QQ), False), (catalog.heisenberg(GF(3)), False),
+    (catalog.heisenberg(QQ), True), (catalog.upper_triangular(4, GF(2)), False),
+    (catalog.upper_triangular(5, GF(3)), False), (catalog.filiform_f(13), False),
+    (HEIS_REBASED, False), (HEIS_REBASED, True),
+], ids=["heisenberg/Q", "heisenberg/F3", "heisenberg-unpruned/Q", "U_4/F2", "U_5/F3",
+        "f_13/Q", "heisenberg-rebased/Q", "heisenberg-rebased-unpruned/Q"])
+def test_each_round_removes_the_complement_of_s_cap_c(g, unpruned):
+    # sifting S into C instead of into S ∩ C keeps the same rows of S
+    rep = regular_unpruned(g) if unpruned else algorithm_regular(g)
+    while True:
+        new_rep, W = reduce_once(rep)
+        assert W == _complement_of_s_cap_c(rep)
+        if W.dim == 0:
+            break
+        rep = new_rep

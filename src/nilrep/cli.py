@@ -59,7 +59,13 @@ def _load_input(spec: str, field: Field) -> LieAlgebra:
     return _load_algebra_file(spec)
 
 
+def _check_retries(retries: int):
+    if retries < 1:
+        raise InputError("--retries must be at least 1, got %d" % retries)
+
+
 def cmd_compute(args) -> int:
+    _check_retries(args.retries)
     field = _parse_field(args.field)
     g = _load_input(args.input, field)
     t0 = time.monotonic()
@@ -135,6 +141,11 @@ def _row_index(text: str) -> int:
 
 
 def cmd_tables(args) -> int:
+    _check_retries(args.retries)
+    # `not > 0` also rejects nan, which would compare false against every clock
+    if not args.affine_timeout > 0:
+        raise InputError("--affine-timeout must be a positive number of seconds, got %r"
+                         % args.affine_timeout)
     rows = None
     if args.rows:
         try:

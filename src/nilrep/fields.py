@@ -12,6 +12,8 @@ touches floating point.
 
 from __future__ import annotations
 
+import math
+
 try:
     # gmpy2's mpq is a drop-in replacement for Fraction, several times faster.
     from gmpy2 import mpq as _rational
@@ -130,6 +132,14 @@ class Field:
             for k, v in acc.items()
             if v != 0
         }
+
+    def denominator_lcm(self, values) -> int:
+        """The least common multiple of the denominators of ``values`` over Q,
+        so that it times any of them is an integer; 1 over F_p, whose scalars
+        are ints already."""
+        if self.characteristic:
+            return 1
+        return math.lcm(1, *{int(x.denominator) for x in values if type(x) is not int})
 
     def mul(self, a, b):
         if self.characteristic:

@@ -273,8 +273,7 @@ class SparseMatrix:
     """A sparse matrix stored as column maps ``{col: {row: value}}``.
 
     Representation matrices of nilpotent algebras are strictly triangular in a
-    suitable order, so columns carry few nonzeros; products and commutators
-    exploit that.
+    suitable order, so columns carry few nonzeros; products exploit that.
     """
 
     __slots__ = ("field", "nrows", "ncols", "cols")
@@ -350,9 +349,6 @@ class SparseMatrix:
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self.add_scaled(other, self.field.one)
 
-    def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self.matmul(other) - other.matmul(self)
-
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
@@ -378,10 +374,75 @@ def lincomb(field: Field, coeffs: dict, matrices: Sequence[SparseMatrix]) -> Spa
     return out
 
 
+def _strong_components(cols: dict) -> list:
+    """Strongly connected components of the support graph of a column map,
+    with an edge j -> i for every stored entry M[i][j].
+
+    Tarjan's algorithm (SIAM J. Comput. 1, 1972), iterative.  A vertex that
+    no edge touches is a singleton component without a loop and is left out.
+    """
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    comps = []
+    for root in cols:
+        work = [] if root in index else [(root, None)]
+        while work:
+            v, succ = work.pop()
+            if succ is None:  # first visit
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                on_stack.add(v)
+                succ = iter(cols.get(v, ()))
+            for w in succ:
+                if w not in index:
+                    work += [(v, succ), (w, None)]
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                if work:  # v is done: its caller's entry is on top
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    comps.append(comp)
+    return comps
+
+
 def is_nilpotent(mat: SparseMatrix) -> bool:
-    """A matrix is nilpotent iff its image chain V ⊇ MV ⊇ M²V ⊇ … hits 0."""
+    """Exact nilpotency test through the block triangular form of the support.
+
+    Ordered by the strongly connected components of its support graph, the
+    matrix is block triangular, so its characteristic polynomial is the
+    product of those of the diagonal blocks, and it is nilpotent iff every
+    block is: a singleton block iff its diagonal entry is zero, a larger
+    block iff its image chain V ⊇ BV ⊇ B²V ⊇ … hits 0.  On an acyclic
+    support no arithmetic runs at all.
+    """
     if mat.nrows != mat.ncols:
         raise ValueError("nilpotency only defined for square matrices")
+    cols = mat.cols
+    for comp in _strong_components(cols):
+        if len(comp) == 1:
+            v = comp[0]
+            if mat.field.canon(cols.get(v, {}).get(v, 0)) != 0:
+                return False
+            continue
+        # every vertex of a larger component has an edge inside it
+        pos = {v: t for t, v in enumerate(comp)}
+        block = {t: {pos[i]: x for i, x in cols[v].items() if i in pos} for v, t in pos.items()}
+        if not _image_chain_vanishes(SparseMatrix(mat.field, len(comp), len(comp), block)):
+            return False
+    return True
+
+
+def _image_chain_vanishes(mat: SparseMatrix) -> bool:
+    """Whether the image chain V ⊇ MV ⊇ M²V ⊇ … of a square matrix hits 0."""
     basis = [col for _j, col in sorted(mat.cols.items())]
     seen_dim = None
     while True:

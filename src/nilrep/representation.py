@@ -39,19 +39,49 @@ class Representation:
         )
 
 
+_NO_ENTRIES: dict = {}  # read-only default column
+
+
 def homomorphism_failure(rep: Representation) -> Optional[Tuple[int, int]]:
-    """First pair (i, j) with [M_i, M_j] != sum_k c_{ij}^k M_k, or None."""
-    g = rep.algebra
-    mats = rep.matrices
-    fld = g.field
+    """First pair (i, j) with [M_i, M_j] != sum_k c_{ij}^k M_k, or None.
+
+    The test runs in integer arithmetic.  With λ the denominator lcm of all
+    matrix entries and μ that of all structure constants, N_l = λ M_l and
+    μ c_{ij}^k are integral, and μ [N_i, N_j] - λ Σ_k (μ c_{ij}^k) N_k is
+    λ²μ times the defect of the pair.  Each pair is checked one column at a
+    time and stops at the first nonzero one; over F_p, λ = μ = 1 and the
+    field's ``clean`` takes the residues.
+    """
+    g, fld = rep.algebra, rep.field
+    lam = fld.denominator_lcm(
+        x for mat in rep.matrices for col in mat.cols.values() for x in col.values()
+    )
+    mu = fld.denominator_lcm(c for terms in g.table.values() for c in terms.values())
+    mats = [
+        {j: {i: int(x * lam) for i, x in col.items()} for j, col in mat.cols.items()}
+        for mat in rep.matrices
+    ]
     for i in range(g.dim):
+        a = mats[i]
         for j in range(i + 1, g.dim):
-            lhs = mats[i].commutator(mats[j])
-            terms = g.table.get((i, j), {})
-            for k, c in terms.items():
-                lhs = lhs.add_scaled(mats[k], fld.neg(c))
-            if not lhs.is_zero_matrix():
-                return (i, j)
+            b = mats[j]
+            terms = [(mats[k], lam * int(c * mu)) for k, c in g.table.get((i, j), {}).items()]
+            products = ((a, b, mu), (b, a, -mu))
+            for col in set().union(a, b, *(n for n, _f in terms)):
+                # μ N_i N_j e_col - μ N_j N_i e_col - Σ_k λ μ c_{ij}^k N_k e_col
+                acc: dict = {}
+                for first, second, sign in products:
+                    for r, x in second.get(col, _NO_ENTRIES).items():
+                        image = first.get(r)
+                        if image:
+                            f = sign * x
+                            for s, y in image.items():
+                                acc[s] = acc.get(s, 0) + f * y
+                for n, f in terms:
+                    for s, y in n.get(col, _NO_ENTRIES).items():
+                        acc[s] = acc.get(s, 0) - f * y
+                if acc and fld.clean(acc):
+                    return (i, j)
     return None
 
 

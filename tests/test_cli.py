@@ -366,3 +366,22 @@ def test_verify_rejects_a_zero_denominator_anywhere(tmp_path, capsys):
         code, out, err = run(capsys, "verify", "--algebra", str(alg_path), "--rep", str(rep_path))
         assert (code, out) == (2, ""), (l, i, j)
         assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "--alg", "affine", "--in", "catalog:heisenberg"],
+    ["tables", "--which", "1", "--rows", "0"],
+])
+@pytest.mark.parametrize("retries", ["0", "-1"])
+def test_retries_below_one_is_an_input_error(capsys, command, retries):
+    # both used to run one attempt without a word
+    code, out, err = run(capsys, *command, "--retries", retries)
+    assert (code, out) == (2, "") and "input error" in err and "--retries" in err
+
+
+@pytest.mark.parametrize("timeout", ["nan", "-1", "0"])
+def test_affine_timeout_must_be_positive(capsys, timeout):
+    # nan used to switch the budget off, and a negative value timed out at once
+    code, out, err = run(capsys, "tables", "--which", "1", "--rows", "0",
+                         "--affine-timeout", timeout)
+    assert (code, out) == (2, "") and "input error" in err and "--affine-timeout" in err

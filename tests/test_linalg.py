@@ -310,7 +310,7 @@ def test_sparse_matrix_roundtrip_and_ops():
     assert a.cols == {0: {1: rational(2)}, 1: {0: Q1}}
     assert to_dense(a.matmul(b)) == qmat([[0, 3], [2, 0]])
     assert to_dense(a + b) == qmat([[1, 1], [2, 3]])
-    assert to_dense(a.commutator(b)) == qmat([[0, 2], [-4, 0]])
+    assert to_dense(a.matmul(b) - b.matmul(a)) == qmat([[0, 2], [-4, 0]])
     assert to_dense(a.transpose()) == qmat([[0, 2], [1, 0]])
     assert to_dense(lincomb(QQ, {0: Q1, 1: Q1}, [a, b])) == qmat([[1, 1], [2, 3]])
     assert to_dense(lincomb(QQ, {1: rational(2)}, [a, b])) == qmat([[2, 0], [0, 6]])
@@ -321,6 +321,33 @@ def test_matrix_kernel_and_nilpotency():
     assert kernel_of(to_dense(n), QQ, 2) == span([[0, 1]], 2)
     assert is_nilpotent(n)
     assert not is_nilpotent(from_dense(QQ, qmat([[1, 0], [0, 1]])))
+
+
+# Strictly lower triangular 4 x 4 matrices with the 2 x 2 block on rows and
+# columns 1, 2 replaced: that block is a strongly connected component of the
+# support, and every other component is a singleton with a zero diagonal.
+def embedded(block):
+    (a, b), (c, d) = block
+    return [[0, 0, 0, 0], [1, a, b, 0], [1, c, d, 0], [1, 1, 1, 0]]
+
+
+NILPOTENCY_CASES = [
+    ("cyclic support, nilpotent", [[1, 1], [-1, -1]], True),
+    ("cyclic support, not nilpotent", [[0, 1], [1, 0]], False),
+    ("three-cycle support, nilpotent", [[-1, 0, -1], [-1, 1, 0], [1, -1, 0]], True),
+    ("three-cycle support, not nilpotent", [[0, 0, 1], [1, 0, 0], [0, 1, 0]], False),
+    ("nonzero diagonal in a singleton block", [[0, 0, 0], [1, 1, 0], [0, 1, 0]], False),
+    ("strictly triangular around a nilpotent block", embedded([[1, 1], [-1, -1]]), True),
+    ("strictly triangular around a non-nilpotent block", embedded([[0, 1], [1, 0]]), False),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+@pytest.mark.parametrize("name, rows, nilpotent", NILPOTENCY_CASES,
+                         ids=[case[0] for case in NILPOTENCY_CASES])
+def test_nilpotency_through_the_support_components(field, name, rows, nilpotent):
+    assert is_nilpotent(from_dense(field, [[field.from_int(x) for x in row] for row in rows])) \
+        is nilpotent
 
 
 def test_invert():

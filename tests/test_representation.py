@@ -1,11 +1,15 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import from_dense
-from nilrep.fields import QQ, rational
-from nilrep.liealg import abelian_algebra
-from nilrep.linalg import SparseMatrix, Subspace, intersect, invert
+from nilrep import catalog
+from nilrep.fields import GF, QQ, field_from_characteristic, rational
+from nilrep.liealg import LieAlgebra, abelian_algebra
+from nilrep.linalg import SparseMatrix, Subspace, intersect, invert, is_nilpotent
 from nilrep.regular import algorithm_regular, regular_unpruned
 from nilrep.representation import (
     Representation,
@@ -18,6 +22,7 @@ from nilrep.representation import (
     verify_report,
 )
 from nilrep.dual import algorithm_dual
+from nilrep.quotient import algorithm_quotient
 
 Q0, Q1 = rational(0), rational(1)
 
@@ -146,3 +151,134 @@ def test_verify_report(heis):
         "nilpotent_matrices": True,
         "ok": True,
     }
+
+
+# ---------------------------------------------------------------------------
+# the verification checks against plain references, kept here only as oracles
+
+
+def reference_is_nilpotent(mat):
+    """Whole-matrix image chain V ⊇ MV ⊇ M²V ⊇ …, which hits 0 iff M is nilpotent."""
+    basis = [col for _j, col in sorted(mat.cols.items())]
+    seen_dim = None
+    while True:
+        image = Subspace(mat.field, mat.nrows)
+        for v in basis:
+            image.add(v)
+        if image.dim == 0:
+            return True
+        if seen_dim is not None and image.dim >= seen_dim:
+            return False
+        seen_dim = image.dim
+        basis = [mat.apply_sparse(v) for v in image.sparse.values()]
+
+
+def reference_homomorphism_failure(rep):
+    """First pair whose commutator minus the bracket's matrices is nonzero."""
+    g, mats = rep.algebra, rep.matrices
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = mats[i].matmul(mats[j]) - mats[j].matmul(mats[i])
+            for k, c in g.table.get((i, j), {}).items():
+                lhs = lhs.add_scaled(mats[k], g.field.neg(c))
+            if not lhs.is_zero_matrix():
+                return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("c, lam", [(rational(1), 6), (rational(3, 4), 18)])
+@pytest.mark.parametrize("perturbed, first_failure", [
+    (None, None),
+    ((2, 0, 2), (0, 1)),  # M_z at E_13: the bracket of x and y changes
+    ((0, 1, 0), (0, 2)),  # M_x at E_21 still commutes with M_y, not with M_z
+    ((1, 2, 1), (1, 2)),  # M_y at E_32 still commutes with M_x, not with M_z
+])
+def test_homomorphism_check_scales_unlike_denominators(c, lam, perturbed, first_failure):
+    # [x, y] = c z on M_x = a E_12, M_y = b E_23, M_z = (ab/c) E_13, whose
+    # entries have the denominator lcm lam; one entry moves by 1/lam^2, which
+    # vanishes if the scaled entries are rounded to integers
+    g = LieAlgebra(QQ, 3, {(0, 1): {2: c}})
+    a, b = rational(1, 2), rational(2, 3)
+    cols = [{1: {0: a}}, {2: {1: b}}, {2: {0: a * b / c}}]
+    if perturbed:
+        l, i, j = perturbed
+        col = cols[l].setdefault(j, {})
+        col[i] = col.get(i, 0) + rational(1, lam * lam)
+    rep = Representation(g, [SparseMatrix(QQ, 3, 3, col) for col in cols])
+    assert homomorphism_failure(rep) == reference_homomorphism_failure(rep) == first_failure
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_entries_shifted_by_p_still_verify(p):
+    # every stored entry moved by p, and a stored p on a diagonal: the same
+    # matrices over F_p, so every check still passes
+    g = catalog.upper_triangular(4, GF(p))
+    rep = algorithm_regular(g)
+    mats = [SparseMatrix(g.field, rep.dim, rep.dim,
+                         {j: {i: x + p for i, x in col.items()} for j, col in m.cols.items()})
+            for m in rep.matrices]
+    mats[0].cols.setdefault(0, {})[0] = p
+    shifted = Representation(g, mats)
+    assert homomorphism_failure(shifted) is None
+    assert verify_report(shifted) == verify_report(rep) == {
+        "homomorphism": "ok", "faithful": True, "nilpotent_matrices": True, "ok": True,
+    }
+
+
+ALGORITHMS = {"regular": algorithm_regular, "dual": algorithm_dual,
+              "quotient": algorithm_quotient}
+
+
+@lru_cache(maxsize=None)
+def small_result(characteristic, name, algorithm):
+    field = field_from_characteristic(characteristic)
+    g = catalog.heisenberg(field) if name == "heisenberg" else catalog.upper_triangular(4, field)
+    return ALGORITHMS[algorithm](g)
+
+
+def scalars(field):
+    """Scalars of the field, zero included; over Q, n/d with |n| <= 3 and d <= 3."""
+    if field.characteristic:
+        return st.integers(0, field.characteristic - 1)
+    return st.builds(rational, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def perturbed_conjugates(draw):
+    """P⁻¹ M_l P for a Heisenberg or U_4 result, then maybe one entry moved.
+
+    P = L U with unit-diagonal triangular factors is invertible and mixes the
+    triangular supports of the results into cyclic ones.
+    """
+    field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    rep = small_result(field.characteristic, draw(st.sampled_from(["heisenberg", "utri4"])),
+                       draw(st.sampled_from(sorted(ALGORITHMS))))
+    n = rep.dim
+    mats = rep.matrices
+    if draw(st.booleans()):
+        lower = [[field.one if i == j else draw(scalars(field)) if i > j else field.zero
+                  for j in range(n)] for i in range(n)]
+        upper = [[field.one if i == j else draw(scalars(field)) if i < j else field.zero
+                  for j in range(n)] for i in range(n)]
+        p = from_dense(field, lower).matmul(from_dense(field, upper))
+        p_rows = dict(p.iter_rows())
+        inv_rows = invert([p_rows.get(i, {}) for i in range(n)], field)
+        p_inv = SparseMatrix(field, n, n, dict(enumerate(inv_rows))).transpose()
+        mats = [p_inv.matmul(m).matmul(p) for m in mats]
+    mats = [SparseMatrix(field, n, n, {j: dict(col) for j, col in m.cols.items()}) for m in mats]
+    if draw(st.booleans()):
+        l = draw(st.integers(0, len(mats) - 1))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        delta = draw(scalars(field).filter(lambda x: field.canon(x) != 0))
+        col = mats[l].cols.setdefault(j, {})
+        col[i] = field.canon(col.get(i, field.zero) + delta)
+        if col[i] == 0:
+            del col[i]
+    return Representation(rep.algebra, mats)
+
+
+@given(perturbed_conjugates())
+def test_verification_matches_the_references(rep):
+    assert [is_nilpotent(m) for m in rep.matrices] == \
+        [reference_is_nilpotent(m) for m in rep.matrices]
+    assert homomorphism_failure(rep) == reference_homomorphism_failure(rep)

@@ -292,7 +292,7 @@ def test_unpruned_action_is_homomorphism_and_nilpotent():
         for i in range(g.dim):
             assert is_nilpotent(mats[i])
             for j in range(i + 1, g.dim):
-                lhs = mats[i].commutator(mats[j])
+                lhs = mats[i].matmul(mats[j]) - mats[j].matmul(mats[i])
                 for k, c in ga.table.get((i, j), {}).items():
                     lhs = lhs.add_scaled(mats[k], QQ.neg(c))
                 assert lhs.is_zero_matrix()

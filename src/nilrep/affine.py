@@ -124,7 +124,7 @@ def extend_step(state: AffineState, greedy: bool = False) -> Optional[AffineStat
     i = state.step
     m = i + 1  # current module dimension
     qnext = _truncated_quotient(state.algebra, i + 1)
-    rho = list(state.matrices) + [SparseMatrix.zero(fld, m, m)]
+    rho = list(state.matrices) + [SparseMatrix(fld, m, m)]
     cocycles = one_cocycles(qnext, rho, check=False)
     eval_lo = i * m
 
@@ -180,13 +180,16 @@ def algorithm_affine(
 
     Returns a Representation on success and an AffineFail value otherwise;
     runs are reproducible for a fixed seed.  ``deadline`` (time.monotonic
-    value) aborts cooperatively via AffineTimeout.
+    value) aborts cooperatively via AffineTimeout.  Raises ValueError when
+    ``retries`` is below 1.
     """
+    if retries < 1:
+        raise ValueError("retries must be at least 1, got %r" % (retries,))
     adapted = g.adapted_basis()
     fld = g.field
     d = g.dim
     deepest = 0
-    for attempt in range(max(1, retries)):
+    for attempt in range(retries):
         rng = random.Random(seed * 1_000_003 + attempt)
         base = [SparseMatrix(fld, 2, 2, {0: {1: fld.one}})]
         state = AffineState(adapted.algebra, 1, base, rng)
@@ -208,4 +211,4 @@ def algorithm_affine(
                 {"algorithm": "affine", "dim": d + 1, "seed": seed, "attempt": attempt},
             )
         deepest = max(deepest, failed_at)
-    return AffineFail(deepest_step=deepest, attempts=max(1, retries))
+    return AffineFail(deepest_step=deepest, attempts=retries)

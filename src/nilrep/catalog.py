@@ -185,15 +185,19 @@ def pfaff_check(n: int) -> list:
 
 def from_name(name: str, field: Field = QQ) -> LieAlgebra:
     """Resolve a catalog name: heisenberg | utri:n | freenilp:n,c | filiform:n."""
-    head, _, rest = name.partition(":")
+    head, colon, rest = name.partition(":")
     head = head.strip().lower()
     if head == "heisenberg":
+        if colon:
+            raise ValueError("heisenberg takes no parameters, got %r" % name)
         return heisenberg(field)
     if head == "utri":
         return upper_triangular(parse_natural(rest), field)
     if head == "freenilp":
-        n_s, c_s = rest.split(",")
-        return free_nilpotent(parse_natural(n_s), parse_natural(c_s), field)
+        params = rest.split(",")
+        if len(params) != 2:
+            raise ValueError("freenilp takes two parameters n,c, got %r" % name)
+        return free_nilpotent(parse_natural(params[0]), parse_natural(params[1]), field)
     if head == "filiform":
         return filiform_f(parse_natural(rest), field)
     raise ValueError("unknown catalog name %r" % name)

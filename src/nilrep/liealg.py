@@ -50,46 +50,23 @@ class LieAlgebra:
         self.dim = dim
         self.table = clean
 
-    def bracket_basis(self, i: int, j: int) -> dict:
-        """[x_i, x_j] as a sparse coordinate vector."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.table.get((i, j), {}))
-        fld = self.field
-        return {k: fld.neg(c) for k, c in self.table.get((j, i), {}).items()}
-
     def bracket(self, x: dict, y: dict) -> dict:
-        """[x, y] = sum_b y[b] [x, x_b] for sparse coordinate vectors."""
+        """[x, y] for sparse coordinate vectors."""
         for vec in (x, y):
             if any(not 0 <= k < self.dim for k in vec):
                 raise ValueError("coordinate index outside range(%d)" % self.dim)
-        acc: dict = {}
-        for b, f in y.items():
-            for k, c in self.bracket_with_basis(x, b).items():
-                acc[k] = acc.get(k, 0) + f * c
-        return self.field.clean(acc)
-
-    def bracket_with_basis(self, x_sparse: dict, j: int) -> dict:
-        """[v, x_j] for a sparse vector v, as a sparse vector."""
-        acc: dict = {}
-        for i, f in x_sparse.items():
-            if i == j:
-                continue
-            for k, c in self.bracket_basis(i, j).items():
-                acc[k] = acc.get(k, 0) + f * c
-        return self.field.clean(acc)
+        return _bracket(self, x, y)
 
     def check_jacobi(self) -> list:
         """Return the list of basis triples (i, j, k) violating Jacobi (empty = ok)."""
+        one = self.field.one
         bad = []
         for i, j, k in combinations(range(self.dim), 3):
             acc: dict = {}
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket_basis(a, b)
-                for l, f in inner.items():
-                    for m, g in self.bracket_basis(l, c).items():
-                        acc[m] = acc.get(m, 0) + f * g
+                inner = _bracket(self, {a: one}, {b: one})
+                for m, f in _bracket(self, inner, {c: one}).items():
+                    acc[m] = acc.get(m, 0) + f
             if self.field.clean(acc):
                 bad.append((i, j, k))
         return bad
@@ -122,7 +99,7 @@ class LieAlgebra:
             nxt = Subspace(fld, self.dim)
             for row in cur.sparse.values():
                 for j in range(self.dim):
-                    nxt.add(self.bracket_with_basis(row, j))
+                    nxt.add(_bracket(self, row, {j: fld.one}))
             if nxt.dim == cur.dim:
                 raise NotNilpotentError(
                     "lower central series stabilises at dimension %d" % cur.dim
@@ -167,6 +144,25 @@ class LieAlgebra:
 
     def betti2(self) -> int:
         return _betti2(self)
+
+
+def _bracket(g: LieAlgebra, x: dict, y: dict) -> dict:
+    """[x, y] = sum over b, a of y[b] x[a] [x_a, x_b] in g, read off
+    ``g.table``; the indices are not checked."""
+    table = g.table
+    acc: dict = {}
+    for b, fb in y.items():
+        for a, fa in x.items():
+            if a < b:
+                terms, s = table.get((a, b)), fa * fb
+            elif b < a:
+                terms, s = table.get((b, a)), -fa * fb
+            else:
+                continue
+            if terms:
+                for k, c in terms.items():
+                    acc[k] = acc.get(k, 0) + s * c
+    return g.field.clean(acc)
 
 
 def abelian_algebra(field: Field, dim: int) -> LieAlgebra:
@@ -253,7 +249,7 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
 def _is_ideal(g: LieAlgebra, sub: Subspace) -> bool:
     for row in sub.sparse.values():
         for j in range(g.dim):
-            if sub.reduce(g.bracket_with_basis(row, j)):
+            if sub.reduce(_bracket(g, row, {j: g.field.one})):
                 return False
     return True
 
@@ -301,7 +297,7 @@ def _betti2(g: LieAlgebra) -> int:
     for i, j, k in combinations(range(d), 3):
         row: dict = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, f in g.bracket_basis(a, b).items():
+            for l, f in _bracket(g, {a: fld.one}, {b: fld.one}).items():
                 add_pair(row, l, c, f)
         row = fld.clean(row)
         if row:

@@ -9,8 +9,10 @@ an inverse off the tag columns of ``[A | I]``.  A complement inside a subspace
 needs no helper: sifting its echelon rows into a ``Subspace`` keeps exactly
 the rows independent of what is already there.
 Enveloping-algebra actions and representations are column-oriented
-``SparseMatrix`` objects.  Dense matrices exist only in the file format
-(``fileio``).
+``SparseMatrix`` objects.  Every sum of matrices is one ``lincomb`` pass, and
+``is_nilpotent`` peels the acyclic ends off a matrix's support before it
+runs any arithmetic on what is left.  Dense matrices exist only in the file
+format (``fileio``).
 """
 
 from __future__ import annotations
@@ -284,15 +286,8 @@ class SparseMatrix:
         self.ncols = ncols
         self.cols = cols if cols is not None else {}
 
-    @classmethod
-    def zero(cls, field: Field, nrows: int, ncols: int) -> "SparseMatrix":
-        return cls(field, nrows, ncols, {})
-
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols.values())
-
-    def is_zero_matrix(self) -> bool:
-        return all(not c for c in self.cols.values())
 
     def iter_rows(self):
         """Yield ``(i, row_dict)`` for every nonzero row."""
@@ -331,30 +326,13 @@ class SparseMatrix:
                 cols[j] = image
         return SparseMatrix(self.field, self.nrows, other.ncols, cols)
 
-    def add_scaled(self, other: "SparseMatrix", factor) -> "SparseMatrix":
-        """self + factor * other (shapes must agree)."""
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        cols = {j: dict(col) for j, col in self.cols.items()}
-        for j, col in other.cols.items():
-            dst = cols.setdefault(j, {})
-            for i, x in col.items():
-                dst[i] = dst.get(i, 0) + factor * x
-            cols[j] = self.field.clean(dst)
-        return SparseMatrix(self.field, self.nrows, self.ncols, {j: c for j, c in cols.items() if c})
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self.add_scaled(other, -self.field.one)
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self.add_scaled(other, self.field.one)
-
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        return (self - other).is_zero_matrix()
+        one = self.field.one
+        return not lincomb(self.field, {0: one, 1: -one}, [self, other]).cols
 
     def __hash__(self):
         raise TypeError("SparseMatrix is not hashable")
@@ -364,81 +342,59 @@ class SparseMatrix:
 
 
 def lincomb(field: Field, coeffs: dict, matrices: Sequence[SparseMatrix]) -> SparseMatrix:
-    """sum_l coeffs[l] * matrices[l] for a sparse coefficient vector, summed in
-    index order."""
+    """sum_l coeffs[l] * matrices[l] for a sparse coefficient vector, summed
+    in index order in one accumulator and cleaned once per column; raises
+    ValueError when a term's shape differs from that of ``matrices[0]``."""
     if not matrices:
         raise ValueError("empty linear combination")
-    out = SparseMatrix.zero(field, matrices[0].nrows, matrices[0].ncols)
+    nrows, ncols = matrices[0].nrows, matrices[0].ncols
+    acc: dict = {}
     for l in sorted(coeffs):
-        out = out.add_scaled(matrices[l], coeffs[l])
-    return out
-
-
-def _strong_components(cols: dict) -> list:
-    """Strongly connected components of the support graph of a column map,
-    with an edge j -> i for every stored entry M[i][j].
-
-    Tarjan's algorithm (SIAM J. Comput. 1, 1972), iterative.  A vertex that
-    no edge touches is a singleton component without a loop and is left out.
-    """
-    index: dict = {}
-    low: dict = {}
-    stack: list = []
-    on_stack: set = set()
-    comps = []
-    for root in cols:
-        work = [] if root in index else [(root, None)]
-        while work:
-            v, succ = work.pop()
-            if succ is None:  # first visit
-                index[v] = low[v] = len(index)
-                stack.append(v)
-                on_stack.add(v)
-                succ = iter(cols.get(v, ()))
-            for w in succ:
-                if w not in index:
-                    work += [(v, succ), (w, None)]
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                if work:  # v is done: its caller's entry is on top
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = [stack.pop()]
-                    while comp[-1] != v:
-                        comp.append(stack.pop())
-                    on_stack.difference_update(comp)
-                    comps.append(comp)
-    return comps
+        mat = matrices[l]
+        if (mat.nrows, mat.ncols) != (nrows, ncols):
+            raise ValueError("shape mismatch")
+        f = coeffs[l]
+        for j, col in mat.cols.items():
+            dst = acc.setdefault(j, {})
+            for i, x in col.items():
+                dst[i] = dst.get(i, 0) + f * x
+    cols = {j: col for j, dst in acc.items() if (col := field.clean(dst))}
+    return SparseMatrix(field, nrows, ncols, cols)
 
 
 def is_nilpotent(mat: SparseMatrix) -> bool:
-    """Exact nilpotency test through the block triangular form of the support.
+    """Exact nilpotency test that peels the acyclic ends off the support.
 
-    Ordered by the strongly connected components of its support graph, the
-    matrix is block triangular, so its characteristic polynomial is the
-    product of those of the diagonal blocks, and it is nilpotent iff every
-    block is: a singleton block iff its diagonal entry is zero, a larger
-    block iff its image chain V ⊇ BV ⊇ B²V ⊇ … hits 0.  On an acyclic
-    support no arithmetic runs at all.
+    In the support graph (an edge j -> i for every stored entry M[i][j]), a
+    vertex with no live predecessor or no live successor is a 1x1 zero block
+    first or last in a block triangular form of the live principal submatrix,
+    so it is nilpotent iff the rest is.  Peeling such vertices from both sides
+    (Kahn, CACM 5, 1962) leaves a core, decided by its image chain; on an
+    acyclic support the core is empty and no arithmetic runs at all.
     """
     if mat.nrows != mat.ncols:
         raise ValueError("nilpotency only defined for square matrices")
-    cols = mat.cols
-    for comp in _strong_components(cols):
-        if len(comp) == 1:
-            v = comp[0]
-            if mat.field.canon(cols.get(v, {}).get(v, 0)) != 0:
-                return False
-            continue
-        # every vertex of a larger component has an edge inside it
-        pos = {v: t for t, v in enumerate(comp)}
-        block = {t: {pos[i]: x for i, x in cols[v].items() if i in pos} for v, t in pos.items()}
-        if not _image_chain_vanishes(SparseMatrix(mat.field, len(comp), len(comp), block)):
-            return False
-    return True
+    succs = {j: set(col) for j, col in mat.cols.items() if col}
+    preds: dict = {}
+    for j, col in succs.items():
+        for i in col:
+            preds.setdefault(i, set()).add(j)
+    queue = [v for v in preds.keys() | succs.keys() if v not in preds or v not in succs]
+    while queue:
+        v = queue.pop()
+        for i in succs.pop(v, ()):
+            preds[i].discard(v)
+            if not preds[i]:
+                queue.append(i)
+        for j in preds.pop(v, ()):
+            succs[j].discard(v)
+            if not succs[j]:
+                queue.append(j)
+    if not succs:
+        return True
+    pos = {v: t for t, v in enumerate(sorted(succs))}
+    core = {t: {pos[i]: x for i, x in mat.cols[v].items() if i in pos} for v, t in pos.items()}
+    return _image_chain_vanishes(SparseMatrix(mat.field, len(pos), len(pos), core))
 
 
 def _image_chain_vanishes(mat: SparseMatrix) -> bool:

@@ -154,8 +154,11 @@ def run_table(which: int, rows: Optional[list] = None, skip_affine: bool = False
     """Reproduce table ``which`` (1, 2 or 3), or its ``rows`` (0-based indices).
 
     Each row builds one pruned module for Regular and Dual, runs Quotient where
-    the table has that column, and verifies every result exactly.
+    the table has that column, and verifies every result exactly; raises
+    ValueError unless ``affine_timeout`` is None or positive.
     """
+    if affine_timeout is not None and not affine_timeout > 0:
+        raise ValueError("affine_timeout must be positive, got %r" % (affine_timeout,))
     out = []
     for idx, (label, build, reference, affine_ref, seconds) in enumerate(table_rows(which)):
         if rows is not None and idx not in rows:

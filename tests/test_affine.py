@@ -187,8 +187,24 @@ def test_affine_output_matrices_are_nilpotent(heis):
     assert all(is_nilpotent(m) for m in rep.matrices)
 
 
+@pytest.mark.parametrize("retries", [0, -5])
+def test_affine_rejects_retries_below_one(heis, retries):
+    # both used to run one attempt, and a failure reported attempts=1
+    with pytest.raises(ValueError, match="retries must be at least 1"):
+        algorithm_affine(heis, seed=0, retries=retries)
+    with pytest.raises(ValueError, match="retries must be at least 1"):
+        tables.run_table(1, rows=[0], retries=retries)
+
+
 # ---------------------------------------------------------------------------
 # deadlines
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), 0, -1.0])
+def test_run_table_rejects_an_affine_timeout_that_is_not_positive(timeout):
+    # nan used to switch the Affine budget off, and a negative value timed out at once
+    with pytest.raises(ValueError, match="affine_timeout must be positive"):
+        tables.run_table(1, rows=[0], affine_timeout=timeout)
 
 
 def test_affine_raises_once_its_deadline_has_passed(heis):

@@ -21,7 +21,7 @@ def test_heisenberg(heis):
 
 def test_heisenberg_over_f2(heis_f2):
     assert heis_f2.check_jacobi() == []
-    assert heis_f2.bracket_basis(0, 1) == {2: 1}
+    assert heis_f2.bracket({0: 1}, {1: 1}) == {2: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +207,8 @@ def test_filiform_f13_structure(f13):
 
 def test_filiform_first_row_brackets(f13):
     for i in range(1, 12):
-        assert f13.bracket_basis(0, i) == {i + 1: Q1}
-    assert f13.bracket_basis(0, 12) == {}
+        assert f13.bracket({0: Q1}, {i: Q1}) == {i + 1: Q1}
+    assert f13.bracket({0: Q1}, {12: Q1}) == {}
 
 
 def test_filiform_corrupting_alpha_breaks_jacobi(f13):
@@ -240,6 +240,12 @@ def test_from_name():
     assert catalog.from_name("filiform:13").dim == 13
     with pytest.raises(ValueError):
         catalog.from_name("nope:1")
+    for name in ("heisenberg:junk", "heisenberg:"):
+        with pytest.raises(ValueError, match="heisenberg takes no parameters"):
+            catalog.from_name(name)
+    for name in ("freenilp:2,3,4", "freenilp:2"):
+        with pytest.raises(ValueError, match="freenilp takes two parameters"):
+            catalog.from_name(name)
 
 
 def test_catalog_constructors_are_deterministic():

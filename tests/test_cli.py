@@ -62,7 +62,7 @@ def test_compute_refuses_unverified_result(tmp_path, capsys, monkeypatch):
 
     def zero_regular(g):
         # a homomorphism, but z acts as 0, so it is not faithful
-        return Representation(g, [SparseMatrix.zero(g.field, 2, 2) for _ in range(g.dim)])
+        return Representation(g, [SparseMatrix(g.field, 2, 2) for _ in range(g.dim)])
 
     monkeypatch.setattr(cli, "algorithm_regular", zero_regular)
     out_path = tmp_path / "rep.json"
@@ -81,6 +81,17 @@ def test_compute_refuses_unverified_result(tmp_path, capsys, monkeypatch):
 def test_compute_unknown_catalog_name(capsys):
     code, _, err = run(capsys, "compute", "--alg", "regular", "--in", "catalog:nope")
     assert code == 2 and "input error" in err
+
+
+@pytest.mark.parametrize("name, message", [
+    ("heisenberg:junk", "heisenberg takes no parameters"),
+    ("freenilp:2,3,4", "freenilp takes two parameters"),
+])
+def test_compute_rejects_a_catalog_name_with_the_wrong_parameters(capsys, name, message):
+    # heisenberg:junk used to exit 0 and echo "params": "junk", and
+    # freenilp:2,3,4 used to fail on Python's "too many values to unpack"
+    code, out, err = run(capsys, "compute", "--alg", "regular", "--in", "catalog:" + name)
+    assert (code, out) == (2, "") and "input error" in err and message in err
 
 
 def test_compute_missing_file(capsys):
@@ -121,7 +132,7 @@ def test_file_input_violating_jacobi_is_an_input_error(tmp_path, capsys):
     assert code == 2 and "input error" in err and "Jacobi" in err
     assert not rep_path.exists()
 
-    zero = Representation(g, [SparseMatrix.zero(QQ, 2, 2) for _ in range(5)])
+    zero = Representation(g, [SparseMatrix(QQ, 2, 2) for _ in range(5)])
     fileio.save_representation(zero, str(rep_path))
     code, _, err = run(capsys, "verify", "--algebra", str(alg_path), "--rep", str(rep_path))
     assert code == 2 and "input error" in err and "Jacobi" in err
@@ -156,7 +167,7 @@ def test_verify_zero_rep_is_homomorphism_but_unfaithful(tmp_path, capsys):
     from nilrep.linalg import SparseMatrix
     from nilrep.representation import Representation
 
-    rep = Representation(heis, [SparseMatrix.zero(QQ, 2, 2) for _ in range(3)])
+    rep = Representation(heis, [SparseMatrix(QQ, 2, 2) for _ in range(3)])
     fileio.save_representation(rep, str(rep_path))
     code, out, _ = run(capsys, "verify", "--algebra", str(alg_path), "--rep", str(rep_path))
     assert code == 1
@@ -329,7 +340,7 @@ def _one_dim_files(tmp_path):
     g = abelian_algebra(QQ, 1)
     alg_path, rep_path = tmp_path / "g.json", tmp_path / "rep.json"
     save_json(fileio.algebra_to_json(g), str(alg_path))
-    fileio.save_representation(Representation(g, [SparseMatrix.zero(QQ, 1, 1)]), str(rep_path))
+    fileio.save_representation(Representation(g, [SparseMatrix(QQ, 1, 1)]), str(rep_path))
     return alg_path, rep_path
 
 

@@ -136,7 +136,7 @@ def test_lcs_u4_via_elementary_matrix_oracle(u4):
     for p in range(6):
         for q in range(p + 1, 6):
             expected = {idx[k]: rational(v) for k, v in comm(pairs[p], pairs[q]).items()}
-            assert u4.bracket_basis(p, q) == expected
+            assert u4.bracket({p: Q1}, {q: Q1}) == expected
     assert [s.dim for s in u4.lower_central_series()] == [6, 3, 1, 0]
     assert u4.nilpotency_class == 3
 
@@ -270,7 +270,7 @@ def test_refined_series_f13_is_standard_basis(f13):
 def test_quotient_by_whole_algebra(heis):
     q, proj = heis.quotient(Subspace.full_space(QQ, 3))
     assert q.dim == 0 and not q.table
-    assert (proj.nrows, proj.ncols) == (0, 3) and proj.is_zero_matrix()
+    assert (proj.nrows, proj.ncols) == (0, 3) and not proj.cols
 
 
 def test_quotient_heisenberg_by_center(heis):

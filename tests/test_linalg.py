@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import from_dense, to_dense
 from nilrep.fields import GF, QQ, rational
 from nilrep.linalg import (
+    SparseMatrix,
     Subspace,
     coordinate_projection,
     intersect,
@@ -309,11 +310,55 @@ def test_sparse_matrix_roundtrip_and_ops():
     assert to_dense(a) == qmat([[0, 1], [2, 0]])
     assert a.cols == {0: {1: rational(2)}, 1: {0: Q1}}
     assert to_dense(a.matmul(b)) == qmat([[0, 3], [2, 0]])
-    assert to_dense(a + b) == qmat([[1, 1], [2, 3]])
-    assert to_dense(a.matmul(b) - b.matmul(a)) == qmat([[0, 2], [-4, 0]])
+    assert to_dense(lincomb(QQ, {1: Q1, 0: Q1}, [a, b])) == qmat([[1, 1], [2, 3]])
+    assert to_dense(lincomb(QQ, {0: Q1, 1: -Q1}, [a.matmul(b), b.matmul(a)])) == \
+        qmat([[0, 2], [-4, 0]])
     assert to_dense(a.transpose()) == qmat([[0, 2], [1, 0]])
     assert to_dense(lincomb(QQ, {0: Q1, 1: Q1}, [a, b])) == qmat([[1, 1], [2, 3]])
     assert to_dense(lincomb(QQ, {1: rational(2)}, [a, b])) == qmat([[2, 0], [0, 6]])
+
+
+def dense_lincomb(field, coeffs, dense):
+    """Reference: the entrywise sum of coeffs[l] * dense[l], canonical."""
+    nrows, ncols = len(dense[0]), len(dense[0][0])
+    return [[field.canon(sum((c * dense[l][i][j] for l, c in coeffs.items()), field.zero))
+             for j in range(ncols)] for i in range(nrows)]
+
+
+@given(FIELDS, st.lists(matrices((3, 3), 4), min_size=1, max_size=4), st.data())
+def test_lincomb_matches_the_dense_sum(field, mats, data):
+    dense = [in_field(field, rows) for rows in mats]
+    # the negation of the first term, so that whole columns can cancel
+    dense.append([[field.neg(x) for x in row] for row in dense[0]])
+    drawn = data.draw(st.dictionaries(st.integers(0, len(mats) - 1), st.integers(-3, 3)))
+    coeffs = {l: field.from_int(c) for l, c in drawn.items()}
+    if 0 in coeffs and data.draw(st.booleans()):
+        coeffs[len(mats)] = coeffs[0]
+    order = data.draw(st.permutations(sorted(coeffs)))  # the dict's order is irrelevant
+    coeffs = {l: coeffs[l] for l in order}
+    terms = [from_dense(field, rows) for rows in dense]
+    out = lincomb(field, coeffs, terms)
+    assert (out.nrows, out.ncols) == (3, 4)
+    assert to_dense(out) == dense_lincomb(field, coeffs, dense)
+    assert all(out.cols.values())  # no empty column is kept
+    assert all(x == field.canon(x) != 0 for col in out.cols.values() for x in col.values())
+    assert lincomb(field, {len(mats): field.one, 0: field.one}, terms).cols == {}
+    with pytest.raises(ValueError, match="shape mismatch"):
+        lincomb(field, {0: field.one, 1: field.one}, [terms[0], SparseMatrix(field, 3, 5)])
+
+
+def test_sparse_matrix_equality_ignores_stored_zeros():
+    a = SparseMatrix(QQ, 2, 2, {0: {1: Q1}})
+    assert a == SparseMatrix(QQ, 2, 2, {0: {1: Q1, 0: 0}})  # an explicit zero entry
+    assert a == SparseMatrix(QQ, 2, 2, {0: {1: Q1}, 1: {}})  # an empty column
+    assert SparseMatrix(GF(3), 2, 2, {0: {1: 4}}) == SparseMatrix(GF(3), 2, 2, {0: {1: 1}})
+    # equal in both orders: ``__eq__`` once cleaned only its right operand's
+    # columns, so a stored zero on the left made it unequal to an empty matrix
+    zero3, three = SparseMatrix(GF(3), 2, 2), SparseMatrix(GF(3), 2, 2, {1: {1: 3}})
+    assert three == zero3 and zero3 == three
+    assert a != SparseMatrix(QQ, 2, 2, {0: {1: rational(2)}})
+    assert a != SparseMatrix(QQ, 2, 3, {0: {1: Q1}})
+    assert a != SparseMatrix(QQ, 2, 2)
 
 
 def test_matrix_kernel_and_nilpotency():
@@ -331,6 +376,27 @@ def embedded(block):
     return [[0, 0, 0, 0], [1, a, b, 0], [1, c, d, 0], [1, 1, 1, 0]]
 
 
+# Two 2 x 2 blocks on rows and columns 0, 1 and 3, 4, joined by the path
+# 1 -> 2 -> 3: no vertex is peeled, so the core is larger than any component.
+def joined(first, second):
+    (a, b), (c, d) = first
+    (e, f), (g, h) = second
+    return [[a, b, 0, 0, 0], [c, d, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, e, f], [0, 0, 0, g, h]]
+
+
+P = "p"  # a diagonal entry stored as the characteristic: zero in the field
+
+
+def support_matrix(field, rows):
+    """The rows with canonical entries, but each P stored as the characteristic."""
+    mat = from_dense(field, [[0 if x == P else field.from_int(x) for x in row] for row in rows])
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x == P:
+                mat.cols.setdefault(j, {})[i] = field.characteristic
+    return mat
+
+
 NILPOTENCY_CASES = [
     ("cyclic support, nilpotent", [[1, 1], [-1, -1]], True),
     ("cyclic support, not nilpotent", [[0, 1], [1, 0]], False),
@@ -339,6 +405,11 @@ NILPOTENCY_CASES = [
     ("nonzero diagonal in a singleton block", [[0, 0, 0], [1, 1, 0], [0, 1, 0]], False),
     ("strictly triangular around a nilpotent block", embedded([[1, 1], [-1, -1]]), True),
     ("strictly triangular around a non-nilpotent block", embedded([[0, 1], [1, 0]]), False),
+    ("two cycles joined by a path, nilpotent", joined([[1, 1], [-1, -1]], [[1, 1], [-1, -1]]),
+     True),
+    ("two cycles joined by a path, not nilpotent", joined([[1, 1], [-1, -1]], [[0, 1], [1, 0]]),
+     False),
+    ("self-loop stored as the characteristic", [[0, 0, 0], [1, P, 0], [1, 1, 0]], True),
 ]
 
 
@@ -346,8 +417,7 @@ NILPOTENCY_CASES = [
 @pytest.mark.parametrize("name, rows, nilpotent", NILPOTENCY_CASES,
                          ids=[case[0] for case in NILPOTENCY_CASES])
 def test_nilpotency_through_the_support_components(field, name, rows, nilpotent):
-    assert is_nilpotent(from_dense(field, [[field.from_int(x) for x in row] for row in rows])) \
-        is nilpotent
+    assert is_nilpotent(support_matrix(field, rows)) is nilpotent
 
 
 def test_invert():

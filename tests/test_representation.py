@@ -9,7 +9,7 @@ from helpers import from_dense
 from nilrep import catalog
 from nilrep.fields import GF, QQ, field_from_characteristic, rational
 from nilrep.liealg import LieAlgebra, abelian_algebra
-from nilrep.linalg import SparseMatrix, Subspace, intersect, invert, is_nilpotent
+from nilrep.linalg import SparseMatrix, Subspace, intersect, invert, is_nilpotent, lincomb
 from nilrep.regular import algorithm_regular, regular_unpruned
 from nilrep.representation import (
     Representation,
@@ -37,7 +37,7 @@ def coord_span(indices, ambient):
 
 
 def zero_rep(g, dim):
-    return Representation(g, [SparseMatrix.zero(g.field, dim, dim) for _ in range(g.dim)])
+    return Representation(g, [SparseMatrix(g.field, dim, dim) for _ in range(g.dim)])
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def test_zero_rep_is_homomorphism_but_not_faithful(heis):
 
 def test_corrupted_matrix_fails_at_first_pair(heis_unpruned, heis):
     mats = list(heis_unpruned.matrices)
-    mats[2] = SparseMatrix.zero(QQ, 7, 7)  # breaks [M_x, M_y] = M_z
+    mats[2] = SparseMatrix(QQ, 7, 7)  # breaks [M_x, M_y] = M_z
     assert homomorphism_failure(Representation(heis, mats)) == (0, 1)
 
 
@@ -75,7 +75,7 @@ def test_kernel_extended_by_zero(heis):
     mats = [
         from_dense(QQ, [[Q0, Q0, Q0], [Q1, Q0, Q0], [Q0, Q0, Q0]]),  # x
         from_dense(QQ, [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q1, Q0, Q0]]),  # y
-        SparseMatrix.zero(QQ, 3, 3),  # z := 0
+        SparseMatrix(QQ, 3, 3),  # z := 0
     ]
     rep = Representation(heis, mats)
     assert is_homomorphism(rep)
@@ -178,10 +178,11 @@ def reference_homomorphism_failure(rep):
     g, mats = rep.algebra, rep.matrices
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = mats[i].matmul(mats[j]) - mats[j].matmul(mats[i])
-            for k, c in g.table.get((i, j), {}).items():
-                lhs = lhs.add_scaled(mats[k], g.field.neg(c))
-            if not lhs.is_zero_matrix():
+            # commutator minus sum_k c_ij^k M_k, with M_k at index 2 + k
+            bracket = {2 + k: g.field.neg(c) for k, c in g.table.get((i, j), {}).items()}
+            lhs = lincomb(g.field, {0: g.field.one, 1: g.field.neg(g.field.one), **bracket},
+                          [mats[i].matmul(mats[j]), mats[j].matmul(mats[i])] + mats)
+            if lhs.cols:
                 return (i, j)
     return None
 

@@ -207,7 +207,7 @@ def test_action_matrices_nilpotent_of_index_class_plus_one():
         power = mat
         for _ in range(c):
             power = power.matmul(mat)
-        assert power.is_zero_matrix()  # index at most c + 1
+        assert not power.cols  # index at most c + 1
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +292,9 @@ def test_unpruned_action_is_homomorphism_and_nilpotent():
         for i in range(g.dim):
             assert is_nilpotent(mats[i])
             for j in range(i + 1, g.dim):
-                lhs = mats[i].matmul(mats[j]) - mats[j].matmul(mats[i])
-                for k, c in ga.table.get((i, j), {}).items():
-                    lhs = lhs.add_scaled(mats[k], QQ.neg(c))
-                assert lhs.is_zero_matrix()
+                # commutator minus sum_k c_ij^k M_k, with M_k at index 2 + k
+                bracket = {2 + k: QQ.neg(c) for k, c in ga.table.get((i, j), {}).items()}
+                lhs = lincomb(QQ, {0: Q1, 1: QQ.neg(Q1), **bracket},
+                              [mats[i].matmul(mats[j]), mats[j].matmul(mats[i])] + mats)
+                assert not lhs.cols
 

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .liealg import LieAlgebra
+from .liealg import AdaptedBasis, LieAlgebra
 from .linalg import SparseMatrix, Subspace, lincomb
 from .representation import Representation, homomorphism_failure, kernel
 
@@ -175,17 +175,19 @@ def algorithm_affine(
     seed: int = 0,
     retries: int = 10,
     deadline: Optional[float] = None,
+    adapted: Optional[AdaptedBasis] = None,
 ):
     """Try to build a faithful representation of dimension dim(g) + 1.
 
     Returns a Representation on success and an AffineFail value otherwise;
     runs are reproducible for a fixed seed.  ``deadline`` (time.monotonic
-    value) aborts cooperatively via AffineTimeout.  Raises ValueError when
+    value) aborts cooperatively via AffineTimeout.  ``adapted`` is
+    ``g.adapted_basis()``, computed when not given.  Raises ValueError when
     ``retries`` is below 1.
     """
     if retries < 1:
         raise ValueError("retries must be at least 1, got %r" % (retries,))
-    adapted = g.adapted_basis()
+    adapted = adapted or g.adapted_basis()
     fld = g.field
     d = g.dim
     deepest = 0

@@ -41,8 +41,9 @@ def center_dual_generators(module: PrunedModule) -> list:
 def spin_submodule(module: PrunedModule, generators: list) -> Subspace:
     """Closure of the generators under all basis-vector actions, echelonised.
 
-    A vector that enlarges the span is queued as its residual against it;
-    the queued residuals span the submodule, so only their images are
+    A vector that enlarges the span is queued as a multiple of its residual
+    against it, the new basis row in primitive form (over Q an integer
+    vector); the queued rows span the submodule, so only their images are
     sifted in turn.
     """
     duals = dual_action_matrices(module)
@@ -50,10 +51,9 @@ def spin_submodule(module: PrunedModule, generators: list) -> Subspace:
     queue = deque()
 
     def sift(vec):
-        residual = basis.reduce(vec)
-        if residual:
-            basis.add(residual)
-            queue.append(residual)
+        piv = basis.add(vec)
+        if piv is not None:
+            queue.append(basis.primitive_row(piv))
 
     for gen in generators:
         sift(gen)

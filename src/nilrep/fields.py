@@ -133,6 +133,29 @@ class Field:
             if v != 0
         }
 
+    def integral(self, acc: dict) -> tuple:
+        """``(row, s)``: the nonzero entries of a sparse accumulator times the
+        least s > 0 that makes them all ints, as ints; over F_p the canonical
+        entries and s = 1."""
+        if self.characteristic:
+            return self.clean(acc), 1
+        # a plain loop: the elimination kernel calls this once per row, and
+        # most rows it sees are short or empty
+        row = {}
+        ints = True
+        for k, v in acc.items():
+            if v:
+                row[k] = v
+                if type(v) is not int:
+                    ints = False
+        if ints:
+            return row, 1
+        s = math.lcm(*{int(v.denominator) for v in row.values() if type(v) is not int})
+        return {
+            k: v * s if type(v) is int else int(v.numerator) * (s // int(v.denominator))
+            for k, v in row.items()
+        }, s
+
     def denominator_lcm(self, values) -> int:
         """The least common multiple of the denominators of ``values`` over Q,
         so that it times any of them is an integer; 1 over F_p, whose scalars

@@ -1,13 +1,17 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Every elimination goes through one class: ``Subspace``, the span of the
-sparse rows ``{column: value}`` added to it, kept as an incremental canonical
-reduced row echelon form.  Sparse rows are the only vector format.  A
-``Subspace`` answers membership and residuals and computes kernels;
-``intersect`` and ``coordinate_projection`` build on it, and ``invert`` reads
-an inverse off the tag columns of ``[A | I]``.  A complement inside a subspace
-needs no helper: sifting its echelon rows into a ``Subspace`` keeps exactly
-the rows independent of what is already there.
+sparse rows ``{column: value}`` added to it, kept as an incremental reduced
+row echelon form.  Over Q it stores each basis row as a primitive integer
+vector (content 1, positive pivot entry) and eliminates fraction-free on
+ints; over F_p a stored row has pivot entry 1.  ``sparse`` is still the
+canonical rational RREF and ``reduce`` the exact canonical residual.  Sparse
+rows are the only vector format.  A ``Subspace`` answers membership and
+residuals and computes kernels; ``intersect`` and ``coordinate_projection``
+build on it, and ``invert`` reads an inverse off the tag columns of
+``[A | I]``.  A complement inside a subspace needs no helper: sifting its
+echelon rows into a ``Subspace`` keeps exactly the rows independent of what
+is already there.
 Enveloping-algebra actions and representations are column-oriented
 ``SparseMatrix`` objects.  Every sum of matrices is one ``lincomb`` pass, and
 ``is_nilpotent`` peels the acyclic ends off a matrix's support before it
@@ -17,38 +21,74 @@ format (``fileio``).
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .fields import Field
+from .fields import Field, rational
 
 
 # ---------------------------------------------------------------------------
 # the elimination kernel
 
 
-def _clear(v: dict, cols: Iterable[int], pivot_rows: dict, p: int):
-    """Subtract ``v[c] * pivot_rows[c]`` from ``v`` in place for each column c.
+def _clear(v: dict, cols: Iterable[int], rows: dict, p: int) -> int:
+    """Eliminate from ``v``, in place, each column c of ``cols`` with the
+    row ``rows[c]`` whose pivot is c; return the factor ``v`` was scaled by.
 
-    Pivot rows are normalised and vanish on every other pivot column, so the
-    factors ``v[c]`` do not change along the way.  Entries are taken mod p
-    when p > 0; zeros are dropped.
+    A step is v <- (d/g) v - (f/g) rows[c] for f = v[c], d = rows[c][c] and
+    g = gcd(f, d): the integer-preserving elimination of Bareiss (Math.
+    Comp. 22, 1968), so integer rows stay integral.  Over F_p every stored
+    pivot entry is 1, so the factor is 1 and entries are taken mod p.  The
+    rows vanish on each other's pivot columns, so a step changes the entries
+    of ``v`` at the other columns of ``cols`` only by the common factor.
+    Zeros are dropped.
     """
+    scale = 1
     for c in cols:
+        r = rows[c]
         f = v[c]
+        d = r[c]
+        if d != 1:
+            g = gcd(f, d)
+            f //= g
+            d //= g
+            if d != 1:
+                for j, x in v.items():
+                    v[j] = x * d
+                scale *= d
         if p:
-            for j, x in pivot_rows[c].items():
+            for j, x in r.items():
                 nv = (v.get(j, 0) - f * x) % p
                 if nv:
                     v[j] = nv
                 else:
                     del v[j]
         else:
-            for j, x in pivot_rows[c].items():
+            for j, x in r.items():
                 nv = v.get(j, 0) - f * x
                 if nv:
                     v[j] = nv
                 else:
                     del v[j]
+    return scale
+
+
+def _primitive(v: dict, piv: int, p: int):
+    """Scale a nonzero row with pivot column ``piv`` in place to its
+    primitive form: pivot entry 1 over F_p; over Q, where its entries are
+    integers, content 1 and a positive pivot entry."""
+    if p:
+        s = pow(v[piv], -1, p)
+        if s != 1:
+            for j, x in v.items():
+                v[j] = x * s % p
+    else:
+        g = gcd(*v.values())
+        if v[piv] < 0:
+            g = -g
+        if g != 1:
+            for j, x in v.items():
+                v[j] = x // g
 
 
 def _checked_rows(field: Field, ncols: int, vectors: Iterable[Sequence]):
@@ -71,25 +111,33 @@ def _checked_rows(field: Field, ncols: int, vectors: Iterable[Sequence]):
 
 
 class Subspace:
-    """A subspace of K^n held as the canonical reduced row echelon basis of
-    the sparse rows added to it.
+    """A subspace of K^n held as a reduced row echelon basis of the sparse
+    rows added to it.
 
-    ``add`` reduces an incoming row against the basis rows, and on a nonzero
-    residual normalises it, back-eliminates its pivot from the existing rows
-    and registers it, so the basis is always the canonical RREF of the rows
-    added so far.  ``sparse`` maps each pivot column to its basis row as a
-    dict, in pivot order; ``pivots`` lists the pivot columns.  Both are read
-    only.  A subspace grows as rows are added, so it does not hash.
+    Each basis row is stored in primitive form: over Q an integer vector
+    with content 1 and a positive pivot entry, over F_p the row with pivot
+    entry 1.  ``add`` clears the denominators of an incoming row once,
+    reduces it fraction-free against the basis rows, and on a nonzero
+    residual makes it primitive, back-eliminates its pivot from the existing
+    rows the same way (each changed row made primitive again) and registers
+    it.  The rows vanish on each other's pivot columns, so each divided by
+    its pivot entry is a row of the canonical RREF of the rows added so far.
+    ``sparse`` maps each pivot column to that rational row, in pivot order,
+    built once per row and again only after the row changes; ``pivots``
+    lists the pivot columns.  Both are read only.  ``reduce`` returns the
+    exact canonical residual.  A subspace grows as rows are added, so it
+    does not hash.
     """
 
-    __slots__ = ("field", "ambient", "_rows", "_touch", "_sorted")
+    __slots__ = ("field", "ambient", "_rows", "_touch", "_canon", "_sorted")
 
     def __init__(self, field: Field, ambient: int):
         self.field = field
         self.ambient = ambient
-        self._rows: dict[int, dict] = {}  # pivot col -> row, in the order added
+        self._rows: dict[int, dict] = {}  # pivot col -> primitive row, in the order added
         self._touch: dict[int, set] = {}  # col -> pivot cols whose row hits col
-        self._sorted: Optional[dict] = {}  # _rows in pivot order, None when stale
+        self._canon: dict[int, dict] = {}  # pivot col -> canonical row, while the row holds
+        self._sorted: Optional[dict] = {}  # canonical rows in pivot order, None when stale
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -110,46 +158,64 @@ class Subspace:
     @property
     def sparse(self) -> dict:
         if self._sorted is None:
-            self._sorted = {pc: self._rows[pc] for pc in sorted(self._rows)}
+            rows, canon = self._rows, self._canon
+            for pc, row in rows.items():
+                if pc not in canon:
+                    d = row[pc]
+                    canon[pc] = dict(row) if d == 1 else {j: rational(x, d) for j, x in row.items()}
+            self._sorted = {pc: canon[pc] for pc in sorted(rows)}
         return self._sorted
 
     @property
     def pivots(self) -> tuple:
-        return tuple(self.sparse)
+        return tuple(sorted(self._rows))
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def reduce(self, row: dict) -> dict:
-        """Residual of a sparse row against the basis, with canonical entries;
-        empty exactly when the row lies in the subspace.  The row is not
-        mutated."""
+    def primitive_row(self, pc: int) -> dict:
+        """A copy of the basis row with pivot column ``pc`` in primitive form,
+        the nonzero multiple of ``sparse[pc]`` that is stored: over Q an
+        integer vector with content 1 and a positive pivot entry."""
+        return dict(self._rows[pc])
+
+    def _sift(self, row: dict) -> tuple:
+        """``(v, s)``: s > 0 times the residual of a sparse row against the
+        basis, integral over Q.  The row is not mutated."""
+        v, s = self.field.integral(row)
         rows = self._rows
-        v = self.field.clean(row)
-        _clear(v, [c for c in v if c in rows], rows, self.field.characteristic)
-        return v
+        return v, s * _clear(v, [c for c in v if c in rows], rows, self.field.characteristic)
+
+    def reduce(self, row: dict) -> dict:
+        """The exact residual of a sparse row against the canonical basis,
+        with canonical entries; empty exactly when the row lies in the
+        subspace.  The row is not mutated."""
+        v, s = self._sift(row)
+        if s == 1:
+            return v
+        return {j: rational(x, s) for j, x in v.items()}
 
     def contains(self, vec: Sequence) -> bool:
         return not self.reduce({j: x for j, x in enumerate(vec) if x != 0})
 
     def add(self, row: dict) -> Optional[int]:
         """Sift a row in; return its pivot column, or None if dependent."""
-        fld = self.field
-        v = self.reduce(row)
+        v, _s = self._sift(row)
         if not v:
             return None
         piv = min(v)
-        ipiv = fld.inv(v[piv])
-        if ipiv != fld.one:
-            v = {j: fld.mul(x, ipiv) for j, x in v.items()}
-        # back-eliminate the new pivot from existing rows; only the columns
-        # of v change in them
-        rows, touch = self._rows, self._touch
+        p = self.field.characteristic
+        _primitive(v, piv, p)
+        # back-eliminate the new pivot from existing rows; besides a common
+        # factor, only the columns of v change in them
+        rows, touch, canon = self._rows, self._touch, self._canon
         new = {piv: v}
         for pc in list(touch.get(piv, ())):
             prow = rows[pc]
-            _clear(prow, (piv,), new, fld.characteristic)
+            _clear(prow, (piv,), new, p)
+            _primitive(prow, pc, p)
+            canon.pop(pc, None)
             for j in v:
                 if j in prow:
                     touch.setdefault(j, set()).add(pc)
@@ -165,17 +231,20 @@ class Subspace:
         """Kernel of the matrix whose rows were added.
 
         Each free column f gives the kernel vector e_f - sum over the basis
-        rows hitting f of (their entry at f) e_pivot; these are sifted into a
-        new subspace for the canonical basis.
+        rows hitting f of (their canonical entry at f) e_pivot, here times
+        the lcm m of those rows' pivot entries so that it stays integral;
+        these are sifted into a new subspace for the canonical basis.
         """
-        fld = self.field
-        out = Subspace(fld, self.ambient)
+        out = Subspace(self.field, self.ambient)
+        rows = self._rows
         for f in range(self.ambient):
-            if f in self._rows:
+            if f in rows:
                 continue
-            v = {f: fld.one}
-            for pc in self._touch.get(f, ()):
-                v[pc] = fld.neg(self._rows[pc][f])
+            hits = [(pc, rows[pc]) for pc in self._touch.get(f, ())]
+            m = lcm(1, *(row[pc] for pc, row in hits))
+            v = {f: m}
+            for pc, row in hits:
+                v[pc] = -row[f] * (m // row[pc])
             out.add(v)
         return out
 

@@ -115,9 +115,9 @@ def table_rows(which: int) -> list:
     raise ValueError("table must be 1, 2 or 3")
 
 
-def _affine_column(g, expected, seed, retries, timeout, notes):
+def _affine_column(g, expected, seed, retries, timeout, notes, adapted=None):
     """(computed, reference, status) for an Affine cell, for an Affine reference
-    as in ``table_rows``.
+    as in ``table_rows``; ``adapted`` is passed on to ``algorithm_affine``.
 
     A verified success of dimension dim(g)+1 is MATCH even on rows where the
     reference experiments failed, and SURPRISE where a conjecture says it cannot
@@ -127,7 +127,8 @@ def _affine_column(g, expected, seed, retries, timeout, notes):
     reference_failed = not isinstance(expected, int)
     deadline = None if timeout is None else time.monotonic() + timeout
     try:
-        res = algorithm_affine(g, seed=seed, retries=retries, deadline=deadline)
+        res = algorithm_affine(g, seed=seed, retries=retries, deadline=deadline,
+                               adapted=adapted)
     except AffineTimeout:
         if reference_failed:
             notes.append("affine timed out; the reference run also failed here")
@@ -153,7 +154,8 @@ def run_table(which: int, rows: Optional[list] = None, skip_affine: bool = False
               seed: int = 0, retries: int = 10, affine_timeout: Optional[float] = 300.0):
     """Reproduce table ``which`` (1, 2 or 3), or its ``rows`` (0-based indices).
 
-    Each row builds one pruned module for Regular and Dual, runs Quotient where
+    Each row computes one adapted basis for the pruned module and Affine,
+    builds one pruned module for Regular and Dual, runs Quotient where
     the table has that column, and verifies every result exactly; raises
     ValueError unless ``affine_timeout`` is None or positive.
     """
@@ -166,7 +168,8 @@ def run_table(which: int, rows: Optional[list] = None, skip_affine: bool = False
         t0 = time.monotonic()
         notes = []
         g = build()
-        module = build_pruned_module(g)
+        adapted = g.adapted_basis()
+        module = build_pruned_module(g, adapted=adapted)
         reps = {"regular": algorithm_regular(g, module=module),
                 "dual": algorithm_dual(g, module=module)}
         if "quotient" in reference:
@@ -179,7 +182,8 @@ def run_table(which: int, rows: Optional[list] = None, skip_affine: bool = False
         columns = {name: (computed[name], ref, "MATCH" if computed[name] == ref else "DIFF")
                    for name, ref in reference.items()}
         if not skip_affine:
-            columns["affine"] = _affine_column(g, affine_ref, seed, retries, affine_timeout, notes)
+            columns["affine"] = _affine_column(g, affine_ref, seed, retries, affine_timeout,
+                                               notes, adapted)
         out.append(RowResult(which, label, columns, verified, time.monotonic() - t0,
                              seconds, notes))
     return out

@@ -15,7 +15,7 @@ from nilrep.affine import (
     one_cocycles,
 )
 from nilrep.fileio import save_representation
-from nilrep.liealg import abelian_algebra
+from nilrep.liealg import LieAlgebra, abelian_algebra
 from nilrep.representation import is_faithful, is_homomorphism, kernel
 from nilrep import catalog, tables
 
@@ -255,3 +255,22 @@ def test_affine_column_matches_a_failure_under_the_conjecture(heis, monkeypatch)
                                  timeout=None, notes=notes)
     assert cell == ("FAIL@2", "FAIL", "MATCH")
     assert notes == []
+
+
+def test_run_table_computes_one_adapted_basis_per_row(monkeypatch):
+    computed = []
+    adapted_basis = LieAlgebra.adapted_basis
+
+    def counted(g):
+        computed.append(g.dim)
+        return adapted_basis(g)
+
+    monkeypatch.setattr(LieAlgebra, "adapted_basis", counted)
+    (row,) = tables.run_table(1, rows=[0], retries=1)
+    assert row.columns["affine"][2] == "MATCH" and row.verified
+    assert computed == [row.columns["dim"][0]]
+
+
+def test_affine_with_a_given_adapted_basis_is_unchanged(heis):
+    given = algorithm_affine(heis, seed=3, retries=10, adapted=heis.adapted_basis())
+    assert given.matrices == algorithm_affine(heis, seed=3, retries=10).matrices

@@ -81,6 +81,15 @@ def test_spin_abelian_direct_action():
     assert basis.dim == 3
 
 
+def test_spin_of_f13_stores_integral_entries_as_ints(f13):
+    # the normalised kernel left one Fraction(-32256, 1) in this basis
+    module = build_pruned_module(f13)
+    basis = spin_submodule(module, center_dual_generators(module))
+    assert basis.dim == 43
+    entries = [x for row in basis.sparse.values() for x in row.values()]
+    assert all(type(x) is int for x in entries if x.denominator == 1)
+
+
 def test_center_dual_generators_reject_pruned_central_monomial(heis_module):
     m = heis_module
     broken = replace(m, active=(m.uea.unit,))

@@ -6,9 +6,15 @@ basis, or to a provenance field changes the digest.
 """
 
 import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import nilrep
 from helpers import save_json
 from nilrep import fileio
 from nilrep.cli import main
@@ -45,17 +51,46 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("spec,field,alg,digest", GOLDEN)
-def test_compute_output_file_digest(tmp_path, capsys, spec, field, alg, digest):
-    out = tmp_path / "rep.json"
+def compute_argv(spec, field, alg, out):
     argv = ["compute", "--alg", alg, "--in", spec, "--out", str(out)]
     if field is not None:
         argv += ["--field", field]
     if alg == "affine":
         argv += ["--seed", "0"]
-    assert main(argv) == 0
+    return argv
+
+
+def digest_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec,field,alg,digest", GOLDEN)
+def test_compute_output_file_digest(tmp_path, capsys, spec, field, alg, digest):
+    out = tmp_path / "rep.json"
+    assert main(compute_argv(spec, field, alg, out)) == 0
     capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert digest_of(out) == digest
+
+
+# Heisenberg Affine, U_4 over F_2 Dual and f_13 Dual.  Back-elimination walks
+# sets of pivot columns, whose order must never reach an output byte, and no
+# output may depend on ``assert``, which ``python -O`` strips.
+FRESH_INTERPRETER = [GOLDEN[3], GOLDEN[5], GOLDEN[11]]
+
+
+@pytest.mark.parametrize("hashseed,flags", [("0", []), ("1", []), ("random", ["-O"])])
+def test_digests_under_hash_seeds_and_optimisation(tmp_path, hashseed, flags):
+    argvs = [compute_argv(spec, field, alg, tmp_path / ("rep%d.json" % k))
+             for k, (spec, field, alg, _digest) in enumerate(FRESH_INTERPRETER)]
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=str(pathlib.Path(nilrep.__file__).parents[1]))
+    code = ("import json, sys\n"
+            "from nilrep.cli import main\n"
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    subprocess.run([sys.executable, *flags, "-c", code, json.dumps(argvs)], env=env,
+                   check=True, capture_output=True, timeout=120)
+    assert [digest_of(tmp_path / ("rep%d.json" % k)) for k in range(len(argvs))] == [
+        digest for *_case, digest in FRESH_INTERPRETER]
 
 
 # Every catalog basis is already adapted, so every row of its basis inverse

@@ -484,3 +484,120 @@ def test_coordinate_projection_matches_dense_reference(field, rows):
     for t, k in enumerate(kept):
         assert apply(unit[k]) == [field.one if s == t else field.zero for s in range(len(kept))]
     assert nullspace(p, field, n) == list(dense_rows(w))  # ker P = W
+
+
+# ---------------------------------------------------------------------------
+# fraction-free rows against the normalised kernel
+
+
+class NormalisedSubspace:
+    """The elimination kernel as it was before rows were stored fraction-free:
+    every row normalised to pivot entry 1, over Q with rational entries.  Kept
+    here only as the reference for ``Subspace``."""
+
+    def __init__(self, field, ambient):
+        self.field, self.ambient = field, ambient
+        self.rows, self.touch = {}, {}
+
+    def _clear(self, v, cols, rows):
+        p = self.field.characteristic
+        for c in cols:
+            f = v[c]
+            for j, x in rows[c].items():
+                nv = v.get(j, 0) - f * x
+                if p:
+                    nv %= p
+                if nv:
+                    v[j] = nv
+                else:
+                    del v[j]
+
+    @property
+    def sparse(self):
+        return {pc: self.rows[pc] for pc in sorted(self.rows)}
+
+    def reduce(self, row):
+        v = self.field.clean(row)
+        self._clear(v, [c for c in v if c in self.rows], self.rows)
+        return v
+
+    def add(self, row):
+        fld = self.field
+        v = self.reduce(row)
+        if not v:
+            return None
+        piv = min(v)
+        ipiv = fld.inv(v[piv])
+        v = {j: fld.mul(x, ipiv) for j, x in v.items()}
+        for pc in list(self.touch.get(piv, ())):
+            prow = self.rows[pc]
+            self._clear(prow, (piv,), {piv: v})
+            for j in v:
+                if j in prow:
+                    self.touch.setdefault(j, set()).add(pc)
+                else:
+                    self.touch[j].discard(pc)
+        self.rows[piv] = v
+        for j in v:
+            self.touch.setdefault(j, set()).add(piv)
+        return piv
+
+    def kernel(self):
+        fld = self.field
+        out = NormalisedSubspace(fld, self.ambient)
+        for f in range(self.ambient):
+            if f not in self.rows:
+                v = {f: fld.one}
+                for pc in self.touch.get(f, ()):
+                    v[pc] = fld.neg(self.rows[pc][f])
+                out.add(v)
+        return out
+
+
+def scalars(field):
+    """Scalars of ``field``; over Q with unlike denominators."""
+    if field == QQ:
+        return st.builds(rational, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
+    return st.integers(0, field.characteristic - 1)
+
+
+def sparse_ops(field, ncols):
+    """Interleaved ``add`` and ``reduce`` calls on short sparse rows, zeros
+    kept, so the span stays a proper subspace and residuals stay nonzero."""
+    row = st.dictionaries(st.integers(0, ncols - 1), scalars(field), max_size=4)
+    return st.lists(st.tuples(st.sampled_from(["add", "reduce"]), row), max_size=12)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+@given(st.data())
+def test_fraction_free_kernel_matches_the_normalised_one(field, data):
+    ops = data.draw(sparse_ops(field, 8))
+    new, old = Subspace(field, 8), NormalisedSubspace(field, 8)
+    for op, row in ops:
+        given_row = dict(row)
+        got, want = getattr(new, op)(row), getattr(old, op)(row)
+        assert got == want and row == given_row
+        assert new.sparse == old.sparse and new.pivots == tuple(old.sparse)
+    assert new.kernel().sparse == old.kernel().sparse
+
+
+def integral_values_are_ints(rows):
+    return all(type(x) is int for row in rows for x in row.values() if x.denominator == 1)
+
+
+def test_back_elimination_keeps_integral_entries_as_ints():
+    # 1/2 - (1/2)(-1) is integral: the normalised kernel stored it as a rational
+    space = Subspace(QQ, 3)
+    space.add({0: Q1, 1: rational(1, 2), 2: rational(1, 2)})
+    space.add({1: Q1, 2: rational(-1)})
+    assert space.sparse == {0: {0: 1, 2: 1}, 1: {1: 1, 2: -1}}
+    assert integral_values_are_ints(space.sparse.values())
+
+
+@given(st.lists(st.lists(scalars(QQ), min_size=5, max_size=5), max_size=5),
+       st.lists(scalars(QQ), min_size=5, max_size=5))
+def test_integral_rationals_are_ints_in_every_result(rows, vec):
+    space = Subspace.from_vectors(QQ, 5, rows)
+    residual = space.reduce({j: x for j, x in enumerate(vec)})
+    assert integral_values_are_ints(space.sparse.values())
+    assert integral_values_are_ints([residual, *space.kernel().sparse.values()])

@@ -7,6 +7,13 @@ The action on functionals is the contragredient of the module action:
 x . f = -(action of x)^T f.  The module action of x is minus the right
 multiplication by x, so this is the transposed right multiplication,
 (x.f)(a) = f(a x).
+
+Both the spin and the read-off run on ints.  Each transpose R_i^T is scaled
+by the lcm lambda_i of its denominators; an image then spans the same line,
+so the spin's pivots, queue and subspace are those of the rational action.
+The read-off applies the integer transposes to the stored primitive basis
+rows and divides each coordinate once by lambda_i times the row's pivot
+entry.
 """
 
 from __future__ import annotations
@@ -21,8 +28,21 @@ from .representation import Representation
 
 
 def dual_action_matrices(module: PrunedModule) -> list:
-    """Contragredient matrices, one per (layer-ordered) adapted basis vector."""
-    return [mat.transpose() for mat in module.right_matrices]
+    """``(lambda_i R_i^T, lambda_i)`` for each right multiplication R_i, one
+    per (layer-ordered) adapted basis vector: the contragredient matrices
+    scaled to integers (mod p over F_p, where lambda_i = 1) by the lcm of
+    their denominators."""
+    fld = module.algebra.field
+    out = []
+    for mat in module.right_matrices:
+        lam = fld.denominator_lcm(x for col in mat.cols.values() for x in col.values())
+        scaled = mat.transpose()
+        if lam != 1:
+            for col in scaled.cols.values():
+                for j, x in col.items():
+                    col[j] = fld.mul(x, lam)
+        out.append((scaled, lam))
+    return out
 
 
 def center_dual_generators(module: PrunedModule) -> list:
@@ -44,9 +64,9 @@ def spin_submodule(module: PrunedModule, generators: list) -> Subspace:
     A vector that enlarges the span is queued as a multiple of its residual
     against it, the new basis row in primitive form (over Q an integer
     vector); the queued rows span the submodule, so only their images are
-    sifted in turn.
+    sifted in turn, under the integer actions of ``dual_action_matrices``.
     """
-    duals = dual_action_matrices(module)
+    duals = [mat for mat, _lam in dual_action_matrices(module)]
     basis = Subspace(module.algebra.field, module.dim)
     queue = deque()
 
@@ -72,16 +92,23 @@ def algorithm_dual(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Repr
     fld = g.field
     basis = spin_submodule(module, center_dual_generators(module))
     k = basis.dim
-    duals = dual_action_matrices(module)
-    pos = {pc: t for t, pc in enumerate(basis.pivots)}
+    pivots = basis.pivots
+    pos = {pc: t for t, pc in enumerate(pivots)}
+    rows = [(basis.primitive_row(pc), pc) for pc in pivots]
     per_basis = []
-    for mat in duals:
+    for mat, lam in dual_action_matrices(module):
         cols = {}
-        for b, row in enumerate(basis.sparse.values()):
+        for b, (row, pc) in enumerate(rows):
             img = mat.apply_sparse(row)
+            if not img:
+                continue
             if basis.reduce(img):
                 raise RuntimeError("spin closure failed")
             col = {pos[j]: v for j, v in img.items() if j in pos}
+            scale = lam * row[pc]  # img is this times the canonical row's image
+            if scale != 1:
+                inv = fld.inv(scale)
+                col = {t: fld.mul(v, inv) for t, v in col.items()}
             if col:
                 cols[b] = col
         per_basis.append(SparseMatrix(fld, k, k, cols))

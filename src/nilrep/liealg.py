@@ -99,7 +99,9 @@ class LieAlgebra:
             nxt = Subspace(fld, self.dim)
             for row in cur.sparse.values():
                 for j in range(self.dim):
-                    nxt.add(_bracket(self, row, {j: fld.one}))
+                    entry = _bracket(self, row, {j: fld.one})
+                    if entry:
+                        nxt.add(entry)
             if nxt.dim == cur.dim:
                 raise NotNilpotentError(
                     "lower central series stabilises at dimension %d" % cur.dim

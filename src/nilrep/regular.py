@@ -65,14 +65,13 @@ def initial_prune_state(uea: TruncatedUEA, central_ids) -> PruneState:
     return PruneState(set(range(len(uea.monomials))), frozenset(protected), [])
 
 
-def prune(state: PruneState, products: dict) -> PruneState:
+def prune(state: PruneState, products: list) -> PruneState:
     """Run removal sweeps (weight descending) until a sweep removes nothing.
 
-    ``products`` holds every monomial * generator product
-    (``TruncatedUEA.right_products``)."""
-    supports: dict = {}
-    for (mid, _i), res in products.items():
-        supports.setdefault(mid, set()).update(res)
+    ``products`` holds every monomial * generator product, one row per
+    monomial (``TruncatedUEA.right_products``); a monomial's support is the
+    set of monomials its row hits."""
+    supports = [set().union(*row.values()) for row in products]
     order = sorted(state.active, reverse=True)  # canonical order is mid order
     active = set(state.active)
     removed = list(state.removed)

@@ -11,33 +11,51 @@ fewer.
 All products monomial * generator are computed in one pass and handed to
 the caller, which prunes with them and builds the module matrices; nothing
 is kept on the algebra.
+
+The products run on ints.  Let mu be the least common multiple of the
+denominators of the structure constants (1 over F_p) and |m| the number of
+factors of a monomial m.  The coefficient of a monomial t in m * x_i is
+N / mu^(|m|+1-|t|) for an integer N, and only N is stored.  Proof, by
+induction in the order the products are computed.  An append m * x_i = m x_i
+has the single coefficient 1 at |t| = |m|+1, so N = 1.  Otherwise
+m = m' x_k with i < k and
+
+    m x_i = (m' x_i) x_k - sum_s c_s (m' x_s),   [x_i, x_k] = sum_s c_s x_s.
+
+A term t of m' x_i has coefficient A / mu^(|m|-|t|), and a term u of t x_k
+has B / mu^(|t|+1-|u|); their product is A B / mu^(|m|+1-|u|), so the
+first part adds no denominator.  A term t of m' x_s has A' / mu^(|m|-|t|),
+and c_s = (mu c_s) / mu with mu c_s an integer, so the correction is
+(mu c_s) A' / mu^(|m|+1-|t|): one structure constant and one factor fewer
+cost exactly one power of mu.  Every part is over mu^(|m|+1-|t|), so the
+numerators add as ints.  Rationals are made once, for the matrix entries
+on the monomials a module keeps.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence
 
+from .fields import rational
 from .liealg import LieAlgebra
 from .linalg import SparseMatrix
 
 
-def monomial_weight(mono: Sequence[int], weights: Sequence[int]) -> int:
-    return sum(a * w for a, w in zip(mono, weights))
-
-
-def enumerate_monomials(weights: Sequence[int], cutoff: int) -> list:
-    """All exponent tuples of weight ≤ cutoff, ordered by (weight, lex)."""
+def _weight_layers(weights: Sequence[int], cutoff: int) -> list:
+    """The exponent tuples of weight w, in lex order, for w = 0, 1, …, cutoff."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if any(w < 1 for w in weights):
         raise ValueError("weights must be at least 1")
     d = len(weights)
-    out = []
+    layers = [[] for _ in range(cutoff + 1)]
     prefix = [0] * d
+    least = [min(weights[pos:]) for pos in range(d)] + [cutoff + 1]
 
     def rec(pos: int, budget: int):
-        if pos == d:
-            out.append(tuple(prefix))
+        # tuples come out in lex order, so every layer fills in lex order
+        if budget < least[pos]:  # no room for a later factor
+            layers[cutoff - budget].append(tuple(prefix))
             return
         w = weights[pos]
         for a in range(budget // w + 1):
@@ -46,15 +64,20 @@ def enumerate_monomials(weights: Sequence[int], cutoff: int) -> list:
         prefix[pos] = 0
 
     rec(0, cutoff)
-    out.sort(key=lambda m: (monomial_weight(m, weights), m))
-    return out
+    return layers
+
+
+def enumerate_monomials(weights: Sequence[int], cutoff: int) -> list:
+    """All exponent tuples of weight ≤ cutoff, ordered by (weight, lex)."""
+    return [m for layer in _weight_layers(weights, cutoff) for m in layer]
 
 
 class TruncatedUEA:
     """U(g)/U^{c+1}(g) on its PBW monomials, with straightened right action.
 
     ``algebra`` must already be written in the adapted basis (weights
-    non-decreasing, brackets weight-additive).
+    non-decreasing, brackets weight-additive).  Monomials are ordered by
+    (weight, lex); ``mu`` is the denominator lcm of the structure constants.
     """
 
     def __init__(self, algebra: LieAlgebra, weights: Sequence[int], cutoff: int):
@@ -66,11 +89,15 @@ class TruncatedUEA:
         self.field = algebra.field
         self.weights = tuple(weights)
         self.cutoff = cutoff
-        self.monomials = enumerate_monomials(self.weights, cutoff)
+        layers = _weight_layers(self.weights, cutoff)
+        self.monomials = [m for layer in layers for m in layer]
+        self.weight_of = [w for w, layer in enumerate(layers) for _m in layer]
         self.index: Dict[tuple, int] = {m: t for t, m in enumerate(self.monomials)}
-        self.weight_of = [monomial_weight(m, self.weights) for m in self.monomials]
         self.unit = self.index[(0,) * algebra.dim]
         self._check_weight_adapted()
+        self.mu = self.field.denominator_lcm(
+            c for terms in algebra.table.values() for c in terms.values()
+        )
 
     def _check_weight_adapted(self):
         """Every bracket [x_i, x_j] (i > j) must land in weight >= w_i + w_j, past x_i."""
@@ -91,60 +118,79 @@ class TruncatedUEA:
     # reversing products (the antipode, up to sign) turns that left action
     # into minus the right multiplication computed here.
 
-    def right_products(self) -> dict:
-        """{(mid, i): monomial(mid) * x_i} for every monomial id and generator.
+    def right_products(self) -> list:
+        """One row per monomial id: ``rows[mid][i]`` holds the integer
+        numerators ``{t: N}`` of monomial(mid) * x_i, the coefficient of t
+        being N / mu^(|mid|+1-|t|) (see the module docstring).  A row keys
+        only the generators with a nonzero product.
 
-        With x_k the last factor of m, a product with i >= k only appends x_i
-        (or is {} past the cutoff).  Otherwise m = m' x_k and
-        m x_i = (m' x_i) x_k - m' [x_i, x_k].  Every operand on the right has
-        fewer factors than m, except the reordered term of m' x_i, which ends
-        in a variable <= k, so its product with x_k is an append: filling the
-        appends first and then the rest by number of factors finds every
-        operand ready.
+        Every term of m * x_i has weight at least w(m) + w_i, so the product
+        is empty past the cutoff and is never computed.  With x_k the last
+        factor of m, a product with i >= k only appends x_i.  Otherwise
+        m = m' x_k and m x_i = (m' x_i) x_k - m' [x_i, x_k].  Every operand
+        on the right has fewer factors than m, except the reordered term of
+        m' x_i, which ends in a variable <= k, so its product with x_k is an
+        append: filling the appends first and then the rest by number of
+        factors finds every operand ready.
         """
         fld = self.field
         d = self.algebra.dim
-        products: dict = {}
-        rest = []
+        weights, cutoff, index = self.weights, self.cutoff, self.index
+        table = {
+            key: {s: fld.mul(c, self.mu) for s, c in terms.items()}
+            for key, terms in self.algebra.table.items()
+        }
+        rows = [{} for _ in self.monomials]
+        rest = [[] for _ in range(cutoff + 1)]  # by number of factors
         for mid, mono in enumerate(self.monomials):
             k = max((j for j in range(d) if mono[j]), default=0)  # the unit only appends
-            room = self.cutoff - self.weight_of[mid]
+            room = cutoff - self.weight_of[mid]
+            row = rows[mid]
             for i in range(k, d):
-                if self.weights[i] > room:
-                    products[(mid, i)] = {}
-                else:
-                    bigger = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                    products[(mid, i)] = {self.index[bigger]: fld.one}
-            if k:
-                rest.append((sum(mono), mid, k))
-        rest.sort()
-        for _factors, mid, k in rest:
-            mono = self.monomials[mid]
-            shorter = self.index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]
-            for i in range(k):
-                acc: dict = {}
-                for t, cf in products[(shorter, i)].items():
-                    for t2, cf2 in products[(t, k)].items():
-                        acc[t2] = acc.get(t2, 0) + cf * cf2
-                for s, cv in self.algebra.table.get((i, k), {}).items():
-                    for t, cf in products[(shorter, s)].items():
-                        acc[t] = acc.get(t, 0) - cv * cf
-                products[(mid, i)] = fld.clean(acc)
-        return products
+                if weights[i] > room:  # and so are all later weights
+                    break
+                row[i] = {index[mono[:i] + (mono[i] + 1,) + mono[i + 1:]]: 1}
+            if k and weights[0] <= room:
+                shorter = index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]
+                rest[sum(mono)].append((mid, k, shorter, room))
+        for layer in rest:
+            for mid, k, shorter, room in layer:
+                row, srow = rows[mid], rows[shorter]
+                for i in range(k):
+                    if weights[i] > room:
+                        break
+                    acc: dict = {}
+                    for t, a in srow.get(i, {}).items():
+                        for u, b in rows[t].get(k, {}).items():
+                            acc[u] = acc.get(u, 0) + a * b
+                    for s, c in table.get((i, k), {}).items():
+                        for t, a in srow.get(s, {}).items():
+                            acc[t] = acc.get(t, 0) - c * a
+                    prod = fld.clean(acc)
+                    if prod:
+                        row[i] = prod
+        return rows
 
-    def right_action_matrices(self, products: dict, active: Sequence[int]) -> list:
+    def right_action_matrices(self, products: list, active: Sequence[int]) -> list:
         """Matrices of m -> m * x_i, one per generator, on the span of the
-        ordered monomial ids ``active``; monomials outside it act as zero."""
+        ordered monomial ids ``active``; monomials outside it act as zero.
+        Entries are the rational values of ``products``' numerators."""
+        mu = self.mu
         pos = {mid: p for p, mid in enumerate(active)}
-        mats = []
-        for i in range(self.algebra.dim):
-            cols = {}
-            for p, mid in enumerate(active):
-                col = {pos[t]: cf for t, cf in products[(mid, i)].items() if t in pos}
+        factors = {mid: sum(self.monomials[mid]) for mid in active}
+        cols: list = [{} for _ in range(self.algebra.dim)]
+        for p, mid in enumerate(active):
+            top = factors[mid] + 1
+            for i, prod in products[mid].items():
+                col = {
+                    pos[t]: n if mu == 1 else rational(n, mu ** (top - factors[t]))
+                    for t, n in prod.items()
+                    if t in pos
+                }
                 if col:
-                    cols[p] = col
-            mats.append(SparseMatrix(self.field, len(active), len(active), cols))
-        return mats
+                    cols[i][p] = col
+        n = len(active)
+        return [SparseMatrix(self.field, n, n, c) for c in cols]
 
     # -- public operations ----------------------------------------------------
 

@@ -43,7 +43,8 @@ def test_dual_action_worked_examples(heis_module):
     # is (g.f)(a) = f(a g); dual matrices are indexed by the basis y, x, z
     m = heis_module
     p1, px, pz = (_pos(m, mono) for mono in ((0, 0, 0), (0, 1, 0), (0, 0, 1)))
-    y, x, z = dual_action_matrices(m)
+    (y, ly), (x, lx), (z, lz) = dual_action_matrices(m)
+    assert ly == lx == lz == 1  # integral structure constants
     psi_z = {pz: Q1}
     # y . psi_z = psi_x, since x*y = z
     assert y.apply_sparse(psi_z) == {px: Q1}

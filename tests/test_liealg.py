@@ -141,6 +141,24 @@ def test_lcs_u4_via_elementary_matrix_oracle(u4):
     assert u4.nilpotency_class == 3
 
 
+def test_lcs_hands_no_empty_bracket_to_the_subspace(monkeypatch):
+    # most brackets [row, e_j] vanish; sifting them would only cost time
+    seen = []
+    add = Subspace.add
+
+    def counted(self, row):
+        seen.append(len(row))
+        return add(self, row)
+
+    monkeypatch.setattr(Subspace, "add", counted)
+    for g in (catalog.free_nilpotent(3, 4, QQ), catalog.upper_triangular(5, GF(2)),
+              catalog.filiform_f(13)):
+        before = len(seen)
+        series = g.lower_central_series()
+        assert len(seen) > before and series[-1].dim == 0
+    assert 0 not in seen
+
+
 def test_non_nilpotent_rejected():
     # sl_2: [h,e] = 2e, [h,f] = -2f, [e,f] = h; the series stabilises
     two = rational(2)

@@ -128,8 +128,8 @@ def test_discard_span_is_a_left_ideal():
     products = module.uea.right_products()
     active = set(module.active)
     for mid in module.state.removed:
-        for i in range(g.dim):
-            assert not (set(products[(mid, i)]) & active)
+        for prod in products[mid].values():
+            assert not (set(prod) & active)
 
 
 def test_kept_monomials_reach_the_active_set():
@@ -144,7 +144,7 @@ def test_kept_monomials_reach_the_active_set():
         assert active.isdisjoint(module.state.removed)
         assert len(active) + len(module.state.removed) == len(module.uea.monomials)
         for mid in active - module.state.protected:
-            assert any(set(products[(mid, i)]) & active for i in range(g.dim)), mid
+            assert any(set(prod) & active for prod in products[mid].values()), mid
 
 
 def test_build_pruned_module_computes_the_products_once(monkeypatch):
@@ -160,5 +160,6 @@ def test_build_pruned_module_computes_the_products_once(monkeypatch):
     assert len(calls) == 1 and calls[0] is module.uea
     # and no product memo stays on the algebra afterwards
     assert sorted(vars(module.uea)) == [
-        "algebra", "cutoff", "field", "index", "monomials", "unit", "weight_of", "weights",
+        "algebra", "cutoff", "field", "index", "monomials", "mu", "unit", "weight_of",
+        "weights",
     ]

@@ -28,6 +28,7 @@ KEPT = {
     "abelian_algebra": "the public constructor of an abelian algebra",
     "regular_unpruned": "acceptance criterion 1 checks the unpruned module dimension",
     "nu": "acceptance criterion 2 checks the closed-form dimension bound",
+    "enumerate_monomials": "acceptance criterion 2 counts the monomials with it",
     "pfaff_check": "acceptance criterion 6c checks the Pfaff identities of f_n",
     "is_homomorphism": "the README's library example checks a result with it",
 }

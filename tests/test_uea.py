@@ -4,7 +4,7 @@ from nilrep.fields import QQ, rational
 from nilrep.liealg import LieAlgebra, abelian_algebra
 from nilrep.fields import GF
 from nilrep.regular import _reversed_model, nu
-from nilrep.uea import TruncatedUEA, enumerate_monomials, monomial_weight
+from nilrep.uea import TruncatedUEA, enumerate_monomials
 from nilrep import catalog
 
 Q1 = rational(1)
@@ -18,6 +18,20 @@ def truncated_uea(g):
 
 def heis_uea():
     return truncated_uea(catalog.heisenberg(QQ))
+
+
+def weight(mono, weights):
+    return sum(a * w for a, w in zip(mono, weights))
+
+
+def value_of(uea, products, mid, i):
+    """monomial(mid) * x_i with exact coefficients: numerator N at t stands
+    for N / mu^(|mid| + 1 - |t|), |.| the number of factors."""
+    top = sum(uea.monomials[mid]) + 1
+    return {
+        t: rational(n, uea.mu ** (top - sum(uea.monomials[t])))
+        for t, n in products[mid].get(i, {}).items()
+    }
 
 
 def every(uea):
@@ -67,9 +81,14 @@ def test_enumerate_rejects_bad_input():
 
 
 def test_enumerate_order_weight_then_lex():
-    mons = enumerate_monomials((1, 1, 2), 2)
-    keyed = [(monomial_weight(m, (1, 1, 2)), m) for m in mons]
+    weights = (1, 1, 2)
+    mons = enumerate_monomials(weights, 2)
+    keyed = [(weight(m, weights), m) for m in mons]
     assert keyed == sorted(keyed)
+    # the UEA numbers its monomials in that order, with their weights
+    uea = heis_uea()
+    assert uea.monomials == mons
+    assert uea.weight_of == [weight(m, weights) for m in uea.monomials]
 
 
 def test_count_equals_nu_exactly_when_deep_layers_are_lines():
@@ -108,14 +127,17 @@ def test_truncated_uea_validates_input():
 def test_negative_generator_index_raises_and_never_wraps():
     uea = heis_uea()
     products = uea.right_products()
-    # negative indices must not wrap around to the last generator z
-    assert (uea.unit, -1) not in products and (uea.unit, 3) not in products
+    # a row keys generator indices; a negative one must not wrap around to
+    # the last generator z
+    assert -1 not in products[uea.unit] and 3 not in products[uea.unit]
+    with pytest.raises(KeyError):
+        products[uea.unit][-1]
     with pytest.raises(KeyError):
         uea.degree_one_mid(-1)
     with pytest.raises(KeyError):
         uea.degree_one_mid(3)
     assert len(right_matrices(uea)) == 3
-    assert products[(uea.unit, 2)] == {uea.degree_one_mid(2): Q1}
+    assert products[uea.unit][2] == {uea.degree_one_mid(2): Q1}
     assert uea.degree_one_mid(2) == uea.index[(0, 0, 1)]
 
 
@@ -130,18 +152,20 @@ def test_rejects_structure_constants_that_are_not_weight_adapted():
 def test_right_product_worked_example():
     uea = heis_uea()
     products = uea.right_products()
+    assert uea.mu == 1  # integral constants: the numerators are the values
     x, y, z = (uea.index[m] for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     xy = uea.index[(1, 1, 0)]
     # y . x = xy - z
-    assert products[(y, 0)] == {xy: Q1, z: -Q1}
+    assert products[y][0] == {xy: Q1, z: -Q1}
     # x . y = xy is already ascending
-    assert products[(x, 1)] == {xy: Q1}
-    # xy . x has weight 3 > c = 2
-    assert products[(xy, 0)] == {}
+    assert products[x][1] == {xy: Q1}
+    # xy . x has weight 3 > c = 2: no entry
+    assert 0 not in products[xy]
     # 1 . z = z
-    assert products[(uea.unit, 2)] == {z: Q1}
-    # one product per monomial and generator
-    assert len(products) == 7 * 3
+    assert products[uea.unit][2] == {z: Q1}
+    # one row per monomial, keyed by the generators with a nonzero product
+    assert len(products) == 7
+    assert all(set(row) <= {0, 1, 2} and all(row.values()) for row in products)
 
 
 def test_right_action_matrix_respects_active_set():
@@ -191,11 +215,13 @@ def test_weight_additivity_of_products():
     g = catalog.upper_triangular(4, QQ)
     uea = truncated_uea(g)
     products = uea.right_products()
-    assert len(products) == len(uea.monomials) * g.dim
-    for (mid, i), prod in products.items():
-        target = uea.weights[i] + uea.weight_of[mid]
-        for t in prod:
-            assert uea.weight_of[t] >= target
+    assert len(products) == len(uea.monomials)
+    for mid, row in enumerate(products):
+        assert set(row) <= set(range(g.dim))
+        for i, prod in row.items():
+            target = uea.weights[i] + uea.weight_of[mid]
+            for t in prod:
+                assert uea.weight_of[t] >= target
 
 
 def test_action_matrices_nilpotent_of_index_class_plus_one():
@@ -250,7 +276,7 @@ def check_products_against_word_oracle(uea, step=1):
         word = tuple(k for k, a in enumerate(mono) for _ in range(a))
         for i in range(uea.algebra.dim):
             want = straighten_word_right_oracle(uea, word + (i,))
-            assert products[(mid, i)] == want, (mono, i)
+            assert value_of(uea, products, mid, i) == want, (mono, i)
 
 
 def test_right_products_against_word_oracle():
@@ -276,6 +302,28 @@ def test_heisenberg_right_products_against_word_oracle():
     xy, z = uea.index[(1, 1, 0)], uea.index[(0, 0, 1)]
     assert straighten_word_right_oracle(uea, (1, 0)) == {xy: Q1, z: -Q1}
     check_products_against_word_oracle(uea)
+
+
+def test_non_integral_products_against_word_oracle():
+    # rational structure constants, so mu > 1 and the numerators carry
+    # powers of mu: the layer-reversed model of f_13, and N_{2,3} rescaled
+    # to [x1, x2] = 1/2 x3, [x1, x3] = 2/3 x4, [x2, x3] = 3/5 x5
+    f13 = _reversed_model(catalog.filiform_f(13).adapted_basis())[0]
+    assert f13.mu > 1
+    check_products_against_word_oracle(f13, step=3)
+    r = rational
+    g = LieAlgebra(
+        QQ, 5, {(0, 1): {2: r(1, 2)}, (0, 2): {3: r(2, 3)}, (1, 2): {4: r(3, 5)}}
+    )
+    assert g.check_jacobi() == []
+    uea = TruncatedUEA(g, (1, 1, 2, 3, 3), 3)
+    assert uea.mu == 30
+    check_products_against_word_oracle(uea)
+    # x2 * x1 = x1 x2 - 1/2 x3: numerators -15 over mu^1 and 1 over mu^0
+    x1, x2, x3 = (uea.degree_one_mid(k) for k in range(3))
+    x1x2 = uea.index[(1, 1, 0, 0, 0)]
+    assert uea.right_products()[x2][0] == {x1x2: 1, x3: -15}
+    assert value_of(uea, uea.right_products(), x2, 0) == {x1x2: Q1, x3: r(-1, 2)}
 
 
 def test_unpruned_action_is_homomorphism_and_nilpotent():

@@ -1,8 +1,10 @@
 """Byte-level guard on `nilrep compute --out`: whole files, provenance included.
 
 The digests were recorded from the CLI before the module pipeline was
-simplified; any change to a matrix entry, to the monomial order behind the
-basis, or to a provenance field changes the digest.
+simplified, and the Affine ones past Heisenberg before Affine was rewritten
+as one loop; any change to a matrix entry, to the monomial order behind the
+basis, to a seeded Affine choice, or to a provenance field changes the
+digest.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ import pytest
 import nilrep
 from helpers import save_json
 from nilrep import fileio
+from nilrep.affine import AffineFail, algorithm_affine
 from nilrep.cli import main
 from nilrep.fields import GF, QQ
 from nilrep.liealg import LieAlgebra
@@ -48,6 +51,12 @@ GOLDEN = [
      "1e291108afda23408de5e0a2d9aefa3c0fe0c75d3de3bc3ad1ad8b01301080cd"),
     ("catalog:filiform:13", None, "quotient",
      "119c1451b180254c5f2ec38253b92bf09214a44de2b7ee3eec4ce60ec0d34bf1"),
+    ("catalog:utri:5", "3", "affine",
+     "2bce2a8269871b8be95448f36c609405aa539d784a36194ef9aeddae7d5246d7"),
+    ("catalog:freenilp:2,5", None, "affine",
+     "3142b13196d9d3a5c6075c561e03208e989e585bb91f2ca34383756259a2cb1f"),
+    ("catalog:utri:6", None, "affine",
+     "db028a145021c81f3b8ba60e54999ec05c9468799b1a7d5aae6b46c534499429"),
 ]
 
 
@@ -72,10 +81,11 @@ def test_compute_output_file_digest(tmp_path, capsys, spec, field, alg, digest):
     assert digest_of(out) == digest
 
 
-# Heisenberg Affine, U_4 over F_2 Dual and f_13 Dual.  Back-elimination walks
-# sets of pivot columns, whose order must never reach an output byte, and no
-# output may depend on ``assert``, which ``python -O`` strips.
-FRESH_INTERPRETER = [GOLDEN[3], GOLDEN[5], GOLDEN[11]]
+# Heisenberg Affine, U_4 over F_2 Dual, f_13 Dual and U_5 over F_3 Affine.
+# Back-elimination walks sets of pivot columns, whose order must never reach
+# an output byte, and no output may depend on ``assert``, which ``python -O``
+# strips.
+FRESH_INTERPRETER = [GOLDEN[3], GOLDEN[5], GOLDEN[11], GOLDEN[13]]
 
 
 @pytest.mark.parametrize("hashseed,flags", [("0", []), ("1", []), ("random", ["-O"])])
@@ -91,6 +101,11 @@ def test_digests_under_hash_seeds_and_optimisation(tmp_path, hashseed, flags):
                    check=True, capture_output=True, timeout=120)
     assert [digest_of(tmp_path / ("rep%d.json" % k)) for k in range(len(argvs))] == [
         digest for *_case, digest in FRESH_INTERPRETER]
+
+
+def test_affine_failure_value(f13):
+    # every attempt fails on f_13; the deepest step reached is part of the output
+    assert algorithm_affine(f13, seed=1, retries=4) == AffineFail(deepest_step=9, attempts=4)
 
 
 # Every catalog basis is already adapted, so every row of its basis inverse

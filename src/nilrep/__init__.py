@@ -24,7 +24,7 @@ from .representation import (
 from .regular import algorithm_regular, build_pruned_module, nu, partitions, regular_unpruned
 from .quotient import algorithm_quotient, reduce_once
 from .dual import algorithm_dual, spin_submodule
-from .affine import AffineFail, AffineTimeout, algorithm_affine, extend_step, one_cocycles
+from .affine import AffineFail, AffineTimeout, algorithm_affine
 from . import catalog
 
 __all__ = [
@@ -61,8 +61,6 @@ __all__ = [
     "AffineFail",
     "AffineTimeout",
     "algorithm_affine",
-    "extend_step",
-    "one_cocycles",
     "catalog",
 ]
 

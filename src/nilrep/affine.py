@@ -20,13 +20,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .liealg import AdaptedBasis, LieAlgebra
 from .linalg import SparseMatrix, Subspace, lincomb
-from .representation import Representation, homomorphism_failure, kernel
+from .representation import Representation
 
-_RANDOM_BOUND = 5  # rational runs draw cocycle mix coefficients from [-5, 5]
 _MIX_ATTEMPTS = 20
 
 
@@ -41,132 +40,42 @@ class AffineFail:
     deepest_step: int
     attempts: int
 
-    def __repr__(self):
-        return "AffineFail(deepest_step=%d, attempts=%d)" % (self.deepest_step, self.attempts)
 
+def _cocycles(fld, table: dict, rows: list) -> Subspace:
+    """Z¹ of the quotient spanned by a_0..a_{k-1}, k = len(rows), with values
+    in the module K^k on which a_j acts by the row map ``rows[j]``
+    (``{t: {u: x}}``), as stacked vectors.
 
-@dataclass
-class AffineState:
-    """Faithful block representation of g/g_i during the induction."""
-
-    algebra: LieAlgebra  # full algebra in the adapted (central series) basis
-    step: int  # dimension i of the quotient currently represented
-    matrices: list  # (i+1)x(i+1) SparseMatrix for each of a_1..a_i
-    rng: random.Random
-
-
-def _truncated_quotient(adapted_algebra: LieAlgebra, k: int) -> LieAlgebra:
-    """g/g_k in the adapted basis: keep indices < k, drop bracket tails."""
-    table = {}
-    for (i, j), terms in adapted_algebra.table.items():
-        if i < k and j < k:
-            entry = {t: c for t, c in terms.items() if t < k}
-            if entry:
-                table[(i, j)] = entry
-    return LieAlgebra(adapted_algebra.field, k, table)
-
-
-def one_cocycles(q: LieAlgebra, rho: Sequence[SparseMatrix], check: bool = True) -> Subspace:
-    """Z¹(q, K^m) for the module given by the m x m matrices rho, as stacked vectors.
-
-    Unknowns are the stacked images delta(a_1)..delta(a_k) in K^m; the rows
-    encode delta([a_j, a_l]) = rho(a_j) delta(a_l) - rho(a_l) delta(a_j) for
-    all basis pairs.  ``rho`` must be a representation of q.
+    Unknown j*k + t is delta(a_j)_t.  The conditions are delta([a_j, a_l]) =
+    psi(a_j) delta(a_l) - psi(a_l) delta(a_j) for j < l < k, with the bracket
+    read from the adapted ``table`` without its terms on a_s for s >= k: the
+    quotient by g_k.  In the adapted table [a_j, a_l] only hits s > l, so the
+    three parts of a condition sit in disjoint blocks of unknowns.
     """
-    fld = q.field
-    k = q.dim
-    if len(rho) != k:
-        raise ValueError("need one matrix per basis vector of q")
-    m = rho[0].nrows
-    if check:
-        bad = homomorphism_failure(Representation(q, rho))
-        if bad is not None:
-            raise ValueError("rho is not a representation: pair %r fails" % (bad,))
-    mat_rows = [dict(mat.iter_rows()) for mat in rho]
-    conditions = Subspace(fld, k * m)
+    k = len(rows)
+    conditions = Subspace(fld, k * k)
     for j in range(k):
         for l in range(j + 1, k):
-            terms = q.table.get((j, l), {})
-            # without bracket terms, row t is empty unless rho(a_j) or rho(a_l) has a row t
-            rows_t = range(m) if terms else sorted(mat_rows[j].keys() | mat_rows[l].keys())
+            terms = {s: c for s, c in table.get((j, l), {}).items() if s < k}
+            # without bracket terms, row t is empty unless psi(a_j) or psi(a_l) has a row t
+            rows_t = range(k) if terms else sorted(rows[j].keys() | rows[l].keys())
             for t in rows_t:
-                row: dict = {}
-                for s, c in terms.items():
-                    row[s * m + t] = row.get(s * m + t, 0) + c
-                for u, x in mat_rows[j].get(t, {}).items():
-                    row[l * m + u] = row.get(l * m + u, 0) - x
-                for u, x in mat_rows[l].get(t, {}).items():
-                    row[j * m + u] = row.get(j * m + u, 0) + x
+                row = {s * k + t: c for s, c in terms.items()}
+                for u, x in rows[j].get(t, {}).items():
+                    row[l * k + u] = -x
+                for u, x in rows[l].get(t, {}).items():
+                    row[j * k + u] = x
                 conditions.add(row)  # add cleans the row itself
     return conditions.kernel()
 
 
-def _random_scalar(fld, rng: random.Random):
-    if fld.characteristic:
-        return rng.randrange(fld.characteristic)
-    return fld.from_int(rng.randint(-_RANDOM_BOUND, _RANDOM_BOUND))
-
-
-def extend_step(state: AffineState, greedy: bool = False) -> Optional[AffineState]:
-    """Extend a faithful representation of g/g_i to g/g_{i+1}, or fail.
-
-    Fail (None) means: no cocycle of the next quotient evaluates to a nonzero
-    vector on the adjoined central generator.  That verdict is exact for the
-    current state, but earlier random choices may be to blame.
-
-    The cocycle is chosen among the echelon basis vectors of Z¹ with nonzero
-    evaluation: the first one when ``greedy``, otherwise a random one,
-    occasionally perturbed by a random multiple of another basis cocycle.
-    Generic mixtures over the whole of Z¹ stall on the benchmark inputs, so
-    the randomness stays close to the simple candidates.
-    """
-    fld = state.algebra.field
-    i = state.step
-    m = i + 1  # current module dimension
-    qnext = _truncated_quotient(state.algebra, i + 1)
-    rho = list(state.matrices) + [SparseMatrix(fld, m, m)]
-    cocycles = one_cocycles(qnext, rho, check=False)
-    eval_lo = i * m
-
-    def evaluates_nonzero(row):
-        return any(eval_lo <= c < eval_lo + m for c in row)
-
-    rows = list(cocycles.sparse.values())
-    candidates = [r for r in rows if evaluates_nonzero(r)]
-    if not candidates:
-        return None
-    if greedy:
-        delta = candidates[0]
-    else:
-        rng = state.rng
-        delta = candidates[rng.randrange(len(candidates))]
-        # the mixing partner may be any row of Z¹, delta itself included;
-        # excluding delta would change the draws and so a seeded run's output
-        if rng.random() < 0.5:
-            for _ in range(_MIX_ATTEMPTS):
-                extra = rows[rng.randrange(len(rows))]
-                f = _random_scalar(fld, rng)
-                acc = dict(delta)
-                for c, y in extra.items():
-                    acc[c] = acc.get(c, 0) + f * y
-                mixed = fld.clean(acc)
-                if evaluates_nonzero(mixed):
-                    delta = mixed
-                    break
-    new_mats = []
-    for j in range(i + 1):
-        # old block, the cocycle value on a_j as the new last column, zero last row
-        cols = dict(state.matrices[j].cols) if j < i else {}
-        vj = {c - j * m: x for c, x in delta.items() if j * m <= c < (j + 1) * m}
-        if vj:
-            cols[m] = vj
-        new_mats.append(SparseMatrix(fld, m + 1, m + 1, cols))
-    _assert_trivial_kernel(qnext, new_mats)
-    return AffineState(state.algebra, i + 1, new_mats, state.rng)
-
-
-def _assert_trivial_kernel(q: LieAlgebra, mats: Sequence[SparseMatrix]):
-    if kernel(Representation(q, mats)).dim:
+def _assert_faithful(fld, cols: list, size: int):
+    """Raise RuntimeError unless the size x size matrices with column maps
+    ``cols`` are linearly independent: a faithful action of their span."""
+    span = Subspace(fld, size * size)
+    for mat in cols:
+        span.add({c * size + t: x for c, col in mat.items() for t, x in col.items()})
+    if span.dim < len(cols):
         raise RuntimeError("affine extension lost faithfulness")
 
 
@@ -184,33 +93,70 @@ def algorithm_affine(
     value) aborts cooperatively via AffineTimeout.  ``adapted`` is
     ``g.adapted_basis()``, computed when not given.  Raises ValueError when
     ``retries`` is below 1.
+
+    Step i adjoins a_i to the faithful module K^(i+1) of g/g_i; it fails
+    when no cocycle of g/g_{i+1} is nonzero on a_i.  That verdict is exact
+    for the attempt, but its earlier random choices may be to blame.  The
+    cocycle is an echelon basis vector of Z¹ with nonzero value on a_i: the
+    first one in the first attempt, otherwise a random one, occasionally
+    perturbed by a random multiple of another basis cocycle.  Generic
+    mixtures over the whole of Z¹ stall on the benchmark inputs, so the
+    randomness stays close to the simple candidates.
     """
     if retries < 1:
         raise ValueError("retries must be at least 1, got %r" % (retries,))
     adapted = adapted or g.adapted_basis()
     fld = g.field
+    table = adapted.algebra.table
     d = g.dim
     deepest = 0
     for attempt in range(retries):
         rng = random.Random(seed * 1_000_003 + attempt)
-        base = [SparseMatrix(fld, 2, 2, {0: {1: fld.one}})]
-        state = AffineState(adapted.algebra, 1, base, rng)
-        failed_at = None
-        while state.step < d:
+        # column and row maps of psi(a_0), psi(a_1), ...: psi(a_0) maps e_0 to
+        # e_1, and step i appends column i + 1 to every map and adds psi(a_i)
+        cols = [{0: {1: fld.one}}]
+        rows = [{1: {0: fld.one}}]
+        for i in range(1, d):
             if deadline is not None and time.monotonic() > deadline:
                 raise AffineTimeout("affine run exceeded its deadline")
-            nxt = extend_step(state, greedy=(attempt == 0))
-            if nxt is None:
-                failed_at = state.step
+            k = i + 1  # generators a_0..a_i, acting on K^k
+            cols.append({})
+            rows.append({})
+            basis = list(_cocycles(fld, table, rows).sparse.values())
+            lo = i * k  # delta(a_i) is stacked last, at lo..k*k-1
+            candidates = [r for r in basis if max(r) >= lo]
+            if not candidates:
+                deepest = max(deepest, i)
                 break
-            state = nxt
-        if failed_at is None:
-            deepest = d
-            mats = [lincomb(fld, adapted.inverse[l], state.matrices) for l in range(d)]
+            if attempt == 0:
+                delta = candidates[0]
+            else:
+                delta = candidates[rng.randrange(len(candidates))]
+                # the mixing partner may be any row of Z¹, delta itself
+                # included; excluding delta would change the draws and so a
+                # seeded run's output
+                if rng.random() < 0.5:
+                    for _ in range(_MIX_ATTEMPTS):
+                        extra = basis[rng.randrange(len(basis))]
+                        f = fld.random_scalar(rng)
+                        acc = dict(delta)
+                        for c, y in extra.items():
+                            acc[c] = acc.get(c, 0) + f * y
+                        mixed = fld.clean(acc)
+                        if mixed and max(mixed) >= lo:
+                            delta = mixed
+                            break
+            # the cocycle value on a_j is the new column k of psi(a_j)
+            for c, x in delta.items():
+                j, t = divmod(c, k)
+                cols[j].setdefault(k, {})[t] = x
+                rows[j].setdefault(t, {})[k] = x
+            _assert_faithful(fld, cols, k + 1)
+        else:
+            mats = [SparseMatrix(fld, d + 1, d + 1, c) for c in cols]
             return Representation(
                 g,
-                mats,
+                [lincomb(fld, adapted.inverse[l], mats) for l in range(d)],
                 {"algorithm": "affine", "dim": d + 1, "seed": seed, "attempt": attempt},
             )
-        deepest = max(deepest, failed_at)
     return AffineFail(deepest_step=deepest, attempts=retries)

@@ -169,6 +169,13 @@ class Field:
             return (a * b) % self.characteristic
         return _lower(a * b)
 
+    def random_scalar(self, rng):
+        """A scalar drawn with ``rng`` (a ``random.Random``): uniform over
+        F_p, an integer in [-5, 5] over Q."""
+        if self.characteristic:
+            return rng.randrange(self.characteristic)
+        return rng.randint(-5, 5)
+
     def neg(self, a):
         return self.canon(-a)
 

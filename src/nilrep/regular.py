@@ -121,16 +121,9 @@ class PrunedModule:
 
 
 def _reverse_layers(weights) -> list:
-    """Permutation reversing the order inside every weight layer."""
-    perm = []
-    i = 0
-    while i < len(weights):
-        j = i
-        while j < len(weights) and weights[j] == weights[i]:
-            j += 1
-        perm.extend(range(j - 1, i - 1, -1))
-        i = j
-    return perm
+    """Permutation reversing the order inside every weight layer of the
+    non-decreasing ``weights``."""
+    return sorted(range(len(weights)), key=lambda k: (weights[k], -k))
 
 
 def _reversed_model(adapted: AdaptedBasis):

@@ -1,4 +1,3 @@
-import random
 import time
 
 import pytest
@@ -7,23 +6,23 @@ from helpers import from_dense, to_dense
 from nilrep.fields import GF, QQ, rational
 from nilrep.affine import (
     AffineFail,
-    AffineState,
     AffineTimeout,
-    _assert_trivial_kernel,
+    _assert_faithful,
+    _cocycles,
     algorithm_affine,
-    extend_step,
-    one_cocycles,
 )
 from nilrep.fileio import save_representation
 from nilrep.liealg import LieAlgebra, abelian_algebra
-from nilrep.representation import is_faithful, is_homomorphism, kernel
+from nilrep.linalg import SparseMatrix, is_nilpotent, lincomb
+from nilrep.representation import Representation, is_faithful, is_homomorphism, kernel
 from nilrep import catalog, tables
 
 Q0, Q1 = rational(0), rational(1)
 
 
-def sparse_mats(dense_mats):
-    return [from_dense(QQ, mat) for mat in dense_mats]
+def row_maps(dense_mats):
+    """The row maps ``{t: {u: x}}`` that the Z¹ builder reads."""
+    return [dict(from_dense(QQ, mat).iter_rows()) for mat in dense_mats]
 
 
 def dense_rows(space):
@@ -36,52 +35,45 @@ def dense_rows(space):
 
 
 def test_cocycles_one_dim_abelian():
-    q = abelian_algebra(QQ, 1)
-    Z = one_cocycles(q, sparse_mats([[[Q0]]]))
+    Z = _cocycles(QQ, {}, row_maps([[[Q0]]]))
     assert Z.dim == 1  # all linear maps K -> K^1
 
 
 def test_cocycles_two_dim_abelian_zero_module():
-    q = abelian_algebra(QQ, 2)
     zero = [[Q0, Q0], [Q0, Q0]]
-    Z = one_cocycles(q, sparse_mats([zero, zero]))
+    Z = _cocycles(QQ, {}, row_maps([zero, zero]))
     assert Z.dim == 4  # every linear map g -> K^2 is a cocycle
+
+
+HEIS_STEP = [
+    [[Q0, Q0, Q0], [Q1, Q0, Q0], [Q0, Q0, Q0]],
+    [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q1, Q0, Q0]],
+    [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q0, Q0, Q0]],
+]
 
 
 def test_cocycles_heisenberg_step(heis):
     # extend the 2-dim abelian image to the full Heisenberg algebra: with the
     # 3x3 faithful module of g/<z>, some cocycle takes a nonzero value on a_3
     ab = heis.adapted_basis()
-    rho = [
-        [[Q0, Q0, Q0], [Q1, Q0, Q0], [Q0, Q0, Q0]],
-        [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q1, Q0, Q0]],
-        [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q0, Q0, Q0]],
-    ]
-    Z = one_cocycles(ab.algebra, sparse_mats(rho))
+    Z = _cocycles(QQ, ab.algebra.table, row_maps(HEIS_STEP))
     m = 3
     assert any(any(x != 0 for x in row[2 * m:3 * m]) for row in dense_rows(Z))
 
 
-def test_cocycles_reject_non_representation(heis):
-    # [M_x, M_y] != 0 = M_z, so this is not a representation of Heisenberg
-    bad = [
-        [[Q0, Q0], [Q1, Q0]],
-        [[Q0, Q1], [Q0, Q0]],
-        [[Q0, Q0], [Q0, Q0]],
-    ]
-    with pytest.raises(ValueError, match="not a representation: pair \\(0, 1\\)"):
-        one_cocycles(heis, sparse_mats(bad))
+def test_cocycles_drop_the_bracket_terms_past_the_quotient(heis):
+    # on a_1, a_2 alone [a_1, a_2] = a_3 is dropped: Z¹ of the abelian plane
+    table = heis.adapted_basis().algebra.table
+    zero = [[Q0, Q0], [Q0, Q0]]
+    assert _cocycles(QQ, table, row_maps([zero, zero])) == _cocycles(
+        QQ, {}, row_maps([zero, zero]))
 
 
 def test_every_kernel_vector_satisfies_cocycle_identity(heis):
     ab = heis.adapted_basis()
-    rho = [
-        [[Q0, Q0, Q0], [Q1, Q0, Q0], [Q0, Q0, Q0]],
-        [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q1, Q0, Q0]],
-        [[Q0, Q0, Q0], [Q0, Q0, Q0], [Q0, Q0, Q0]],
-    ]
+    rho = HEIS_STEP
     q = ab.algebra
-    Z = one_cocycles(q, sparse_mats(rho))
+    Z = _cocycles(QQ, q.table, row_maps(rho))
     assert Z.dim > 0
     m = 3
     for row in dense_rows(Z):
@@ -110,39 +102,52 @@ def test_base_case_one_dimensional_algebra():
     assert is_faithful(rep)
 
 
-def test_extend_step_invariants(heis):
-    # every step keeps the affine block form: zero last row and zero diagonal
-    # (the full matrices become strictly lower triangular after reversing the
-    # coordinate order, since each step leaves its v-column above the block)
-    from nilrep.linalg import is_nilpotent
+@pytest.mark.parametrize("g,seed", [
+    (catalog.heisenberg(QQ), 0),
+    (catalog.upper_triangular(4, GF(2)), 1),
+    (catalog.free_nilpotent(2, 4), 2),
+    # Heisenberg in the basis x, y, 2x + z: the adapted basis is not the input one
+    (LieAlgebra(QQ, 3, {(0, 1): {0: -2, 2: 1}, (1, 2): {0: 4, 2: -2}}), 3),
+], ids=["heisenberg", "U4_F2", "N_2_4", "heisenberg_skew"])
+def test_every_step_keeps_the_affine_block_form(g, seed):
+    # step i >= 1 leaves psi(a_0..a_i) on the first i + 2 coordinates, and the
+    # later steps only add columns, so the final matrices in the adapted basis
+    # hold every step's block: zero last row and zero diagonal (strictly
+    # triangular after reversing the coordinate order), nilpotent, zero for
+    # the generators not adjoined yet, and a faithful representation of the
+    # quotient by the terms past a_i
+    rep = algorithm_affine(g, seed=seed, retries=10)
+    ab = g.adapted_basis()
+    fld, d = g.field, g.dim
+    psi = [lincomb(fld, row, rep.matrices) for row in ab.matrix]
+    for i in range(1, d):
+        size = i + 2
+        blocks = [SparseMatrix(fld, size, size, {c: col for c, col in mat.cols.items()
+                                                 if c < size}) for mat in psi]
+        for j, block in enumerate(blocks):
+            mat = to_dense(block)
+            if j > i:
+                assert not block.cols
+                continue
+            assert all(x == 0 for x in mat[size - 1])  # zero last row
+            assert all(mat[t][t] == 0 for t in range(size))  # zero diagonal
+            assert is_nilpotent(block)
+        table = {pair: {s: c for s, c in terms.items() if s <= i}
+                 for pair, terms in ab.algebra.table.items() if pair[1] <= i}
+        quotient = LieAlgebra(fld, i + 1, {pair: t for pair, t in table.items() if t})
+        step = Representation(quotient, blocks[:i + 1])
+        assert is_homomorphism(step) and is_faithful(step)
 
-    ab = heis.adapted_basis()
-    rng = random.Random(0)
-    state = AffineState(ab.algebra, 1, sparse_mats([[[Q0, Q0], [Q1, Q0]]]), rng)
-    while state.step < 3:
-        state = extend_step(state)
-        assert state is not None
-        m = state.step + 1
-        for sparse in state.matrices:
-            mat = to_dense(sparse)
-            assert len(mat) == m
-            assert all(x == 0 for x in mat[m - 1])  # zero last row
-            assert all(mat[t][t] == 0 for t in range(m))  # zero diagonal
-            assert is_nilpotent(sparse)
-    assert len(state.matrices) == 3
 
-
-def test_trivial_kernel_guard_rejects_an_unfaithful_extension():
-    q = abelian_algebra(QQ, 2)
-    one = [[Q0, Q1], [Q0, Q0]]
-    zero = [[Q0, Q0], [Q0, Q0]]
-    _assert_trivial_kernel(q, sparse_mats([one, [[Q0, Q0], [Q1, Q0]]]))
+def test_faithfulness_guard_rejects_dependent_matrices():
+    one = {1: {0: Q1}}  # [[0, 1], [0, 0]]
+    _assert_faithful(QQ, [one, {0: {1: Q1}}], 2)
     # a_2 acts as zero, so a_2 spans the kernel
     with pytest.raises(RuntimeError, match="lost faithfulness"):
-        _assert_trivial_kernel(q, sparse_mats([one, zero]))
+        _assert_faithful(QQ, [one, {}], 2)
     # both act as the same matrix, so a_1 - a_2 spans the kernel
     with pytest.raises(RuntimeError, match="lost faithfulness"):
-        _assert_trivial_kernel(q, sparse_mats([one, one]))
+        _assert_faithful(QQ, [one, dict(one)], 2)
 
 
 def test_affine_heisenberg(heis):
@@ -181,8 +186,6 @@ def test_affine_seed_reproducible(tmp_path, heis):
 
 
 def test_affine_output_matrices_are_nilpotent(heis):
-    from nilrep.linalg import is_nilpotent
-
     rep = algorithm_affine(heis, seed=0, retries=10)
     assert all(is_nilpotent(m) for m in rep.matrices)
 

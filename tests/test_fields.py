@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,18 @@ def test_clean_keeps_canonical_nonzero_entries_in_order():
     assert GF(3).clean({4: 3, 0: 4, 2: -1, 1: 0}) == {0: 1, 2: 2}
     assert list(GF(3).clean({4: 5, 0: 4})) == [4, 0]
     assert QQ.clean({0: rational(0), 3: rational(-1, 2)}) == {3: rational(-1, 2)}
+
+
+def test_random_scalar_stream():
+    # seeded Affine runs depend on this stream: randrange(p) over F_p,
+    # randint(-5, 5) over Q, each an int
+    for field, draw in [(GF(3), lambda r: r.randrange(3)), (GF(7), lambda r: r.randrange(7)),
+                        (QQ, lambda r: r.randint(-5, 5))]:
+        ours, ref = random.Random(11), random.Random(11)
+        got = [field.random_scalar(ours) for _ in range(200)]
+        assert got == [draw(ref) for _ in range(200)]
+        assert all(type(x) is int for x in got)
+    assert set(QQ.random_scalar(random.Random(s)) for s in range(400)) == set(range(-5, 6))
 
 
 @pytest.mark.parametrize("text", ["1_000", "٣/2", "1/-2", "3/ 4", "- 3", "--3", "+3", "3/+4",

@@ -103,9 +103,12 @@ def test_digests_under_hash_seeds_and_optimisation(tmp_path, hashseed, flags):
         digest for *_case, digest in FRESH_INTERPRETER]
 
 
-def test_affine_failure_value(f13):
-    # every attempt fails on f_13; the deepest step reached is part of the output
-    assert algorithm_affine(f13, seed=1, retries=4) == AffineFail(deepest_step=9, attempts=4)
+# every attempt fails on f_13, and the deepest step reached is part of the
+# output; seeds 3, 5 and 7 change under a different mixing probability or
+# range of rational mixing coefficients
+@pytest.mark.parametrize("seed,deepest", [(1, 9), (3, 9), (5, 9), (7, 8)])
+def test_affine_failure_value(f13, seed, deepest):
+    assert algorithm_affine(f13, seed=seed, retries=4) == AffineFail(deepest, attempts=4)
 
 
 # Every catalog basis is already adapted, so every row of its basis inverse

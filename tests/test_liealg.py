@@ -250,7 +250,8 @@ def assert_one_dimensional_central_steps(g):
     """The adapted basis a_1..a_d refines the lower central series into a
     central series with one-dimensional steps: g_i = span(a_{i+1}, ..., a_d)
     has [g, g_i] in g_{i+1}, i.e. every term x_k of a rewritten bracket
-    [x_i, x_j] has k > max(i, j).  Affine's _truncated_quotient relies on it."""
+    [x_i, x_j] has k > max(i, j).  Affine's Z¹ builder relies on it when it
+    drops the bracket terms past the quotient it solves on."""
     ab = g.adapted_basis()
     assert ab.algebra.table  # not vacuous
     for (i, j), terms in ab.algebra.table.items():

@@ -6,8 +6,9 @@ only as text in the file format, so the tests' dense converters
 (``helpers.py``) appear nowhere in the package, ``fileio.py`` included; no
 module uses another object's private attributes; every public function,
 class and method is called from the package or the benchmark, or is listed
-with its reason in ``KEPT``; and every module but ``__init__.py`` uses every
-name it imports.
+with its reason in ``KEPT``; every module but ``__init__.py`` uses every
+name it imports; and only the modules in ``CHARACTERISTIC_READERS`` tell F_p
+from Q by reading a field's ``characteristic``.
 """
 
 import ast
@@ -31,6 +32,16 @@ KEPT = {
     "enumerate_monomials": "acceptance criterion 2 counts the monomials with it",
     "pfaff_check": "acceptance criterion 6c checks the Pfaff identities of f_n",
     "is_homomorphism": "the README's library example checks a result with it",
+}
+
+# The modules that read ``Field.characteristic``; each value says why.  Any
+# other difference between F_p and Q belongs in a ``Field`` method.
+CHARACTERISTIC_READERS = {
+    "fields.py": "the field arithmetic itself",
+    "linalg.py": "the elimination kernel reduces mod p inside its loops",
+    "fileio.py": "the field descriptor of the file format",
+    "catalog.py": "f_n is defined over characteristic zero only",
+    "cli.py": "the summary names the field",
 }
 
 
@@ -147,3 +158,15 @@ def test_every_public_definition_has_a_caller():
     assert sorted(uncalled - set(KEPT)) == []
     # an entry that is gone or has gained a caller no longer needs keeping
     assert sorted(set(KEPT) - uncalled) == []
+
+
+def test_only_the_listed_modules_read_the_characteristic():
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(node, ast.Attribute) and node.attr == "characteristic"
+               for node in ast.walk(tree)):
+            readers.add(path.name)
+    assert sorted(readers - set(CHARACTERISTIC_READERS)) == []
+    # an entry whose module no longer reads it no longer needs keeping
+    assert sorted(set(CHARACTERISTIC_READERS) - readers) == []

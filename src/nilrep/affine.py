@@ -41,31 +41,51 @@ class AffineFail:
     attempts: int
 
 
-def _cocycles(fld, table: dict, rows: list) -> Subspace:
+def _cocycles(fld, table: dict, rows: list, n: int) -> Subspace:
     """Z¹ of the quotient spanned by a_0..a_{k-1}, k = len(rows), with values
     in the module K^k on which a_j acts by the row map ``rows[j]``
-    (``{t: {u: x}}``), as stacked vectors.
+    (``{t: {u: x}}``), as stacked vectors; a_0..a_{n-1} generate g.
 
     Unknown j*k + t is delta(a_j)_t.  The conditions are delta([a_j, a_l]) =
     psi(a_j) delta(a_l) - psi(a_l) delta(a_j) for j < l < k, with the bracket
     read from the adapted ``table`` without its terms on a_s for s >= k: the
-    quotient by g_k.  In the adapted table [a_j, a_l] only hits s > l, so the
+    quotient q by g_k.  In the adapted table [a_j, a_l] only hits s > l, so the
     three parts of a condition sit in disjoint blocks of unknowns.
+
+    Only the pairs with j < n are used.  By Jacobi in q ⋉ K^k, the x for which
+    x ↦ (x, delta(x)) respects every bracket [x, y] form a subalgebra; the
+    generators a_0..a_{n-1} (a complement of [g, g]) generate q, so the
+    identity on them and all of q is enough.  At row t that no psi(a_j) or
+    psi(a_l) has, the condition is A·(delta(a_s)_t)_s = 0 for the truncated
+    bracket A of the pair, the same for every such t; only an independent
+    subset of those A is added, found once per set of generators whose psi
+    has row t.  The solution set, hence the canonical kernel, is unchanged.
     """
     k = len(rows)
     conditions = Subspace(fld, k * k)
-    for j in range(k):
+    brackets = []  # (j, l, truncated [a_j, a_l]) for the nonzero ones
+    for j in range(min(n, k)):
         for l in range(j + 1, k):
             terms = {s: c for s, c in table.get((j, l), {}).items() if s < k}
-            # without bracket terms, row t is empty unless psi(a_j) or psi(a_l) has a row t
-            rows_t = range(k) if terms else sorted(rows[j].keys() | rows[l].keys())
-            for t in rows_t:
+            if terms:
+                brackets.append((j, l, terms))
+            for t in rows[j].keys() | rows[l].keys():
                 row = {s * k + t: c for s, c in terms.items()}
                 for u, x in rows[j].get(t, {}).items():
                     row[l * k + u] = -x
                 for u, x in rows[l].get(t, {}).items():
                     row[j * k + u] = x
                 conditions.add(row)  # add cleans the row itself
+    independent: dict = {}  # the j whose psi(a_j) has row t -> independent brackets
+    for t in range(k):
+        key = frozenset(j for j, r in enumerate(rows) if t in r)
+        if key not in independent:
+            span = Subspace(fld, k)
+            independent[key] = [terms for j, l, terms in brackets
+                                if j not in key and l not in key
+                                and span.add(terms) is not None]
+        for terms in independent[key]:
+            conditions.add({s * k + t: c for s, c in terms.items()})
     return conditions.kernel()
 
 
@@ -108,6 +128,7 @@ def algorithm_affine(
     adapted = adapted or g.adapted_basis()
     fld = g.field
     table = adapted.algebra.table
+    n = adapted.weights.count(1)  # a_0..a_{n-1} span a complement of [g, g]
     d = g.dim
     deepest = 0
     for attempt in range(retries):
@@ -122,7 +143,7 @@ def algorithm_affine(
             k = i + 1  # generators a_0..a_i, acting on K^k
             cols.append({})
             rows.append({})
-            basis = list(_cocycles(fld, table, rows).sparse.values())
+            basis = list(_cocycles(fld, table, rows, n).sparse.values())
             lo = i * k  # delta(a_i) is stacked last, at lo..k*k-1
             candidates = [r for r in basis if max(r) >= lo]
             if not candidates:

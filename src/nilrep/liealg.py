@@ -24,8 +24,10 @@ class LieAlgebra:
     """A Lie algebra over an exact field, given by its structure constants.
 
     ``table[(i, j)]`` for i < j maps basis indices k to the coefficient of
-    x_k in [x_i, x_j]; antisymmetry is implicit and the Jacobi identity is
-    checked on demand, not assumed.
+    x_k in [x_i, x_j]; antisymmetry is implicit.  The Jacobi identity is
+    checked on demand by ``check_jacobi``, which the CLI runs on every file
+    input; ``lower_central_series`` and Affine's Z¹ equations assume it, since
+    both work from a generating set.
     """
 
     __slots__ = ("field", "dim", "table")
@@ -90,16 +92,41 @@ class LieAlgebra:
     def lower_central_series(self) -> list:
         """[g¹, g², …, 0] with g¹ = g and g^{m+1} = [g, g^m].
 
-        Raises NotNilpotentError when the series stabilises above zero.
+        g² is the span of the table's values, and the unit vectors off its
+        pivot columns span a complement V.  If V generates g, then g^m is
+        spanned by the left-normed commutators of length at least m in V (by
+        Jacobi), so g^{m+1} = span [g^m, V].  In a nilpotent g every
+        complement of g² generates g, so V is checked to generate g: its
+        ad(V)-closure must be all of g.
+
+        Raises NotNilpotentError when V does not generate g or the series
+        stabilises above zero.
         """
-        fld = self.field
-        cur = Subspace.full_space(fld, self.dim)
-        series = [cur]
+        fld, d = self.field, self.dim
+        derived = Subspace(fld, d)
+        for terms in self.table.values():
+            derived.add(terms)
+        gens = [{j: fld.one} for j in range(d) if j not in derived.sparse]
+        generated = Subspace(fld, d)
+        todo = [v for v in gens if generated.add(v) is not None]
+        while todo:
+            x = todo.pop()
+            for v in gens:
+                entry = _bracket(self, x, v)
+                if entry and generated.add(entry) is not None:
+                    todo.append(entry)
+        if generated.dim < d:
+            raise NotNilpotentError(
+                "the complement of [g, g] generates a subalgebra of dimension %d < %d"
+                % (generated.dim, d)
+            )
+        cur = derived
+        series = [Subspace.full_space(fld, d), cur]
         while cur.dim > 0:
-            nxt = Subspace(fld, self.dim)
+            nxt = Subspace(fld, d)
             for row in cur.sparse.values():
-                for j in range(self.dim):
-                    entry = _bracket(self, row, {j: fld.one})
+                for v in gens:
+                    entry = _bracket(self, row, v)
                     if entry:
                         nxt.add(entry)
             if nxt.dim == cur.dim:

@@ -50,7 +50,9 @@ def homomorphism_failure(rep: Representation) -> Optional[Tuple[int, int]]:
     μ c_{ij}^k are integral, and μ [N_i, N_j] - λ Σ_k (μ c_{ij}^k) N_k is
     λ²μ times the defect of the pair.  Each pair is checked one column at a
     time and stops at the first nonzero one; over F_p, λ = μ = 1 and the
-    field's ``clean`` takes the residues.
+    field's ``clean`` takes the residues.  A pair without structure constants
+    is skipped when neither product can be nonzero: the columns of N_i miss
+    the rows N_j hits, and vice versa.
     """
     g, fld = rep.algebra, rep.field
     lam = fld.denominator_lcm(
@@ -61,11 +63,15 @@ def homomorphism_failure(rep: Representation) -> Optional[Tuple[int, int]]:
         {j: {i: int(x * lam) for i, x in col.items()} for j, col in mat.cols.items()}
         for mat in rep.matrices
     ]
+    hit = [set().union(*mat.values()) for mat in mats]  # rows hit by N_l
     for i in range(g.dim):
         a = mats[i]
         for j in range(i + 1, g.dim):
             b = mats[j]
-            terms = [(mats[k], lam * int(c * mu)) for k, c in g.table.get((i, j), {}).items()]
+            bracket = g.table.get((i, j), {})
+            if not bracket and a.keys().isdisjoint(hit[j]) and b.keys().isdisjoint(hit[i]):
+                continue  # N_i N_j = N_j N_i = 0 by support alone
+            terms = [(mats[k], lam * int(c * mu)) for k, c in bracket.items()]
             products = ((a, b, mu), (b, a, -mu))
             for col in set().union(a, b, *(n for n, _f in terms)):
                 # μ N_i N_j e_col - μ N_j N_i e_col - Σ_k λ μ c_{ij}^k N_k e_col

@@ -6,9 +6,11 @@ corrupted on purpose, as ordinary JSON.
 """
 
 import json
+import random
 
 from nilrep.fields import Field
-from nilrep.linalg import SparseMatrix
+from nilrep.liealg import LieAlgebra
+from nilrep.linalg import SparseMatrix, invert
 
 
 def to_dense(mat: SparseMatrix) -> list:
@@ -36,3 +38,13 @@ def save_json(obj: dict, path: str):
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def rebased(g: LieAlgebra, seed: int) -> LieAlgebra:
+    """g in the seeded basis b_t = e_t + sum over s > t of r_s e_s with each
+    r_s drawn from {-1, 0, 1}: not an adapted basis, and denser brackets."""
+    fld, rng = g.field, random.Random(seed)
+    vectors = [fld.clean({t: fld.one, **{s: rng.randint(-1, 1) for s in range(t + 1, g.dim)}})
+               for t in range(g.dim)]
+    to_new = SparseMatrix(fld, g.dim, g.dim, dict(enumerate(invert(vectors, fld))))
+    return g.rewritten(vectors, to_new)

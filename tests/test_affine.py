@@ -2,7 +2,8 @@ import time
 
 import pytest
 
-from helpers import from_dense, to_dense
+from helpers import from_dense, rebased, to_dense
+from nilrep import affine
 from nilrep.fields import GF, QQ, rational
 from nilrep.affine import (
     AffineFail,
@@ -13,7 +14,7 @@ from nilrep.affine import (
 )
 from nilrep.fileio import save_representation
 from nilrep.liealg import LieAlgebra, abelian_algebra
-from nilrep.linalg import SparseMatrix, is_nilpotent, lincomb
+from nilrep.linalg import SparseMatrix, Subspace, is_nilpotent, lincomb
 from nilrep.representation import Representation, is_faithful, is_homomorphism, kernel
 from nilrep import catalog, tables
 
@@ -35,13 +36,13 @@ def dense_rows(space):
 
 
 def test_cocycles_one_dim_abelian():
-    Z = _cocycles(QQ, {}, row_maps([[[Q0]]]))
+    Z = _cocycles(QQ, {}, row_maps([[[Q0]]]), 1)
     assert Z.dim == 1  # all linear maps K -> K^1
 
 
 def test_cocycles_two_dim_abelian_zero_module():
     zero = [[Q0, Q0], [Q0, Q0]]
-    Z = _cocycles(QQ, {}, row_maps([zero, zero]))
+    Z = _cocycles(QQ, {}, row_maps([zero, zero]), 2)
     assert Z.dim == 4  # every linear map g -> K^2 is a cocycle
 
 
@@ -56,7 +57,7 @@ def test_cocycles_heisenberg_step(heis):
     # extend the 2-dim abelian image to the full Heisenberg algebra: with the
     # 3x3 faithful module of g/<z>, some cocycle takes a nonzero value on a_3
     ab = heis.adapted_basis()
-    Z = _cocycles(QQ, ab.algebra.table, row_maps(HEIS_STEP))
+    Z = _cocycles(QQ, ab.algebra.table, row_maps(HEIS_STEP), 2)
     m = 3
     assert any(any(x != 0 for x in row[2 * m:3 * m]) for row in dense_rows(Z))
 
@@ -65,15 +66,15 @@ def test_cocycles_drop_the_bracket_terms_past_the_quotient(heis):
     # on a_1, a_2 alone [a_1, a_2] = a_3 is dropped: Z¹ of the abelian plane
     table = heis.adapted_basis().algebra.table
     zero = [[Q0, Q0], [Q0, Q0]]
-    assert _cocycles(QQ, table, row_maps([zero, zero])) == _cocycles(
-        QQ, {}, row_maps([zero, zero]))
+    assert _cocycles(QQ, table, row_maps([zero, zero]), 2) == _cocycles(
+        QQ, {}, row_maps([zero, zero]), 2)
 
 
 def test_every_kernel_vector_satisfies_cocycle_identity(heis):
     ab = heis.adapted_basis()
     rho = HEIS_STEP
     q = ab.algebra
-    Z = _cocycles(QQ, q.table, row_maps(rho))
+    Z = _cocycles(QQ, q.table, row_maps(rho), 2)
     assert Z.dim > 0
     m = 3
     for row in dense_rows(Z):
@@ -88,6 +89,78 @@ def test_every_kernel_vector_satisfies_cocycle_identity(heis):
                     rhs[t] = sum((rho[a][t][u] * deltas[b][u] for u in range(m)), Q0)
                     rhs[t] -= sum((rho[b][t][u] * deltas[a][u] for u in range(m)), Q0)
                 assert [QQ.canon(u) for u in lhs] == [QQ.canon(v) for v in rhs]
+
+
+def all_pairs_cocycles(fld, table, rows):
+    """The Z¹ builder before it used only the generators: every pair j < l,
+    and every row of every bracket-only condition."""
+    k = len(rows)
+    conditions = Subspace(fld, k * k)
+    for j in range(k):
+        for l in range(j + 1, k):
+            terms = {s: c for s, c in table.get((j, l), {}).items() if s < k}
+            rows_t = range(k) if terms else sorted(rows[j].keys() | rows[l].keys())
+            for t in rows_t:
+                row = {s * k + t: c for s, c in terms.items()}
+                for u, x in rows[j].get(t, {}).items():
+                    row[l * k + u] = -x
+                for u, x in rows[l].get(t, {}).items():
+                    row[j * k + u] = x
+                conditions.add(row)
+    return conditions.kernel()
+
+
+@pytest.mark.parametrize("g,seed,retries", [
+    (catalog.upper_triangular(4, QQ), 0, 2),
+    (catalog.upper_triangular(5, QQ), 1, 2),
+    (catalog.heisenberg(QQ), 2, 2),
+    (catalog.free_nilpotent(2, 4, QQ), 1, 2),
+    (catalog.free_nilpotent(3, 4, QQ), 1, 1),
+    (catalog.filiform_f(13), 1, 2),
+    (catalog.upper_triangular(4, GF(2)), 1, 3),
+    (catalog.upper_triangular(5, GF(2)), 2, 2),
+    (catalog.heisenberg(GF(2)), 0, 2),
+    (catalog.free_nilpotent(2, 4, GF(2)), 2, 2),
+    (catalog.upper_triangular(4, GF(3)), 2, 2),
+    (catalog.upper_triangular(5, GF(3)), 0, 2),
+    (catalog.heisenberg(GF(3)), 1, 2),
+    (catalog.free_nilpotent(2, 4, GF(3)), 0, 2),
+    (rebased(catalog.upper_triangular(6, QQ), 1), 1, 2),
+], ids=["U4", "U5", "heisenberg", "N_2_4", "N_3_4", "f13", "U4_F2", "U5_F2",
+        "heisenberg_F2", "N_2_4_F2", "U4_F3", "U5_F3", "heisenberg_F3", "N_2_4_F3",
+        "U6_rebased"])
+def test_cocycles_match_the_all_pairs_builder(monkeypatch, g, seed, retries):
+    # the generators-only system has the same solutions, so the same
+    # canonical Z¹, at every step of seeded runs; keys counts the distinct
+    # sets {j : psi(a_j) has row t}, the keys of the builder's row cache
+    keys = []
+
+    def checked(fld, table, rows, n):
+        Z = _cocycles(fld, table, rows, n)
+        assert Z == all_pairs_cocycles(fld, table, rows)
+        keys.append(len({frozenset(j for j, r in enumerate(rows) if t in r)
+                         for t in range(len(rows))}))
+        return Z
+
+    monkeypatch.setattr(affine, "_cocycles", checked)
+    algorithm_affine(g, seed=seed, retries=retries)
+    assert max(keys) > 1  # some step caches more than one independent subset
+
+
+def test_n34_affine_sifts_fewer_condition_rows(monkeypatch):
+    # with every pair j < l and every bracket-only row, this run made 30 289 adds
+    g = catalog.free_nilpotent(3, 4, QQ)
+    adapted = g.adapted_basis()
+    calls = []
+    add = Subspace.add
+
+    def counted(self, row):
+        calls.append(1)
+        return add(self, row)
+
+    monkeypatch.setattr(Subspace, "add", counted)
+    assert algorithm_affine(g, seed=1, retries=10, adapted=adapted).dim == 33
+    assert len(calls) < 25_000
 
 
 # ---------------------------------------------------------------------------

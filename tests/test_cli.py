@@ -6,6 +6,7 @@ from helpers import save_json
 from nilrep import __version__, abelian_algebra, catalog, fileio
 from nilrep.cli import main
 from nilrep.fields import BACKEND, GF, QQ
+from nilrep.liealg import LieAlgebra
 
 
 def run(capsys, *argv):
@@ -110,6 +111,19 @@ def test_compute_rejects_non_nilpotent(tmp_path, capsys):
     save_json(fileio.algebra_to_json(sl2), str(path))
     code, _, err = run(capsys, "compute", "--alg", "regular", "--in", str(path))
     assert code == 2 and "input error" in err
+
+
+@pytest.mark.parametrize("table,dim", [
+    ({(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}, 4),  # sl_2 + K
+    ({(0, 1): {1: 1}}, 2),  # [x, y] = y
+], ids=["sl2+K", "xy=y"])
+def test_compute_rejects_algebras_no_complement_generates(tmp_path, capsys, table, dim):
+    # a complement of [g, g] that does not generate g marks g as not nilpotent
+    path = tmp_path / "g.json"
+    save_json(fileio.algebra_to_json(LieAlgebra(QQ, dim, table)), str(path))
+    for alg in ("regular", "affine"):
+        code, _, err = run(capsys, "compute", "--alg", alg, "--in", str(path))
+        assert code == 2 and "input error" in err and "generates a subalgebra" in err
 
 
 def test_file_input_violating_jacobi_is_an_input_error(tmp_path, capsys):

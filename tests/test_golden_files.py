@@ -1,8 +1,9 @@
 """Byte-level guard on `nilrep compute --out`: whole files, provenance included.
 
 The digests were recorded from the CLI before the module pipeline was
-simplified, and the Affine ones past Heisenberg before Affine was rewritten
-as one loop; any change to a matrix entry, to the monomial order behind the
+simplified, the Affine ones past Heisenberg before Affine was rewritten as one
+loop, and the N_{3,4} and N_{4,3} Affine ones before Affine's Z¹ equations
+were built from the generators alone; any change to a matrix entry, to the monomial order behind the
 basis, to a seeded Affine choice, or to a provenance field changes the
 digest.
 """
@@ -57,6 +58,11 @@ GOLDEN = [
      "3142b13196d9d3a5c6075c561e03208e989e585bb91f2ca34383756259a2cb1f"),
     ("catalog:utri:6", None, "affine",
      "db028a145021c81f3b8ba60e54999ec05c9468799b1a7d5aae6b46c534499429"),
+    # the largest Z¹ systems of the catalog Affine runs
+    ("catalog:freenilp:3,4", None, "affine",
+     "6ae9eb681ec3dbe79a42dfe0262b37c13aec25410890530cce2d8dedb0a9fcb6"),
+    ("catalog:freenilp:4,3", None, "affine",
+     "d74e126809a99c97268ba3673ce526cbcd2951baa4c28ea7a60baaaedcdb495c"),
 ]
 
 

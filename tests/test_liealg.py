@@ -1,7 +1,7 @@
 import pytest
 
-from helpers import to_dense
-from nilrep import catalog
+from helpers import rebased, to_dense
+from nilrep import catalog, liealg
 from nilrep.fields import GF, QQ, rational
 from nilrep.liealg import LieAlgebra, NotNilpotentError, abelian_algebra
 from nilrep.linalg import Subspace
@@ -159,8 +159,89 @@ def test_lcs_hands_no_empty_bracket_to_the_subspace(monkeypatch):
     assert 0 not in seen
 
 
+def all_basis_series(g):
+    """The lower central series before it used only the generators: every
+    row of g^m bracketed with every basis vector."""
+    cur = Subspace.full_space(g.field, g.dim)
+    series = [cur]
+    while cur.dim > 0:
+        nxt = Subspace(g.field, g.dim)
+        for row in cur.sparse.values():
+            for j in range(g.dim):
+                entry = g.bracket(row, {j: g.field.one})
+                if entry:
+                    nxt.add(entry)
+        assert nxt.dim < cur.dim
+        series.append(nxt)
+        cur = nxt
+    return series
+
+
+SERIES_CASES = [
+    catalog.heisenberg(QQ), catalog.upper_triangular(4, QQ), catalog.upper_triangular(7, QQ),
+    catalog.free_nilpotent(2, 5, QQ), catalog.free_nilpotent(2, 7, QQ),
+    catalog.free_nilpotent(3, 4, QQ), catalog.free_nilpotent(4, 3, QQ), catalog.filiform_f(13),
+    abelian_algebra(QQ, 3), catalog.upper_triangular(4, GF(2)),
+    catalog.upper_triangular(7, GF(2)), catalog.free_nilpotent(2, 5, GF(2)),
+    catalog.free_nilpotent(3, 3, GF(2)), catalog.heisenberg(GF(3)),
+    catalog.upper_triangular(7, GF(3)), catalog.free_nilpotent(2, 5, GF(3)),
+    rebased(catalog.upper_triangular(6, QQ), 1), rebased(catalog.upper_triangular(6, GF(2)), 2),
+    rebased(catalog.upper_triangular(6, GF(3)), 3), rebased(catalog.free_nilpotent(2, 5, QQ), 4),
+    rebased(catalog.filiform_f(13), 5),
+]
+
+
+@pytest.mark.parametrize("g", SERIES_CASES, ids=[
+    "heisenberg", "U4", "U7", "N_2_5", "N_2_7", "N_3_4", "N_4_3", "f13", "abelian3", "U4_F2",
+    "U7_F2", "N_2_5_F2", "N_3_3_F2", "heisenberg_F3", "U7_F3", "N_2_5_F3", "U6_rebased",
+    "U6_F2_rebased", "U6_F3_rebased", "N_2_5_rebased", "f13_rebased"])
+def test_series_from_generators_matches_all_basis_series(g):
+    assert g.lower_central_series() == all_basis_series(g)
+
+
+def test_n35_series_brackets_only_with_generators(monkeypatch):
+    # bracketing every row of g^m with all 80 basis vectors took 27 600 calls
+    calls = []
+    bracket = liealg._bracket
+
+    def counted(g, x, y):
+        calls.append(1)
+        return bracket(g, x, y)
+
+    monkeypatch.setattr(liealg, "_bracket", counted)
+    series = catalog.free_nilpotent(3, 5, QQ).lower_central_series()
+    assert [s.dim for s in series] == [80, 77, 74, 66, 48, 0]
+    assert len(calls) < 2000
+
+
+NON_NILPOTENT = [
+    # sl_2 + K: [g, g] = sl_2, and the complement K generates only itself
+    LieAlgebra(QQ, 4, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}),
+    LieAlgebra(QQ, 2, {(0, 1): {1: 1}}),  # [x, y] = y
+    LieAlgebra(GF(3), 2, {(0, 1): {1: 1}}),
+]
+
+
+@pytest.mark.parametrize("g", NON_NILPOTENT, ids=["sl2+K", "xy=y", "xy=y_F3"])
+def test_non_nilpotent_inputs_raise(g):
+    assert g.check_jacobi() == []
+    with pytest.raises(NotNilpotentError, match="generates a subalgebra"):
+        g.lower_central_series()
+    with pytest.raises(NotNilpotentError):
+        g.adapted_basis()
+
+
+def test_a_generated_non_nilpotent_algebra_stabilises():
+    # [a, b] = c, [a, c] = c: the complement a, b of [g, g] = <c> generates g,
+    # and [g², V] = <c> again
+    g = LieAlgebra(QQ, 3, {(0, 1): {2: 1}, (0, 2): {2: 1}})
+    assert g.check_jacobi() == []
+    with pytest.raises(NotNilpotentError, match="stabilises at dimension 1"):
+        g.lower_central_series()
+
+
 def test_non_nilpotent_rejected():
-    # sl_2: [h,e] = 2e, [h,f] = -2f, [e,f] = h; the series stabilises
+    # sl_2: [h,e] = 2e, [h,f] = -2f, [e,f] = h; [g, g] = g, so no complement generates g
     two = rational(2)
     sl2 = LieAlgebra(QQ, 3, {(0, 1): {1: two}, (0, 2): {2: -two}, (1, 2): {0: Q1}})
     with pytest.raises(NotNilpotentError):

@@ -187,6 +187,14 @@ def reference_homomorphism_failure(rep):
     return None
 
 
+def test_a_pair_with_a_bracket_is_checked_when_its_products_vanish(heis):
+    # M_x = M_y = 0, so both products of (x, y) vanish by support, but
+    # [x, y] = z and M_z != 0; the support skip applies only without a bracket
+    zero = SparseMatrix(QQ, 2, 2)
+    rep = Representation(heis, [zero, zero, from_dense(QQ, [[Q0, Q0], [Q1, Q0]])])
+    assert homomorphism_failure(rep) == reference_homomorphism_failure(rep) == (0, 1)
+
+
 @pytest.mark.parametrize("c, lam", [(rational(1), 6), (rational(3, 4), 18)])
 @pytest.mark.parametrize("perturbed, first_failure", [
     (None, None),

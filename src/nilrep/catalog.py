@@ -1,10 +1,10 @@
 """Constructors for the benchmark algebras.
 
 Covers the 3-dimensional Heisenberg algebra, strictly upper triangular
-matrices U_n, free nilpotent algebras N_{n,c} on a Hall basis, and the
-filiform family f_n (n >= 13) over the rationals, together with the
-alternating-sum identities its parameters satisfy and the Witt-formula
-cross-check for the free nilpotent dimensions.
+matrices U_n, free nilpotent algebras N_{n,c} on the Hall basis that
+``hall.free_nilpotent_table`` builds, and the filiform family f_n (n >= 13)
+over the rationals, together with the alternating-sum identities its
+parameters satisfy.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from math import comb
 from typing import Dict, Tuple
 
 from .fields import Field, QQ, parse_natural, rational
-from .hall import HallBasis, witt_dimension
+from .hall import free_nilpotent_table
 from .liealg import LieAlgebra
 
 
@@ -54,34 +54,10 @@ def free_nilpotent(n: int, c: int, field: Field = QQ) -> LieAlgebra:
     """
     if n < 2 or c < 1:
         raise ValueError("need n >= 2 generators and class c >= 1")
-    basis = HallBasis(n, c)
-    dim = len(basis.trees)
-    if dim != witt_dimension(n, c):
-        raise RuntimeError("Hall basis of N_{%d,%d} misses the Witt dimension" % (n, c))
-    remap = []  # old flat index -> emitted index
-    offset = 0
-    for level in basis.levels:
-        size = len(level)
-        remap.extend(offset + size - 1 - t for t in range(size))
-        offset += size
-    table: Dict[Tuple[int, int], dict] = {}
-    for p in range(dim):
-        for q in range(p + 1, dim):
-            if basis.degree[p] + basis.degree[q] > c:
-                continue
-            coords = basis.bracket_coordinates(p, q)
-            entry = {}
-            for k, v in coords.items():
-                cv = field.from_int(v)
-                if cv:
-                    entry[remap[k]] = cv
-            a, b = remap[p], remap[q]
-            if a > b:
-                a, b = b, a
-                entry = {k: field.neg(v) for k, v in entry.items()}
-            if entry:
-                table[(a, b)] = entry
-    return LieAlgebra(field, dim, table)
+    dim, table = free_nilpotent_table(n, c)
+    return LieAlgebra(field, dim, {
+        key: {k: field.from_int(v) for k, v in terms.items()} for key, terms in table.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +102,7 @@ def filiform_f(n: int, field: Field = QQ) -> LieAlgebra:
     """The filiform algebra f_n over the rationals (characteristic zero only)."""
     if n < 13:
         raise ValueError("the filiform family starts at n = 13")
-    if field.characteristic:
+    if field != QQ:
         raise ValueError("f_n is defined over characteristic zero")
     alpha = filiform_alpha(n)
     by_k: Dict[int, list] = {}
@@ -213,5 +189,4 @@ __all__ = [
     "pfaff_identity_values",
     "pfaff_check",
     "from_name",
-    "witt_dimension",
 ]

@@ -11,6 +11,9 @@ independent, and any bracket of basis elements is homogeneous, so reducing
 it against the span of the rows [expansion_t | e_t] of its degree
 recovers the coordinates from the tag columns.  This yields the same
 constants as iterated Hall rewriting, without the rewriting recursion.
+``free_nilpotent_table`` makes one pass over the degrees m = 2..c: it builds
+the span of degree m and reduces every bracket of that degree once, with each
+degree's trees numbered in descending order, the basis order of N_{n,c}.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from .fields import QQ as _QQ
-from .fields import rational
 from .linalg import Subspace
 
 
@@ -114,76 +116,47 @@ def witt_dimension(n: int, c: int) -> int:
     return sum(witt_layer_dim(n, m) for m in range(1, c + 1))
 
 
-class HallBasis:
-    """Flat, degree-ordered Hall basis with per-degree expansion solvers."""
+def free_nilpotent_table(n: int, c: int) -> tuple:
+    """``(dim, table)`` of N_{n,c} on its Hall basis, with int constants.
 
-    def __init__(self, n: int, cutoff: int):
-        self.n = n
-        self.cutoff = cutoff
-        self.levels = hall_trees(n, cutoff)
-        self.trees = [t for level in self.levels for t in level]
-        self.degree = [tree_degree(t) for t in self.trees]
-        self.offset = []
-        pos = 0
-        for level in self.levels:
-            self.offset.append(pos)
-            pos += len(level)
-        self.expansions = [expand(t) for t in self.trees]
-        self._solvers: Dict[int, tuple] = {}
-
-    def layer_size(self, m: int) -> int:
-        return len(self.levels[m - 1])
-
-    def _solver(self, m: int):
-        """(word positions, the span of the rows [expansion_t | e_t])."""
-        try:
-            return self._solvers[m]
-        except KeyError:
-            pass
-        lo = self.offset[m - 1]
-        k = self.layer_size(m)
-        words = sorted({w for t in range(lo, lo + k) for w in self.expansions[t]})
+    The basis lists the Hall trees degree by degree, each degree in
+    descending ``tree_key`` order; ``table[(p, q)]`` for p < q maps basis
+    indices to the coefficients of [tree_p, tree_q].  Raises RuntimeError
+    if the count misses the Witt dimension or the expansions of a degree
+    turn out dependent or fail to span a bracket.
+    """
+    levels = [level[::-1] for level in hall_trees(n, c)]
+    trees = [t for level in levels for t in level]
+    if len(trees) != witt_dimension(n, c):
+        raise RuntimeError("Hall basis of N_{%d,%d} misses the Witt dimension" % (n, c))
+    degree = [tree_degree(t) for t in trees]
+    expansions = [expand(t) for t in trees]
+    table: Dict[tuple, dict] = {}
+    lo = len(levels[0])
+    for m in range(2, c + 1):
+        k = len(levels[m - 1])
+        words = sorted({w for t in range(lo, lo + k) for w in expansions[t]})
         word_pos = {w: idx for idx, w in enumerate(words)}
         nw = len(words)
+        # rows [expansion_t | e_t]: reducing (poly | 0) against their RREF
+        # leaves (0 | -coordinates of poly on the degree-m trees)
         span = Subspace(_QQ, nw + k)
         for t in range(k):
-            row = {word_pos[w]: rational(c) for w, c in self.expansions[lo + t].items()}
-            row[nw + t] = _QQ.one
+            row = {word_pos[w]: x for w, x in expansions[lo + t].items()}
+            row[nw + t] = 1
             # the tag e_t keeps every row independent; a pivot on a tag
             # column means this expansion depends on the earlier ones
             if span.add(row) >= nw:
                 raise RuntimeError("Hall expansions of degree %d are dependent" % m)
-        solver = (word_pos, span)
-        self._solvers[m] = solver
-        return solver
-
-    def coordinates(self, poly: dict, m: int) -> list:
-        """Coordinates of a degree-m Lie polynomial on the degree-m Hall trees.
-
-        Reducing (poly | 0) against the RREF of [expansions | I] leaves
-        (0 | -coordinates); a leftover word column means poly is not spanned.
-        """
-        word_pos, span = self._solver(m)
-        nw = len(word_pos)
-        vec = {}
-        for w, c in poly.items():
-            if w not in word_pos:
-                raise ValueError("word %r is not spanned by this degree" % (w,))
-            vec[word_pos[w]] = rational(c)
-        resid = span.reduce(vec)
-        if any(j < nw for j in resid):
-            raise ValueError("polynomial is not in the Lie span of degree %d" % m)
-        return [-resid.get(nw + t, _QQ.zero) for t in range(self.layer_size(m))]
-
-    def bracket_coordinates(self, p: int, q: int) -> Dict[int, object]:
-        """[tree_p, tree_q] on the Hall basis: {flat index: rational}, {} if truncated."""
-        m = self.degree[p] + self.degree[q]
-        if m > self.cutoff:
-            return {}
-        poly = _commutator(self.expansions[p], self.expansions[q])
-        if not poly:
-            return {}
-        coords = self.coordinates(poly, m)
-        lo = self.offset[m - 1]
-        return {lo + t: c for t, c in enumerate(coords) if c != 0}
-
+        for p in range(lo):
+            for q in range(p + 1, lo):
+                if degree[p] + degree[q] != m:
+                    continue
+                poly = _commutator(expansions[p], expansions[q])
+                resid = span.reduce({word_pos[w]: x for w, x in poly.items()})
+                if any(j < nw for j in resid):
+                    raise RuntimeError("a bracket of degree %d leaves the Hall span" % m)
+                if resid:
+                    table[(p, q)] = {lo + j - nw: -x for j, x in sorted(resid.items())}
+        lo += k
+    return len(trees), dict(sorted(table.items()))

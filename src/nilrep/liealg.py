@@ -137,10 +137,6 @@ class LieAlgebra:
             cur = nxt
         return series
 
-    @property
-    def nilpotency_class(self) -> int:
-        return len(self.lower_central_series()) - 1
-
     def center(self) -> Subspace:
         """{z : [z, x] = 0 for all x}, the kernel of the stacked adjoint maps."""
         constraints = Subspace(self.field, self.dim)

@@ -91,21 +91,6 @@ def _primitive(v: dict, piv: int, p: int):
                 v[j] = x // g
 
 
-def _checked_rows(field: Field, ncols: int, vectors: Iterable[Sequence]):
-    """Yield dense vectors as sparse rows, rejecting wrong lengths and scalars
-    that obviously belong to another field (floats, or non-ints over F_p)."""
-    for vec in vectors:
-        if len(vec) != ncols:
-            raise ValueError("vector length %d != ambient %d" % (len(vec), ncols))
-        row = {}
-        for j, x in enumerate(vec):
-            if not field.validate(x):
-                raise ValueError("scalar %r does not belong to %r" % (x, field))
-            if x != 0:
-                row[j] = x
-        yield row
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -138,15 +123,6 @@ class Subspace:
         self._touch: dict[int, set] = {}  # col -> pivot cols whose row hits col
         self._canon: dict[int, dict] = {}  # pivot col -> canonical row, while the row holds
         self._sorted: Optional[dict] = {}  # canonical rows in pivot order, None when stale
-
-    @classmethod
-    def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        """Span of dense vectors; raises ValueError on a wrong length or on a
-        scalar that obviously belongs to another field."""
-        space = cls(field, ambient)
-        for row in _checked_rows(field, ambient, vectors):
-            space.add(row)
-        return space
 
     @classmethod
     def full_space(cls, field: Field, ambient: int) -> "Subspace":

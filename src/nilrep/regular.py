@@ -21,7 +21,7 @@ from math import comb
 from typing import Optional
 
 from .liealg import AdaptedBasis, LieAlgebra
-from .linalg import SparseMatrix, lincomb
+from .linalg import lincomb
 from .representation import Representation
 from .uea import TruncatedUEA
 
@@ -130,17 +130,23 @@ def _reversed_model(adapted: AdaptedBasis):
     """Full truncated UEA over the layer-reversed adapted basis.
 
     Returns (uea, central ids, basis inverse); basis vector t of the model is
-    adapted basis vector perm[t].  The model basis matrix is P A for the
-    permutation matrix P of perm, so its inverse A^-1 P^T is the adapted
-    inverse with column perm[t] moved to t.
+    adapted basis vector perm[t].  The model table is the adapted one
+    relabelled, negated where a pair turns around inside a layer.  The model
+    basis matrix is P A for the permutation matrix P of perm, so its inverse
+    A^-1 P^T is the adapted inverse with column perm[t] moved to t.
     """
     fld = adapted.algebra.field
     perm = _reverse_layers(adapted.weights)
     inv_positions = {old: new for new, old in enumerate(perm)}
-    to_model = SparseMatrix(
-        fld, len(perm), len(perm), {old: {new: fld.one} for old, new in inv_positions.items()}
-    )
-    algebra = adapted.algebra.rewritten([{old: fld.one} for old in perm], to_model)
+    table = {}
+    for (i, j), terms in adapted.algebra.table.items():
+        a, b = inv_positions[i], inv_positions[j]
+        entry = {inv_positions[k]: c for k, c in terms.items()}
+        if a < b:
+            table[(a, b)] = entry
+        else:
+            table[(b, a)] = {k: fld.neg(c) for k, c in entry.items()}
+    algebra = LieAlgebra(fld, len(perm), dict(sorted(table.items())))
     central_ids = tuple(
         sorted(inv_positions[k] for k, z in enumerate(adapted.central_flags) if z)
     )

@@ -1,8 +1,8 @@
 """Helpers that only the tests use: dense matrices and plain JSON files.
 
-The package holds matrices sparse and writes representation files itself;
-tests state small matrices densely, and save algebra objects, sometimes
-corrupted on purpose, as ordinary JSON.
+The package holds matrices and subspaces sparse and writes representation
+files itself; tests state small matrices and spans densely, and save algebra
+objects, sometimes corrupted on purpose, as ordinary JSON.
 """
 
 import json
@@ -10,7 +10,7 @@ import random
 
 from nilrep.fields import Field
 from nilrep.liealg import LieAlgebra
-from nilrep.linalg import SparseMatrix, invert
+from nilrep.linalg import SparseMatrix, Subspace, invert
 
 
 def to_dense(mat: SparseMatrix) -> list:
@@ -32,6 +32,20 @@ def from_dense(field: Field, rows) -> SparseMatrix:
             if x != 0:
                 cols.setdefault(j, {})[i] = x
     return SparseMatrix(field, len(rows), len(rows[0]) if rows else 0, cols)
+
+
+def span(field: Field, ambient: int, vectors) -> Subspace:
+    """The span of dense vectors; raises ValueError on a wrong length or on a
+    scalar that ``field.validate`` refuses."""
+    space = Subspace(field, ambient)
+    for vec in vectors:
+        if len(vec) != ambient:
+            raise ValueError("vector length %d != ambient %d" % (len(vec), ambient))
+        for x in vec:
+            if not field.validate(x):
+                raise ValueError("scalar %r does not belong to %r" % (x, field))
+        space.add({j: x for j, x in enumerate(vec) if x != 0})
+    return space
 
 
 def save_json(obj: dict, path: str):

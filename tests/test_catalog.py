@@ -1,8 +1,10 @@
 import pytest
 
 from nilrep.fields import GF, QQ, rational
-from nilrep.hall import HallBasis, expand, hall_trees, witt_dimension, witt_layer_dim
+from nilrep.hall import _commutator, expand, hall_trees, tree_degree, witt_dimension, witt_layer_dim
 from nilrep.liealg import LieAlgebra
+from nilrep.linalg import Subspace
+from nilrep.tables import TABLE2
 from nilrep import catalog
 
 Q1 = rational(1)
@@ -15,7 +17,7 @@ Q1 = rational(1)
 def test_heisenberg(heis):
     assert heis.dim == 3
     assert heis.check_jacobi() == []
-    assert heis.nilpotency_class == 2
+    assert len(heis.lower_central_series()) - 1 == 2
     assert heis.center().dim == 1
 
 
@@ -34,7 +36,7 @@ def test_upper_triangular_dims():
 
 
 def test_upper_triangular_class():
-    assert catalog.upper_triangular(5, QQ).nilpotency_class == 4
+    assert len(catalog.upper_triangular(5, QQ).lower_central_series()) - 1 == 4
 
 
 def test_upper_triangular_generators():
@@ -78,26 +80,87 @@ def test_expansions_are_lie_elements():
         assert sum(poly.values()) == 0  # total coefficient of a Lie element
 
 
+def reference_free_nilpotent(n, c, field):
+    """N_{n,c} the two-layer way: coordinates of every bracket on the Hall
+    trees in ascending order, one solver per degree, then each level
+    renumbered in reverse and the pairs it turns around swapped and negated."""
+    levels = hall_trees(n, c)
+    trees = [t for level in levels for t in level]
+    degree = [tree_degree(t) for t in trees]
+    expansions = [expand(t) for t in trees]
+    offset, pos = [], 0
+    for level in levels:
+        offset.append(pos)
+        pos += len(level)
+    solvers = {}
+
+    def solver(m):
+        if m not in solvers:
+            lo, k = offset[m - 1], len(levels[m - 1])
+            words = sorted({w for t in range(lo, lo + k) for w in expansions[t]})
+            word_pos = {w: idx for idx, w in enumerate(words)}
+            span = Subspace(QQ, len(words) + k)
+            for t in range(k):
+                row = {word_pos[w]: rational(x) for w, x in expansions[lo + t].items()}
+                row[len(words) + t] = QQ.one
+                assert span.add(row) < len(words)
+            solvers[m] = (word_pos, span)
+        return solvers[m]
+
+    def bracket_coordinates(p, q):
+        m = degree[p] + degree[q]
+        poly = _commutator(expansions[p], expansions[q])
+        if not poly:
+            return {}
+        word_pos, span = solver(m)
+        nw, lo = len(word_pos), offset[m - 1]
+        resid = span.reduce({word_pos[w]: rational(x) for w, x in poly.items()})
+        assert all(j >= nw for j in resid)
+        return {lo + j - nw: -x for j, x in resid.items()}
+
+    dim = len(trees)
+    remap = []  # old flat index -> emitted index
+    for level, lo in zip(levels, offset):
+        remap.extend(lo + len(level) - 1 - t for t in range(len(level)))
+    table = {}
+    for p in range(dim):
+        for q in range(p + 1, dim):
+            if degree[p] + degree[q] > c:
+                continue
+            entry = {}
+            for k, v in bracket_coordinates(p, q).items():
+                cv = field.from_int(v)
+                if cv:
+                    entry[remap[k]] = cv
+            a, b = remap[p], remap[q]
+            if a > b:
+                a, b = b, a
+                entry = {k: field.neg(v) for k, v in entry.items()}
+            if entry:
+                table[(a, b)] = entry
+    return LieAlgebra(field, dim, table)
+
+
+def scalar_types(g):
+    return {key: {k: type(v) for k, v in terms.items()} for key, terms in g.table.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+@pytest.mark.parametrize("n, c", [(n, c) for n, c, *_ in TABLE2] + [(2, 1), (3, 2)])
+def test_free_nilpotent_matches_the_two_layer_reference(n, c, field):
+    g = catalog.free_nilpotent(n, c, field)
+    ref = reference_free_nilpotent(n, c, field)
+    assert g == ref
+    assert scalar_types(g) == scalar_types(ref)
+
+
 def test_hall_coordinates_of_degree_two_brackets():
-    basis = HallBasis(3, 2)
-    # the degree-2 Hall trees on 3 letters, at flat indices 3, 4, 5
-    assert basis.levels[1] == [(1, 0), (2, 0), (2, 1)]
-    # 2[x1,x0] - 3[x2,x1] = 2(x1x0 - x0x1) - 3(x2x1 - x1x2)
-    poly = {(1, 0): 2, (0, 1): -2, (2, 1): -3, (1, 2): 3}
-    assert basis.coordinates(poly, 2) == [2, 0, -3]
-    assert basis.bracket_coordinates(1, 0) == {3: 1}
-    assert basis.bracket_coordinates(0, 2) == {4: -1}
-    assert basis.bracket_coordinates(2, 1) == {5: 1}
-
-
-def test_hall_coordinates_reject_polynomials_outside_the_lie_span():
-    basis = HallBasis(2, 2)
-    # x0x1 alone is no Lie element: degree 2 is spanned by x1x0 - x0x1
-    with pytest.raises(ValueError, match="not in the Lie span"):
-        basis.coordinates({(0, 1): 1}, 2)
-    # x0x0 occurs in no degree-2 expansion at all
-    with pytest.raises(ValueError, match="not spanned"):
-        basis.coordinates({(0, 0): 1}, 2)
+    # every level is listed descending: e0, e1, e2 = x2, x1, x0 and
+    # e3, e4, e5 = [x2, x1], [x2, x0], [x1, x0]
+    assert hall_trees(3, 2)[1] == [(1, 0), (2, 0), (2, 1)]
+    assert catalog.free_nilpotent(3, 2, QQ).table == {
+        (0, 1): {3: 1}, (0, 2): {4: 1}, (1, 2): {5: 1}
+    }
 
 
 def test_free_nilpotent_dims_and_jacobi():
@@ -202,7 +265,7 @@ def test_filiform_f13_structure(f13):
     # filiform: dim g^m = n - m for 2 <= m <= n-1, class n-1
     series = f13.lower_central_series()
     assert [s.dim for s in series] == [13] + [13 - m for m in range(2, 13)] + [0]
-    assert f13.nilpotency_class == 12
+    assert len(series) - 1 == 12
 
 
 def test_filiform_first_row_brackets(f13):

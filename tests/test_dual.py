@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import span
 from nilrep.fields import GF, QQ, rational
-from nilrep.linalg import Subspace
 from nilrep import dual
 from nilrep.dual import (
     algorithm_dual,
@@ -102,7 +102,7 @@ def test_algorithm_dual_rejects_unclosed_spin(heis, monkeypatch):
     def generators_only(module, gens):
         # span{psi_z} is not closed under the action: y . psi_z = psi_x
         vecs = [[gen.get(t, rational(0)) for t in range(module.dim)] for gen in gens]
-        return Subspace.from_vectors(QQ, module.dim, vecs)
+        return span(QQ, module.dim, vecs)
 
     monkeypatch.setattr(dual, "spin_submodule", generators_only)
     with pytest.raises(RuntimeError, match="spin closure failed"):

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import rebased, to_dense
+from helpers import rebased, span, to_dense
 from nilrep import catalog, liealg
 from nilrep.fields import GF, QQ, rational
 from nilrep.liealg import LieAlgebra, NotNilpotentError, abelian_algebra
@@ -34,7 +34,7 @@ def coord_span(indices, ambient, field=QQ):
         v = [field.zero] * ambient
         v[i] = field.one
         vecs.append(v)
-    return Subspace.from_vectors(field, ambient, vecs)
+    return span(field, ambient, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_lcs_heisenberg(heis):
     series = heis.lower_central_series()
     assert [s.dim for s in series] == [3, 1, 0]
     assert series[1] == coord_span([2], 3)
-    assert heis.nilpotency_class == 2
+    assert len(series) - 1 == 2
 
 
 def test_lcs_strictly_decreasing_and_nested(u4, f13):
@@ -116,7 +116,7 @@ def test_lcs_strictly_decreasing_and_nested(u4, f13):
 def test_lcs_abelian():
     g = abelian_algebra(QQ, 3)
     assert [s.dim for s in g.lower_central_series()] == [3, 0]
-    assert g.nilpotency_class == 1
+    assert len(g.lower_central_series()) - 1 == 1
 
 
 def test_lcs_u4_via_elementary_matrix_oracle(u4):
@@ -138,7 +138,7 @@ def test_lcs_u4_via_elementary_matrix_oracle(u4):
             expected = {idx[k]: rational(v) for k, v in comm(pairs[p], pairs[q]).items()}
             assert u4.bracket({p: Q1}, {q: Q1}) == expected
     assert [s.dim for s in u4.lower_central_series()] == [6, 3, 1, 0]
-    assert u4.nilpotency_class == 3
+    assert len(u4.lower_central_series()) - 1 == 3
 
 
 def test_lcs_hands_no_empty_bracket_to_the_subspace(monkeypatch):
@@ -291,9 +291,9 @@ def test_adapted_spans_match_series(u4):
     series = u4.lower_central_series()
     for m in range(1, 4):
         vecs = [dense(row, 6) for row, w in zip(ab.matrix, ab.weights) if w >= m]
-        assert Subspace.from_vectors(QQ, 6, vecs) == series[m - 1]
+        assert span(QQ, 6, vecs) == series[m - 1]
     central = [dense(row, 6) for row, z in zip(ab.matrix, ab.central_flags) if z]
-    assert Subspace.from_vectors(QQ, 6, central) == u4.center()
+    assert span(QQ, 6, central) == u4.center()
 
 
 # Heisenberg in the basis x, y, c = 2x + z: [x, y] = c - 2x, [y, c] = 4x - 2c.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import from_dense, to_dense
+from helpers import from_dense, span, to_dense
 from nilrep.fields import GF, QQ, rational
 from nilrep.linalg import (
     SparseMatrix,
@@ -100,25 +100,25 @@ def in_field(field, rows):
 
 
 # ---------------------------------------------------------------------------
-# canonical RREF (built by Subspace.from_vectors)
+# canonical RREF (built by helpers.span)
 
 
 def test_rref_identity():
     eye = qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rref(eye, QQ, 3) == ([tuple(r) for r in eye], (0, 1, 2))
-    space = Subspace.from_vectors(QQ, 3, eye)
+    space = span(QQ, 3, eye)
     assert space.pivots == (0, 1, 2) and dense_rows(space) == tuple(tuple(r) for r in eye)
     assert space.sparse == {0: {0: Q1}, 1: {1: Q1}, 2: {2: Q1}}
 
 
 def test_rref_zero():
-    space = Subspace.from_vectors(QQ, 4, qmat([[0, 0, 0, 0], [0, 0, 0, 0]]))
+    space = span(QQ, 4, qmat([[0, 0, 0, 0], [0, 0, 0, 0]]))
     assert space.dim == 0 and space.pivots == () and space.sparse == {}
 
 
 def test_rref_rank_one():
     # hand elimination: second row is half the first
-    space = Subspace.from_vectors(QQ, 2, qmat([[2, 4], [1, 2]]))
+    space = span(QQ, 2, qmat([[2, 4], [1, 2]]))
     assert space.pivots == (0,)
     assert space.sparse == {0: {0: Q1, 1: rational(2)}}
 
@@ -126,15 +126,15 @@ def test_rref_rank_one():
 def test_rref_rejects_floats():
     # the scalar check lives where dense vectors enter the kernel
     with pytest.raises(ValueError):
-        Subspace.from_vectors(QQ, 2, [[0.5, 1.0]])
+        span(QQ, 2, [[0.5, 1.0]])
     with pytest.raises(ValueError):
-        Subspace.from_vectors(GF(5), 1, [[rational(1, 2)]])
+        span(GF(5), 1, [[rational(1, 2)]])
     with pytest.raises(ValueError):
         invert([{0: 0.5}], QQ)
     with pytest.raises(ValueError):
         invert([{1: Q1}], QQ)  # column index outside a 1 x 1 matrix
     with pytest.raises(ValueError, match="length"):
-        Subspace.from_vectors(QQ, 3, [[Q1, Q0]])
+        span(QQ, 3, [[Q1, Q0]])
 
 
 @pytest.mark.parametrize("field, bad", [(QQ, "1"), (QQ, True), (QQ, None), (QQ, [1]),
@@ -142,16 +142,16 @@ def test_rref_rejects_floats():
 def test_vectors_take_only_ints_or_backend_rationals(field, bad):
     # a string or a bool used to land in the basis over Q, and a bool over F_p
     with pytest.raises(ValueError, match="does not belong"):
-        Subspace.from_vectors(field, 2, [[bad, 0]])
+        span(field, 2, [[bad, 0]])
     with pytest.raises(ValueError, match="bad entry"):
         invert([{0: bad}], field)
-    assert Subspace.from_vectors(field, 2, [[3, rational(1, 2) if field == QQ else 0]]).dim == 1
+    assert span(field, 2, [[3, rational(1, 2) if field == QQ else 0]]).dim == 1
 
 
 @given(matrices((1, 4), 3))
 def test_rref_idempotent_and_rank_bounds(rows):
-    space = Subspace.from_vectors(QQ, 3, qmat(rows))
-    again = Subspace.from_vectors(QQ, 3, dense_rows(space))
+    space = span(QQ, 3, qmat(rows))
+    again = span(QQ, 3, dense_rows(space))
     assert again.sparse == space.sparse and again.pivots == space.pivots
     assert space.dim <= min(len(rows), 3)
 
@@ -160,7 +160,7 @@ def test_rref_idempotent_and_rank_bounds(rows):
 def test_from_vectors_matches_dense_rref(field, rows):
     rows = in_field(field, rows)
     ech, pivots = rref(rows, field, 4)
-    space = Subspace.from_vectors(field, 4, rows)
+    space = span(field, 4, rows)
     assert dense_rows(space) == tuple(ech) and space.pivots == pivots
     assert all(space.contains(row) for row in rows)
 
@@ -203,7 +203,7 @@ def test_growing_a_basis_matches_from_vectors(field, head, tail):
         space.add(row)
     # add stores its own copies: the rows handed in stay as they were
     assert given_rows == sparse_rows(rref(head, field, 5)[0])
-    assert space == Subspace.from_vectors(field, 5, head + tail)
+    assert space == span(field, 5, head + tail)
     assert dense_rows(space.kernel()) == tuple(nullspace(head + tail, field, 5))
 
 
@@ -211,31 +211,27 @@ def test_growing_a_basis_matches_from_vectors(field, head, tail):
 # subspaces
 
 
-def span(vectors, ambient, field=QQ):
-    return Subspace.from_vectors(field, ambient, qmat(vectors) if field is QQ else vectors)
-
-
 def test_intersect_idempotent():
-    a = span([[1, 2, 0], [0, 0, 1]], 3)
+    a = span(QQ, 3, [[1, 2, 0], [0, 0, 1]])
     assert intersect(a, a) == a
 
 
 def test_intersect_transverse_lines():
-    a = span([[1, 0]], 2)
-    b = span([[0, 1]], 2)
+    a = span(QQ, 2, [[1, 0]])
+    b = span(QQ, 2, [[0, 1]])
     assert intersect(a, b).dim == 0
 
 
 def test_intersect_planes():
-    a = span([[1, 0, 0], [0, 1, 0]], 3)
-    b = span([[0, 1, 0], [0, 0, 1]], 3)
+    a = span(QQ, 3, [[1, 0, 0], [0, 1, 0]])
+    b = span(QQ, 3, [[0, 1, 0], [0, 0, 1]])
     got = intersect(a, b)
-    assert got == span([[0, 1, 0]], 3)
+    assert got == span(QQ, 3, [[0, 1, 0]])
 
 
 def test_intersect_ambient_mismatch():
     with pytest.raises(ValueError):
-        intersect(span([[1]], 1), span([[1, 0]], 2))
+        intersect(span(QQ, 1, [[1]]), span(QQ, 2, [[1, 0]]))
 
 
 @given(
@@ -243,14 +239,14 @@ def test_intersect_ambient_mismatch():
     st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=0, max_size=3),
 )
 def test_dimension_formula(avecs, bvecs):
-    a = span(avecs, 4)
-    b = span(bvecs, 4)
-    total = Subspace.from_vectors(QQ, 4, dense_rows(a) + dense_rows(b))
+    a = span(QQ, 4, avecs)
+    b = span(QQ, 4, bvecs)
+    total = span(QQ, 4, dense_rows(a) + dense_rows(b))
     assert a.dim + b.dim == intersect(a, b).dim + total.dim
 
 
 def test_subspace_membership_and_coords():
-    s = span([[1, 0, 2], [0, 1, 3]], 3)
+    s = span(QQ, 3, [[1, 0, 2], [0, 1, 3]])
     v = [rational(2), rational(-1), rational(1)]
     assert s.contains(v)
     # on an RREF basis a member's coordinates are its entries at the pivots
@@ -268,7 +264,7 @@ def test_subspace_add_keeps_a_canonical_basis():
     assert space.add({1: rational(1), 2: rational(1)}) == 1
     assert space.add({0: rational(2), 1: rational(4)}) == 0
     assert space.add({0: rational(2), 1: rational(5), 2: rational(1)}) is None  # dependent
-    assert space == span([[2, 4, 0], [0, 1, 1]], 3)
+    assert space == span(QQ, 3, [[2, 4, 0], [0, 1, 1]])
     assert space.dim == 2 and space.pivots == (0, 1)
     assert list(space.sparse) == [0, 1]  # pivot order, not the order added
 
@@ -280,8 +276,8 @@ def test_subspace_does_not_hash():
 
 @given(FIELDS, matrices((0, 3), 4), matrices((0, 3), 4))
 def test_subspace_operations_leave_their_inputs_unchanged(field, avecs, bvecs):
-    a = Subspace.from_vectors(field, 4, in_field(field, avecs))
-    b = Subspace.from_vectors(field, 4, in_field(field, bvecs))
+    a = span(field, 4, in_field(field, avecs))
+    b = span(field, 4, in_field(field, bvecs))
     before = [dense_rows(a), dense_rows(b)]
     both = intersect(a, b)
     coordinate_projection(a)
@@ -363,7 +359,7 @@ def test_sparse_matrix_equality_ignores_stored_zeros():
 
 def test_matrix_kernel_and_nilpotency():
     n = from_dense(QQ, qmat([[0, 0], [1, 0]]))
-    assert kernel_of(to_dense(n), QQ, 2) == span([[0, 1]], 2)
+    assert kernel_of(to_dense(n), QQ, 2) == span(QQ, 2, [[0, 1]])
     assert is_nilpotent(n)
     assert not is_nilpotent(from_dense(QQ, qmat([[1, 0], [0, 1]])))
 
@@ -444,8 +440,8 @@ def test_invert_matches_dense_rref(field, rows):
 
 @given(FIELDS, matrices((0, 3), 4), matrices((0, 3), 4))
 def test_intersect_matches_dense_nullspace(field, avecs, bvecs):
-    a = Subspace.from_vectors(field, 4, in_field(field, avecs))
-    b = Subspace.from_vectors(field, 4, in_field(field, bvecs))
+    a = span(field, 4, in_field(field, avecs))
+    b = span(field, 4, in_field(field, bvecs))
     # reference: kernel of the coefficient system sum u_i a_i - sum v_j b_j = 0
     system = [
         [r[t] for r in dense_rows(a)] + [field.neg(r[t]) for r in dense_rows(b)]
@@ -463,7 +459,7 @@ def test_intersect_matches_dense_nullspace(field, avecs, bvecs):
 @given(FIELDS, matrices((0, 4), 5))
 def test_coordinate_projection_matches_dense_reference(field, rows):
     n = 5
-    w = Subspace.from_vectors(field, n, in_field(field, rows))
+    w = span(field, n, in_field(field, rows))
     kept, proj = coordinate_projection(w)
     unit = [[field.one if j == k else field.zero for j in range(n)] for k in range(n)]
     # kept is the greedy complement: e_k stays when it raises the dense rank
@@ -597,7 +593,7 @@ def test_back_elimination_keeps_integral_entries_as_ints():
 @given(st.lists(st.lists(scalars(QQ), min_size=5, max_size=5), max_size=5),
        st.lists(scalars(QQ), min_size=5, max_size=5))
 def test_integral_rationals_are_ints_in_every_result(rows, vec):
-    space = Subspace.from_vectors(QQ, 5, rows)
+    space = span(QQ, 5, rows)
     residual = space.reduce({j: x for j, x in enumerate(vec)})
     assert integral_values_are_ints(space.sparse.values())
     assert integral_values_are_ints([residual, *space.kernel().sparse.values()])

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import span
 from nilrep import catalog
 from nilrep.fields import GF, QQ, rational
 from nilrep.liealg import LieAlgebra
@@ -22,7 +23,7 @@ def coord_span(indices, ambient):
         v = [Q0] * ambient
         v[i] = Q1
         vecs.append(v)
-    return Subspace.from_vectors(QQ, ambient, vecs)
+    return span(QQ, ambient, vecs)
 
 
 def test_reduce_once_heisenberg_worked_example(heis):

@@ -1,8 +1,12 @@
 import pytest
 
+from helpers import rebased
 from nilrep.fields import GF, QQ
 from nilrep.liealg import abelian_algebra
+from nilrep.linalg import SparseMatrix
 from nilrep.regular import (
+    _reverse_layers,
+    _reversed_model,
     algorithm_regular,
     build_pruned_module,
     initial_prune_state,
@@ -163,3 +167,36 @@ def test_build_pruned_module_computes_the_products_once(monkeypatch):
         "algebra", "cutoff", "field", "index", "monomials", "mu", "unit", "weight_of",
         "weights",
     ]
+
+
+def rewritten_model(adapted):
+    """The layer-reversed model algebra by evaluating every bracket again:
+    basis vector t is adapted basis vector perm[t]."""
+    fld = adapted.algebra.field
+    perm = _reverse_layers(adapted.weights)
+    to_model = SparseMatrix(
+        fld, len(perm), len(perm), {old: {new: fld.one} for new, old in enumerate(perm)}
+    )
+    return adapted.algebra.rewritten([{old: fld.one} for old in perm], to_model)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.free_nilpotent(3, 5, QQ),
+    lambda: catalog.free_nilpotent(2, 8, QQ),
+    lambda: catalog.filiform_f(17),
+    lambda: catalog.upper_triangular(7, QQ),
+    lambda: catalog.upper_triangular(6, GF(3)),
+    lambda: rebased(catalog.upper_triangular(5, GF(2)), 1),
+    lambda: rebased(catalog.free_nilpotent(2, 4, QQ), 2),
+    lambda: rebased(catalog.filiform_f(13), 3),
+], ids=["N35", "N28", "f17", "U7", "U6-F3", "U5-F2-rebased", "N24-rebased", "f13-rebased"])
+def test_relabelled_model_equals_the_rewritten_one(build):
+    adapted = build().adapted_basis()
+    model = _reversed_model(adapted)[0].algebra
+    expected = rewritten_model(adapted)
+    assert model == expected
+    # the same brackets in the same order, with the same scalar types
+    assert [(key, [(k, type(c), c) for k, c in terms.items()])
+            for key, terms in model.table.items()] == [
+        (key, [(k, type(c), c) for k, c in terms.items()])
+        for key, terms in expected.table.items()]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import from_dense
+from helpers import from_dense, span
 from nilrep import catalog
 from nilrep.fields import GF, QQ, field_from_characteristic, rational
 from nilrep.liealg import LieAlgebra, abelian_algebra
@@ -33,7 +33,7 @@ def coord_span(indices, ambient):
         v = [Q0] * ambient
         v[i] = Q1
         vecs.append(v)
-    return Subspace.from_vectors(QQ, ambient, vecs)
+    return span(QQ, ambient, vecs)
 
 
 def zero_rep(g, dim):

@@ -25,7 +25,6 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 KEPT = {
     "LieAlgebra.betti2": "acceptance criterion 6d checks b2(f_n) = 2",
     "LieAlgebra.quotient": "the structural tool that generates quotient algebras",
-    "Subspace.from_vectors": "the public constructor of a subspace from dense vectors",
     "abelian_algebra": "the public constructor of an abelian algebra",
     "regular_unpruned": "acceptance criterion 1 checks the unpruned module dimension",
     "nu": "acceptance criterion 2 checks the closed-form dimension bound",
@@ -40,7 +39,6 @@ CHARACTERISTIC_READERS = {
     "fields.py": "the field arithmetic itself",
     "linalg.py": "the elimination kernel reduces mod p inside its loops",
     "fileio.py": "the field descriptor of the file format",
-    "catalog.py": "f_n is defined over characteristic zero only",
     "cli.py": "the summary names the field",
 }
 

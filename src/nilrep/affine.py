@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .liealg import AdaptedBasis, LieAlgebra
-from .linalg import SparseMatrix, Subspace, lincomb
+from .linalg import SparseMatrix, Subspace, lincomb, relations
 from .representation import Representation
 
 _MIX_ATTEMPTS = 20
@@ -89,13 +89,9 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> Subspace:
     return conditions.kernel()
 
 
-def _assert_faithful(fld, cols: list, size: int):
-    """Raise RuntimeError unless the size x size matrices with column maps
-    ``cols`` are linearly independent: a faithful action of their span."""
-    span = Subspace(fld, size * size)
-    for mat in cols:
-        span.add({c * size + t: x for c, col in mat.items() for t, x in col.items()})
-    if span.dim < len(cols):
+def _assert_faithful(fld, cols: list):
+    """Raise RuntimeError unless the matrices with column maps ``cols`` are independent."""
+    if relations(fld, cols).dim:
         raise RuntimeError("affine extension lost faithfulness")
 
 
@@ -172,7 +168,7 @@ def algorithm_affine(
                 j, t = divmod(c, k)
                 cols[j].setdefault(k, {})[t] = x
                 rows[j].setdefault(t, {})[k] = x
-            _assert_faithful(fld, cols, k + 1)
+            _assert_faithful(fld, cols)
         else:
             mats = [SparseMatrix(fld, d + 1, d + 1, c) for c in cols]
             return Representation(

@@ -58,15 +58,14 @@ def center_dual_generators(module: PrunedModule) -> list:
     return gens
 
 
-def spin_submodule(module: PrunedModule, generators: list) -> Subspace:
+def spin_submodule(module: PrunedModule, generators: list, duals: list) -> Subspace:
     """Closure of the generators under all basis-vector actions, echelonised.
 
     A vector that enlarges the span is queued as a multiple of its residual
     against it, the new basis row in primitive form (over Q an integer
     vector); the queued rows span the submodule, so only their images are
-    sifted in turn, under the integer actions of ``dual_action_matrices``.
+    sifted in turn, under the integer actions ``duals = dual_action_matrices(module)``.
     """
-    duals = [mat for mat, _lam in dual_action_matrices(module)]
     basis = Subspace(module.algebra.field, module.dim)
     queue = deque()
 
@@ -79,7 +78,7 @@ def spin_submodule(module: PrunedModule, generators: list) -> Subspace:
         sift(gen)
     while queue:
         f = queue.popleft()
-        for mat in duals:
+        for mat, _lam in duals:
             img = mat.apply_sparse(f)
             if img:
                 sift(img)
@@ -90,13 +89,14 @@ def algorithm_dual(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Repr
     """Dual: prune as in Regular, then spin psi_1..psi_r and read off the action."""
     module = module or build_pruned_module(g)
     fld = g.field
-    basis = spin_submodule(module, center_dual_generators(module))
+    duals = dual_action_matrices(module)
+    basis = spin_submodule(module, center_dual_generators(module), duals)
     k = basis.dim
     pivots = basis.pivots
     pos = {pc: t for t, pc in enumerate(pivots)}
     rows = [(basis.primitive_row(pc), pc) for pc in pivots]
     per_basis = []
-    for mat, lam in dual_action_matrices(module):
+    for mat, lam in duals:
         cols = {}
         for b, (row, pc) in enumerate(rows):
             img = mat.apply_sparse(row)

@@ -9,11 +9,12 @@ quotients by ideals, and the second Betti number.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .fields import Field
-from .linalg import SparseMatrix, Subspace, coordinate_projection, intersect, invert
+from .linalg import SparseMatrix, Subspace, coordinate_projection, intersect, invert, relations
 
 
 class NotNilpotentError(ValueError):
@@ -92,35 +93,15 @@ class LieAlgebra:
     def lower_central_series(self) -> list:
         """[g¹, g², …, 0] with g¹ = g and g^{m+1} = [g, g^m].
 
-        g² is the span of the table's values, and the unit vectors off its
-        pivot columns span a complement V.  If V generates g, then g^m is
-        spanned by the left-normed commutators of length at least m in V (by
-        Jacobi), so g^{m+1} = span [g^m, V].  In a nilpotent g every
-        complement of g² generates g, so V is checked to generate g: its
-        ad(V)-closure must be all of g.
+        With g² and the generators V of ``_generators``, g^m is spanned by
+        the left-normed commutators of length at least m in V (by Jacobi), so
+        g^{m+1} = span [g^m, V].
 
         Raises NotNilpotentError when V does not generate g or the series
         stabilises above zero.
         """
         fld, d = self.field, self.dim
-        derived = Subspace(fld, d)
-        for terms in self.table.values():
-            derived.add(terms)
-        gens = [{j: fld.one} for j in range(d) if j not in derived.sparse]
-        generated = Subspace(fld, d)
-        todo = [v for v in gens if generated.add(v) is not None]
-        while todo:
-            x = todo.pop()
-            for v in gens:
-                entry = _bracket(self, x, v)
-                if entry and generated.add(entry) is not None:
-                    todo.append(entry)
-        if generated.dim < d:
-            raise NotNilpotentError(
-                "the complement of [g, g] generates a subalgebra of dimension %d < %d"
-                % (generated.dim, d)
-            )
-        cur = derived
+        cur, gens = _generators(self)
         series = [Subspace.full_space(fld, d), cur]
         while cur.dim > 0:
             nxt = Subspace(fld, d)
@@ -138,17 +119,13 @@ class LieAlgebra:
         return series
 
     def center(self) -> Subspace:
-        """{z : [z, x] = 0 for all x}, the kernel of the stacked adjoint maps."""
-        constraints = Subspace(self.field, self.dim)
-        # constraint rows: for each basis j and target k, sum_i z_i c_{ij}^k = 0
-        rows: dict = {}
+        """{z : [z, x] = 0 for all x}, the relations among the adjoint maps:
+        sum_i z_i ad(x_i) = ad(z) = 0."""
+        ad: list = [{} for _ in range(self.dim)]  # column maps, ad(x_i) e_j = [x_i, x_j]
         for (i, j), terms in self.table.items():
-            for k, c in terms.items():
-                rows.setdefault((j, k), {})[i] = c
-                rows.setdefault((i, k), {})[j] = self.field.neg(c)
-        for key in sorted(rows):
-            constraints.add(rows[key])
-        return constraints.kernel()
+            ad[i][j] = terms
+            ad[j][i] = {k: self.field.neg(c) for k, c in terms.items()}
+        return relations(self.field, ad)
 
     def rewritten(self, vectors, proj: SparseMatrix) -> "LieAlgebra":
         """The algebra on basis b_t = ``vectors[t]`` (sparse vectors) with
@@ -188,6 +165,30 @@ def _bracket(g: LieAlgebra, x: dict, y: dict) -> dict:
                 for k, c in terms.items():
                     acc[k] = acc.get(k, 0) + s * c
     return g.field.clean(acc)
+
+
+def _generators(g: LieAlgebra) -> tuple:
+    """``(g², V)``: the span of the table's values and the unit vectors V
+    off its pivot columns, a complement.  In a nilpotent g every complement
+    of g² generates g, so raise NotNilpotentError unless the ad(V)-closure of
+    V, built layer by layer, is all of g."""
+    fld, d = g.field, g.dim
+    derived = Subspace(fld, d)
+    for terms in g.table.values():
+        derived.add(terms)
+    gens = [{j: fld.one} for j in range(d) if j not in derived.sparse]
+    generated = Subspace(fld, d)
+    todo = deque(v for v in gens if generated.add(v) is not None)
+    while todo and generated.dim < d:
+        x = todo.popleft()
+        for v in gens:
+            entry = _bracket(g, x, v)
+            if entry and generated.add(entry) is not None:
+                todo.append(entry)
+    if generated.dim < d:
+        raise NotNilpotentError("the complement of [g, g] generates a subalgebra of "
+                                "dimension %d < %d" % (generated.dim, d))
+    return derived, gens
 
 
 def abelian_algebra(field: Field, dim: int) -> LieAlgebra:
@@ -272,9 +273,13 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
 
 
 def _is_ideal(g: LieAlgebra, sub: Subspace) -> bool:
+    """Whether [sub, V] ⊆ sub for the generators V of ``_generators``, which
+    is [sub, g] ⊆ sub: by Jacobi, [[x, y], i] = [x, [y, i]] - [y, [x, i]], so
+    the x with [x, sub] ⊆ sub form a subalgebra, and it contains V."""
+    _derived, gens = _generators(g)
     for row in sub.sparse.values():
-        for j in range(g.dim):
-            if sub.reduce(_bracket(g, row, {j: g.field.one})):
+        for v in gens:
+            if sub.reduce(_bracket(g, row, v)):
                 return False
     return True
 
@@ -287,8 +292,11 @@ def _quotient(g: LieAlgebra, ideal: Subspace):
         raise ValueError("ideal does not live in this algebra")
     if not _is_ideal(g, ideal):
         raise ValueError("subspace is not an ideal")
-    kept, proj = coordinate_projection(ideal)
-    return g.rewritten([{k: g.field.one} for k in kept], proj), proj
+    kept, project = coordinate_projection(ideal)
+    one = g.field.one
+    proj = SparseMatrix(g.field, len(kept), g.dim,
+                        {j: col for j in range(g.dim) if (col := project({j: one}))})
+    return g.rewritten([{k: one} for k in kept], proj), proj
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ vector (content 1, positive pivot entry) and eliminates fraction-free on
 ints; over F_p a stored row has pivot entry 1.  ``sparse`` is still the
 canonical rational RREF and ``reduce`` the exact canonical residual.  Sparse
 rows are the only vector format.  A ``Subspace`` answers membership and
-residuals and computes kernels; ``intersect`` and ``coordinate_projection``
-build on it, and ``invert`` reads an inverse off the tag columns of
+residuals and computes kernels.  On it build ``intersect``,
+``coordinate_projection`` (a vector reduced against a subspace, relabelled
+onto a coordinate complement), ``relations`` (the linear relations among
+matrices) and ``invert``, which reads an inverse off the tag columns of
 ``[A | I]``.  A complement inside a subspace needs no helper: sifting its
 echelon rows into a ``Subspace`` keeps exactly the rows independent of what
 is already there.
@@ -262,31 +264,49 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def coordinate_projection(sub: Subspace) -> tuple:
-    """``(kept, P)``: the greedy coordinate complement of ``sub`` and the
+    """``(kept, project)``: the greedy coordinate complement of ``sub`` and the
     projection onto it.
 
     ``kept`` lists, in index order, every k whose unit vector e_k is
     independent of ``sub`` plus the unit vectors kept before it.  e_j is
     dropped exactly when some vector of ``sub`` has its last nonzero entry at
     j, so the dropped columns are the pivots of ``sub``'s echelon form with
-    the column order reversed, and that form's row for j writes e_j modulo
-    ``sub`` on the kept unit vectors.  ``P`` is the len(kept) x n SparseMatrix
-    mapping K^n onto the kept coordinates along ``sub``.
+    the column order reversed, and the residual of a vector against that form
+    writes it modulo ``sub`` on the kept unit vectors.  ``project(vec)`` maps
+    a sparse vector of K^n to that residual on the positions of ``kept``,
+    reduced fraction-free (``Subspace.reduce``).
     """
-    fld = sub.field
     n = sub.ambient
-    rev = Subspace(fld, n)
+    rev = Subspace(sub.field, n)
     for row in sub.sparse.values():
         rev.add({n - 1 - j: x for j, x in row.items()})
-    dropped = {n - 1 - pc: row for pc, row in rev.sparse.items()}
-    kept = [k for k in range(n) if k not in dropped]
-    pos = {k: t for t, k in enumerate(kept)}
-    cols = {k: {t: fld.one} for t, k in enumerate(kept)}
-    for j, row in dropped.items():
-        col = {pos[n - 1 - c]: fld.neg(x) for c, x in row.items() if c != n - 1 - j}
-        if col:
-            cols[j] = col
-    return kept, SparseMatrix(fld, len(kept), n, cols)
+    dropped = set(rev.pivots)
+    kept = [k for k in range(n) if n - 1 - k not in dropped]
+    pos = {n - 1 - k: t for t, k in enumerate(kept)}
+
+    def project(vec: dict) -> dict:
+        residual = rev.reduce({n - 1 - j: x for j, x in vec.items()})
+        return {pos[c]: x for c, x in residual.items()}
+
+    return kept, project
+
+
+def relations(field: Field, column_maps: Sequence[dict]) -> Subspace:
+    """{x : sum_l x_l M_l = 0} for the column maps M_l = ``column_maps[l]``:
+    the kernel of the rows (M_l[i][j])_l, one per position (i, j), sifted in
+    sorted order until they span all of K^len(column_maps)."""
+    d = len(column_maps)
+    rows: dict = {}
+    for l, cols in enumerate(column_maps):
+        for j, col in cols.items():
+            for i, v in col.items():
+                rows.setdefault((i, j), {})[l] = v
+    constraints = Subspace(field, d)
+    for key in sorted(rows):
+        constraints.add(rows[key])
+        if constraints.dim == d:
+            break
+    return constraints.kernel()
 
 
 def invert(rows: Sequence[dict], field: Field) -> tuple:
@@ -320,7 +340,7 @@ class SparseMatrix:
     """A sparse matrix stored as column maps ``{col: {row: value}}``.
 
     Representation matrices of nilpotent algebras are strictly triangular in a
-    suitable order, so columns carry few nonzeros; products exploit that.
+    suitable order, so columns carry few nonzeros; ``apply_sparse`` exploits that.
     """
 
     __slots__ = ("field", "nrows", "ncols", "cols")
@@ -360,16 +380,6 @@ class SparseMatrix:
             for i, x in col.items():
                 out[i] = out.get(i, 0) + f * x
         return self.field.clean(out)
-
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matmul")
-        cols = {}
-        for j, col in other.cols.items():
-            image = self.apply_sparse(col)
-            if image:
-                cols[j] = image
-        return SparseMatrix(self.field, self.nrows, other.ncols, cols)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):

@@ -6,7 +6,9 @@ S are sifted in order into C, and a row is kept in W when it is independent of
 C and the rows before it.  Sifting into C keeps the same rows as sifting into
 S ∩ C: for v in S and K ⊆ S, v is in C + K iff v is in (S ∩ C) + K, since
 v = c + k forces c = v - k into S.  The module is replaced by V/W, realised
-concretely on the greedily-kept coordinate subset, until W = 0.  Faithfulness
+concretely on the greedily-kept coordinate subset, until W = 0: each kept
+column of every matrix is reduced against W by ``coordinate_projection``'s
+``project``, fraction-free, so no projection matrix is formed.  Faithfulness
 survives because the center still acts faithfully on the quotient.
 """
 
@@ -30,17 +32,12 @@ def reduce_once(rep: Representation) -> Tuple[Representation, Subspace]:
             W.add(row)
     if W.dim == 0:
         return rep, W
-    kept, proj = coordinate_projection(W)
-    new_mats = []
-    for mat in rep.matrices:
-        restricted = {t: mat.cols[k] for t, k in enumerate(kept) if k in mat.cols}
-        new_mats.append(proj.matmul(SparseMatrix(fld, rep.dim, len(kept), restricted)))
-    new_rep = Representation(
-        rep.algebra,
-        new_mats,
-        dict(rep.provenance, algorithm="quotient_step"),
-    )
-    return new_rep, W
+    kept, project = coordinate_projection(W)
+    n = len(kept)
+    mats = [SparseMatrix(fld, n, n, {t: image for t, k in enumerate(kept)
+                                     if k in mat.cols and (image := project(mat.cols[k]))})
+            for mat in rep.matrices]
+    return Representation(rep.algebra, mats, dict(rep.provenance, algorithm="quotient_step")), W
 
 
 def algorithm_quotient(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple
 
 from .liealg import LieAlgebra
-from .linalg import Subspace, is_nilpotent, lincomb
+from .linalg import Subspace, is_nilpotent, lincomb, relations
 
 
 @dataclass
@@ -97,18 +97,7 @@ def is_homomorphism(rep: Representation) -> bool:
 
 def kernel(rep: Representation) -> Subspace:
     """{x in g : sum_l x_l M_l = 0}, the kernel of the representation."""
-    g = rep.algebra
-    rows: dict = {}
-    for l, mat in enumerate(rep.matrices):
-        for j, col in mat.cols.items():
-            for i, v in col.items():
-                rows.setdefault((i, j), {})[l] = v
-    constraints = Subspace(g.field, g.dim)
-    for key in sorted(rows):
-        constraints.add(rows[key])
-        if constraints.dim == g.dim:
-            break
-    return constraints.kernel()
+    return relations(rep.field, [mat.cols for mat in rep.matrices])
 
 
 def is_faithful(rep: Representation) -> bool:
@@ -127,10 +116,9 @@ def annihilated_subspace(rep: Representation) -> Subspace:
 
 def center_image(rep: Representation) -> Subspace:
     """C = sum over central z of the column space of M_z."""
-    g = rep.algebra
-    fld = g.field
+    fld = rep.field
     image = Subspace(fld, rep.dim)
-    for z in g.center().sparse.values():
+    for z in rep.algebra.center().sparse.values():
         mz = lincomb(fld, z, rep.matrices)
         for j in sorted(mz.cols):
             image.add(mz.cols[j])

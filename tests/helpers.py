@@ -1,8 +1,10 @@
-"""Helpers that only the tests use: dense matrices and plain JSON files.
+"""Helpers that only the tests use: dense matrices, matrix products and
+plain JSON files.
 
 The package holds matrices and subspaces sparse and writes representation
-files itself; tests state small matrices and spans densely, and save algebra
-objects, sometimes corrupted on purpose, as ordinary JSON.
+files itself; tests state small matrices and spans densely, check matrix
+identities through products, and save algebra objects, sometimes corrupted on
+purpose, as ordinary JSON.
 """
 
 import json
@@ -32,6 +34,15 @@ def from_dense(field: Field, rows) -> SparseMatrix:
             if x != 0:
                 cols.setdefault(j, {})[i] = x
     return SparseMatrix(field, len(rows), len(rows[0]) if rows else 0, cols)
+
+
+def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """The product a·b, one ``apply_sparse`` per column of b; raises
+    ValueError when the shapes do not match."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in matmul")
+    cols = {j: image for j, col in b.cols.items() if (image := a.apply_sparse(col))}
+    return SparseMatrix(a.field, a.nrows, b.ncols, cols)
 
 
 def span(field: Field, ambient: int, vectors) -> Subspace:

@@ -14,7 +14,7 @@ from nilrep.affine import (
 )
 from nilrep.fileio import save_representation
 from nilrep.liealg import LieAlgebra, abelian_algebra
-from nilrep.linalg import SparseMatrix, Subspace, is_nilpotent, lincomb
+from nilrep.linalg import SparseMatrix, Subspace, is_nilpotent, lincomb, relations
 from nilrep.representation import Representation, is_faithful, is_homomorphism, kernel
 from nilrep import catalog, tables
 
@@ -214,13 +214,13 @@ def test_every_step_keeps_the_affine_block_form(g, seed):
 
 def test_faithfulness_guard_rejects_dependent_matrices():
     one = {1: {0: Q1}}  # [[0, 1], [0, 0]]
-    _assert_faithful(QQ, [one, {0: {1: Q1}}], 2)
+    _assert_faithful(QQ, [one, {0: {1: Q1}}])
     # a_2 acts as zero, so a_2 spans the kernel
     with pytest.raises(RuntimeError, match="lost faithfulness"):
-        _assert_faithful(QQ, [one, {}], 2)
+        _assert_faithful(QQ, [one, {}])
     # both act as the same matrix, so a_1 - a_2 spans the kernel
     with pytest.raises(RuntimeError, match="lost faithfulness"):
-        _assert_faithful(QQ, [one, dict(one)], 2)
+        _assert_faithful(QQ, [one, dict(one)])
 
 
 def test_affine_heisenberg(heis):
@@ -350,3 +350,37 @@ def test_run_table_computes_one_adapted_basis_per_row(monkeypatch):
 def test_affine_with_a_given_adapted_basis_is_unchanged(heis):
     given = algorithm_affine(heis, seed=3, retries=10, adapted=heis.adapted_basis())
     assert given.matrices == algorithm_affine(heis, seed=3, retries=10).matrices
+
+
+def stacked_span_dim(fld, cols, size):
+    """The faithfulness guard as it was: the dimension of the span of the
+    size x size matrices with column maps ``cols``, each stacked into one
+    row of length size²."""
+    span = Subspace(fld, size * size)
+    for mat in cols:
+        span.add({c * size + t: x for c, col in mat.items() for t, x in col.items()})
+    return span.dim
+
+
+@pytest.mark.parametrize("g,seed", [
+    (catalog.free_nilpotent(2, 5, QQ), 1),
+    (catalog.free_nilpotent(3, 4, QQ), 2),
+    (catalog.upper_triangular(5, GF(3)), 3),
+], ids=["N_2_5", "N_3_4", "U5_F3"])
+def test_faithfulness_guard_matches_the_stacked_span(monkeypatch, g, seed):
+    # at step i the guard sees psi(a_0..a_i), (i + 2) x (i + 2) matrices
+    steps = []
+    guard = affine._assert_faithful
+
+    def checked(fld, cols):
+        size = len(cols) + 1
+        assert stacked_span_dim(fld, cols, size) == len(cols) - relations(fld, cols).dim
+        dependent = cols + [cols[0]]
+        assert stacked_span_dim(fld, dependent, size) == len(cols)
+        assert relations(fld, dependent).dim == 1
+        steps.append(len(cols))
+        guard(fld, cols)
+
+    monkeypatch.setattr(affine, "_assert_faithful", checked)
+    assert algorithm_affine(g, seed=seed, retries=2).dim == g.dim + 1
+    assert steps == list(range(2, g.dim + 1))  # one guard per step, in one attempt

@@ -63,12 +63,12 @@ def test_spin_heisenberg_from_psi_z(heis_module):
     m = heis_module
     gens = center_dual_generators(m)
     assert len(gens) == 1
-    basis = spin_submodule(m, gens)
+    basis = spin_submodule(m, gens, dual_action_matrices(m))
     assert basis.dim == 3  # spans psi_z, psi_x, psi_1
 
 
 def test_spin_empty_generators(heis_module):
-    assert spin_submodule(heis_module, []).dim == 0
+    assert spin_submodule(heis_module, [], dual_action_matrices(heis_module)).dim == 0
 
 
 def test_spin_abelian_direct_action():
@@ -76,7 +76,7 @@ def test_spin_abelian_direct_action():
     module = build_pruned_module(g)
     gens = center_dual_generators(module)
     assert len(gens) == 2
-    basis = spin_submodule(module, gens)
+    basis = spin_submodule(module, gens, dual_action_matrices(module))
     # 1*z_i = z_i is the only nonzero product (c = 1), so z_i . psi_{z_i} = psi_1
     # is the only action: span{psi_1, psi_{z_1}, psi_{z_2}}
     assert basis.dim == 3
@@ -85,7 +85,7 @@ def test_spin_abelian_direct_action():
 def test_spin_of_f13_stores_integral_entries_as_ints(f13):
     # the normalised kernel left one Fraction(-32256, 1) in this basis
     module = build_pruned_module(f13)
-    basis = spin_submodule(module, center_dual_generators(module))
+    basis = spin_submodule(module, center_dual_generators(module), dual_action_matrices(module))
     assert basis.dim == 43
     entries = [x for row in basis.sparse.values() for x in row.values()]
     assert all(type(x) is int for x in entries if x.denominator == 1)
@@ -99,7 +99,7 @@ def test_center_dual_generators_reject_pruned_central_monomial(heis_module):
 
 
 def test_algorithm_dual_rejects_unclosed_spin(heis, monkeypatch):
-    def generators_only(module, gens):
+    def generators_only(module, gens, duals):
         # span{psi_z} is not closed under the action: y . psi_z = psi_x
         vecs = [[gen.get(t, rational(0)) for t in range(module.dim)] for gen in gens]
         return span(QQ, module.dim, vecs)
@@ -107,6 +107,20 @@ def test_algorithm_dual_rejects_unclosed_spin(heis, monkeypatch):
     monkeypatch.setattr(dual, "spin_submodule", generators_only)
     with pytest.raises(RuntimeError, match="spin closure failed"):
         algorithm_dual(heis)
+
+
+def test_algorithm_dual_builds_the_transposes_once(heis, monkeypatch):
+    # the spin and the read-off share one list of integer transposes
+    calls = []
+    build = dual.dual_action_matrices
+
+    def counted(module):
+        calls.append(1)
+        return build(module)
+
+    monkeypatch.setattr(dual, "dual_action_matrices", counted)
+    assert algorithm_dual(heis).dim == 3
+    assert len(calls) == 1
 
 
 def test_algorithm_dual_heisenberg(heis):
@@ -129,7 +143,7 @@ def test_dual_annihilated_space_is_psi0(heis):
     assert S.dim == 1
     # the annihilated functional is psi_0: value 1 on the monomial 1, and the
     # spin basis coordinates of psi_0 must reproduce that single basis row
-    basis = spin_submodule(module, center_dual_generators(module))
+    basis = spin_submodule(module, center_dual_generators(module), dual_action_matrices(module))
     unit_pos = list(module.active).index(module.uea.unit)
     assert not basis.reduce({unit_pos: Q1})  # psi_0 lies in the spin
     # on an RREF basis a member's coordinates are its entries at the pivots

@@ -391,6 +391,41 @@ def test_quotient_requires_ideal(heis):
         heis.quotient(coord_span([0], 3))  # span{x} is not an ideal
 
 
+def test_ideal_check_brackets_only_with_the_generators(heis):
+    # [x, y] = z leaves span{x}, and y is one of the generators x, y
+    with pytest.raises(ValueError, match="not an ideal"):
+        heis.quotient(coord_span([0], 3))
+    # span{y, z} is an ideal: [x, y] = z
+    q, _proj = heis.quotient(coord_span([1, 2], 3))
+    assert q.dim == 1
+
+
+def test_quotient_by_a_lower_central_term_brackets_with_the_generators(monkeypatch):
+    # N_{3,4} / g³: 15 brackets for the quotient table, 3 x 26 for the ideal
+    # check and at most 14 x 3 to see that the 3 generators generate g; with
+    # all 32 basis vectors the ideal check alone made 832
+    g = catalog.free_nilpotent(3, 4, QQ)
+    ideal = g.lower_central_series()[2]
+    calls = []
+    bracket = liealg._bracket
+
+    def counted(g, x, y):
+        calls.append(1)
+        return bracket(g, x, y)
+
+    monkeypatch.setattr(liealg, "_bracket", counted)
+    q, _proj = g.quotient(ideal)
+    assert (ideal.dim, q.dim) == (26, 6)
+    assert len(calls) < 150
+
+
+def test_quotient_of_a_non_nilpotent_algebra_raises():
+    # sl_2 + K: the complement K of [g, g] = sl_2 does not generate g
+    with pytest.raises(NotNilpotentError, match="generates a subalgebra") as info:
+        NON_NILPOTENT[0].quotient(Subspace(QQ, 4))
+    assert isinstance(info.value, ValueError)
+
+
 def test_quotient_projection_is_homomorphism(u4):
     series = u4.lower_central_series()
     q, proj = u4.quotient(series[1])
@@ -429,3 +464,46 @@ def test_betti2_monotone_under_abelian_summand(heis):
     table = {k: dict(v) for k, v in heis.table.items()}
     g4 = LieAlgebra(QQ, 4, table)
     assert g4.betti2() >= heis.betti2()
+
+
+# ---------------------------------------------------------------------------
+# the center against the stacked adjoint rows
+
+
+def reference_center(g):
+    """The center as it was built here: for each basis j and target k the
+    row sum_i z_i c_{ij}^k = 0, sifted in sorted (j, k) order."""
+    constraints = Subspace(g.field, g.dim)
+    rows = {}
+    for (i, j), terms in g.table.items():
+        for k, c in terms.items():
+            rows.setdefault((j, k), {})[i] = c
+            rows.setdefault((i, k), {})[j] = g.field.neg(c)
+    for key in sorted(rows):
+        constraints.add(rows[key])
+    return constraints.kernel()
+
+
+def _catalog_algebras():
+    out = []
+    for fld in (QQ, GF(2), GF(3)):
+        out.append(("heisenberg/%r" % fld, lambda fld=fld: catalog.heisenberg(fld)))
+        out += [("U_%d/%r" % (n, fld), lambda n=n, fld=fld: catalog.upper_triangular(n, fld))
+                for n in (4, 5, 6, 7)]
+        out += [("N_%d_%d/%r" % (n, c, fld),
+                 lambda n=n, c=c, fld=fld: catalog.free_nilpotent(n, c, fld))
+                for n, c in ((2, 5), (2, 6), (2, 7), (2, 8), (3, 4), (3, 5), (4, 3), (4, 4))]
+    out += [("f_%d" % n, lambda n=n: catalog.filiform_f(n)) for n in range(13, 21)]
+    return out
+
+
+@pytest.mark.parametrize("build", [b for _name, b in _catalog_algebras()],
+                         ids=[name for name, _b in _catalog_algebras()])
+def test_center_matches_the_stacked_adjoint_rows(build):
+    g = build()
+    assert g.center().sparse == reference_center(g).sparse
+
+
+@pytest.mark.parametrize("g", NON_NILPOTENT, ids=["sl2+K", "xy=y", "xy=y_F3"])
+def test_center_of_a_non_nilpotent_algebra_matches_the_stacked_adjoint_rows(g):
+    assert g.center().sparse == reference_center(g).sparse

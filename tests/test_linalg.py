@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import from_dense, span, to_dense
+from helpers import from_dense, matmul, span, to_dense
 from nilrep.fields import GF, QQ, rational
 from nilrep.linalg import (
     SparseMatrix,
@@ -305,9 +305,9 @@ def test_sparse_matrix_roundtrip_and_ops():
     b = from_dense(QQ, qmat([[1, 0], [0, 3]]))
     assert to_dense(a) == qmat([[0, 1], [2, 0]])
     assert a.cols == {0: {1: rational(2)}, 1: {0: Q1}}
-    assert to_dense(a.matmul(b)) == qmat([[0, 3], [2, 0]])
+    assert to_dense(matmul(a, b)) == qmat([[0, 3], [2, 0]])
     assert to_dense(lincomb(QQ, {1: Q1, 0: Q1}, [a, b])) == qmat([[1, 1], [2, 3]])
-    assert to_dense(lincomb(QQ, {0: Q1, 1: -Q1}, [a.matmul(b), b.matmul(a)])) == \
+    assert to_dense(lincomb(QQ, {0: Q1, 1: -Q1}, [matmul(a, b), matmul(b, a)])) == \
         qmat([[0, 2], [-4, 0]])
     assert to_dense(a.transpose()) == qmat([[0, 2], [1, 0]])
     assert to_dense(lincomb(QQ, {0: Q1, 1: Q1}, [a, b])) == qmat([[1, 1], [2, 3]])
@@ -435,7 +435,7 @@ def test_invert_matches_dense_rref(field, rows):
     inv = invert(sparse_rows(rows), field)
     assert inv == tuple(sparse_rows(row[3:] for row in ech))
     dense_inv = [[row.get(j, field.zero) for j in range(3)] for row in inv]
-    assert to_dense(from_dense(field, rows).matmul(from_dense(field, dense_inv))) == eye
+    assert to_dense(matmul(from_dense(field, rows), from_dense(field, dense_inv))) == eye
 
 
 @given(FIELDS, matrices((0, 3), 4), matrices((0, 3), 4))
@@ -460,7 +460,10 @@ def test_intersect_matches_dense_nullspace(field, avecs, bvecs):
 def test_coordinate_projection_matches_dense_reference(field, rows):
     n = 5
     w = span(field, n, in_field(field, rows))
-    kept, proj = coordinate_projection(w)
+    kept, project = coordinate_projection(w)
+    # P is read off the images of the unit vectors
+    proj = SparseMatrix(field, len(kept), n,
+                        {j: col for j in range(n) if (col := project({j: field.one}))})
     unit = [[field.one if j == k else field.zero for j in range(n)] for k in range(n)]
     # kept is the greedy complement: e_k stays when it raises the dense rank
     greedy, basis = [], list(dense_rows(w))
@@ -480,6 +483,10 @@ def test_coordinate_projection_matches_dense_reference(field, rows):
     for t, k in enumerate(kept):
         assert apply(unit[k]) == [field.one if s == t else field.zero for s in range(len(kept))]
     assert nullspace(p, field, n) == list(dense_rows(w))  # ker P = W
+    # project is P on every vector, not only on the unit vectors
+    vec = [field.parse("%d/5" % (j * j - 3)) for j in range(n)]
+    image = project({j: x for j, x in enumerate(vec) if x != 0})
+    assert [image.get(t, field.zero) for t in range(len(kept))] == apply(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 import pytest
 
-from helpers import span
+from helpers import matmul, rebased, span
 from nilrep import catalog
 from nilrep.fields import GF, QQ, rational
 from nilrep.liealg import LieAlgebra
-from nilrep.linalg import Subspace, intersect
+from nilrep.linalg import SparseMatrix, Subspace, intersect
 from nilrep.quotient import algorithm_quotient, reduce_once
 from nilrep.regular import algorithm_regular, regular_unpruned
 from nilrep.representation import (
+    Representation,
     annihilated_subspace,
     center_image,
     is_faithful,
@@ -130,3 +131,78 @@ def test_each_round_removes_the_complement_of_s_cap_c(g, unpruned):
         if W.dim == 0:
             break
         rep = new_rep
+
+
+# ---------------------------------------------------------------------------
+# the projection against the rational projection matrix
+
+
+def reference_projection(sub):
+    """``(kept, P)``: the greedy coordinate complement of ``sub`` and the
+    rational projection matrix onto it, each dropped column read off the
+    canonical echelon form of ``sub`` with the column order reversed."""
+    fld, n = sub.field, sub.ambient
+    rev = Subspace(fld, n)
+    for row in sub.sparse.values():
+        rev.add({n - 1 - j: x for j, x in row.items()})
+    dropped = {n - 1 - pc: row for pc, row in rev.sparse.items()}
+    kept = [k for k in range(n) if k not in dropped]
+    pos = {k: t for t, k in enumerate(kept)}
+    cols = {k: {t: fld.one} for t, k in enumerate(kept)}
+    for j, row in dropped.items():
+        col = {pos[n - 1 - c]: fld.neg(x) for c, x in row.items() if c != n - 1 - j}
+        if col:
+            cols[j] = col
+    return kept, SparseMatrix(fld, len(kept), n, cols)
+
+
+def reference_reduce_once(rep):
+    """A Quotient round that multiplies P into every restricted matrix."""
+    fld = rep.field
+    C = center_image(rep)
+    W = Subspace(fld, rep.dim)
+    for row in annihilated_subspace(rep).sparse.values():
+        if C.add(row) is not None:
+            W.add(row)
+    if W.dim == 0:
+        return rep, W
+    kept, proj = reference_projection(W)
+    new_mats = []
+    for mat in rep.matrices:
+        restricted = {t: mat.cols[k] for t, k in enumerate(kept) if k in mat.cols}
+        new_mats.append(matmul(proj, SparseMatrix(fld, rep.dim, len(kept), restricted)))
+    return Representation(rep.algebra, new_mats, dict(rep.provenance)), W
+
+
+def typed_entries(rep):
+    return [{j: {i: (x, type(x)) for i, x in col.items()} for j, col in mat.cols.items()}
+            for mat in rep.matrices]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.filiform_f(13), lambda: catalog.filiform_f(14),
+    lambda: catalog.filiform_f(15), lambda: catalog.filiform_f(16),
+    lambda: catalog.filiform_f(17), lambda: catalog.upper_triangular(5, GF(3)),
+    lambda: catalog.upper_triangular(6, GF(2)), lambda: catalog.upper_triangular(6, QQ),
+    lambda: rebased(catalog.filiform_f(13), 1),
+    lambda: rebased(catalog.upper_triangular(6, QQ), 2),
+    lambda: rebased(catalog.upper_triangular(5, GF(3)), 3),
+], ids=["f_13", "f_14", "f_15", "f_16", "f_17", "U_5/F3", "U_6/F2", "U_6/Q",
+        "rebased-f_13/Q", "rebased-U_6/Q", "rebased-U_5/F3"])
+def test_rounds_match_the_projection_matrix(build):
+    g = build()
+    reg = algorithm_regular(g)
+    rep, ref, w_dims = reg, reg, []
+    while True:
+        new_rep, W = reduce_once(rep)
+        ref_rep, ref_W = reference_reduce_once(ref)
+        assert W.sparse == ref_W.sparse
+        assert typed_entries(new_rep) == typed_entries(ref_rep)
+        assert (new_rep.dim, new_rep.algebra) == (ref_rep.dim, ref_rep.algebra)
+        if W.dim == 0:
+            break
+        w_dims.append(W.dim)
+        rep, ref = new_rep, ref_rep
+    quo = algorithm_quotient(g, regular_rep=reg)
+    assert quo.provenance["w_dims"] == w_dims
+    assert typed_entries(quo) == typed_entries(ref)

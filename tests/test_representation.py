@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import from_dense, span
+from helpers import from_dense, matmul, span
 from nilrep import catalog
 from nilrep.fields import GF, QQ, field_from_characteristic, rational
 from nilrep.liealg import LieAlgebra, abelian_algebra
@@ -127,7 +127,7 @@ def test_kernel_invariant_under_conjugation(heis):
             continue
     P = from_dense(QQ, [[row[j] for j in range(n)] for row in rows])
     Pinv = from_dense(QQ, [[row.get(j, Q0) for j in range(n)] for row in inv])
-    conjugated = [Pinv.matmul(m).matmul(P) for m in rep.matrices]
+    conjugated = [matmul(matmul(Pinv, m), P) for m in rep.matrices]
     assert kernel(Representation(heis, conjugated)) == kernel(rep)
 
 
@@ -181,7 +181,7 @@ def reference_homomorphism_failure(rep):
             # commutator minus sum_k c_ij^k M_k, with M_k at index 2 + k
             bracket = {2 + k: g.field.neg(c) for k, c in g.table.get((i, j), {}).items()}
             lhs = lincomb(g.field, {0: g.field.one, 1: g.field.neg(g.field.one), **bracket},
-                          [mats[i].matmul(mats[j]), mats[j].matmul(mats[i])] + mats)
+                          [matmul(mats[i], mats[j]), matmul(mats[j], mats[i])] + mats)
             if lhs.cols:
                 return (i, j)
     return None
@@ -269,11 +269,11 @@ def perturbed_conjugates(draw):
                   for j in range(n)] for i in range(n)]
         upper = [[field.one if i == j else draw(scalars(field)) if i < j else field.zero
                   for j in range(n)] for i in range(n)]
-        p = from_dense(field, lower).matmul(from_dense(field, upper))
+        p = matmul(from_dense(field, lower), from_dense(field, upper))
         p_rows = dict(p.iter_rows())
         inv_rows = invert([p_rows.get(i, {}) for i in range(n)], field)
         p_inv = SparseMatrix(field, n, n, dict(enumerate(inv_rows))).transpose()
-        mats = [p_inv.matmul(m).matmul(p) for m in mats]
+        mats = [matmul(matmul(p_inv, m), p) for m in mats]
     mats = [SparseMatrix(field, n, n, {j: dict(col) for j, col in m.cols.items()}) for m in mats]
     if draw(st.booleans()):
         l = draw(st.integers(0, len(mats) - 1))
@@ -291,3 +291,41 @@ def test_verification_matches_the_references(rep):
     assert [is_nilpotent(m) for m in rep.matrices] == \
         [reference_is_nilpotent(m) for m in rep.matrices]
     assert homomorphism_failure(rep) == reference_homomorphism_failure(rep)
+
+
+# ---------------------------------------------------------------------------
+# kernel against the stacked entry rows
+
+
+def reference_kernel(rep):
+    """The kernel as it was built here: one row (M_l[i][j])_l per position
+    (i, j), sifted in sorted order until they span g."""
+    g = rep.algebra
+    rows = {}
+    for l, mat in enumerate(rep.matrices):
+        for j, col in mat.cols.items():
+            for i, v in col.items():
+                rows.setdefault((i, j), {})[l] = v
+    constraints = Subspace(g.field, g.dim)
+    for key in sorted(rows):
+        constraints.add(rows[key])
+        if constraints.dim == g.dim:
+            break
+    return constraints.kernel()
+
+
+@pytest.mark.parametrize("g", [
+    catalog.heisenberg(QQ), catalog.upper_triangular(4, GF(2)),
+    catalog.upper_triangular(5, GF(3)), catalog.upper_triangular(5, QQ),
+    catalog.free_nilpotent(2, 4, QQ), catalog.filiform_f(13),
+], ids=["heisenberg", "U_4/F2", "U_5/F3", "U_5/Q", "N_2_4", "f_13"])
+def test_kernel_matches_the_stacked_entry_rows(g):
+    regular = algorithm_regular(g)
+    for rep in (regular, algorithm_dual(g), algorithm_quotient(g, regular_rep=regular)):
+        assert kernel(rep).sparse == reference_kernel(rep).sparse == {}
+        # the last matrix replaced by the sum of the first two: a relation
+        fld = g.field
+        mats = rep.matrices[:-1] + [lincomb(fld, {0: fld.one, 1: fld.one}, rep.matrices)]
+        broken = Representation(g, mats)
+        assert kernel(broken).dim == 1
+        assert kernel(broken).sparse == reference_kernel(broken).sparse

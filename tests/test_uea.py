@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import matmul
 from nilrep.fields import QQ, rational
 from nilrep.liealg import LieAlgebra, abelian_algebra
 from nilrep.fields import GF
@@ -232,7 +233,7 @@ def test_action_matrices_nilpotent_of_index_class_plus_one():
     for mat in right_matrices(uea):
         power = mat
         for _ in range(c):
-            power = power.matmul(mat)
+            power = matmul(power, mat)
         assert not power.cols  # index at most c + 1
 
 
@@ -343,6 +344,6 @@ def test_unpruned_action_is_homomorphism_and_nilpotent():
                 # commutator minus sum_k c_ij^k M_k, with M_k at index 2 + k
                 bracket = {2 + k: QQ.neg(c) for k, c in ga.table.get((i, j), {}).items()}
                 lhs = lincomb(QQ, {0: Q1, 1: QQ.neg(Q1), **bracket},
-                              [mats[i].matmul(mats[j]), mats[j].matmul(mats[i])] + mats)
+                              [matmul(mats[i], mats[j]), matmul(mats[j], mats[i])] + mats)
                 assert not lhs.cols
 

@@ -8,9 +8,10 @@ x . f = -(action of x)^T f.  The module action of x is minus the right
 multiplication by x, so this is the transposed right multiplication,
 (x.f)(a) = f(a x).
 
-Both the spin and the read-off run on ints.  Each transpose R_i^T is scaled
-by the lcm lambda_i of its denominators; an image then spans the same line,
-so the spin's pivots, queue and subspace are those of the rational action.
+Both the spin and the read-off run on ints.  ``Field.integral_maps`` scales
+each transpose R_i^T by the lcm lambda_i of its denominators; an image then
+spans the same line, so the spin's pivots, queue and subspace are those of
+the rational action.
 The read-off applies the integer transposes to the stored primitive basis
 rows and divides each coordinate once by lambda_i times the row's pivot
 entry.
@@ -30,18 +31,13 @@ from .representation import Representation
 def dual_action_matrices(module: PrunedModule) -> list:
     """``(lambda_i R_i^T, lambda_i)`` for each right multiplication R_i, one
     per (layer-ordered) adapted basis vector: the contragredient matrices
-    scaled to integers (mod p over F_p, where lambda_i = 1) by the lcm of
-    their denominators."""
-    fld = module.algebra.field
+    scaled to integers by ``Field.integral_maps`` (mod p over F_p, where
+    lambda_i = 1)."""
     out = []
     for mat in module.right_matrices:
-        lam = fld.denominator_lcm(x for col in mat.cols.values() for x in col.values())
-        scaled = mat.transpose()
-        if lam != 1:
-            for col in scaled.cols.values():
-                for j, x in col.items():
-                    col[j] = fld.mul(x, lam)
-        out.append((scaled, lam))
+        tr = mat.transpose()
+        (tr.cols,), lam = tr.field.integral_maps([tr.cols])
+        out.append((tr, lam))
     return out
 
 

@@ -156,13 +156,22 @@ class Field:
             for k, v in row.items()
         }, s
 
-    def denominator_lcm(self, values) -> int:
-        """The least common multiple of the denominators of ``values`` over Q,
-        so that it times any of them is an integer; 1 over F_p, whose scalars
-        are ints already."""
-        if self.characteristic:
-            return 1
-        return math.lcm(1, *{int(x.denominator) for x in values if type(x) is not int})
+    def integral_maps(self, maps: list) -> tuple:
+        """``(int_maps, s)``: nested maps ``{key: {k: x}}`` (column maps or a
+        structure-constant table) times the least s > 0 that makes every entry
+        an int, each as ``numerator * (s // denominator)`` with no rational
+        product; when s = 1, as always over F_p, the maps as given."""
+        s = 1 if self.characteristic else math.lcm(
+            1, *{int(x.denominator) for m in maps for inner in m.values()
+                 for x in inner.values() if type(x) is not int})
+        if s == 1:
+            return maps, 1
+        return [
+            {key: {k: x * s if type(x) is int else int(x.numerator) * (s // int(x.denominator))
+                   for k, x in inner.items()}
+             for key, inner in m.items()}
+            for m in maps
+        ], s
 
     def mul(self, a, b):
         if self.characteristic:

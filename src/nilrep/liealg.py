@@ -308,7 +308,9 @@ def _betti2(g: LieAlgebra) -> int:
 
     2-cochains are alternating maps Λ²g → K with coordinates ω_{ij} (i < j);
     the cocycle condition is ω([x,y],z) + ω([y,z],x) + ω([z,x],y) = 0 and the
-    coboundary of φ ∈ g* is dφ(x,y) = −φ([x,y]).
+    coboundary of φ ∈ g* is dφ(x,y) = −φ([x,y]).  Its kernel is the
+    annihilator of [g, g], so dim B² = dim g − dim ker d = dim [g, g], the
+    dimension of the span of the table's values.
     """
     fld = g.field
     d = g.dim
@@ -337,12 +339,7 @@ def _betti2(g: LieAlgebra) -> int:
             conditions.add(row)
     dim_z2 = npairs - conditions.dim
 
-    b2 = Subspace(fld, npairs)
-    for l in range(d):
-        row = {}
-        for (i, j), terms in g.table.items():
-            if l in terms:
-                row[pair_index[(i, j)]] = fld.neg(terms[l])
-        if row:
-            b2.add(row)
-    return dim_z2 - b2.dim
+    derived = Subspace(fld, d)
+    for terms in g.table.values():
+        derived.add(terms)
+    return dim_z2 - derived.dim

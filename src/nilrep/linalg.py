@@ -389,9 +389,6 @@ class SparseMatrix:
         one = self.field.one
         return not lincomb(self.field, {0: one, 1: -one}, [self, other]).cols
 
-    def __hash__(self):
-        raise TypeError("SparseMatrix is not hashable")
-
     def __repr__(self):
         return "SparseMatrix(%dx%d, nnz=%d)" % (self.nrows, self.ncols, self.nnz())
 

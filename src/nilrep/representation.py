@@ -45,9 +45,9 @@ _NO_ENTRIES: dict = {}  # read-only default column
 def homomorphism_failure(rep: Representation) -> Optional[Tuple[int, int]]:
     """First pair (i, j) with [M_i, M_j] != sum_k c_{ij}^k M_k, or None.
 
-    The test runs in integer arithmetic.  With λ the denominator lcm of all
-    matrix entries and μ that of all structure constants, N_l = λ M_l and
-    μ c_{ij}^k are integral, and μ [N_i, N_j] - λ Σ_k (μ c_{ij}^k) N_k is
+    The test runs in integer arithmetic.  ``Field.integral_maps`` gives λ,
+    the denominator lcm of all matrix entries, and μ, that of all structure
+    constants: N_l = λ M_l and μ c_{ij}^k are integral, and μ [N_i, N_j] - λ Σ_k (μ c_{ij}^k) N_k is
     λ²μ times the defect of the pair.  Each pair is checked one column at a
     time and stops at the first nonzero one; over F_p, λ = μ = 1 and the
     field's ``clean`` takes the residues.  A pair without structure constants
@@ -55,23 +55,17 @@ def homomorphism_failure(rep: Representation) -> Optional[Tuple[int, int]]:
     the rows N_j hits, and vice versa.
     """
     g, fld = rep.algebra, rep.field
-    lam = fld.denominator_lcm(
-        x for mat in rep.matrices for col in mat.cols.values() for x in col.values()
-    )
-    mu = fld.denominator_lcm(c for terms in g.table.values() for c in terms.values())
-    mats = [
-        {j: {i: int(x * lam) for i, x in col.items()} for j, col in mat.cols.items()}
-        for mat in rep.matrices
-    ]
+    mats, lam = fld.integral_maps([mat.cols for mat in rep.matrices])
+    (table,), mu = fld.integral_maps([g.table])
     hit = [set().union(*mat.values()) for mat in mats]  # rows hit by N_l
     for i in range(g.dim):
         a = mats[i]
         for j in range(i + 1, g.dim):
             b = mats[j]
-            bracket = g.table.get((i, j), {})
+            bracket = table.get((i, j), {})
             if not bracket and a.keys().isdisjoint(hit[j]) and b.keys().isdisjoint(hit[i]):
                 continue  # N_i N_j = N_j N_i = 0 by support alone
-            terms = [(mats[k], lam * int(c * mu)) for k, c in bracket.items()]
+            terms = [(mats[k], lam * c) for k, c in bracket.items()]
             products = ((a, b, mu), (b, a, -mu))
             for col in set().union(a, b, *(n for n, _f in terms)):
                 # μ N_i N_j e_col - μ N_j N_i e_col - Σ_k λ μ c_{ij}^k N_k e_col

@@ -95,9 +95,7 @@ class TruncatedUEA:
         self.index: Dict[tuple, int] = {m: t for t, m in enumerate(self.monomials)}
         self.unit = self.index[(0,) * algebra.dim]
         self._check_weight_adapted()
-        self.mu = self.field.denominator_lcm(
-            c for terms in algebra.table.values() for c in terms.values()
-        )
+        self.mu = self.field.integral_maps([algebra.table])[1]
 
     def _check_weight_adapted(self):
         """Every bracket [x_i, x_j] (i > j) must land in weight >= w_i + w_j, past x_i."""
@@ -136,10 +134,7 @@ class TruncatedUEA:
         fld = self.field
         d = self.algebra.dim
         weights, cutoff, index = self.weights, self.cutoff, self.index
-        table = {
-            key: {s: fld.mul(c, self.mu) for s, c in terms.items()}
-            for key, terms in self.algebra.table.items()
-        }
+        (table,), _mu = fld.integral_maps([self.algebra.table])
         rows = [{} for _ in self.monomials]
         rest = [[] for _ in range(cutoff + 1)]  # by number of factors
         for mid, mono in enumerate(self.monomials):

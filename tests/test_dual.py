@@ -1,9 +1,10 @@
+import math
 import warnings
 from dataclasses import replace
 
 import pytest
 
-from helpers import span
+from helpers import rebased, span
 from nilrep.fields import GF, QQ, rational
 from nilrep import dual
 from nilrep.dual import (
@@ -164,3 +165,42 @@ def test_dual_equals_quotient_soft(heis, u4):
                 "Dual and Quotient dimensions differ on %r: %d vs %d "
                 "(the reference experiments always agreed)" % (g, d, q)
             )
+
+
+def reference_dual_action_matrices(module):
+    """The scaled transposes as they were built here: lambda the lcm of the
+    denominators of R_i (1 over F_p), then each transposed entry times it."""
+    fld = module.algebra.field
+    out = []
+    for mat in module.right_matrices:
+        lam = 1 if fld.characteristic else math.lcm(
+            1, *{int(x.denominator) for col in mat.cols.values() for x in col.values()
+                 if type(x) is not int})
+        scaled = mat.transpose()
+        if lam != 1:
+            for col in scaled.cols.values():
+                for j, x in col.items():
+                    col[j] = fld.mul(x, lam)
+        out.append((scaled, lam))
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.heisenberg(QQ),
+    lambda: catalog.upper_triangular(4, GF(2)),
+    lambda: catalog.upper_triangular(5, GF(3)),
+    lambda: catalog.filiform_f(13, QQ),
+    lambda: rebased(catalog.upper_triangular(5, QQ), 2),
+    lambda: rebased(catalog.upper_triangular(5, GF(2)), 3),
+    lambda: rebased(catalog.upper_triangular(5, GF(3)), 4),
+    lambda: rebased(catalog.filiform_f(13, QQ), 1),
+], ids=["heisenberg", "utri4-F2", "utri5-F3", "f13", "rebased-utri5", "rebased-utri5-F2",
+        "rebased-utri5-F3", "rebased-f13"])
+def test_dual_action_matrices_equal_the_hand_scaled_transposes(build):
+    module = build_pruned_module(build())
+    got, want = dual_action_matrices(module), reference_dual_action_matrices(module)
+    assert [lam for _m, lam in got] == [lam for _m, lam in want]
+    for (mat, _lam), (ref, _ref_lam) in zip(got, want):
+        assert (mat.nrows, mat.ncols, mat.cols) == (ref.nrows, ref.ncols, ref.cols)
+        assert ([(j, i, type(x)) for j, col in mat.cols.items() for i, x in col.items()]
+                == [(j, i, type(x)) for j, col in ref.cols.items() for i, x in col.items()])

@@ -126,3 +126,36 @@ def test_filiform_dual_keeps_its_fractions_and_text():
     text = "\n".join("%d %d %d %s" % (a, j, i, QQ.to_str(x)) for a, j, i, x in entries)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "10b8957842d3205f3debae43a743a716503f173df8c0bf3caabdf7ea35577776")
+
+
+def _int_entries(maps):
+    return [x for m in maps for inner in m.values() for x in inner.values()]
+
+
+def test_integral_maps_scale_by_the_least_common_denominator():
+    maps = [{0: {0: rational(1, 6), 2: rational(3, 4)}}, {(0, 1): {1: 2}}]
+    ints, s = QQ.integral_maps(maps)
+    assert s == 12
+    assert ints == [{0: {0: 2, 2: 9}}, {(0, 1): {1: 24}}]
+    assert all(type(x) is int for x in _int_entries(ints))
+    assert maps[0][0][0] == rational(1, 6)  # the input is left as it was
+
+
+def test_integral_maps_of_ints_come_back_equal():
+    maps = [{0: {1: 3, 2: -4}}, {(0, 2): {1: 1}}]
+    ints, s = QQ.integral_maps(maps)
+    assert (ints, s) == (maps, 1)
+    assert all(type(x) is int for x in _int_entries(ints))
+
+
+def test_integral_maps_of_nothing_have_scale_one():
+    assert QQ.integral_maps([]) == ([], 1)
+    assert QQ.integral_maps([{}, {0: {}}]) == ([{}, {0: {}}], 1)
+    assert GF(3).integral_maps([]) == ([], 1)
+
+
+def test_integral_maps_over_a_prime_field_are_the_maps_given():
+    maps = [{0: {0: 2, 3: 1}}, {(0, 1): {2: 4}}]
+    ints, s = GF(5).integral_maps(maps)
+    assert ints is maps and s == 1
+    assert maps == [{0: {0: 2, 3: 1}}, {(0, 1): {2: 4}}]

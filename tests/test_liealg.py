@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from helpers import rebased, span, to_dense
@@ -464,6 +466,57 @@ def test_betti2_monotone_under_abelian_summand(heis):
     table = {k: dict(v) for k, v in heis.table.items()}
     g4 = LieAlgebra(QQ, 4, table)
     assert g4.betti2() >= heis.betti2()
+
+
+def reference_betti2(g):
+    """dim Z² − dim B² with B² built as it was here: for each l the row of
+    −c_{ij}^l over the pairs i < j, sifted in order."""
+    fld, d = g.field, g.dim
+    pairs = {p: t for t, p in enumerate((i, j) for i in range(d) for j in range(i + 1, d))}
+    conditions = Subspace(fld, len(pairs))
+    for i, j, k in combinations(range(d), 3):
+        row: dict = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, f in g.bracket({a: fld.one}, {b: fld.one}).items():
+                if l != c:
+                    key, sign = (pairs[(l, c)], 1) if l < c else (pairs[(c, l)], -1)
+                    row[key] = row.get(key, 0) + sign * f
+        row = fld.clean(row)
+        if row:
+            conditions.add(row)
+    b2 = Subspace(fld, len(pairs))
+    for l in range(d):
+        row = {}
+        for (i, j), terms in g.table.items():
+            if l in terms:
+                row[pairs[(i, j)]] = fld.neg(terms[l])
+        if row:
+            b2.add(row)
+    return len(pairs) - conditions.dim - b2.dim
+
+
+def sl2():
+    # e, f, h with [e, f] = h, [h, e] = 2e, [h, f] = -2f: not nilpotent
+    return LieAlgebra(QQ, 3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: catalog.heisenberg(QQ), 2),
+    (lambda: catalog.upper_triangular(5, GF(3)), None),
+    (lambda: catalog.upper_triangular(5, QQ), None),
+    (lambda: catalog.free_nilpotent(2, 5, QQ), None),
+    (lambda: catalog.free_nilpotent(3, 3, GF(2)), None),
+    (lambda: catalog.filiform_f(13, QQ), 2),
+    (lambda: catalog.filiform_f(14, QQ), 2),
+    (sl2, 0),
+])
+def test_betti2_coboundaries_span_the_dimension_of_the_derived_algebra(build, expected):
+    # dim B² = dim [g, g]: the coboundary φ ↦ −φ([·,·]) has kernel the
+    # annihilator of [g, g]; nilpotency is not needed, so sl2 is in the list
+    g = build()
+    assert g.betti2() == reference_betti2(g)
+    if expected is not None:
+        assert g.betti2() == expected
 
 
 # ---------------------------------------------------------------------------

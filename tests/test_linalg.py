@@ -269,9 +269,12 @@ def test_subspace_add_keeps_a_canonical_basis():
     assert list(space.sparse) == [0, 1]  # pivot order, not the order added
 
 
-def test_subspace_does_not_hash():
+@pytest.mark.parametrize("build", [lambda: Subspace(QQ, 2), lambda: SparseMatrix(QQ, 2, 2)],
+                         ids=["Subspace", "SparseMatrix"])
+def test_subspace_does_not_hash(build):
+    # __eq__ without __hash__ leaves a class unhashable
     with pytest.raises(TypeError):
-        hash(Subspace(QQ, 2))
+        hash(build())
 
 
 @given(FIELDS, matrices((0, 3), 4), matrices((0, 3), 4))

@@ -6,9 +6,12 @@ only as text in the file format, so the tests' dense converters
 (``helpers.py``) appear nowhere in the package, ``fileio.py`` included; no
 module uses another object's private attributes; every public function,
 class and method is called from the package or the benchmark, or is listed
-with its reason in ``KEPT``; every module but ``__init__.py`` uses every
-name it imports; and only the modules in ``CHARACTERISTIC_READERS`` tell F_p
-from Q by reading a field's ``characteristic``.
+with its reason in ``KEPT``, and every method name that such a call cannot
+tell apart is listed with its reason in ``SHARED_NAMES``; every module but
+``__init__.py`` uses every name it imports; only the modules in
+``CHARACTERISTIC_READERS`` tell F_p from Q by reading a field's
+``characteristic``; and only ``fields.py`` reads a scalar's numerator or
+denominator, so scaling rationals to ints happens in one place.
 """
 
 import ast
@@ -31,6 +34,18 @@ KEPT = {
     "enumerate_monomials": "acceptance criterion 2 counts the monomials with it",
     "pfaff_check": "acceptance criterion 6c checks the Pfaff identities of f_n",
     "is_homomorphism": "the README's library example checks a result with it",
+}
+
+# Public method names that more than one class defines, or that are also a
+# data attribute (a slot, a dataclass field or a ``self.x =`` target): the
+# caller check counts every ``x.name`` as a call of each, so a new clash must
+# be reviewed and listed here; each value says why the callers are real.
+SHARED_NAMES = {
+    "dim": "the properties Subspace.dim, PrunedModule.dim and Representation.dim "
+           "are each read (basis.dim, module.dim, rep.dim); LieAlgebra.dim is a slot",
+    "field": "the property Representation.field is read (rep.field in fileio, quotient "
+             "and representation); LieAlgebra, Subspace, SparseMatrix and TruncatedUEA "
+             "store a field",
 }
 
 # The modules that read ``Field.characteristic``; each value says why.  Any
@@ -168,3 +183,48 @@ def test_only_the_listed_modules_read_the_characteristic():
     assert sorted(readers - set(CHARACTERISTIC_READERS)) == []
     # an entry whose module no longer reads it no longer needs keeping
     assert sorted(set(CHARACTERISTIC_READERS) - readers) == []
+
+
+def _data_attributes():
+    """Slots, dataclass fields and ``self.x =`` targets of every class."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                        found.add(sub.target.id)
+                    elif (isinstance(sub, ast.Assign) and len(sub.targets) == 1
+                          and isinstance(sub.targets[0], ast.Name)
+                          and sub.targets[0].id == "__slots__"):
+                        found.update(ast.literal_eval(sub.value))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                found.add(node.attr)
+    return found
+
+
+def test_every_shared_method_name_is_listed():
+    owners = {}
+    for qualname, _node in _public_definitions():
+        owner, _, name = qualname.rpartition(".")
+        if owner:
+            owners.setdefault(name, set()).add(owner)
+    data = _data_attributes()
+    shared = {name for name, classes in owners.items() if len(classes) > 1 or name in data}
+    assert sorted(shared) == sorted(SHARED_NAMES)
+
+
+def test_only_fields_reads_numerators_and_denominators():
+    readers, lcm = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+                readers.add(path.name)
+            if (isinstance(node, ast.Attribute) and node.attr == "denominator_lcm"
+                    or isinstance(node, ast.Name) and node.id == "denominator_lcm"
+                    or isinstance(node, ast.FunctionDef) and node.name == "denominator_lcm"):
+                lcm.append("%s:%d" % (path.name, node.lineno))
+    assert sorted(readers) == ["fields.py"]
+    assert lcm == []

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
-from helpers import matmul
-from nilrep.fields import QQ, rational
+from helpers import matmul, rebased
+from nilrep.fields import Field, QQ, rational
 from nilrep.liealg import LieAlgebra, abelian_algebra
 from nilrep.fields import GF
 from nilrep.regular import _reversed_model, nu
@@ -347,3 +349,43 @@ def test_unpruned_action_is_homomorphism_and_nilpotent():
                               [matmul(mats[i], mats[j]), matmul(mats[j], mats[i])] + mats)
                 assert not lhs.cols
 
+
+
+def reference_scaled_table(g):
+    """``(mu, table)`` as they were built here: mu the lcm of the structure
+    constants' denominators (1 over F_p), then each constant times it."""
+    fld = g.field
+    mu = 1 if fld.characteristic else math.lcm(
+        1, *{int(c.denominator) for terms in g.table.values() for c in terms.values()
+             if type(c) is not int})
+    return mu, {key: {s: fld.mul(c, mu) for s, c in terms.items()}
+                for key, terms in g.table.items()}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.heisenberg(QQ),
+    lambda: catalog.upper_triangular(4, GF(2)),
+    lambda: catalog.upper_triangular(5, GF(3)),
+    lambda: catalog.filiform_f(13, QQ),
+    lambda: rebased(catalog.upper_triangular(5, QQ), 2),
+    lambda: rebased(catalog.upper_triangular(5, GF(2)), 3),
+    lambda: rebased(catalog.upper_triangular(5, GF(3)), 4),
+    lambda: rebased(catalog.filiform_f(13, QQ), 1),
+], ids=["heisenberg", "utri4-F2", "utri5-F3", "f13", "rebased-utri5", "rebased-utri5-F2",
+        "rebased-utri5-F3", "rebased-f13"])
+def test_mu_and_the_integer_table_equal_the_hand_scaled_ones(build, monkeypatch):
+    uea = truncated_uea(build())
+    mu, table = reference_scaled_table(uea.algebra)
+    assert uea.mu == mu
+    scaled = []
+    integral_maps = Field.integral_maps
+
+    def recorded(self, maps):
+        scaled.append(integral_maps(self, maps))
+        return scaled[-1]
+
+    monkeypatch.setattr(Field, "integral_maps", recorded)
+    uea.right_products()
+    assert scaled == [([table], mu)]
+    assert ([type(c) for terms in scaled[0][0][0].values() for c in terms.values()]
+            == [type(c) for terms in table.values() for c in terms.values()])

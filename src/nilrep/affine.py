@@ -89,9 +89,9 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> Subspace:
     return conditions.kernel()
 
 
-def _assert_faithful(fld, cols: list):
-    """Raise RuntimeError unless the matrices with column maps ``cols`` are independent."""
-    if relations(fld, cols).dim:
+def _assert_faithful(fld, rows: list):
+    """Raise RuntimeError unless the matrices with row maps ``rows`` are independent."""
+    if relations(fld, rows).dim:
         raise RuntimeError("affine extension lost faithfulness")
 
 
@@ -129,15 +129,13 @@ def algorithm_affine(
     deepest = 0
     for attempt in range(retries):
         rng = random.Random(seed * 1_000_003 + attempt)
-        # column and row maps of psi(a_0), psi(a_1), ...: psi(a_0) maps e_0 to
-        # e_1, and step i appends column i + 1 to every map and adds psi(a_i)
-        cols = [{0: {1: fld.one}}]
+        # row maps of psi(a_0), psi(a_1), ...: psi(a_0) maps e_0 to e_1, and
+        # step i adds column i + 1 to every matrix and appends psi(a_i)
         rows = [{1: {0: fld.one}}]
         for i in range(1, d):
             if deadline is not None and time.monotonic() > deadline:
                 raise AffineTimeout("affine run exceeded its deadline")
             k = i + 1  # generators a_0..a_i, acting on K^k
-            cols.append({})
             rows.append({})
             basis = list(_cocycles(fld, table, rows, n).sparse.values())
             lo = i * k  # delta(a_i) is stacked last, at lo..k*k-1
@@ -166,11 +164,10 @@ def algorithm_affine(
             # the cocycle value on a_j is the new column k of psi(a_j)
             for c, x in delta.items():
                 j, t = divmod(c, k)
-                cols[j].setdefault(k, {})[t] = x
                 rows[j].setdefault(t, {})[k] = x
-            _assert_faithful(fld, cols)
+            _assert_faithful(fld, rows)
         else:
-            mats = [SparseMatrix(fld, d + 1, d + 1, c) for c in cols]
+            mats = [SparseMatrix(fld, d + 1, d + 1, r).transpose() for r in rows]
             return Representation(
                 g,
                 [lincomb(fld, adapted.inverse[l], mats) for l in range(d)],

@@ -41,7 +41,7 @@ def _parse_field(text: Optional[str]) -> Field:
 def _load_algebra_file(path: str) -> LieAlgebra:
     try:
         g = fileio.load_algebra(path)
-    except (OSError, json.JSONDecodeError, fileio.FileFormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError("cannot load algebra from %r: %s" % (path, exc))
     bad = g.check_jacobi()
     if bad:
@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
     g = _load_algebra_file(args.algebra)
     try:
         rep = fileio.load_representation(args.rep, g)
-    except (OSError, json.JSONDecodeError, fileio.FileFormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(str(exc))
     report = verify_report(rep)
     print(json.dumps(report, sort_keys=True))
@@ -147,7 +147,7 @@ def cmd_tables(args) -> int:
         raise InputError("--affine-timeout must be a positive number of seconds, got %r"
                          % args.affine_timeout)
     rows = None
-    if args.rows:
+    if args.rows is not None:
         try:
             rows = sorted({_row_index(r) for r in args.rows.split(",")})
         except ValueError:
@@ -225,10 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
-    except NotNilpotentError as exc:
+    except (InputError, NotNilpotentError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -127,7 +127,7 @@ def _matrix_text(mat: SparseMatrix) -> str:
     """The dense rows of ``mat`` as fraction strings, at the file's indent."""
     to_str = mat.field.to_str
     texts = [_json_list([_ZERO] * mat.ncols, 3)] * mat.nrows
-    for i, row in mat.iter_rows():
+    for i, row in mat.transpose().cols.items():
         entries = [_ZERO] * mat.ncols
         for j, x in row.items():
             entries[j] = '"%s"' % to_str(x)

@@ -110,20 +110,19 @@ class Subspace:
     it.  The rows vanish on each other's pivot columns, so each divided by
     its pivot entry is a row of the canonical RREF of the rows added so far.
     ``sparse`` maps each pivot column to that rational row, in pivot order,
-    built once per row and again only after the row changes; ``pivots``
-    lists the pivot columns.  Both are read only.  ``reduce`` returns the
-    exact canonical residual.  A subspace grows as rows are added, so it
-    does not hash.
+    rebuilt in full on the first read after an ``add`` that grew the basis;
+    ``pivots`` lists the pivot columns.  Both are read only.  ``reduce``
+    returns the exact canonical residual.  A subspace grows as rows are
+    added, so it does not hash.
     """
 
-    __slots__ = ("field", "ambient", "_rows", "_touch", "_canon", "_sorted")
+    __slots__ = ("field", "ambient", "_rows", "_touch", "_sorted")
 
     def __init__(self, field: Field, ambient: int):
         self.field = field
         self.ambient = ambient
         self._rows: dict[int, dict] = {}  # pivot col -> primitive row, in the order added
         self._touch: dict[int, set] = {}  # col -> pivot cols whose row hits col
-        self._canon: dict[int, dict] = {}  # pivot col -> canonical row, while the row holds
         self._sorted: Optional[dict] = {}  # canonical rows in pivot order, None when stale
 
     @classmethod
@@ -136,12 +135,11 @@ class Subspace:
     @property
     def sparse(self) -> dict:
         if self._sorted is None:
-            rows, canon = self._rows, self._canon
-            for pc, row in rows.items():
-                if pc not in canon:
-                    d = row[pc]
-                    canon[pc] = dict(row) if d == 1 else {j: rational(x, d) for j, x in row.items()}
-            self._sorted = {pc: canon[pc] for pc in sorted(rows)}
+            self._sorted = {}
+            for pc in sorted(self._rows):
+                row = self._rows[pc]
+                d = row[pc]
+                self._sorted[pc] = dict(row) if d == 1 else {j: rational(x, d) for j, x in row.items()}
         return self._sorted
 
     @property
@@ -187,13 +185,12 @@ class Subspace:
         _primitive(v, piv, p)
         # back-eliminate the new pivot from existing rows; besides a common
         # factor, only the columns of v change in them
-        rows, touch, canon = self._rows, self._touch, self._canon
+        rows, touch = self._rows, self._touch
         new = {piv: v}
         for pc in list(touch.get(piv, ())):
             prow = rows[pc]
             _clear(prow, (piv,), new, p)
             _primitive(prow, pc, p)
-            canon.pop(pc, None)
             for j in v:
                 if j in prow:
                     touch.setdefault(j, set()).add(pc)
@@ -291,16 +288,18 @@ def coordinate_projection(sub: Subspace) -> tuple:
     return kept, project
 
 
-def relations(field: Field, column_maps: Sequence[dict]) -> Subspace:
-    """{x : sum_l x_l M_l = 0} for the column maps M_l = ``column_maps[l]``:
-    the kernel of the rows (M_l[i][j])_l, one per position (i, j), sifted in
-    sorted order until they span all of K^len(column_maps)."""
-    d = len(column_maps)
+def relations(field: Field, maps: Sequence[dict]) -> Subspace:
+    """{x : sum_l x_l M_l = 0} for the matrices M_l given by ``maps[l]``, all
+    column maps ``{col: {row: x}}`` or all row maps ``{row: {col: x}}``: a
+    relation among matrices is one among their transposes.  The kernel of
+    the rows (M_l at one position)_l, sifted in sorted order of the position
+    (outer key, inner key) until they span all of K^len(maps)."""
+    d = len(maps)
     rows: dict = {}
-    for l, cols in enumerate(column_maps):
-        for j, col in cols.items():
-            for i, v in col.items():
-                rows.setdefault((i, j), {})[l] = v
+    for l, outer in enumerate(maps):
+        for j, inner in outer.items():
+            for i, v in inner.items():
+                rows.setdefault((j, i), {})[l] = v
     constraints = Subspace(field, d)
     for key in sorted(rows):
         constraints.add(rows[key])
@@ -353,15 +352,6 @@ class SparseMatrix:
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols.values())
-
-    def iter_rows(self):
-        """Yield ``(i, row_dict)`` for every nonzero row."""
-        rows: dict[int, dict] = {}
-        for j, col in self.cols.items():
-            for i, x in col.items():
-                rows.setdefault(i, {})[j] = x
-        for i in sorted(rows):
-            yield i, rows[i]
 
     def transpose(self) -> "SparseMatrix":
         cols: dict[int, dict] = {}

@@ -50,35 +50,32 @@ def nu(d: int, c: int) -> int:
 
 @dataclass
 class PruneState:
-    """Active/discarded split of the monomial basis during pruning."""
+    """Active/discarded split of the monomial basis after pruning."""
 
-    active: set
+    active: frozenset
     protected: frozenset
     removed: list  # monomial ids in removal order
 
 
-def initial_prune_state(uea: TruncatedUEA, central_ids) -> PruneState:
-    """Start state: everything active, the unit and central generators protected."""
-    protected = {uea.unit}
-    for k in central_ids:
-        protected.add(uea.degree_one_mid(k))
-    return PruneState(set(range(len(uea.monomials))), frozenset(protected), [])
-
-
-def prune(state: PruneState, products: list) -> PruneState:
-    """Run removal sweeps (weight descending) until a sweep removes nothing.
+def prune(uea: TruncatedUEA, central_ids, products: list) -> PruneState:
+    """Run removal sweeps (weight descending) from the full basis of ``uea``
+    until a sweep removes nothing; the unit and the central generators
+    ``central_ids`` are protected.
 
     ``products`` holds every monomial * generator product, one row per
     monomial (``TruncatedUEA.right_products``); a monomial's support is the
     set of monomials its row hits."""
+    protected = {uea.unit}
+    for k in central_ids:
+        protected.add(uea.degree_one_mid(k))
     supports = [set().union(*row.values()) for row in products]
-    order = sorted(state.active, reverse=True)  # canonical order is mid order
-    active = set(state.active)
-    removed = list(state.removed)
+    order = range(len(uea.monomials) - 1, -1, -1)  # canonical order is mid order
+    active = set(order)
+    removed = []
     while True:
         changed = False
         for mid in order:
-            if mid not in active or mid in state.protected:
+            if mid not in active or mid in protected:
                 continue
             if supports[mid].isdisjoint(active):
                 active.discard(mid)
@@ -86,7 +83,8 @@ def prune(state: PruneState, products: list) -> PruneState:
                 changed = True
         if not changed:
             break
-    return PruneState(active, state.protected, removed)
+    # frozen copies are sized to what they hold, not to every monomial
+    return PruneState(frozenset(active), frozenset(protected), removed)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,7 @@ def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -
     adapted = adapted or g.adapted_basis()
     uea, central_ids, basis_inverse = _reversed_model(adapted)
     products = uea.right_products()
-    state = prune(initial_prune_state(uea, central_ids), products)
+    state = prune(uea, central_ids, products)
     active = tuple(sorted(state.active))
     right = uea.right_action_matrices(products, active)
     return PrunedModule(g, uea, state, active, central_ids, basis_inverse, right)

@@ -103,7 +103,7 @@ def annihilated_subspace(rep: Representation) -> Subspace:
     of all matrices stacked in one subspace."""
     stacked = Subspace(rep.field, rep.dim)
     for mat in rep.matrices:
-        for _i, row in mat.iter_rows():
+        for _i, row in sorted(mat.transpose().cols.items()):
             stacked.add(row)
     return stacked.kernel()
 

@@ -23,7 +23,7 @@ Q0, Q1 = rational(0), rational(1)
 
 def row_maps(dense_mats):
     """The row maps ``{t: {u: x}}`` that the Z¹ builder reads."""
-    return [dict(from_dense(QQ, mat).iter_rows()) for mat in dense_mats]
+    return [from_dense(QQ, mat).transpose().cols for mat in dense_mats]
 
 
 def dense_rows(space):
@@ -214,13 +214,20 @@ def test_every_step_keeps_the_affine_block_form(g, seed):
 
 def test_faithfulness_guard_rejects_dependent_matrices():
     one = {1: {0: Q1}}  # [[0, 1], [0, 0]]
-    _assert_faithful(QQ, [one, {0: {1: Q1}}])
-    # a_2 acts as zero, so a_2 spans the kernel
-    with pytest.raises(RuntimeError, match="lost faithfulness"):
-        _assert_faithful(QQ, [one, {}])
-    # both act as the same matrix, so a_1 - a_2 spans the kernel
-    with pytest.raises(RuntimeError, match="lost faithfulness"):
-        _assert_faithful(QQ, [one, dict(one)])
+    # each verdict holds for the maps as given and for their transposes
+    for flip in (False, True):
+        def guard(maps):
+            if flip:
+                maps = [SparseMatrix(QQ, 2, 2, m).transpose().cols for m in maps]
+            _assert_faithful(QQ, maps)
+
+        guard([one, {0: {1: Q1}}])
+        # a_2 acts as zero, so a_2 spans the kernel
+        with pytest.raises(RuntimeError, match="lost faithfulness"):
+            guard([one, {}])
+        # both act as the same matrix, so a_1 - a_2 spans the kernel
+        with pytest.raises(RuntimeError, match="lost faithfulness"):
+            guard([one, dict(one)])
 
 
 def test_affine_heisenberg(heis):
@@ -352,13 +359,13 @@ def test_affine_with_a_given_adapted_basis_is_unchanged(heis):
     assert given.matrices == algorithm_affine(heis, seed=3, retries=10).matrices
 
 
-def stacked_span_dim(fld, cols, size):
+def stacked_span_dim(fld, maps, size):
     """The faithfulness guard as it was: the dimension of the span of the
-    size x size matrices with column maps ``cols``, each stacked into one
-    row of length size²."""
+    size x size matrices with column maps (or row maps) ``maps``, each
+    stacked into one row of length size²."""
     span = Subspace(fld, size * size)
-    for mat in cols:
-        span.add({c * size + t: x for c, col in mat.items() for t, x in col.items()})
+    for mat in maps:
+        span.add({c * size + t: x for c, inner in mat.items() for t, x in inner.items()})
     return span.dim
 
 
@@ -372,14 +379,14 @@ def test_faithfulness_guard_matches_the_stacked_span(monkeypatch, g, seed):
     steps = []
     guard = affine._assert_faithful
 
-    def checked(fld, cols):
-        size = len(cols) + 1
-        assert stacked_span_dim(fld, cols, size) == len(cols) - relations(fld, cols).dim
-        dependent = cols + [cols[0]]
-        assert stacked_span_dim(fld, dependent, size) == len(cols)
+    def checked(fld, rows):
+        size = len(rows) + 1
+        assert stacked_span_dim(fld, rows, size) == len(rows) - relations(fld, rows).dim
+        dependent = rows + [rows[0]]
+        assert stacked_span_dim(fld, dependent, size) == len(rows)
         assert relations(fld, dependent).dim == 1
-        steps.append(len(cols))
-        guard(fld, cols)
+        steps.append(len(rows))
+        guard(fld, rows)
 
     monkeypatch.setattr(affine, "_assert_faithful", checked)
     assert algorithm_affine(g, seed=seed, retries=2).dim == g.dim + 1

@@ -199,11 +199,15 @@ def test_growing_a_basis_matches_from_vectors(field, head, tail):
     given_rows = sparse_rows(rref(head, field, 5)[0])
     for row in given_rows:
         space.add(row)
+    # a view read between adds goes stale once the tail back-eliminates
+    assert space.sparse == dict(zip(space.pivots, given_rows))
+    assert space.pivots == rref(head, field, 5)[1]
     for row in sparse_rows(tail):
         space.add(row)
     # add stores its own copies: the rows handed in stay as they were
     assert given_rows == sparse_rows(rref(head, field, 5)[0])
     assert space == span(field, 5, head + tail)
+    assert space.sparse == span(field, 5, head + tail).sparse
     assert dense_rows(space.kernel()) == tuple(nullspace(head + tail, field, 5))
 
 

@@ -9,7 +9,6 @@ from nilrep.regular import (
     _reversed_model,
     algorithm_regular,
     build_pruned_module,
-    initial_prune_state,
     nu,
     partitions,
     prune,
@@ -75,17 +74,10 @@ def test_prune_never_removes_protected():
     assert uea.index[(0, 0, 1)] in state.active  # the central generator z
 
 
-def test_prune_is_a_fixpoint():
-    uea, state = heis_state()
-    again = prune(state, uea.right_products())
-    assert again.active == state.active
-    assert again.removed == state.removed
-
-
 def test_prune_abelian_line_keeps_everything():
     ad = abelian_algebra(QQ, 1).adapted_basis()
     uea = TruncatedUEA(ad.algebra, ad.weights, ad.nilpotency_class)
-    state = prune(initial_prune_state(uea, [0]), uea.right_products())
+    state = prune(uea, [0], uea.right_products())
     assert len(state.active) == 2  # {1, x}: x is central, nothing removable
 
 

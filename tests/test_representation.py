@@ -270,7 +270,7 @@ def perturbed_conjugates(draw):
         upper = [[field.one if i == j else draw(scalars(field)) if i < j else field.zero
                   for j in range(n)] for i in range(n)]
         p = matmul(from_dense(field, lower), from_dense(field, upper))
-        p_rows = dict(p.iter_rows())
+        p_rows = p.transpose().cols
         inv_rows = invert([p_rows.get(i, {}) for i in range(n)], field)
         p_inv = SparseMatrix(field, n, n, dict(enumerate(inv_rows))).transpose()
         mats = [matmul(matmul(p_inv, m), p) for m in mats]

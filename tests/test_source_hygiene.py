@@ -7,14 +7,16 @@ only as text in the file format, so the tests' dense converters
 module uses another object's private attributes; every public function,
 class and method is called from the package or the benchmark, or is listed
 with its reason in ``KEPT``, and every method name that such a call cannot
-tell apart is listed with its reason in ``SHARED_NAMES``; every module but
-``__init__.py`` uses every name it imports; only the modules in
-``CHARACTERISTIC_READERS`` tell F_p from Q by reading a field's
+tell apart is listed with its reason in ``SHARED_NAMES``; every private
+top-level function and method is called from elsewhere in the package;
+every module but ``__init__.py`` uses every name it imports; only the
+modules in ``CHARACTERISTIC_READERS`` tell F_p from Q by reading a field's
 ``characteristic``; and only ``fields.py`` reads a scalar's numerator or
 denominator, so scaling rationals to ints happens in one place.
 """
 
 import ast
+import functools
 import pathlib
 import re
 
@@ -117,26 +119,40 @@ def test_no_unused_imports_in_the_package():
     assert sorted(found) == []
 
 
-def _public_definitions():
-    """(qualified name, node) of every public top-level def/class and method."""
+@functools.cache
+def _tree(path: pathlib.Path) -> ast.Module:
+    """The parsed source of ``path``, one tree per file, so that a definition
+    found in it is the same node that owns the references inside it."""
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _definitions(private: bool = False):
+    """(qualified name, node) of every top-level def/class and method whose
+    name is public, or with ``private`` private; dunders are neither."""
+    def wanted(name):
+        if private:
+            return name.startswith("_") and not name.endswith("__")
+        return not name.startswith("_")
+
     found = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in _tree(path).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_"):
+            if wanted(node.name):
                 found.append((node.name, node))
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    if isinstance(sub, ast.FunctionDef) and wanted(sub.name):
                         found.append(("%s.%s" % (node.name, sub.name), sub))
     return found
 
 
-def _references():
+def _references(bench: bool = True):
     """(names, attributes): name -> the definitions (or modules) whose code
-    mentions it as a bare Name, and as an Attribute (``x.name``); imports,
-    string literals and docstrings are not references."""
+    mentions it as a bare Name, and as an Attribute (``x.name``), in the
+    package and, with ``bench``, the benchmark; imports, string literals and
+    docstrings are not references."""
     names, attrs = {}, {}
 
     def walk(node, owner):
@@ -147,18 +163,22 @@ def _references():
                 attrs.setdefault(child.attr, set()).add(owner)
             walk(child, child if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner)
 
-    bench = [p for p in sorted(PERFBENCH.glob("*.py")) if not p.name.startswith("test_")]
-    assert bench, PERFBENCH
-    for path in sorted(SRC.glob("*.py")) + bench:
-        tree = ast.parse(path.read_text(), filename=str(path))
+    paths = sorted(SRC.glob("*.py"))
+    if bench:
+        bench_paths = [p for p in sorted(PERFBENCH.glob("*.py")) if not p.name.startswith("test_")]
+        assert bench_paths, PERFBENCH
+        paths += bench_paths
+    for path in paths:
+        tree = _tree(path)
         walk(tree, tree)
     return names, attrs
 
 
-def test_every_public_definition_has_a_caller():
-    names, attrs = _references()
+def _uncalled(definitions, references) -> set:
+    """The qualified names among ``definitions`` that no reference reaches."""
+    names, attrs = references
     uncalled = set()
-    for qualname, node in _public_definitions():
+    for qualname, node in definitions:
         owner, _, name = qualname.rpartition(".")
         # a method is called only as ``x.name``: a bare name of the same
         # spelling is some local variable
@@ -168,9 +188,21 @@ def test_every_public_definition_has_a_caller():
         # a recursive call from inside the definition itself does not count
         if not refs - {node}:
             uncalled.add(qualname)
+    return uncalled
+
+
+def test_every_public_definition_has_a_caller():
+    uncalled = _uncalled(_definitions(), _references())
     assert sorted(uncalled - set(KEPT)) == []
     # an entry that is gone or has gained a caller no longer needs keeping
     assert sorted(set(KEPT) - uncalled) == []
+
+
+def test_every_private_definition_has_a_caller():
+    # a private name is called from inside the package only
+    private = _definitions(private=True)
+    assert private
+    assert sorted(_uncalled(private, _references(bench=False))) == []
 
 
 def test_only_the_listed_modules_read_the_characteristic():
@@ -206,7 +238,7 @@ def _data_attributes():
 
 def test_every_shared_method_name_is_listed():
     owners = {}
-    for qualname, _node in _public_definitions():
+    for qualname, _node in _definitions():
         owner, _, name = qualname.rpartition(".")
         if owner:
             owners.setdefault(name, set()).add(owner)

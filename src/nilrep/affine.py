@@ -13,6 +13,17 @@ adjoined generator is nonzero -- only v_1..v_d exist at that point, and this
 reading makes the faithfulness argument (ker psi contained in <a_new>, killed
 by delta(a_new) != 0) go through.  If no such cocycle exists the attempt
 fails; the driver restarts with fresh randomness up to a retry budget.
+
+Z¹ is solved level by level (``_cocycles``).  Every psi(a_j) is strictly
+triangular in the order e_{k-1}, ..., e_2, e_0, e_1, since each step adds
+the new coordinate as a column over the earlier ones.  The brackets of the
+generators a_0..a_{g-1} with a_0..a_{k-1}, cut at a_k, span exactly
+a_g..a_{k-1}, so their matrix A has full column rank: at each row of the
+module, the cocycle values on a_g..a_{k-1} are fixed by the rows above it,
+and what is left are linear relations.  Everything is thus a linear form
+in the g·k values on the generators, and those come first among the
+unknowns, so extending the canonical kernel of the relations by the forms
+is the canonical RREF of Z¹, the same rows as a solve over all k² unknowns.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional
 
 from .liealg import AdaptedBasis, LieAlgebra
@@ -41,52 +53,175 @@ class AffineFail:
     attempts: int
 
 
+def _bracket_solve(fld, table: dict, k: int, g: int) -> tuple:
+    """``(pairs, bare, ties, scale, solved)`` for the truncated brackets A_p
+    of the pairs p = (j, l), j < g, j < l < k: [a_j, a_l] without its terms
+    on a_s for s >= k.
+
+    ``bare`` is the set of p with A_p = 0.  The rows (A_p | e_p) of the other
+    pairs are sifted into one ``Subspace`` with a tag column per pair.  A row
+    (v | tau) of its span has v = sum tau_p A_p, so a primitive row with
+    pivot s < k reads d e_s = sum tau_p A_p, and one with a tag pivot is a
+    relation sum tau_p A_p = 0; ``ties`` lists those tau.  ``solved[s]`` is
+    the tau of pivot s times scale / d, for one ``scale`` shared by every s.
+    Raises RuntimeError unless the A_p span exactly the unit vectors
+    e_g..e_{k-1}, as they do for an adapted table whose first g vectors
+    generate: [q, q] is spanned by the brackets of the generators with q,
+    and it is the span of a_g..a_{k-1}.
+    """
+    pairs = [(j, l) for j in range(g) for l in range(j + 1, k)]
+    space = Subspace(fld, k + len(pairs))
+    bare = set()
+    for p, (j, l) in enumerate(pairs):
+        row = {s: c for s, c in table.get((j, l), {}).items() if s < k}
+        if row:
+            row[k + p] = fld.one
+            space.add(row)
+        else:
+            bare.add(p)
+    if [s for s in space.pivots if s < k] != list(range(g, k)):
+        raise RuntimeError("the generator brackets do not span exactly a_%d..a_%d: "
+                           "the table is not adapted" % (g, k - 1))
+    solved, ties = {}, []
+    for pc in space.pivots:
+        row = space.primitive_row(pc)
+        tau = {c - k: x for c, x in row.items() if c >= k}
+        if pc < k:
+            solved[pc] = (row[pc], tau)
+        else:
+            ties.append(tau)
+    scale = lcm(1, *(d for d, _tau in solved.values()))
+    solved = {s: {p: x * (scale // d) for p, x in tau.items()}
+              for s, (d, tau) in solved.items()}
+    return pairs, bare, ties, scale, solved
+
+
+def _levels(rows: list) -> list:
+    """The rows t that some row map of ``rows`` has, each after every row u
+    with an entry (t, u) in some map: a topological order of the support
+    (Kahn, CACM 5, 1962).  Raises RuntimeError when the support has a cycle,
+    that is when no order makes every map strictly triangular."""
+    reads: dict = {}
+    for r in rows:
+        for t, inner in r.items():
+            reads.setdefault(t, set()).update(inner)
+    waiting, readers = {}, {}
+    for t, us in reads.items():
+        live = us & reads.keys()
+        waiting[t] = len(live)
+        for u in live:
+            readers.setdefault(u, []).append(t)
+    ready = [t for t, w in waiting.items() if not w]
+    order = []
+    while ready:
+        u = ready.pop()
+        order.append(u)
+        for t in readers.get(u, ()):
+            waiting[t] -= 1
+            if not waiting[t]:
+                ready.append(t)
+    if len(order) < len(reads):
+        raise RuntimeError("the module matrices are not strictly triangular in any order")
+    return order
+
+
+def _combine(coeffs: dict, forms: dict) -> dict:
+    """sum_p coeffs[p] forms[p] over the p that ``forms`` holds, not cleaned."""
+    acc: dict = {}
+    for p, x in coeffs.items():
+        form = forms.get(p)
+        if form:
+            for c, y in form.items():
+                acc[c] = acc.get(c, 0) + x * y
+    return acc
+
+
 def _cocycles(fld, table: dict, rows: list, n: int) -> Subspace:
     """Z¹ of the quotient spanned by a_0..a_{k-1}, k = len(rows), with values
     in the module K^k on which a_j acts by the row map ``rows[j]``
     (``{t: {u: x}}``), as stacked vectors; a_0..a_{n-1} generate g.
 
-    Unknown j*k + t is delta(a_j)_t.  The conditions are delta([a_j, a_l]) =
-    psi(a_j) delta(a_l) - psi(a_l) delta(a_j) for j < l < k, with the bracket
-    read from the adapted ``table`` without its terms on a_s for s >= k: the
-    quotient q by g_k.  In the adapted table [a_j, a_l] only hits s > l, so the
-    three parts of a condition sit in disjoint blocks of unknowns.
+    Unknown j*k + t is X[t][j] = delta(a_j)_t.  The conditions are
+    delta([a_j, a_l]) = psi(a_j) delta(a_l) - psi(a_l) delta(a_j), with the
+    bracket read from the adapted ``table`` without its terms on a_s for
+    s >= k: the quotient q by g_k.  By Jacobi in q ⋉ K^k, the x for which
+    x ↦ (x, delta(x)) respects every bracket [x, y] form a subalgebra, so
+    the pairs p = (j, l) with j < g = min(n, k) are enough.  Row t of the
+    condition of p reads
 
-    Only the pairs with j < n are used.  By Jacobi in q ⋉ K^k, the x for which
-    x ↦ (x, delta(x)) respects every bracket [x, y] form a subalgebra; the
-    generators a_0..a_{n-1} (a complement of [g, g]) generate q, so the
-    identity on them and all of q is enough.  At row t that no psi(a_j) or
-    psi(a_l) has, the condition is A·(delta(a_s)_t)_s = 0 for the truncated
-    bracket A of the pair, the same for every such t; only an independent
-    subset of those A is added, found once per set of generators whose psi
-    has row t.  The solution set, hence the canonical kernel, is unchanged.
+        A_p · X[t] = B_{t,p} = sum_u psi_j[t][u] X[u][l] - psi_l[t][u] X[u][j].
+
+    The truncated brackets A_p live on the columns g..k-1 and span them
+    (``_bracket_solve``): A has full column rank, so the B_{t,p} fix the
+    X[t][s], s >= g, and the left kernel of A gives the relations that the
+    B_{t,p} must satisfy.  Each psi(a_j)
+    is strictly triangular, in Affine in the order e_{k-1}, ..., e_2, e_0,
+    e_1, so B_{t,p} reads only X[u] of rows u before t; visiting the rows in
+    an order found from the support (``_levels``) writes each B_{t,p}, and
+    so each X[t][s], as a linear form over the generator unknowns j*k + t,
+    j < g.  A row that no psi has gets B = 0, so X[t][s] = 0 there.
+
+    The relations cut the generator unknowns down to a subspace of K^(g k).
+    They are sifted with the columns reversed, so that the kernel vector of
+    each free column f (``Subspace.kernel_vectors``) has its other entries
+    past f at pivot columns: it is the canonical kernel row with pivot f,
+    and no second sift is needed.  Extending those rows by the forms gives
+    exactly Z¹'s canonical RREF, because a cocycle is determined by its
+    generator block and those unknowns come first: the pivots stay in the
+    block, and the rows still vanish on each other's pivots.
+
+    The forms are ints over one scale per row (X[t][s] = F_{t,s} / sigma_t)
+    and the psi ints over one scale, so over Q the solve runs on ints as it
+    does over F_p.
     """
     k = len(rows)
-    conditions = Subspace(fld, k * k)
-    brackets = []  # (j, l, truncated [a_j, a_l]) for the nonzero ones
-    for j in range(min(n, k)):
-        for l in range(j + 1, k):
-            terms = {s: c for s, c in table.get((j, l), {}).items() if s < k}
-            if terms:
-                brackets.append((j, l, terms))
-            for t in rows[j].keys() | rows[l].keys():
-                row = {s * k + t: c for s, c in terms.items()}
-                for u, x in rows[j].get(t, {}).items():
-                    row[l * k + u] = -x
-                for u, x in rows[l].get(t, {}).items():
-                    row[j * k + u] = x
-                conditions.add(row)  # add cleans the row itself
-    independent: dict = {}  # the j whose psi(a_j) has row t -> independent brackets
-    for t in range(k):
-        key = frozenset(j for j, r in enumerate(rows) if t in r)
-        if key not in independent:
-            span = Subspace(fld, k)
-            independent[key] = [terms for j, l, terms in brackets
-                                if j not in key and l not in key
-                                and span.add(terms) is not None]
-        for terms in independent[key]:
-            conditions.add({s * k + t: c for s, c in terms.items()})
-    return conditions.kernel()
+    g = min(n, k)
+    pairs, bare, ties, scale, solved = _bracket_solve(fld, table, k, g)
+    psi, lam = fld.integral_maps(rows)
+    forms: dict = {}  # t -> (sigma_t, {s: F_{t,s}}) for the rows some psi has
+    last = g * k - 1
+    conditions = Subspace(fld, g * k)  # column last - c is generator unknown c
+    for t in _levels(psi):
+        here = [r.get(t, {}) for r in psi]
+        m = lcm(1, *(forms[u][0] for j in range(g) for u in here[j] if u in forms))
+        b = {}  # p -> m * lam * B_{t,p}, a form over the generator unknowns
+        for p, (j, l) in enumerate(pairs):
+            if not (here[j] or here[l]):
+                continue
+            acc: dict = {}
+            for u, x in here[j].items():
+                if l < g:
+                    acc[l * k + u] = acc.get(l * k + u, 0) + x * m
+                elif u in forms and l in forms[u][1]:
+                    sigma, fs = forms[u]
+                    f = x * (m // sigma)
+                    for c, y in fs[l].items():
+                        acc[c] = acc.get(c, 0) + f * y
+            for u, x in here[l].items():
+                acc[j * k + u] = acc.get(j * k + u, 0) - x * m
+            b[p] = acc
+        for row in [b[p] for p in b if p in bare] + [_combine(tau, b) for tau in ties]:
+            if row := fld.clean(row):
+                conditions.add({last - c: x for c, x in row.items()})
+        fs = {s: f for s, tau in solved.items() if (f := fld.clean(_combine(tau, b)))}
+        sigma = scale * lam * m
+        common = gcd(sigma, *(x for f in fs.values() for x in f.values()))
+        forms[t] = (sigma // common, {s: {c: x // common for c, x in f.items()}
+                                      for s, f in fs.items()})
+    total = lcm(1, *(sigma for sigma, _fs in forms.values()))
+    images: dict = {}  # c -> {s*k + t: total * F_{t,s}[c] / sigma_t}
+    for t, (sigma, fs) in forms.items():
+        f = total // sigma
+        for s, form in fs.items():
+            for c, x in form.items():
+                images.setdefault(c, {})[s * k + t] = x * f
+    out = Subspace(fld, k * k)
+    for v in conditions.kernel_vectors():
+        v = {last - c: x for c, x in v.items()}
+        row = _combine(v, images)
+        row.update((c, x * total) for c, x in v.items())
+        out.add(row)
+    return out
 
 
 def _assert_faithful(fld, rows: list):

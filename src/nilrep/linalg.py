@@ -24,7 +24,7 @@ format (``fileio``).
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .fields import Field, rational
 
@@ -202,15 +202,12 @@ class Subspace:
         self._sorted = None
         return piv
 
-    def kernel(self) -> "Subspace":
-        """Kernel of the matrix whose rows were added.
-
-        Each free column f gives the kernel vector e_f - sum over the basis
-        rows hitting f of (their canonical entry at f) e_pivot, here times
-        the lcm m of those rows' pivot entries so that it stays integral;
-        these are sifted into a new subspace for the canonical basis.
-        """
-        out = Subspace(self.field, self.ambient)
+    def kernel_vectors(self) -> Iterator[dict]:
+        """One vector per free column f of the matrix whose rows were added,
+        in increasing f: e_f - sum over the basis rows hitting f of (their
+        canonical entry at f) e_pivot, here times the lcm m of those rows'
+        pivot entries so that it stays integral.  Together they span the
+        kernel; each has its other entries at pivot columns."""
         rows = self._rows
         for f in range(self.ambient):
             if f in rows:
@@ -220,6 +217,13 @@ class Subspace:
             v = {f: m}
             for pc, row in hits:
                 v[pc] = -row[f] * (m // row[pc])
+            yield v
+
+    def kernel(self) -> "Subspace":
+        """Kernel of the matrix whose rows were added: ``kernel_vectors``
+        sifted into a new subspace for the canonical basis."""
+        out = Subspace(self.field, self.ambient)
+        for v in self.kernel_vectors():
             out.add(v)
         return out
 

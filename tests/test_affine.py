@@ -1,6 +1,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import from_dense, rebased, to_dense
 from nilrep import affine
@@ -15,7 +17,13 @@ from nilrep.affine import (
 from nilrep.fileio import save_representation
 from nilrep.liealg import LieAlgebra, abelian_algebra
 from nilrep.linalg import SparseMatrix, Subspace, is_nilpotent, lincomb, relations
-from nilrep.representation import Representation, is_faithful, is_homomorphism, kernel
+from nilrep.representation import (
+    Representation,
+    is_faithful,
+    is_homomorphism,
+    kernel,
+    verify_report,
+)
 from nilrep import catalog, tables
 
 Q0, Q1 = rational(0), rational(1)
@@ -110,6 +118,26 @@ def all_pairs_cocycles(fld, table, rows):
     return conditions.kernel()
 
 
+def canonical_rows(space):
+    """The canonical rows in pivot order, each as its (column, value, type
+    name) triples by column: equal values of another type, or the same rows
+    in another order, read differently."""
+    return [(pc, sorted((c, x, type(x).__name__) for c, x in row.items()))
+            for pc, row in space.sparse.items()]
+
+
+def checked_against_all_pairs_cocycles(steps):
+    """A stand-in for ``_cocycles`` that asserts, at every step, the same
+    canonical rows as ``all_pairs_cocycles`` and records the step's k."""
+    def checked(fld, table, rows, n):
+        Z = _cocycles(fld, table, rows, n)
+        assert canonical_rows(Z) == canonical_rows(all_pairs_cocycles(fld, table, rows))
+        steps.append(len(rows))
+        return Z
+
+    return checked
+
+
 @pytest.mark.parametrize("g,seed,retries", [
     (catalog.upper_triangular(4, QQ), 0, 2),
     (catalog.upper_triangular(5, QQ), 1, 2),
@@ -126,25 +154,89 @@ def all_pairs_cocycles(fld, table, rows):
     (catalog.heisenberg(GF(3)), 1, 2),
     (catalog.free_nilpotent(2, 4, GF(3)), 0, 2),
     (rebased(catalog.upper_triangular(6, QQ), 1), 1, 2),
+    (catalog.filiform_f(14), 1, 2),
+    (catalog.filiform_f(15), 1, 2),
+    (catalog.filiform_f(16), 1, 2),
+    (catalog.filiform_f(17), 1, 2),
+    (catalog.free_nilpotent(2, 5, QQ), 1, 1),
+    (catalog.free_nilpotent(2, 6, QQ), 1, 1),
+    (catalog.free_nilpotent(4, 3, QQ), 1, 1),
+    (rebased(catalog.upper_triangular(6, GF(2)), 2), 1, 2),
+    (rebased(catalog.upper_triangular(6, GF(3)), 3), 1, 2),
+    (rebased(catalog.upper_triangular(7, GF(2)), 4), 1, 2),
+    (rebased(catalog.upper_triangular(7, GF(3)), 5), 1, 2),
+    (rebased(catalog.upper_triangular(7, QQ), 6), 1, 2),
 ], ids=["U4", "U5", "heisenberg", "N_2_4", "N_3_4", "f13", "U4_F2", "U5_F2",
         "heisenberg_F2", "N_2_4_F2", "U4_F3", "U5_F3", "heisenberg_F3", "N_2_4_F3",
-        "U6_rebased"])
+        "U6_rebased", "f14", "f15", "f16", "f17", "N_2_5", "N_2_6", "N_4_3",
+        "U6_F2_rebased", "U6_F3_rebased", "U7_F2_rebased", "U7_F3_rebased", "U7_rebased"])
 def test_cocycles_match_the_all_pairs_builder(monkeypatch, g, seed, retries):
-    # the generators-only system has the same solutions, so the same
-    # canonical Z¹, at every step of seeded runs; keys counts the distinct
-    # sets {j : psi(a_j) has row t}, the keys of the builder's row cache
-    keys = []
+    # the level-by-level solve over the generator unknowns gives the canonical
+    # rows of the solve over all k² unknowns and every pair, entry types and
+    # pivot order included, at every step of seeded runs
+    steps = []
+    monkeypatch.setattr(affine, "_cocycles", checked_against_all_pairs_cocycles(steps))
+    res = algorithm_affine(g, seed=seed, retries=retries)
+    assert steps[0] == 2
+    if not isinstance(res, AffineFail):
+        assert steps[-1] == g.dim
 
-    def checked(fld, table, rows, n):
-        Z = _cocycles(fld, table, rows, n)
-        assert Z == all_pairs_cocycles(fld, table, rows)
-        keys.append(len({frozenset(j for j, r in enumerate(rows) if t in r)
-                         for t in range(len(rows))}))
-        return Z
 
-    monkeypatch.setattr(affine, "_cocycles", checked)
-    algorithm_affine(g, seed=seed, retries=retries)
-    assert max(keys) > 1  # some step caches more than one independent subset
+REBASED_SOURCES = {
+    "U5": catalog.upper_triangular(5, QQ),
+    "U5_F2": catalog.upper_triangular(5, GF(2)),
+    "U5_F3": catalog.upper_triangular(5, GF(3)),
+    "N_2_4": catalog.free_nilpotent(2, 4, QQ),
+    "N_2_4_F2": catalog.free_nilpotent(2, 4, GF(2)),
+    "N_2_4_F3": catalog.free_nilpotent(2, 4, GF(3)),
+    "f13": catalog.filiform_f(13),
+}
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(REBASED_SOURCES)), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_rebased_runs_match_the_all_pairs_builder(name, basis_seed, seed):
+    # a seeded basis change of each source, over Q, F_2 and F_3; every run
+    # ends in a verified representation or an AffineFail
+    g = rebased(REBASED_SOURCES[name], basis_seed)
+    steps = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(affine, "_cocycles", checked_against_all_pairs_cocycles(steps))
+        res = algorithm_affine(g, seed=seed, retries=2)
+    assert steps
+    if isinstance(res, AffineFail):
+        assert res.attempts == 2 and 1 <= res.deepest_step < g.dim
+    else:
+        assert res.dim == g.dim + 1 and verify_report(res)["ok"]
+
+
+@pytest.mark.parametrize("table,rows,n,message", [
+    # psi(a_0) swaps e_0 and e_1: no order makes it strictly triangular
+    ({}, [{0: {1: Q1}, 1: {0: Q1}}, {}], 2, "not strictly triangular"),
+    # Heisenberg in the basis x, y, 2x + z: [a_0, a_1] has a term on a_0
+    ({(0, 1): {0: -2, 2: 1}, (1, 2): {0: 4, 2: -2}}, [{}, {}, {}], 2, "not adapted"),
+    # two generators and no bracket: a_2 lies outside [q, q]
+    ({}, [{}, {}, {}], 2, "not adapted"),
+], ids=["cyclic_module", "bracket_on_a_generator", "bracket_span_too_small"])
+def test_cocycles_reject_what_the_level_solve_cannot_use(table, rows, n, message):
+    with pytest.raises(RuntimeError, match=message):
+        _cocycles(QQ, table, rows, n)
+
+
+def test_n34_affine_makes_few_subspace_adds(monkeypatch):
+    # the Subspace builder over all k² unknowns made 20 188 adds in this run
+    g = catalog.free_nilpotent(3, 4, QQ)
+    adapted = g.adapted_basis()
+    calls = []
+    add = Subspace.add
+
+    def counted(self, row):
+        calls.append(1)
+        return add(self, row)
+
+    monkeypatch.setattr(Subspace, "add", counted)
+    assert algorithm_affine(g, seed=1, retries=10, adapted=adapted).dim == 33
+    assert len(calls) < 6_000
 
 
 def test_n34_affine_sifts_fewer_condition_rows(monkeypatch):

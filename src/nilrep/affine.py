@@ -16,9 +16,10 @@ fails; the driver restarts with fresh randomness up to a retry budget.
 
 Z¹ is solved level by level (``_cocycles``).  Every psi(a_j) is strictly
 triangular in the order e_{k-1}, ..., e_2, e_0, e_1, since each step adds
-the new coordinate as a column over the earlier ones.  The brackets of the
-generators a_0..a_{g-1} with a_0..a_{k-1}, cut at a_k, span exactly
-a_g..a_{k-1}, so their matrix A has full column rank: at each row of the
+the new coordinate as a column over the earlier ones, and the solve visits
+the module rows in that fixed order.  The brackets of the generators
+a_0..a_{g-1} with a_0..a_{k-1}, cut at a_k, span exactly a_g..a_{k-1}, so
+their matrix A has full column rank: at each row of the
 module, the cocycle values on a_g..a_{k-1} are fixed by the rows above it,
 and what is left are linear relations.  Everything is thus a linear form
 in the g·k values on the generators, and those come first among the
@@ -96,35 +97,6 @@ def _bracket_solve(fld, table: dict, k: int, g: int) -> tuple:
     return pairs, bare, ties, scale, solved
 
 
-def _levels(rows: list) -> list:
-    """The rows t that some row map of ``rows`` has, each after every row u
-    with an entry (t, u) in some map: a topological order of the support
-    (Kahn, CACM 5, 1962).  Raises RuntimeError when the support has a cycle,
-    that is when no order makes every map strictly triangular."""
-    reads: dict = {}
-    for r in rows:
-        for t, inner in r.items():
-            reads.setdefault(t, set()).update(inner)
-    waiting, readers = {}, {}
-    for t, us in reads.items():
-        live = us & reads.keys()
-        waiting[t] = len(live)
-        for u in live:
-            readers.setdefault(u, []).append(t)
-    ready = [t for t, w in waiting.items() if not w]
-    order = []
-    while ready:
-        u = ready.pop()
-        order.append(u)
-        for t in readers.get(u, ()):
-            waiting[t] -= 1
-            if not waiting[t]:
-                ready.append(t)
-    if len(order) < len(reads):
-        raise RuntimeError("the module matrices are not strictly triangular in any order")
-    return order
-
-
 def _combine(coeffs: dict, forms: dict) -> dict:
     """sum_p coeffs[p] forms[p] over the p that ``forms`` holds, not cleaned."""
     acc: dict = {}
@@ -155,11 +127,14 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> Subspace:
     (``_bracket_solve``): A has full column rank, so the B_{t,p} fix the
     X[t][s], s >= g, and the left kernel of A gives the relations that the
     B_{t,p} must satisfy.  Each psi(a_j)
-    is strictly triangular, in Affine in the order e_{k-1}, ..., e_2, e_0,
-    e_1, so B_{t,p} reads only X[u] of rows u before t; visiting the rows in
-    an order found from the support (``_levels``) writes each B_{t,p}, and
-    so each X[t][s], as a linear form over the generator unknowns j*k + t,
-    j < g.  A row that no psi has gets B = 0, so X[t][s] = 0 there.
+    is strictly triangular in the order e_{k-1}, ..., e_2, e_0, e_1, since
+    Affine adds each new coordinate as a column over the earlier ones, so
+    B_{t,p} reads only X[u] of rows u before t; visiting the rows some psi
+    has in that order writes each B_{t,p}, and so each X[t][s], as a linear
+    form over the generator unknowns j*k + t, j < g.  A row that no psi has
+    gets B = 0, so X[t][s] = 0 there.  Raises RuntimeError when an entry
+    (t, u) of some psi reads a row u that some psi has and that is not
+    visited before t.
 
     The relations cut the generator unknowns down to a subspace of K^(g k).
     They are sifted with the columns reversed, so that the kernel vector of
@@ -181,8 +156,14 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> Subspace:
     forms: dict = {}  # t -> (sigma_t, {s: F_{t,s}}) for the rows some psi has
     last = g * k - 1
     conditions = Subspace(fld, g * k)  # column last - c is generator unknown c
-    for t in _levels(psi):
+    has = set().union(*psi)
+    for t in (*range(k - 1, 1, -1), 0, 1):
+        if t not in has:
+            continue
         here = [r.get(t, {}) for r in psi]
+        if any(u in has and u not in forms for r in here for u in r):
+            raise RuntimeError("the module matrices are not strictly triangular "
+                               "in the order e_%d, ..., e_2, e_0, e_1" % (k - 1))
         m = lcm(1, *(forms[u][0] for j in range(g) for u in here[j] if u in forms))
         b = {}  # p -> m * lam * B_{t,p}, a form over the generator unknowns
         for p, (j, l) in enumerate(pairs):

@@ -34,14 +34,8 @@ def upper_triangular(n: int, field: Field = QQ) -> LieAlgebra:
         a, b = pairs[p]
         for q in range(p + 1, len(pairs)):
             c, d = pairs[q]
-            entry: dict = {}
-            if b == c:
-                entry[idx[(a, d)]] = entry.get(idx[(a, d)], field.zero) + one
-            if d == a:
-                entry[idx[(c, b)]] = entry.get(idx[(c, b)], field.zero) - one
-            entry = field.clean(entry)
-            if entry:
-                table[(p, q)] = entry
+            if b == c:  # d == a cannot hold, as (a, b) comes before (c, d)
+                table[(p, q)] = {idx[(a, d)]: one}
     return LieAlgebra(field, len(pairs), table)
 
 
@@ -117,9 +111,7 @@ def filiform_f(n: int, field: Field = QQ) -> LieAlgebra:
             entry: dict = {}
             for l in range((j - i - 1) // 2 + 1):
                 sign = -1 if l % 2 else 1
-                binom = comb(j - i - l - 1, l)
-                if binom == 0:
-                    continue
+                binom = comb(j - i - l - 1, l)  # >= 1, as 2l <= j - i - 1
                 for s, a in by_k.get(i + l, ()):  # alpha_{i+l, s}, zero outside I_n
                     r = s + j - i - 2 * l - 1
                     if 1 <= r <= n:

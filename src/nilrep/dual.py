@@ -14,7 +14,7 @@ spans the same line, so the spin's pivots, queue and subspace are those of
 the rational action.
 The read-off applies the integer transposes to the stored primitive basis
 rows and divides each coordinate once by lambda_i times the row's pivot
-entry.
+entry (``Field.divided``; over F_p both are 1).
 """
 
 from __future__ import annotations
@@ -100,11 +100,8 @@ def algorithm_dual(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Repr
                 continue
             if basis.reduce(img):
                 raise RuntimeError("spin closure failed")
-            col = {pos[j]: v for j, v in img.items() if j in pos}
-            scale = lam * row[pc]  # img is this times the canonical row's image
-            if scale != 1:
-                inv = fld.inv(scale)
-                col = {t: fld.mul(v, inv) for t, v in col.items()}
+            # img is lam * row[pc] times the canonical row's image
+            col = fld.divided({pos[j]: v for j, v in img.items() if j in pos}, lam * row[pc])
             if col:
                 cols[b] = col
         per_basis.append(SparseMatrix(fld, k, k, cols))

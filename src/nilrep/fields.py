@@ -6,13 +6,17 @@ backend that ``BACKEND`` names (gmpy2's ``mpq`` when installed, else
 ``fractions.Fraction``); the two mix exactly and print the same text, so the
 integral tables (``U_n``, ``N_{n,c}``) and everything built from them run on
 int arithmetic.  Over F_p scalars are small nonnegative ints.  A ``Field``
-bundles construction, normalisation and inversion; nothing in the library ever
-touches floating point.
+bundles construction, normalisation and inversion, and it is the one place
+that tells F_p from Q in the exact elimination kernel (``linalg.Subspace``):
+it scales rows to ints (``integral``, ``integral_maps``), eliminates
+fraction-free (``eliminate``), makes rows primitive (``primitive``) and turns
+scaled ints back into canonical scalars (``divided``).  Nothing in the
+library ever touches floating point.
 """
 
 from __future__ import annotations
 
-import math
+from math import gcd, lcm
 
 try:
     # gmpy2's mpq is a drop-in replacement for Fraction, several times faster.
@@ -150,7 +154,7 @@ class Field:
                     ints = False
         if ints:
             return row, 1
-        s = math.lcm(*{int(v.denominator) for v in row.values() if type(v) is not int})
+        s = lcm(*{int(v.denominator) for v in row.values() if type(v) is not int})
         return {
             k: v * s if type(v) is int else int(v.numerator) * (s // int(v.denominator))
             for k, v in row.items()
@@ -161,7 +165,7 @@ class Field:
         structure-constant table) times the least s > 0 that makes every entry
         an int, each as ``numerator * (s // denominator)`` with no rational
         product; when s = 1, as always over F_p, the maps as given."""
-        s = 1 if self.characteristic else math.lcm(
+        s = 1 if self.characteristic else lcm(
             1, *{int(x.denominator) for m in maps for inner in m.values()
                  for x in inner.values() if type(x) is not int})
         if s == 1:
@@ -172,6 +176,78 @@ class Field:
              for key, inner in m.items()}
             for m in maps
         ], s
+
+    def divided(self, row: dict, s) -> dict:
+        """A row of ints scaled by s > 0 back to canonical scalars: ``row``
+        itself when s = 1, as always over F_p in the elimination kernel, else
+        a new row with every entry divided by s."""
+        if s == 1:
+            return row
+        p = self.characteristic
+        if p:
+            inv = pow(s, -1, p)
+            return {j: x * inv % p for j, x in row.items()}
+        return {j: rational(x, s) for j, x in row.items()}
+
+    def eliminate(self, v: dict, cols, rows: dict) -> int:
+        """Eliminate from ``v``, in place, each column c of ``cols`` with the
+        row ``rows[c]`` whose pivot is c; return the factor ``v`` was scaled by.
+
+        A step is v <- (d/g) v - (f/g) rows[c] for f = v[c], d = rows[c][c] and
+        g = gcd(f, d): the integer-preserving elimination of Bareiss (Math.
+        Comp. 22, 1968), so integer rows stay integral.  Over F_p every stored
+        pivot entry is 1, so the factor is 1 and entries are taken mod p.  The
+        rows vanish on each other's pivot columns, so a step changes the entries
+        of ``v`` at the other columns of ``cols`` only by the common factor.
+        Zeros are dropped.
+        """
+        p = self.characteristic
+        scale = 1
+        for c in cols:
+            r = rows[c]
+            f = v[c]
+            d = r[c]
+            if d != 1:
+                g = gcd(f, d)
+                f //= g
+                d //= g
+                if d != 1:
+                    for j, x in v.items():
+                        v[j] = x * d
+                    scale *= d
+            if p:
+                for j, x in r.items():
+                    nv = (v.get(j, 0) - f * x) % p
+                    if nv:
+                        v[j] = nv
+                    else:
+                        del v[j]
+            else:
+                for j, x in r.items():
+                    nv = v.get(j, 0) - f * x
+                    if nv:
+                        v[j] = nv
+                    else:
+                        del v[j]
+        return scale
+
+    def primitive(self, v: dict, piv: int):
+        """Scale a nonzero row with pivot column ``piv`` in place to its
+        primitive form: pivot entry 1 over F_p; over Q, where its entries are
+        integers, content 1 and a positive pivot entry."""
+        p = self.characteristic
+        if p:
+            s = pow(v[piv], -1, p)
+            if s != 1:
+                for j, x in v.items():
+                    v[j] = x * s % p
+        else:
+            g = gcd(*v.values())
+            if v[piv] < 0:
+                g = -g
+            if g != 1:
+                for j, x in v.items():
+                    v[j] = x // g
 
     def mul(self, a, b):
         if self.characteristic:

@@ -4,10 +4,13 @@ Every elimination goes through one class: ``Subspace``, the span of the
 sparse rows ``{column: value}`` added to it, kept as an incremental reduced
 row echelon form.  Over Q it stores each basis row as a primitive integer
 vector (content 1, positive pivot entry) and eliminates fraction-free on
-ints; over F_p a stored row has pivot entry 1.  ``sparse`` is still the
-canonical rational RREF and ``reduce`` the exact canonical residual.  Sparse
-rows are the only vector format.  A ``Subspace`` answers membership and
-residuals and computes kernels.  On it build ``intersect``,
+ints; over F_p a stored row has pivot entry 1.  The arithmetic of that
+elimination is ``Field``'s (``integral``, ``eliminate``, ``primitive`` and
+``divided``), so this module never tells F_p from Q; ``Subspace`` keeps the
+echelon bookkeeping.  ``sparse`` is still the canonical rational RREF and
+``reduce`` the exact canonical residual.  Sparse rows are the only vector
+format.  A ``Subspace`` answers membership and residuals and computes
+kernels.  On it build ``intersect``,
 ``coordinate_projection`` (a vector reduced against a subspace, relabelled
 onto a coordinate complement), ``relations`` (the linear relations among
 matrices) and ``invert``, which reads an inverse off the tag columns of
@@ -23,74 +26,10 @@ format (``fileio``).
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from math import lcm
+from typing import Iterator, Optional, Sequence
 
-from .fields import Field, rational
-
-
-# ---------------------------------------------------------------------------
-# the elimination kernel
-
-
-def _clear(v: dict, cols: Iterable[int], rows: dict, p: int) -> int:
-    """Eliminate from ``v``, in place, each column c of ``cols`` with the
-    row ``rows[c]`` whose pivot is c; return the factor ``v`` was scaled by.
-
-    A step is v <- (d/g) v - (f/g) rows[c] for f = v[c], d = rows[c][c] and
-    g = gcd(f, d): the integer-preserving elimination of Bareiss (Math.
-    Comp. 22, 1968), so integer rows stay integral.  Over F_p every stored
-    pivot entry is 1, so the factor is 1 and entries are taken mod p.  The
-    rows vanish on each other's pivot columns, so a step changes the entries
-    of ``v`` at the other columns of ``cols`` only by the common factor.
-    Zeros are dropped.
-    """
-    scale = 1
-    for c in cols:
-        r = rows[c]
-        f = v[c]
-        d = r[c]
-        if d != 1:
-            g = gcd(f, d)
-            f //= g
-            d //= g
-            if d != 1:
-                for j, x in v.items():
-                    v[j] = x * d
-                scale *= d
-        if p:
-            for j, x in r.items():
-                nv = (v.get(j, 0) - f * x) % p
-                if nv:
-                    v[j] = nv
-                else:
-                    del v[j]
-        else:
-            for j, x in r.items():
-                nv = v.get(j, 0) - f * x
-                if nv:
-                    v[j] = nv
-                else:
-                    del v[j]
-    return scale
-
-
-def _primitive(v: dict, piv: int, p: int):
-    """Scale a nonzero row with pivot column ``piv`` in place to its
-    primitive form: pivot entry 1 over F_p; over Q, where its entries are
-    integers, content 1 and a positive pivot entry."""
-    if p:
-        s = pow(v[piv], -1, p)
-        if s != 1:
-            for j, x in v.items():
-                v[j] = x * s % p
-    else:
-        g = gcd(*v.values())
-        if v[piv] < 0:
-            g = -g
-        if g != 1:
-            for j, x in v.items():
-                v[j] = x // g
+from .fields import Field
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +42,18 @@ class Subspace:
 
     Each basis row is stored in primitive form: over Q an integer vector
     with content 1 and a positive pivot entry, over F_p the row with pivot
-    entry 1.  ``add`` clears the denominators of an incoming row once,
-    reduces it fraction-free against the basis rows, and on a nonzero
-    residual makes it primitive, back-eliminates its pivot from the existing
-    rows the same way (each changed row made primitive again) and registers
-    it.  The rows vanish on each other's pivot columns, so each divided by
-    its pivot entry is a row of the canonical RREF of the rows added so far.
-    ``sparse`` maps each pivot column to that rational row, in pivot order,
-    rebuilt in full on the first read after an ``add`` that grew the basis;
-    ``pivots`` lists the pivot columns.  Both are read only.  ``reduce``
-    returns the exact canonical residual.  A subspace grows as rows are
-    added, so it does not hash.
+    entry 1.  ``add`` clears the denominators of an incoming row once
+    (``Field.integral``), reduces it fraction-free against the basis rows
+    (``Field.eliminate``), and on a nonzero residual makes it primitive
+    (``Field.primitive``), back-eliminates its pivot from the existing rows
+    the same way (each changed row made primitive again) and registers it.
+    The rows vanish on each other's pivot columns, so each divided by its
+    pivot entry (``Field.divided``) is a row of the canonical RREF of the
+    rows added so far.  ``sparse`` maps each pivot column to a copy of that
+    row, in pivot order, rebuilt in full on the first read after an ``add``
+    that grew the basis; ``pivots`` lists the pivot columns.  Both are read
+    only.  ``reduce`` returns the exact canonical residual.  A subspace
+    grows as rows are added, so it does not hash.
     """
 
     __slots__ = ("field", "ambient", "_rows", "_touch", "_sorted")
@@ -138,8 +78,8 @@ class Subspace:
             self._sorted = {}
             for pc in sorted(self._rows):
                 row = self._rows[pc]
-                d = row[pc]
-                self._sorted[pc] = dict(row) if d == 1 else {j: rational(x, d) for j, x in row.items()}
+                # a copy: back-elimination changes the stored rows in place
+                self._sorted[pc] = self.field.divided(dict(row), row[pc])
         return self._sorted
 
     @property
@@ -161,16 +101,13 @@ class Subspace:
         basis, integral over Q.  The row is not mutated."""
         v, s = self.field.integral(row)
         rows = self._rows
-        return v, s * _clear(v, [c for c in v if c in rows], rows, self.field.characteristic)
+        return v, s * self.field.eliminate(v, [c for c in v if c in rows], rows)
 
     def reduce(self, row: dict) -> dict:
         """The exact residual of a sparse row against the canonical basis,
         with canonical entries; empty exactly when the row lies in the
         subspace.  The row is not mutated."""
-        v, s = self._sift(row)
-        if s == 1:
-            return v
-        return {j: rational(x, s) for j, x in v.items()}
+        return self.field.divided(*self._sift(row))
 
     def contains(self, vec: Sequence) -> bool:
         return not self.reduce({j: x for j, x in enumerate(vec) if x != 0})
@@ -181,16 +118,16 @@ class Subspace:
         if not v:
             return None
         piv = min(v)
-        p = self.field.characteristic
-        _primitive(v, piv, p)
+        fld = self.field
+        fld.primitive(v, piv)
         # back-eliminate the new pivot from existing rows; besides a common
         # factor, only the columns of v change in them
         rows, touch = self._rows, self._touch
         new = {piv: v}
         for pc in list(touch.get(piv, ())):
             prow = rows[pc]
-            _clear(prow, (piv,), new, p)
-            _primitive(prow, pc, p)
+            fld.eliminate(prow, (piv,), new)
+            fld.primitive(prow, pc)
             for j in v:
                 if j in prow:
                     touch.setdefault(j, set()).add(pc)

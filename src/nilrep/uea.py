@@ -95,7 +95,8 @@ class TruncatedUEA:
         self.index: Dict[tuple, int] = {m: t for t, m in enumerate(self.monomials)}
         self.unit = self.index[(0,) * algebra.dim]
         self._check_weight_adapted()
-        self.mu = self.field.integral_maps([algebra.table])[1]
+        # the structure constants times mu, as ints; right_products reads them
+        (self._table,), self.mu = self.field.integral_maps([algebra.table])
 
     def _check_weight_adapted(self):
         """Every bracket [x_i, x_j] (i > j) must land in weight >= w_i + w_j, past x_i."""
@@ -134,7 +135,7 @@ class TruncatedUEA:
         fld = self.field
         d = self.algebra.dim
         weights, cutoff, index = self.weights, self.cutoff, self.index
-        (table,), _mu = fld.integral_maps([self.algebra.table])
+        table = self._table
         rows = [{} for _ in self.monomials]
         rest = [[] for _ in range(cutoff + 1)]  # by number of factors
         for mid, mono in enumerate(self.monomials):

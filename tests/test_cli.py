@@ -16,10 +16,13 @@ def run(capsys, *argv):
 
 
 def test_compute_dual_heisenberg(capsys):
-    code, out, _ = run(capsys, "compute", "--alg", "dual", "--in", "catalog:heisenberg")
-    assert code == 0
-    summary = json.loads(out)
-    assert summary["dim"] == 3 and summary["status"] == "ok"
+    for extra in ([], ["--field", "q"]):
+        code, out, _ = run(capsys, "compute", "--alg", "dual", "--in", "catalog:heisenberg",
+                           *extra)
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["dim"] == 3 and summary["status"] == "ok", extra
+        assert summary["field"] == "rationals"
 
 
 def test_compute_affine_utri6_f3(capsys):
@@ -244,6 +247,41 @@ def test_compute_rejects_a_repeated_bracket_target(tmp_path, capsys):
     code, out, err = run(capsys, "compute", "--alg", "regular", "--in", path)
     assert code == 2 and "input error" in err and "repeated target 3" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda obj: [obj], "algebra file must be a JSON object"),
+    (lambda obj: {**obj, "format": "nilrep-representation"}, "not an algebra file"),
+    (lambda obj: {**obj, "brackets": {}}, "brackets must be a list"),
+    (lambda obj: {**obj, "brackets": obj["brackets"] * 2}, "duplicate bracket entry (1, 2)"),
+    (lambda obj: {**obj, "brackets": [{**obj["brackets"][0], "terms": [[3]]}]},
+     "bracket terms must be [k, coefficient] pairs"),
+], ids=["not_an_object", "format", "brackets_not_a_list", "duplicate_bracket", "term_not_a_pair"])
+def test_compute_rejects_a_malformed_algebra_file(tmp_path, capsys, corrupt, message):
+    path = tmp_path / "heis.json"
+    path.write_text(json.dumps(corrupt(fileio.algebra_to_json(catalog.heisenberg(QQ)))))
+    code, out, err = run(capsys, "compute", "--alg", "regular", "--in", str(path))
+    assert (code, out) == (2, "") and "input error" in err and message in err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda obj: {**obj, "format": "nilrep-algebra"}, "not a representation file"),
+    (lambda obj: {**obj, "field": {"kind": "prime_field", "characteristic": 3}},
+     "representation field does not match the algebra"),
+    (lambda obj: {**obj, "matrices": obj["matrices"][:2]}, "need one matrix per basis vector"),
+    (lambda obj: {**obj, "matrices": [m[:-1] for m in obj["matrices"]]}, "wrong row count"),
+    (lambda obj: {**obj, "matrices": [[r[:-1] for r in m] for m in obj["matrices"]]},
+     "wrong column count"),
+    (lambda obj: {**obj, "provenance": []}, "provenance must be an object"),
+], ids=["format", "field", "matrix_count", "row_count", "column_count", "provenance"])
+def test_verify_rejects_a_malformed_representation_file(tmp_path, capsys, corrupt, message):
+    alg_path = tmp_path / "heis.json"
+    rep_path = tmp_path / "rep.json"
+    save_json(fileio.algebra_to_json(catalog.heisenberg(QQ)), str(alg_path))
+    run(capsys, "compute", "--alg", "dual", "--in", str(alg_path), "--out", str(rep_path))
+    rep_path.write_text(json.dumps(corrupt(json.loads(rep_path.read_text()))))
+    code, out, err = run(capsys, "verify", "--algebra", str(alg_path), "--rep", str(rep_path))
+    assert (code, out) == (2, "") and "input error" in err and message in err
 
 
 def test_compute_deterministic_output(tmp_path, capsys):

@@ -159,3 +159,12 @@ def test_integral_maps_over_a_prime_field_are_the_maps_given():
     ints, s = GF(5).integral_maps(maps)
     assert ints is maps and s == 1
     assert maps == [{0: {0: 2, 3: 1}}, {(0, 1): {2: 4}}]
+
+
+def test_divided_undoes_a_scale_to_canonical_scalars():
+    row = {0: 4, 3: -6}
+    assert QQ.divided(row, 1) is row and GF(5).divided(row, 1) is row
+    halves = QQ.divided(row, 4)
+    assert halves == {0: 1, 3: rational(-3, 2)} and type(halves[0]) is int
+    assert GF(5).divided({0: 4, 3: 3}, 2) == {0: 2, 3: 4}  # 3 = 2 * 4 mod 5
+    assert row == {0: 4, 3: -6}

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -84,6 +85,17 @@ def test_structure_constants_take_only_field_scalars(field, bad):
     with pytest.raises(ValueError, match="does not belong"):
         LieAlgebra(field, 3, {(0, 1): {2: bad}})
     assert LieAlgebra(field, 3, {(0, 1): {2: 4}}).table == {(0, 1): {2: field.canon(4)}}
+
+
+@pytest.mark.parametrize("dim, table, message", [
+    (-1, {}, "dimension must be nonnegative"),
+    (3, {(1, 1): {2: Q1}}, "bad bracket index pair (1, 1)"),
+    (3, {(0, 3): {2: Q1}}, "bad bracket index pair (0, 3)"),
+    (3, {(0, 1): {3: Q1}}, "bad bracket target index 3"),
+], ids=["negative_dim", "pair_not_increasing", "pair_past_dim", "target_past_dim"])
+def test_constructor_rejects_bad_dimensions_and_indices(dim, table, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LieAlgebra(QQ, dim, table)
 
 
 def test_integral_structure_constants_are_stored_as_ints():

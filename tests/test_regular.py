@@ -154,10 +154,11 @@ def test_build_pruned_module_computes_the_products_once(monkeypatch):
     monkeypatch.setattr(TruncatedUEA, "right_products", counted)
     module = build_pruned_module(catalog.upper_triangular(4, QQ))
     assert len(calls) == 1 and calls[0] is module.uea
-    # and no product memo stays on the algebra afterwards
+    # and no product memo stays on the algebra afterwards, only the integer
+    # structure constants that the products read
     assert sorted(vars(module.uea)) == [
-        "algebra", "cutoff", "field", "index", "monomials", "mu", "unit", "weight_of",
-        "weights",
+        "_table", "algebra", "cutoff", "field", "index", "monomials", "mu", "unit",
+        "weight_of", "weights",
     ]
 
 

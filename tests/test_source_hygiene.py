@@ -54,7 +54,6 @@ SHARED_NAMES = {
 # other difference between F_p and Q belongs in a ``Field`` method.
 CHARACTERISTIC_READERS = {
     "fields.py": "the field arithmetic itself",
-    "linalg.py": "the elimination kernel reduces mod p inside its loops",
     "fileio.py": "the field descriptor of the file format",
     "cli.py": "the summary names the field",
 }

@@ -45,7 +45,7 @@ def center_dual_generators(module: PrunedModule) -> list:
     """psi_i: value 1 on the degree-one monomial of the i-th central generator."""
     gens = []
     uea = module.uea
-    pos = {mid: p for p, mid in enumerate(module.active)}
+    pos = {mid: p for p, mid in enumerate(module.state.active)}
     for k in module.central_ids:
         mid = uea.degree_one_mid(k)
         if mid not in pos:

@@ -22,10 +22,11 @@ from .regular import algorithm_regular
 from .representation import Representation, annihilated_subspace, center_image
 
 
-def reduce_once(rep: Representation) -> Tuple[Representation, Subspace]:
-    """One S/C/W round; returns the reduced representation and W (W = 0 at the fixpoint)."""
+def reduce_once(rep: Representation, center: Subspace) -> Tuple[Representation, Subspace]:
+    """One S/C/W round with the algebra's ``center``; returns the reduced
+    representation and W (W = 0 at the fixpoint)."""
     fld = rep.field
-    C = center_image(rep)
+    C = center_image(rep, center)
     W = Subspace(fld, rep.dim)
     for row in annihilated_subspace(rep).sparse.values():
         if C.add(row) is not None:
@@ -46,9 +47,10 @@ def algorithm_quotient(
 ) -> Representation:
     """Quotient: run Regular, then reduce V -> V/W until W = 0."""
     rep = regular_rep or algorithm_regular(g)
+    center = rep.algebra.center()
     w_dims = []
     while True:
-        new_rep, W = reduce_once(rep)
+        new_rep, W = reduce_once(rep, center)
         if W.dim == 0:
             break
         if new_rep.dim >= rep.dim:

@@ -1,11 +1,11 @@
 """Algorithm Regular: the truncated-enveloping-algebra module and its pruning.
 
 The unpruned module is spanned by all PBW monomials of weight at most the
-nilpotency class c; the pruning loop greedily moves a monomial a (never 1 and
-never a central generator) to the discard set whenever the product of a with
-every generator already lies in the discarded span.  The reachable fixpoint is
-unique for a given monomial model, so the sweep order below (weight
-descending) only affects speed, not the result.
+nilpotency class c; pruning moves a monomial a (never 1 and never a central
+generator) to the discard set whenever the product of a with every generator
+lies in the discarded span.  Every term of a * x_i has weight above w(a), and
+monomial ids are ordered by weight first, so one pass from the highest id
+down has already decided every monomial a product can reach.
 
 The monomial model is the one whose pruned dimensions reproduce the
 published tables: PBW products over the reversed basis order (weight
@@ -52,39 +52,25 @@ def nu(d: int, c: int) -> int:
 class PruneState:
     """Active/discarded split of the monomial basis after pruning."""
 
-    active: frozenset
-    protected: frozenset
+    active: tuple  # ascending monomial ids
     removed: list  # monomial ids in removal order
 
 
 def prune(uea: TruncatedUEA, central_ids, products: list) -> PruneState:
-    """Run removal sweeps (weight descending) from the full basis of ``uea``
-    until a sweep removes nothing; the unit and the central generators
-    ``central_ids`` are protected.
+    """Remove monomials of ``uea`` in one pass from the highest id down; the
+    unit and the central generators ``central_ids`` are protected.
 
     ``products`` holds every monomial * generator product, one row per
-    monomial (``TruncatedUEA.right_products``); a monomial's support is the
-    set of monomials its row hits."""
-    protected = {uea.unit}
-    for k in central_ids:
-        protected.add(uea.degree_one_mid(k))
-    supports = [set().union(*row.values()) for row in products]
-    order = range(len(uea.monomials) - 1, -1, -1)  # canonical order is mid order
-    active = set(order)
+    monomial (``TruncatedUEA.right_products``); a monomial goes when no
+    product in its row hits a monomial still active."""
+    protected = {uea.unit} | {uea.degree_one_mid(k) for k in central_ids}
+    active = set(range(len(uea.monomials)))
     removed = []
-    while True:
-        changed = False
-        for mid in order:
-            if mid not in active or mid in protected:
-                continue
-            if supports[mid].isdisjoint(active):
-                active.discard(mid)
-                removed.append(mid)
-                changed = True
-        if not changed:
-            break
-    # frozen copies are sized to what they hold, not to every monomial
-    return PruneState(frozenset(active), frozenset(protected), removed)
+    for mid in reversed(range(len(uea.monomials))):
+        if mid not in protected and all(active.isdisjoint(p) for p in products[mid].values()):
+            active.discard(mid)
+            removed.append(mid)
+    return PruneState(tuple(sorted(active)), removed)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +84,9 @@ class PrunedModule:
     Basis vector t of the model is adapted basis vector perm[t], with perm
     reversing every weight layer; ``basis_inverse[l]`` holds the coordinates
     of original basis vector l on the model basis as a sparse row.  The module
-    is spanned by the ascending monomial ids ``active`` of the full ``uea``,
-    and ``right_matrices[t]`` is the right multiplication by basis vector t
-    on that span.  The module action is minus the right multiplication, so
+    is spanned by the ascending monomial ids ``state.active`` of the full
+    ``uea``, and ``right_matrices[t]`` is the right multiplication by basis
+    vector t on that span.  The module action is minus the right multiplication, so
     Regular combines these matrices with negated inverse rows, and Dual's
     contragredient matrices are their plain transposes.
     """
@@ -108,14 +94,13 @@ class PrunedModule:
     algebra: LieAlgebra
     uea: TruncatedUEA
     state: PruneState
-    active: tuple
     central_ids: tuple
     basis_inverse: tuple
     right_matrices: list
 
     @property
     def dim(self) -> int:
-        return len(self.active)
+        return len(self.state.active)
 
 
 def _reverse_layers(weights) -> list:
@@ -170,9 +155,8 @@ def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -
     uea, central_ids, basis_inverse = _reversed_model(adapted)
     products = uea.right_products()
     state = prune(uea, central_ids, products)
-    active = tuple(sorted(state.active))
-    right = uea.right_action_matrices(products, active)
-    return PrunedModule(g, uea, state, active, central_ids, basis_inverse, right)
+    right = uea.right_action_matrices(products, state.active)
+    return PrunedModule(g, uea, state, central_ids, basis_inverse, right)
 
 
 def regular_unpruned(g: LieAlgebra) -> Representation:

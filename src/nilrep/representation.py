@@ -108,11 +108,11 @@ def annihilated_subspace(rep: Representation) -> Subspace:
     return stacked.kernel()
 
 
-def center_image(rep: Representation) -> Subspace:
-    """C = sum over central z of the column space of M_z."""
+def center_image(rep: Representation, center: Subspace) -> Subspace:
+    """C = sum over z in the algebra's ``center`` of the column space of M_z."""
     fld = rep.field
     image = Subspace(fld, rep.dim)
-    for z in rep.algebra.center().sparse.values():
+    for z in center.sparse.values():
         mz = lincomb(fld, z, rep.matrices)
         for j in sorted(mz.cols):
             image.add(mz.cols[j])

@@ -270,7 +270,7 @@ def test_criterion_6e_dual_socle_structure():
         rep = nr.algorithm_dual(g, module=module)
         S = annihilated_subspace(rep)
         assert S.dim == 1, g
-        C = center_image(rep)
+        C = center_image(rep, g.center())
         assert C.dim >= 1 and all(not S.reduce(row) for row in C.sparse.values()), g
         checked += 1
     record("6e dual-socle", True, "%d dual modules: dim S = 1 and center image in S" % checked)
@@ -281,10 +281,10 @@ def test_criterion_6f_quotient_fixpoint():
     for g in (catalog.heisenberg(QQ), catalog.upper_triangular(5, QQ),
               catalog.free_nilpotent(2, 5, QQ), catalog.filiform_f(13)):
         rep = algorithm_quotient(g)
-        again, W = reduce_once(rep)
+        again, W = reduce_once(rep, g.center())
         assert W.dim == 0 and again is rep, g
         S = annihilated_subspace(rep)
-        C = center_image(rep)
+        C = center_image(rep, g.center())
         assert intersect(S, C) == S, g  # S subset of C restates W = 0
         checked += 1
     record("6f quotient-fixpoint", True, "%d quotient outputs are reduce_once fixpoints" % checked)

@@ -36,7 +36,7 @@ def heis_module(heis):
 
 
 def _pos(module, mono):
-    return list(module.active).index(module.uea.index[mono])
+    return list(module.state.active).index(module.uea.index[mono])
 
 
 def test_dual_action_worked_examples(heis_module):
@@ -94,7 +94,7 @@ def test_spin_of_f13_stores_integral_entries_as_ints(f13):
 
 def test_center_dual_generators_reject_pruned_central_monomial(heis_module):
     m = heis_module
-    broken = replace(m, active=(m.uea.unit,))
+    broken = replace(m, state=replace(m.state, active=(m.uea.unit,)))
     with pytest.raises(RuntimeError, match="central generator monomial was pruned"):
         center_dual_generators(broken)
 
@@ -145,13 +145,13 @@ def test_dual_annihilated_space_is_psi0(heis):
     # the annihilated functional is psi_0: value 1 on the monomial 1, and the
     # spin basis coordinates of psi_0 must reproduce that single basis row
     basis = spin_submodule(module, center_dual_generators(module), dual_action_matrices(module))
-    unit_pos = list(module.active).index(module.uea.unit)
+    unit_pos = list(module.state.active).index(module.uea.unit)
     assert not basis.reduce({unit_pos: Q1})  # psi_0 lies in the spin
     # on an RREF basis a member's coordinates are its entries at the pivots
     coords = [Q1 if pc == unit_pos else rational(0) for pc in basis.pivots]
     assert S.contains(coords)
     # the center maps the whole module into span{psi_0}
-    C = center_image(rep)
+    C = center_image(rep, rep.algebra.center())
     assert C.dim <= 1 and all(not S.reduce(row) for row in C.sparse.values())
 
 

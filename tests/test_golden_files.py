@@ -2,10 +2,11 @@
 
 The digests were recorded from the CLI before the module pipeline was
 simplified, the Affine ones past Heisenberg before Affine was rewritten as one
-loop, and the N_{3,4} and N_{4,3} Affine ones before Affine's Z¹ equations
-were built from the generators alone; any change to a matrix entry, to the monomial order behind the
-basis, to a seeded Affine choice, or to a provenance field changes the
-digest.
+loop, the N_{3,4} and N_{4,3} Affine ones before Affine's Z¹ equations were
+built from the generators alone, and the table-2 Affine ones of N_{2,7},
+N_{3,5} and N_{4,4} before pruning became one pass; any change to a matrix
+entry, to the monomial order behind the basis, to a seeded Affine choice, or
+to a provenance field changes the digest.
 """
 
 import hashlib
@@ -63,6 +64,13 @@ GOLDEN = [
      "6ae9eb681ec3dbe79a42dfe0262b37c13aec25410890530cce2d8dedb0a9fcb6"),
     ("catalog:freenilp:4,3", None, "affine",
      "d74e126809a99c97268ba3673ce526cbcd2951baa4c28ea7a60baaaedcdb495c"),
+    # table 2 rows where the published Affine runs failed; each verifies at dim + 1
+    ("catalog:freenilp:2,7", None, "affine",
+     "6ca2817077d7d2538c267a18dffd8f6c074b9181ab224248d01c88a5bd1f6823"),
+    ("catalog:freenilp:3,5", None, "affine",
+     "7f7496cabc89b62a7cb41ee87f4b04f52198fb729fc1c5d24e0dbc75f5049be1"),
+    ("catalog:freenilp:4,4", None, "affine",
+     "2854935a6f7374a7fd17c8a343071ae2c8bc3cd22d1cba1385c0205e41e468a7"),
 ]
 
 
@@ -87,11 +95,12 @@ def test_compute_output_file_digest(tmp_path, capsys, spec, field, alg, digest):
     assert digest_of(out) == digest
 
 
-# Heisenberg Affine, U_4 over F_2 Dual, f_13 Dual and U_5 over F_3 Affine.
-# Back-elimination walks sets of pivot columns, whose order must never reach
-# an output byte, and no output may depend on ``assert``, which ``python -O``
-# strips.
-FRESH_INTERPRETER = [GOLDEN[3], GOLDEN[5], GOLDEN[11], GOLDEN[13]]
+# Heisenberg Affine, U_4 over F_2 Dual, U_5 over F_3 Regular, f_13 Dual and
+# Quotient, and U_5 over F_3 Affine.  Back-elimination walks sets of pivot
+# columns and pruning tests sets of monomial ids, whose order must never
+# reach an output byte, and no output may depend on ``assert``, which
+# ``python -O`` strips.
+FRESH_INTERPRETER = [GOLDEN[3], GOLDEN[5], GOLDEN[7], GOLDEN[11], GOLDEN[12], GOLDEN[13]]
 
 
 @pytest.mark.parametrize("hashseed,flags", [("0", []), ("1", []), ("random", ["-O"])])

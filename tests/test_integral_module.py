@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import rebased
 from nilrep import catalog
 from nilrep.dual import algorithm_dual
 from nilrep.fields import GF, QQ, rational
@@ -196,9 +197,33 @@ def test_integral_module_matches_the_rational_one(field, data):
         assert got == want, (mid, i)
         assert (i in rows[mid]) == bool(want)
     module = build_pruned_module(g)
-    assert module.active == active
+    assert module.state.active == active
     assert module.state.removed == removed
     assert [typed(m) for m in module.right_matrices] == [typed(m) for m in right]
     assert [typed(m) for m in algorithm_dual(g, module=module).matrices] == [
         typed(m) for m in rational_dual(g)
     ]
+
+
+# U_8 and f_20 agree too, but would add about 2 s to the suite
+@pytest.mark.parametrize("build", [
+    lambda: catalog.heisenberg(QQ),
+    lambda: catalog.upper_triangular(5, GF(3)),
+    lambda: catalog.upper_triangular(7, GF(2)),
+    lambda: catalog.free_nilpotent(2, 6, QQ),
+    lambda: catalog.free_nilpotent(3, 5, QQ),
+    lambda: catalog.free_nilpotent(4, 4, QQ),
+    lambda: catalog.filiform_f(13),
+    lambda: catalog.filiform_f(17),
+    lambda: rebased(catalog.upper_triangular(5, GF(3)), 1),
+    lambda: rebased(catalog.filiform_f(13), 3),
+], ids=["heisenberg", "U5-F3", "U7-F2", "N26", "N35", "N44", "f13", "f17",
+        "U5-F3-rebased", "f13-rebased"])
+def test_one_pass_prune_matches_the_sweeps_to_a_fixpoint(build):
+    # the reference sweeps until nothing changes; the weight order makes
+    # its first sweep final, so the pass keeps and removes the same ids
+    g = build()
+    _uea, _products, active, removed, _right, _c, _b = rational_module(g)
+    module = build_pruned_module(g)
+    assert module.state.active == active
+    assert module.state.removed == removed

@@ -35,17 +35,18 @@ def test_reduce_once_heisenberg_worked_example(heis):
     # C = z*V = <z>.  Sifting the echelon basis e3..e6 of S into C skips e3
     # (already in C), so W = <x^2, yx, y^2>, new dim 4
     rep = regular_unpruned(heis)
-    new_rep, W = reduce_once(rep)
+    center = heis.center()
+    new_rep, W = reduce_once(rep, center)
     assert W == coord_span([4, 5, 6], 7)
     assert new_rep.dim == 4
     assert is_homomorphism(new_rep) and is_faithful(new_rep)
     # second application on 1, x, y, z: y*x = yx and y*y = y^2 are now zero,
     # x*y = z is not, so S = <y, z>, C = <z>, W = <y>, dim 3
-    rep3, W2 = reduce_once(new_rep)
+    rep3, W2 = reduce_once(new_rep, center)
     assert W2.dim == 1 and rep3.dim == 3
     assert is_homomorphism(rep3) and is_faithful(rep3)
     # fixpoint: W = 0 and the representation is returned unchanged
-    rep_same, W3 = reduce_once(rep3)
+    rep_same, W3 = reduce_once(rep3, center)
     assert W3.dim == 0 and rep_same is rep3
 
 
@@ -53,7 +54,7 @@ def test_reduce_once_respects_termination_condition(heis):
     rep = algorithm_quotient(heis)
     assert annihilated_subspace(rep).dim > 0
     S = annihilated_subspace(rep)
-    C = center_image(rep)
+    C = center_image(rep, heis.center())
     assert intersect(S, C) == S  # S subset of C, i.e. W = 0
 
 
@@ -75,7 +76,7 @@ def test_quotient_strictly_decreases(heis):
     rep = regular_unpruned(heis)
     dims = [rep.dim]
     while True:
-        new_rep, W = reduce_once(rep)
+        new_rep, W = reduce_once(rep, heis.center())
         if W.dim == 0:
             break
         assert new_rep.dim < rep.dim
@@ -96,11 +97,28 @@ def test_quotient_leaves_its_regular_input_alone(heis):
     assert quo.dim == reg.dim == 3 and quo.matrices == reg.matrices
 
 
+def test_quotient_computes_the_center_once(monkeypatch, f13):
+    # the center does not change between rounds, so the loop reads it once;
+    # Regular runs first because its adapted basis reads the center too
+    reg = algorithm_regular(f13)
+    calls = []
+    center = LieAlgebra.center
+
+    def counted(self):
+        calls.append(self)
+        return center(self)
+
+    monkeypatch.setattr(LieAlgebra, "center", counted)
+    quo = algorithm_quotient(f13, regular_rep=reg)
+    assert len(quo.provenance["w_dims"]) > 1
+    assert calls == [f13]
+
+
 def _complement_of_s_cap_c(rep):
     """The greedy complement of M = S ∩ C in S, built from M itself: S's
     echelon rows independent of M plus the rows before them."""
     S = annihilated_subspace(rep)
-    grown = intersect(S, center_image(rep))
+    grown = intersect(S, center_image(rep, rep.algebra.center()))
     m_dim = grown.dim
     W = Subspace(rep.field, rep.dim)
     for row in S.sparse.values():
@@ -126,7 +144,7 @@ def test_each_round_removes_the_complement_of_s_cap_c(g, unpruned):
     # sifting S into C instead of into S ∩ C keeps the same rows of S
     rep = regular_unpruned(g) if unpruned else algorithm_regular(g)
     while True:
-        new_rep, W = reduce_once(rep)
+        new_rep, W = reduce_once(rep, g.center())
         assert W == _complement_of_s_cap_c(rep)
         if W.dim == 0:
             break
@@ -159,7 +177,7 @@ def reference_projection(sub):
 def reference_reduce_once(rep):
     """A Quotient round that multiplies P into every restricted matrix."""
     fld = rep.field
-    C = center_image(rep)
+    C = center_image(rep, rep.algebra.center())
     W = Subspace(fld, rep.dim)
     for row in annihilated_subspace(rep).sparse.values():
         if C.add(row) is not None:
@@ -194,7 +212,7 @@ def test_rounds_match_the_projection_matrix(build):
     reg = algorithm_regular(g)
     rep, ref, w_dims = reg, reg, []
     while True:
-        new_rep, W = reduce_once(rep)
+        new_rep, W = reduce_once(rep, g.center())
         ref_rep, ref_W = reference_reduce_once(ref)
         assert W.sparse == ref_W.sparse
         assert typed_entries(new_rep) == typed_entries(ref_rep)

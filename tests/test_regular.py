@@ -44,8 +44,8 @@ def test_nu_values():
 #   - z is central, hence protected;
 #   - x1: x1*x1 = x1^2, x1*x2 = x1x2, x1*z = 0 are all discarded;
 #   - x2: x2*x1 = x1x2 + [x2, x1] = x1x2 + z hits the protected z, so x2 stays.
-# Sweeping ids in descending order removes x1^2, x1x2, x2^2, then x1, and the
-# second sweep removes nothing: the kept monomials are 1, x2 = x and z.
+# One pass over the ids in descending order removes x1^2, x1x2, x2^2, then
+# x1: the kept monomials are 1, x2 = x and z.
 
 
 def heis_state():
@@ -122,7 +122,7 @@ def test_discard_span_is_a_left_ideal():
     g = catalog.upper_triangular(4, QQ)
     module = build_pruned_module(g)
     products = module.uea.right_products()
-    active = set(module.active)
+    active = set(module.state.active)
     for mid in module.state.removed:
         for prod in products[mid].values():
             assert not (set(prod) & active)
@@ -130,16 +130,19 @@ def test_discard_span_is_a_left_ideal():
 
 def test_kept_monomials_reach_the_active_set():
     # the other side of the fixpoint: a kept monomial that is not protected
-    # has some generator product that hits the active span, else the last
-    # sweep would have removed it
+    # has some generator product that hits the active span, else the pass
+    # would have removed it
     for g in (catalog.heisenberg(QQ), catalog.upper_triangular(4, GF(2)), catalog.filiform_f(13)):
         module = build_pruned_module(g)
-        products = module.uea.right_products()
-        active = set(module.active)
-        assert module.state.protected <= active
+        uea = module.uea
+        products = uea.right_products()
+        protected = {uea.unit} | {uea.degree_one_mid(k) for k in module.central_ids}
+        active = set(module.state.active)
+        assert list(module.state.active) == sorted(active)
+        assert protected <= active
         assert active.isdisjoint(module.state.removed)
-        assert len(active) + len(module.state.removed) == len(module.uea.monomials)
-        for mid in active - module.state.protected:
+        assert len(active) + len(module.state.removed) == len(uea.monomials)
+        for mid in active - protected:
             assert any(set(prod) & active for prod in products[mid].values()), mid
 
 

@@ -9,7 +9,7 @@ on, including the filiform family f_n.
 
 from .fields import GF, QQ, Field, rational
 from .liealg import AdaptedBasis, LieAlgebra, NotNilpotentError, abelian_algebra
-from .linalg import SparseMatrix, Subspace, intersect
+from .linalg import SparseMatrix, Subspace
 from .uea import TruncatedUEA, enumerate_monomials
 from .representation import (
     Representation,
@@ -38,7 +38,6 @@ __all__ = [
     "abelian_algebra",
     "SparseMatrix",
     "Subspace",
-    "intersect",
     "TruncatedUEA",
     "enumerate_monomials",
     "Representation",

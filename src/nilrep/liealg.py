@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fields import Field
-from .linalg import SparseMatrix, Subspace, coordinate_projection, intersect, invert, relations
+from .linalg import SparseMatrix, Subspace, coordinate_projection, invert, relations
 
 
 class NotNilpotentError(ValueError):
@@ -167,15 +167,21 @@ def _bracket(g: LieAlgebra, x: dict, y: dict) -> dict:
     return g.field.clean(acc)
 
 
-def _generators(g: LieAlgebra) -> tuple:
-    """``(g², V)``: the span of the table's values and the unit vectors V
-    off its pivot columns, a complement.  In a nilpotent g every complement
-    of g² generates g, so raise NotNilpotentError unless the ad(V)-closure of
-    V, built layer by layer, is all of g."""
-    fld, d = g.field, g.dim
-    derived = Subspace(fld, d)
+def _derived(g: LieAlgebra) -> Subspace:
+    """g² = [g, g], the span of the table's values."""
+    derived = Subspace(g.field, g.dim)
     for terms in g.table.values():
         derived.add(terms)
+    return derived
+
+
+def _generators(g: LieAlgebra) -> tuple:
+    """``(g², V)``: ``_derived(g)`` and the unit vectors V off its pivot
+    columns, a complement.  In a nilpotent g every complement of g²
+    generates g, so raise NotNilpotentError unless the ad(V)-closure of V,
+    built layer by layer, is all of g."""
+    fld, d = g.field, g.dim
+    derived = _derived(g)
     gens = [{j: fld.one} for j in range(d) if j not in derived.sparse]
     generated = Subspace(fld, d)
     todo = deque(v for v in gens if generated.add(v) is not None)
@@ -225,9 +231,10 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
     """Build the deterministic weight-adapted basis.
 
     Layers are processed top weight first.  Inside layer m the echelon basis
-    of Z(g) ∩ g^m is sifted first (these vectors are flagged central), then
-    the original basis vectors lying in g^m in index order, then the echelon
-    basis of g^m itself, which adds only what the originals leave out.
+    of Z(g) ∩ g^m (``_central_part``) is sifted first (these vectors are
+    flagged central), then the original basis vectors lying in g^m in index
+    order, then the echelon basis of g^m itself, which adds only what the
+    originals leave out.
     """
     fld = g.field
     series = g.lower_central_series()  # raises when not nilpotent
@@ -241,8 +248,7 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
         for row in gm1.sparse.values():
             spanned.add(row)
         layer = []
-        zm = intersect(center, gm) if m > 1 else center
-        for row in zm.sparse.values():
+        for row in _central_part(center, gm).sparse.values():
             if spanned.add(row) is not None:
                 layer.append((m, row, True))
         for idx in range(g.dim):
@@ -268,6 +274,18 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
     return AdaptedBasis(matrix, inverse, weights, flags, g.rewritten(matrix, to_new))
 
 
+def _central_part(center: Subspace, gm: Subspace) -> Subspace:
+    """Z(g) ∩ g^m: the sums Σ y_r z_r over the echelon rows z_r of ``center``
+    for the relations y among their residuals against ``gm``, since a vector
+    lies in g^m exactly when its residual vanishes."""
+    fld, rows = center.field, list(center.sparse.values())
+    combine = SparseMatrix(fld, center.ambient, len(rows), dict(enumerate(rows)))
+    out = Subspace(fld, center.ambient)
+    for y in relations(fld, [{0: gm.reduce(z)} for z in rows]).sparse.values():
+        out.add(combine.apply_sparse(y))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # quotients
 
@@ -276,7 +294,7 @@ def _is_ideal(g: LieAlgebra, sub: Subspace) -> bool:
     """Whether [sub, V] ⊆ sub for the generators V of ``_generators``, which
     is [sub, g] ⊆ sub: by Jacobi, [[x, y], i] = [x, [y, i]] - [y, [x, i]], so
     the x with [x, sub] ⊆ sub form a subalgebra, and it contains V."""
-    _derived, gens = _generators(g)
+    gens = _generators(g)[1]
     for row in sub.sparse.values():
         for v in gens:
             if sub.reduce(_bracket(g, row, v)):
@@ -337,9 +355,4 @@ def _betti2(g: LieAlgebra) -> int:
         row = fld.clean(row)
         if row:
             conditions.add(row)
-    dim_z2 = npairs - conditions.dim
-
-    derived = Subspace(fld, d)
-    for terms in g.table.values():
-        derived.add(terms)
-    return dim_z2 - derived.dim
+    return npairs - conditions.dim - _derived(g).dim

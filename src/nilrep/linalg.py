@@ -10,13 +10,14 @@ elimination is ``Field``'s (``integral``, ``eliminate``, ``primitive`` and
 echelon bookkeeping.  ``sparse`` is still the canonical rational RREF and
 ``reduce`` the exact canonical residual.  Sparse rows are the only vector
 format.  A ``Subspace`` answers membership and residuals and computes
-kernels.  On it build ``intersect``,
-``coordinate_projection`` (a vector reduced against a subspace, relabelled
-onto a coordinate complement), ``relations`` (the linear relations among
-matrices) and ``invert``, which reads an inverse off the tag columns of
-``[A | I]``.  A complement inside a subspace needs no helper: sifting its
-echelon rows into a ``Subspace`` keeps exactly the rows independent of what
-is already there.
+kernels.  On it build ``coordinate_projection`` (a vector reduced against
+a subspace, relabelled onto a coordinate complement), ``relations`` (the
+linear relations among matrices) and ``invert``, which reads an inverse off
+the tag columns of ``[A | I]``.  Neither a complement nor an intersection
+needs a helper: sifting a subspace's echelon rows into a ``Subspace`` keeps
+exactly the rows independent of what is already there, and the vectors of
+a subspace that lie in another are the relations among their residuals
+against it.
 Enveloping-algebra actions and representations are column-oriented
 ``SparseMatrix`` objects.  Every sum of matrices is one ``lincomb`` pass, and
 ``is_nilpotent`` peels the acyclic ends off a matrix's support before it
@@ -174,31 +175,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection by Zassenhaus' method.
-
-    In the RREF of the rows (u | u) for u in a and (w | 0) for w in b, the
-    rows that vanish on the first half are (0 | basis of a ∩ b).
-    """
-    if a.field != b.field:
-        raise ValueError("subspaces over different fields")
-    if a.ambient != b.ambient:
-        raise ValueError("ambient dimensions differ: %d vs %d" % (a.ambient, b.ambient))
-    n = a.ambient
-    out = Subspace(a.field, n)
-    both = Subspace(a.field, 2 * n)
-    for row in a.sparse.values():
-        doubled = dict(row)
-        doubled.update((n + j, x) for j, x in row.items())
-        both.add(doubled)
-    for row in b.sparse.values():
-        both.add(row)
-    for pc, row in both.sparse.items():
-        if pc >= n:
-            out.add({j - n: x for j, x in row.items()})
-    return out
 
 
 def coordinate_projection(sub: Subspace) -> tuple:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple
 
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, _generators
 from .linalg import Subspace, is_nilpotent, lincomb, relations
 
 
@@ -99,13 +99,17 @@ def is_faithful(rep: Representation) -> bool:
 
 
 def annihilated_subspace(rep: Representation) -> Subspace:
-    """S = {v in V : M_l v = 0 for every basis vector}: the kernel of the rows
-    of all matrices stacked in one subspace."""
-    stacked = Subspace(rep.field, rep.dim)
-    for mat in rep.matrices:
-        for _i, row in sorted(mat.transpose().cols.items()):
-            stacked.add(row)
-    return stacked.kernel()
+    """S = {v in V : M_x v = 0 for every x in the algebra}: the relations
+    among the columns of the matrices M_v of the generators v of
+    ``liealg._generators``, whose rows are sifted in (matrix, row) order.
+    The x with M_x S = 0 form a subalgebra, since M_[x,y] = [M_x, M_y], and
+    it contains the generators, so it is the whole algebra.  Raises
+    NotNilpotentError when they do not generate it, which a nilpotent
+    algebra rules out."""
+    gens = _generators(rep.algebra)[1]
+    mats = [rep.matrices[j].cols for v in gens for j in v]
+    return relations(rep.field, [{t: mat[l] for t, mat in enumerate(mats) if l in mat}
+                                 for l in range(rep.dim)])
 
 
 def center_image(rep: Representation, center: Subspace) -> Subspace:

@@ -1,10 +1,10 @@
-"""Helpers that only the tests use: dense matrices, matrix products and
-plain JSON files.
+"""Helpers that only the tests use: dense matrices, matrix products,
+subspace intersections and plain JSON files.
 
 The package holds matrices and subspaces sparse and writes representation
 files itself; tests state small matrices and spans densely, check matrix
-identities through products, and save algebra objects, sometimes corrupted on
-purpose, as ordinary JSON.
+identities through products, intersect subspaces by Zassenhaus' method,
+and save algebra objects, sometimes corrupted on purpose, as ordinary JSON.
 """
 
 import json
@@ -57,6 +57,31 @@ def span(field: Field, ambient: int, vectors) -> Subspace:
                 raise ValueError("scalar %r does not belong to %r" % (x, field))
         space.add({j: x for j, x in enumerate(vec) if x != 0})
     return space
+
+
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Exact intersection by Zassenhaus' method.
+
+    In the RREF of the rows (u | u) for u in a and (w | 0) for w in b, the
+    rows that vanish on the first half are (0 | basis of a ∩ b).
+    """
+    if a.field != b.field:
+        raise ValueError("subspaces over different fields")
+    if a.ambient != b.ambient:
+        raise ValueError("ambient dimensions differ: %d vs %d" % (a.ambient, b.ambient))
+    n = a.ambient
+    out = Subspace(a.field, n)
+    both = Subspace(a.field, 2 * n)
+    for row in a.sparse.values():
+        doubled = dict(row)
+        doubled.update((n + j, x) for j, x in row.items())
+        both.add(doubled)
+    for row in b.sparse.values():
+        both.add(row)
+    for pc, row in both.sparse.items():
+        if pc >= n:
+            out.add({j - n: x for j, x in row.items()})
+    return out
 
 
 def save_json(obj: dict, path: str):

@@ -18,9 +18,9 @@ import warnings
 import pytest
 
 import nilrep as nr
+from helpers import intersect
 from nilrep import catalog, fileio, tables
 from nilrep.fields import GF, QQ
-from nilrep.linalg import intersect
 from nilrep.quotient import algorithm_quotient, reduce_once
 from nilrep.regular import build_pruned_module, nu, regular_unpruned
 from nilrep.representation import (

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import from_dense, matmul, span, to_dense
+from helpers import from_dense, intersect, matmul, span, to_dense
 from nilrep.fields import GF, QQ, rational
 from nilrep.linalg import (
     SparseMatrix,
     Subspace,
     coordinate_projection,
-    intersect,
     invert,
     is_nilpotent,
     lincomb,
@@ -212,7 +211,7 @@ def test_growing_a_basis_matches_from_vectors(field, head, tail):
 
 
 # ---------------------------------------------------------------------------
-# subspaces
+# subspaces; ``intersect`` is the test reference in ``helpers``
 
 
 def test_intersect_idempotent():

@@ -1,10 +1,10 @@
 import pytest
 
-from helpers import matmul, rebased, span
+from helpers import intersect, matmul, rebased, span
 from nilrep import catalog
 from nilrep.fields import GF, QQ, rational
 from nilrep.liealg import LieAlgebra
-from nilrep.linalg import SparseMatrix, Subspace, intersect
+from nilrep.linalg import SparseMatrix, Subspace
 from nilrep.quotient import algorithm_quotient, reduce_once
 from nilrep.regular import algorithm_regular, regular_unpruned
 from nilrep.representation import (

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import from_dense, matmul, span
+from helpers import from_dense, intersect, matmul, span
 from nilrep import catalog
 from nilrep.fields import GF, QQ, field_from_characteristic, rational
 from nilrep.liealg import LieAlgebra, abelian_algebra
-from nilrep.linalg import SparseMatrix, Subspace, intersect, invert, is_nilpotent, lincomb
+from nilrep.linalg import SparseMatrix, Subspace, invert, is_nilpotent, lincomb
 from nilrep.regular import algorithm_regular, regular_unpruned
 from nilrep.representation import (
     Representation,

@@ -23,8 +23,8 @@ their matrix A has full column rank: at each row of the
 module, the cocycle values on a_g..a_{k-1} are fixed by the rows above it,
 and what is left are linear relations.  Everything is thus a linear form
 in the g·k values on the generators, and those come first among the
-unknowns, so extending the canonical kernel of the relations by the forms
-is the canonical RREF of Z¹, the same rows as a solve over all k² unknowns.
+unknowns, so the canonical kernel rows of the relations, extended by the
+forms, are Z¹'s canonical RREF rows: those of a solve over all k² unknowns.
 """
 
 from __future__ import annotations
@@ -55,16 +55,16 @@ class AffineFail:
 
 
 def _bracket_solve(fld, table: dict, k: int, g: int) -> tuple:
-    """``(pairs, bare, ties, scale, solved)`` for the truncated brackets A_p
-    of the pairs p = (j, l), j < g, j < l < k: [a_j, a_l] without its terms
-    on a_s for s >= k.
+    """``(pairs, ties, scale, solved)`` for the truncated brackets A_p of
+    the pairs p = (j, l), j < g, j < l < k: [a_j, a_l] without its terms on
+    a_s for s >= k.
 
-    ``bare`` is the set of p with A_p = 0.  The rows (A_p | e_p) of the other
-    pairs are sifted into one ``Subspace`` with a tag column per pair.  A row
-    (v | tau) of its span has v = sum tau_p A_p, so a primitive row with
-    pivot s < k reads d e_s = sum tau_p A_p, and one with a tag pivot is a
-    relation sum tau_p A_p = 0; ``ties`` lists those tau.  ``solved[s]`` is
-    the tau of pivot s times scale / d, for one ``scale`` shared by every s.
+    A pair with A_p = 0 gives the relation e_p.  The rows (A_p | e_p) of the
+    other pairs are sifted into one ``Subspace`` with a tag column per pair.
+    A row (v | tau) of its span has v = sum tau_p A_p, so a primitive row
+    with pivot s < k reads d e_s = sum tau_p A_p, and one with a tag pivot is
+    a relation sum tau_p A_p = 0; ``ties`` lists all those tau.  ``solved[s]``
+    is the tau of pivot s times scale / d, for one ``scale`` shared by every s.
     Raises RuntimeError unless the A_p span exactly the unit vectors
     e_g..e_{k-1}, as they do for an adapted table whose first g vectors
     generate: [q, q] is spanned by the brackets of the generators with q,
@@ -72,18 +72,18 @@ def _bracket_solve(fld, table: dict, k: int, g: int) -> tuple:
     """
     pairs = [(j, l) for j in range(g) for l in range(j + 1, k)]
     space = Subspace(fld, k + len(pairs))
-    bare = set()
+    ties = []
     for p, (j, l) in enumerate(pairs):
         row = {s: c for s, c in table.get((j, l), {}).items() if s < k}
         if row:
             row[k + p] = fld.one
             space.add(row)
         else:
-            bare.add(p)
+            ties.append({p: fld.one})
     if [s for s in space.pivots if s < k] != list(range(g, k)):
         raise RuntimeError("the generator brackets do not span exactly a_%d..a_%d: "
                            "the table is not adapted" % (g, k - 1))
-    solved, ties = {}, []
+    solved = {}
     for pc in space.pivots:
         row = space.primitive_row(pc)
         tau = {c - k: x for c, x in row.items() if c >= k}
@@ -94,7 +94,7 @@ def _bracket_solve(fld, table: dict, k: int, g: int) -> tuple:
     scale = lcm(1, *(d for d, _tau in solved.values()))
     solved = {s: {p: x * (scale // d) for p, x in tau.items()}
               for s, (d, tau) in solved.items()}
-    return pairs, bare, ties, scale, solved
+    return pairs, ties, scale, solved
 
 
 def _combine(coeffs: dict, forms: dict) -> dict:
@@ -108,7 +108,7 @@ def _combine(coeffs: dict, forms: dict) -> dict:
     return acc
 
 
-def _cocycles(fld, table: dict, rows: list, n: int) -> Subspace:
+def _cocycles(fld, table: dict, rows: list, n: int) -> list:
     """Z¹ of the quotient spanned by a_0..a_{k-1}, k = len(rows), with values
     in the module K^k on which a_j acts by the row map ``rows[j]``
     (``{t: {u: x}}``), as stacked vectors; a_0..a_{n-1} generate g.
@@ -139,11 +139,12 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> Subspace:
     The relations cut the generator unknowns down to a subspace of K^(g k).
     They are sifted with the columns reversed, so that the kernel vector of
     each free column f (``Subspace.kernel_vectors``) has its other entries
-    past f at pivot columns: it is the canonical kernel row with pivot f,
-    and no second sift is needed.  Extending those rows by the forms gives
-    exactly Z¹'s canonical RREF, because a cocycle is determined by its
-    generator block and those unknowns come first: the pivots stay in the
-    block, and the rows still vanish on each other's pivots.
+    past f at pivot columns: a multiple of the canonical kernel row with
+    pivot f.  Each extended by the forms and divided by its entry at f, its
+    smallest column, they are Z¹'s canonical RREF rows, returned in pivot
+    order, because a cocycle is determined by its generator block and those
+    unknowns come first: the pivots stay in the block, and the rows still
+    vanish on each other's pivots.
 
     The forms are ints over one scale per row (X[t][s] = F_{t,s} / sigma_t)
     and the psi ints over one scale, so over Q the solve runs on ints as it
@@ -151,7 +152,7 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> Subspace:
     """
     k = len(rows)
     g = min(n, k)
-    pairs, bare, ties, scale, solved = _bracket_solve(fld, table, k, g)
+    pairs, ties, scale, solved = _bracket_solve(fld, table, k, g)
     psi, lam = fld.integral_maps(rows)
     forms: dict = {}  # t -> (sigma_t, {s: F_{t,s}}) for the rows some psi has
     last = g * k - 1
@@ -181,8 +182,8 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> Subspace:
             for u, x in here[l].items():
                 acc[j * k + u] = acc.get(j * k + u, 0) - x * m
             b[p] = acc
-        for row in [b[p] for p in b if p in bare] + [_combine(tau, b) for tau in ties]:
-            if row := fld.clean(row):
+        for tau in ties:
+            if row := fld.clean(_combine(tau, b)):
                 conditions.add({last - c: x for c, x in row.items()})
         fs = {s: f for s, tau in solved.items() if (f := fld.clean(_combine(tau, b)))}
         sigma = scale * lam * m
@@ -196,13 +197,13 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> Subspace:
         for s, form in fs.items():
             for c, x in form.items():
                 images.setdefault(c, {})[s * k + t] = x * f
-    out = Subspace(fld, k * k)
+    out = []
     for v in conditions.kernel_vectors():
         v = {last - c: x for c, x in v.items()}
         row = _combine(v, images)
         row.update((c, x * total) for c, x in v.items())
-        out.add(row)
-    return out
+        out.append(fld.divided(fld.clean(row), v[min(v)] * total))
+    return out[::-1]
 
 
 def _assert_faithful(fld, rows: list):
@@ -253,7 +254,7 @@ def algorithm_affine(
                 raise AffineTimeout("affine run exceeded its deadline")
             k = i + 1  # generators a_0..a_i, acting on K^k
             rows.append({})
-            basis = list(_cocycles(fld, table, rows, n).sparse.values())
+            basis = _cocycles(fld, table, rows, n)
             lo = i * k  # delta(a_i) is stacked last, at lo..k*k-1
             candidates = [r for r in basis if max(r) >= lo]
             if not candidates:

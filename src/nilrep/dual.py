@@ -84,6 +84,8 @@ def spin_submodule(module: PrunedModule, generators: list, duals: list) -> Subsp
 def algorithm_dual(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Representation:
     """Dual: prune as in Regular, then spin psi_1..psi_r and read off the action."""
     module = module or build_pruned_module(g)
+    if module.algebra != g:
+        raise ValueError("module was built for another algebra")
     fld = g.field
     duals = dual_action_matrices(module)
     basis = spin_submodule(module, center_dual_generators(module), duals)

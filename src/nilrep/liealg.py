@@ -230,23 +230,20 @@ class AdaptedBasis:
 def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
     """Build the deterministic weight-adapted basis.
 
-    Layers are processed top weight first.  Inside layer m the echelon basis
-    of Z(g) ∩ g^m (``_central_part``) is sifted first (these vectors are
-    flagged central), then the original basis vectors lying in g^m in index
-    order, then the echelon basis of g^m itself, which adds only what the
-    originals leave out.
+    Layers are processed top weight first, all sifted into one ``spanned``,
+    which spans g^{m+1} when layer m starts: the echelon basis of Z(g) ∩ g^m
+    (``_central_part``) first (these vectors are flagged central), then the
+    original basis vectors lying in g^m in index order, then the echelon
+    basis of g^m itself, which adds only what the originals leave out.
     """
     fld = g.field
     series = g.lower_central_series()  # raises when not nilpotent
     c = len(series) - 1
     center = g.center()
-    layers: list = []  # (weight, vector, central_flag), weight ascending
-    for m in range(1, c + 1):
+    layers: list = []  # (weight, vector, central_flag), weight descending
+    spanned = Subspace(fld, g.dim)
+    for m in range(c, 0, -1):
         gm = series[m - 1]
-        gm1 = series[m]  # the series ends with the zero space at index c
-        spanned = Subspace(fld, g.dim)
-        for row in gm1.sparse.values():
-            spanned.add(row)
         layer = []
         for row in _central_part(center, gm).sparse.values():
             if spanned.add(row) is not None:
@@ -261,7 +258,7 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
             if spanned.add(row) is not None:
                 layer.append((m, row, False))
         layers.append(layer)
-    ordered = [item for layer in layers for item in layer]
+    ordered = [item for layer in reversed(layers) for item in layer]
     if len(ordered) != g.dim:
         raise RuntimeError("adapted basis has %d vectors, expected %d" % (len(ordered), g.dim))
     matrix = tuple(dict(vec) for (_m, vec, _z) in ordered)
@@ -310,7 +307,7 @@ def _quotient(g: LieAlgebra, ideal: Subspace):
         raise ValueError("ideal does not live in this algebra")
     if not _is_ideal(g, ideal):
         raise ValueError("subspace is not an ideal")
-    kept, project = coordinate_projection(ideal)
+    kept, project = coordinate_projection(g.field, g.dim, ideal.sparse.values())
     one = g.field.one
     proj = SparseMatrix(g.field, len(kept), g.dim,
                         {j: col for j in range(g.dim) if (col := project({j: one}))})

@@ -11,13 +11,13 @@ echelon bookkeeping.  ``sparse`` is still the canonical rational RREF and
 ``reduce`` the exact canonical residual.  Sparse rows are the only vector
 format.  A ``Subspace`` answers membership and residuals and computes
 kernels.  On it build ``coordinate_projection`` (a vector reduced against
-a subspace, relabelled onto a coordinate complement), ``relations`` (the
-linear relations among matrices) and ``invert``, which reads an inverse off
-the tag columns of ``[A | I]``.  Neither a complement nor an intersection
-needs a helper: sifting a subspace's echelon rows into a ``Subspace`` keeps
-exactly the rows independent of what is already there, and the vectors of
-a subspace that lie in another are the relations among their residuals
-against it.
+the span of some rows, relabelled onto a coordinate complement),
+``relations`` (the linear relations among matrices) and ``invert``, which
+reads an inverse off the tag columns of ``[A | I]``.  Neither a complement
+nor an intersection needs a helper: the echelon rows of a subspace that
+enlarge a ``Subspace`` as they are sifted in span a complement and are
+echelon themselves, and the vectors of a subspace that lie in another are
+the relations among their residuals against it.
 Enveloping-algebra actions and representations are column-oriented
 ``SparseMatrix`` objects.  Every sum of matrices is one ``lincomb`` pass, and
 ``is_nilpotent`` peels the acyclic ends off a matrix's support before it
@@ -177,22 +177,21 @@ class Subspace:
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient)
 
 
-def coordinate_projection(sub: Subspace) -> tuple:
-    """``(kept, project)``: the greedy coordinate complement of ``sub`` and the
-    projection onto it.
+def coordinate_projection(field: Field, n: int, rows) -> tuple:
+    """``(kept, project)``: the greedy coordinate complement in K^n of the
+    span of the sparse ``rows`` and the projection onto it.
 
     ``kept`` lists, in index order, every k whose unit vector e_k is
-    independent of ``sub`` plus the unit vectors kept before it.  e_j is
-    dropped exactly when some vector of ``sub`` has its last nonzero entry at
-    j, so the dropped columns are the pivots of ``sub``'s echelon form with
-    the column order reversed, and the residual of a vector against that form
-    writes it modulo ``sub`` on the kept unit vectors.  ``project(vec)`` maps
-    a sparse vector of K^n to that residual on the positions of ``kept``,
-    reduced fraction-free (``Subspace.reduce``).
+    independent of the rows plus the unit vectors kept before it.  e_j is
+    dropped exactly when some vector of the span has its last nonzero entry
+    at j: the dropped columns are the pivots of the rows sifted once with
+    reversed columns, and the residual against them writes a vector modulo
+    the span on the kept unit vectors.  ``project(vec)`` maps a sparse
+    vector of K^n to that residual on the positions of ``kept``, reduced
+    fraction-free (``Subspace.reduce``).
     """
-    n = sub.ambient
-    rev = Subspace(sub.field, n)
-    for row in sub.sparse.values():
+    rev = Subspace(field, n)
+    for row in rows:
         rev.add({n - 1 - j: x for j, x in row.items()})
     dropped = set(rev.pivots)
     kept = [k for k in range(n) if n - 1 - k not in dropped]

@@ -174,6 +174,8 @@ def regular_unpruned(g: LieAlgebra) -> Representation:
 def algorithm_regular(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Representation:
     """Regular: enumerate monomials of weight <= c, then prune."""
     module = module or build_pruned_module(g)
+    if module.algebra != g:
+        raise ValueError("module was built for another algebra")
     mats = _module_action(module.algebra.field, module.basis_inverse, module.right_matrices)
     return Representation(
         module.algebra,

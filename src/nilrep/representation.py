@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple
 
-from .liealg import LieAlgebra, _generators
+from .liealg import LieAlgebra
 from .linalg import Subspace, is_nilpotent, lincomb, relations
 
 
@@ -98,15 +98,13 @@ def is_faithful(rep: Representation) -> bool:
     return kernel(rep).dim == 0
 
 
-def annihilated_subspace(rep: Representation) -> Subspace:
-    """S = {v in V : M_x v = 0 for every x in the algebra}: the relations
-    among the columns of the matrices M_v of the generators v of
-    ``liealg._generators``, whose rows are sifted in (matrix, row) order.
-    The x with M_x S = 0 form a subalgebra, since M_[x,y] = [M_x, M_y], and
-    it contains the generators, so it is the whole algebra.  Raises
-    NotNilpotentError when they do not generate it, which a nilpotent
-    algebra rules out."""
-    gens = _generators(rep.algebra)[1]
+def annihilated_subspace(rep: Representation, gens: list) -> Subspace:
+    """S = {v in V : M_x v = 0 for every x in the algebra}, given generators
+    ``gens`` of the algebra as unit vectors (``liealg._generators``): the
+    relations among the columns of their matrices M_v, whose rows are sifted
+    in (matrix, row) order.  The x with M_x S = 0 form a subalgebra, since
+    M_[x,y] = [M_x, M_y], and it contains the generators, so it is the whole
+    algebra."""
     mats = [rep.matrices[j].cols for v in gens for j in v]
     return relations(rep.field, [{t: mat[l] for t, mat in enumerate(mats) if l in mat}
                                  for l in range(rep.dim)])

@@ -1,5 +1,5 @@
 """Helpers that only the tests use: dense matrices, matrix products,
-subspace intersections and plain JSON files.
+subspace intersections, plain JSON files and generated nilpotent algebras.
 
 The package holds matrices and subspaces sparse and writes representation
 files itself; tests state small matrices and spans densely, check matrix
@@ -10,7 +10,10 @@ and save algebra objects, sometimes corrupted on purpose, as ordinary JSON.
 import json
 import random
 
-from nilrep.fields import Field
+from hypothesis import strategies as st
+
+from nilrep import catalog
+from nilrep.fields import GF, QQ, Field
 from nilrep.liealg import LieAlgebra
 from nilrep.linalg import SparseMatrix, Subspace, invert
 
@@ -98,3 +101,34 @@ def rebased(g: LieAlgebra, seed: int) -> LieAlgebra:
                for t in range(g.dim)]
     to_new = SparseMatrix(fld, g.dim, g.dim, dict(enumerate(invert(vectors, fld))))
     return g.rewritten(vectors, to_new)
+
+
+@st.composite
+def free_nilpotent_quotients(draw):
+    """N_{n,c} over Q, F_2 or F_3 modulo the ideal generated by random
+    combinations of its degree-k Hall basis vectors, through
+    ``LieAlgebra.quotient``; the ideal is the closure of their span under
+    the brackets with the degree-one vectors."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    n, c = draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]))
+    g = catalog.free_nilpotent(n, c, field)
+    one = field.one
+    series = g.lower_central_series()
+    degree = [sum(1 for gm in series if not gm.reduce({i: one})) for i in range(g.dim)]
+    k = draw(st.integers(2, c))
+    layer = [i for i in range(g.dim) if degree[i] == k]
+    ideal = Subspace(field, g.dim)
+    todo = []
+    for _ in range(draw(st.integers(1, 2))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(layer), max_size=len(layer)))
+        vec = field.clean({i: field.from_int(x) for i, x in zip(layer, coeffs)})
+        if vec and ideal.add(vec) is not None:
+            todo.append(vec)
+    while todo:
+        x = todo.pop()
+        for j in range(g.dim):
+            if degree[j] == 1:
+                y = g.bracket(x, {j: one})
+                if y and ideal.add(y) is not None:
+                    todo.append(y)
+    return g.quotient(ideal)[0]

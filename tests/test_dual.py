@@ -22,6 +22,7 @@ from nilrep.representation import (
     is_homomorphism,
 )
 from nilrep import abelian_algebra, catalog
+from nilrep.liealg import _generators
 
 Q1 = rational(1)
 
@@ -130,6 +131,15 @@ def test_algorithm_dual_heisenberg(heis):
     assert is_homomorphism(rep) and is_faithful(rep)
 
 
+def test_algorithm_dual_rejects_a_module_of_another_algebra(heis):
+    # a module built for U_4 used to give a Representation of the Heisenberg
+    # algebra holding U_4's six matrices; an equal algebra is accepted
+    with pytest.raises(ValueError, match="another algebra"):
+        algorithm_dual(heis, module=build_pruned_module(catalog.upper_triangular(4, QQ)))
+    module = build_pruned_module(catalog.heisenberg(QQ))
+    assert module.algebra is not heis and algorithm_dual(heis, module=module).dim == 3
+
+
 def test_algorithm_dual_u4_f2():
     g = catalog.upper_triangular(4, GF(2))
     rep = algorithm_dual(g)
@@ -140,7 +150,7 @@ def test_algorithm_dual_u4_f2():
 def test_dual_annihilated_space_is_psi0(heis):
     module = build_pruned_module(heis)
     rep = algorithm_dual(heis, module=module)
-    S = annihilated_subspace(rep)
+    S = annihilated_subspace(rep, _generators(heis)[1])
     assert S.dim == 1
     # the annihilated functional is psi_0: value 1 on the monomial 1, and the
     # spin basis coordinates of psi_0 must reproduce that single basis row

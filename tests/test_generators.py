@@ -1,31 +1,33 @@
-"""Work from the generators: S and Z(g) ∩ g^m against the references they
-replaced.
+"""Work from the generators: S, Z(g) ∩ g^m and the adapted basis against
+the references they replaced.
 
 ``annihilated_subspace`` reads only the matrices of a complement V of
-[g, g], and ``_adapted_basis`` takes Z(g) ∩ g^m from residuals against g^m.
+[g, g], ``_adapted_basis`` takes Z(g) ∩ g^m from residuals against g^m, and
+it walks the layers top weight first through one span that only grows.
 Each is checked against the old computation (every matrix's rows stacked;
-Zassenhaus' intersection) on catalog algebras over Q, F_2 and F_3, on f_13 to
-f_17, on rebased inputs and on random quotients of free nilpotent algebras,
-and a count of the rows sifted pins down that S reads the generators alone.
+Zassenhaus' intersection; a fresh span per layer seeded with g^{m+1}) on
+catalog algebras over Q, F_2 and F_3, on f_13 to f_17, on rebased inputs and
+on random quotients of free nilpotent algebras, and a count of the rows
+sifted pins down that S reads the generators alone.
 """
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from helpers import intersect, rebased
+from helpers import free_nilpotent_quotients, intersect, rebased
 from nilrep import catalog, liealg, quotient
 from nilrep.dual import algorithm_dual
 from nilrep.fields import GF, QQ
-from nilrep.liealg import LieAlgebra, NotNilpotentError
-from nilrep.linalg import SparseMatrix, Subspace
+from nilrep.liealg import AdaptedBasis, LieAlgebra, NotNilpotentError
+from nilrep.linalg import SparseMatrix, Subspace, invert
 from nilrep.quotient import algorithm_quotient
 from nilrep.regular import algorithm_regular, build_pruned_module
 from nilrep.representation import Representation, annihilated_subspace
 
 
-def stacked_annihilated_subspace(rep):
-    """The kernel of the rows of every matrix stacked in one subspace."""
+def stacked_annihilated_subspace(rep, _gens):
+    """The kernel of the rows of every matrix stacked in one subspace; the
+    generators are not read."""
     stacked = Subspace(rep.field, rep.dim)
     for mat in rep.matrices:
         for _i, row in sorted(mat.transpose().cols.items()):
@@ -33,19 +35,52 @@ def stacked_annihilated_subspace(rep):
     return stacked.kernel()
 
 
+def per_layer_adapted_basis(g):
+    """The adapted basis built one layer at a time, weight ascending, each
+    layer sifted into a fresh span seeded with the echelon rows of g^{m+1}."""
+    fld = g.field
+    series = g.lower_central_series()
+    center = g.center()
+    ordered = []
+    for m in range(1, len(series)):
+        gm = series[m - 1]
+        spanned = Subspace(fld, g.dim)
+        for row in series[m].sparse.values():
+            spanned.add(row)
+        for row in liealg._central_part(center, gm).sparse.values():
+            if spanned.add(row) is not None:
+                ordered.append((m, row, True))
+        for idx in range(g.dim):
+            row = {idx: fld.one}
+            if not gm.reduce(row) and spanned.add(row) is not None:
+                ordered.append((m, row, False))
+        for row in gm.sparse.values():
+            if spanned.add(row) is not None:
+                ordered.append((m, row, False))
+    matrix = tuple(dict(vec) for (_m, vec, _z) in ordered)
+    inverse = invert(matrix, fld)
+    to_new = SparseMatrix(fld, g.dim, g.dim, dict(enumerate(inverse)))
+    return AdaptedBasis(matrix, inverse, tuple(m for (m, _v, _z) in ordered),
+                        tuple(z for (_m, _v, z) in ordered), g.rewritten(matrix, to_new))
+
+
 def check_against_references(g):
     center = g.center()
     for gm in g.lower_central_series():
         assert liealg._central_part(center, gm).sparse == intersect(center, gm).sparse
     adapted = g.adapted_basis()
+    reference = per_layer_adapted_basis(g)
+    for name in ("matrix", "inverse", "weights", "central_flags", "algebra"):
+        assert getattr(adapted, name) == getattr(reference, name), name
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(liealg, "_central_part", intersect)
         assert adapted.matrix == g.adapted_basis().matrix
 
     module = build_pruned_module(g, adapted)
     regular = algorithm_regular(g, module=module)
+    gens = liealg._generators(g)[1]
     for r in (regular, algorithm_dual(g, module=module)):
-        assert annihilated_subspace(r).sparse == stacked_annihilated_subspace(r).sparse
+        assert annihilated_subspace(r, gens).sparse == stacked_annihilated_subspace(r, gens).sparse
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quotient, "annihilated_subspace", stacked_annihilated_subspace)
         ref_quo = algorithm_quotient(g, regular_rep=regular)
@@ -90,37 +125,6 @@ def test_rebased_algebras_match_the_references(name, build, seed):
     check_against_references(rebased(build(), seed))
 
 
-@st.composite
-def free_nilpotent_quotients(draw):
-    """N_{n,c} over Q, F_2 or F_3 modulo the ideal generated by random
-    combinations of its degree-k Hall basis vectors, through
-    ``LieAlgebra.quotient``; the ideal is the closure of their span under
-    the brackets with the degree-one vectors."""
-    field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
-    n, c = draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]))
-    g = catalog.free_nilpotent(n, c, field)
-    one = field.one
-    series = g.lower_central_series()
-    degree = [sum(1 for gm in series if not gm.reduce({i: one})) for i in range(g.dim)]
-    k = draw(st.integers(2, c))
-    layer = [i for i in range(g.dim) if degree[i] == k]
-    ideal = Subspace(field, g.dim)
-    todo = []
-    for _ in range(draw(st.integers(1, 2))):
-        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(layer), max_size=len(layer)))
-        vec = field.clean({i: field.from_int(x) for i, x in zip(layer, coeffs)})
-        if vec and ideal.add(vec) is not None:
-            todo.append(vec)
-    while todo:
-        x = todo.pop()
-        for j in range(g.dim):
-            if degree[j] == 1:
-                y = g.bracket(x, {j: one})
-                if y and ideal.add(y) is not None:
-                    todo.append(y)
-    return g.quotient(ideal)[0]
-
-
 @settings(max_examples=25)
 @given(free_nilpotent_quotients())
 def test_random_nilpotent_quotients_match_the_references(g):
@@ -138,6 +142,8 @@ def test_annihilated_subspace_sifts_only_the_generator_rows(f13, monkeypatch):
     rep = algorithm_regular(f13)
     gens = _generator_indices(f13)
     assert len(gens) == 2
+    generators = liealg._generators(f13)[1]
+    assert generators == [{j: f13.field.one} for j in gens]
     generator_rows = sum(len(set().union(*rep.matrices[j].cols.values())) for j in gens)
     # every Subspace made is kept alive, so that no id is reused
     made, adds, kerneled = [], {}, []
@@ -154,7 +160,7 @@ def test_annihilated_subspace_sifts_only_the_generator_rows(f13, monkeypatch):
 
     monkeypatch.setattr(Subspace, "add", counted_add)
     monkeypatch.setattr(Subspace, "kernel", recorded_kernel)
-    S = annihilated_subspace(rep)
+    S = annihilated_subspace(rep, generators)
     assert S.dim > 0
     (stacked,) = kerneled  # the rows sifted are those of the space whose kernel is S
     assert adds[id(stacked)] <= generator_rows
@@ -162,8 +168,8 @@ def test_annihilated_subspace_sifts_only_the_generator_rows(f13, monkeypatch):
 
 def test_annihilated_subspace_rejects_a_non_nilpotent_algebra():
     # [x, y] = y: the complement x of [g, g] = <y> generates only <x>, so the
-    # generators do not cover g
+    # generators do not cover g, and Quotient, which reads them for S, stops
     g = LieAlgebra(QQ, 2, {(0, 1): {1: 1}})
     rep = Representation(g, [SparseMatrix(QQ, 1, 1) for _ in range(g.dim)])
     with pytest.raises(NotNilpotentError, match="generates a subalgebra"):
-        annihilated_subspace(rep)
+        algorithm_quotient(g, regular_rep=rep)

@@ -286,7 +286,7 @@ def test_subspace_operations_leave_their_inputs_unchanged(field, avecs, bvecs):
     b = span(field, 4, in_field(field, bvecs))
     before = [dense_rows(a), dense_rows(b)]
     both = intersect(a, b)
-    coordinate_projection(a)
+    coordinate_projection(field, 4, a.sparse.values())
     # sift a's rows into b's span and keep the independent ones, as a
     # Quotient round sifts S into C to build W
     grown, kept = Subspace(field, 4), Subspace(field, 4)
@@ -466,7 +466,7 @@ def test_intersect_matches_dense_nullspace(field, avecs, bvecs):
 def test_coordinate_projection_matches_dense_reference(field, rows):
     n = 5
     w = span(field, n, in_field(field, rows))
-    kept, project = coordinate_projection(w)
+    kept, project = coordinate_projection(field, n, w.sparse.values())
     # P is read off the images of the unit vectors
     proj = SparseMatrix(field, len(kept), n,
                         {j: col for j in range(n) if (col := project({j: field.one}))})

@@ -1,9 +1,9 @@
 import pytest
 
-from helpers import intersect, matmul, rebased, span
-from nilrep import catalog
+from helpers import intersect, matmul, rebased
+from nilrep import catalog, liealg, quotient, representation
 from nilrep.fields import GF, QQ, rational
-from nilrep.liealg import LieAlgebra
+from nilrep.liealg import LieAlgebra, _generators
 from nilrep.linalg import SparseMatrix, Subspace
 from nilrep.quotient import algorithm_quotient, reduce_once
 from nilrep.regular import algorithm_regular, regular_unpruned
@@ -15,16 +15,7 @@ from nilrep.representation import (
     is_homomorphism,
 )
 
-Q0, Q1 = rational(0), rational(1)
-
-
-def coord_span(indices, ambient):
-    vecs = []
-    for i in indices:
-        v = [Q0] * ambient
-        v[i] = Q1
-        vecs.append(v)
-    return span(QQ, ambient, vecs)
+Q1 = rational(1)
 
 
 def test_reduce_once_heisenberg_worked_example(heis):
@@ -35,25 +26,26 @@ def test_reduce_once_heisenberg_worked_example(heis):
     # C = z*V = <z>.  Sifting the echelon basis e3..e6 of S into C skips e3
     # (already in C), so W = <x^2, yx, y^2>, new dim 4
     rep = regular_unpruned(heis)
-    center = heis.center()
-    new_rep, W = reduce_once(rep, center)
-    assert W == coord_span([4, 5, 6], 7)
+    center, gens = heis.center(), _generators(heis)[1]
+    new_rep, W = reduce_once(rep, center, gens)
+    assert W == [{4: Q1}, {5: Q1}, {6: Q1}]
     assert new_rep.dim == 4
     assert is_homomorphism(new_rep) and is_faithful(new_rep)
     # second application on 1, x, y, z: y*x = yx and y*y = y^2 are now zero,
     # x*y = z is not, so S = <y, z>, C = <z>, W = <y>, dim 3
-    rep3, W2 = reduce_once(new_rep, center)
-    assert W2.dim == 1 and rep3.dim == 3
+    rep3, W2 = reduce_once(new_rep, center, gens)
+    assert len(W2) == 1 and rep3.dim == 3
     assert is_homomorphism(rep3) and is_faithful(rep3)
     # fixpoint: W = 0 and the representation is returned unchanged
-    rep_same, W3 = reduce_once(rep3, center)
-    assert W3.dim == 0 and rep_same is rep3
+    rep_same, W3 = reduce_once(rep3, center, gens)
+    assert W3 == [] and rep_same is rep3
 
 
 def test_reduce_once_respects_termination_condition(heis):
     rep = algorithm_quotient(heis)
-    assert annihilated_subspace(rep).dim > 0
-    S = annihilated_subspace(rep)
+    gens = _generators(heis)[1]
+    assert annihilated_subspace(rep, gens).dim > 0
+    S = annihilated_subspace(rep, gens)
     C = center_image(rep, heis.center())
     assert intersect(S, C) == S  # S subset of C, i.e. W = 0
 
@@ -76,8 +68,8 @@ def test_quotient_strictly_decreases(heis):
     rep = regular_unpruned(heis)
     dims = [rep.dim]
     while True:
-        new_rep, W = reduce_once(rep, heis.center())
-        if W.dim == 0:
+        new_rep, W = reduce_once(rep, heis.center(), _generators(heis)[1])
+        if not W:
             break
         assert new_rep.dim < rep.dim
         rep = new_rep
@@ -114,10 +106,37 @@ def test_quotient_computes_the_center_once(monkeypatch, f13):
     assert calls == [f13]
 
 
+def test_quotient_computes_the_generators_once(monkeypatch):
+    # V and its closure check do not change between rounds either: the loop
+    # reads them once however many rounds the rebased f_14 needs
+    g = rebased(catalog.filiform_f(14), 1)
+    reg = algorithm_regular(g)
+    calls = []
+    generators = liealg._generators
+
+    def counted(h):
+        calls.append(h)
+        return generators(h)
+
+    for module in (liealg, representation, quotient):
+        if hasattr(module, "_generators"):
+            monkeypatch.setattr(module, "_generators", counted)
+    quo = algorithm_quotient(g, regular_rep=reg)
+    assert len(quo.provenance["w_dims"]) > 1
+    assert calls == [g]
+
+
+def test_quotient_rejects_a_regular_rep_of_another_algebra(heis, u4):
+    with pytest.raises(ValueError, match="another algebra"):
+        algorithm_quotient(heis, regular_rep=algorithm_regular(u4))
+    reg = algorithm_regular(catalog.heisenberg(QQ))
+    assert reg.algebra is not heis and algorithm_quotient(heis, regular_rep=reg).dim == 3
+
+
 def _complement_of_s_cap_c(rep):
     """The greedy complement of M = S ∩ C in S, built from M itself: S's
     echelon rows independent of M plus the rows before them."""
-    S = annihilated_subspace(rep)
+    S = annihilated_subspace(rep, _generators(rep.algebra)[1])
     grown = intersect(S, center_image(rep, rep.algebra.center()))
     m_dim = grown.dim
     W = Subspace(rep.field, rep.dim)
@@ -143,10 +162,19 @@ HEIS_REBASED = LieAlgebra(QQ, 3, {(0, 1): {0: rational(-2), 2: Q1},
 def test_each_round_removes_the_complement_of_s_cap_c(g, unpruned):
     # sifting S into C instead of into S ∩ C keeps the same rows of S
     rep = regular_unpruned(g) if unpruned else algorithm_regular(g)
+    gens = _generators(g)[1]
     while True:
-        new_rep, W = reduce_once(rep, g.center())
-        assert W == _complement_of_s_cap_c(rep)
-        if W.dim == 0:
+        new_rep, W = reduce_once(rep, g.center(), gens)
+        assert W == list(_complement_of_s_cap_c(rep).sparse.values())
+        # W ⊆ S, its rows are independent, W ∩ C = 0 and W + (S ∩ C) = S
+        S, C = annihilated_subspace(rep, gens), center_image(rep, g.center())
+        w, grown = Subspace(rep.field, rep.dim), intersect(S, C)
+        for row in W:
+            assert not S.reduce(row)
+            w.add(row)
+            grown.add(row)
+        assert w.dim == len(W) and intersect(w, C).dim == 0 and grown == S
+        if not W:
             break
         rep = new_rep
 
@@ -179,7 +207,7 @@ def reference_reduce_once(rep):
     fld = rep.field
     C = center_image(rep, rep.algebra.center())
     W = Subspace(fld, rep.dim)
-    for row in annihilated_subspace(rep).sparse.values():
+    for row in annihilated_subspace(rep, _generators(rep.algebra)[1]).sparse.values():
         if C.add(row) is not None:
             W.add(row)
     if W.dim == 0:
@@ -212,14 +240,14 @@ def test_rounds_match_the_projection_matrix(build):
     reg = algorithm_regular(g)
     rep, ref, w_dims = reg, reg, []
     while True:
-        new_rep, W = reduce_once(rep, g.center())
+        new_rep, W = reduce_once(rep, g.center(), _generators(g)[1])
         ref_rep, ref_W = reference_reduce_once(ref)
-        assert W.sparse == ref_W.sparse
+        assert W == list(ref_W.sparse.values())
         assert typed_entries(new_rep) == typed_entries(ref_rep)
         assert (new_rep.dim, new_rep.algebra) == (ref_rep.dim, ref_rep.algebra)
-        if W.dim == 0:
+        if not W:
             break
-        w_dims.append(W.dim)
+        w_dims.append(len(W))
         rep, ref = new_rep, ref_rep
     quo = algorithm_quotient(g, regular_rep=reg)
     assert quo.provenance["w_dims"] == w_dims

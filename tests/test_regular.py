@@ -110,6 +110,16 @@ def test_algorithm_regular_dims_and_verification():
     assert is_homomorphism(rep4) and is_faithful(rep4)
 
 
+def test_algorithm_regular_rejects_a_module_of_another_algebra():
+    # a module built for U_4 would give U_4's matrices for the Heisenberg
+    # algebra; an equal algebra built separately is accepted
+    heis = catalog.heisenberg(QQ)
+    with pytest.raises(ValueError, match="another algebra"):
+        algorithm_regular(heis, module=build_pruned_module(catalog.upper_triangular(4, QQ)))
+    module = build_pruned_module(catalog.heisenberg(QQ))
+    assert module.algebra is not heis and algorithm_regular(heis, module=module).dim == 3
+
+
 def test_pruned_le_unpruned():
     for g in (catalog.heisenberg(QQ), catalog.upper_triangular(4, QQ)):
         module = build_pruned_module(g)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import from_dense, intersect, matmul, span
 from nilrep import catalog
 from nilrep.fields import GF, QQ, field_from_characteristic, rational
-from nilrep.liealg import LieAlgebra, abelian_algebra
+from nilrep.liealg import LieAlgebra, _generators, abelian_algebra
 from nilrep.linalg import SparseMatrix, Subspace, invert, is_nilpotent, lincomb
 from nilrep.regular import algorithm_regular, regular_unpruned
 from nilrep.representation import (
@@ -86,12 +86,12 @@ def test_annihilated_subspace_heisenberg(heis_unpruned):
     # S = <z, x^2, yx, y^2>: every weight-2 monomial times a generator has
     # weight 3 > c, while for a x + b y + e 1 the product with y is
     # a (yx + z) + b y^2 + e y, zero only when a = b = e = 0
-    S = annihilated_subspace(heis_unpruned)
+    S = annihilated_subspace(heis_unpruned, _generators(heis_unpruned.algebra)[1])
     assert S == coord_span([3, 4, 5, 6], 7)
 
 
 def test_annihilated_subspace_zero_rep(heis):
-    assert annihilated_subspace(zero_rep(heis, 4)).dim == 4
+    assert annihilated_subspace(zero_rep(heis, 4), _generators(heis)[1]).dim == 4
 
 
 def test_center_image_heisenberg(heis_unpruned):
@@ -109,7 +109,7 @@ def test_center_image_dual_module(heis):
     dual = algorithm_dual(heis)
     C = center_image(dual, heis.center())
     assert C.dim == 1
-    S = annihilated_subspace(dual)
+    S = annihilated_subspace(dual, _generators(heis)[1])
     assert S.dim == 1
     assert intersect(S, C) == C
 

@@ -12,7 +12,9 @@ top-level function and method is called from elsewhere in the package;
 every module but ``__init__.py`` uses every name it imports; only the
 modules in ``CHARACTERISTIC_READERS`` tell F_p from Q by reading a field's
 ``characteristic``; and only ``fields.py`` reads a scalar's numerator or
-denominator, so scaling rationals to ints happens in one place.
+denominator, so scaling rationals to ints happens in one place.  The
+README's library example, which is why ``is_homomorphism`` is in ``KEPT``,
+runs and gives the results its comments state.
 """
 
 import ast
@@ -24,6 +26,7 @@ import nilrep
 
 SRC = pathlib.Path(nilrep.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # Public definitions that nothing in the package or the benchmark calls, kept
 # on purpose; each value says what needs the name.
@@ -259,3 +262,14 @@ def test_only_fields_reads_numerators_and_denominators():
                 lcm.append("%s:%d" % (path.name, node.lineno))
     assert sorted(readers) == ["fields.py"]
     assert lcm == []
+
+
+def test_readme_library_example_runs():
+    section = README.read_text().split("## Library entry points", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    names: dict = {}
+    exec(compile(code, "README.md", "exec"), names)
+    assert "is_homomorphism" in code
+    reg, quo, dual, aff = (names[k] for k in ("reg", "quo", "dual", "aff"))
+    assert (reg.dim, quo.dim, dual.dim) == (85, 43, 43)
+    assert isinstance(aff, nilrep.AffineFail)

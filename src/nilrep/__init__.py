@@ -23,7 +23,7 @@ from .representation import (
 )
 from .regular import algorithm_regular, build_pruned_module, nu, partitions, regular_unpruned
 from .quotient import algorithm_quotient, reduce_once
-from .dual import algorithm_dual, spin_submodule
+from .dual import algorithm_dual
 from .affine import AffineFail, AffineTimeout, algorithm_affine
 from . import catalog
 
@@ -56,7 +56,6 @@ __all__ = [
     "algorithm_quotient",
     "reduce_once",
     "algorithm_dual",
-    "spin_submodule",
     "AffineFail",
     "AffineTimeout",
     "algorithm_affine",

@@ -36,7 +36,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .liealg import AdaptedBasis, LieAlgebra
-from .linalg import SparseMatrix, Subspace, lincomb, relations
+from .linalg import SparseMatrix, Subspace, combine, lincomb, relations
 from .representation import Representation
 
 _MIX_ATTEMPTS = 20
@@ -97,25 +97,14 @@ def _bracket_solve(fld, table: dict, k: int, g: int) -> tuple:
     return pairs, ties, scale, solved
 
 
-def _combine(coeffs: dict, forms: dict) -> dict:
-    """sum_p coeffs[p] forms[p] over the p that ``forms`` holds, not cleaned."""
-    acc: dict = {}
-    for p, x in coeffs.items():
-        form = forms.get(p)
-        if form:
-            for c, y in form.items():
-                acc[c] = acc.get(c, 0) + x * y
-    return acc
-
-
-def _cocycles(fld, table: dict, rows: list, n: int) -> list:
+def _cocycles(fld, solve: tuple, rows: list, n: int) -> list:
     """Z¹ of the quotient spanned by a_0..a_{k-1}, k = len(rows), with values
     in the module K^k on which a_j acts by the row map ``rows[j]``
     (``{t: {u: x}}``), as stacked vectors; a_0..a_{n-1} generate g.
 
     Unknown j*k + t is X[t][j] = delta(a_j)_t.  The conditions are
     delta([a_j, a_l]) = psi(a_j) delta(a_l) - psi(a_l) delta(a_j), with the
-    bracket read from the adapted ``table`` without its terms on a_s for
+    bracket read from the adapted table without its terms on a_s for
     s >= k: the quotient q by g_k.  By Jacobi in q ⋉ K^k, the x for which
     x ↦ (x, delta(x)) respects every bracket [x, y] form a subalgebra, so
     the pairs p = (j, l) with j < g = min(n, k) are enough.  Row t of the
@@ -124,9 +113,9 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> list:
         A_p · X[t] = B_{t,p} = sum_u psi_j[t][u] X[u][l] - psi_l[t][u] X[u][j].
 
     The truncated brackets A_p live on the columns g..k-1 and span them
-    (``_bracket_solve``): A has full column rank, so the B_{t,p} fix the
-    X[t][s], s >= g, and the left kernel of A gives the relations that the
-    B_{t,p} must satisfy.  Each psi(a_j)
+    (``solve``, the table's ``_bracket_solve`` for this k and g): A has full
+    column rank, so the B_{t,p} fix the X[t][s], s >= g, and the left kernel
+    of A gives the relations that the B_{t,p} must satisfy.  Each psi(a_j)
     is strictly triangular in the order e_{k-1}, ..., e_2, e_0, e_1, since
     Affine adds each new coordinate as a column over the earlier ones, so
     B_{t,p} reads only X[u] of rows u before t; visiting the rows some psi
@@ -152,7 +141,7 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> list:
     """
     k = len(rows)
     g = min(n, k)
-    pairs, ties, scale, solved = _bracket_solve(fld, table, k, g)
+    pairs, ties, scale, solved = solve
     psi, lam = fld.integral_maps(rows)
     forms: dict = {}  # t -> (sigma_t, {s: F_{t,s}}) for the rows some psi has
     last = g * k - 1
@@ -183,9 +172,9 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> list:
                 acc[j * k + u] = acc.get(j * k + u, 0) - x * m
             b[p] = acc
         for tau in ties:
-            if row := fld.clean(_combine(tau, b)):
+            if row := combine(fld, tau, b):
                 conditions.add({last - c: x for c, x in row.items()})
-        fs = {s: f for s, tau in solved.items() if (f := fld.clean(_combine(tau, b)))}
+        fs = {s: f for s, tau in solved.items() if (f := combine(fld, tau, b))}
         sigma = scale * lam * m
         common = gcd(sigma, *(x for f in fs.values() for x in f.values()))
         forms[t] = (sigma // common, {s: {c: x // common for c, x in f.items()}
@@ -200,7 +189,7 @@ def _cocycles(fld, table: dict, rows: list, n: int) -> list:
     out = []
     for v in conditions.kernel_vectors():
         v = {last - c: x for c, x in v.items()}
-        row = _combine(v, images)
+        row = combine(fld, v, images)
         row.update((c, x * total) for c, x in v.items())
         out.append(fld.divided(fld.clean(row), v[min(v)] * total))
     return out[::-1]
@@ -225,7 +214,7 @@ def algorithm_affine(
     runs are reproducible for a fixed seed.  ``deadline`` (time.monotonic
     value) aborts cooperatively via AffineTimeout.  ``adapted`` is
     ``g.adapted_basis()``, computed when not given.  Raises ValueError when
-    ``retries`` is below 1.
+    ``retries`` is below 1 or ``adapted`` was built for another algebra.
 
     Step i adjoins a_i to the faithful module K^(i+1) of g/g_i; it fails
     when no cocycle of g/g_{i+1} is nonzero on a_i.  That verdict is exact
@@ -234,16 +223,20 @@ def algorithm_affine(
     first one in the first attempt, otherwise a random one, occasionally
     perturbed by a random multiple of another basis cocycle.  Generic
     mixtures over the whole of Z¹ stall on the benchmark inputs, so the
-    randomness stays close to the simple candidates.
+    randomness stays close to the simple candidates.  The bracket solve of a
+    step depends on the step alone; it runs when an attempt first reaches it.
     """
     if retries < 1:
         raise ValueError("retries must be at least 1, got %r" % (retries,))
     adapted = adapted or g.adapted_basis()
+    if adapted.source != g:
+        raise ValueError("adapted basis was built for another algebra")
     fld = g.field
     table = adapted.algebra.table
     n = adapted.weights.count(1)  # a_0..a_{n-1} span a complement of [g, g]
     d = g.dim
     deepest = 0
+    solves: dict = {}  # k -> _bracket_solve for step k, shared by the attempts
     for attempt in range(retries):
         rng = random.Random(seed * 1_000_003 + attempt)
         # row maps of psi(a_0), psi(a_1), ...: psi(a_0) maps e_0 to e_1, and
@@ -254,7 +247,9 @@ def algorithm_affine(
                 raise AffineTimeout("affine run exceeded its deadline")
             k = i + 1  # generators a_0..a_i, acting on K^k
             rows.append({})
-            basis = _cocycles(fld, table, rows, n)
+            if k not in solves:
+                solves[k] = _bracket_solve(fld, table, k, min(n, k))
+            basis = _cocycles(fld, solves[k], rows, n)
             lo = i * k  # delta(a_i) is stacked last, at lo..k*k-1
             candidates = [r for r in basis if max(r) >= lo]
             if not candidates:
@@ -271,10 +266,7 @@ def algorithm_affine(
                     for _ in range(_MIX_ATTEMPTS):
                         extra = basis[rng.randrange(len(basis))]
                         f = fld.random_scalar(rng)
-                        acc = dict(delta)
-                        for c, y in extra.items():
-                            acc[c] = acc.get(c, 0) + f * y
-                        mixed = fld.clean(acc)
+                        mixed = combine(fld, {0: fld.one, 1: f}, {0: delta, 1: extra})
                         if mixed and max(mixed) >= lo:
                             delta = mixed
                             break

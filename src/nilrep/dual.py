@@ -8,10 +8,10 @@ x . f = -(action of x)^T f.  The module action of x is minus the right
 multiplication by x, so this is the transposed right multiplication,
 (x.f)(a) = f(a x).
 
-Both the spin and the read-off run on ints.  ``Field.integral_maps`` scales
-each transpose R_i^T by the lcm lambda_i of its denominators; an image then
-spans the same line, so the spin's pivots, queue and subspace are those of
-the rational action.
+Both the spin (``linalg.closure`` of the psi_i) and the read-off run on
+ints.  ``Field.integral_maps`` scales each transpose R_i^T by the lcm
+lambda_i of its denominators; an image then spans the same line, so the
+spin's pivots, queue and subspace are those of the rational action.
 The read-off applies the integer transposes to the stored primitive basis
 rows and divides each coordinate once by lambda_i times the row's pivot
 entry (``Field.divided``; over F_p both are 1).
@@ -19,11 +19,10 @@ entry (``Field.divided``; over F_p both are 1).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from .liealg import LieAlgebra
-from .linalg import SparseMatrix, Subspace, lincomb
+from .linalg import SparseMatrix, closure, lincomb
 from .regular import PrunedModule, build_pruned_module
 from .representation import Representation
 
@@ -54,41 +53,14 @@ def center_dual_generators(module: PrunedModule) -> list:
     return gens
 
 
-def spin_submodule(module: PrunedModule, generators: list, duals: list) -> Subspace:
-    """Closure of the generators under all basis-vector actions, echelonised.
-
-    A vector that enlarges the span is queued as a multiple of its residual
-    against it, the new basis row in primitive form (over Q an integer
-    vector); the queued rows span the submodule, so only their images are
-    sifted in turn, under the integer actions ``duals = dual_action_matrices(module)``.
-    """
-    basis = Subspace(module.algebra.field, module.dim)
-    queue = deque()
-
-    def sift(vec):
-        piv = basis.add(vec)
-        if piv is not None:
-            queue.append(basis.primitive_row(piv))
-
-    for gen in generators:
-        sift(gen)
-    while queue:
-        f = queue.popleft()
-        for mat, _lam in duals:
-            img = mat.apply_sparse(f)
-            if img:
-                sift(img)
-    return basis
-
-
 def algorithm_dual(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Representation:
-    """Dual: prune as in Regular, then spin psi_1..psi_r and read off the action."""
+    """Dual: prune as in Regular, spin psi_1..psi_r (``linalg.closure``), read off the action."""
     module = module or build_pruned_module(g)
     if module.algebra != g:
         raise ValueError("module was built for another algebra")
     fld = g.field
     duals = dual_action_matrices(module)
-    basis = spin_submodule(module, center_dual_generators(module), duals)
+    basis = closure(fld, module.dim, center_dual_generators(module), [mat for mat, _lam in duals])
     k = basis.dim
     pivots = basis.pivots
     pos = {pc: t for t, pc in enumerate(pivots)}

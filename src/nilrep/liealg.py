@@ -9,12 +9,11 @@ quotients by ideals, and the second Betti number.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .fields import Field
-from .linalg import SparseMatrix, Subspace, coordinate_projection, invert, relations
+from .linalg import SparseMatrix, Subspace, closure, combine, coordinate_projection, invert, relations
 
 
 class NotNilpotentError(ValueError):
@@ -121,11 +120,7 @@ class LieAlgebra:
     def center(self) -> Subspace:
         """{z : [z, x] = 0 for all x}, the relations among the adjoint maps:
         sum_i z_i ad(x_i) = ad(z) = 0."""
-        ad: list = [{} for _ in range(self.dim)]  # column maps, ad(x_i) e_j = [x_i, x_j]
-        for (i, j), terms in self.table.items():
-            ad[i][j] = terms
-            ad[j][i] = {k: self.field.neg(c) for k, c in terms.items()}
-        return relations(self.field, ad)
+        return relations(self.field, [ad.cols for ad in _adjoint(self)])
 
     def rewritten(self, vectors, proj: SparseMatrix) -> "LieAlgebra":
         """The algebra on basis b_t = ``vectors[t]`` (sparse vectors) with
@@ -175,25 +170,29 @@ def _derived(g: LieAlgebra) -> Subspace:
     return derived
 
 
+def _adjoint(g: LieAlgebra) -> list:
+    """The SparseMatrix ad(x_i) of every basis vector: ad(x_i) e_j = [x_i, x_j]."""
+    fld, d = g.field, g.dim
+    ad = [SparseMatrix(fld, d, d) for _ in range(d)]
+    for (i, j), terms in g.table.items():
+        ad[i].cols[j] = terms
+        ad[j].cols[i] = {k: fld.neg(c) for k, c in terms.items()}
+    return ad
+
+
 def _generators(g: LieAlgebra) -> tuple:
     """``(g², V)``: ``_derived(g)`` and the unit vectors V off its pivot
     columns, a complement.  In a nilpotent g every complement of g²
-    generates g, so raise NotNilpotentError unless the ad(V)-closure of V,
-    built layer by layer, is all of g."""
+    generates g, so raise NotNilpotentError unless ``linalg.closure`` of V
+    under ad(V), the subalgebra V generates, is all of g."""
     fld, d = g.field, g.dim
     derived = _derived(g)
     gens = [{j: fld.one} for j in range(d) if j not in derived.sparse]
-    generated = Subspace(fld, d)
-    todo = deque(v for v in gens if generated.add(v) is not None)
-    while todo and generated.dim < d:
-        x = todo.popleft()
-        for v in gens:
-            entry = _bracket(g, x, v)
-            if entry and generated.add(entry) is not None:
-                todo.append(entry)
-    if generated.dim < d:
+    ad = _adjoint(g)
+    generated = closure(fld, d, gens, [ad[j] for v in gens for j in v]).dim
+    if generated < d:
         raise NotNilpotentError("the complement of [g, g] generates a subalgebra of "
-                                "dimension %d < %d" % (generated.dim, d))
+                                "dimension %d < %d" % (generated, d))
     return derived, gens
 
 
@@ -213,7 +212,7 @@ class AdaptedBasis:
     coordinates, non-decreasing in weight, and ``inverse`` the sparse rows of
     the inverse matrix; ``weights[k]`` is the largest m with the k-th vector
     in g^m; ``central_flags[k]`` marks vectors that lie in Z(g).
-    ``algebra`` is the input algebra rewritten in this basis.
+    ``algebra`` is the input algebra ``source`` rewritten in this basis.
     """
 
     matrix: tuple
@@ -221,6 +220,7 @@ class AdaptedBasis:
     weights: tuple
     central_flags: tuple
     algebra: LieAlgebra
+    source: LieAlgebra
 
     @property
     def nilpotency_class(self) -> int:
@@ -268,18 +268,17 @@ def _adapted_basis(g: LieAlgebra) -> AdaptedBasis:
     # column k of to_new is row k of the inverse, so to_new maps a vector in
     # original coordinates to its coordinates on the new basis
     to_new = SparseMatrix(fld, g.dim, g.dim, dict(enumerate(inverse)))
-    return AdaptedBasis(matrix, inverse, weights, flags, g.rewritten(matrix, to_new))
+    return AdaptedBasis(matrix, inverse, weights, flags, g.rewritten(matrix, to_new), g)
 
 
 def _central_part(center: Subspace, gm: Subspace) -> Subspace:
     """Z(g) ∩ g^m: the sums Σ y_r z_r over the echelon rows z_r of ``center``
     for the relations y among their residuals against ``gm``, since a vector
     lies in g^m exactly when its residual vanishes."""
-    fld, rows = center.field, list(center.sparse.values())
-    combine = SparseMatrix(fld, center.ambient, len(rows), dict(enumerate(rows)))
+    fld, rows = center.field, dict(enumerate(center.sparse.values()))
     out = Subspace(fld, center.ambient)
-    for y in relations(fld, [{0: gm.reduce(z)} for z in rows]).sparse.values():
-        out.add(combine.apply_sparse(y))
+    for y in relations(fld, [{0: gm.reduce(z)} for z in rows.values()]).sparse.values():
+        out.add(combine(fld, y, rows))
     return out
 
 

@@ -12,21 +12,25 @@ echelon bookkeeping.  ``sparse`` is still the canonical rational RREF and
 format.  A ``Subspace`` answers membership and residuals and computes
 kernels.  On it build ``coordinate_projection`` (a vector reduced against
 the span of some rows, relabelled onto a coordinate complement),
-``relations`` (the linear relations among matrices) and ``invert``, which
+``relations`` (the linear relations among matrices), ``closure`` (the
+smallest subspace holding some vectors and stable under some matrices:
+Dual's spin and the check that generators generate) and ``invert``, which
 reads an inverse off the tag columns of ``[A | I]``.  Neither a complement
 nor an intersection needs a helper: the echelon rows of a subspace that
 enlarge a ``Subspace`` as they are sifted in span a complement and are
 echelon themselves, and the vectors of a subspace that lie in another are
 the relations among their residuals against it.
 Enveloping-algebra actions and representations are column-oriented
-``SparseMatrix`` objects.  Every sum of matrices is one ``lincomb`` pass, and
-``is_nilpotent`` peels the acyclic ends off a matrix's support before it
-runs any arithmetic on what is left.  Dense matrices exist only in the file
-format (``fileio``).
+``SparseMatrix`` objects.  Every sparse sum of vectors is one ``combine``
+(a matrix applied to a vector among them), every sum of matrices one
+``lincomb`` pass, and ``is_nilpotent`` peels the acyclic ends off a matrix's
+support before it runs any arithmetic on what is left.  Dense matrices exist
+only in the file format (``fileio``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
@@ -224,6 +228,42 @@ def relations(field: Field, maps: Sequence[dict]) -> Subspace:
     return constraints.kernel()
 
 
+def closure(field: Field, n: int, seeds, maps: Sequence["SparseMatrix"]) -> Subspace:
+    """The smallest subspace of K^n holding the sparse ``seeds`` and stable
+    under the square ``maps``, echelonised: a vector that enlarges the span
+    is queued as its new basis row in primitive form (over Q an integer
+    vector); the queued rows span the closure, so only their images are
+    sifted in turn."""
+    basis = Subspace(field, n)
+    queue = deque()
+
+    def sift(vec):
+        piv = basis.add(vec)
+        if piv is not None:
+            queue.append(basis.primitive_row(piv))
+
+    for seed in seeds:
+        sift(seed)
+    while queue:
+        f = queue.popleft()
+        for mat in maps:
+            img = mat.apply_sparse(f)
+            if img:
+                sift(img)
+    return basis
+
+
+def combine(field: Field, coeffs: dict, vectors: dict) -> dict:
+    """sum_p coeffs[p] vectors[p] of sparse vectors over the p that ``vectors`` holds, cleaned."""
+    acc: dict = {}
+    for p, x in coeffs.items():
+        vec = vectors.get(p)
+        if vec:
+            for c, y in vec.items():
+                acc[c] = acc.get(c, 0) + x * y
+    return field.clean(acc)
+
+
 def invert(rows: Sequence[dict], field: Field) -> tuple:
     """Inverse of a square matrix given by sparse rows, as a tuple of sparse rows.
 
@@ -278,14 +318,7 @@ class SparseMatrix:
 
     def apply_sparse(self, vec: dict) -> dict:
         """Image of a sparse column vector ``{row: value}``."""
-        out: dict[int, object] = {}
-        for j, f in vec.items():
-            col = self.cols.get(j)
-            if not col:
-                continue
-            for i, x in col.items():
-                out[i] = out.get(i, 0) + f * x
-        return self.field.clean(out)
+        return combine(self.field, vec, self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):

@@ -150,8 +150,11 @@ def _module_action(fld, basis_inverse, right_matrices) -> list:
 
 
 def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -> PrunedModule:
-    """Enumerate monomials of weight <= c and prune; reproduces the table dimensions."""
+    """Enumerate monomials of weight <= c and prune; reproduces the table dimensions.
+    Raises ValueError when ``adapted`` was built for another algebra."""
     adapted = adapted or g.adapted_basis()
+    if adapted.source != g:
+        raise ValueError("adapted basis was built for another algebra")
     uea, central_ids, basis_inverse = _reversed_model(adapted)
     products = uea.right_products()
     state = prune(uea, central_ids, products)

@@ -11,6 +11,7 @@ from nilrep.affine import (
     AffineFail,
     AffineTimeout,
     _assert_faithful,
+    _bracket_solve,
     _cocycles,
     algorithm_affine,
 )
@@ -42,14 +43,20 @@ def dense_rows(rows, ambient):
 # cocycle spaces
 
 
+def cocycles(fld, table, rows, n):
+    """``_cocycles`` of one step, with the bracket solve of ``table`` for it."""
+    k = len(rows)
+    return _cocycles(fld, _bracket_solve(fld, table, k, min(n, k)), rows, n)
+
+
 def test_cocycles_one_dim_abelian():
-    Z = _cocycles(QQ, {}, row_maps([[[Q0]]]), 1)
+    Z = cocycles(QQ, {}, row_maps([[[Q0]]]), 1)
     assert len(Z) == 1  # all linear maps K -> K^1
 
 
 def test_cocycles_two_dim_abelian_zero_module():
     zero = [[Q0, Q0], [Q0, Q0]]
-    Z = _cocycles(QQ, {}, row_maps([zero, zero]), 2)
+    Z = cocycles(QQ, {}, row_maps([zero, zero]), 2)
     assert len(Z) == 4  # every linear map g -> K^2 is a cocycle
 
 
@@ -64,7 +71,7 @@ def test_cocycles_heisenberg_step(heis):
     # extend the 2-dim abelian image to the full Heisenberg algebra: with the
     # 3x3 faithful module of g/<z>, some cocycle takes a nonzero value on a_3
     ab = heis.adapted_basis()
-    Z = _cocycles(QQ, ab.algebra.table, row_maps(HEIS_STEP), 2)
+    Z = cocycles(QQ, ab.algebra.table, row_maps(HEIS_STEP), 2)
     m = 3
     assert any(any(x != 0 for x in row[2 * m:3 * m]) for row in dense_rows(Z, m * m))
 
@@ -73,7 +80,7 @@ def test_cocycles_drop_the_bracket_terms_past_the_quotient(heis):
     # on a_1, a_2 alone [a_1, a_2] = a_3 is dropped: Z¹ of the abelian plane
     table = heis.adapted_basis().algebra.table
     zero = [[Q0, Q0], [Q0, Q0]]
-    assert _cocycles(QQ, table, row_maps([zero, zero]), 2) == _cocycles(
+    assert cocycles(QQ, table, row_maps([zero, zero]), 2) == cocycles(
         QQ, {}, row_maps([zero, zero]), 2)
 
 
@@ -81,7 +88,7 @@ def test_every_kernel_vector_satisfies_cocycle_identity(heis):
     ab = heis.adapted_basis()
     rho = HEIS_STEP
     q = ab.algebra
-    Z = _cocycles(QQ, q.table, row_maps(rho), 2)
+    Z = cocycles(QQ, q.table, row_maps(rho), 2)
     assert len(Z) > 0
     m = 3
     for row in dense_rows(Z, m * m):
@@ -125,11 +132,12 @@ def canonical_rows(rows):
             for row in rows]
 
 
-def checked_against_all_pairs_cocycles(steps):
+def checked_against_all_pairs_cocycles(steps, table):
     """A stand-in for ``_cocycles`` that asserts, at every step, the same
-    canonical rows as ``all_pairs_cocycles`` and records the step's k."""
-    def checked(fld, table, rows, n):
-        Z = _cocycles(fld, table, rows, n)
+    canonical rows as ``all_pairs_cocycles`` on the adapted ``table`` and
+    records the step's k."""
+    def checked(fld, solve, rows, n):
+        Z = _cocycles(fld, solve, rows, n)
         reference = all_pairs_cocycles(fld, table, rows).sparse
         assert canonical_rows(Z) == canonical_rows(reference.values())
         assert [min(row) for row in Z] == list(reference)
@@ -176,7 +184,8 @@ def test_cocycles_match_the_all_pairs_builder(monkeypatch, g, seed, retries):
     # rows of the solve over all k² unknowns and every pair, entry types and
     # pivot order included, at every step of seeded runs
     steps = []
-    monkeypatch.setattr(affine, "_cocycles", checked_against_all_pairs_cocycles(steps))
+    monkeypatch.setattr(affine, "_cocycles",
+                        checked_against_all_pairs_cocycles(steps, g.adapted_basis().algebra.table))
     res = algorithm_affine(g, seed=seed, retries=retries)
     assert steps[0] == 2
     if not isinstance(res, AffineFail):
@@ -202,7 +211,8 @@ def test_rebased_runs_match_the_all_pairs_builder(name, basis_seed, seed):
     g = rebased(REBASED_SOURCES[name], basis_seed)
     steps = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(affine, "_cocycles", checked_against_all_pairs_cocycles(steps))
+        patch.setattr(affine, "_cocycles",
+                      checked_against_all_pairs_cocycles(steps, g.adapted_basis().algebra.table))
         res = algorithm_affine(g, seed=seed, retries=2)
     assert steps
     if isinstance(res, AffineFail):
@@ -221,7 +231,7 @@ def test_rebased_runs_match_the_all_pairs_builder(name, basis_seed, seed):
 ], ids=["cyclic_module", "bracket_on_a_generator", "bracket_span_too_small"])
 def test_cocycles_reject_what_the_level_solve_cannot_use(table, rows, n, message):
     with pytest.raises(RuntimeError, match=message):
-        _cocycles(QQ, table, rows, n)
+        cocycles(QQ, table, rows, n)
 
 
 def test_n34_affine_makes_few_subspace_adds(monkeypatch):
@@ -450,6 +460,34 @@ def test_run_table_computes_one_adapted_basis_per_row(monkeypatch):
 def test_affine_with_a_given_adapted_basis_is_unchanged(heis):
     given = algorithm_affine(heis, seed=3, retries=10, adapted=heis.adapted_basis())
     assert given.matrices == algorithm_affine(heis, seed=3, retries=10).matrices
+
+
+def test_affine_rejects_an_adapted_basis_of_another_algebra(heis):
+    # U_3's adapted basis used to give a dim-4 representation of the
+    # Heisenberg algebra that fails the homomorphism check at (0, 1); the
+    # basis of an equal algebra built separately is accepted
+    with pytest.raises(ValueError, match="another algebra"):
+        algorithm_affine(heis, adapted=catalog.upper_triangular(3, QQ).adapted_basis())
+    adapted = catalog.heisenberg(QQ).adapted_basis()
+    assert adapted.source is not heis
+    rep = algorithm_affine(heis, seed=3, retries=10, adapted=adapted)
+    assert rep.dim == 4 and verify_report(rep)["ok"]
+
+
+def test_affine_solves_each_steps_brackets_once_per_call(monkeypatch, f13):
+    # the attempts reach steps 1..7 and used to solve k = 2..8 at every step
+    # of every attempt
+    ks = []
+    solve = affine._bracket_solve
+
+    def counted(fld, table, k, g):
+        ks.append(k)
+        return solve(fld, table, k, g)
+
+    monkeypatch.setattr(affine, "_bracket_solve", counted)
+    res = algorithm_affine(f13, seed=1, retries=3)
+    assert isinstance(res, AffineFail) and res.attempts == 3
+    assert ks == list(range(2, res.deepest_step + 2))
 
 
 def stacked_span_dim(fld, maps, size):

@@ -7,12 +7,8 @@ import pytest
 from helpers import rebased, span
 from nilrep.fields import GF, QQ, rational
 from nilrep import dual
-from nilrep.dual import (
-    algorithm_dual,
-    center_dual_generators,
-    dual_action_matrices,
-    spin_submodule,
-)
+from nilrep.dual import algorithm_dual, center_dual_generators, dual_action_matrices
+from nilrep.linalg import closure
 from nilrep.quotient import algorithm_quotient
 from nilrep.regular import algorithm_regular, build_pruned_module
 from nilrep.representation import (
@@ -34,6 +30,11 @@ def heis_module(heis):
     # monomials, with inactive monomials read as zero: 1*y = 0, 1*x = x,
     # 1*z = z, x*y = x1x2 + [x2, x1] = z, x*x = x*z = 0, z*anything = 0.
     return build_pruned_module(heis)
+
+
+def spin(m, gens):
+    """The Dual spin: the closure of ``gens`` under the integer actions."""
+    return closure(m.algebra.field, m.dim, gens, [mat for mat, _lam in dual_action_matrices(m)])
 
 
 def _pos(module, mono):
@@ -65,12 +66,12 @@ def test_spin_heisenberg_from_psi_z(heis_module):
     m = heis_module
     gens = center_dual_generators(m)
     assert len(gens) == 1
-    basis = spin_submodule(m, gens, dual_action_matrices(m))
+    basis = spin(m, gens)
     assert basis.dim == 3  # spans psi_z, psi_x, psi_1
 
 
 def test_spin_empty_generators(heis_module):
-    assert spin_submodule(heis_module, [], dual_action_matrices(heis_module)).dim == 0
+    assert spin(heis_module, []).dim == 0
 
 
 def test_spin_abelian_direct_action():
@@ -78,7 +79,7 @@ def test_spin_abelian_direct_action():
     module = build_pruned_module(g)
     gens = center_dual_generators(module)
     assert len(gens) == 2
-    basis = spin_submodule(module, gens, dual_action_matrices(module))
+    basis = spin(module, gens)
     # 1*z_i = z_i is the only nonzero product (c = 1), so z_i . psi_{z_i} = psi_1
     # is the only action: span{psi_1, psi_{z_1}, psi_{z_2}}
     assert basis.dim == 3
@@ -87,7 +88,7 @@ def test_spin_abelian_direct_action():
 def test_spin_of_f13_stores_integral_entries_as_ints(f13):
     # the normalised kernel left one Fraction(-32256, 1) in this basis
     module = build_pruned_module(f13)
-    basis = spin_submodule(module, center_dual_generators(module), dual_action_matrices(module))
+    basis = spin(module, center_dual_generators(module))
     assert basis.dim == 43
     entries = [x for row in basis.sparse.values() for x in row.values()]
     assert all(type(x) is int for x in entries if x.denominator == 1)
@@ -101,12 +102,12 @@ def test_center_dual_generators_reject_pruned_central_monomial(heis_module):
 
 
 def test_algorithm_dual_rejects_unclosed_spin(heis, monkeypatch):
-    def generators_only(module, gens, duals):
+    def generators_only(field, n, gens, maps):
         # span{psi_z} is not closed under the action: y . psi_z = psi_x
-        vecs = [[gen.get(t, rational(0)) for t in range(module.dim)] for gen in gens]
-        return span(QQ, module.dim, vecs)
+        vecs = [[gen.get(t, rational(0)) for t in range(n)] for gen in gens]
+        return span(field, n, vecs)
 
-    monkeypatch.setattr(dual, "spin_submodule", generators_only)
+    monkeypatch.setattr(dual, "closure", generators_only)
     with pytest.raises(RuntimeError, match="spin closure failed"):
         algorithm_dual(heis)
 
@@ -154,7 +155,7 @@ def test_dual_annihilated_space_is_psi0(heis):
     assert S.dim == 1
     # the annihilated functional is psi_0: value 1 on the monomial 1, and the
     # spin basis coordinates of psi_0 must reproduce that single basis row
-    basis = spin_submodule(module, center_dual_generators(module), dual_action_matrices(module))
+    basis = spin(module, center_dual_generators(module))
     unit_pos = list(module.state.active).index(module.uea.unit)
     assert not basis.reduce({unit_pos: Q1})  # psi_0 lies in the spin
     # on an RREF basis a member's coordinates are its entries at the pivots

@@ -61,7 +61,7 @@ def per_layer_adapted_basis(g):
     inverse = invert(matrix, fld)
     to_new = SparseMatrix(fld, g.dim, g.dim, dict(enumerate(inverse)))
     return AdaptedBasis(matrix, inverse, tuple(m for (m, _v, _z) in ordered),
-                        tuple(z for (_m, _v, z) in ordered), g.rewritten(matrix, to_new))
+                        tuple(z for (_m, _v, z) in ordered), g.rewritten(matrix, to_new), g)
 
 
 def check_against_references(g):
@@ -70,7 +70,7 @@ def check_against_references(g):
         assert liealg._central_part(center, gm).sparse == intersect(center, gm).sparse
     adapted = g.adapted_basis()
     reference = per_layer_adapted_basis(g)
-    for name in ("matrix", "inverse", "weights", "central_flags", "algebra"):
+    for name in ("matrix", "inverse", "weights", "central_flags", "algebra", "source"):
         assert getattr(adapted, name) == getattr(reference, name), name
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(liealg, "_central_part", intersect)

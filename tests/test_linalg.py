@@ -9,6 +9,8 @@ from nilrep.fields import GF, QQ, rational
 from nilrep.linalg import (
     SparseMatrix,
     Subspace,
+    closure,
+    combine,
     coordinate_projection,
     invert,
     is_nilpotent,
@@ -347,6 +349,55 @@ def test_lincomb_matches_the_dense_sum(field, mats, data):
     assert lincomb(field, {len(mats): field.one, 0: field.one}, terms).cols == {}
     with pytest.raises(ValueError, match="shape mismatch"):
         lincomb(field, {0: field.one, 1: field.one}, [terms[0], SparseMatrix(field, 3, 5)])
+
+
+def sparse_vec(row):
+    return {j: x for j, x in enumerate(row) if x != 0}
+
+
+def fixpoint(field, n, seeds, dense_maps):
+    """The closure as a plain fixpoint: every image of every basis row,
+    multiplied out densely, sifted in until the dimension stops growing."""
+    space = Subspace(field, n)
+    for v in seeds:
+        space.add(v)
+    while True:
+        dim = space.dim
+        for row in list(space.sparse.values()):
+            for mat in dense_maps:
+                space.add(sparse_vec([sum((mat[i][j] * x for j, x in row.items()), field.zero)
+                                      for i in range(n)]))
+        if space.dim == dim:
+            return space
+
+
+@given(FIELDS, st.integers(1, 5), st.data())
+def test_closure_matches_the_plain_fixpoint(field, n, data):
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    dense_maps = [in_field(field, rows) for rows in data.draw(st.lists(square, max_size=3))]
+    seeds = [sparse_vec(row) for row in in_field(field, data.draw(matrices((0, 3), n)))]
+    got = closure(field, n, seeds, [from_dense(field, rows) for rows in dense_maps])
+    assert got.sparse == fixpoint(field, n, seeds, dense_maps).sparse
+
+
+def test_closure_of_no_seeds_or_no_maps():
+    shift = from_dense(QQ, qmat([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))  # e_0 -> e_1 -> e_2
+    assert closure(QQ, 3, [], [shift]).dim == 0
+    assert closure(QQ, 3, [{0: Q1}], []).sparse == {0: {0: Q1}}
+    assert closure(QQ, 3, [{0: Q1}], [shift]).dim == 3
+
+
+@given(FIELDS, matrices((0, 4), 4), st.dictionaries(st.integers(0, 5), st.integers(-3, 3)))
+def test_combine_matches_the_dense_sum(field, rows, drawn):
+    dense = in_field(field, rows)
+    coeffs = {p: field.from_int(c) for p, c in drawn.items()}  # p past the rows is skipped
+    want = [field.canon(sum((c * dense[p][j] for p, c in coeffs.items() if p < len(dense)),
+                            field.zero)) for j in range(4)]
+    got = combine(field, coeffs, dict(enumerate(sparse_vec(row) for row in dense)))
+    assert got == sparse_vec(want)
+    assert all(x == field.canon(x) != 0 for x in got.values())
+    assert combine(field, {}, {0: {0: field.one}}) == combine(field, {0: field.one}, {}) == {}
 
 
 def test_sparse_matrix_equality_ignores_stored_zeros():

@@ -120,6 +120,17 @@ def test_algorithm_regular_rejects_a_module_of_another_algebra():
     assert module.algebra is not heis and algorithm_regular(heis, module=module).dim == 3
 
 
+def test_build_pruned_module_rejects_an_adapted_basis_of_another_algebra():
+    # U_4's adapted basis used to give six 7 x 7 matrices for the Heisenberg
+    # algebra; the basis of an equal algebra built separately is accepted
+    heis = catalog.heisenberg(QQ)
+    with pytest.raises(ValueError, match="another algebra"):
+        build_pruned_module(heis, adapted=catalog.upper_triangular(4, QQ).adapted_basis())
+    adapted = catalog.heisenberg(QQ).adapted_basis()
+    assert adapted.source is not heis
+    assert algorithm_regular(heis, module=build_pruned_module(heis, adapted=adapted)).dim == 3
+
+
 def test_pruned_le_unpruned():
     for g in (catalog.heisenberg(QQ), catalog.upper_triangular(4, QQ)):
         module = build_pruned_module(g)

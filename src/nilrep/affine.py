@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional
 
-from .liealg import AdaptedBasis, LieAlgebra
+from .liealg import LieAlgebra
 from .linalg import SparseMatrix, Subspace, combine, lincomb, relations
 from .representation import Representation
 
@@ -54,10 +54,15 @@ class AffineFail:
     attempts: int
 
 
+def _pairs(k: int, g: int) -> list:
+    """The pairs p = (j, l), j < g, j < l < k, in the order of their index p."""
+    return [(j, l) for j in range(g) for l in range(j + 1, k)]
+
+
 def _bracket_solve(fld, table: dict, k: int, g: int) -> tuple:
-    """``(pairs, ties, scale, solved)`` for the truncated brackets A_p of
-    the pairs p = (j, l), j < g, j < l < k: [a_j, a_l] without its terms on
-    a_s for s >= k.
+    """``(ties, scale, solved)`` for the truncated brackets A_p of the
+    ``_pairs(k, g)`` p = (j, l): [a_j, a_l] without its terms on a_s for
+    s >= k.
 
     A pair with A_p = 0 gives the relation e_p.  The rows (A_p | e_p) of the
     other pairs are sifted into one ``Subspace`` with a tag column per pair.
@@ -70,7 +75,7 @@ def _bracket_solve(fld, table: dict, k: int, g: int) -> tuple:
     generate: [q, q] is spanned by the brackets of the generators with q,
     and it is the span of a_g..a_{k-1}.
     """
-    pairs = [(j, l) for j in range(g) for l in range(j + 1, k)]
+    pairs = _pairs(k, g)
     space = Subspace(fld, k + len(pairs))
     ties = []
     for p, (j, l) in enumerate(pairs):
@@ -94,7 +99,7 @@ def _bracket_solve(fld, table: dict, k: int, g: int) -> tuple:
     scale = lcm(1, *(d for d, _tau in solved.values()))
     solved = {s: {p: x * (scale // d) for p, x in tau.items()}
               for s, (d, tau) in solved.items()}
-    return pairs, ties, scale, solved
+    return ties, scale, solved
 
 
 def _cocycles(fld, solve: tuple, rows: list, n: int) -> list:
@@ -141,7 +146,8 @@ def _cocycles(fld, solve: tuple, rows: list, n: int) -> list:
     """
     k = len(rows)
     g = min(n, k)
-    pairs, ties, scale, solved = solve
+    ties, scale, solved = solve
+    pairs = _pairs(k, g)
     psi, lam = fld.integral_maps(rows)
     forms: dict = {}  # t -> (sigma_t, {s: F_{t,s}}) for the rows some psi has
     last = g * k - 1
@@ -206,15 +212,13 @@ def algorithm_affine(
     seed: int = 0,
     retries: int = 10,
     deadline: Optional[float] = None,
-    adapted: Optional[AdaptedBasis] = None,
 ):
     """Try to build a faithful representation of dimension dim(g) + 1.
 
     Returns a Representation on success and an AffineFail value otherwise;
     runs are reproducible for a fixed seed.  ``deadline`` (time.monotonic
-    value) aborts cooperatively via AffineTimeout.  ``adapted`` is
-    ``g.adapted_basis()``, computed when not given.  Raises ValueError when
-    ``retries`` is below 1 or ``adapted`` was built for another algebra.
+    value) aborts cooperatively via AffineTimeout.  Raises ValueError when
+    ``retries`` is below 1.
 
     Step i adjoins a_i to the faithful module K^(i+1) of g/g_i; it fails
     when no cocycle of g/g_{i+1} is nonzero on a_i.  That verdict is exact
@@ -228,9 +232,7 @@ def algorithm_affine(
     """
     if retries < 1:
         raise ValueError("retries must be at least 1, got %r" % (retries,))
-    adapted = adapted or g.adapted_basis()
-    if adapted.source != g:
-        raise ValueError("adapted basis was built for another algebra")
+    adapted = g.adapted_basis()
     fld = g.field
     table = adapted.algebra.table
     n = adapted.weights.count(1)  # a_0..a_{n-1} span a complement of [g, g]

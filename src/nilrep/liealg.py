@@ -3,8 +3,8 @@
 A ``LieAlgebra`` stores the brackets ``[x_i, x_j]`` for i < j as sparse
 coordinate vectors ``{index: coefficient}``, the only vector format used here.
 On top of that sit the structural computations every representation algorithm
-needs: Jacobi verification, lower central series, center, weight-adapted bases,
-quotients by ideals, and the second Betti number.
+needs: Jacobi verification, lower central series, center and weight-adapted
+bases.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fields import Field
-from .linalg import SparseMatrix, Subspace, closure, combine, coordinate_projection, invert, relations
+from .linalg import SparseMatrix, Subspace, closure, combine, invert, relations
 
 
 class NotNilpotentError(ValueError):
@@ -35,7 +35,7 @@ class LieAlgebra:
     def __init__(self, field: Field, dim: int, table: dict):
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        # dim 0 only arises as the quotient of an algebra by itself
+        # dim 0 is the zero algebra, as built by abelian_algebra(field, 0)
         clean: dict = {}
         for (i, j), terms in table.items():
             if not (0 <= i < j < dim):
@@ -136,12 +136,6 @@ class LieAlgebra:
     def adapted_basis(self) -> "AdaptedBasis":
         return _adapted_basis(self)
 
-    def quotient(self, ideal: Subspace):
-        return _quotient(self, ideal)
-
-    def betti2(self) -> int:
-        return _betti2(self)
-
 
 def _bracket(g: LieAlgebra, x: dict, y: dict) -> dict:
     """[x, y] = sum over b, a of y[b] x[a] [x_a, x_b] in g, read off
@@ -162,14 +156,6 @@ def _bracket(g: LieAlgebra, x: dict, y: dict) -> dict:
     return g.field.clean(acc)
 
 
-def _derived(g: LieAlgebra) -> Subspace:
-    """g² = [g, g], the span of the table's values."""
-    derived = Subspace(g.field, g.dim)
-    for terms in g.table.values():
-        derived.add(terms)
-    return derived
-
-
 def _adjoint(g: LieAlgebra) -> list:
     """The SparseMatrix ad(x_i) of every basis vector: ad(x_i) e_j = [x_i, x_j]."""
     fld, d = g.field, g.dim
@@ -181,12 +167,15 @@ def _adjoint(g: LieAlgebra) -> list:
 
 
 def _generators(g: LieAlgebra) -> tuple:
-    """``(g², V)``: ``_derived(g)`` and the unit vectors V off its pivot
-    columns, a complement.  In a nilpotent g every complement of g²
-    generates g, so raise NotNilpotentError unless ``linalg.closure`` of V
-    under ad(V), the subalgebra V generates, is all of g."""
+    """``(g², V)``: g² = [g, g], the span of the table's values, and the unit
+    vectors V off its pivot columns, a complement.  In a nilpotent g every
+    complement of g² generates g, so raise NotNilpotentError unless
+    ``linalg.closure`` of V under ad(V), the subalgebra V generates, is all
+    of g."""
     fld, d = g.field, g.dim
-    derived = _derived(g)
+    derived = Subspace(fld, d)
+    for terms in g.table.values():
+        derived.add(terms)
     gens = [{j: fld.one} for j in range(d) if j not in derived.sparse]
     ad = _adjoint(g)
     generated = closure(fld, d, gens, [ad[j] for v in gens for j in v]).dim
@@ -280,75 +269,3 @@ def _central_part(center: Subspace, gm: Subspace) -> Subspace:
     for y in relations(fld, [{0: gm.reduce(z)} for z in rows.values()]).sparse.values():
         out.add(combine(fld, y, rows))
     return out
-
-
-# ---------------------------------------------------------------------------
-# quotients
-
-
-def _is_ideal(g: LieAlgebra, sub: Subspace) -> bool:
-    """Whether [sub, V] ⊆ sub for the generators V of ``_generators``, which
-    is [sub, g] ⊆ sub: by Jacobi, [[x, y], i] = [x, [y, i]] - [y, [x, i]], so
-    the x with [x, sub] ⊆ sub form a subalgebra, and it contains V."""
-    gens = _generators(g)[1]
-    for row in sub.sparse.values():
-        for v in gens:
-            if sub.reduce(_bracket(g, row, v)):
-                return False
-    return True
-
-
-def _quotient(g: LieAlgebra, ideal: Subspace):
-    """Quotient algebra g/ideal on the kept unit vectors of
-    ``coordinate_projection``, plus the projection as a SparseMatrix (column
-    i: the image of e_i)."""
-    if ideal.field != g.field or ideal.ambient != g.dim:
-        raise ValueError("ideal does not live in this algebra")
-    if not _is_ideal(g, ideal):
-        raise ValueError("subspace is not an ideal")
-    kept, project = coordinate_projection(g.field, g.dim, ideal.sparse.values())
-    one = g.field.one
-    proj = SparseMatrix(g.field, len(kept), g.dim,
-                        {j: col for j in range(g.dim) if (col := project({j: one}))})
-    return g.rewritten([{k: one} for k in kept], proj), proj
-
-
-# ---------------------------------------------------------------------------
-# cohomology
-
-
-def _betti2(g: LieAlgebra) -> int:
-    """dim H²(g, K) with trivial coefficients: dim Z² − dim B².
-
-    2-cochains are alternating maps Λ²g → K with coordinates ω_{ij} (i < j);
-    the cocycle condition is ω([x,y],z) + ω([y,z],x) + ω([z,x],y) = 0 and the
-    coboundary of φ ∈ g* is dφ(x,y) = −φ([x,y]).  Its kernel is the
-    annihilator of [g, g], so dim B² = dim g − dim ker d = dim [g, g], the
-    dimension of the span of the table's values.
-    """
-    fld = g.field
-    d = g.dim
-    pair_index = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            pair_index[(i, j)] = len(pair_index)
-    npairs = len(pair_index)
-
-    def add_pair(row: dict, a: int, b: int, coeff):
-        if a == b:
-            return
-        if a < b:
-            row[pair_index[(a, b)]] = row.get(pair_index[(a, b)], 0) + coeff
-        else:
-            row[pair_index[(b, a)]] = row.get(pair_index[(b, a)], 0) - coeff
-
-    conditions = Subspace(fld, npairs)
-    for i, j, k in combinations(range(d), 3):
-        row: dict = {}
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, f in _bracket(g, {a: fld.one}, {b: fld.one}).items():
-                add_pair(row, l, c, f)
-        row = fld.clean(row)
-        if row:
-            conditions.add(row)
-    return npairs - conditions.dim - _derived(g).dim

@@ -115,9 +115,9 @@ def table_rows(which: int) -> list:
     raise ValueError("table must be 1, 2 or 3")
 
 
-def _affine_column(g, expected, seed, retries, timeout, notes, adapted=None):
+def _affine_column(g, expected, seed, retries, timeout, notes):
     """(computed, reference, status) for an Affine cell, for an Affine reference
-    as in ``table_rows``; ``adapted`` is passed on to ``algorithm_affine``.
+    as in ``table_rows``.
 
     A verified success of dimension dim(g)+1 is MATCH even on rows where the
     reference experiments failed, and SURPRISE where a conjecture says it cannot
@@ -127,8 +127,7 @@ def _affine_column(g, expected, seed, retries, timeout, notes, adapted=None):
     reference_failed = not isinstance(expected, int)
     deadline = None if timeout is None else time.monotonic() + timeout
     try:
-        res = algorithm_affine(g, seed=seed, retries=retries, deadline=deadline,
-                               adapted=adapted)
+        res = algorithm_affine(g, seed=seed, retries=retries, deadline=deadline)
     except AffineTimeout:
         if reference_failed:
             notes.append("affine timed out; the reference run also failed here")
@@ -154,22 +153,27 @@ def run_table(which: int, rows: Optional[list] = None, skip_affine: bool = False
               seed: int = 0, retries: int = 10, affine_timeout: Optional[float] = 300.0):
     """Reproduce table ``which`` (1, 2 or 3), or its ``rows`` (0-based indices).
 
-    Each row computes one adapted basis for the pruned module and Affine,
-    builds one pruned module for Regular and Dual, runs Quotient where
-    the table has that column, and verifies every result exactly; raises
-    ValueError unless ``affine_timeout`` is None or positive.
+    Each row builds one pruned module for Regular and Dual, runs Quotient
+    where the table has that column and Affine unless ``skip_affine``, and
+    verifies every result exactly.  Raises ValueError, before any row runs,
+    unless ``affine_timeout`` is None or positive and every index in ``rows``
+    is one of the table's rows.
     """
     if affine_timeout is not None and not affine_timeout > 0:
         raise ValueError("affine_timeout must be positive, got %r" % (affine_timeout,))
+    table = table_rows(which)
+    bad = sorted(set(rows or ()) - set(range(len(table))))
+    if bad:
+        raise ValueError("rows %s outside table %d's rows 0..%d"
+                         % (",".join(map(str, bad)), which, len(table) - 1))
     out = []
-    for idx, (label, build, reference, affine_ref, seconds) in enumerate(table_rows(which)):
+    for idx, (label, build, reference, affine_ref, seconds) in enumerate(table):
         if rows is not None and idx not in rows:
             continue
         t0 = time.monotonic()
         notes = []
         g = build()
-        adapted = g.adapted_basis()
-        module = build_pruned_module(g, adapted=adapted)
+        module = build_pruned_module(g)
         reps = {"regular": algorithm_regular(g, module=module),
                 "dual": algorithm_dual(g, module=module)}
         if "quotient" in reference:
@@ -182,8 +186,7 @@ def run_table(which: int, rows: Optional[list] = None, skip_affine: bool = False
         columns = {name: (computed[name], ref, "MATCH" if computed[name] == ref else "DIFF")
                    for name, ref in reference.items()}
         if not skip_affine:
-            columns["affine"] = _affine_column(g, affine_ref, seed, retries, affine_timeout,
-                                               notes, adapted)
+            columns["affine"] = _affine_column(g, affine_ref, seed, retries, affine_timeout, notes)
         out.append(RowResult(which, label, columns, verified, time.monotonic() - t0,
                              seconds, notes))
     return out

@@ -1,21 +1,25 @@
 """Helpers that only the tests use: dense matrices, matrix products,
-subspace intersections, plain JSON files and generated nilpotent algebras.
+subspace intersections, quotient algebras, the second Betti number, plain
+JSON files and generated nilpotent algebras.
 
 The package holds matrices and subspaces sparse and writes representation
 files itself; tests state small matrices and spans densely, check matrix
 identities through products, intersect subspaces by Zassenhaus' method,
-and save algebra objects, sometimes corrupted on purpose, as ordinary JSON.
+build quotients by ideals and central extensions by 2-cocycles to generate
+inputs, check b2(f_n) = 2, and save algebra objects, sometimes corrupted on
+purpose, as ordinary JSON.
 """
 
 import json
 import random
+from itertools import combinations
 
 from hypothesis import strategies as st
 
 from nilrep import catalog
 from nilrep.fields import GF, QQ, Field
-from nilrep.liealg import LieAlgebra
-from nilrep.linalg import SparseMatrix, Subspace, invert
+from nilrep.liealg import LieAlgebra, _generators
+from nilrep.linalg import SparseMatrix, Subspace, combine, coordinate_projection, invert
 
 
 def to_dense(mat: SparseMatrix) -> list:
@@ -87,6 +91,66 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return out
 
 
+def quotient(g: LieAlgebra, ideal: Subspace) -> tuple:
+    """The quotient algebra g/ideal on the kept unit vectors of
+    ``coordinate_projection``, and the projection as a SparseMatrix (column
+    i: the image of e_i).
+
+    Raises ValueError unless [ideal, V] ⊆ ideal for the generators V of
+    ``_generators``, which is [ideal, g] ⊆ ideal: by Jacobi,
+    [[x, y], i] = [x, [y, i]] - [y, [x, i]], so the x with [x, ideal] ⊆ ideal
+    form a subalgebra, and it contains V.
+    """
+    if ideal.field != g.field or ideal.ambient != g.dim:
+        raise ValueError("ideal does not live in this algebra")
+    gens = _generators(g)[1]
+    if any(ideal.reduce(g.bracket(row, v)) for row in ideal.sparse.values() for v in gens):
+        raise ValueError("subspace is not an ideal")
+    kept, project = coordinate_projection(g.field, g.dim, ideal.sparse.values())
+    one = g.field.one
+    proj = SparseMatrix(g.field, len(kept), g.dim,
+                        {j: col for j in range(g.dim) if (col := project({j: one}))})
+    return g.rewritten([{k: one} for k in kept], proj), proj
+
+
+def two_cocycle_conditions(g: LieAlgebra) -> tuple:
+    """``(pairs, conditions)``: ``pairs[(i, j)]`` for i < j is the coordinate
+    of ω_ij in a 2-cochain ω, and ``conditions`` spans the cocycle conditions
+    ω([x_i, x_j], x_k) + ω([x_j, x_k], x_i) + ω([x_k, x_i], x_j) = 0 over the
+    triples i < j < k, so that Z² is its kernel."""
+    fld, d = g.field, g.dim
+    pairs = {p: t for t, p in enumerate((i, j) for i in range(d) for j in range(i + 1, d))}
+    conditions = Subspace(fld, len(pairs))
+    for i, j, k in combinations(range(d), 3):
+        row: dict = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, f in g.bracket({a: fld.one}, {b: fld.one}).items():
+                if l != c:
+                    key, sign = (pairs[(l, c)], 1) if l < c else (pairs[(c, l)], -1)
+                    row[key] = row.get(key, 0) + sign * f
+        row = fld.clean(row)
+        if row:
+            conditions.add(row)
+    return pairs, conditions
+
+
+def betti2(g: LieAlgebra) -> int:
+    """dim H²(g, K) with trivial coefficients: dim Z² − dim B², with B²
+    spanned by the coboundaries dx_l^* = −x_l^*([·, ·]), for each l the row
+    of −c_{ij}^l over the pairs i < j, sifted in order."""
+    fld = g.field
+    pairs, conditions = two_cocycle_conditions(g)
+    b2 = Subspace(fld, len(pairs))
+    for l in range(g.dim):
+        row = {}
+        for (i, j), terms in g.table.items():
+            if l in terms:
+                row[pairs[(i, j)]] = fld.neg(terms[l])
+        if row:
+            b2.add(row)
+    return len(pairs) - conditions.dim - b2.dim
+
+
 def save_json(obj: dict, path: str):
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
@@ -105,22 +169,26 @@ def rebased(g: LieAlgebra, seed: int) -> LieAlgebra:
 
 @st.composite
 def free_nilpotent_quotients(draw):
-    """N_{n,c} over Q, F_2 or F_3 modulo the ideal generated by random
-    combinations of its degree-k Hall basis vectors, through
-    ``LieAlgebra.quotient``; the ideal is the closure of their span under
-    the brackets with the degree-one vectors."""
-    field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
-    n, c = draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]))
+    """N_{n,c} over Q, F_2 or F_3 modulo the ideal generated by one to three
+    random combinations of Hall basis vectors, each of one degree k >= 2 of
+    its own, through ``quotient``; the ideal is the closure of their span
+    under the brackets with the degree-one vectors.  A drawn seed makes
+    every choice, so that the derandomized examples spread over the shapes
+    rather than repeat the smallest draws, and k >= 3 for n = 2, where the
+    degree-2 layer is one line and would generate all of g²."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    field = rng.choice([QQ, GF(2), GF(3)])
+    n, c = rng.choice([(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (4, 2), (5, 2)])
     g = catalog.free_nilpotent(n, c, field)
     one = field.one
     series = g.lower_central_series()
     degree = [sum(1 for gm in series if not gm.reduce({i: one})) for i in range(g.dim)]
-    k = draw(st.integers(2, c))
-    layer = [i for i in range(g.dim) if degree[i] == k]
     ideal = Subspace(field, g.dim)
     todo = []
-    for _ in range(draw(st.integers(1, 2))):
-        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(layer), max_size=len(layer)))
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(3 if n == 2 else 2, c)
+        layer = [i for i in range(g.dim) if degree[i] == k]
+        coeffs = [rng.randint(-3, 3) for _ in layer]
         vec = field.clean({i: field.from_int(x) for i, x in zip(layer, coeffs)})
         if vec and ideal.add(vec) is not None:
             todo.append(vec)
@@ -131,4 +199,24 @@ def free_nilpotent_quotients(draw):
                 y = g.bracket(x, {j: one})
                 if y and ideal.add(y) is not None:
                     todo.append(y)
-    return g.quotient(ideal)[0]
+    return quotient(g, ideal)[0]
+
+
+@st.composite
+def central_extensions(draw):
+    """A ``free_nilpotent_quotients`` algebra g extended by a central z = x_d
+    through a random 2-cocycle ω, a combination of the echelon basis of Z²
+    (the kernel of ``two_cocycle_conditions``): [x_i, x_j]' = [x_i, x_j] +
+    ω_ij z.  The cocycle conditions are the Jacobi identity of the new
+    brackets, and a central extension of a nilpotent algebra is nilpotent."""
+    g = draw(free_nilpotent_quotients())
+    fld, d = g.field, g.dim
+    pairs, conditions = two_cocycle_conditions(g)
+    z2 = dict(enumerate(conditions.kernel().sparse.values()))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    omega = combine(fld, {t: fld.from_int(rng.randint(-2, 2)) for t in z2}, z2)
+    table = {p: dict(g.table.get(p, {})) for p in pairs}
+    for p, t in pairs.items():
+        if t in omega:
+            table[p][d] = omega[t]
+    return LieAlgebra(fld, d + 1, table)

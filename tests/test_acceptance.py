@@ -18,7 +18,7 @@ import warnings
 import pytest
 
 import nilrep as nr
-from helpers import intersect
+from helpers import betti2, intersect
 from nilrep import catalog, fileio, tables
 from nilrep.liealg import _generators
 from nilrep.fields import GF, QQ
@@ -257,7 +257,7 @@ def test_criterion_6c_pfaff_identities():
 
 
 def test_criterion_6d_betti_numbers():
-    values = {n: catalog.filiform_f(n).betti2() for n in range(13, 17)}
+    values = {n: betti2(catalog.filiform_f(n)) for n in range(13, 17)}
     ok = all(v == 2 for v in values.values())
     record("6d betti2", ok, "b2(f_n) = %s" % values)
     assert ok, values

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -235,9 +236,9 @@ def test_cocycles_reject_what_the_level_solve_cannot_use(table, rows, n, message
 
 
 def test_n34_affine_makes_few_subspace_adds(monkeypatch):
-    # the Subspace builder over all k² unknowns made 20 188 adds in this run
+    # the Subspace builder over all k² unknowns made 20 188 adds in this run;
+    # the count includes the 741 adds of the adapted basis
     g = catalog.free_nilpotent(3, 4, QQ)
-    adapted = g.adapted_basis()
     calls = []
     add = Subspace.add
 
@@ -246,14 +247,13 @@ def test_n34_affine_makes_few_subspace_adds(monkeypatch):
         return add(self, row)
 
     monkeypatch.setattr(Subspace, "add", counted)
-    assert algorithm_affine(g, seed=1, retries=10, adapted=adapted).dim == 33
+    assert algorithm_affine(g, seed=1, retries=10).dim == 33
     assert len(calls) < 6_000
 
 
 def test_n34_affine_sifts_fewer_condition_rows(monkeypatch):
     # with every pair j < l and every bracket-only row, this run made 30 289 adds
     g = catalog.free_nilpotent(3, 4, QQ)
-    adapted = g.adapted_basis()
     calls = []
     add = Subspace.add
 
@@ -262,7 +262,7 @@ def test_n34_affine_sifts_fewer_condition_rows(monkeypatch):
         return add(self, row)
 
     monkeypatch.setattr(Subspace, "add", counted)
-    assert algorithm_affine(g, seed=1, retries=10, adapted=adapted).dim == 33
+    assert algorithm_affine(g, seed=1, retries=10).dim == 33
     assert len(calls) < 25_000
 
 
@@ -382,6 +382,18 @@ def test_affine_rejects_retries_below_one(heis, retries):
         tables.run_table(1, rows=[0], retries=retries)
 
 
+@pytest.mark.parametrize("which, rows, message", [
+    (3, [99], "rows 99 outside table 3's rows 0..7"),
+    (3, [-1], "rows -1 outside table 3's rows 0..7"),
+    (1, [0, 12, -2], "rows -2,12 outside table 1's rows 0..11"),
+], ids=["99", "-1", "0,12,-2"])
+def test_run_table_rejects_rows_outside_the_table(monkeypatch, which, rows, message):
+    # both single rows used to return [] without an error; row 0 must not run
+    monkeypatch.setattr(tables, "build_pruned_module", None)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tables.run_table(which, rows=rows)
+
+
 # ---------------------------------------------------------------------------
 # deadlines
 
@@ -441,37 +453,6 @@ def test_affine_column_matches_a_failure_under_the_conjecture(heis, monkeypatch)
                                  timeout=None, notes=notes)
     assert cell == ("FAIL@2", "FAIL", "MATCH")
     assert notes == []
-
-
-def test_run_table_computes_one_adapted_basis_per_row(monkeypatch):
-    computed = []
-    adapted_basis = LieAlgebra.adapted_basis
-
-    def counted(g):
-        computed.append(g.dim)
-        return adapted_basis(g)
-
-    monkeypatch.setattr(LieAlgebra, "adapted_basis", counted)
-    (row,) = tables.run_table(1, rows=[0], retries=1)
-    assert row.columns["affine"][2] == "MATCH" and row.verified
-    assert computed == [row.columns["dim"][0]]
-
-
-def test_affine_with_a_given_adapted_basis_is_unchanged(heis):
-    given = algorithm_affine(heis, seed=3, retries=10, adapted=heis.adapted_basis())
-    assert given.matrices == algorithm_affine(heis, seed=3, retries=10).matrices
-
-
-def test_affine_rejects_an_adapted_basis_of_another_algebra(heis):
-    # U_3's adapted basis used to give a dim-4 representation of the
-    # Heisenberg algebra that fails the homomorphism check at (0, 1); the
-    # basis of an equal algebra built separately is accepted
-    with pytest.raises(ValueError, match="another algebra"):
-        algorithm_affine(heis, adapted=catalog.upper_triangular(3, QQ).adapted_basis())
-    adapted = catalog.heisenberg(QQ).adapted_basis()
-    assert adapted.source is not heis
-    rep = algorithm_affine(heis, seed=3, retries=10, adapted=adapted)
-    assert rep.dim == 4 and verify_report(rep)["ok"]
 
 
 def test_affine_solves_each_steps_brackets_once_per_call(monkeypatch, f13):

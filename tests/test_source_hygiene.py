@@ -14,7 +14,8 @@ modules in ``CHARACTERISTIC_READERS`` tell F_p from Q by reading a field's
 ``characteristic``; and only ``fields.py`` reads a scalar's numerator or
 denominator, so scaling rationals to ints happens in one place.  The
 README's library example, which is why ``is_homomorphism`` is in ``KEPT``,
-runs and gives the results its comments state.
+runs and gives the results its comments state, and its list of the
+structural tools on ``LieAlgebra`` names exactly that class's public methods.
 """
 
 import ast
@@ -31,8 +32,6 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # Public definitions that nothing in the package or the benchmark calls, kept
 # on purpose; each value says what needs the name.
 KEPT = {
-    "LieAlgebra.betti2": "acceptance criterion 6d checks b2(f_n) = 2",
-    "LieAlgebra.quotient": "the structural tool that generates quotient algebras",
     "abelian_algebra": "the public constructor of an abelian algebra",
     "regular_unpruned": "acceptance criterion 1 checks the unpruned module dimension",
     "nu": "acceptance criterion 2 checks the closed-form dimension bound",
@@ -273,3 +272,11 @@ def test_readme_library_example_runs():
     reg, quo, dual, aff = (names[k] for k in ("reg", "quo", "dual", "aff"))
     assert (reg.dim, quo.dim, dual.dim) == (85, 43, 43)
     assert isinstance(aff, nilrep.AffineFail)
+
+
+def test_readme_names_exactly_the_public_methods_of_lie_algebra():
+    sentence = re.search(r"Structural tools live on `LieAlgebra`:(.*?)\.\s", README.read_text(),
+                         re.S).group(1)
+    named = re.findall(r"`(\w+)\(", sentence)
+    public = [name for name, _node in _definitions() if name.startswith("LieAlgebra.")]
+    assert sorted(named) == sorted(name.split(".")[1] for name in public)

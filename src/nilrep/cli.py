@@ -152,11 +152,10 @@ def cmd_tables(args) -> int:
             rows = sorted({_row_index(r) for r in args.rows.split(",")})
         except ValueError:
             raise InputError("--rows expects a comma-separated list of row indices")
-        nrows = len(tables.table_rows(args.which))
-        bad = [r for r in rows if not 0 <= r < nrows]
-        if bad:
-            raise InputError("--rows %s outside table %d's rows 0..%d"
-                             % (",".join(map(str, bad)), args.which, nrows - 1))
+        try:
+            tables.check_rows(args.which, rows)
+        except ValueError as exc:
+            raise InputError(str(exc))
     results = tables.run_table(
         args.which,
         rows=rows,

@@ -7,9 +7,12 @@ rejected so that format drift fails loudly, and ``true`` is not the integer 1.
 A representation file is the text of ``json.dump(obj, fh, sort_keys=True,
 indent=1)`` and a newline: sorted keys, one-space indent, dense row-major
 matrices with one entry per line.  ``json`` encodes indented text in pure
-Python, so ``save_representation`` writes it itself, one matrix at a time from
-the sparse columns; the reader fills sparse columns and parses only entries
-other than "0".  Nothing else in the package holds a dense matrix.
+Python, so ``save_representation`` writes it itself from the sparse rows, one
+dense row at a time through a 64 KB buffer: a save holds one row's text and
+never a whole matrix, all zero rows of a matrix share one text, and the
+bytes are ASCII (``json`` escapes the rest).  The reader fills sparse
+columns and parses only entries other than "0".  Nothing else in the package
+holds a dense matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ ALGEBRA_FORMAT = "nilrep-algebra"
 REPRESENTATION_FORMAT = "nilrep-representation"
 FORMAT_VERSION = 1
 _ZERO = '"0"'  # a zero matrix entry as encoded in a representation file
+# bytes a save buffers between write calls: rows are short, and with the
+# default 8 KB buffer the write calls made a save slower than one string
+# per matrix did
+_WRITE_BUFFER = 1 << 16
 
 
 class FileFormatError(ValueError):
@@ -123,20 +130,28 @@ def _json_list(texts: list, depth: int) -> str:
     return "[" + pad + ("," + pad).join(texts) + "\n" + " " * depth + "]"
 
 
-def _matrix_text(mat: SparseMatrix) -> str:
-    """The dense rows of ``mat`` as fraction strings, at the file's indent."""
+def _write_matrix(fh, mat: SparseMatrix):
+    """Write the dense rows of ``mat`` as fraction strings, at the file's
+    indent, one row at a time; every zero row is one shared text."""
     to_str = mat.field.to_str
-    texts = [_json_list([_ZERO] * mat.ncols, 3)] * mat.nrows
-    for i, row in mat.transpose().cols.items():
-        entries = [_ZERO] * mat.ncols
-        for j, x in row.items():
-            entries[j] = '"%s"' % to_str(x)
-        texts[i] = _json_list(entries, 3)
-    return _json_list(texts, 2)
+    zeros = [_ZERO] * mat.ncols
+    zero_item = (",\n   " + _json_list(zeros, 3)).encode("ascii")
+    rows = mat.transpose().cols
+    for i in range(mat.nrows):
+        row = rows.get(i)
+        if row is None:
+            item = zero_item
+        else:
+            entries = zeros.copy()
+            for j, x in row.items():
+                entries[j] = '"%s"' % to_str(x)
+            item = (",\n   " + _json_list(entries, 3)).encode("ascii")
+        fh.write(item if i else b"[" + item[1:])
+    fh.write(b"\n  ]" if mat.nrows else b"[]")
 
 
 def save_representation(rep: Representation, path: str):
-    """Write ``rep`` one matrix at a time, as the text that
+    """Write ``rep`` one dense row at a time, as the text that
     ``json.dump(obj, fh, sort_keys=True, indent=1)`` and a newline give."""
     obj = {"format": REPRESENTATION_FORMAT, "version": FORMAT_VERSION,
            "provenance": rep.provenance, "field": field_to_json(rep.field),
@@ -144,13 +159,14 @@ def save_representation(rep: Representation, path: str):
            "dim": rep.dim, "matrices": []}
     # only algebra_*, dim, field and format sort before "matrices": none holds this text
     head, _, tail = json.dumps(obj, sort_keys=True, indent=1).partition('\n "matrices": [],\n')
-    with open(path, "w") as fh:
-        fh.write(head + '\n "matrices": [')
-        sep = "\n  "
+    with open(path, "wb", buffering=_WRITE_BUFFER) as fh:
+        fh.write((head + '\n "matrices": [').encode("ascii"))
+        sep = b"\n  "
         for mat in rep.matrices:
-            fh.write(sep + _matrix_text(mat))
-            sep = ",\n  "
-        fh.write(("\n ]" if rep.matrices else "]") + ",\n" + tail + "\n")
+            fh.write(sep)
+            _write_matrix(fh, mat)
+            sep = b",\n  "
+        fh.write((("\n ]" if rep.matrices else "]") + ",\n" + tail + "\n").encode("ascii"))
 
 
 def representation_from_json(obj, algebra: LieAlgebra) -> Representation:

@@ -61,13 +61,17 @@ def prune(uea: TruncatedUEA, central_ids, products: list) -> PruneState:
     unit and the central generators ``central_ids`` are protected.
 
     ``products`` holds every monomial * generator product, one row per
-    monomial (``TruncatedUEA.right_products``); a monomial goes when no
-    product in its row hits a monomial still active."""
+    monomial (``TruncatedUEA.right_products``: a bare id or a dict keyed by
+    ids); a monomial goes when no product in its row hits a monomial still
+    active."""
     protected = {uea.unit} | {uea.degree_one_mid(k) for k in central_ids}
     active = set(range(len(uea.monomials)))
     removed = []
     for mid in reversed(range(len(uea.monomials))):
-        if mid not in protected and all(active.isdisjoint(p) for p in products[mid].values()):
+        if mid not in protected and all(
+            p not in active if type(p) is int else active.isdisjoint(p)
+            for p in products[mid].values()
+        ):
             active.discard(mid)
             removed.append(mid)
     return PruneState(tuple(sorted(active)), removed)

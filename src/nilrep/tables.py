@@ -149,6 +149,16 @@ def _affine_column(g, expected, seed, retries, timeout, notes):
     return (res.dim, expected, "MATCH" if (res.dim == g.dim + 1 and ok) else "DIFF")
 
 
+def check_rows(which: int, rows: Optional[list]):
+    """Raise ValueError unless every index in ``rows`` is one of table
+    ``which``'s rows."""
+    nrows = len(table_rows(which))
+    bad = sorted(set(rows or ()) - set(range(nrows)))
+    if bad:
+        raise ValueError("rows %s outside table %d's rows 0..%d"
+                         % (",".join(map(str, bad)), which, nrows - 1))
+
+
 def run_table(which: int, rows: Optional[list] = None, skip_affine: bool = False,
               seed: int = 0, retries: int = 10, affine_timeout: Optional[float] = 300.0):
     """Reproduce table ``which`` (1, 2 or 3), or its ``rows`` (0-based indices).
@@ -161,13 +171,9 @@ def run_table(which: int, rows: Optional[list] = None, skip_affine: bool = False
     """
     if affine_timeout is not None and not affine_timeout > 0:
         raise ValueError("affine_timeout must be positive, got %r" % (affine_timeout,))
-    table = table_rows(which)
-    bad = sorted(set(rows or ()) - set(range(len(table))))
-    if bad:
-        raise ValueError("rows %s outside table %d's rows 0..%d"
-                         % (",".join(map(str, bad)), which, len(table) - 1))
+    check_rows(which, rows)
     out = []
-    for idx, (label, build, reference, affine_ref, seconds) in enumerate(table):
+    for idx, (label, build, reference, affine_ref, seconds) in enumerate(table_rows(which)):
         if rows is not None and idx not in rows:
             continue
         t0 = time.monotonic()

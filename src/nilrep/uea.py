@@ -10,7 +10,12 @@ fewer.
 
 All products monomial * generator are computed in one pass and handed to
 the caller, which prunes with them and builds the module matrices; nothing
-is kept on the algebra.
+is kept on the algebra.  The table holds one dict per monomial, keyed by
+generator.  A product that is a single monomial with numerator 1 (see
+below), as every append m * x_i = m x_i is, is stored as the bare monomial
+id; only the other products cost a dict of their own, and the loop that
+fills the table adds a bare id without iterating a dict.  The monomials too
+heavy for any product share one empty row.
 
 The products run on ints.  Let mu be the least common multiple of the
 denominators of the structure constants (1 over F_p) and |m| the number of
@@ -34,7 +39,7 @@ on the monomials a module keeps.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Iterable, Sequence
 
 from .fields import rational
 from .liealg import LieAlgebra
@@ -70,6 +75,14 @@ def _weight_layers(weights: Sequence[int], cutoff: int) -> list:
 def enumerate_monomials(weights: Sequence[int], cutoff: int) -> list:
     """All exponent tuples of weight ≤ cutoff, ordered by (weight, lex)."""
     return [m for layer in _weight_layers(weights, cutoff) for m in layer]
+
+
+_EMPTY: dict = {}  # read-only: the default product, table entry and row
+
+
+def terms(product) -> Iterable:
+    """The (monomial id, numerator) pairs of one ``right_products`` entry."""
+    return ((product, 1),) if type(product) is int else product.items()
 
 
 class TruncatedUEA:
@@ -119,9 +132,11 @@ class TruncatedUEA:
 
     def right_products(self) -> list:
         """One row per monomial id: ``rows[mid][i]`` holds the integer
-        numerators ``{t: N}`` of monomial(mid) * x_i, the coefficient of t
-        being N / mu^(|mid|+1-|t|) (see the module docstring).  A row keys
-        only the generators with a nonzero product.
+        numerators of monomial(mid) * x_i, the coefficient of a term t being
+        N / mu^(|mid|+1-|t|) (see the module docstring).  A product that is
+        one monomial t with N = 1, as every append is, is stored as the bare
+        id t, any other as the dict ``{t: N}``; ``terms`` reads both.  A row
+        keys only the generators with a nonzero product.
 
         Every term of m * x_i has weight at least w(m) + w_i, so the product
         is empty past the cutoff and is never computed.  With x_k the last
@@ -136,19 +151,22 @@ class TruncatedUEA:
         d = self.algebra.dim
         weights, cutoff, index = self.weights, self.cutoff, self.index
         table = self._table
-        rows = [{} for _ in self.monomials]
+        rows = [_EMPTY] * len(self.monomials)
         rest = [[] for _ in range(cutoff + 1)]  # by number of factors
         for mid, mono in enumerate(self.monomials):
-            k = max((j for j in range(d) if mono[j]), default=0)  # the unit only appends
             room = cutoff - self.weight_of[mid]
-            row = rows[mid]
+            if weights[0] > room:  # every product is past the cutoff
+                continue
+            k = max((j for j in range(d) if mono[j]), default=0)  # the unit only appends
+            row = rows[mid] = {}
             for i in range(k, d):
                 if weights[i] > room:  # and so are all later weights
                     break
-                row[i] = {index[mono[:i] + (mono[i] + 1,) + mono[i + 1:]]: 1}
-            if k and weights[0] <= room:
+                row[i] = index[mono[:i] + (mono[i] + 1,) + mono[i + 1:]]
+            if k:
                 shorter = index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]
                 rest[sum(mono)].append((mid, k, shorter, room))
+        # terms() inlined: this is the hot loop
         for layer in rest:
             for mid, k, shorter, room in layer:
                 row, srow = rows[mid], rows[shorter]
@@ -156,15 +174,25 @@ class TruncatedUEA:
                     if weights[i] > room:
                         break
                     acc: dict = {}
-                    for t, a in srow.get(i, {}).items():
-                        for u, b in rows[t].get(k, {}).items():
-                            acc[u] = acc.get(u, 0) + a * b
-                    for s, c in table.get((i, k), {}).items():
-                        for t, a in srow.get(s, {}).items():
-                            acc[t] = acc.get(t, 0) - c * a
+                    p = srow.get(i, _EMPTY)
+                    for t, a in ((p, 1),) if type(p) is int else p.items():
+                        q = rows[t].get(k, _EMPTY)
+                        if type(q) is int:
+                            acc[q] = acc.get(q, 0) + a
+                        else:
+                            for u, b in q.items():
+                                acc[u] = acc.get(u, 0) + a * b
+                    for s, c in table.get((i, k), _EMPTY).items():
+                        # s > k >= every factor of m', so m' x_s is an append
+                        t = srow.get(s)
+                        if t is not None:
+                            acc[t] = acc.get(t, 0) - c
                     prod = fld.clean(acc)
-                    if prod:
+                    if len(prod) > 1:
                         row[i] = prod
+                    elif prod:
+                        ((t, n),) = prod.items()
+                        row[i] = t if n == 1 else prod
         return rows
 
     def right_action_matrices(self, products: list, active: Sequence[int]) -> list:
@@ -180,7 +208,7 @@ class TruncatedUEA:
             for i, prod in products[mid].items():
                 col = {
                     pos[t]: n if mu == 1 else rational(n, mu ** (top - factors[t]))
-                    for t, n in prod.items()
+                    for t, n in terms(prod)
                     if t in pos
                 }
                 if col:

@@ -1,13 +1,14 @@
 """Helpers that only the tests use: dense matrices, matrix products,
 subspace intersections, quotient algebras, the second Betti number, plain
-JSON files and generated nilpotent algebras.
+JSON files, generated nilpotent algebras and the product table as dicts.
 
 The package holds matrices and subspaces sparse and writes representation
 files itself; tests state small matrices and spans densely, check matrix
 identities through products, intersect subspaces by Zassenhaus' method,
 build quotients by ideals and central extensions by 2-cocycles to generate
-inputs, check b2(f_n) = 2, and save algebra objects, sometimes corrupted on
-purpose, as ordinary JSON.
+inputs, check b2(f_n) = 2, save algebra objects, sometimes corrupted on
+purpose, as ordinary JSON, and read every entry of the product table, a
+bare monomial id included, as one dict.
 """
 
 import json
@@ -20,6 +21,7 @@ from nilrep import catalog
 from nilrep.fields import GF, QQ, Field
 from nilrep.liealg import LieAlgebra, _generators
 from nilrep.linalg import SparseMatrix, Subspace, combine, coordinate_projection, invert
+from nilrep.uea import terms
 
 
 def to_dense(mat: SparseMatrix) -> list:
@@ -30,6 +32,12 @@ def to_dense(mat: SparseMatrix) -> list:
         for i, x in col.items():
             rows[i][j] = x
     return rows
+
+
+def product_dicts(rows) -> list:
+    """A ``TruncatedUEA.right_products`` table with every product, a bare
+    monomial id included, written out as the dict ``{t: N}``."""
+    return [{i: dict(terms(p)) for i, p in row.items()} for row in rows]
 
 
 def from_dense(field: Field, rows) -> SparseMatrix:

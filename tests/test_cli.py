@@ -359,6 +359,12 @@ def test_tables_rejects_rows_outside_the_table(capsys):
     assert code == 2 and "0..7" in err
 
 
+def test_tables_rows_99_is_an_input_error(capsys):
+    code, out, err = run(capsys, "tables", "--which", "3", "--rows", "99")
+    assert (code, out) == (2, "")
+    assert err == "input error: rows 99 outside table 3's rows 0..7\n"
+
+
 @pytest.mark.parametrize("rows", ["١,0_0", "1_0", "+1", "1,", ""])
 def test_tables_rows_are_ascii_digits(capsys, rows):
     # int() would run rows 1 and 0 for "١,0_0" (an Arabic-Indic digit) and row 10 for "1_0"

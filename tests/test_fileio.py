@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -138,8 +139,20 @@ def _nested_provenance():
     return rep
 
 
+def _zero_rows(first_row):
+    """Two 3x3 matrices: one all zero, one with only ``first_row`` nonzero."""
+    q = rational
+    zero = [[q(0)] * 3 for _ in range(3)]
+    head = [list(first_row)] + zero[1:]
+    return Representation(abelian_algebra(QQ, 2), [from_dense(QQ, zero), from_dense(QQ, head)])
+
+
 WRITER_CASES = {
     "1x1": _one_by_one,
+    "dim-0-algebra": lambda: Representation(abelian_algebra(QQ, 0), []),
+    "zero-3x3": lambda: Representation(abelian_algebra(QQ, 1),
+                                       [from_dense(QQ, [[rational(0)] * 3] * 3)]),
+    "zero-last-rows": lambda: _zero_rows([rational(1), rational(0), rational(-2, 5)]),
     "U4-F3-regular": lambda: algorithm_regular(catalog.upper_triangular(4, GF(3))),
     "U4-F3-quotient": lambda: algorithm_quotient(catalog.upper_triangular(4, GF(3))),
     "negative-fractions": _negative_fractions,
@@ -156,6 +169,20 @@ def test_writer_matches_the_json_dump_encoding(tmp_path, case):
     assert path.read_bytes() == _old_encoding(rep)
     loaded = fileio.load_representation(str(path), rep.algebra)
     assert loaded.matrices == rep.matrices and loaded.provenance == rep.provenance
+
+
+def test_writer_holds_less_than_one_dense_matrix(tmp_path):
+    rep = algorithm_regular(catalog.filiform_f(15))
+    mat = rep.matrices[0]
+    dense = json.dumps([[rep.field.to_str(x) for x in row] for row in to_dense(mat)], indent=1)
+    path = str(tmp_path / "rep.json")
+    tracemalloc.start()
+    try:
+        fileio.save_representation(rep, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.dim == 145 and peak < len(dense)
 
 
 def _saved_object(tmp_path, rep) -> dict:

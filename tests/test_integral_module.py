@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import rebased
+from helpers import product_dicts, rebased
 from nilrep import catalog
 from nilrep.dual import algorithm_dual
 from nilrep.fields import GF, QQ, rational
@@ -186,7 +186,7 @@ def test_integral_module_matches_the_rational_one(field, data):
     g = data.draw(rescaled_algebras(field))
     uea, products, active, removed, right, _c, _b = rational_module(g)
     assert uea.monomials == sorted_monomials(uea.weights, uea.cutoff)
-    rows = uea.right_products()
+    rows = product_dicts(uea.right_products())
     assert len(rows) == len(uea.monomials)
     for (mid, i), want in products.items():
         top = sum(uea.monomials[mid]) + 1

@@ -468,10 +468,6 @@ def test_betti2_abelian():
         assert betti2(abelian_algebra(QQ, n)) == n * (n - 1) // 2
 
 
-def test_betti2_heisenberg(heis):
-    assert betti2(heis) == 2
-
-
 def test_betti2_monotone_under_abelian_summand(heis):
     # g + abelian K: betti2 grows (empirical sanity check on a small example)
     table = {k: dict(v) for k, v in heis.table.items()}

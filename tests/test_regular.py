@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import rebased
+from helpers import product_dicts, rebased
 from nilrep.fields import GF, QQ
 from nilrep.liealg import abelian_algebra
 from nilrep.linalg import SparseMatrix
@@ -142,7 +142,7 @@ def test_discard_span_is_a_left_ideal():
     # discarded span, also at the final state (the invariant of the prune)
     g = catalog.upper_triangular(4, QQ)
     module = build_pruned_module(g)
-    products = module.uea.right_products()
+    products = product_dicts(module.uea.right_products())
     active = set(module.state.active)
     for mid in module.state.removed:
         for prod in products[mid].values():
@@ -156,7 +156,7 @@ def test_kept_monomials_reach_the_active_set():
     for g in (catalog.heisenberg(QQ), catalog.upper_triangular(4, GF(2)), catalog.filiform_f(13)):
         module = build_pruned_module(g)
         uea = module.uea
-        products = uea.right_products()
+        products = product_dicts(uea.right_products())
         protected = {uea.unit} | {uea.degree_one_mid(k) for k in module.central_ids}
         active = set(module.state.active)
         assert list(module.state.active) == sorted(active)

@@ -1,12 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import matmul, rebased
+from helpers import free_nilpotent_quotients, matmul, product_dicts, rebased
 from nilrep.fields import Field, QQ, rational
 from nilrep.liealg import LieAlgebra, abelian_algebra
 from nilrep.fields import GF
 from nilrep.regular import _reversed_model, nu
+from nilrep import uea as uea_module
 from nilrep.uea import TruncatedUEA, enumerate_monomials
 from nilrep import catalog
 
@@ -129,7 +131,7 @@ def test_truncated_uea_validates_input():
 
 def test_negative_generator_index_raises_and_never_wraps():
     uea = heis_uea()
-    products = uea.right_products()
+    products = product_dicts(uea.right_products())
     # a row keys generator indices; a negative one must not wrap around to
     # the last generator z
     assert -1 not in products[uea.unit] and 3 not in products[uea.unit]
@@ -154,7 +156,7 @@ def test_rejects_structure_constants_that_are_not_weight_adapted():
 
 def test_right_product_worked_example():
     uea = heis_uea()
-    products = uea.right_products()
+    products = product_dicts(uea.right_products())
     assert uea.mu == 1  # integral constants: the numerators are the values
     x, y, z = (uea.index[m] for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     xy = uea.index[(1, 1, 0)]
@@ -217,7 +219,7 @@ def test_abelian_action_matrix_cutoff_one():
 def test_weight_additivity_of_products():
     g = catalog.upper_triangular(4, QQ)
     uea = truncated_uea(g)
-    products = uea.right_products()
+    products = product_dicts(uea.right_products())
     assert len(products) == len(uea.monomials)
     for mid, row in enumerate(products):
         assert set(row) <= set(range(g.dim))
@@ -273,7 +275,7 @@ def straighten_word_right_oracle(uea, word):
 
 
 def check_products_against_word_oracle(uea, step=1):
-    products = uea.right_products()
+    products = product_dicts(uea.right_products())
     for mid in range(0, len(uea.monomials), step):
         mono = uea.monomials[mid]
         word = tuple(k for k, a in enumerate(mono) for _ in range(a))
@@ -325,8 +327,8 @@ def test_non_integral_products_against_word_oracle():
     # x2 * x1 = x1 x2 - 1/2 x3: numerators -15 over mu^1 and 1 over mu^0
     x1, x2, x3 = (uea.degree_one_mid(k) for k in range(3))
     x1x2 = uea.index[(1, 1, 0, 0, 0)]
-    assert uea.right_products()[x2][0] == {x1x2: 1, x3: -15}
-    assert value_of(uea, uea.right_products(), x2, 0) == {x1x2: Q1, x3: r(-1, 2)}
+    assert product_dicts(uea.right_products())[x2][0] == {x1x2: 1, x3: -15}
+    assert value_of(uea, product_dicts(uea.right_products()), x2, 0) == {x1x2: Q1, x3: r(-1, 2)}
 
 
 def test_unpruned_action_is_homomorphism_and_nilpotent():
@@ -391,3 +393,82 @@ def test_mu_and_the_integer_table_equal_the_hand_scaled_ones(build, monkeypatch)
     assert scaled == [([table], mu)]
     assert ([type(c) for terms in scaled[0][0][0].values() for c in terms.values()]
             == [type(c) for terms in table.values() for c in terms.values()])
+
+
+# ---------------------------------------------------------------------------
+# the table layout against the one-dict-per-product table
+
+
+def reference_right_products(uea):
+    """``TruncatedUEA.right_products`` as it was with one dict ``{t: N}`` per
+    product, appends included."""
+    fld = uea.field
+    d = uea.algebra.dim
+    weights, cutoff, index = uea.weights, uea.cutoff, uea.index
+    table = uea._table
+    rows = [{} for _ in uea.monomials]
+    rest = [[] for _ in range(cutoff + 1)]
+    for mid, mono in enumerate(uea.monomials):
+        k = max((j for j in range(d) if mono[j]), default=0)
+        room = cutoff - uea.weight_of[mid]
+        row = rows[mid]
+        for i in range(k, d):
+            if weights[i] > room:
+                break
+            row[i] = {index[mono[:i] + (mono[i] + 1,) + mono[i + 1:]]: 1}
+        if k and weights[0] <= room:
+            shorter = index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]
+            rest[sum(mono)].append((mid, k, shorter, room))
+    for layer in rest:
+        for mid, k, shorter, room in layer:
+            row, srow = rows[mid], rows[shorter]
+            for i in range(k):
+                if weights[i] > room:
+                    break
+                acc = {}
+                for t, a in srow.get(i, {}).items():
+                    for u, b in rows[t].get(k, {}).items():
+                        acc[u] = acc.get(u, 0) + a * b
+                for s, c in table.get((i, k), {}).items():
+                    for t, a in srow.get(s, {}).items():
+                        acc[t] = acc.get(t, 0) - c * a
+                prod = fld.clean(acc)
+                if prod:
+                    row[i] = prod
+    return rows
+
+
+def check_table_against_reference(g):
+    uea = _reversed_model(g.adapted_basis())[0]
+    rows, want = uea.right_products(), reference_right_products(uea)
+    assert product_dicts(rows) == want
+    assert uea_module._EMPTY == {}  # the shared empty row took no entry
+    # exactly the products {t: 1} are bare ids, and the ids are the table's own
+    for row, want_row in zip(rows, want):
+        for i, prod in row.items():
+            assert (type(prod) is int) == (list(want_row[i].values()) == [1])
+            if type(prod) is int:
+                assert prod in want_row[i] and 0 <= prod < len(uea.monomials)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.heisenberg(QQ),
+    lambda: catalog.upper_triangular(5, GF(2)),
+    lambda: catalog.upper_triangular(5, GF(3)),
+    lambda: catalog.upper_triangular(5, QQ),
+    lambda: catalog.free_nilpotent(2, 5, QQ),
+    lambda: catalog.free_nilpotent(3, 3, GF(2)),
+    lambda: catalog.filiform_f(13, QQ),
+    lambda: catalog.filiform_f(15, QQ),
+    lambda: rebased(catalog.upper_triangular(5, GF(3)), 4),
+    lambda: rebased(catalog.filiform_f(13, QQ), 1),
+], ids=["heisenberg", "utri5-F2", "utri5-F3", "utri5", "N_2_5", "N_3_3-F2", "f13", "f15",
+        "rebased-utri5-F3", "rebased-f13"])
+def test_table_matches_the_one_dict_per_product_table(build):
+    check_table_against_reference(build())
+
+
+@settings(max_examples=25)
+@given(free_nilpotent_quotients())
+def test_table_matches_the_one_dict_per_product_table_on_quotients(g):
+    check_table_against_reference(g)

@@ -10,7 +10,7 @@ on, including the filiform family f_n.
 from .fields import GF, QQ, Field, rational
 from .liealg import AdaptedBasis, LieAlgebra, NotNilpotentError, abelian_algebra
 from .linalg import SparseMatrix, Subspace
-from .uea import TruncatedUEA, enumerate_monomials
+from .uea import TruncatedUEA
 from .representation import (
     Representation,
     annihilated_subspace,
@@ -21,7 +21,7 @@ from .representation import (
     kernel,
     verify_report,
 )
-from .regular import algorithm_regular, build_pruned_module, nu, partitions, regular_unpruned
+from .regular import algorithm_regular, build_pruned_module
 from .quotient import algorithm_quotient, reduce_once
 from .dual import algorithm_dual
 from .affine import AffineFail, AffineTimeout, algorithm_affine
@@ -39,7 +39,6 @@ __all__ = [
     "SparseMatrix",
     "Subspace",
     "TruncatedUEA",
-    "enumerate_monomials",
     "Representation",
     "annihilated_subspace",
     "center_image",
@@ -50,9 +49,6 @@ __all__ = [
     "verify_report",
     "algorithm_regular",
     "build_pruned_module",
-    "nu",
-    "partitions",
-    "regular_unpruned",
     "algorithm_quotient",
     "reduce_once",
     "algorithm_dual",

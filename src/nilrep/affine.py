@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .liealg import LieAlgebra
 from .linalg import SparseMatrix, Subspace, combine, lincomb, relations
@@ -46,8 +45,7 @@ class AffineTimeout(Exception):
     """Raised when a cooperative deadline expires inside algorithm_affine."""
 
 
-@dataclass
-class AffineFail:
+class AffineFail(NamedTuple):
     """Outcome value when no attempt reached a full extension."""
 
     deepest_step: int

@@ -3,8 +3,8 @@
 Covers the 3-dimensional Heisenberg algebra, strictly upper triangular
 matrices U_n, free nilpotent algebras N_{n,c} on the Hall basis that
 ``hall.free_nilpotent_table`` builds, and the filiform family f_n (n >= 13)
-over the rationals, together with the alternating-sum identities its
-parameters satisfy.
+over the rationals.  The alternating-sum identities the parameters of f_n
+satisfy are checked by the tests (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -122,31 +122,6 @@ def filiform_f(n: int, field: Field = QQ) -> LieAlgebra:
     return LieAlgebra(field, n, table)
 
 
-def pfaff_identity_values(n: int) -> list:
-    """The three alternating-sum identities: list of (lhs, rhs) exact pairs."""
-    if n < 13:
-        raise ValueError("identities are asserted for n >= 13")
-    top = (n - 1) // 2
-
-    def a(l):
-        return rational(3, comb(l, 2) * comb(2 * l - 1, l - 1))
-
-    lhs1 = sum(
-        ((-1) ** (l - 1)) * comb(n - l - 5, l - 2) * a(l) for l in range(3, top + 1)
-    )
-    rhs1 = rational((n - 7) * (n - 8), (n - 4) * (n - 5))
-    lhs2 = sum(((-1) ** l) * comb(n - l - 5, l - 4) * a(l) for l in range(5, top + 1))
-    rhs2 = rational(-1, 70) + rational(12 * (n - 8), (n - 2) * (n - 3) * (n - 4) * (n - 5))
-    lhs3 = sum(((-1) ** l) * comb(n - l - 3, l - 2) * a(l) for l in range(3, top + 1))
-    rhs3 = -rational((n - 5) * (n - 6), (n - 2) * (n - 3))
-    return [(lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3)]
-
-
-def pfaff_check(n: int) -> list:
-    """Indices (1-based) of the failing identities; empty means all hold."""
-    return [t + 1 for t, (lhs, rhs) in enumerate(pfaff_identity_values(n)) if lhs != rhs]
-
-
 # ---------------------------------------------------------------------------
 # CLI catalog names
 
@@ -178,7 +153,5 @@ __all__ = [
     "filiform_index_set",
     "filiform_alpha",
     "filiform_f",
-    "pfaff_identity_values",
-    "pfaff_check",
     "from_name",
 ]

@@ -9,8 +9,8 @@ bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .fields import Field
 from .linalg import SparseMatrix, Subspace, closure, combine, invert, relations
@@ -193,8 +193,7 @@ def abelian_algebra(field: Field, dim: int) -> LieAlgebra:
 # adapted bases
 
 
-@dataclass(frozen=True)
-class AdaptedBasis:
+class AdaptedBasis(NamedTuple):
     """A weight-ordered basis containing bases of every g^m and of the center.
 
     ``matrix`` holds the new basis vectors as sparse rows in the original

@@ -1,11 +1,14 @@
 """Algorithm Regular: the truncated-enveloping-algebra module and its pruning.
 
 The unpruned module is spanned by all PBW monomials of weight at most the
-nilpotency class c; pruning moves a monomial a (never 1 and never a central
-generator) to the discard set whenever the product of a with every generator
-lies in the discarded span.  Every term of a * x_i has weight above w(a), and
-monomial ids are ordered by weight first, so one pass from the highest id
-down has already decided every monomial a product can reach.
+nilpotency class c.  Those of weight c and degree two or more are never
+enumerated (``uea``'s module docstring says why), but provenance's
+``unpruned_dim`` and ``removed`` still count them.  Pruning moves a monomial
+a (never 1 and never a central generator) to the discard set whenever the
+product of a with every generator lies in the discarded span.  Every term of
+a * x_i has weight above w(a), and monomial ids are ordered by weight first,
+so one pass from the highest id down has already decided every monomial a
+product can reach.
 
 The monomial model is the one whose pruned dimensions reproduce the
 published tables: PBW products over the reversed basis order (weight
@@ -16,9 +19,7 @@ of the layer-reversed adapted basis, which is how it is computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .liealg import AdaptedBasis, LieAlgebra
 from .linalg import lincomb
@@ -26,30 +27,11 @@ from .representation import Representation
 from .uea import TruncatedUEA
 
 
-def partitions(j: int) -> int:
-    """Number of partitions of j, with p(0) = 1."""
-    if j < 0:
-        raise ValueError("negative argument")
-    table = [1] + [0] * j
-    for part in range(1, j + 1):
-        for total in range(part, j + 1):
-            table[total] += table[total - part]
-    return table[j]
-
-
-def nu(d: int, c: int) -> int:
-    """The dimension bound sum_{j=0}^{c} C(d-j, c-j) p(j) of the regular module."""
-    if c < 0 or d < c:
-        raise ValueError("need 0 <= c <= d")
-    return sum(comb(d - j, c - j) * partitions(j) for j in range(c + 1))
-
-
 # ---------------------------------------------------------------------------
 # pruning
 
 
-@dataclass
-class PruneState:
+class PruneState(NamedTuple):
     """Active/discarded split of the monomial basis after pruning."""
 
     active: tuple  # ascending monomial ids
@@ -81,16 +63,15 @@ def prune(uea: TruncatedUEA, central_ids, products: list) -> PruneState:
 # module construction
 
 
-@dataclass
-class PrunedModule:
+class PrunedModule(NamedTuple):
     """Shared result of Regular's pruning, reused by Dual.
 
     Basis vector t of the model is adapted basis vector perm[t], with perm
     reversing every weight layer; ``basis_inverse[l]`` holds the coordinates
     of original basis vector l on the model basis as a sparse row.  The module
-    is spanned by the ascending monomial ids ``state.active`` of the full
-    ``uea``, and ``right_matrices[t]`` is the right multiplication by basis
-    vector t on that span.  The module action is minus the right multiplication, so
+    is spanned by the ascending monomial ids ``state.active`` of ``uea``, and
+    ``right_matrices[t]`` is the right multiplication by basis vector t on
+    that span.  The module action is minus the right multiplication, so
     Regular combines these matrices with negated inverse rows, and Dual's
     contragredient matrices are their plain transposes.
     """
@@ -113,10 +94,10 @@ def _reverse_layers(weights) -> list:
     return sorted(range(len(weights)), key=lambda k: (weights[k], -k))
 
 
-def _reversed_model(adapted: AdaptedBasis):
-    """Full truncated UEA over the layer-reversed adapted basis.
+def _reversed_model(adapted: AdaptedBasis) -> tuple:
+    """The algebra in the layer-reversed adapted basis.
 
-    Returns (uea, central ids, basis inverse); basis vector t of the model is
+    Returns (algebra, central ids, basis inverse); basis vector t of the model is
     adapted basis vector perm[t].  The model table is the adapted one
     relabelled, negated where a pair turns around inside a layer.  The model
     basis matrix is P A for the permutation matrix P of perm, so its inverse
@@ -140,8 +121,7 @@ def _reversed_model(adapted: AdaptedBasis):
     basis_inverse = tuple(
         {inv_positions[s]: x for s, x in row.items()} for row in adapted.inverse
     )
-    uea = TruncatedUEA(algebra, adapted.weights, adapted.nilpotency_class)
-    return uea, central_ids, basis_inverse
+    return algebra, central_ids, basis_inverse
 
 
 def _module_action(fld, basis_inverse, right_matrices) -> list:
@@ -159,23 +139,12 @@ def build_pruned_module(g: LieAlgebra, adapted: Optional[AdaptedBasis] = None) -
     adapted = adapted or g.adapted_basis()
     if adapted.source != g:
         raise ValueError("adapted basis was built for another algebra")
-    uea, central_ids, basis_inverse = _reversed_model(adapted)
+    algebra, central_ids, basis_inverse = _reversed_model(adapted)
+    uea = TruncatedUEA(algebra, adapted.weights, adapted.nilpotency_class)
     products = uea.right_products()
     state = prune(uea, central_ids, products)
     right = uea.right_action_matrices(products, state.active)
     return PrunedModule(g, uea, state, central_ids, basis_inverse, right)
-
-
-def regular_unpruned(g: LieAlgebra) -> Representation:
-    """The faithful module on all monomials of weight <= c, without pruning."""
-    uea, _central_ids, basis_inverse = _reversed_model(g.adapted_basis())
-    right = uea.right_action_matrices(uea.right_products(), range(len(uea.monomials)))
-    mats = _module_action(g.field, basis_inverse, right)
-    return Representation(
-        g,
-        mats,
-        {"algorithm": "regular_unpruned", "dim": len(uea.monomials), "side": "right"},
-    )
 
 
 def algorithm_regular(g: LieAlgebra, module: Optional[PrunedModule] = None) -> Representation:
@@ -190,8 +159,9 @@ def algorithm_regular(g: LieAlgebra, module: Optional[PrunedModule] = None) -> R
         {
             "algorithm": "regular",
             "dim": module.dim,
-            "unpruned_dim": len(module.uea.monomials),
-            "removed": len(module.state.removed),
+            # the skipped top-layer monomials count as enumerated and pruned
+            "unpruned_dim": len(module.uea.monomials) + module.uea.skipped,
+            "removed": len(module.state.removed) + module.uea.skipped,
             "side": "right",
         },
     )

@@ -8,20 +8,31 @@ so the defining relation is [M_i, M_j] = sum_k c_{ij}^k M_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple
 
 from .liealg import LieAlgebra
 from .linalg import Subspace, is_nilpotent, lincomb, relations
 
 
-@dataclass
 class Representation:
-    """Matrices for every basis vector of ``algebra`` acting on K^dim."""
+    """Matrices for every basis vector of ``algebra`` acting on K^dim.
 
-    algebra: LieAlgebra
-    matrices: list
-    provenance: dict = dc_field(default_factory=dict)
+    Mutable (a caller may replace ``provenance``), so it is compared by value
+    and unhashable."""
+
+    __slots__ = ("algebra", "matrices", "provenance")
+    __hash__ = None
+
+    def __init__(self, algebra: LieAlgebra, matrices: list, provenance: Optional[dict] = None):
+        self.algebra = algebra
+        self.matrices = matrices
+        self.provenance = {} if provenance is None else provenance
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.algebra, self.matrices, self.provenance)
+                == (other.algebra, other.matrices, other.provenance))
 
     @property
     def dim(self) -> int:

@@ -10,9 +10,9 @@ never part of any comparison.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
 from functools import partial
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import catalog
 from .affine import AffineFail, AffineTimeout, algorithm_affine
@@ -67,17 +67,17 @@ TABLE3 = [
 CONJECTURED_NONE = "FAIL"
 
 
-@dataclass
-class RowResult:
-    """Outcome of one benchmark row: computed values vs. the reference ones."""
+class RowResult(NamedTuple):
+    """Outcome of one benchmark row: computed values vs. the reference ones.
+    The defaults are read-only empties, so no two rows share a mutable one."""
 
     table: int
     label: str
     columns: dict  # column -> (computed, reference, status)
     verified: bool
     elapsed: float
-    reference_seconds: dict = dc_field(default_factory=dict)
-    notes: list = dc_field(default_factory=list)
+    reference_seconds: Mapping = MappingProxyType({})
+    notes: Sequence = ()
 
     @property
     def diff_count(self) -> int:

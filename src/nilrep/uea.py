@@ -8,6 +8,16 @@ to ascending PBW form with the rewrite x_k x_i = x_i x_k + [x_k, x_i]
 weight; the rewriting terminates because each correction has one factor
 fewer.
 
+Only the monomials a module can use are enumerated.  Every term of
+m * x_i has weight above w(m), so a monomial of the top weight c has no
+products at all.  Its degree-one ones are the generators of weight c, which
+span g^c ⊆ Z(g) and are kept as central generators; any other one is
+discarded by pruning before every monomial of lower weight, and is never an
+operand of another product.  So the top layer holds only its degree-one
+monomials, the others are counted (``skipped``) but never built, and the
+products, pruning order and matrices on the enumerated monomials are those
+of the full model.
+
 All products monomial * generator are computed in one pass and handed to
 the caller, which prunes with them and builds the module matrices; nothing
 is kept on the algebra.  The table holds one dict per monomial, keyed by
@@ -46,35 +56,49 @@ from .liealg import LieAlgebra
 from .linalg import SparseMatrix
 
 
-def _weight_layers(weights: Sequence[int], cutoff: int) -> list:
-    """The exponent tuples of weight w, in lex order, for w = 0, 1, …, cutoff."""
+def _weight_layers(weights: Sequence[int], cutoff: int) -> tuple:
+    """``(layers, skipped)``: ``layers[w]`` holds the exponent tuples of weight
+    w in lex order, for w = 0, 1, …, cutoff, except that the top layer holds
+    only those of degree at most one; ``skipped`` counts the top-weight tuples
+    left out, which are never built.
+
+    The tuples below the top weight come from a depth-first walk over the
+    exponents, position by position, kept in lists rather than on the call
+    stack: it holds no reference cycle and no recursion limit bounds d."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if any(w < 1 for w in weights):
         raise ValueError("weights must be at least 1")
     d = len(weights)
-    layers = [[] for _ in range(cutoff + 1)]
+    if not cutoff:
+        return [[(0,) * d]], 0
+    by_room = [[] for _ in range(cutoff)]  # room r holds weight cutoff - 1 - r
+    least = [min(weights[pos:]) for pos in range(d)] + [cutoff]
     prefix = [0] * d
-    least = [min(weights[pos:]) for pos in range(d)] + [cutoff + 1]
-
-    def rec(pos: int, budget: int):
-        # tuples come out in lex order, so every layer fills in lex order
-        if budget < least[pos]:  # no room for a later factor
-            layers[cutoff - budget].append(tuple(prefix))
-            return
-        w = weights[pos]
-        for a in range(budget // w + 1):
-            prefix[pos] = a
-            rec(pos + 1, budget - a * w)
-        prefix[pos] = 0
-
-    rec(0, cutoff)
-    return layers
-
-
-def enumerate_monomials(weights: Sequence[int], cutoff: int) -> list:
-    """All exponent tuples of weight ≤ cutoff, ordered by (weight, lex)."""
-    return [m for layer in _weight_layers(weights, cutoff) for m in layer]
+    before = [0] * d  # the room at each position before its exponent
+    pos, room = 0, cutoff - 1
+    while pos >= 0:
+        while room >= least[pos]:  # a factor from pos on fits: descend with exponent 0
+            before[pos] = room
+            pos += 1
+        by_room[room].append(tuple(prefix))  # tuples come out in lex order
+        # back up to the last position that takes one more factor
+        pos -= 1
+        while pos >= 0 and (prefix[pos] + 1) * weights[pos] > before[pos]:
+            prefix[pos] = 0
+            pos -= 1
+        if pos >= 0:
+            prefix[pos] += 1
+            room = before[pos] - prefix[pos] * weights[pos]
+            pos += 1
+    # the top layer in lex order: a unit vector is larger the earlier its 1
+    top = [(0,) * k + (1,) + (0,) * (d - 1 - k)
+           for k in reversed(range(d)) if weights[k] == cutoff]
+    ways = [1] + [0] * cutoff  # ways[s]: the number of tuples of weight s
+    for w in weights:
+        for s in range(w, cutoff + 1):
+            ways[s] += ways[s - w]
+    return by_room[::-1] + [top], ways[cutoff] - len(top)
 
 
 _EMPTY: dict = {}  # read-only: the default product, table entry and row
@@ -90,7 +114,9 @@ class TruncatedUEA:
 
     ``algebra`` must already be written in the adapted basis (weights
     non-decreasing, brackets weight-additive).  Monomials are ordered by
-    (weight, lex); ``mu`` is the denominator lcm of the structure constants.
+    (weight, lex); the top layer holds only its degree-one monomials, and
+    ``skipped`` counts the others.  ``mu`` is the denominator lcm of the
+    structure constants.
     """
 
     def __init__(self, algebra: LieAlgebra, weights: Sequence[int], cutoff: int):
@@ -102,7 +128,7 @@ class TruncatedUEA:
         self.field = algebra.field
         self.weights = tuple(weights)
         self.cutoff = cutoff
-        layers = _weight_layers(self.weights, cutoff)
+        layers, self.skipped = _weight_layers(self.weights, cutoff)
         self.monomials = [m for layer in layers for m in layer]
         self.weight_of = [w for w, layer in enumerate(layers) for _m in layer]
         self.index: Dict[tuple, int] = {m: t for t, m in enumerate(self.monomials)}
@@ -136,7 +162,9 @@ class TruncatedUEA:
         N / mu^(|mid|+1-|t|) (see the module docstring).  A product that is
         one monomial t with N = 1, as every append is, is stored as the bare
         id t, any other as the dict ``{t: N}``; ``terms`` reads both.  A row
-        keys only the generators with a nonzero product.
+        keys only the generators with a nonzero product, and a product leaves
+        out its terms on skipped monomials (an append to one is dropped, and
+        no other product can reach one, as it has no products itself).
 
         Every term of m * x_i has weight at least w(m) + w_i, so the product
         is empty past the cutoff and is never computed.  With x_k the last
@@ -162,7 +190,9 @@ class TruncatedUEA:
             for i in range(k, d):
                 if weights[i] > room:  # and so are all later weights
                     break
-                row[i] = index[mono[:i] + (mono[i] + 1,) + mono[i + 1:]]
+                t = index.get(mono[:i] + (mono[i] + 1,) + mono[i + 1:])
+                if t is not None:  # None: a skipped top-layer monomial
+                    row[i] = t
             if k:
                 shorter = index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]
                 rest[sum(mono)].append((mid, k, shorter, room))

@@ -1,6 +1,8 @@
 """Helpers that only the tests use: dense matrices, matrix products,
 subspace intersections, quotient algebras, the second Betti number, plain
-JSON files, generated nilpotent algebras and the product table as dicts.
+JSON files, generated nilpotent algebras, the product table as dicts, the
+full monomial model with its unpruned module, the closed-form bound nu and
+the Pfaff identities of f_n.
 
 The package holds matrices and subspaces sparse and writes representation
 files itself; tests state small matrices and spans densely, check matrix
@@ -8,20 +10,26 @@ identities through products, intersect subspaces by Zassenhaus' method,
 build quotients by ideals and central extensions by 2-cocycles to generate
 inputs, check b2(f_n) = 2, save algebra objects, sometimes corrupted on
 purpose, as ordinary JSON, and read every entry of the product table, a
-bare monomial id included, as one dict.
+bare monomial id included, as one dict.  The package never enumerates the
+top weight layer's monomials of degree two or more; the full model here
+does, as the reference the tests compare the package against, and as the
+unpruned module of acceptance criterion 1.
 """
 
 import json
 import random
 from itertools import combinations
+from math import comb
 
 from hypothesis import strategies as st
 
 from nilrep import catalog
-from nilrep.fields import GF, QQ, Field
+from nilrep.fields import GF, QQ, Field, rational
 from nilrep.liealg import LieAlgebra, _generators
 from nilrep.linalg import SparseMatrix, Subspace, combine, coordinate_projection, invert
-from nilrep.uea import terms
+from nilrep.regular import _module_action, _reversed_model
+from nilrep.representation import Representation
+from nilrep.uea import TruncatedUEA, terms
 
 
 def to_dense(mat: SparseMatrix) -> list:
@@ -228,3 +236,126 @@ def central_extensions(draw):
         if t in omega:
             table[p][d] = omega[t]
     return LieAlgebra(fld, d + 1, table)
+
+
+# ---------------------------------------------------------------------------
+# the full monomial model
+
+
+def weight_layers(weights, cutoff) -> list:
+    """The exponent tuples of weight w, in lex order, for w = 0, 1, …, cutoff:
+    every one, the top layer's of degree two or more included."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    if any(w < 1 for w in weights):
+        raise ValueError("weights must be at least 1")
+    d = len(weights)
+    layers = [[] for _ in range(cutoff + 1)]
+    prefix = [0] * d
+    least = [min(weights[pos:]) for pos in range(d)] + [cutoff + 1]
+
+    def rec(pos: int, budget: int):
+        # tuples come out in lex order, so every layer fills in lex order
+        if budget < least[pos]:  # no room for a later factor
+            layers[cutoff - budget].append(tuple(prefix))
+            return
+        w = weights[pos]
+        for a in range(budget // w + 1):
+            prefix[pos] = a
+            rec(pos + 1, budget - a * w)
+        prefix[pos] = 0
+
+    rec(0, cutoff)
+    return layers
+
+
+def enumerate_monomials(weights, cutoff) -> list:
+    """All exponent tuples of weight ≤ cutoff, ordered by (weight, lex)."""
+    return [m for layer in weight_layers(weights, cutoff) for m in layer]
+
+
+class FullUEA(TruncatedUEA):
+    """``TruncatedUEA`` on every monomial of weight ≤ cutoff: the package's
+    straightening and matrices on the full model, whose top layer also holds
+    the monomials of degree two or more (``skipped`` is 0)."""
+
+    def __init__(self, algebra, weights, cutoff):
+        super().__init__(algebra, weights, cutoff)
+        layers = weight_layers(self.weights, cutoff)
+        self.monomials = [m for layer in layers for m in layer]
+        self.weight_of = [w for w, layer in enumerate(layers) for _m in layer]
+        self.index = {m: t for t, m in enumerate(self.monomials)}
+        self.unit = self.index[(0,) * algebra.dim]
+        self.skipped = 0
+
+
+def full_model(adapted) -> tuple:
+    """(full uea, central ids, basis inverse) of Regular's layer-reversed
+    model over the adapted basis ``adapted``."""
+    algebra, central_ids, basis_inverse = _reversed_model(adapted)
+    return FullUEA(algebra, adapted.weights, adapted.nilpotency_class), central_ids, basis_inverse
+
+
+def restricted(full, uea, mids) -> list:
+    """The monomial ids ``mids`` of the full model ``full`` as ids of
+    ``uea``, in the same order, leaving out those ``uea`` skips."""
+    return [uea.index[full.monomials[m]] for m in mids if full.monomials[m] in uea.index]
+
+
+def regular_unpruned(g: LieAlgebra) -> Representation:
+    """The faithful module on all monomials of weight <= c, without pruning."""
+    uea, _central_ids, basis_inverse = full_model(g.adapted_basis())
+    right = uea.right_action_matrices(uea.right_products(), range(len(uea.monomials)))
+    mats = _module_action(g.field, basis_inverse, right)
+    return Representation(
+        g,
+        mats,
+        {"algorithm": "regular_unpruned", "dim": len(uea.monomials), "side": "right"},
+    )
+
+
+def partitions(j: int) -> int:
+    """Number of partitions of j, with p(0) = 1."""
+    if j < 0:
+        raise ValueError("negative argument")
+    table = [1] + [0] * j
+    for part in range(1, j + 1):
+        for total in range(part, j + 1):
+            table[total] += table[total - part]
+    return table[j]
+
+
+def nu(d: int, c: int) -> int:
+    """The dimension bound sum_{j=0}^{c} C(d-j, c-j) p(j) of the regular module."""
+    if c < 0 or d < c:
+        raise ValueError("need 0 <= c <= d")
+    return sum(comb(d - j, c - j) * partitions(j) for j in range(c + 1))
+
+
+# ---------------------------------------------------------------------------
+# the Pfaff identities of f_n
+
+
+def pfaff_identity_values(n: int) -> list:
+    """The three alternating-sum identities: list of (lhs, rhs) exact pairs."""
+    if n < 13:
+        raise ValueError("identities are asserted for n >= 13")
+    top = (n - 1) // 2
+
+    def a(l):
+        return rational(3, comb(l, 2) * comb(2 * l - 1, l - 1))
+
+    lhs1 = sum(
+        ((-1) ** (l - 1)) * comb(n - l - 5, l - 2) * a(l) for l in range(3, top + 1)
+    )
+    rhs1 = rational((n - 7) * (n - 8), (n - 4) * (n - 5))
+    lhs2 = sum(((-1) ** l) * comb(n - l - 5, l - 4) * a(l) for l in range(5, top + 1))
+    rhs2 = rational(-1, 70) + rational(12 * (n - 8), (n - 2) * (n - 3) * (n - 4) * (n - 5))
+    lhs3 = sum(((-1) ** l) * comb(n - l - 3, l - 2) * a(l) for l in range(3, top + 1))
+    rhs3 = -rational((n - 5) * (n - 6), (n - 2) * (n - 3))
+    return [(lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3)]
+
+
+def pfaff_check(n: int) -> list:
+    """Indices (1-based) of the failing identities; empty means all hold."""
+    return [t + 1 for t, (lhs, rhs) in enumerate(pfaff_identity_values(n)) if lhs != rhs]

@@ -18,12 +18,12 @@ import warnings
 import pytest
 
 import nilrep as nr
-from helpers import betti2, intersect
+from helpers import betti2, enumerate_monomials, intersect, nu, pfaff_check, regular_unpruned
 from nilrep import catalog, fileio, tables
 from nilrep.liealg import _generators
 from nilrep.fields import GF, QQ
 from nilrep.quotient import algorithm_quotient, reduce_once
-from nilrep.regular import build_pruned_module, nu, regular_unpruned
+from nilrep.regular import build_pruned_module
 from nilrep.representation import (
     annihilated_subspace,
     center_image,
@@ -31,7 +31,6 @@ from nilrep.representation import (
     is_homomorphism,
     kernel,
 )
-from nilrep.uea import enumerate_monomials
 
 RECORD = []
 
@@ -250,7 +249,7 @@ def test_criterion_6b_jacobi_catalog():
 
 
 def test_criterion_6c_pfaff_identities():
-    bad = {n: catalog.pfaff_check(n) for n in range(13, 41)}
+    bad = {n: pfaff_check(n) for n in range(13, 41)}
     bad = {n: fails for n, fails in bad.items() if fails}
     record("6c pfaff-identities", not bad, "n = 13..40, exact rational arithmetic")
     assert not bad, bad

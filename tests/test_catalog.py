@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import pfaff_check, pfaff_identity_values
 from nilrep.fields import GF, QQ, rational
 from nilrep.hall import _commutator, expand, hall_trees, tree_degree, witt_dimension, witt_layer_dim
 from nilrep.liealg import LieAlgebra
@@ -283,11 +284,11 @@ def test_filiform_corrupting_alpha_breaks_jacobi(f13):
 
 def test_pfaff_identities():
     for n in range(13, 20):
-        assert catalog.pfaff_check(n) == []
+        assert pfaff_check(n) == []
 
 
 def test_pfaff_first_identity_value_at_13():
-    values = catalog.pfaff_identity_values(13)
+    values = pfaff_identity_values(13)
     assert values[0][0] == rational(5, 12)  # (6*5)/(9*8)
     assert values[0][1] == rational(5, 12)
 

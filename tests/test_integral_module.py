@@ -6,7 +6,9 @@ the straightening recursion, pruning, matrices and Dual spin on exact
 rationals, written out here so that every value, every pruned monomial and
 every scalar type (an integral rational is an ``int``) can be compared on
 generated algebras: diagonal rescalings of U_4 and N_{2,4}, whose structure
-constants over Q are not integral.
+constants over Q are not integral.  The references run on the full monomial
+model (``helpers.full_model``); the package's monomial ids are compared with
+theirs restricted to the monomials it enumerates (``helpers.restricted``).
 """
 
 from collections import deque
@@ -15,13 +17,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import product_dicts, rebased
+from helpers import full_model, product_dicts, rebased, restricted
 from nilrep import catalog
 from nilrep.dual import algorithm_dual
 from nilrep.fields import GF, QQ, rational
 from nilrep.liealg import LieAlgebra
 from nilrep.linalg import SparseMatrix, Subspace, lincomb
-from nilrep.regular import _reversed_model, build_pruned_module
+from nilrep.regular import build_pruned_module
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +77,9 @@ def rational_right_products(uea):
 
 def rational_module(g):
     """(uea, products, active, removed, right matrices, central ids, basis
-    inverse) of Regular's pruning, on the rational products."""
-    uea, central_ids, basis_inverse = _reversed_model(g.adapted_basis())
+    inverse) of Regular's pruning, on the rational products of the full model
+    ``uea`` (``helpers.full_model``)."""
+    uea, central_ids, basis_inverse = full_model(g.adapted_basis())
     products = rational_right_products(uea)
     protected = {uea.unit} | {uea.degree_one_mid(k) for k in central_ids}
     supports = {}
@@ -177,7 +180,7 @@ def test_rescaled_tables_have_rational_models():
     half = rational(1, 2)
     for g in (catalog.upper_triangular(4, QQ), catalog.free_nilpotent(2, 4, QQ)):
         scales = [half] + [rational(1)] * (g.dim - 1)
-        assert _reversed_model(rescaled(g, scales).adapted_basis())[0].mu > 1
+        assert full_model(rescaled(g, scales).adapted_basis())[0].mu > 1
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
@@ -197,8 +200,8 @@ def test_integral_module_matches_the_rational_one(field, data):
         assert got == want, (mid, i)
         assert (i in rows[mid]) == bool(want)
     module = build_pruned_module(g)
-    assert module.state.active == active
-    assert module.state.removed == removed
+    assert module.state.active == tuple(restricted(uea, module.uea, active))
+    assert module.state.removed == restricted(uea, module.uea, removed)
     assert [typed(m) for m in module.right_matrices] == [typed(m) for m in right]
     assert [typed(m) for m in algorithm_dual(g, module=module).matrices] == [
         typed(m) for m in rational_dual(g)
@@ -223,7 +226,11 @@ def test_one_pass_prune_matches_the_sweeps_to_a_fixpoint(build):
     # the reference sweeps until nothing changes; the weight order makes
     # its first sweep final, so the pass keeps and removes the same ids
     g = build()
-    _uea, _products, active, removed, _right, _c, _b = rational_module(g)
+    uea, _products, active, removed, _right, _c, _b = rational_module(g)
     module = build_pruned_module(g)
-    assert module.state.active == active
-    assert module.state.removed == removed
+    assert module.state.active == tuple(restricted(uea, module.uea, active))
+    assert module.state.removed == restricted(uea, module.uea, removed)
+    # the full model's removals that the package never enumerated come first
+    skipped = module.uea.skipped
+    assert len(removed) == len(module.state.removed) + skipped
+    assert all(uea.monomials[mid] not in module.uea.index for mid in removed[:skipped])

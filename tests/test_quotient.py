@@ -1,12 +1,12 @@
 import pytest
 
-from helpers import intersect, matmul, rebased
+from helpers import intersect, matmul, rebased, regular_unpruned
 from nilrep import catalog, liealg, quotient, representation
 from nilrep.fields import GF, QQ, rational
 from nilrep.liealg import LieAlgebra, _generators
 from nilrep.linalg import SparseMatrix, Subspace
 from nilrep.quotient import algorithm_quotient, reduce_once
-from nilrep.regular import algorithm_regular, regular_unpruned
+from nilrep.regular import algorithm_regular
 from nilrep.representation import (
     Representation,
     annihilated_subspace,

@@ -1,6 +1,17 @@
 import pytest
+from hypothesis import given, settings
 
-from helpers import product_dicts, rebased
+from helpers import (
+    central_extensions,
+    free_nilpotent_quotients,
+    full_model,
+    nu,
+    partitions,
+    product_dicts,
+    rebased,
+    regular_unpruned,
+    restricted,
+)
 from nilrep.fields import GF, QQ
 from nilrep.liealg import abelian_algebra
 from nilrep.linalg import SparseMatrix
@@ -9,10 +20,7 @@ from nilrep.regular import (
     _reversed_model,
     algorithm_regular,
     build_pruned_module,
-    nu,
-    partitions,
     prune,
-    regular_unpruned,
 )
 from nilrep.representation import is_faithful, is_homomorphism
 from nilrep.uea import TruncatedUEA
@@ -45,12 +53,13 @@ def test_nu_values():
 #   - x1: x1*x1 = x1^2, x1*x2 = x1x2, x1*z = 0 are all discarded;
 #   - x2: x2*x1 = x1x2 + [x2, x1] = x1x2 + z hits the protected z, so x2 stays.
 # One pass over the ids in descending order removes x1^2, x1x2, x2^2, then
-# x1: the kept monomials are 1, x2 = x and z.
+# x1: the kept monomials are 1, x2 = x and z.  This is the full model
+# (``helpers.full_model``); the package never enumerates x2^2, x1x2, x1^2.
 
 
 def heis_state():
-    module = build_pruned_module(catalog.heisenberg(QQ))
-    return module.uea, module.state
+    uea, central_ids, _basis_inverse = full_model(catalog.heisenberg(QQ).adapted_basis())
+    return uea, prune(uea, central_ids, uea.right_products())
 
 
 def test_prune_heisenberg_reaches_one_x_z():
@@ -181,8 +190,8 @@ def test_build_pruned_module_computes_the_products_once(monkeypatch):
     # and no product memo stays on the algebra afterwards, only the integer
     # structure constants that the products read
     assert sorted(vars(module.uea)) == [
-        "_table", "algebra", "cutoff", "field", "index", "monomials", "mu", "unit",
-        "weight_of", "weights",
+        "_table", "algebra", "cutoff", "field", "index", "monomials", "mu", "skipped",
+        "unit", "weight_of", "weights",
     ]
 
 
@@ -209,7 +218,7 @@ def rewritten_model(adapted):
 ], ids=["N35", "N28", "f17", "U7", "U6-F3", "U5-F2-rebased", "N24-rebased", "f13-rebased"])
 def test_relabelled_model_equals_the_rewritten_one(build):
     adapted = build().adapted_basis()
-    model = _reversed_model(adapted)[0].algebra
+    model = _reversed_model(adapted)[0]
     expected = rewritten_model(adapted)
     assert model == expected
     # the same brackets in the same order, with the same scalar types
@@ -217,3 +226,70 @@ def test_relabelled_model_equals_the_rewritten_one(build):
             for key, terms in model.table.items()] == [
         (key, [(k, type(c), c) for k, c in terms.items()])
         for key, terms in expected.table.items()]
+
+
+# ---------------------------------------------------------------------------
+# the enumerated model against the full one
+
+
+def check_matches_the_full_model(g):
+    """Regular's module equals the one on the full model (``helpers.full_model``)
+    restricted to the monomials the package enumerates: the same product
+    rows, active set and removal order, and the same provenance counts.  The
+    package leaves out exactly the top layer's monomials of degree >= 2,
+    whose full rows are empty."""
+    module = build_pruned_module(g)
+    uea = module.uea
+    full, central_ids, _basis_inverse = full_model(g.adapted_basis())
+    full_products = full.right_products()
+    state = prune(full, central_ids, full_products)
+    full_rows = product_dicts(full_products)
+    ids = {full.index[m]: mid for mid, m in enumerate(uea.monomials)}
+    assert list(ids) == sorted(ids)  # the same (weight, lex) order
+    left_out = [f for f in range(len(full.monomials)) if f not in ids]
+    assert len(left_out) == uea.skipped
+    for f in left_out:
+        assert full.weight_of[f] == uea.cutoff and sum(full.monomials[f]) >= 2
+        assert full_rows[f] == {}
+    rows = product_dicts(uea.right_products())
+    assert len(rows) == len(ids)
+    for f, mid in ids.items():
+        want = {i: {ids[t]: n for t, n in prod.items() if t in ids}
+                for i, prod in full_rows[f].items()}
+        assert rows[mid] == {i: prod for i, prod in want.items() if prod}, mid
+    assert module.state.active == tuple(restricted(full, uea, state.active))
+    assert module.state.removed == restricted(full, uea, state.removed)
+    prov = algorithm_regular(g, module=module).provenance
+    assert prov["unpruned_dim"] == len(full.monomials)
+    assert prov["removed"] == len(state.removed)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.heisenberg(QQ),
+    lambda: catalog.heisenberg(GF(2)),
+    lambda: catalog.upper_triangular(5, QQ),
+    lambda: catalog.upper_triangular(6, GF(2)),
+    lambda: catalog.upper_triangular(5, GF(3)),
+    lambda: catalog.free_nilpotent(2, 5, QQ),
+    lambda: catalog.free_nilpotent(3, 3, GF(3)),
+    lambda: catalog.filiform_f(13),
+    lambda: rebased(catalog.upper_triangular(5, GF(2)), 1),
+    lambda: rebased(catalog.upper_triangular(5, GF(3)), 2),
+    lambda: rebased(catalog.free_nilpotent(2, 4, QQ), 2),
+    lambda: rebased(catalog.filiform_f(13), 3),
+], ids=["heis", "heis-F2", "U5", "U6-F2", "U5-F3", "N25", "N33-F3", "f13", "U5-F2-rebased",
+        "U5-F3-rebased", "N24-rebased", "f13-rebased"])
+def test_module_matches_the_full_model_on_the_catalog(build):
+    check_matches_the_full_model(build())
+
+
+@settings(max_examples=15)
+@given(free_nilpotent_quotients())
+def test_module_matches_the_full_model_on_random_quotients(g):
+    check_matches_the_full_model(g)
+
+
+@settings(max_examples=15)
+@given(central_extensions())
+def test_module_matches_the_full_model_on_random_central_extensions(g):
+    check_matches_the_full_model(g)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import from_dense, intersect, matmul, span
+from helpers import from_dense, intersect, matmul, regular_unpruned, span
 from nilrep import catalog
 from nilrep.fields import GF, QQ, field_from_characteristic, rational
 from nilrep.liealg import LieAlgebra, _generators, abelian_algebra
 from nilrep.linalg import SparseMatrix, Subspace, invert, is_nilpotent, lincomb
-from nilrep.regular import algorithm_regular, regular_unpruned
+from nilrep.regular import algorithm_regular
 from nilrep.representation import (
     Representation,
     annihilated_subspace,

@@ -16,12 +16,17 @@ denominator, so scaling rationals to ints happens in one place.  The
 README's library example, which is why ``is_homomorphism`` is in ``KEPT``,
 runs and gives the results its comments state, and its list of the
 structural tools on ``LieAlgebra`` names exactly that class's public methods.
+Importing the package and its command-line, file and table modules loads
+neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
 import functools
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import nilrep
 
@@ -33,15 +38,11 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # on purpose; each value says what needs the name.
 KEPT = {
     "abelian_algebra": "the public constructor of an abelian algebra",
-    "regular_unpruned": "acceptance criterion 1 checks the unpruned module dimension",
-    "nu": "acceptance criterion 2 checks the closed-form dimension bound",
-    "enumerate_monomials": "acceptance criterion 2 counts the monomials with it",
-    "pfaff_check": "acceptance criterion 6c checks the Pfaff identities of f_n",
     "is_homomorphism": "the README's library example checks a result with it",
 }
 
 # Public method names that more than one class defines, or that are also a
-# data attribute (a slot, a dataclass field or a ``self.x =`` target): the
+# data attribute (a slot, a NamedTuple field or a ``self.x =`` target): the
 # caller check counts every ``x.name`` as a call of each, so a new clash must
 # be reviewed and listed here; each value says why the callers are real.
 SHARED_NAMES = {
@@ -219,7 +220,8 @@ def test_only_the_listed_modules_read_the_characteristic():
 
 
 def _data_attributes():
-    """Slots, dataclass fields and ``self.x =`` targets of every class."""
+    """Slots, NamedTuple fields (annotated names in a class body) and
+    ``self.x =`` targets of every class."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -280,3 +282,15 @@ def test_readme_names_exactly_the_public_methods_of_lie_algebra():
     named = re.findall(r"`(\w+)\(", sentence)
     public = [name for name, _node in _definitions() if name.startswith("LieAlgebra.")]
     assert sorted(named) == sorted(name.split(".")[1] for name in public)
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # ``dataclasses`` brings ``inspect``, ``ast``, ``dis`` and ``tokenize``
+    # along: memory and start-up time of every process that imports nilrep
+    code = ("import sys, nilrep, nilrep.cli, nilrep.fileio, nilrep.tables; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    path = [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, cwd=str(SRC.parent))
+    assert out.stdout.strip() == "[]"

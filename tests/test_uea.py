@@ -1,24 +1,35 @@
+import gc
 import math
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import free_nilpotent_quotients, matmul, product_dicts, rebased
+from helpers import (
+    FullUEA,
+    enumerate_monomials,
+    free_nilpotent_quotients,
+    full_model,
+    matmul,
+    nu,
+    product_dicts,
+    rebased,
+    weight_layers,
+)
 from nilrep.fields import Field, QQ, rational
 from nilrep.liealg import LieAlgebra, abelian_algebra
 from nilrep.fields import GF
-from nilrep.regular import _reversed_model, nu
 from nilrep import uea as uea_module
-from nilrep.uea import TruncatedUEA, enumerate_monomials
+from nilrep.uea import TruncatedUEA
 from nilrep import catalog
 
 Q1 = rational(1)
 
 
 def truncated_uea(g):
-    """The full truncated UEA over g's adapted basis, in its given order."""
+    """The full truncated UEA over g's adapted basis, in its given order:
+    every monomial of weight <= c (``helpers.FullUEA``)."""
     ad = g.adapted_basis()
-    return TruncatedUEA(ad.algebra, ad.weights, ad.nilpotency_class)
+    return FullUEA(ad.algebra, ad.weights, ad.nilpotency_class)
 
 
 def heis_uea():
@@ -110,6 +121,51 @@ def test_count_equals_nu_exactly_when_deep_layers_are_lines():
         bound = nu(g.dim, ab.nilpotency_class)
         assert count <= bound
         assert (count == bound) == thin
+
+
+@pytest.mark.parametrize("weights, cutoff", [
+    ((1, 1, 2), 2), ((1, 1, 2), 0), ((1, 1, 2), 1), ((1, 1, 2), 4), ((1, 3, 2), 3),
+    ((1, 1, 1, 2, 2, 3), 3), ((2, 2, 3), 5), ((), 2), ((1, 2, 3, 4, 5), 5),
+])
+def test_the_package_enumerates_the_full_layers_but_the_top_ones_of_degree_two(weights, cutoff):
+    layers, skipped = uea_module._weight_layers(weights, cutoff)
+    full = weight_layers(weights, cutoff)
+    assert layers[:-1] == full[:-1]
+    assert layers[-1] == [m for m in full[-1] if sum(m) <= 1]
+    assert skipped == len(full[-1]) - len(layers[-1])
+
+
+def test_the_enumeration_depth_is_not_bounded_by_the_recursion_limit():
+    # 1000 generators of weight one and one of weight two, as in a Heisenberg
+    # algebra of dimension 1001: a walk one call deep per position would
+    # exceed the interpreter's recursion limit
+    layers, skipped = uea_module._weight_layers((1,) * 1000 + (2,), 2)
+    assert [len(layer) for layer in layers] == [1, 1000, 1]
+    assert skipped == 1000 * 1001 // 2  # the products of two weight-one factors
+
+
+def test_the_heisenberg_top_layer_holds_only_z():
+    # x^2, xy and y^2 have weight c = 2, so no products: only z is built
+    ad = catalog.heisenberg(QQ).adapted_basis()
+    uea = TruncatedUEA(ad.algebra, ad.weights, ad.nilpotency_class)
+    assert uea.monomials == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)]
+    assert uea.weight_of == [0, 1, 1, 2] and uea.skipped == 3
+    assert uea.index == {m: t for t, m in enumerate(uea.monomials)}
+
+
+def test_a_build_leaves_nothing_for_the_collector():
+    # a reference cycle (a recursive closure) would keep the monomial layers
+    # alive until a collection runs
+    ad = catalog.upper_triangular(5, GF(2)).adapted_basis()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        TruncatedUEA(ad.algebra, ad.weights, ad.nilpotency_class)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +352,7 @@ def test_right_products_against_word_oracle():
 def test_layer_reversed_model_products_against_word_oracle(g):
     # the model build_pruned_module multiplies in: the adapted basis with
     # every weight layer reversed, over F_p as well as Q
-    uea = _reversed_model(g.adapted_basis())[0]
+    uea = full_model(g.adapted_basis())[0]
     check_products_against_word_oracle(uea)
 
 
@@ -313,7 +369,7 @@ def test_non_integral_products_against_word_oracle():
     # rational structure constants, so mu > 1 and the numerators carry
     # powers of mu: the layer-reversed model of f_13, and N_{2,3} rescaled
     # to [x1, x2] = 1/2 x3, [x1, x3] = 2/3 x4, [x2, x3] = 3/5 x5
-    f13 = _reversed_model(catalog.filiform_f(13).adapted_basis())[0]
+    f13 = full_model(catalog.filiform_f(13).adapted_basis())[0]
     assert f13.mu > 1
     check_products_against_word_oracle(f13, step=3)
     r = rational
@@ -321,7 +377,7 @@ def test_non_integral_products_against_word_oracle():
         QQ, 5, {(0, 1): {2: r(1, 2)}, (0, 2): {3: r(2, 3)}, (1, 2): {4: r(3, 5)}}
     )
     assert g.check_jacobi() == []
-    uea = TruncatedUEA(g, (1, 1, 2, 3, 3), 3)
+    uea = FullUEA(g, (1, 1, 2, 3, 3), 3)
     assert uea.mu == 30
     check_products_against_word_oracle(uea)
     # x2 * x1 = x1 x2 - 1/2 x3: numerators -15 over mu^1 and 1 over mu^0
@@ -439,7 +495,7 @@ def reference_right_products(uea):
 
 
 def check_table_against_reference(g):
-    uea = _reversed_model(g.adapted_basis())[0]
+    uea = full_model(g.adapted_basis())[0]
     rows, want = uea.right_products(), reference_right_products(uea)
     assert product_dicts(rows) == want
     assert uea_module._EMPTY == {}  # the shared empty row took no entry

@@ -1,12 +1,23 @@
 """Weight-filtered truncated universal enveloping algebra.
 
-PBW monomials over a weight-adapted ordered basis are encoded as exponent
-tuples; every monomial of weight above the nilpotency class acts as zero.
-The module action is right multiplication by a generator, straightened back
-to ascending PBW form with the rewrite x_k x_i = x_i x_k + [x_k, x_i]
-(i < k).  In an adapted basis a bracket correction keeps or raises the
-weight; the rewriting terminates because each correction has one factor
-fewer.
+PBW monomials over a weight-adapted ordered basis x_0, …, x_{d-1}; every
+monomial of weight above the nilpotency class acts as zero.  The module
+action is right multiplication by a generator, straightened back to
+ascending PBW form with the rewrite x_k x_i = x_i x_k + [x_k, x_i] (i < k).
+In an adapted basis a bracket correction keeps or raises the weight; the
+rewriting terminates because each correction has one factor fewer.
+
+A monomial x_0^e_0 ⋯ x_{d-1}^e_{d-1} is stored as one integer, its key
+sum_j e_j B^(d-1-j) with B = c+1 for the cutoff c: its exponents are its
+digits in base B.  Every weight is at least 1, so no exponent exceeds the
+monomial's weight, at most c, and every digit is below B.  So the first
+position where two exponent tuples differ decides the order of their keys,
+as the later digits add up to less than one unit of it: inside a weight
+layer lex order is numeric order, and the ids stay in (weight, lex) order.
+Multiplying by x_j adds B^(d-1-j) to a key and dividing by x_j subtracts
+it; an append never carries, as its new exponent is at most c.  The walk
+that enumerates the monomials records each one's last factor and number of
+factors, so nothing reads the digits back.
 
 Only the monomials a module can use are enumerated.  Every term of
 m * x_i has weight above w(m), so a monomial of the top weight c has no
@@ -56,49 +67,69 @@ from .liealg import LieAlgebra
 from .linalg import SparseMatrix
 
 
-def _weight_layers(weights: Sequence[int], cutoff: int) -> tuple:
-    """``(layers, skipped)``: ``layers[w]`` holds the exponent tuples of weight
-    w in lex order, for w = 0, 1, …, cutoff, except that the top layer holds
-    only those of degree at most one; ``skipped`` counts the top-weight tuples
-    left out, which are never built.
+def _places(d: int, base: int) -> list:
+    """``place[j] = base^(d-1-j)``: the key of x_j, and what x_j adds to a key."""
+    place = [1] * d
+    for j in reversed(range(d - 1)):
+        place[j] = place[j + 1] * base
+    return place
 
-    The tuples below the top weight come from a depth-first walk over the
+
+def _weight_layers(weights: Sequence[int], cutoff: int) -> tuple:
+    """``(layers, skipped)``: ``layers[w]`` lists the monomials of weight w in
+    lex order, for w = 0, 1, …, cutoff, as three parallel lists: their keys
+    (base cutoff + 1), last factors (0 for the unit) and numbers of factors.
+    The top layer holds only the monomials of degree at most one; ``skipped``
+    counts the others, which are never built.
+
+    The monomials below the top weight come from a depth-first walk over the
     exponents, position by position, kept in lists rather than on the call
-    stack: it holds no reference cycle and no recursion limit bounds d."""
+    stack: it holds no reference cycle and no recursion limit bounds d.  The
+    walk keeps the key, the last factor and the factor count as it goes."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if any(w < 1 for w in weights):
         raise ValueError("weights must be at least 1")
     d = len(weights)
     if not cutoff:
-        return [[(0,) * d]], 0
-    by_room = [[] for _ in range(cutoff)]  # room r holds weight cutoff - 1 - r
+        return [([0], [0], [0])], 0
+    place = _places(d, cutoff + 1)
+    by_room = [([], [], []) for _ in range(cutoff)]  # room r holds weight cutoff - 1 - r
     least = [min(weights[pos:]) for pos in range(d)] + [cutoff]
     prefix = [0] * d
     before = [0] * d  # the room at each position before its exponent
+    key = last = factors = 0
     pos, room = 0, cutoff - 1
     while pos >= 0:
         while room >= least[pos]:  # a factor from pos on fits: descend with exponent 0
             before[pos] = room
             pos += 1
-        by_room[room].append(tuple(prefix))  # tuples come out in lex order
+        keys, lasts, counts = by_room[room]  # monomials come out in lex order
+        keys.append(key)
+        lasts.append(last)
+        counts.append(factors)
         # back up to the last position that takes one more factor
         pos -= 1
         while pos >= 0 and (prefix[pos] + 1) * weights[pos] > before[pos]:
+            key -= prefix[pos] * place[pos]
+            factors -= prefix[pos]
             prefix[pos] = 0
             pos -= 1
-        if pos >= 0:
+        if pos >= 0:  # every later exponent is 0, so pos is the last factor
             prefix[pos] += 1
+            key += place[pos]
+            factors += 1
+            last = pos
             room = before[pos] - prefix[pos] * weights[pos]
             pos += 1
     # the top layer in lex order: a unit vector is larger the earlier its 1
-    top = [(0,) * k + (1,) + (0,) * (d - 1 - k)
-           for k in reversed(range(d)) if weights[k] == cutoff]
-    ways = [1] + [0] * cutoff  # ways[s]: the number of tuples of weight s
+    top = [k for k in reversed(range(d)) if weights[k] == cutoff]
+    ways = [1] + [0] * cutoff  # ways[s]: the number of monomials of weight s
     for w in weights:
         for s in range(w, cutoff + 1):
             ways[s] += ways[s - w]
-    return by_room[::-1] + [top], ways[cutoff] - len(top)
+    top_layer = ([place[k] for k in top], top, [1] * len(top))
+    return by_room[::-1] + [top_layer], ways[cutoff] - len(top)
 
 
 _EMPTY: dict = {}  # read-only: the default product, table entry and row
@@ -113,10 +144,13 @@ class TruncatedUEA:
     """U(g)/U^{c+1}(g) on its PBW monomials, with straightened right action.
 
     ``algebra`` must already be written in the adapted basis (weights
-    non-decreasing, brackets weight-additive).  Monomials are ordered by
-    (weight, lex); the top layer holds only its degree-one monomials, and
-    ``skipped`` counts the others.  ``mu`` is the denominator lcm of the
-    structure constants.
+    non-decreasing, brackets weight-additive).  Monomials are numbered in
+    (weight, lex) order; the top layer holds only its degree-one monomials,
+    and ``skipped`` counts the others.  ``monomials[mid]`` is the key of
+    monomial ``mid`` (see the module docstring), ``index`` maps a key back to
+    its id, and ``weight_of``, ``last`` and ``factors`` hold each monomial's
+    weight, last factor (0 for the unit) and number of factors.  ``mu`` is
+    the denominator lcm of the structure constants.
     """
 
     def __init__(self, algebra: LieAlgebra, weights: Sequence[int], cutoff: int):
@@ -128,11 +162,19 @@ class TruncatedUEA:
         self.field = algebra.field
         self.weights = tuple(weights)
         self.cutoff = cutoff
+        self._place = _places(algebra.dim, cutoff + 1)
         layers, self.skipped = _weight_layers(self.weights, cutoff)
-        self.monomials = [m for layer in layers for m in layer]
-        self.weight_of = [w for w, layer in enumerate(layers) for _m in layer]
-        self.index: Dict[tuple, int] = {m: t for t, m in enumerate(self.monomials)}
-        self.unit = self.index[(0,) * algebra.dim]
+        self.monomials: list = []
+        self.weight_of: list = []
+        self.last: list = []
+        self.factors: list = []
+        for w, (keys, last, factors) in enumerate(layers):
+            self.monomials += keys
+            self.weight_of += [w] * len(keys)
+            self.last += last
+            self.factors += factors
+        self.index: Dict[int, int] = {m: t for t, m in enumerate(self.monomials)}
+        self.unit = self.index[0]
         self._check_weight_adapted()
         # the structure constants times mu, as ints; right_products reads them
         (self._table,), self.mu = self.field.integral_maps([algebra.table])
@@ -177,29 +219,30 @@ class TruncatedUEA:
         """
         fld = self.field
         d = self.algebra.dim
-        weights, cutoff, index = self.weights, self.cutoff, self.index
-        table = self._table
-        rows = [_EMPTY] * len(self.monomials)
-        rest = [[] for _ in range(cutoff + 1)]  # by number of factors
-        for mid, mono in enumerate(self.monomials):
-            room = cutoff - self.weight_of[mid]
+        weights, cutoff, index, place = self.weights, self.cutoff, self.index, self._place
+        monomials, weight_of, last = self.monomials, self.weight_of, self.last
+        table, factors = self._table, self.factors
+        rows = [_EMPTY] * len(monomials)
+        rest = [[] for _ in range(cutoff + 1)]  # ids by number of factors
+        for mid, key in enumerate(monomials):
+            room = cutoff - weight_of[mid]
             if weights[0] > room:  # every product is past the cutoff
                 continue
-            k = max((j for j in range(d) if mono[j]), default=0)  # the unit only appends
+            k = last[mid]  # 0 for the unit, which only appends
             row = rows[mid] = {}
             for i in range(k, d):
                 if weights[i] > room:  # and so are all later weights
                     break
-                t = index.get(mono[:i] + (mono[i] + 1,) + mono[i + 1:])
+                t = index.get(key + place[i])
                 if t is not None:  # None: a skipped top-layer monomial
                     row[i] = t
             if k:
-                shorter = index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]
-                rest[sum(mono)].append((mid, k, shorter, room))
+                rest[factors[mid]].append(mid)
         # terms() inlined: this is the hot loop
         for layer in rest:
-            for mid, k, shorter, room in layer:
-                row, srow = rows[mid], rows[shorter]
+            for mid in layer:
+                k, room = last[mid], cutoff - weight_of[mid]
+                row, srow = rows[mid], rows[index[monomials[mid] - place[k]]]
                 for i in range(k):
                     if weights[i] > room:
                         break
@@ -229,9 +272,8 @@ class TruncatedUEA:
         """Matrices of m -> m * x_i, one per generator, on the span of the
         ordered monomial ids ``active``; monomials outside it act as zero.
         Entries are the rational values of ``products``' numerators."""
-        mu = self.mu
+        mu, factors = self.mu, self.factors
         pos = {mid: p for p, mid in enumerate(active)}
-        factors = {mid: sum(self.monomials[mid]) for mid in active}
         cols: list = [{} for _ in range(self.algebra.dim)]
         for p, mid in enumerate(active):
             top = factors[mid] + 1
@@ -250,4 +292,6 @@ class TruncatedUEA:
 
     def degree_one_mid(self, k: int) -> int:
         """Monomial id of the bare generator x_k (KeyError outside range(dim))."""
-        return self.index[(0,) * k + (1,) + (0,) * (self.algebra.dim - 1 - k)]
+        if not 0 <= k < self.algebra.dim:  # a negative k would index another place
+            raise KeyError(k)
+        return self.index[self._place[k]]

@@ -13,7 +13,9 @@ purpose, as ordinary JSON, and read every entry of the product table, a
 bare monomial id included, as one dict.  The package never enumerates the
 top weight layer's monomials of degree two or more; the full model here
 does, as the reference the tests compare the package against, and as the
-unpruned module of acceptance criterion 1.
+unpruned module of acceptance criterion 1.  The package stores a monomial as
+one integer key; ``key`` and ``exponents`` turn exponent tuples into keys
+and back, so that tests can name monomials by their exponents.
 """
 
 import json
@@ -238,6 +240,15 @@ def central_extensions(draw):
     return LieAlgebra(fld, d + 1, table)
 
 
+@st.composite
+def rebased_generated(draw):
+    """A ``free_nilpotent_quotients`` or ``central_extensions`` algebra in the
+    basis ``rebased`` draws from a drawn seed: a generated algebra whose
+    given basis is not adapted, with denser brackets."""
+    g = draw(st.one_of(free_nilpotent_quotients(), central_extensions()))
+    return rebased(g, draw(st.integers(0, 2**32)))
+
+
 # ---------------------------------------------------------------------------
 # the full monomial model
 
@@ -274,18 +285,49 @@ def enumerate_monomials(weights, cutoff) -> list:
     return [m for layer in weight_layers(weights, cutoff) for m in layer]
 
 
+def key(uea, exponents) -> int:
+    """The key of an exponent tuple in ``uea``: its exponents as the digits,
+    most significant first, of a number in base cutoff + 1."""
+    base, out = uea.cutoff + 1, 0
+    for e in exponents:
+        if not 0 <= e < base:
+            raise ValueError("exponent %r is not a digit in base %d" % (e, base))
+        out = out * base + e
+    return out
+
+
+def exponents(uea, mid) -> tuple:
+    """The exponent tuple of monomial ``mid`` of ``uea``: its key's digits."""
+    base, rest, digits = uea.cutoff + 1, uea.monomials[mid], []
+    for _ in range(uea.algebra.dim):
+        rest, e = divmod(rest, base)
+        digits.append(e)
+    if rest:
+        raise ValueError("key %r has more than %d digits" % (uea.monomials[mid], len(digits)))
+    return tuple(reversed(digits))
+
+
+def mid_of(uea, exps) -> int:
+    """The monomial id of an exponent tuple in ``uea``."""
+    return uea.index[key(uea, exps)]
+
+
 class FullUEA(TruncatedUEA):
     """``TruncatedUEA`` on every monomial of weight ≤ cutoff: the package's
     straightening and matrices on the full model, whose top layer also holds
-    the monomials of degree two or more (``skipped`` is 0)."""
+    the monomials of degree two or more (``skipped`` is 0).  Its keys, last
+    factors and factor counts are computed here from the exponent tuples."""
 
     def __init__(self, algebra, weights, cutoff):
         super().__init__(algebra, weights, cutoff)
         layers = weight_layers(self.weights, cutoff)
-        self.monomials = [m for layer in layers for m in layer]
+        tuples = [m for layer in layers for m in layer]
+        self.monomials = [key(self, m) for m in tuples]
         self.weight_of = [w for w, layer in enumerate(layers) for _m in layer]
+        self.last = [max((j for j, e in enumerate(m) if e), default=0) for m in tuples]
+        self.factors = [sum(m) for m in tuples]
         self.index = {m: t for t, m in enumerate(self.monomials)}
-        self.unit = self.index[(0,) * algebra.dim]
+        self.unit = self.index[key(self, (0,) * algebra.dim)]
         self.skipped = 0
 
 
@@ -299,7 +341,8 @@ def full_model(adapted) -> tuple:
 def restricted(full, uea, mids) -> list:
     """The monomial ids ``mids`` of the full model ``full`` as ids of
     ``uea``, in the same order, leaving out those ``uea`` skips."""
-    return [uea.index[full.monomials[m]] for m in mids if full.monomials[m] in uea.index]
+    keys = (key(uea, exponents(full, m)) for m in mids)
+    return [uea.index[k] for k in keys if k in uea.index]
 
 
 def regular_unpruned(g: LieAlgebra) -> Representation:

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from helpers import rebased, span
+from helpers import mid_of, rebased, span
 from nilrep.fields import GF, QQ, rational
 from nilrep import dual
 from nilrep.dual import algorithm_dual, center_dual_generators, dual_action_matrices
@@ -37,7 +37,7 @@ def spin(m, gens):
 
 
 def _pos(module, mono):
-    return list(module.state.active).index(module.uea.index[mono])
+    return list(module.state.active).index(mid_of(module.uea, mono))
 
 
 def test_dual_action_worked_examples(heis_module):

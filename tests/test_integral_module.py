@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import full_model, product_dicts, rebased, restricted
+from helpers import exponents, full_model, key, mid_of, product_dicts, rebased, restricted
 from nilrep import catalog
 from nilrep.dual import algorithm_dual
 from nilrep.fields import GF, QQ, rational
@@ -48,7 +48,8 @@ def rational_right_products(uea):
     d = uea.algebra.dim
     products = {}
     rest = []
-    for mid, mono in enumerate(uea.monomials):
+    for mid in range(len(uea.monomials)):
+        mono = exponents(uea, mid)
         k = max((j for j in range(d) if mono[j]), default=0)
         room = uea.cutoff - uea.weight_of[mid]
         for i in range(k, d):
@@ -56,13 +57,13 @@ def rational_right_products(uea):
                 products[(mid, i)] = {}
             else:
                 bigger = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                products[(mid, i)] = {uea.index[bigger]: fld.one}
+                products[(mid, i)] = {mid_of(uea, bigger): fld.one}
         if k:
             rest.append((sum(mono), mid, k))
     rest.sort()
     for _factors, mid, k in rest:
-        mono = uea.monomials[mid]
-        shorter = uea.index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]
+        mono = exponents(uea, mid)
+        shorter = mid_of(uea, mono[:k] + (mono[k] - 1,) + mono[k + 1:])
         for i in range(k):
             acc = {}
             for t, cf in products[(shorter, i)].items():
@@ -188,13 +189,14 @@ def test_rescaled_tables_have_rational_models():
 def test_integral_module_matches_the_rational_one(field, data):
     g = data.draw(rescaled_algebras(field))
     uea, products, active, removed, right, _c, _b = rational_module(g)
-    assert uea.monomials == sorted_monomials(uea.weights, uea.cutoff)
+    assert [exponents(uea, mid) for mid in range(len(uea.monomials))] == sorted_monomials(
+        uea.weights, uea.cutoff)
     rows = product_dicts(uea.right_products())
     assert len(rows) == len(uea.monomials)
     for (mid, i), want in products.items():
-        top = sum(uea.monomials[mid]) + 1
+        top = sum(exponents(uea, mid)) + 1
         got = {
-            t: rational(n, uea.mu ** (top - sum(uea.monomials[t])))
+            t: rational(n, uea.mu ** (top - sum(exponents(uea, t))))
             for t, n in rows[mid].get(i, {}).items()
         }
         assert got == want, (mid, i)
@@ -233,4 +235,5 @@ def test_one_pass_prune_matches_the_sweeps_to_a_fixpoint(build):
     # the full model's removals that the package never enumerated come first
     skipped = module.uea.skipped
     assert len(removed) == len(module.state.removed) + skipped
-    assert all(uea.monomials[mid] not in module.uea.index for mid in removed[:skipped])
+    assert all(key(module.uea, exponents(uea, mid)) not in module.uea.index
+               for mid in removed[:skipped])

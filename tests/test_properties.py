@@ -22,6 +22,7 @@ from helpers import (
     free_nilpotent_quotients,
     intersect,
     rebased,
+    rebased_generated,
     regular_unpruned,
 )
 from nilrep import catalog
@@ -166,4 +167,10 @@ def test_quotient_is_the_negated_transpose_of_dual_on_random_quotients(g):
 @settings(max_examples=25)
 @given(central_extensions())
 def test_quotient_is_the_negated_transpose_of_dual_on_random_central_extensions(g):
+    check_quotient_is_the_negated_transpose_of_dual(g)
+
+
+@settings(max_examples=25)
+@given(rebased_generated())
+def test_quotient_is_the_negated_transpose_of_dual_on_rebased_generated_algebras(g):
     check_quotient_is_the_negated_transpose_of_dual(g)

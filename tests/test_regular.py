@@ -1,10 +1,14 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
 from helpers import (
     central_extensions,
+    exponents,
     free_nilpotent_quotients,
     full_model,
+    mid_of,
     nu,
     partitions,
     product_dicts,
@@ -64,14 +68,14 @@ def heis_state():
 
 def test_prune_heisenberg_reaches_one_x_z():
     uea, state = heis_state()
-    kept = {uea.monomials[mid] for mid in state.active}
+    kept = {exponents(uea, mid) for mid in state.active}
     assert kept == {(0, 0, 0), (0, 1, 0), (0, 0, 1)}  # 1, x, z
 
 
 def test_prune_heisenberg_removal_order():
     # the weight-2 monomials x1^2, x1x2, x2^2 go first, then x1 = y
     uea, state = heis_state()
-    removed = [uea.monomials[mid] for mid in state.removed]
+    removed = [exponents(uea, mid) for mid in state.removed]
     assert removed[:3] == [(2, 0, 0), (1, 1, 0), (0, 2, 0)]
     assert removed[3] == (1, 0, 0)
     assert len(removed) == 4
@@ -80,7 +84,7 @@ def test_prune_heisenberg_removal_order():
 def test_prune_never_removes_protected():
     uea, state = heis_state()
     assert uea.unit in state.active
-    assert uea.index[(0, 0, 1)] in state.active  # the central generator z
+    assert mid_of(uea, (0, 0, 1)) in state.active  # the central generator z
 
 
 def test_prune_abelian_line_keeps_everything():
@@ -190,9 +194,25 @@ def test_build_pruned_module_computes_the_products_once(monkeypatch):
     # and no product memo stays on the algebra afterwards, only the integer
     # structure constants that the products read
     assert sorted(vars(module.uea)) == [
-        "_table", "algebra", "cutoff", "field", "index", "monomials", "mu", "skipped",
-        "unit", "weight_of", "weights",
+        "_place", "_table", "algebra", "cutoff", "factors", "field", "index", "last",
+        "monomials", "mu", "skipped", "unit", "weight_of", "weights",
     ]
+
+
+def test_the_module_build_holds_less_than_three_megabytes():
+    # f_17's module build peaks at 3.26 MB under tracemalloc with an exponent
+    # tuple and a tuple-keyed index entry per monomial, and at 2.81 MB with
+    # one integer key each
+    g = catalog.filiform_f(17)
+    adapted = g.adapted_basis()
+    tracemalloc.start()
+    try:
+        module = build_pruned_module(g, adapted=adapted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (module.dim, len(module.uea.monomials)) == (256, 2456)
+    assert peak < 3_000_000
 
 
 def rewritten_model(adapted):
@@ -244,12 +264,12 @@ def check_matches_the_full_model(g):
     full_products = full.right_products()
     state = prune(full, central_ids, full_products)
     full_rows = product_dicts(full_products)
-    ids = {full.index[m]: mid for mid, m in enumerate(uea.monomials)}
+    ids = {mid_of(full, exponents(uea, mid)): mid for mid in range(len(uea.monomials))}
     assert list(ids) == sorted(ids)  # the same (weight, lex) order
     left_out = [f for f in range(len(full.monomials)) if f not in ids]
     assert len(left_out) == uea.skipped
     for f in left_out:
-        assert full.weight_of[f] == uea.cutoff and sum(full.monomials[f]) >= 2
+        assert full.weight_of[f] == uea.cutoff and sum(exponents(full, f)) >= 2
         assert full_rows[f] == {}
     rows = product_dicts(uea.right_products())
     assert len(rows) == len(ids)

@@ -1,18 +1,24 @@
 import gc
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 
 from helpers import (
     FullUEA,
+    central_extensions,
     enumerate_monomials,
+    exponents,
     free_nilpotent_quotients,
     full_model,
+    key,
     matmul,
+    mid_of,
     nu,
     product_dicts,
     rebased,
+    rebased_generated,
     weight_layers,
 )
 from nilrep.fields import Field, QQ, rational
@@ -43,9 +49,9 @@ def weight(mono, weights):
 def value_of(uea, products, mid, i):
     """monomial(mid) * x_i with exact coefficients: numerator N at t stands
     for N / mu^(|mid| + 1 - |t|), |.| the number of factors."""
-    top = sum(uea.monomials[mid]) + 1
+    top = sum(exponents(uea, mid)) + 1
     return {
-        t: rational(n, uea.mu ** (top - sum(uea.monomials[t])))
+        t: rational(n, uea.mu ** (top - sum(exponents(uea, t))))
         for t, n in products[mid].get(i, {}).items()
     }
 
@@ -103,8 +109,8 @@ def test_enumerate_order_weight_then_lex():
     assert keyed == sorted(keyed)
     # the UEA numbers its monomials in that order, with their weights
     uea = heis_uea()
-    assert uea.monomials == mons
-    assert uea.weight_of == [weight(m, weights) for m in uea.monomials]
+    assert [exponents(uea, mid) for mid in every(uea)] == mons
+    assert uea.weight_of == [weight(m, weights) for m in mons]
 
 
 def test_count_equals_nu_exactly_when_deep_layers_are_lines():
@@ -130,9 +136,15 @@ def test_count_equals_nu_exactly_when_deep_layers_are_lines():
 def test_the_package_enumerates_the_full_layers_but_the_top_ones_of_degree_two(weights, cutoff):
     layers, skipped = uea_module._weight_layers(weights, cutoff)
     full = weight_layers(weights, cutoff)
-    assert layers[:-1] == full[:-1]
-    assert layers[-1] == [m for m in full[-1] if sum(m) <= 1]
-    assert skipped == len(full[-1]) - len(layers[-1])
+    top = [m for m in full[-1] if sum(m) <= 1]
+    # each layer as its keys in base cutoff + 1, last factors and factor counts
+    model = SimpleNamespace(cutoff=cutoff)  # all that helpers.key reads
+    assert layers == [
+        ([key(model, m) for m in layer],
+         [max((j for j, e in enumerate(m) if e), default=0) for m in layer],
+         [sum(m) for m in layer])
+        for layer in full[:-1] + [top]]
+    assert skipped == len(full[-1]) - len(top)
 
 
 def test_the_enumeration_depth_is_not_bounded_by_the_recursion_limit():
@@ -140,7 +152,7 @@ def test_the_enumeration_depth_is_not_bounded_by_the_recursion_limit():
     # algebra of dimension 1001: a walk one call deep per position would
     # exceed the interpreter's recursion limit
     layers, skipped = uea_module._weight_layers((1,) * 1000 + (2,), 2)
-    assert [len(layer) for layer in layers] == [1, 1000, 1]
+    assert [len(keys) for keys, _last, _factors in layers] == [1, 1000, 1]
     assert skipped == 1000 * 1001 // 2  # the products of two weight-one factors
 
 
@@ -148,9 +160,14 @@ def test_the_heisenberg_top_layer_holds_only_z():
     # x^2, xy and y^2 have weight c = 2, so no products: only z is built
     ad = catalog.heisenberg(QQ).adapted_basis()
     uea = TruncatedUEA(ad.algebra, ad.weights, ad.nilpotency_class)
-    assert uea.monomials == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)]
+    tuples = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)]
+    assert [exponents(uea, mid) for mid in every(uea)] == tuples
+    assert uea.monomials == [0, 3, 9, 1]  # base c + 1 = 3
+    assert uea.monomials == [key(uea, m) for m in tuples]
     assert uea.weight_of == [0, 1, 1, 2] and uea.skipped == 3
+    assert uea.last == [0, 1, 0, 2] and uea.factors == [0, 1, 1, 1]
     assert uea.index == {m: t for t, m in enumerate(uea.monomials)}
+    assert uea.unit == uea.index[0] == 0
 
 
 def test_a_build_leaves_nothing_for_the_collector():
@@ -166,6 +183,75 @@ def test_a_build_leaves_nothing_for_the_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the integer keys against the full model's exponent tuples
+
+
+def check_keys_decode_to_the_full_model(g):
+    """On the layer-reversed model that Regular builds, the package's keys
+    decode to the full model's exponent tuples in (weight, lex) order, with
+    the top layer's tuples of degree two or more left out and counted in
+    ``skipped``; the weights, last factors, factor counts, index, unit and
+    degree-one ids it records agree with the tuples."""
+    full = full_model(g.adapted_basis())[0]
+    d = full.algebra.dim
+    uea = TruncatedUEA(full.algebra, full.weights, full.cutoff)
+    layers = weight_layers(full.weights, full.cutoff)
+    top = [m for m in layers[-1] if sum(m) <= 1]
+    want = [m for layer in layers[:-1] for m in layer] + top
+    assert [exponents(uea, mid) for mid in every(uea)] == want
+    assert [exponents(full, mid) for mid in every(full)] == enumerate_monomials(
+        full.weights, full.cutoff)
+    assert uea.skipped == len(layers[-1]) - len(top) == len(full.monomials) - len(want)
+    assert uea.monomials == [key(full, m) for m in want]
+    assert uea.weight_of == [weight(m, full.weights) for m in want]
+    assert uea.last == [max((j for j, e in enumerate(m) if e), default=0) for m in want]
+    assert uea.factors == [sum(m) for m in want]
+    assert uea.index == {k: mid for mid, k in enumerate(uea.monomials)}
+    assert exponents(uea, uea.unit) == (0,) * d
+    for k in range(d):
+        if full.weights[k] <= full.cutoff:
+            assert exponents(uea, uea.degree_one_mid(k)) == tuple(int(j == k) for j in range(d))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.heisenberg(QQ),
+    lambda: catalog.heisenberg(GF(3)),
+    lambda: catalog.upper_triangular(5, QQ),
+    lambda: catalog.upper_triangular(6, GF(2)),
+    lambda: catalog.upper_triangular(5, GF(3)),
+    lambda: catalog.free_nilpotent(2, 6, QQ),
+    lambda: catalog.free_nilpotent(3, 3, GF(2)),
+    lambda: catalog.filiform_f(13),
+    lambda: catalog.filiform_f(17),
+    lambda: rebased(catalog.upper_triangular(5, GF(2)), 1),
+    lambda: rebased(catalog.upper_triangular(5, GF(3)), 2),
+    lambda: rebased(catalog.free_nilpotent(2, 4, QQ), 2),
+    lambda: rebased(catalog.filiform_f(13), 3),
+], ids=["heis", "heis-F3", "U5", "U6-F2", "U5-F3", "N26", "N33-F2", "f13", "f17",
+        "U5-F2-rebased", "U5-F3-rebased", "N24-rebased", "f13-rebased"])
+def test_keys_decode_to_the_full_model(build):
+    check_keys_decode_to_the_full_model(build())
+
+
+@settings(max_examples=25)
+@given(free_nilpotent_quotients())
+def test_keys_decode_to_the_full_model_on_random_quotients(g):
+    check_keys_decode_to_the_full_model(g)
+
+
+@settings(max_examples=25)
+@given(central_extensions())
+def test_keys_decode_to_the_full_model_on_random_central_extensions(g):
+    check_keys_decode_to_the_full_model(g)
+
+
+@settings(max_examples=25)
+@given(rebased_generated())
+def test_keys_decode_to_the_full_model_on_rebased_generated_algebras(g):
+    check_keys_decode_to_the_full_model(g)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +285,7 @@ def test_negative_generator_index_raises_and_never_wraps():
         uea.degree_one_mid(3)
     assert len(right_matrices(uea)) == 3
     assert products[uea.unit][2] == {uea.degree_one_mid(2): Q1}
-    assert uea.degree_one_mid(2) == uea.index[(0, 0, 1)]
+    assert uea.degree_one_mid(2) == mid_of(uea, (0, 0, 1))
 
 
 def test_rejects_structure_constants_that_are_not_weight_adapted():
@@ -214,8 +300,8 @@ def test_right_product_worked_example():
     uea = heis_uea()
     products = product_dicts(uea.right_products())
     assert uea.mu == 1  # integral constants: the numerators are the values
-    x, y, z = (uea.index[m] for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    xy = uea.index[(1, 1, 0)]
+    x, y, z = (mid_of(uea, m) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    xy = mid_of(uea, (1, 1, 0))
     # y . x = xy - z
     assert products[y][0] == {xy: Q1, z: -Q1}
     # x . y = xy is already ascending
@@ -231,7 +317,7 @@ def test_right_product_worked_example():
 
 def test_right_action_matrix_respects_active_set():
     uea = heis_uea()
-    one, x, y = uea.unit, uea.index[(1, 0, 0)], uea.index[(0, 1, 0)]
+    one, x, y = uea.unit, mid_of(uea, (1, 0, 0)), mid_of(uea, (0, 1, 0))
     active = [one, x, y]
     pos = {mid: p for p, mid in enumerate(active)}
     # times x: 1 -> x stays; x -> x^2 and y -> xy - z leave the active set
@@ -242,15 +328,15 @@ def test_action_matrix_central_generator():
     uea = heis_uea()
     mat = right_matrices(uea)[2]  # 1 -> z; anything else times z has weight > 2
     pos = {mid: p for p, mid in enumerate(every(uea))}
-    expected = {pos[uea.unit]: {pos[uea.index[(0, 0, 1)]]: Q1}}
+    expected = {pos[uea.unit]: {pos[mid_of(uea, (0, 0, 1))]: Q1}}
     assert mat.cols == expected
 
 
 def test_action_matrix_y_columns():
     uea = heis_uea()
     pos = {mid: p for p, mid in enumerate(every(uea))}
-    xy, z, y, yy = (uea.index[m] for m in ((1, 1, 0), (0, 0, 1), (0, 1, 0), (0, 2, 0)))
-    x, xx, one = uea.index[(1, 0, 0)], uea.index[(2, 0, 0)], uea.unit
+    xy, z, y, yy = (mid_of(uea, m) for m in ((1, 1, 0), (0, 0, 1), (0, 1, 0), (0, 2, 0)))
+    x, xx, one = mid_of(uea, (1, 0, 0)), mid_of(uea, (2, 0, 0)), uea.unit
     mats = right_matrices(uea)
     # times y: 1 -> y, x -> xy, y -> y^2; the rest has weight > 2
     mat = mats[1]
@@ -269,7 +355,7 @@ def test_abelian_action_matrix_cutoff_one():
     uea = TruncatedUEA(abelian_algebra(QQ, 2), (1, 1), 1)
     mat = right_matrices(uea)[0]
     pos = {mid: p for p, mid in enumerate(every(uea))}
-    assert mat.cols == {pos[uea.unit]: {pos[uea.index[(1, 0)]]: Q1}}
+    assert mat.cols == {pos[uea.unit]: {pos[mid_of(uea, (1, 0))]: Q1}}
 
 
 def test_weight_additivity_of_products():
@@ -325,15 +411,15 @@ def straighten_word_right_oracle(uea, word):
         exps = [0] * g.dim
         for k in w:
             exps[k] += 1
-        key = uea.index[tuple(exps)]
-        out[key] = out.get(key, 0) + cv
+        mid = mid_of(uea, exps)
+        out[mid] = out.get(mid, 0) + cv
     return fld.clean(out)
 
 
 def check_products_against_word_oracle(uea, step=1):
     products = product_dicts(uea.right_products())
     for mid in range(0, len(uea.monomials), step):
-        mono = uea.monomials[mid]
+        mono = exponents(uea, mid)
         word = tuple(k for k, a in enumerate(mono) for _ in range(a))
         for i in range(uea.algebra.dim):
             want = straighten_word_right_oracle(uea, word + (i,))
@@ -360,7 +446,7 @@ def test_heisenberg_right_products_against_word_oracle():
     # every product on the Heisenberg algebra, including the worked example
     # y . x = xy - z, agrees with bubble-sort straightening of the word
     uea = heis_uea()
-    xy, z = uea.index[(1, 1, 0)], uea.index[(0, 0, 1)]
+    xy, z = mid_of(uea, (1, 1, 0)), mid_of(uea, (0, 0, 1))
     assert straighten_word_right_oracle(uea, (1, 0)) == {xy: Q1, z: -Q1}
     check_products_against_word_oracle(uea)
 
@@ -382,7 +468,7 @@ def test_non_integral_products_against_word_oracle():
     check_products_against_word_oracle(uea)
     # x2 * x1 = x1 x2 - 1/2 x3: numerators -15 over mu^1 and 1 over mu^0
     x1, x2, x3 = (uea.degree_one_mid(k) for k in range(3))
-    x1x2 = uea.index[(1, 1, 0, 0, 0)]
+    x1x2 = mid_of(uea, (1, 1, 0, 0, 0))
     assert product_dicts(uea.right_products())[x2][0] == {x1x2: 1, x3: -15}
     assert value_of(uea, product_dicts(uea.right_products()), x2, 0) == {x1x2: Q1, x3: r(-1, 2)}
 
@@ -457,23 +543,24 @@ def test_mu_and_the_integer_table_equal_the_hand_scaled_ones(build, monkeypatch)
 
 def reference_right_products(uea):
     """``TruncatedUEA.right_products`` as it was with one dict ``{t: N}`` per
-    product, appends included."""
+    product, appends included, on exponent tuples."""
     fld = uea.field
     d = uea.algebra.dim
-    weights, cutoff, index = uea.weights, uea.cutoff, uea.index
+    weights, cutoff = uea.weights, uea.cutoff
     table = uea._table
     rows = [{} for _ in uea.monomials]
     rest = [[] for _ in range(cutoff + 1)]
-    for mid, mono in enumerate(uea.monomials):
+    for mid in range(len(uea.monomials)):
+        mono = exponents(uea, mid)
         k = max((j for j in range(d) if mono[j]), default=0)
         room = cutoff - uea.weight_of[mid]
         row = rows[mid]
         for i in range(k, d):
             if weights[i] > room:
                 break
-            row[i] = {index[mono[:i] + (mono[i] + 1,) + mono[i + 1:]]: 1}
+            row[i] = {mid_of(uea, mono[:i] + (mono[i] + 1,) + mono[i + 1:]): 1}
         if k and weights[0] <= room:
-            shorter = index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]
+            shorter = mid_of(uea, mono[:k] + (mono[k] - 1,) + mono[k + 1:])
             rest[sum(mono)].append((mid, k, shorter, room))
     for layer in rest:
         for mid, k, shorter, room in layer:

@@ -13,8 +13,6 @@ from .linalg import SparseMatrix, Subspace
 from .uea import TruncatedUEA
 from .representation import (
     Representation,
-    annihilated_subspace,
-    center_image,
     homomorphism_failure,
     is_faithful,
     is_homomorphism,
@@ -22,7 +20,7 @@ from .representation import (
     verify_report,
 )
 from .regular import algorithm_regular, build_pruned_module
-from .quotient import algorithm_quotient, reduce_once
+from .quotient import algorithm_quotient
 from .dual import algorithm_dual
 from .affine import AffineFail, AffineTimeout, algorithm_affine
 from . import catalog
@@ -40,8 +38,6 @@ __all__ = [
     "Subspace",
     "TruncatedUEA",
     "Representation",
-    "annihilated_subspace",
-    "center_image",
     "homomorphism_failure",
     "is_faithful",
     "is_homomorphism",
@@ -50,7 +46,6 @@ __all__ = [
     "algorithm_regular",
     "build_pruned_module",
     "algorithm_quotient",
-    "reduce_once",
     "algorithm_dual",
     "AffineFail",
     "AffineTimeout",

@@ -187,7 +187,8 @@ class Field:
         if p:
             inv = pow(s, -1, p)
             return {j: x * inv % p for j, x in row.items()}
-        return {j: rational(x, s) for j, x in row.items()}
+        # rational(x, s), with no rational built for an integral quotient
+        return {j: x // s if x % s == 0 else _rational(x, s) for j, x in row.items()}
 
     def eliminate(self, v: dict, cols, rows: dict) -> int:
         """Eliminate from ``v``, in place, each column c of ``cols`` with the

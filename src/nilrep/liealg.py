@@ -27,10 +27,11 @@ class LieAlgebra:
     x_k in [x_i, x_j]; antisymmetry is implicit.  The Jacobi identity is
     checked on demand by ``check_jacobi``, which the CLI runs on every file
     input; ``lower_central_series`` and Affine's Z¹ equations assume it, since
-    both work from a generating set.
+    both work from a generating set.  Nothing changes ``table`` after
+    construction, so ``adapted_basis`` is built once per algebra.
     """
 
-    __slots__ = ("field", "dim", "table")
+    __slots__ = ("field", "dim", "table", "_adapted")
 
     def __init__(self, field: Field, dim: int, table: dict):
         if dim < 0:
@@ -51,6 +52,7 @@ class LieAlgebra:
         self.field = field
         self.dim = dim
         self.table = clean
+        self._adapted = None  # adapted_basis's fields, without ``source``
 
     def bracket(self, x: dict, y: dict) -> dict:
         """[x, y] for sparse coordinate vectors."""
@@ -134,7 +136,13 @@ class LieAlgebra:
         return LieAlgebra(self.field, len(vectors), table)
 
     def adapted_basis(self) -> "AdaptedBasis":
-        return _adapted_basis(self)
+        """The weight-adapted basis, built on the first call.  The memo holds
+        every field but ``source``, which is the algebra itself: storing the
+        ``AdaptedBasis`` would make a reference cycle, which lives until the
+        garbage collector runs."""
+        if self._adapted is None:
+            self._adapted = _adapted_basis(self)[:-1]
+        return AdaptedBasis(*self._adapted, self)
 
 
 def _bracket(g: LieAlgebra, x: dict, y: dict) -> dict:

@@ -9,13 +9,15 @@ elimination is ``Field``'s (``integral``, ``eliminate``, ``primitive`` and
 ``divided``), so this module never tells F_p from Q; ``Subspace`` keeps the
 echelon bookkeeping.  ``sparse`` is still the canonical rational RREF and
 ``reduce`` the exact canonical residual.  Sparse rows are the only vector
-format.  A ``Subspace`` answers membership and residuals and computes
-kernels.  On it build ``coordinate_projection`` (a vector reduced against
-the span of some rows, relabelled onto a coordinate complement),
-``relations`` (the linear relations among matrices), ``closure`` (the
-smallest subspace holding some vectors and stable under some matrices:
-Dual's spin and the check that generators generate) and ``invert``, which
-reads an inverse off the tag columns of ``[A | I]``.  Neither a complement
+format.  A ``Subspace`` answers membership and residuals, exact or as
+ints times a scale, and gives the kernel vectors of its rows.  On it build
+``coordinate_projection`` (a vector reduced against the span of some rows,
+relabelled onto a coordinate complement), ``relations`` (the linear
+relations among matrices, read off one sweep of their rows with the
+columns reversed), ``closure`` (the smallest subspace holding some vectors
+and stable under some matrices: Dual's spin and the check that generators
+generate) and ``invert``, which reads an inverse off the tag columns of
+``[A | I]``.  Neither a complement
 nor an intersection needs a helper: the echelon rows of a subspace that
 enlarge a ``Subspace`` as they are sifted in span a complement and are
 echelon themselves, and the vectors of a subspace that lie in another are
@@ -101,9 +103,9 @@ class Subspace:
         integer vector with content 1 and a positive pivot entry."""
         return dict(self._rows[pc])
 
-    def _sift(self, row: dict) -> tuple:
+    def scaled_residual(self, row: dict) -> tuple:
         """``(v, s)``: s > 0 times the residual of a sparse row against the
-        basis, integral over Q.  The row is not mutated."""
+        basis, integral over Q; s = 1 over F_p.  The row is not mutated."""
         v, s = self.field.integral(row)
         rows = self._rows
         return v, s * self.field.eliminate(v, [c for c in v if c in rows], rows)
@@ -112,14 +114,14 @@ class Subspace:
         """The exact residual of a sparse row against the canonical basis,
         with canonical entries; empty exactly when the row lies in the
         subspace.  The row is not mutated."""
-        return self.field.divided(*self._sift(row))
+        return self.field.divided(*self.scaled_residual(row))
 
     def contains(self, vec: Sequence) -> bool:
         return not self.reduce({j: x for j, x in enumerate(vec) if x != 0})
 
     def add(self, row: dict) -> Optional[int]:
         """Sift a row in; return its pivot column, or None if dependent."""
-        v, _s = self._sift(row)
+        v, _s = self.scaled_residual(row)
         if not v:
             return None
         piv = min(v)
@@ -161,14 +163,6 @@ class Subspace:
                 v[pc] = -row[f] * (m // row[pc])
             yield v
 
-    def kernel(self) -> "Subspace":
-        """Kernel of the matrix whose rows were added: ``kernel_vectors``
-        sifted into a new subspace for the canonical basis."""
-        out = Subspace(self.field, self.ambient)
-        for v in self.kernel_vectors():
-            out.add(v)
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -191,8 +185,9 @@ def coordinate_projection(field: Field, n: int, rows) -> tuple:
     at j: the dropped columns are the pivots of the rows sifted once with
     reversed columns, and the residual against them writes a vector modulo
     the span on the kept unit vectors.  ``project(vec)`` maps a sparse
-    vector of K^n to that residual on the positions of ``kept``, reduced
-    fraction-free (``Subspace.reduce``).
+    vector of K^n to ``(r, s)``: s > 0 times that residual on the positions
+    of ``kept``, reduced fraction-free (``Subspace.scaled_residual``), so
+    integral over Q; ``field.divided(r, s)`` is the residual itself.
     """
     rev = Subspace(field, n)
     for row in rows:
@@ -201,9 +196,9 @@ def coordinate_projection(field: Field, n: int, rows) -> tuple:
     kept = [k for k in range(n) if n - 1 - k not in dropped]
     pos = {n - 1 - k: t for t, k in enumerate(kept)}
 
-    def project(vec: dict) -> dict:
-        residual = rev.reduce({n - 1 - j: x for j, x in vec.items()})
-        return {pos[c]: x for c, x in residual.items()}
+    def project(vec: dict) -> tuple:
+        residual, s = rev.scaled_residual({n - 1 - j: x for j, x in vec.items()})
+        return {pos[c]: x for c, x in residual.items()}, s
 
     return kept, project
 
@@ -211,21 +206,34 @@ def coordinate_projection(field: Field, n: int, rows) -> tuple:
 def relations(field: Field, maps: Sequence[dict]) -> Subspace:
     """{x : sum_l x_l M_l = 0} for the matrices M_l given by ``maps[l]``, all
     column maps ``{col: {row: x}}`` or all row maps ``{row: {col: x}}``: a
-    relation among matrices is one among their transposes.  The kernel of
-    the rows (M_l at one position)_l, sifted in sorted order of the position
-    (outer key, inner key) until they span all of K^len(maps)."""
+    relation among matrices is one among their transposes.
+
+    The rows (M_l at one position)_l are sifted in sorted order of the
+    position (outer key, inner key) until they span all of K^len(maps), with
+    the columns l reversed.  The kernel vector of each free column
+    (``Subspace.kernel_vectors``) then has its other entries past its
+    smallest column, at pivot columns of the sweep, which the kernel's
+    canonical rows vanish on: it is a multiple of the canonical kernel row
+    whose pivot is that column.  So the kernel's echelon basis is read off
+    this one sweep, and adding those vectors to the result eliminates
+    nothing.
+    """
     d = len(maps)
+    last = d - 1
     rows: dict = {}
     for l, outer in enumerate(maps):
         for j, inner in outer.items():
             for i, v in inner.items():
-                rows.setdefault((j, i), {})[l] = v
+                rows.setdefault((j, i), {})[last - l] = v
     constraints = Subspace(field, d)
     for key in sorted(rows):
         constraints.add(rows[key])
         if constraints.dim == d:
             break
-    return constraints.kernel()
+    kernel = Subspace(field, d)
+    for v in constraints.kernel_vectors():
+        kernel.add({last - c: x for c, x in v.items()})
+    return kernel
 
 
 def closure(field: Field, n: int, seeds, maps: Sequence["SparseMatrix"]) -> Subspace:

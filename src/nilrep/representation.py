@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .liealg import LieAlgebra
-from .linalg import Subspace, is_nilpotent, lincomb, relations
+from .linalg import Subspace, is_nilpotent, relations
 
 
 class Representation:
@@ -107,29 +107,6 @@ def kernel(rep: Representation) -> Subspace:
 
 def is_faithful(rep: Representation) -> bool:
     return kernel(rep).dim == 0
-
-
-def annihilated_subspace(rep: Representation, gens: list) -> Subspace:
-    """S = {v in V : M_x v = 0 for every x in the algebra}, given generators
-    ``gens`` of the algebra as unit vectors (``liealg._generators``): the
-    relations among the columns of their matrices M_v, whose rows are sifted
-    in (matrix, row) order.  The x with M_x S = 0 form a subalgebra, since
-    M_[x,y] = [M_x, M_y], and it contains the generators, so it is the whole
-    algebra."""
-    mats = [rep.matrices[j].cols for v in gens for j in v]
-    return relations(rep.field, [{t: mat[l] for t, mat in enumerate(mats) if l in mat}
-                                 for l in range(rep.dim)])
-
-
-def center_image(rep: Representation, center: Subspace) -> Subspace:
-    """C = sum over z in the algebra's ``center`` of the column space of M_z."""
-    fld = rep.field
-    image = Subspace(fld, rep.dim)
-    for z in center.sparse.values():
-        mz = lincomb(fld, z, rep.matrices)
-        for j in sorted(mz.cols):
-            image.add(mz.cols[j])
-    return image
 
 
 def verify_report(rep: Representation) -> dict:

@@ -1,8 +1,8 @@
 """Helpers that only the tests use: dense matrices, matrix products,
-subspace intersections, quotient algebras, the second Betti number, plain
-JSON files, generated nilpotent algebras, the product table as dicts, the
-full monomial model with its unpruned module, the closed-form bound nu and
-the Pfaff identities of f_n.
+subspace intersections and kernels, quotient algebras, the second Betti
+number, plain JSON files, generated nilpotent algebras, the product table as
+dicts, the full monomial model with its unpruned module, the paper's
+Quotient round, the closed-form bound nu and the Pfaff identities of f_n.
 
 The package holds matrices and subspaces sparse and writes representation
 files itself; tests state small matrices and spans densely, check matrix
@@ -15,7 +15,11 @@ top weight layer's monomials of degree two or more; the full model here
 does, as the reference the tests compare the package against, and as the
 unpruned module of acceptance criterion 1.  The package stores a monomial as
 one integer key; ``key`` and ``exponents`` turn exponent tuples into keys
-and back, so that tests can name monomials by their exponents.
+and back, so that tests can name monomials by their exponents.  The
+package's Quotient carries the generator and center matrices alone through
+its rounds and projects the input once; ``reduce_once`` is the paper's
+round, which projects every matrix, and ``iterated_quotient`` repeats it to
+the fixpoint as the reference ``algorithm_quotient`` must equal.
 """
 
 import json
@@ -28,7 +32,15 @@ from hypothesis import strategies as st
 from nilrep import catalog
 from nilrep.fields import GF, QQ, Field, rational
 from nilrep.liealg import LieAlgebra, _generators
-from nilrep.linalg import SparseMatrix, Subspace, combine, coordinate_projection, invert
+from nilrep.linalg import (
+    SparseMatrix,
+    Subspace,
+    combine,
+    coordinate_projection,
+    invert,
+    lincomb,
+    relations,
+)
 from nilrep.regular import _module_action, _reversed_model
 from nilrep.representation import Representation
 from nilrep.uea import TruncatedUEA, terms
@@ -109,6 +121,15 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return out
 
 
+def subspace_kernel(space: Subspace) -> Subspace:
+    """The kernel of the matrix whose rows were added to ``space``: its
+    ``kernel_vectors`` sifted into a new subspace for the canonical basis."""
+    out = Subspace(space.field, space.ambient)
+    for v in space.kernel_vectors():
+        out.add(v)
+    return out
+
+
 def quotient(g: LieAlgebra, ideal: Subspace) -> tuple:
     """The quotient algebra g/ideal on the kept unit vectors of
     ``coordinate_projection``, and the projection as a SparseMatrix (column
@@ -124,10 +145,11 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple:
     gens = _generators(g)[1]
     if any(ideal.reduce(g.bracket(row, v)) for row in ideal.sparse.values() for v in gens):
         raise ValueError("subspace is not an ideal")
-    kept, project = coordinate_projection(g.field, g.dim, ideal.sparse.values())
-    one = g.field.one
-    proj = SparseMatrix(g.field, len(kept), g.dim,
-                        {j: col for j in range(g.dim) if (col := project({j: one}))})
+    fld = g.field
+    kept, project = coordinate_projection(fld, g.dim, ideal.sparse.values())
+    one = fld.one
+    proj = SparseMatrix(fld, len(kept), g.dim,
+                        {j: col for j in range(g.dim) if (col := fld.divided(*project({j: one})))})
     return g.rewritten([{k: one} for k in kept], proj), proj
 
 
@@ -230,7 +252,7 @@ def central_extensions(draw):
     g = draw(free_nilpotent_quotients())
     fld, d = g.field, g.dim
     pairs, conditions = two_cocycle_conditions(g)
-    z2 = dict(enumerate(conditions.kernel().sparse.values()))
+    z2 = dict(enumerate(subspace_kernel(conditions).sparse.values()))
     rng = random.Random(draw(st.integers(0, 2**32)))
     omega = combine(fld, {t: fld.from_int(rng.randint(-2, 2)) for t in z2}, z2)
     table = {p: dict(g.table.get(p, {})) for p in pairs}
@@ -355,6 +377,67 @@ def regular_unpruned(g: LieAlgebra) -> Representation:
         mats,
         {"algorithm": "regular_unpruned", "dim": len(uea.monomials), "side": "right"},
     )
+
+
+# ---------------------------------------------------------------------------
+# the paper's Quotient round on every matrix, the reference for the package
+
+
+def annihilated_subspace(rep: Representation, gens: list) -> Subspace:
+    """S = {v in V : M_x v = 0 for every x in the algebra}, given generators
+    ``gens`` of the algebra as unit vectors (``liealg._generators``): the
+    relations among the columns of their matrices M_v, whose rows are sifted
+    in (matrix, row) order.  The x with M_x S = 0 form a subalgebra, since
+    M_[x,y] = [M_x, M_y], and it contains the generators, so it is the whole
+    algebra."""
+    mats = [rep.matrices[j].cols for v in gens for j in v]
+    return relations(rep.field, [{t: mat[l] for t, mat in enumerate(mats) if l in mat}
+                                 for l in range(rep.dim)])
+
+
+def center_image(rep: Representation, center: Subspace) -> Subspace:
+    """C = sum over z in the algebra's ``center`` of the column space of M_z."""
+    fld = rep.field
+    image = Subspace(fld, rep.dim)
+    for z in center.sparse.values():
+        mz = lincomb(fld, z, rep.matrices)
+        for j in sorted(mz.cols):
+            image.add(mz.cols[j])
+    return image
+
+
+def reduce_once(rep: Representation, center: Subspace, gens: list) -> tuple:
+    """One S/C/W round on every matrix, with the algebra's ``center`` and
+    ``_generators`` ``gens``: ``(reduced representation, W's rows)``, the
+    rows S's canonical echelon rows that enlarge C, and at a fixpoint (no
+    rows) the representation itself."""
+    fld = rep.field
+    C = center_image(rep, center)
+    W = [row for row in annihilated_subspace(rep, gens).sparse.values()
+         if C.add(row) is not None]
+    if not W:
+        return rep, W
+    kept, project = coordinate_projection(fld, rep.dim, W)
+    n = len(kept)
+    mats = [SparseMatrix(fld, n, n, {t: image for t, k in enumerate(kept)
+                                     if k in mat.cols and (image := fld.divided(*project(mat.cols[k])))})
+            for mat in rep.matrices]
+    return Representation(rep.algebra, mats, dict(rep.provenance, algorithm="quotient_step")), W
+
+
+def iterated_quotient(rep: Representation) -> Representation:
+    """``reduce_once`` repeated from ``rep`` until W = 0, with the provenance
+    ``algorithm_quotient`` writes."""
+    g = rep.algebra
+    center, gens = g.center(), _generators(g)[1]
+    start, w_dims = rep, []
+    while True:
+        rep, W = reduce_once(rep, center, gens)
+        if not W:
+            break
+        w_dims.append(len(W))
+    return Representation(rep.algebra, list(rep.matrices), {
+        "algorithm": "quotient", "dim": rep.dim, "regular_dim": start.dim, "w_dims": w_dims})
 
 
 def partitions(j: int) -> int:

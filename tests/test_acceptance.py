@@ -18,19 +18,23 @@ import warnings
 import pytest
 
 import nilrep as nr
-from helpers import betti2, enumerate_monomials, intersect, nu, pfaff_check, regular_unpruned
+from helpers import (
+    annihilated_subspace,
+    betti2,
+    center_image,
+    enumerate_monomials,
+    intersect,
+    nu,
+    pfaff_check,
+    reduce_once,
+    regular_unpruned,
+)
 from nilrep import catalog, fileio, tables
 from nilrep.liealg import _generators
 from nilrep.fields import GF, QQ
-from nilrep.quotient import algorithm_quotient, reduce_once
+from nilrep.quotient import algorithm_quotient
 from nilrep.regular import build_pruned_module
-from nilrep.representation import (
-    annihilated_subspace,
-    center_image,
-    is_faithful,
-    is_homomorphism,
-    kernel,
-)
+from nilrep.representation import is_faithful, is_homomorphism, kernel
 
 RECORD = []
 

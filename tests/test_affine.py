@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import from_dense, rebased, to_dense
+from helpers import from_dense, rebased, subspace_kernel, to_dense
 from nilrep import affine
 from nilrep.fields import GF, QQ, rational
 from nilrep.affine import (
@@ -122,7 +122,7 @@ def all_pairs_cocycles(fld, table, rows):
                 for u, x in rows[l].get(t, {}).items():
                     row[j * k + u] = x
                 conditions.add(row)
-    return conditions.kernel()
+    return subspace_kernel(conditions)
 
 
 def canonical_rows(rows):

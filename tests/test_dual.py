@@ -3,19 +3,14 @@ import warnings
 
 import pytest
 
-from helpers import mid_of, rebased, span
+from helpers import annihilated_subspace, center_image, mid_of, rebased, span
 from nilrep.fields import GF, QQ, rational
 from nilrep import dual
 from nilrep.dual import algorithm_dual, center_dual_generators, dual_action_matrices
 from nilrep.linalg import closure
 from nilrep.quotient import algorithm_quotient
 from nilrep.regular import algorithm_regular, build_pruned_module
-from nilrep.representation import (
-    annihilated_subspace,
-    center_image,
-    is_faithful,
-    is_homomorphism,
-)
+from nilrep.representation import is_faithful, is_homomorphism
 from nilrep import abelian_algebra, catalog
 from nilrep.liealg import _generators
 

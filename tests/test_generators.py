@@ -1,28 +1,37 @@
 """Work from the generators: S, Z(g) ∩ g^m and the adapted basis against
 the references they replaced.
 
-``annihilated_subspace`` reads only the matrices of a complement V of
-[g, g], ``_adapted_basis`` takes Z(g) ∩ g^m from residuals against g^m, and
-it walks the layers top weight first through one span that only grows.
-Each is checked against the old computation (every matrix's rows stacked;
-Zassenhaus' intersection; a fresh span per layer seeded with g^{m+1}) on
-catalog algebras over Q, F_2 and F_3, on f_13 to f_17, on rebased inputs and
-on random quotients of free nilpotent algebras, and a count of the rows
-sifted pins down that S reads the generators alone.
+S (``helpers.annihilated_subspace``, and the S of every Quotient round)
+reads only the matrices of a complement V of [g, g], ``_adapted_basis``
+takes Z(g) ∩ g^m from residuals against g^m, and it walks the layers top
+weight first through one span that only grows.  Each is checked against the
+old computation (every matrix's rows stacked; Zassenhaus' intersection; a
+fresh span per layer seeded with g^{m+1}) on catalog algebras over Q, F_2
+and F_3, on f_13 to f_17, on rebased inputs and on random quotients of free
+nilpotent algebras, and a count of the rows sifted pins down that
+``algorithm_quotient`` reads S off the generators alone.
 """
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import free_nilpotent_quotients, intersect, rebased
-from nilrep import catalog, liealg, quotient
+import helpers
+from helpers import (
+    annihilated_subspace,
+    free_nilpotent_quotients,
+    intersect,
+    iterated_quotient,
+    rebased,
+    subspace_kernel,
+)
+from nilrep import catalog, liealg
 from nilrep.dual import algorithm_dual
 from nilrep.fields import GF, QQ
 from nilrep.liealg import AdaptedBasis, LieAlgebra, NotNilpotentError
 from nilrep.linalg import SparseMatrix, Subspace, invert
 from nilrep.quotient import algorithm_quotient
 from nilrep.regular import algorithm_regular, build_pruned_module
-from nilrep.representation import Representation, annihilated_subspace
+from nilrep.representation import Representation
 
 
 def stacked_annihilated_subspace(rep, _gens):
@@ -32,7 +41,7 @@ def stacked_annihilated_subspace(rep, _gens):
     for mat in rep.matrices:
         for _i, row in sorted(mat.transpose().cols.items()):
             stacked.add(row)
-    return stacked.kernel()
+    return subspace_kernel(stacked)
 
 
 def per_layer_adapted_basis(g):
@@ -74,16 +83,18 @@ def check_against_references(g):
         assert getattr(adapted, name) == getattr(reference, name), name
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(liealg, "_central_part", intersect)
-        assert adapted.matrix == g.adapted_basis().matrix
+        # a copy of g: g keeps the adapted basis it built
+        assert adapted.matrix == LieAlgebra(g.field, g.dim, g.table).adapted_basis().matrix
 
     module = build_pruned_module(g, adapted)
     regular = algorithm_regular(g, module=module)
     gens = liealg._generators(g)[1]
     for r in (regular, algorithm_dual(g, module=module)):
         assert annihilated_subspace(r, gens).sparse == stacked_annihilated_subspace(r, gens).sparse
+    # the paper's rounds with S from every matrix stacked
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quotient, "annihilated_subspace", stacked_annihilated_subspace)
-        ref_quo = algorithm_quotient(g, regular_rep=regular)
+        mp.setattr(helpers, "annihilated_subspace", stacked_annihilated_subspace)
+        ref_quo = iterated_quotient(regular)
     quo = algorithm_quotient(g, regular_rep=regular)
     assert quo.matrices == ref_quo.matrices and quo.provenance == ref_quo.provenance
 
@@ -147,22 +158,25 @@ def test_annihilated_subspace_sifts_only_the_generator_rows(f13, monkeypatch):
     generator_rows = sum(len(set().union(*rep.matrices[j].cols.values())) for j in gens)
     # every Subspace made is kept alive, so that no id is reused
     made, adds, kerneled = [], {}, []
-    add, kernel = Subspace.add, Subspace.kernel
+    add, kernel_vectors = Subspace.add, Subspace.kernel_vectors
 
     def counted_add(self, row):
         made.append(self)
         adds[id(self)] = adds.get(id(self), 0) + 1
         return add(self, row)
 
-    def recorded_kernel(self):
+    def recorded_kernel_vectors(self):
         kerneled.append(self)
-        return kernel(self)
+        return kernel_vectors(self)
 
     monkeypatch.setattr(Subspace, "add", counted_add)
-    monkeypatch.setattr(Subspace, "kernel", recorded_kernel)
-    S = annihilated_subspace(rep, generators)
-    assert S.dim > 0
-    (stacked,) = kerneled  # the rows sifted are those of the space whose kernel is S
+    monkeypatch.setattr(Subspace, "kernel_vectors", recorded_kernel_vectors)
+    quo = algorithm_quotient(f13, regular_rep=rep)
+    assert quo.provenance["w_dims"]
+    # the first round's S is the kernel of the one space on K^dim(V) whose
+    # kernel vectors are read, and the rows sifted into it are generator rows
+    (stacked,) = [space for space in kerneled if space.ambient == rep.dim]
+    assert stacked.dim < rep.dim  # S > 0
     assert adds[id(stacked)] <= generator_rows
 
 

@@ -1,12 +1,15 @@
+import gc
 import re
 
 import pytest
 
-from helpers import betti2, quotient, rebased, span, to_dense
+from helpers import betti2, quotient, rebased, span, subspace_kernel, to_dense
 from nilrep import catalog, liealg
+from nilrep.affine import AffineFail, algorithm_affine
 from nilrep.fields import GF, QQ, rational
 from nilrep.liealg import LieAlgebra, NotNilpotentError, abelian_algebra
 from nilrep.linalg import Subspace
+from nilrep.regular import build_pruned_module
 
 Q1 = rational(1)
 Q0 = rational(0)
@@ -287,6 +290,46 @@ def test_adapted_heisenberg_identity(heis):
     assert ab.algebra == heis
 
 
+def test_the_adapted_basis_is_built_once_per_algebra(monkeypatch):
+    # Regular's module build and Affine read the adapted basis their caller
+    # built; each call still returns the basis of the algebra it is asked on
+    calls = []
+    build = liealg._adapted_basis
+
+    def counted(g):
+        calls.append(g)
+        return build(g)
+
+    monkeypatch.setattr(liealg, "_adapted_basis", counted)
+    g = catalog.free_nilpotent(2, 4, QQ)
+    adapted = g.adapted_basis()
+    build_pruned_module(g)
+    build_pruned_module(g, adapted=adapted)
+    assert not isinstance(algorithm_affine(g, seed=0, retries=1), AffineFail)
+    assert g.adapted_basis() == adapted and g.adapted_basis().source is g
+    assert calls == [g]
+    # an equal algebra is another object and builds its own
+    twin = LieAlgebra(g.field, g.dim, g.table)
+    assert twin.adapted_basis() == adapted._replace(source=twin)
+    assert calls == [g, twin]
+
+
+def test_an_algebra_with_its_adapted_basis_leaves_nothing_for_the_collector():
+    # a memo that held the AdaptedBasis, whose ``source`` is the algebra,
+    # would be a reference cycle that lives until a collection runs
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = catalog.upper_triangular(5, GF(2))
+        g.adapted_basis()
+        del g
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_adapted_abelian_all_central():
     ab = abelian_algebra(QQ, 3).adapted_basis()
     assert ab.weights == (1, 1, 1)
@@ -512,7 +555,7 @@ def reference_center(g):
             rows.setdefault((i, k), {})[j] = g.field.neg(c)
     for key in sorted(rows):
         constraints.add(rows[key])
-    return constraints.kernel()
+    return subspace_kernel(constraints)
 
 
 def _catalog_algebras():

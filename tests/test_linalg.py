@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import from_dense, intersect, matmul, span, to_dense
+from helpers import from_dense, intersect, matmul, span, subspace_kernel, to_dense
 from nilrep.fields import GF, QQ, rational
 from nilrep.linalg import (
     SparseMatrix,
@@ -15,6 +15,7 @@ from nilrep.linalg import (
     invert,
     is_nilpotent,
     lincomb,
+    relations,
 )
 
 Q1 = rational(1)
@@ -82,7 +83,7 @@ def kernel_of(rows, field, ncols):
     space = Subspace(field, ncols)
     for row in rows:
         space.add({j: x for j, x in enumerate(row) if x != 0})
-    return space.kernel()
+    return subspace_kernel(space)
 
 
 FIELDS = st.sampled_from([QQ, GF(2), GF(3)])
@@ -209,7 +210,7 @@ def test_growing_a_basis_matches_from_vectors(field, head, tail):
     assert given_rows == sparse_rows(rref(head, field, 5)[0])
     assert space == span(field, 5, head + tail)
     assert space.sparse == span(field, 5, head + tail).sparse
-    assert dense_rows(space.kernel()) == tuple(nullspace(head + tail, field, 5))
+    assert dense_rows(subspace_kernel(space)) == tuple(nullspace(head + tail, field, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,7 @@ def test_coordinate_projection_matches_dense_reference(field, rows):
     kept, project = coordinate_projection(field, n, w.sparse.values())
     # P is read off the images of the unit vectors
     proj = SparseMatrix(field, len(kept), n,
-                        {j: col for j in range(n) if (col := project({j: field.one}))})
+                        {j: col for j in range(n) if (col := field.divided(*project({j: field.one})))})
     unit = [[field.one if j == k else field.zero for j in range(n)] for k in range(n)]
     # kept is the greedy complement: e_k stays when it raises the dense rank
     greedy, basis = [], list(dense_rows(w))
@@ -542,7 +543,11 @@ def test_coordinate_projection_matches_dense_reference(field, rows):
     assert nullspace(p, field, n) == list(dense_rows(w))  # ker P = W
     # project is P on every vector, not only on the unit vectors
     vec = [field.parse("%d/5" % (j * j - 3)) for j in range(n)]
-    image = project({j: x for j, x in enumerate(vec) if x != 0})
+    residual, s = project({j: x for j, x in enumerate(vec) if x != 0})
+    # scaled by s > 0 to ints, with s = 1 over F_p
+    assert s > 0 and all(type(x) is int for x in residual.values())
+    assert field == QQ or s == 1
+    image = field.divided(residual, s)
     assert [image.get(t, field.zero) for t in range(len(kept))] == apply(vec)
 
 
@@ -638,7 +643,7 @@ def test_fraction_free_kernel_matches_the_normalised_one(field, data):
         got, want = getattr(new, op)(row), getattr(old, op)(row)
         assert got == want and row == given_row
         assert new.sparse == old.sparse and new.pivots == tuple(old.sparse)
-    assert new.kernel().sparse == old.kernel().sparse
+    assert subspace_kernel(new).sparse == old.kernel().sparse
 
 
 def integral_values_are_ints(rows):
@@ -660,4 +665,74 @@ def test_integral_rationals_are_ints_in_every_result(rows, vec):
     space = span(QQ, 5, rows)
     residual = space.reduce({j: x for j, x in enumerate(vec)})
     assert integral_values_are_ints(space.sparse.values())
-    assert integral_values_are_ints([residual, *space.kernel().sparse.values()])
+    assert integral_values_are_ints([residual, *subspace_kernel(space).sparse.values()])
+
+
+# ---------------------------------------------------------------------------
+# relations: one reversed-column sweep against the two-sift kernel
+
+
+def two_sift_relations(field, maps):
+    """``relations`` as it was: the rows (M_l at one position)_l sifted in
+    sorted order of the position until they span K^len(maps), then their
+    kernel vectors sifted again into a new subspace."""
+    d = len(maps)
+    rows = {}
+    for l, outer in enumerate(maps):
+        for j, inner in outer.items():
+            for i, v in inner.items():
+                rows.setdefault((j, i), {})[l] = v
+    constraints = Subspace(field, d)
+    for key in sorted(rows):
+        constraints.add(rows[key])
+        if constraints.dim == d:
+            break
+    return subspace_kernel(constraints)
+
+
+@st.composite
+def sparse_maps(draw):
+    """``(field, maps)``: up to six sparse 4 x 4 maps over Q, F_2 or F_3, and
+    among them, in a drawn order, empty maps and repeated or scaled copies."""
+    field = draw(FIELDS)
+    nonzero = scalars(field).filter(lambda x: x != 0)
+    one_map = st.dictionaries(st.integers(0, 3), st.dictionaries(st.integers(0, 3), nonzero,
+                                                                  min_size=1, max_size=3),
+                              max_size=3)
+    maps = draw(st.lists(one_map, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        maps.append({})
+    for _ in range(draw(st.integers(0, 2)) if maps else 0):
+        source, f = maps[draw(st.integers(0, len(maps) - 1))], draw(nonzero)
+        maps.append({j: {i: field.mul(f, x) for i, x in inner.items()}
+                     for j, inner in source.items()})
+    return field, draw(st.permutations(maps))
+
+
+def check_relations_against_two_sifts(field, maps):
+    got, want = relations(field, maps), two_sift_relations(field, maps)
+    assert (got.field, got.ambient) == (field, len(maps))
+    assert got.sparse == want.sparse and got.pivots == want.pivots
+    assert all(got.primitive_row(pc) == want.primitive_row(pc) for pc in got.pivots)
+    if field == QQ:
+        assert integral_values_are_ints(got.sparse.values())
+
+
+@given(sparse_maps())
+def test_relations_match_the_two_sift_kernel(drawn):
+    check_relations_against_two_sifts(*drawn)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+@pytest.mark.parametrize("maps", [
+    [],
+    [{}, {}, {}],
+    [{l: {l: 1}} for l in range(4)],  # full rank: no relation
+    [{0: {1: 1}, 2: {0: 2}}, {3: {3: 1}}, {0: {1: 1}, 2: {0: 2}}],  # a repeated map
+    [{0: {0: 1}}, {0: {0: 1}}, {0: {0: 1}}, {1: {0: 1}}],  # repeated rows
+    [{0: {0: 1, 1: 1}}, {}, {0: {0: 1}, 1: {1: 1}}, {0: {1: 1}}],
+], ids=["no-maps", "zero-maps", "full-rank", "repeated-map", "repeated-rows", "mixed"])
+def test_relations_match_the_two_sift_kernel_on_fixed_maps(field, maps):
+    check_relations_against_two_sifts(field, [
+        {j: {i: field.from_int(x) for i, x in inner.items()} for j, inner in m.items()}
+        for m in maps])

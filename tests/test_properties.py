@@ -5,8 +5,8 @@ quotients of free nilpotent algebras over Q, F_2 and F_3
 (``helpers.free_nilpotent_quotients``) and on random central extensions of
 them by 2-cocycles (``helpers.central_extensions``): Regular, Dual and
 Quotient return verified representations, Dual and Quotient are no larger
-than Regular, the results of Dual and Quotient are fixpoints of Quotient's
-round, and Affine returns a verified representation of dimension dim(g) + 1
+than Regular, the results of Dual and Quotient are fixpoints of the paper's
+Quotient round (``helpers.reduce_once``), and Affine returns a verified representation of dimension dim(g) + 1
 or an ``AffineFail``.  Regular's pruned module is often a Quotient fixpoint
 already on these small algebras, so Quotient also starts from the unpruned
 module, where it runs rounds.  On the pruned module, Quotient's result is
@@ -23,7 +23,9 @@ from helpers import (
     intersect,
     rebased,
     rebased_generated,
+    reduce_once,
     regular_unpruned,
+    subspace_kernel,
 )
 from nilrep import catalog
 from nilrep.affine import AffineFail, algorithm_affine
@@ -31,7 +33,7 @@ from nilrep.dual import algorithm_dual, center_dual_generators, dual_action_matr
 from nilrep.fields import GF, QQ
 from nilrep.liealg import _generators
 from nilrep.linalg import Subspace, closure, coordinate_projection, relations
-from nilrep.quotient import algorithm_quotient, reduce_once
+from nilrep.quotient import algorithm_quotient
 from nilrep.regular import algorithm_regular, build_pruned_module
 from nilrep.representation import verify_report
 
@@ -86,7 +88,7 @@ def socle_series(rep) -> list:
         _kept, project = coordinate_projection(fld, n, series[-1].sparse.values())
         series.append(relations(fld, [
             {l: image for l, mat in enumerate(rep.matrices)
-             if j in mat.cols and (image := project(mat.cols[j]))}
+             if j in mat.cols and (image := fld.divided(*project(mat.cols[j])))}
             for j in range(n)]))
     return series
 
@@ -110,7 +112,7 @@ def check_quotient_is_the_negated_transpose_of_dual(g):
     # the rounds' W dimensions are the socle layers of F^⊥, F Dual's spin
     spin = closure(g.field, module.dim, center_dual_generators(module),
                    [mat for mat, _lam in dual_action_matrices(module)])
-    annihilator = spin.kernel()
+    annihilator = subspace_kernel(spin)
     dims = [intersect(annihilator, layer).dim for layer in socle_series(regular)]
     assert dims[-1] == annihilator.dim == regular.dim - dual.dim
     layers = [b - a for a, b in zip(dims, dims[1:])]
@@ -138,22 +140,35 @@ def test_quotient_is_the_negated_transpose_of_dual(build):
     """Quotient on the pruned module returns -D_l^T for Dual's matrices D_l,
     entry for entry, and its ``w_dims`` are the layers
     dim(F^⊥ ∩ soc^r V) - dim(F^⊥ ∩ soc^(r-1) V), F ⊂ V* Dual's spin of the
-    ψ_i.  The layers are a conjecture; the identity has a proof sketch when
-    Z(g) = g^c, as for f_n, U_n and N_{n,c} and their rebased forms:
+    ψ_i.  Both are proven below when Z(g) = g^c, as for f_n, U_n and N_{n,c}
+    and their rebased forms; the general case is open.
 
-    1. The central generators x_z span g^c and act as m -> -m x_z, which is
-       zero unless m = 1.  So the center image C is the span of the unit
-       vectors e_z of the central-generator monomials, and they lie in S.
-       S's canonical RREF then holds each e_z as a row, every W row vanishes
-       on them, and a W vector is killed by g and by every ψ_i: W ⊆ F^⊥.
-       The same holds in each later round on V/W, so W_total ⊆ F^⊥.
-    2. At the fixpoint S ⊆ C, so the socle lies in C, where no nonzero
-       vector is killed by every ψ_i.  F^⊥ is a submodule, and its image in
-       V/W_total would meet the socle if it were nonzero: F^⊥ ⊆ W_total.
-    3. So V/W_total = V/F^⊥, the dual of F.  By matroid duality the kept
-       coordinates, a greedy complement of F^⊥, are the pivot columns of F's
-       RREF, the coordinates Dual's basis is indexed by, and the projected
-       action there is -D_l^T.
+    The central generators x_z span g^c and act as m -> -m x_z, which is
+    zero unless m = 1.  So the center image C is the span of the unit
+    vectors e_z of the central-generator monomials, each e_z is killed by g,
+    and ψ_i reads coordinate z_i: F^⊥, the largest submodule of V on which
+    every ψ_i vanishes, is the largest submodule inside
+    Z0 = {v : v_z = 0 for every z}.  Let W_{≤r} be the kernel of V -> V_r,
+    the projection onto the module after r rounds.
+
+    (a) The W_r are exactly S_r's canonical rows other than the e_z.  A unit
+        vector in S_r is its canonical row, so those rows are the e_z, and
+        the others vanish on every z and enlarge C.  So span W_r = S_r ∩ Z0,
+        no coordinate z is ever dropped, the projection leaves every v_z as
+        it is, and C = span{e_z} ⊆ S in every round.
+    (b) W_{≤r} is a submodule inside Z0, by (a), so it lies in F^⊥.  And
+        g·W_{≤r} ⊆ W_{≤r-1}, since W_r ⊆ S_r, so it lies in soc^r V.
+    (c) Take v ∈ F^⊥ ∩ soc^r V.  By induction on r,
+        g·v ⊆ F^⊥ ∩ soc^(r-1) V = W_{≤r-1}, so v's image in V_{r-1} lies in
+        S_r ∩ Z0 = span W_r, and v ∈ W_{≤r}.
+
+    Hence W_{≤r} = F^⊥ ∩ soc^r V, whose layers are the ``w_dims``.  Once a
+    layer is zero the series F^⊥ ∩ soc^r V stays put, by (c), and the action
+    is nilpotent, so the socle series reaches V: the rounds stop at
+    W_total = F^⊥.  So V/W_total = V/F^⊥, the dual of F.  By matroid duality
+    the kept coordinates, a greedy complement of F^⊥, are the pivot columns
+    of F's RREF, the coordinates Dual's basis is indexed by, and the
+    projected action there is -D_l^T.
     """
     check_quotient_is_the_negated_transpose_of_dual(build())
 

@@ -1,19 +1,33 @@
-import pytest
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
-from helpers import intersect, matmul, rebased, regular_unpruned
+import pytest
+from hypothesis import given, settings
+
+from helpers import (
+    annihilated_subspace,
+    center_image,
+    central_extensions,
+    free_nilpotent_quotients,
+    intersect,
+    iterated_quotient,
+    matmul,
+    rebased,
+    rebased_generated,
+    reduce_once,
+    regular_unpruned,
+)
 from nilrep import catalog, liealg, quotient, representation
 from nilrep.fields import GF, QQ, rational
 from nilrep.liealg import LieAlgebra, _generators
-from nilrep.linalg import SparseMatrix, Subspace
-from nilrep.quotient import algorithm_quotient, reduce_once
+from nilrep.fileio import save_representation
+from nilrep.linalg import SparseMatrix, Subspace, lincomb
+from nilrep.quotient import algorithm_quotient
 from nilrep.regular import algorithm_regular
-from nilrep.representation import (
-    Representation,
-    annihilated_subspace,
-    center_image,
-    is_faithful,
-    is_homomorphism,
-)
+from nilrep.representation import Representation, is_faithful, is_homomorphism
 
 Q1 = rational(1)
 
@@ -252,3 +266,188 @@ def test_rounds_match_the_projection_matrix(build):
     quo = algorithm_quotient(g, regular_rep=reg)
     assert quo.provenance["w_dims"] == w_dims
     assert typed_entries(quo) == typed_entries(ref)
+
+
+# ---------------------------------------------------------------------------
+# algorithm_quotient against the paper's round on every matrix
+
+
+def check_matches_the_reference_rounds(g):
+    """From the pruned and the unpruned module, ``algorithm_quotient`` equals
+    ``helpers.reduce_once`` repeated to its fixpoint: the same stored entries
+    of the same types, ``w_dims`` and ``regular_dim``."""
+    for start in (algorithm_regular(g), regular_unpruned(g)):
+        quo, ref = algorithm_quotient(g, regular_rep=start), iterated_quotient(start)
+        assert typed_entries(quo) == typed_entries(ref)
+        assert quo.provenance == ref.provenance and quo.dim == ref.dim
+        assert quo.provenance["regular_dim"] == start.dim
+
+
+REFERENCE_INPUTS = [
+    ("heisenberg/Q", lambda: catalog.heisenberg(QQ)),
+    ("heisenberg/F3", lambda: catalog.heisenberg(GF(3))),
+    ("U_5/F2", lambda: catalog.upper_triangular(5, GF(2))),
+    ("U_5/Q", lambda: catalog.upper_triangular(5, QQ)),
+    ("N_2_5/Q", lambda: catalog.free_nilpotent(2, 5, QQ)),
+    ("N_3_3/F3", lambda: catalog.free_nilpotent(3, 3, GF(3))),
+    ("f_13", lambda: catalog.filiform_f(13)),
+    ("heisenberg-rebased/Q", lambda: HEIS_REBASED),
+    ("rebased-U_5/F2", lambda: rebased(catalog.upper_triangular(5, GF(2)), 1)),
+    ("rebased-U_5/F3", lambda: rebased(catalog.upper_triangular(5, GF(3)), 2)),
+    ("rebased-N_2_4/Q", lambda: rebased(catalog.free_nilpotent(2, 4, QQ), 3)),
+    ("rebased-f_13", lambda: rebased(catalog.filiform_f(13), 4)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _n, b in REFERENCE_INPUTS],
+                         ids=[n for n, _b in REFERENCE_INPUTS])
+def test_quotient_matches_the_reference_rounds(build):
+    check_matches_the_reference_rounds(build())
+
+
+@settings(max_examples=25)
+@given(free_nilpotent_quotients())
+def test_quotient_matches_the_reference_rounds_on_random_quotients(g):
+    check_matches_the_reference_rounds(g)
+
+
+@settings(max_examples=25)
+@given(central_extensions())
+def test_quotient_matches_the_reference_rounds_on_random_central_extensions(g):
+    check_matches_the_reference_rounds(g)
+
+
+@settings(max_examples=25)
+@given(rebased_generated())
+def test_quotient_matches_the_reference_rounds_on_rebased_generated_algebras(g):
+    check_matches_the_reference_rounds(g)
+
+
+def as_fractions(rep):
+    """``rep`` with every integral entry an integral ``Fraction`` instead of an ``int``."""
+    return Representation(rep.algebra, [
+        SparseMatrix(rep.field, mat.nrows, mat.ncols,
+                     {j: {i: Fraction(x) for i, x in col.items()} for j, col in mat.cols.items()})
+        for mat in rep.matrices], dict(rep.provenance))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.heisenberg(QQ), lambda: catalog.upper_triangular(5, QQ),
+    lambda: catalog.free_nilpotent(2, 5, QQ), lambda: catalog.filiform_f(13),
+    lambda: HEIS_REBASED, lambda: rebased(catalog.upper_triangular(5, QQ), 1),
+    lambda: rebased(catalog.filiform_f(13), 2),
+], ids=["heisenberg", "U_5", "N_2_5", "f_13", "heisenberg-rebased", "rebased-U_5",
+        "rebased-f_13"])
+def test_integral_entries_as_fractions_give_the_same_quotient(build, tmp_path):
+    # the output does not depend on whether the input's integral rationals
+    # are ints or Fractions: the same entries, provenance and file bytes,
+    # and the same types wherever a round projected the matrices
+    g = build()
+    for start in (algorithm_regular(g), regular_unpruned(g)):
+        assert any(type(x) is int for mat in start.matrices for col in mat.cols.values()
+                   for x in col.values())
+        quo = algorithm_quotient(g, regular_rep=start)
+        alt = algorithm_quotient(g, regular_rep=as_fractions(start))
+        assert alt.matrices == quo.matrices and alt.provenance == quo.provenance
+        if quo.provenance["w_dims"]:
+            assert typed_entries(alt) == typed_entries(quo)
+        save_representation(quo, str(tmp_path / "int.json"))
+        save_representation(alt, str(tmp_path / "fraction.json"))
+        assert (tmp_path / "int.json").read_bytes() == (tmp_path / "fraction.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the mechanism: the rounds project the generator and center matrices alone
+
+
+def counting_projections(monkeypatch):
+    """Patch the ``coordinate_projection`` that Quotient calls so that each
+    call records its kept list and how many vectors its ``project`` maps."""
+    calls = []
+    project_onto = quotient.coordinate_projection
+
+    def counted(fld, n, rows):
+        kept, project = project_onto(fld, n, rows)
+        record = {"n": n, "kept": kept, "projected": 0}
+        calls.append(record)
+
+        def counted_project(vec):
+            record["projected"] += 1
+            return project(vec)
+
+        return kept, counted_project
+
+    monkeypatch.setattr(quotient, "coordinate_projection", counted)
+    return calls
+
+
+def kept_columns(mats, kept) -> int:
+    return sum(1 for mat in mats for k in kept if k in mat.cols)
+
+
+def test_the_rounds_project_only_the_generator_and_center_columns(monkeypatch):
+    g = catalog.filiform_f(15)
+    reg = algorithm_regular(g)
+    calls = counting_projections(monkeypatch)
+    quo = algorithm_quotient(g, regular_rep=reg)
+    *rounds, last = calls
+    assert len(rounds) == len(quo.provenance["w_dims"]) >= 2
+    # the reference rounds give each round's module; the rounds carry its
+    # generator matrices and M_z, with the supports the module has
+    gens = [j for v in _generators(g)[1] for j in v]
+    center = g.center()
+    rep, full, composed = reg, 0, list(range(reg.dim))
+    for record in rounds:
+        assert record["n"] == rep.dim
+        carried = [rep.matrices[j] for j in gens]
+        carried += [lincomb(g.field, z, rep.matrices) for z in center.sparse.values()]
+        assert record["projected"] == kept_columns(carried, record["kept"])
+        full += kept_columns(rep.matrices, record["kept"])
+        composed = [composed[k] for k in record["kept"]]
+        rep, _W = reduce_once(rep, center, _generators(g)[1])
+    assert typed_entries(rep) == typed_entries(quo)
+    # less than half of what projecting every matrix each round takes (993
+    # columns against 2181): the generator matrices are the densest
+    assert 2 * sum(record["projected"] for record in rounds) < full
+    # and the last projection maps every column of the input on the composed
+    # kept list once
+    assert (last["n"], last["kept"]) == (reg.dim, composed)
+    assert last["projected"] == kept_columns(reg.matrices, composed)
+
+
+MISMATCH = """
+import pytest
+from nilrep import catalog, quotient
+from nilrep.quotient import algorithm_quotient
+from nilrep.regular import algorithm_regular
+
+g = catalog.filiform_f(13)
+reg = algorithm_regular(g)
+rounds = len(algorithm_quotient(g, regular_rep=reg).provenance["w_dims"])
+project_onto, made = quotient.coordinate_projection, []
+
+
+def shifted_last(fld, n, rows):
+    # the projection after the rounds drops one more coordinate
+    made.append(n)
+    kept, project = project_onto(fld, n, rows)
+    return (kept[1:] if len(made) > rounds else kept), project
+
+
+quotient.coordinate_projection = shifted_last
+with pytest.raises(RuntimeError, match="keeps other coordinates"):
+    algorithm_quotient(g, regular_rep=reg)
+print("raised after", rounds, "rounds")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_a_kept_list_other_than_the_rounds_raises(flags):
+    # the check is no assert: it holds under python -O as well
+    src = str(pathlib.Path(quotient.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, *flags, "-c", MISMATCH], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised after 5 rounds"

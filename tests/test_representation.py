@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import from_dense, intersect, matmul, regular_unpruned, span
+from helpers import (
+    annihilated_subspace,
+    center_image,
+    from_dense,
+    intersect,
+    matmul,
+    regular_unpruned,
+    span,
+    subspace_kernel,
+)
 from nilrep import catalog
 from nilrep.fields import GF, QQ, field_from_characteristic, rational
 from nilrep.liealg import LieAlgebra, _generators, abelian_algebra
@@ -13,8 +22,6 @@ from nilrep.linalg import SparseMatrix, Subspace, invert, is_nilpotent, lincomb
 from nilrep.regular import algorithm_regular
 from nilrep.representation import (
     Representation,
-    annihilated_subspace,
-    center_image,
     homomorphism_failure,
     is_faithful,
     is_homomorphism,
@@ -311,7 +318,7 @@ def reference_kernel(rep):
         constraints.add(rows[key])
         if constraints.dim == g.dim:
             break
-    return constraints.kernel()
+    return subspace_kernel(constraints)
 
 
 @pytest.mark.parametrize("g", [

@@ -35,7 +35,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .liealg import LieAlgebra
-from .linalg import SparseMatrix, Subspace, combine, lincomb, relations
+from .linalg import SparseMatrix, Subspace, combine, echelon_kernel, lincomb, relations
 from .representation import Representation
 
 _MIX_ATTEMPTS = 20
@@ -128,15 +128,13 @@ def _cocycles(fld, solve: tuple, rows: list, n: int) -> list:
     (t, u) of some psi reads a row u that some psi has and that is not
     visited before t.
 
-    The relations cut the generator unknowns down to a subspace of K^(g k).
-    They are sifted with the columns reversed, so that the kernel vector of
-    each free column f (``Subspace.kernel_vectors``) has its other entries
-    past f at pivot columns: a multiple of the canonical kernel row with
-    pivot f.  Each extended by the forms and divided by its entry at f, its
-    smallest column, they are Z¹'s canonical RREF rows, returned in pivot
-    order, because a cocycle is determined by its generator block and those
-    unknowns come first: the pivots stay in the block, and the rows still
-    vanish on each other's pivots.
+    The relations cut the generator unknowns down to their kernel in
+    K^(g k), read off as multiples of its canonical RREF rows
+    (``linalg.echelon_kernel``).  Each extended by the forms and divided by
+    its entry at its smallest column, they are Z¹'s canonical RREF rows,
+    returned in pivot order, because a cocycle is determined by its
+    generator block and those unknowns come first: the pivots stay in the
+    block, and the rows still vanish on each other's pivots.
 
     The forms are ints over one scale per row (X[t][s] = F_{t,s} / sigma_t)
     and the psi ints over one scale, so over Q the solve runs on ints as it
@@ -148,8 +146,7 @@ def _cocycles(fld, solve: tuple, rows: list, n: int) -> list:
     pairs = _pairs(k, g)
     psi, lam = fld.integral_maps(rows)
     forms: dict = {}  # t -> (sigma_t, {s: F_{t,s}}) for the rows some psi has
-    last = g * k - 1
-    conditions = Subspace(fld, g * k)  # column last - c is generator unknown c
+    conditions = []  # the relations among the generator unknowns
     has = set().union(*psi)
     for t in (*range(k - 1, 1, -1), 0, 1):
         if t not in has:
@@ -177,7 +174,7 @@ def _cocycles(fld, solve: tuple, rows: list, n: int) -> list:
             b[p] = acc
         for tau in ties:
             if row := combine(fld, tau, b):
-                conditions.add({last - c: x for c, x in row.items()})
+                conditions.append(row)
         fs = {s: f for s, tau in solved.items() if (f := combine(fld, tau, b))}
         sigma = scale * lam * m
         common = gcd(sigma, *(x for f in fs.values() for x in f.values()))
@@ -191,8 +188,7 @@ def _cocycles(fld, solve: tuple, rows: list, n: int) -> list:
             for c, x in form.items():
                 images.setdefault(c, {})[s * k + t] = x * f
     out = []
-    for v in conditions.kernel_vectors():
-        v = {last - c: x for c, x in v.items()}
+    for v in echelon_kernel(fld, g * k, conditions):
         row = combine(fld, v, images)
         row.update((c, x * total) for c, x in v.items())
         out.append(fld.divided(fld.clean(row), v[min(v)] * total))

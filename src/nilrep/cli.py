@@ -64,21 +64,20 @@ def _check_retries(retries: int):
         raise InputError("--retries must be at least 1, got %d" % retries)
 
 
+ALGORITHMS = {  # compute --alg: the call on the algebra and the parsed arguments
+    "regular": lambda g, args: algorithm_regular(g),
+    "quotient": lambda g, args: algorithm_quotient(g),
+    "dual": lambda g, args: algorithm_dual(g),
+    "affine": lambda g, args: algorithm_affine(g, seed=args.seed, retries=args.retries),
+}
+
+
 def cmd_compute(args) -> int:
     _check_retries(args.retries)
     field = _parse_field(args.field)
     g = _load_input(args.input, field)
     t0 = time.monotonic()
-    if args.alg == "regular":
-        rep = algorithm_regular(g)
-    elif args.alg == "quotient":
-        rep = algorithm_quotient(g)
-    elif args.alg == "dual":
-        rep = algorithm_dual(g)
-    elif args.alg == "affine":
-        rep = algorithm_affine(g, seed=args.seed, retries=args.retries)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError("unknown algorithm %r" % args.alg)
+    rep = ALGORITHMS[args.alg](g, args)
     elapsed = time.monotonic() - t0
     if isinstance(rep, AffineFail):
         summary = {
@@ -191,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="run one algorithm on an algebra")
-    p_compute.add_argument("--alg", required=True, choices=["regular", "quotient", "dual", "affine"])
+    p_compute.add_argument("--alg", required=True, choices=list(ALGORITHMS))
     p_compute.add_argument("--in", dest="input", required=True,
                            help="algebra file, or catalog:heisenberg | catalog:utri:N | "
                                 "catalog:freenilp:N,C | catalog:filiform:N")

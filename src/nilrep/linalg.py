@@ -12,9 +12,10 @@ echelon bookkeeping.  ``sparse`` is still the canonical rational RREF and
 format.  A ``Subspace`` answers membership and residuals, exact or as
 ints times a scale, and gives the kernel vectors of its rows.  On it build
 ``coordinate_projection`` (a vector reduced against the span of some rows,
-relabelled onto a coordinate complement), ``relations`` (the linear
-relations among matrices, read off one sweep of their rows with the
-columns reversed), ``closure`` (the smallest subspace holding some vectors
+relabelled onto a coordinate complement), ``echelon_kernel`` (the echelon
+kernel of some rows, read off one sweep of them with the columns reversed),
+``relations`` (the linear relations among matrices, through
+``echelon_kernel``), ``closure`` (the smallest subspace holding some vectors
 and stable under some matrices: Dual's spin and the check that generators
 generate) and ``invert``, which reads an inverse off the tag columns of
 ``[A | I]``.  Neither a complement
@@ -203,36 +204,41 @@ def coordinate_projection(field: Field, n: int, rows) -> tuple:
     return kept, project
 
 
+def echelon_kernel(field: Field, n: int, rows) -> Iterator[dict]:
+    """The kernel {x : r · x = 0 for every row r} of the sparse ``rows`` of
+    K^n, one integral vector per free column f, in decreasing f.
+
+    The rows are sifted in order, with the columns reversed, until they span
+    K^n.  Reversed, a basis row has its pivot at its smallest column, so the
+    kernel vector of f (``Subspace.kernel_vectors``) has, in the original
+    columns, its other entries past f at pivots of the sweep.  These vectors
+    span the kernel, whose pivots are thus the free columns: divided by its
+    entry at f, each is the kernel's canonical RREF row with pivot f, and
+    sifting it into a ``Subspace`` eliminates nothing.
+    """
+    last = n - 1
+    space = Subspace(field, n)
+    for row in rows:
+        space.add({last - c: x for c, x in row.items()})
+        if space.dim == n:
+            return
+    for v in space.kernel_vectors():
+        yield {last - c: x for c, x in v.items()}
+
+
 def relations(field: Field, maps: Sequence[dict]) -> Subspace:
     """{x : sum_l x_l M_l = 0} for the matrices M_l given by ``maps[l]``, all
-    column maps ``{col: {row: x}}`` or all row maps ``{row: {col: x}}``: a
-    relation among matrices is one among their transposes.
-
-    The rows (M_l at one position)_l are sifted in sorted order of the
-    position (outer key, inner key) until they span all of K^len(maps), with
-    the columns l reversed.  The kernel vector of each free column
-    (``Subspace.kernel_vectors``) then has its other entries past its
-    smallest column, at pivot columns of the sweep, which the kernel's
-    canonical rows vanish on: it is a multiple of the canonical kernel row
-    whose pivot is that column.  So the kernel's echelon basis is read off
-    this one sweep, and adding those vectors to the result eliminates
-    nothing.
-    """
-    d = len(maps)
-    last = d - 1
+    column maps ``{col: {row: x}}`` or all row maps ``{row: {col: x}}`` (a
+    relation among matrices is one among their transposes): ``echelon_kernel``
+    of the rows (M_l at one position)_l in sorted order of the position."""
     rows: dict = {}
     for l, outer in enumerate(maps):
         for j, inner in outer.items():
             for i, v in inner.items():
-                rows.setdefault((j, i), {})[last - l] = v
-    constraints = Subspace(field, d)
-    for key in sorted(rows):
-        constraints.add(rows[key])
-        if constraints.dim == d:
-            break
-    kernel = Subspace(field, d)
-    for v in constraints.kernel_vectors():
-        kernel.add({last - c: x for c, x in v.items()})
+                rows.setdefault((j, i), {})[l] = v
+    kernel = Subspace(field, len(maps))
+    for v in echelon_kernel(field, len(maps), (rows[key] for key in sorted(rows))):
+        kernel.add(v)
     return kernel
 
 

@@ -10,12 +10,14 @@ realised on the greedily kept coordinates of ``coordinate_projection``,
 until W = 0.  Faithfulness survives because the center still acts
 faithfully on the quotient.
 
-A round reads two kinds of matrix only.  S is the kernel of the matrices
-M_v of the generators V (``liealg._generators``): the x with M_x S = 0 form
-a subalgebra, since M_[x,y] = [M_x, M_y], and it contains V.  C is the sum
-of the column spaces of the M_z for the echelon basis z of the center.  So
-the rounds carry these |V| + |Z| matrices and never project the other
-n - |V| - |Z|.  Neither a kernel nor a column span changes when a whole
+A round reads two kinds of matrix only, named by ``g.adapted_basis()``,
+which Regular builds.  S is the kernel of the M_v of its weight-one vectors
+V, a complement of g² and so generators: the x with M_x S = 0 form a
+subalgebra, since M_[x,y] = [M_x, M_y], and it contains V.  C is the sum of
+the column spaces of the M_z for its central-flagged vectors z, a basis of
+Z(g).  Both are read as canonical echelon forms, which these choices do not
+change.  So the rounds carry these |V| + |Z| matrices and never project the
+other n - |V| - |Z|.  Neither a kernel nor a column span changes when a whole
 matrix is scaled, so a carried matrix is kept as ints over one scale that
 is never recorded: ``project`` returns each column as ints over a scale of
 its own, and the columns are brought to the lcm of those scales.
@@ -36,15 +38,15 @@ from __future__ import annotations
 from math import lcm
 from typing import Optional
 
-from .liealg import LieAlgebra, _generators
+from .liealg import LieAlgebra
 from .linalg import SparseMatrix, Subspace, coordinate_projection, lincomb, relations
 from .regular import algorithm_regular
 from .representation import Representation
 
 
-def _integral(fld, cols: dict) -> dict:
-    """A column map as ints over one scale (``Field.integral_maps``)."""
-    return fld.integral_maps([cols])[0][0]
+def _carried(fld, vec: dict, matrices: list) -> dict:
+    """sum_l vec_l ``matrices[l]`` as a column map of ints over one scale."""
+    return fld.integral_maps([lincomb(fld, vec, matrices).cols])[0][0]
 
 
 def _projected(mat: dict, kept: list, project) -> dict:
@@ -69,9 +71,9 @@ def algorithm_quotient(
     if rep.algebra != g:
         raise ValueError("regular_rep represents another algebra")
     fld = g.field
-    gens = [_integral(fld, rep.matrices[j].cols) for v in _generators(g)[1] for j in v]
-    center = [_integral(fld, lincomb(fld, z, rep.matrices).cols)
-              for z in g.center().sparse.values()]
+    basis = g.adapted_basis()
+    gens = [_carried(fld, v, rep.matrices) for v, m in zip(basis.matrix, basis.weights) if m == 1]
+    center = [_carried(fld, z, rep.matrices) for z, c in zip(basis.matrix, basis.central_flags) if c]
     kept = list(range(rep.dim))  # the coordinates of V the current module keeps
     lifted, w_dims = [], []
     while True:
@@ -104,13 +106,5 @@ def algorithm_quotient(
                                              if k in mat.cols and (image := project(mat.cols[k]))[0]})
                     for mat in rep.matrices]
     # a new Representation: a regular_rep that is already a fixpoint keeps its provenance
-    return Representation(
-        rep.algebra,
-        matrices,
-        {
-            "algorithm": "quotient",
-            "dim": len(kept),
-            "regular_dim": rep.dim,
-            "w_dims": w_dims,
-        },
-    )
+    return Representation(rep.algebra, matrices, {
+        "algorithm": "quotient", "dim": len(kept), "regular_dim": rep.dim, "w_dims": w_dims})

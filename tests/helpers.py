@@ -1,5 +1,5 @@
 """Helpers that only the tests use: dense matrices, matrix products,
-subspace intersections and kernels, quotient algebras, the second Betti
+subspace intersections and kernels, quotient algebras, direct sums, the second Betti
 number, plain JSON files, generated nilpotent algebras, the product table as
 dicts, the full monomial model with its unpruned module, the paper's
 Quotient round, the closed-form bound nu and the Pfaff identities of f_n.
@@ -7,8 +7,8 @@ Quotient round, the closed-form bound nu and the Pfaff identities of f_n.
 The package holds matrices and subspaces sparse and writes representation
 files itself; tests state small matrices and spans densely, check matrix
 identities through products, intersect subspaces by Zassenhaus' method,
-build quotients by ideals and central extensions by 2-cocycles to generate
-inputs, check b2(f_n) = 2, save algebra objects, sometimes corrupted on
+build quotients by ideals, central extensions by 2-cocycles and direct
+sums to generate inputs, check b2(f_n) = 2, save algebra objects, sometimes corrupted on
 purpose, as ordinary JSON, and read every entry of the product table, a
 bare monomial id included, as one dict.  The package never enumerates the
 top weight layer's monomials of degree two or more; the full model here
@@ -24,6 +24,7 @@ the fixpoint as the reference ``algorithm_quotient`` must equal.
 
 import json
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -189,6 +190,26 @@ def betti2(g: LieAlgebra) -> int:
         if row:
             b2.add(row)
     return len(pairs) - conditions.dim - b2.dim
+
+
+def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
+    """a ⊕ b on the basis of a followed by that of b, with [a, b] = 0; raises
+    ValueError when the fields differ."""
+    if a.field != b.field:
+        raise ValueError("direct sum of algebras over different fields")
+    n = a.dim
+    table = dict(a.table)
+    table.update(((i + n, j + n), {k + n: c for k, c in terms.items()})
+                 for (i, j), terms in b.table.items())
+    return LieAlgebra(a.field, n + b.dim, table)
+
+
+def as_fractions(rep: Representation) -> Representation:
+    """``rep`` with every integral entry an integral ``Fraction`` instead of an ``int``."""
+    return Representation(rep.algebra, [
+        SparseMatrix(rep.field, mat.nrows, mat.ncols,
+                     {j: {i: Fraction(x) for i, x in col.items()} for j, col in mat.cols.items()})
+        for mat in rep.matrices], dict(rep.provenance))
 
 
 def save_json(obj: dict, path: str):

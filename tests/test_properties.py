@@ -2,12 +2,13 @@
 
 The catalog fixes a few hand-picked algebras; these properties run on random
 quotients of free nilpotent algebras over Q, F_2 and F_3
-(``helpers.free_nilpotent_quotients``) and on random central extensions of
-them by 2-cocycles (``helpers.central_extensions``): Regular, Dual and
-Quotient return verified representations, Dual and Quotient are no larger
-than Regular, the results of Dual and Quotient are fixpoints of the paper's
-Quotient round (``helpers.reduce_once``), and Affine returns a verified representation of dimension dim(g) + 1
-or an ``AffineFail``.  Regular's pruned module is often a Quotient fixpoint
+(``helpers.free_nilpotent_quotients``), on random central extensions of
+them by 2-cocycles (``helpers.central_extensions``) and on the direct sums
+of ``DIRECT_SUMS``: Regular, Dual and Quotient return verified
+representations, Dual and Quotient are no larger than Regular, the results
+of Dual and Quotient are fixpoints of the paper's Quotient round
+(``helpers.reduce_once``), and Affine returns a verified representation of
+dimension dim(g) + 1 or an ``AffineFail``.  Regular's pruned module is often a Quotient fixpoint
 already on these small algebras, so Quotient also starts from the unpruned
 module, where it runs rounds.  On the pruned module, Quotient's result is
 the negated transpose of Dual's, with the socle layers of Dual's annihilator
@@ -15,10 +16,12 @@ as its ``w_dims`` (see ``test_quotient_is_the_negated_transpose_of_dual``).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from helpers import (
+    as_fractions,
     central_extensions,
+    direct_sum,
     free_nilpotent_quotients,
     intersect,
     rebased,
@@ -30,12 +33,49 @@ from helpers import (
 from nilrep import catalog
 from nilrep.affine import AffineFail, algorithm_affine
 from nilrep.dual import algorithm_dual, center_dual_generators, dual_action_matrices
-from nilrep.fields import GF, QQ
-from nilrep.liealg import _generators
-from nilrep.linalg import Subspace, closure, coordinate_projection, relations
+from nilrep.fields import GF, QQ, rational
+from nilrep.fileio import save_representation
+from nilrep.liealg import LieAlgebra, _generators, abelian_algebra
+from nilrep.linalg import SparseMatrix, Subspace, closure, coordinate_projection, relations
 from nilrep.quotient import algorithm_quotient
 from nilrep.regular import algorithm_regular, build_pruned_module
-from nilrep.representation import verify_report
+from nilrep.representation import Representation, kernel, verify_report
+
+
+SUMMANDS = {
+    "H": catalog.heisenberg,
+    "ab": lambda fld: abelian_algebra(fld, 2),
+    "U4": lambda fld: catalog.upper_triangular(4, fld),
+    "U5": lambda fld: catalog.upper_triangular(5, fld),
+    "N23": lambda fld: catalog.free_nilpotent(2, 3, fld),
+    "N24": lambda fld: catalog.free_nilpotent(2, 4, fld),
+    "f13": lambda fld: catalog.filiform_f(13, fld),
+}
+
+
+def _summed(x: str, y: str, fld):
+    return lambda: direct_sum(SUMMANDS[x](fld), SUMMANDS[y](fld))
+
+
+# id -> builder of a direct sum whose center Z(g) is larger than g^c: H⊕ab
+# (ab the abelian plane), H⊕H, U_4⊕H, U_5⊕N_{2,3}, N_{2,4}⊕N_{2,3} and
+# U_5⊕ab over Q, F_2 and F_3, and f_13⊕H over Q, each in both orders (H⊕H,
+# the same algebra both ways, once)
+FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3)}
+DIRECT_SUMS = {
+    "%s+%s-%s" % (x, y, name): _summed(x, y, FIELDS[name])
+    for a, b, names in [("H", "ab", FIELDS), ("H", "H", FIELDS), ("U4", "H", FIELDS),
+                        ("U5", "N23", FIELDS), ("N24", "N23", FIELDS), ("U5", "ab", FIELDS),
+                        ("f13", "H", ["Q"])]
+    for name in names for x, y in ((a, b), (b, a))
+}
+
+
+def with_direct_sums(test):
+    """``test`` with every algebra of ``DIRECT_SUMS`` as an explicit example."""
+    for build in DIRECT_SUMS.values():
+        test = example(build())(test)
+    return test
 
 
 def check_every_algorithm(g):
@@ -63,6 +103,7 @@ def check_every_algorithm(g):
 
 @settings(max_examples=25)
 @given(free_nilpotent_quotients())
+@with_direct_sums
 def test_every_algorithm_on_random_nilpotent_quotients(g):
     check_every_algorithm(g)
 
@@ -134,14 +175,17 @@ def check_quotient_is_the_negated_transpose_of_dual(g):
     lambda: rebased(catalog.upper_triangular(5, GF(3)), 2),
     lambda: rebased(catalog.free_nilpotent(2, 4, QQ), 2),
     lambda: rebased(catalog.filiform_f(13), 3),
+    *DIRECT_SUMS.values(),
 ], ids=["heis-F3", "U5", "U5-F2", "U6-F3", "N25", "N33-F2", "f13", "f15", "U5-F2-rebased",
-        "U5-F3-rebased", "N24-rebased", "f13-rebased"])
+        "U5-F3-rebased", "N24-rebased", "f13-rebased", *DIRECT_SUMS])
 def test_quotient_is_the_negated_transpose_of_dual(build):
     """Quotient on the pruned module returns -D_l^T for Dual's matrices D_l,
     entry for entry, and its ``w_dims`` are the layers
     dim(F^⊥ ∩ soc^r V) - dim(F^⊥ ∩ soc^(r-1) V), F ⊂ V* Dual's spin of the
     ψ_i.  Both are proven below when Z(g) = g^c, as for f_n, U_n and N_{n,c}
-    and their rebased forms; the general case is open.
+    and their rebased forms; the general case is open.  The direct sums of
+    ``DIRECT_SUMS``, whose center is larger than g^c, hold too, without a
+    proof.
 
     The central generators x_z span g^c and act as m -> -m x_z, which is
     zero unless m = 1.  So the center image C is the span of the unit
@@ -189,3 +233,63 @@ def test_quotient_is_the_negated_transpose_of_dual_on_random_central_extensions(
 @given(rebased_generated())
 def test_quotient_is_the_negated_transpose_of_dual_on_rebased_generated_algebras(g):
     check_quotient_is_the_negated_transpose_of_dual(g)
+
+
+# ---------------------------------------------------------------------------
+# integral rationals given as ints or as backend rationals
+
+
+INTEGRAL_INPUTS = {
+    "heisenberg": lambda: catalog.heisenberg(QQ),
+    "U5": lambda: catalog.upper_triangular(5, QQ),
+    "N25": lambda: catalog.free_nilpotent(2, 5, QQ),
+    "f13": lambda: catalog.filiform_f(13),
+    "U5-rebased": lambda: rebased(catalog.upper_triangular(5, QQ), 1),
+    "f13+H": DIRECT_SUMS["f13+H-Q"],
+}
+
+
+def saved(result, path) -> object:
+    """The bytes ``save_representation`` writes for a Representation, and
+    an ``AffineFail`` itself."""
+    if isinstance(result, AffineFail):
+        return result
+    save_representation(result, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("build", INTEGRAL_INPUTS.values(), ids=list(INTEGRAL_INPUTS))
+def test_integral_structure_constants_as_rationals_give_the_same_files(build, tmp_path):
+    # a table given with integral backend rationals (Fraction(n, 1)) is
+    # normalised to ints on construction, so Regular, Dual and a seeded
+    # Affine write the same bytes as from the table of ints
+    g = build()
+    backend = type(rational(1, 2))
+    alt = LieAlgebra(QQ, g.dim, {pair: {k: backend(c, 1) for k, c in terms.items()}
+                                 for pair, terms in g.table.items()})
+    assert alt.table == g.table
+    for run in (algorithm_regular, algorithm_dual,
+                lambda h: algorithm_affine(h, seed=3, retries=2)):
+        assert saved(run(alt), tmp_path / "alt.json") == saved(run(g), tmp_path / "int.json")
+
+
+def entry_types(space) -> list:
+    return [{c: (x, type(x)) for c, x in row.items()} for row in space.sparse.values()]
+
+
+@pytest.mark.parametrize("build", INTEGRAL_INPUTS.values(), ids=list(INTEGRAL_INPUTS))
+def test_integral_entries_as_rationals_verify_and_save_the_same(build, tmp_path):
+    # verification, the kernel and the file bytes do not depend on whether a
+    # representation's integral entries are ints or Fraction(n, 1); the
+    # Regular module with its last matrix zeroed fails verification and has
+    # a kernel, so the failing paths are compared too
+    g = build()
+    reg = algorithm_regular(g)
+    cut = Representation(g, reg.matrices[:-1] + [SparseMatrix(QQ, reg.dim, reg.dim)],
+                         dict(reg.provenance))
+    for rep in (reg, algorithm_dual(g), cut):
+        alt = as_fractions(rep)
+        assert verify_report(alt) == verify_report(rep)
+        assert entry_types(kernel(alt)) == entry_types(kernel(rep))
+        assert saved(alt, tmp_path / "alt.json") == saved(rep, tmp_path / "int.json")
+    assert kernel(cut).dim == 1 and not verify_report(cut)["ok"]

@@ -2,13 +2,13 @@ import os
 import pathlib
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from helpers import (
     annihilated_subspace,
+    as_fractions,
     center_image,
     central_extensions,
     free_nilpotent_quotients,
@@ -20,7 +20,9 @@ from helpers import (
     reduce_once,
     regular_unpruned,
 )
-from nilrep import catalog, liealg, quotient, representation
+from nilrep import catalog, liealg, quotient
+from nilrep.affine import algorithm_affine
+from nilrep.dual import algorithm_dual
 from nilrep.fields import GF, QQ, rational
 from nilrep.liealg import LieAlgebra, _generators
 from nilrep.fileio import save_representation
@@ -103,41 +105,37 @@ def test_quotient_leaves_its_regular_input_alone(heis):
     assert quo.dim == reg.dim == 3 and quo.matrices == reg.matrices
 
 
-def test_quotient_computes_the_center_once(monkeypatch, f13):
-    # the center does not change between rounds, so the loop reads it once;
-    # Regular runs first because its adapted basis reads the center too
-    reg = algorithm_regular(f13)
-    calls = []
-    center = LieAlgebra.center
-
-    def counted(self):
-        calls.append(self)
-        return center(self)
-
-    monkeypatch.setattr(LieAlgebra, "center", counted)
-    quo = algorithm_quotient(f13, regular_rep=reg)
-    assert len(quo.provenance["w_dims"]) > 1
-    assert calls == [f13]
-
-
-def test_quotient_computes_the_generators_once(monkeypatch):
-    # V and its closure check do not change between rounds either: the loop
-    # reads them once however many rounds the rebased f_14 needs
+def test_quotient_builds_no_structure_of_its_own(monkeypatch):
+    # Quotient reads V and the center basis off the adapted basis that
+    # Regular built for this g: Regular, Dual, Quotient and Affine build it
+    # once between them, and Quotient computes neither the center nor the
+    # generators, however many rounds the rebased f_14 needs
     g = rebased(catalog.filiform_f(14), 1)
-    reg = algorithm_regular(g)
-    calls = []
-    generators = liealg._generators
+    built, structure = [], []
+    adapted_basis, center, generators = liealg._adapted_basis, LieAlgebra.center, liealg._generators
 
-    def counted(h):
-        calls.append(h)
+    def counted_basis(h):
+        built.append(h)
+        return adapted_basis(h)
+
+    def counted_center(h):
+        structure.append("center")
+        return center(h)
+
+    def counted_generators(h):
+        structure.append("generators")
         return generators(h)
 
-    for module in (liealg, representation, quotient):
-        if hasattr(module, "_generators"):
-            monkeypatch.setattr(module, "_generators", counted)
+    monkeypatch.setattr(liealg, "_adapted_basis", counted_basis)
+    reg = algorithm_regular(g)
+    algorithm_dual(g)
+    monkeypatch.setattr(LieAlgebra, "center", counted_center)
+    monkeypatch.setattr(liealg, "_generators", counted_generators)
     quo = algorithm_quotient(g, regular_rep=reg)
     assert len(quo.provenance["w_dims"]) > 1
-    assert calls == [g]
+    assert structure == []
+    algorithm_affine(g, seed=0, retries=1)
+    assert built == [g]
 
 
 def test_quotient_rejects_a_regular_rep_of_another_algebra(heis, u4):
@@ -323,14 +321,6 @@ def test_quotient_matches_the_reference_rounds_on_rebased_generated_algebras(g):
     check_matches_the_reference_rounds(g)
 
 
-def as_fractions(rep):
-    """``rep`` with every integral entry an integral ``Fraction`` instead of an ``int``."""
-    return Representation(rep.algebra, [
-        SparseMatrix(rep.field, mat.nrows, mat.ncols,
-                     {j: {i: Fraction(x) for i, x in col.items()} for j, col in mat.cols.items()})
-        for mat in rep.matrices], dict(rep.provenance))
-
-
 @pytest.mark.parametrize("build", [
     lambda: catalog.heisenberg(QQ), lambda: catalog.upper_triangular(5, QQ),
     lambda: catalog.free_nilpotent(2, 5, QQ), lambda: catalog.filiform_f(13),
@@ -392,19 +382,21 @@ def test_the_rounds_project_only_the_generator_and_center_columns(monkeypatch):
     quo = algorithm_quotient(g, regular_rep=reg)
     *rounds, last = calls
     assert len(rounds) == len(quo.provenance["w_dims"]) >= 2
-    # the reference rounds give each round's module; the rounds carry its
-    # generator matrices and M_z, with the supports the module has
-    gens = [j for v in _generators(g)[1] for j in v]
-    center = g.center()
+    # the reference rounds give each round's module; the rounds carry the
+    # matrices of the adapted basis's weight-one and central vectors, with
+    # the supports the module has
+    adapted = g.adapted_basis()
+    vectors = [v for v, m in zip(adapted.matrix, adapted.weights) if m == 1]
+    vectors += [z for z, central in zip(adapted.matrix, adapted.central_flags) if central]
+    center, gens = g.center(), _generators(g)[1]
     rep, full, composed = reg, 0, list(range(reg.dim))
     for record in rounds:
         assert record["n"] == rep.dim
-        carried = [rep.matrices[j] for j in gens]
-        carried += [lincomb(g.field, z, rep.matrices) for z in center.sparse.values()]
+        carried = [lincomb(g.field, v, rep.matrices) for v in vectors]
         assert record["projected"] == kept_columns(carried, record["kept"])
         full += kept_columns(rep.matrices, record["kept"])
         composed = [composed[k] for k in record["kept"]]
-        rep, _W = reduce_once(rep, center, _generators(g)[1])
+        rep, _W = reduce_once(rep, center, gens)
     assert typed_entries(rep) == typed_entries(quo)
     # less than half of what projecting every matrix each round takes (993
     # columns against 2181): the generator matrices are the densest

@@ -4,7 +4,8 @@
 one; every name the package exports must still exist; dense matrices exist
 only as text in the file format, so the tests' dense converters
 (``helpers.py``) appear nowhere in the package, ``fileio.py`` included; no
-module uses another object's private attributes; every public function,
+module uses another object's private attributes or imports another package
+module's private names; every public function,
 class and method is called from the package or the benchmark, or is listed
 with its reason in ``KEPT``, and every method name that such a call cannot
 tell apart is listed with its reason in ``SHARED_NAMES``; every private
@@ -99,6 +100,21 @@ def test_no_private_attribute_used_from_outside():
             own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
             if not own and not node.attr.endswith("__"):
                 found.append("%s:%d %s" % (path.name, node.lineno, node.attr))
+    assert found == []
+
+
+def test_no_private_name_imported_from_another_package_module():
+    # ``from .liealg import _name`` ties a module to another's internals;
+    # dunders such as ``__version__`` are public protocol, and the tests and
+    # their helpers may import what they check
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").split(".")[0] == "nilrep":
+                found += ["%s:%d %s" % (path.name, node.lineno, alias.name) for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert found == []
 
 

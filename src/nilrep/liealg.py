@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .fields import Field
-from .linalg import SparseMatrix, Subspace, closure, combine, invert, relations
+from .linalg import SparseMatrix, Subspace, closure, combine, descending_chain, invert, relations
 
 
 class NotNilpotentError(ValueError):
@@ -96,28 +96,18 @@ class LieAlgebra:
 
         With g² and the generators V of ``_generators``, g^m is spanned by
         the left-normed commutators of length at least m in V (by Jacobi), so
-        g^{m+1} = span [g^m, V].
+        g^{m+1} = span [g^m, V]: the series past g is
+        ``linalg.descending_chain`` from g² under ad(V).
 
         Raises NotNilpotentError when V does not generate g or the series
         stabilises above zero.
         """
-        fld, d = self.field, self.dim
-        cur, gens = _generators(self)
-        series = [Subspace.full_space(fld, d), cur]
-        while cur.dim > 0:
-            nxt = Subspace(fld, d)
-            for row in cur.sparse.values():
-                for v in gens:
-                    entry = _bracket(self, row, v)
-                    if entry:
-                        nxt.add(entry)
-            if nxt.dim == cur.dim:
-                raise NotNilpotentError(
-                    "lower central series stabilises at dimension %d" % cur.dim
-                )
-            series.append(nxt)
-            cur = nxt
-        return series
+        derived, _gens, ad = _generators(self)
+        chain = descending_chain(derived, ad)
+        if chain[-1].dim:
+            raise NotNilpotentError("lower central series stabilises at dimension %d"
+                                    % chain[-1].dim)
+        return [Subspace.full_space(self.field, self.dim)] + chain
 
     def center(self) -> Subspace:
         """{z : [z, x] = 0 for all x}, the relations among the adjoint maps:
@@ -175,22 +165,23 @@ def _adjoint(g: LieAlgebra) -> list:
 
 
 def _generators(g: LieAlgebra) -> tuple:
-    """``(g², V)``: g² = [g, g], the span of the table's values, and the unit
-    vectors V off its pivot columns, a complement.  In a nilpotent g every
-    complement of g² generates g, so raise NotNilpotentError unless
-    ``linalg.closure`` of V under ad(V), the subalgebra V generates, is all
-    of g."""
+    """``(g², V, ad(V))``: g² = [g, g], the span of the table's values, the
+    unit vectors V off its pivot columns, a complement, and the SparseMatrix
+    ad(v) of each v in V.  In a nilpotent g every complement of g² generates
+    g, so raise NotNilpotentError unless ``linalg.closure`` of V under ad(V),
+    the subalgebra V generates, is all of g."""
     fld, d = g.field, g.dim
     derived = Subspace(fld, d)
     for terms in g.table.values():
         derived.add(terms)
     gens = [{j: fld.one} for j in range(d) if j not in derived.sparse]
     ad = _adjoint(g)
-    generated = closure(fld, d, gens, [ad[j] for v in gens for j in v]).dim
+    ad_gens = [ad[j] for v in gens for j in v]
+    generated = closure(fld, d, gens, ad_gens).dim
     if generated < d:
         raise NotNilpotentError("the complement of [g, g] generates a subalgebra of "
                                 "dimension %d < %d" % (generated, d))
-    return derived, gens
+    return derived, gens, ad_gens
 
 
 def abelian_algebra(field: Field, dim: int) -> LieAlgebra:

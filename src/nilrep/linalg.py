@@ -17,8 +17,10 @@ kernel of some rows, read off one sweep of them with the columns reversed),
 ``relations`` (the linear relations among matrices, through
 ``echelon_kernel``), ``closure`` (the smallest subspace holding some vectors
 and stable under some matrices: Dual's spin and the check that generators
-generate) and ``invert``, which reads an inverse off the tag columns of
-``[A | I]``.  Neither a complement
+generate), ``descending_chain`` (a subspace, the span of its images under
+some matrices, the span of theirs, and so on: the lower central series and
+the nilpotency test) and ``invert``, which reads an inverse off the tag
+columns of ``[A | I]``.  Neither a complement
 nor an intersection needs a helper: the echelon rows of a subspace that
 enlarge a ``Subspace`` as they are sifted in span a complement and are
 echelon themselves, and the vectors of a subspace that lie in another are
@@ -27,7 +29,7 @@ Enveloping-algebra actions and representations are column-oriented
 ``SparseMatrix`` objects.  Every sparse sum of vectors is one ``combine``
 (a matrix applied to a vector among them), every sum of matrices one
 ``lincomb`` pass, and ``is_nilpotent`` peels the acyclic ends off a matrix's
-support before it runs any arithmetic on what is left.  Dense matrices exist
+support before it runs ``descending_chain`` on what is left.  Dense matrices exist
 only in the file format (``fileio``).
 """
 
@@ -267,6 +269,26 @@ def closure(field: Field, n: int, seeds, maps: Sequence["SparseMatrix"]) -> Subs
     return basis
 
 
+def descending_chain(start: Subspace, maps: Sequence["SparseMatrix"]) -> list:
+    """``[S_0, S_1, …]``: S_0 = ``start`` and S_{i+1} the span of the images
+    of S_i's canonical rows under the square ``maps``, up to the first S_i
+    that is 0 or whose successor is no smaller.  The dimensions fall
+    strictly; where the maps send S_0 into itself (V ⊇ MV ⊇ …, or g² ⊇ g³ ⊇ …
+    under ad(V)) a chain that stops above 0 would stay at its last term."""
+    chain = [start]
+    while chain[-1].dim:
+        nxt = Subspace(start.field, start.ambient)
+        for row in chain[-1].sparse.values():
+            for mat in maps:
+                img = mat.apply_sparse(row)
+                if img:
+                    nxt.add(img)
+        if nxt.dim >= chain[-1].dim:
+            break
+        chain.append(nxt)
+    return chain
+
+
 def combine(field: Field, coeffs: dict, vectors: dict) -> dict:
     """sum_p coeffs[p] vectors[p] of sparse vectors over the p that ``vectors`` holds, cleaned."""
     acc: dict = {}
@@ -374,8 +396,9 @@ def is_nilpotent(mat: SparseMatrix) -> bool:
     vertex with no live predecessor or no live successor is a 1x1 zero block
     first or last in a block triangular form of the live principal submatrix,
     so it is nilpotent iff the rest is.  Peeling such vertices from both sides
-    (Kahn, CACM 5, 1962) leaves a core, decided by its image chain; on an
-    acyclic support the core is empty and no arithmetic runs at all.
+    (Kahn, CACM 5, 1962) leaves a core C, nilpotent iff its image chain
+    V ⊇ CV ⊇ C²V ⊇ … (``descending_chain``) reaches 0; on an acyclic support
+    the core is empty and no arithmetic runs at all.
     """
     if mat.nrows != mat.ncols:
         raise ValueError("nilpotency only defined for square matrices")
@@ -397,22 +420,7 @@ def is_nilpotent(mat: SparseMatrix) -> bool:
                 queue.append(j)
     if not succs:
         return True
-    pos = {v: t for t, v in enumerate(sorted(succs))}
-    core = {t: {pos[i]: x for i, x in mat.cols[v].items() if i in pos} for v, t in pos.items()}
-    return _image_chain_vanishes(SparseMatrix(mat.field, len(pos), len(pos), core))
-
-
-def _image_chain_vanishes(mat: SparseMatrix) -> bool:
-    """Whether the image chain V ⊇ MV ⊇ M²V ⊇ … of a square matrix hits 0."""
-    basis = [col for _j, col in sorted(mat.cols.items())]
-    seen_dim = None
-    while True:
-        image = Subspace(mat.field, mat.nrows)
-        for v in basis:
-            image.add(v)
-        if image.dim == 0:
-            return True
-        if seen_dim is not None and image.dim >= seen_dim:
-            return False
-        seen_dim = image.dim
-        basis = [mat.apply_sparse(v) for v in image.sparse.values()]
+    n, pos = len(succs), {v: t for t, v in enumerate(sorted(succs))}
+    core = SparseMatrix(mat.field, n, n, {t: {pos[i]: x for i, x in mat.cols[v].items() if i in pos}
+                                          for v, t in pos.items()})
+    return not descending_chain(Subspace.full_space(mat.field, n), [core])[-1].dim

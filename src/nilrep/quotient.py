@@ -50,9 +50,14 @@ def _carried(fld, vec: dict, matrices: list) -> dict:
 
 
 def _projected(mat: dict, kept: list, project) -> dict:
-    """The columns ``kept`` of the integral column map ``mat`` through
-    ``coordinate_projection``'s ``project``, brought to one scale."""
-    cols = {t: image for t, k in enumerate(kept) if k in mat and (image := project(mat[k]))[0]}
+    """The nonzero columns ``kept`` of the column map ``mat`` through
+    ``coordinate_projection``'s ``project``, as ``{t: (r, s)}``: r is s > 0
+    times the projected column."""
+    return {t: image for t, k in enumerate(kept) if k in mat and (image := project(mat[k]))[0]}
+
+
+def _one_scale(cols: dict) -> dict:
+    """``_projected``'s columns as ints over the lcm of their scales."""
     m = lcm(1, *(s for _r, s in cols.values()))
     return {t: r if s == m else {i: x * (m // s) for i, x in r.items()}
             for t, (r, s) in cols.items()}
@@ -90,8 +95,8 @@ def algorithm_quotient(
         now, project = coordinate_projection(fld, n, W)
         if len(now) >= n:
             raise RuntimeError("quotient round did not shrink the module")
-        gens = [_projected(mat, now, project) for mat in gens]
-        center = [_projected(mat, now, project) for mat in center]
+        gens = [_one_scale(_projected(mat, now, project)) for mat in gens]
+        center = [_one_scale(_projected(mat, now, project)) for mat in center]
         lifted += [{kept[c]: x for c, x in row.items()} for row in W]
         kept = [kept[k] for k in now]
         w_dims.append(len(W))
@@ -102,8 +107,8 @@ def algorithm_quotient(
             raise RuntimeError("the projection modulo every W keeps other coordinates "
                                "than the rounds")
         n = len(kept)
-        matrices = [SparseMatrix(fld, n, n, {t: fld.divided(*image) for t, k in enumerate(kept)
-                                             if k in mat.cols and (image := project(mat.cols[k]))[0]})
+        matrices = [SparseMatrix(fld, n, n, {t: fld.divided(*image) for t, image
+                                             in _projected(mat.cols, kept, project).items()})
                     for mat in rep.matrices]
     # a new Representation: a regular_rep that is already a fixpoint keeps its provenance
     return Representation(rep.algebra, matrices, {

@@ -166,9 +166,12 @@ def run_table(which: int, rows: Optional[list] = None, skip_affine: bool = False
     Each row builds one pruned module for Regular and Dual, runs Quotient
     where the table has that column and Affine unless ``skip_affine``, and
     verifies every result exactly.  Raises ValueError, before any row runs,
-    unless ``affine_timeout`` is None or positive and every index in ``rows``
-    is one of the table's rows.
+    unless ``retries`` is at least 1, ``affine_timeout`` is None or positive
+    and every index in ``rows`` is one of the table's rows; ``retries`` is
+    checked with ``skip_affine`` too, as the CLI checks ``--retries``.
     """
+    if retries < 1:
+        raise ValueError("retries must be at least 1, got %r" % (retries,))
     if affine_timeout is not None and not affine_timeout > 0:
         raise ValueError("affine_timeout must be positive, got %r" % (affine_timeout,))
     check_rows(which, rows)

@@ -15,9 +15,13 @@ position where two exponent tuples differ decides the order of their keys,
 as the later digits add up to less than one unit of it: inside a weight
 layer lex order is numeric order, and the ids stay in (weight, lex) order.
 Multiplying by x_j adds B^(d-1-j) to a key and dividing by x_j subtracts
-it; an append never carries, as its new exponent is at most c.  The walk
-that enumerates the monomials records each one's last factor and number of
-factors, so nothing reads the digits back.
+it; an append never carries, as its new exponent is at most c.  The
+monomials are enumerated by weight from one recurrence: a monomial m of
+weight w ≥ 1 is m' x_k for its last factor x_k and an m' of weight w - w_k
+whose last factor is at most k, the split ``right_products`` uses too.  So
+each layer is every such append to a lower layer, sorted by key; each one's
+last factor and number of factors are recorded as it is made, so nothing
+reads the digits back.
 
 Only the monomials a module can use are enumerated.  Every term of
 m * x_i has weight above w(m), so a monomial of the top weight c has no
@@ -82,10 +86,8 @@ def _weight_layers(weights: Sequence[int], cutoff: int) -> tuple:
     The top layer holds only the monomials of degree at most one; ``skipped``
     counts the others, which are never built.
 
-    The monomials below the top weight come from a depth-first walk over the
-    exponents, position by position, kept in lists rather than on the call
-    stack: it holds no reference cycle and no recursion limit bounds d.  The
-    walk keeps the key, the last factor and the factor count as it goes."""
+    Below the top weight, layer w is every m' x_k with m' in layer w - w_k
+    and last(m') <= k, sorted by key (see the module docstring)."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if any(w < 1 for w in weights):
@@ -94,34 +96,20 @@ def _weight_layers(weights: Sequence[int], cutoff: int) -> tuple:
     if not cutoff:
         return [([0], [0], [0])], 0
     place = _places(d, cutoff + 1)
-    by_room = [([], [], []) for _ in range(cutoff)]  # room r holds weight cutoff - 1 - r
-    least = [min(weights[pos:]) for pos in range(d)] + [cutoff]
-    prefix = [0] * d
-    before = [0] * d  # the room at each position before its exponent
-    key = last = factors = 0
-    pos, room = 0, cutoff - 1
-    while pos >= 0:
-        while room >= least[pos]:  # a factor from pos on fits: descend with exponent 0
-            before[pos] = room
-            pos += 1
-        keys, lasts, counts = by_room[room]  # monomials come out in lex order
-        keys.append(key)
-        lasts.append(last)
-        counts.append(factors)
-        # back up to the last position that takes one more factor
-        pos -= 1
-        while pos >= 0 and (prefix[pos] + 1) * weights[pos] > before[pos]:
-            key -= prefix[pos] * place[pos]
-            factors -= prefix[pos]
-            prefix[pos] = 0
-            pos -= 1
-        if pos >= 0:  # every later exponent is 0, so pos is the last factor
-            prefix[pos] += 1
-            key += place[pos]
-            factors += 1
-            last = pos
-            room = before[pos] - prefix[pos] * weights[pos]
-            pos += 1
+    layers = [([0], [0], [0])]
+    for w in range(1, cutoff):
+        keys, lasts, counts = [], [], []
+        for k in range(d):
+            if weights[k] <= w:
+                for key, last, n in zip(*layers[w - weights[k]]):
+                    if last <= k:
+                        keys.append(key + place[k])
+                        lasts.append(k)
+                        counts.append(n + 1)
+        # one sorted run per k, which the sort merges; no tuple per monomial
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        layers.append(([keys[i] for i in order], [lasts[i] for i in order],
+                       [counts[i] for i in order]))
     # the top layer in lex order: a unit vector is larger the earlier its 1
     top = [k for k in reversed(range(d)) if weights[k] == cutoff]
     ways = [1] + [0] * cutoff  # ways[s]: the number of monomials of weight s
@@ -129,7 +117,7 @@ def _weight_layers(weights: Sequence[int], cutoff: int) -> tuple:
         for s in range(w, cutoff + 1):
             ways[s] += ways[s - w]
     top_layer = ([place[k] for k in top], top, [1] * len(top))
-    return by_room[::-1] + [top_layer], ways[cutoff] - len(top)
+    return layers + [top_layer], ways[cutoff] - len(top)
 
 
 _EMPTY: dict = {}  # read-only: the default product, table entry and row

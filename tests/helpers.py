@@ -1,5 +1,6 @@
 """Helpers that only the tests use: dense matrices, matrix products,
-subspace intersections and kernels, quotient algebras, direct sums, the second Betti
+subspace intersections and kernels, the lower central series from its
+definition, quotient algebras, direct sums, the second Betti
 number, plain JSON files, generated nilpotent algebras, the product table as
 dicts, the full monomial model with its unpruned module, the paper's
 Quotient round, the closed-form bound nu and the Pfaff identities of f_n.
@@ -120,6 +121,25 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         if pc >= n:
             out.add({j - n: x for j, x in row.items()})
     return out
+
+
+def all_basis_series(g):
+    """The lower central series [g^m, g] from its definition: every row of
+    g^m bracketed with every basis vector, as before it used only the
+    generators."""
+    cur = Subspace.full_space(g.field, g.dim)
+    series = [cur]
+    while cur.dim > 0:
+        nxt = Subspace(g.field, g.dim)
+        for row in cur.sparse.values():
+            for j in range(g.dim):
+                entry = g.bracket(row, {j: g.field.one})
+                if entry:
+                    nxt.add(entry)
+        assert nxt.dim < cur.dim
+        series.append(nxt)
+        cur = nxt
+    return series
 
 
 def subspace_kernel(space: Subspace) -> Subspace:

@@ -405,6 +405,18 @@ def test_run_table_rejects_an_affine_timeout_that_is_not_positive(timeout):
         tables.run_table(1, rows=[0], affine_timeout=timeout)
 
 
+@pytest.mark.parametrize("skip_affine", [False, True])
+def test_run_table_rejects_retries_below_one_before_any_row_runs(monkeypatch, skip_affine):
+    # row 0's Regular and Dual used to run before Affine raised, and with
+    # skip_affine nothing raised, although the CLI rejects --retries 0
+    def unreachable(g):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(tables, "build_pruned_module", unreachable)
+    with pytest.raises(ValueError, match="retries must be at least 1"):
+        tables.run_table(1, rows=[0], retries=0, skip_affine=skip_affine)
+
+
 def test_affine_raises_once_its_deadline_has_passed(heis):
     with pytest.raises(AffineTimeout):
         algorithm_affine(heis, seed=0, retries=10, deadline=time.monotonic() - 1)

@@ -1,12 +1,14 @@
 """Work from the generators: S, Z(g) ∩ g^m and the adapted basis against
 the references they replaced.
 
-S (``helpers.annihilated_subspace``, and the S of every Quotient round)
-reads only the matrices of a complement V of [g, g], ``_adapted_basis``
+The lower central series is a chain of images under the ad(v) of a
+complement V of [g, g] alone, S (``helpers.annihilated_subspace``, and the S
+of every Quotient round) reads only the matrices of V, ``_adapted_basis``
 takes Z(g) ∩ g^m from residuals against g^m, and it walks the layers top
 weight first through one span that only grows.  Each is checked against the
-old computation (every matrix's rows stacked; Zassenhaus' intersection; a
-fresh span per layer seeded with g^{m+1}) on catalog algebras over Q, F_2
+old computation ([g^m, g] over every basis vector; every matrix's rows
+stacked; Zassenhaus' intersection; a fresh span per layer seeded with
+g^{m+1}) on catalog algebras over Q, F_2
 and F_3, on f_13 to f_17, on rebased inputs and on random quotients of free
 nilpotent algebras, and a count of the rows sifted pins down that
 ``algorithm_quotient`` reads S off the generators alone.
@@ -74,6 +76,7 @@ def per_layer_adapted_basis(g):
 
 
 def check_against_references(g):
+    assert g.lower_central_series() == helpers.all_basis_series(g)
     center = g.center()
     for gm in g.lower_central_series():
         assert liealg._central_part(center, gm).sparse == intersect(center, gm).sparse

@@ -3,12 +3,12 @@ import re
 
 import pytest
 
-from helpers import betti2, quotient, rebased, span, subspace_kernel, to_dense
+from helpers import all_basis_series, betti2, quotient, rebased, span, subspace_kernel, to_dense
 from nilrep import catalog, liealg
 from nilrep.affine import AffineFail, algorithm_affine
 from nilrep.fields import GF, QQ, rational
 from nilrep.liealg import LieAlgebra, NotNilpotentError, abelian_algebra
-from nilrep.linalg import Subspace
+from nilrep.linalg import SparseMatrix, Subspace
 from nilrep.regular import build_pruned_module
 
 Q1 = rational(1)
@@ -175,24 +175,6 @@ def test_lcs_hands_no_empty_bracket_to_the_subspace(monkeypatch):
     assert 0 not in seen
 
 
-def all_basis_series(g):
-    """The lower central series before it used only the generators: every
-    row of g^m bracketed with every basis vector."""
-    cur = Subspace.full_space(g.field, g.dim)
-    series = [cur]
-    while cur.dim > 0:
-        nxt = Subspace(g.field, g.dim)
-        for row in cur.sparse.values():
-            for j in range(g.dim):
-                entry = g.bracket(row, {j: g.field.one})
-                if entry:
-                    nxt.add(entry)
-        assert nxt.dim < cur.dim
-        series.append(nxt)
-        cur = nxt
-    return series
-
-
 SERIES_CASES = [
     catalog.heisenberg(QQ), catalog.upper_triangular(4, QQ), catalog.upper_triangular(7, QQ),
     catalog.free_nilpotent(2, 5, QQ), catalog.free_nilpotent(2, 7, QQ),
@@ -216,18 +198,25 @@ def test_series_from_generators_matches_all_basis_series(g):
 
 
 def test_n35_series_brackets_only_with_generators(monkeypatch):
-    # bracketing every row of g^m with all 80 basis vectors took 27 600 calls
-    calls = []
-    bracket = liealg._bracket
+    # bracketing every row of g^m with all 80 basis vectors took 27 600 calls;
+    # the series now applies the ad(v) of the 3 generators v, in the closure
+    # check and in the chain, and brackets nothing through _bracket
+    calls, brackets = [], []
+    apply_sparse, bracket = SparseMatrix.apply_sparse, liealg._bracket
 
-    def counted(g, x, y):
+    def counted(mat, vec):
         calls.append(1)
+        return apply_sparse(mat, vec)
+
+    def counted_bracket(g, x, y):
+        brackets.append(1)
         return bracket(g, x, y)
 
-    monkeypatch.setattr(liealg, "_bracket", counted)
+    monkeypatch.setattr(SparseMatrix, "apply_sparse", counted)
+    monkeypatch.setattr(liealg, "_bracket", counted_bracket)
     series = catalog.free_nilpotent(3, 5, QQ).lower_central_series()
     assert [s.dim for s in series] == [80, 77, 74, 66, 48, 0]
-    assert len(calls) < 2000
+    assert len(calls) < 2000 and brackets == []
 
 
 NON_NILPOTENT = [

@@ -12,6 +12,7 @@ from nilrep.linalg import (
     closure,
     combine,
     coordinate_projection,
+    descending_chain,
     invert,
     is_nilpotent,
     lincomb,
@@ -387,6 +388,50 @@ def test_closure_of_no_seeds_or_no_maps():
     assert closure(QQ, 3, [], [shift]).dim == 0
     assert closure(QQ, 3, [{0: Q1}], []).sparse == {0: {0: Q1}}
     assert closure(QQ, 3, [{0: Q1}], [shift]).dim == 3
+
+
+def plain_chain(field, n, start, dense_maps):
+    """The descending chain from the images of words: S_i is spanned by
+    M_{a_1} ⋯ M_{a_i} v for every word a in the maps and every dense start
+    row v, each multiplied out densely; the chain ends at the first S_i that
+    is 0 or whose successor is no smaller."""
+    vectors = start
+    chain = [span(field, n, vectors)]
+    while chain[-1].dim:
+        vectors = [[sum((mat[i][j] * v[j] for j in range(n)), field.zero) for i in range(n)]
+                   for v in vectors for mat in dense_maps]
+        nxt = span(field, n, vectors)
+        if nxt.dim >= chain[-1].dim:
+            break
+        chain.append(nxt)
+    return chain
+
+
+@given(FIELDS, st.integers(1, 5), st.data())
+def test_descending_chain_matches_the_plain_chain_of_words(field, n, data):
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    dense_maps = [in_field(field, rows) for rows in data.draw(st.lists(square, max_size=3))]
+    start = in_field(field, data.draw(matrices((0, 3), n)))
+    got = descending_chain(span(field, n, start), [from_dense(field, rows) for rows in dense_maps])
+    assert got == plain_chain(field, n, start, dense_maps)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_descending_chain_of_an_empty_start_no_maps_and_a_stall(field):
+    one = field.one
+    shift = from_dense(field, in_field(field, [[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
+    swap = from_dense(field, in_field(field, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    empty, full = Subspace(field, 3), Subspace.full_space(field, 3)
+    assert descending_chain(empty, [shift]) == [empty]
+    assert descending_chain(full, []) == [full, empty]
+    # e_0 -> e_1 -> e_2 -> 0
+    assert [s.sparse for s in descending_chain(full, [shift])] == [
+        full.sparse, {1: {1: one}, 2: {2: one}}, {2: {2: one}}, {}]
+    # swap maps <e_0, e_1> onto itself: the chain stops where it stalls
+    plane = span(field, 3, in_field(field, [[1, 0, 0], [0, 1, 0]]))
+    assert descending_chain(full, [swap]) == [full, plane]
+    assert descending_chain(plane, [swap, shift]) == [plane]
 
 
 @given(FIELDS, matrices((0, 4), 4), st.dictionaries(st.integers(0, 5), st.integers(-3, 3)))

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     FullUEA,
@@ -134,6 +135,15 @@ def test_count_equals_nu_exactly_when_deep_layers_are_lines():
     ((1, 1, 1, 2, 2, 3), 3), ((2, 2, 3), 5), ((), 2), ((1, 2, 3, 4, 5), 5),
 ])
 def test_the_package_enumerates_the_full_layers_but_the_top_ones_of_degree_two(weights, cutoff):
+    check_layers_against_the_exponent_tuples(weights, cutoff)
+
+
+@given(st.lists(st.integers(1, 4), max_size=6), st.integers(0, 7))
+def test_the_package_enumerates_the_full_layers_of_drawn_weights(weights, cutoff):
+    check_layers_against_the_exponent_tuples(weights, cutoff)
+
+
+def check_layers_against_the_exponent_tuples(weights, cutoff):
     layers, skipped = uea_module._weight_layers(weights, cutoff)
     full = weight_layers(weights, cutoff)
     top = [m for m in full[-1] if sum(m) <= 1]
